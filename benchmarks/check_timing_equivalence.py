@@ -7,7 +7,8 @@ Run as a script::
 Executes a grid of coupled timing runs — every translation scheme,
 fully-associative and direct-mapped structures, a sync-heavy workload
 mix (RAYTRACE's lock contention included), with and without
-``max_refs_per_node`` truncation — twice: once preferring the compiled
+``max_refs_per_node`` truncation, with and without the crossbar's
+port-contention model — twice: once preferring the compiled
 columnar engine and once forced onto the scalar reference engine
 (``fast=False``).  Every pair of :class:`RunSummary` serializations
 must be bit-identical (total time, per-node breakdowns, all counters,
@@ -19,7 +20,9 @@ matrix runs it against every kernel/backend combination.  When the
 compiled backend is unavailable (missing gcc/cffi, or ``REPRO_NO_NUMBA``
 set) both passes run scalar; the check then degrades to a determinism
 check and says so — still worth running, but the compiled legs are the
-ones that prove the tentpole contract.
+ones that prove the tentpole contract.  While the backend is
+available, a case that still runs scalar fails the gate: every case
+here is one the compiled engine models.
 """
 
 from __future__ import annotations
@@ -33,17 +36,19 @@ from repro import MachineParams, Scheme, make_workload
 from repro.analysis import run_timing
 from repro.core.replay import get_numpy
 from repro.core.schemes import SCHEME_ORDER
-from repro.core.timing_kernels import backend_status
+from repro.core.timing_kernels import backend_status, get_backend
 from repro.core.tlb import Organization
 from repro.runner.summary import RunSummary
 
 PARAMS = MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
-#: (workload, intensity, entries, organization, max_refs_per_node)
+#: (workload, intensity, entries, organization, max_refs_per_node, contention)
 CASES = (
-    ("radix", 0.3, 8, Organization.FULLY_ASSOCIATIVE, None),
-    ("raytrace", 0.5, 8, Organization.FULLY_ASSOCIATIVE, None),
-    ("raytrace", 0.5, 8, Organization.DIRECT_MAPPED, 300),
-    ("ocean", 0.2, 16, Organization.FULLY_ASSOCIATIVE, 250),
+    ("radix", 0.3, 8, Organization.FULLY_ASSOCIATIVE, None, False),
+    ("raytrace", 0.5, 8, Organization.FULLY_ASSOCIATIVE, None, False),
+    ("raytrace", 0.5, 8, Organization.DIRECT_MAPPED, 300, False),
+    ("ocean", 0.2, 16, Organization.FULLY_ASSOCIATIVE, 250, False),
+    ("raytrace", 0.5, 8, Organization.FULLY_ASSOCIATIVE, None, True),
+    ("ocean", 0.2, 16, Organization.FULLY_ASSOCIATIVE, 250, True),
 )
 
 
@@ -58,6 +63,7 @@ def comparable(result) -> dict:
 def main() -> int:
     kernels = "pure-python" if get_numpy() is None else "numpy"
     status = backend_status()
+    compiled_expected = get_backend() is not None
     print(f"timing equivalence check ({kernels} kernels, "
           f"timing backend: {status})", flush=True)
 
@@ -65,12 +71,14 @@ def main() -> int:
     checked = 0
     compiled_runs = 0
     for scheme in SCHEME_ORDER:
-        for name, intensity, entries, org, max_refs in CASES:
+        for name, intensity, entries, org, max_refs, contention in CASES:
             label = (f"{scheme.value}/{name}@{intensity}"
                      f"{org.suffix or '/FA'}"
-                     f"{f'/refs={max_refs}' if max_refs else ''}")
+                     f"{f'/refs={max_refs}' if max_refs else ''}"
+                     f"{'/contention' if contention else ''}")
             kwargs = dict(
-                organization=org, max_refs_per_node=max_refs
+                organization=org, max_refs_per_node=max_refs,
+                contention=contention,
             )
             fast = run_timing(
                 PARAMS, scheme, make_workload(name, intensity=intensity),
@@ -84,9 +92,14 @@ def main() -> int:
             compiled_runs += fast.backend == "compiled"
             if comparable(fast) != comparable(scalar):
                 failures.append(f"{label}: fast ({fast.backend}) != scalar")
+            elif compiled_expected and fast.backend != "compiled":
+                failures.append(
+                    f"{label}: ran {fast.backend} ({fast.fallback_reason}) "
+                    f"with the compiled backend available"
+                )
 
     if failures:
-        print(f"FAIL: {len(failures)} of {checked} runs diverged:")
+        print(f"FAIL: {len(failures)} of {checked} runs failed:")
         for line in failures:
             print(f"  {line}")
         return 1

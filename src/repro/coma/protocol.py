@@ -399,7 +399,11 @@ class ProtocolEngine:
     def _invalidate_holders(self, entry, block: int, home: int, exclude: int, start: int) -> int:
         """Invalidate every copy except ``exclude``'s; returns the time
         the slowest ack reaches home (overlapped multicast)."""
-        holders = [n for n in entry.holders if n != exclude]
+        # Ascending node order, as fastsim.c walks them: under port
+        # contention the acks queue at the home's port, so their order
+        # is timing (a set's iteration order is not ascending past 8
+        # nodes).
+        holders = sorted(n for n in entry.holders if n != exclude)
         done = start
         emit = self._em_invalidate
         for holder in holders:

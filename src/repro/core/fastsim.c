@@ -81,7 +81,8 @@
 #define G_MSG_REMOTE 22
 #define G_NETWORK_CYCLES 23
 #define G_PAYLOAD_BYTES 24
-#define N_GLOBAL 25
+#define G_CONTENTION_CYCLES 25
+#define N_GLOBAL 26
 
 /* per-node counter indices (timing_kernels.NODE_COUNTERS) */
 #define C_READS 0
@@ -150,6 +151,7 @@ enum {
     GEOM_BLK_PAYLOAD,
     GEOM_DIR_CAPACITY,
     GEOM_MAP_CAPACITY,
+    GEOM_CONTENTION, /* crossbar input-port serialization on */
     GEOM_LEN
 };
 
@@ -643,7 +645,7 @@ typedef struct FastSim {
     int64_t slc_hit, am_hit, req_cycles, blk_cycles, dir_latency, penalty;
     int64_t req_payload, blk_payload;
     int virtual_flc, virtual_slc, virtual_am, needs_physical, relaxed;
-    int tap, include_l2_wb;
+    int tap, include_l2_wb, contention;
     int64_t max_refs;
 
     Lru *flc, *slc, *am; /* per node */
@@ -665,6 +667,7 @@ typedef struct FastSim {
     int64_t *slen, *pos;
 
     int64_t *clock, *refs_done;
+    int64_t *port_free_at; /* per destination node (contention mode) */
     uint8_t *finished;
     Heap heap;
 
@@ -735,7 +738,8 @@ static inline int64_t translate(FastSim *s, int buffer, int64_t vpn) {
 }
 
 /* ------------------------------------------------------------------ */
-/* crossbar (latency-only mode; contention/topology stay scalar)       */
+/* crossbar: Crossbar.transfer, latency-only and port-contention modes */
+/* (topologies stay scalar)                                            */
 /* ------------------------------------------------------------------ */
 static inline int64_t xfer(FastSim *s, int kind, int src, int dst, int64_t now) {
     gadd(s, G_MSG_BASE + kind, 1);
@@ -749,7 +753,14 @@ static inline int64_t xfer(FastSim *s, int kind, int src, int dst, int64_t now) 
     gadd(s, G_MSG_REMOTE, 1);
     gadd(s, G_NETWORK_CYCLES, cycles);
     gadd(s, G_PAYLOAD_BYTES, payload);
-    return now + cycles;
+    if (!s->contention) return now + cycles;
+    /* the destination's input port serializes deliveries; the counter
+     * key exists only once some transfer actually waited */
+    int64_t start = now > s->port_free_at[dst] ? now : s->port_free_at[dst];
+    int64_t done = start + cycles;
+    s->port_free_at[dst] = done;
+    if (start > now) gadd(s, G_CONTENTION_CYCLES, start - now);
+    return done;
 }
 
 /* ProtocolEngine._dir_lookup_cycles */
@@ -1486,6 +1497,7 @@ FastSim *fs_create(const int64_t *geom) {
     s->tap = (int)geom[GEOM_TAP];
     s->include_l2_wb = (int)geom[GEOM_INCLUDE_L2_WB];
     s->max_refs = geom[GEOM_MAX_REFS];
+    s->contention = (int)geom[GEOM_CONTENTION];
 
     int64_t nodes = s->nodes;
     s->flc = (Lru *)calloc(nodes, sizeof(Lru));
@@ -1509,6 +1521,7 @@ FastSim *fs_create(const int64_t *geom) {
     s->pos = (int64_t *)calloc(nodes, sizeof(int64_t));
     s->clock = (int64_t *)calloc(nodes, sizeof(int64_t));
     s->refs_done = (int64_t *)calloc(nodes, sizeof(int64_t));
+    s->port_free_at = (int64_t *)calloc(nodes, sizeof(int64_t));
     s->finished = (uint8_t *)calloc(nodes, sizeof(uint8_t));
     s->cand = (int32_t *)calloc(nodes, sizeof(int32_t));
     /* Any failed calloc above, or any init below, releases the whole
@@ -1518,7 +1531,8 @@ FastSim *fs_create(const int64_t *geom) {
         !s->node_calls || !s->loc_stall || !s->rem_stall || !s->tlb_stall ||
         !s->rh_buckets || !s->wh_buckets || !s->rh_count || !s->rh_total ||
         !s->wh_count || !s->wh_total || !s->ops || !s->vals || !s->slen ||
-        !s->pos || !s->clock || !s->refs_done || !s->finished || !s->cand) {
+        !s->pos || !s->clock || !s->refs_done || !s->port_free_at ||
+        !s->finished || !s->cand) {
         fs_destroy(s);
         return 0;
     }
@@ -1604,6 +1618,7 @@ void fs_destroy(FastSim *s) {
     free(s->pos);
     free(s->clock);
     free(s->refs_done);
+    free(s->port_free_at);
     free(s->finished);
     if (s->caps) {
         for (int64_t i = 0; i < N_SWEEP_TAPS * s->nodes; i++) free(s->caps[i].data);
@@ -1649,6 +1664,11 @@ void fs_seed_engine(FastSim *s, const uint32_t *state) {
 
 void fs_seed_tlb(FastSim *s, int idx, const uint32_t *state) {
     mt_load(&s->tlbs[idx].rng, state);
+}
+
+/* Crossbar._port_free_at, one entry per node */
+void fs_port_load(FastSim *s, const int64_t *free_at) {
+    memcpy(s->port_free_at, free_at, s->nodes * sizeof(int64_t));
 }
 
 /* ---- tap-stream capture (uncoupled sweep mode) ---- */
@@ -1794,6 +1814,10 @@ void fs_export_dir(FastSim *s, int64_t *blocks, int32_t *owners, uint64_t *share
 
 void fs_export_dir_lookups(FastSim *s, int64_t *out) {
     memcpy(out, s->dir_lookups, s->nodes * sizeof(int64_t));
+}
+
+void fs_export_ports(FastSim *s, int64_t *out) {
+    memcpy(out, s->port_free_at, s->nodes * sizeof(int64_t));
 }
 
 /* tags flat (sets*assoc) + per-set lengths; returns total entries */

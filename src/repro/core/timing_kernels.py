@@ -77,6 +77,7 @@ int fs_am_load(FastSim *s, int node, int64_t block, int state);
 int fs_dir_load(FastSim *s, int64_t block, int owner, const uint64_t *sharer_words);
 void fs_seed_engine(FastSim *s, const uint32_t *state);
 void fs_seed_tlb(FastSim *s, int idx, const uint32_t *state);
+void fs_port_load(FastSim *s, const int64_t *free_at);
 int fs_run(FastSim *s, int64_t *out);
 int64_t fs_reference(FastSim *s, int node, int is_write, int64_t vaddr, int64_t now);
 void fs_consume_op(FastSim *s, int node);
@@ -95,6 +96,7 @@ void fs_cache_stats(FastSim *s, int node, int which, int64_t *out);
 int64_t fs_dir_count(FastSim *s);
 void fs_export_dir(FastSim *s, int64_t *blocks, int32_t *owners, uint64_t *sharers);
 void fs_export_dir_lookups(FastSim *s, int64_t *out);
+void fs_export_ports(FastSim *s, int64_t *out);
 int64_t fs_export_tlb(FastSim *s, int idx, int64_t *tags, int32_t *lens, int64_t *stats);
 void fs_export_engine_rng(FastSim *s, uint32_t *out);
 void fs_export_tlb_rng(FastSim *s, int idx, uint32_t *out);
@@ -160,8 +162,9 @@ ERR_INTERNAL = -4
     GEOM_BLK_PAYLOAD,
     GEOM_DIR_CAPACITY,
     GEOM_MAP_CAPACITY,
+    GEOM_CONTENTION,
     GEOM_LEN,
-) = range(34)
+) = range(35)
 
 # Tap codes (GEOM_TAP slot).
 TAP_NONE = -1
@@ -213,6 +216,7 @@ GLOBAL_COUNTERS = (
     "msg_remote",
     "network_cycles",
     "payload_bytes",
+    "contention_cycles",
 )
 
 #: Per-node counter names, in C index order (fs_export_node_counters).

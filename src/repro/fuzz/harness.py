@@ -55,6 +55,8 @@ class FuzzCase:
     #: ``{"kind": "literal", "pages", "streams": [[[op, value], ...]]}``.
     workload: Dict
     max_refs_per_node: Optional[int] = None
+    #: Crossbar input-port contention (absent from older corpus files).
+    contention: bool = False
 
     def describe(self) -> str:
         work = self.workload
@@ -67,6 +69,7 @@ class FuzzCase:
             f"{self.scheme}/{label} f{self.factor} n{self.nodes} "
             f"{self.organization}{self.entries}"
             + (f" max_refs={self.max_refs_per_node}" if self.max_refs_per_node else "")
+            + (" contention" if self.contention else "")
         )
 
     def to_dict(self) -> Dict:
@@ -144,6 +147,7 @@ def _paired_results(case: FuzzCase):
                 case.entries,
                 organization=Organization(case.organization),
                 max_refs_per_node=case.max_refs_per_node,
+                contention=case.contention,
                 fast=fast,
             )
 
@@ -156,7 +160,11 @@ def _paired_results(case: FuzzCase):
 
         def one(fast: bool):
             machine = literal_machine(
-                _build_params(case), scheme, streams, pages=case.workload["pages"]
+                _build_params(case),
+                scheme,
+                streams,
+                pages=case.workload["pages"],
+                contention=case.contention,
             )
             return Simulator(
                 machine, max_refs_per_node=case.max_refs_per_node, fast=fast

@@ -4,12 +4,13 @@ These helpers define what "bit-identical" means for a compiled-vs-scalar
 pair: the full :class:`~repro.runner.summary.RunSummary` serialization
 (minus the engine tags, which legitimately differ) and a deep image of
 the post-run machine — cache/AM sets *in LRU order*, directory entries,
-TLB tags and per-TLB RNG states, the engine RNG, latency histograms.
+TLB tags and per-TLB RNG states, the engine RNG, latency histograms,
+the crossbar's port free times.
 Anything the fast engine fails to copy back shows up as a diff here.
 
 The integration suite (``tests/integration/test_timing_equivalence.py``)
-uses the same definitions; they live in the package so the fuzz CLI and
-external tooling can import them without a test dependency.
+imports these definitions; they live in the package so the fuzz CLI and
+external tooling can use them without a test dependency.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ def machine_state(machine) -> dict:
         "engine_rng": engine._rng.getstate(),
         "translation_accum": engine._translation_accum,
         "active_demand_block": engine.active_demand_block,
+        "port_free_at": list(machine.crossbar._port_free_at),
         "nodes": [],
         "directories": [],
     }
@@ -131,9 +133,11 @@ def literal_machine(
     scheme: Scheme,
     streams: Sequence[Sequence[Tuple[int, int]]],
     pages: int = 32,
+    contention: bool = False,
 ) -> Machine:
     """A machine over hand-built per-node streams (offsets into one
-    ``data`` segment; barrier ids pass through untranslated)."""
+    ``data`` segment; barrier ids pass through untranslated).
+    ``contention`` turns on the crossbar's port-contention model."""
 
     def factory(node, ctx):
         base = ctx.segment("data").base
@@ -146,7 +150,7 @@ def literal_machine(
     workload = CustomWorkload(
         [SegmentSpec("data", pages * params.page_size)], factory, name="literal"
     )
-    return Machine(params, scheme, workload)
+    return Machine(params, scheme, workload, contention=contention)
 
 
 __all__ = [

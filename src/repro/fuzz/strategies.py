@@ -3,9 +3,10 @@
 Cases are deliberately tiny (factor-64 machines, 2-4 nodes, truncated
 reference streams) so a 200-example CI budget finishes in seconds while
 still sweeping the axes that have historically hidden divergence:
-scheme x TLB organization x geometry, and the synchronization patterns
-the compiled engine hands back to Python sync policy — imbalanced
-barriers, lock convoys, nodes truncated inside critical sections.
+scheme x TLB organization x geometry x port contention, and the
+synchronization patterns the compiled engine hands back to Python sync
+policy — imbalanced barriers, lock convoys, nodes truncated inside
+critical sections.
 
 Generated synchronization is *valid by construction* (the oracle run
 must not deadlock, or the comparison proves nothing):
@@ -105,7 +106,8 @@ def _named_workload(draw):
 @st.composite
 def fuzz_cases(draw):
     """A complete differential case: machine geometry, scheme, TLB
-    shape, workload, and optional per-node truncation."""
+    shape, workload, optional per-node truncation, and the crossbar's
+    port-contention mode."""
     nodes = draw(st.sampled_from([2, 4]))  # node counts: powers of two
     named = draw(st.booleans())
     if named:
@@ -125,6 +127,7 @@ def fuzz_cases(draw):
         organization=draw(st.sampled_from(["fa", "dm"])),
         workload=workload,
         max_refs_per_node=max_refs,
+        contention=draw(st.booleans()),
     )
 
 

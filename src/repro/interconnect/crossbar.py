@@ -18,9 +18,7 @@ Two operating modes:
 
 from __future__ import annotations
 
-from typing import List
-
-from typing import Optional
+from typing import List, Optional
 
 from repro.common.params import MachineParams
 from repro.common.stats import Counters
@@ -101,7 +99,9 @@ class Crossbar:
         """Deliver one message starting at processor cycle ``now``.
 
         Returns the completion time.  Local (``src == dst``) transfers
-        are free and bypass the port model.
+        are free and bypass the port model.  ``fastsim.c::xfer`` mirrors
+        this method, down to creating ``contention_cycles`` only when a
+        transfer waits; an edit to one must update the other.
         """
         values = self._counter_values
         kind_ix = kind.index

@@ -14,10 +14,12 @@ object (counters, cache/AM/directory images, TLB contents, RNG states,
 histograms, breakdowns) is indistinguishable from one driven by the
 scalar engine, which the differential suite
 (``tests/integration/test_timing_equivalence.py``) enforces field by
-field.  Anything the C engine does not model — tracing, port
-contention, topologies, paging extensions, study agents, invariant
-checking — makes :func:`fallback_reason` return a string and the caller
-stays on the scalar path.
+field.  Anything the C engine does not model — tracing, topologies,
+paging extensions, custom agents, invariant checking — makes
+:func:`fallback_reason` return a string and the caller stays on the
+scalar path.  The crossbar's port-contention mode is modelled: the
+per-node port free times load into C before the run and export back
+after it.
 """
 
 from __future__ import annotations
@@ -98,8 +100,6 @@ def fallback_reason(simulator) -> Optional[str]:
         or machine.engine.fault_handler is not None
     ):
         return "paging extensions active"
-    if machine.crossbar.contention:
-        return "port contention model active"
     if machine.crossbar.topology is not None:
         return "topology model active"
     agent = machine.agent
@@ -206,6 +206,7 @@ def run_fast(simulator) -> RunResult:
     geom[tk.GEOM_BLK_PAYLOAD] = params.am_block + params.message_header_bytes
     geom[tk.GEOM_DIR_CAPACITY] = _pow2_at_least(2 * dir_entries + 16)
     geom[tk.GEOM_MAP_CAPACITY] = _pow2_at_least(2 * len(machine.page_map) + 16)
+    geom[tk.GEOM_CONTENTION] = int(machine.crossbar.contention)
 
     handle = lib.fs_create(ffi.new("int64_t[]", geom))
     if handle == ffi.NULL:
@@ -274,6 +275,7 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
     lib.fs_seed_engine(
         handle, ffi.from_buffer("uint32_t[]", tk.rng_state_words(engine._rng))
     )
+    lib.fs_port_load(handle, ffi.new("int64_t[]", machine.crossbar._port_free_at))
     if timing_agent:
         for n in range(count):
             lib.fs_seed_tlb(
@@ -448,6 +450,10 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
             target[name] = target.get(name, 0) + int(glob_vals[i])
 
     _load_directory(ffi, lib, handle, machine, swords)
+
+    ports = ffi.new("int64_t[]", count)
+    lib.fs_export_ports(handle, ports)
+    machine.crossbar._port_free_at = list(ports)
 
     if timing_agent:
         _load_tlbs(ffi, lib, handle, agent, count)

@@ -67,6 +67,15 @@ class TestCasePersistence:
         assert again == case
         assert "literal[3 events]" in case.describe()
 
+    def test_cases_without_contention_key_load_with_it_off(self):
+        payload = SMOKE_CASE.to_dict()
+        del payload["contention"]
+        case = FuzzCase.from_dict(payload)
+        assert case == SMOKE_CASE and case.contention is False
+        assert "contention" not in case.describe()
+        case.contention = True
+        assert case.describe().endswith(" contention")
+
 
 class TestRunCase:
     def test_smoke_case_agrees(self):
@@ -95,6 +104,10 @@ class TestCorpusReplay:
     def test_corpus_exercises_compiled_engine(self):
         rows = replay_corpus()
         assert any(row["detail"] == "compiled" for row in rows)
+
+    def test_corpus_pins_a_contention_case(self):
+        paths = sorted(default_corpus_dir().glob("case-*.json"))
+        assert any(load_case(path).contention for path in paths)
 
     def test_unreadable_corpus_file_is_a_failure(self, tmp_path):
         (tmp_path / "case-bogus.json").write_text('{"format": 1, "nope": true}')

@@ -20,16 +20,17 @@ must produce the same numbers again.
 
 import pytest
 
-from repro import CustomWorkload, MachineParams, Scheme, SegmentSpec, Simulator, make_workload
+from repro import MachineParams, Scheme, Simulator, make_workload
 from repro.analysis import run_timing
 from repro.core.replay import NO_NUMPY_ENV, get_numpy
 from repro.core.schemes import SCHEME_ORDER
 from repro.core.timing_kernels import NO_NUMBA_ENV, get_backend
 from repro.core.tlb import Organization
+from repro.fuzz.oracle import literal_machine, machine_state, summary_surface
 from repro.runner.summary import RunSummary
 from repro.system.machine import Machine
 from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
-from repro.system.taps import TimingAgent
+from repro.workloads.raytrace import RaytraceWorkload
 
 pytestmark = pytest.mark.skipif(
     get_backend() is None, reason="compiled timing backend unavailable"
@@ -39,75 +40,6 @@ pytestmark = pytest.mark.skipif(
 @pytest.fixture(scope="module")
 def params():
     return MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
-
-
-def summary_surface(result) -> dict:
-    """Everything RunSummary serializes, minus the engine tags."""
-    payload = RunSummary.from_result(result).to_dict()
-    payload.pop("backend", None)
-    payload.pop("fallback_reason", None)
-    return payload
-
-
-def sets_image(structure):
-    """Tag/state sets as ordered item lists — dict equality ignores
-    insertion order, but here order IS the LRU position."""
-    return [list(s.items()) for s in structure._sets]
-
-
-def machine_state(machine) -> dict:
-    """The post-run machine image, deep enough to catch any state the
-    fast engine failed to copy back (LRU order included)."""
-    engine = machine.engine
-    state = {
-        "counters": dict(machine.merged_counters().to_dict()),
-        "engine_rng": engine._rng.getstate(),
-        "translation_accum": engine._translation_accum,
-        "active_demand_block": engine.active_demand_block,
-        "nodes": [],
-        "directories": [],
-    }
-    for node in machine.nodes:
-        state["nodes"].append(
-            {
-                "flc": (sets_image(node.flc), node.flc.hits, node.flc.misses),
-                "slc": (sets_image(node.slc), node.slc.hits, node.slc.misses),
-                "read_hist": (
-                    dict(node.read_latency._buckets),
-                    node.read_latency.count,
-                    node.read_latency.total,
-                ),
-                "write_hist": (
-                    dict(node.write_latency._buckets),
-                    node.write_latency.count,
-                    node.write_latency.total,
-                ),
-            }
-        )
-    for n, am in enumerate(engine.ams):
-        state["nodes"][n]["am"] = (sets_image(am), am.hits, am.misses)
-    for directory in engine.directories:
-        state["directories"].append(
-            {
-                "lookups": directory.lookups,
-                "entries": {
-                    block: (entry.owner, frozenset(entry.sharers))
-                    for block, entry in directory._entries.items()
-                },
-            }
-        )
-    agent = machine.agent
-    if isinstance(agent, TimingAgent):
-        state["tlbs"] = [
-            {
-                "tags": [list(ways) for ways in agent.buffer(n)._tags],
-                "accesses": agent.buffer(n).accesses,
-                "misses": agent.buffer(n).misses,
-                "rng": agent.buffer(n)._rng.getstate(),
-            }
-            for n in range(machine.params.nodes)
-        ]
-    return state
 
 
 def paired_run(params, scheme, **kwargs):
@@ -147,20 +79,65 @@ class TestAllSchemes:
         assert summary_surface(fast) == summary_surface(scalar)
         assert machine_state(fast.machine) == machine_state(scalar.machine)
 
+    @pytest.mark.parametrize("variant", [None, "v2"], ids=["base", "v2"])
+    def test_raytrace_contention_bit_identical(self, params, scheme, variant):
+        """Figure 10's padding bars: every remote transfer queues at
+        its destination's input port, lock hand-offs included."""
+        make = RaytraceWorkload.v2 if variant else RaytraceWorkload
+        fast, scalar = paired_run(
+            params,
+            scheme,
+            workload_factory=lambda: make(intensity=0.5),
+            entries=8,
+            contention=True,
+        )
+        assert fast.machine.crossbar.counters["contention_cycles"] > 0
+        assert summary_surface(fast) == summary_surface(scalar)
+        assert machine_state(fast.machine) == machine_state(scalar.machine)
 
-def literal_machine(params, streams, pages=32):
-    def factory(node, ctx):
-        base = ctx.segment("data").base
-        for op, value in streams[node]:
-            if op in (READ, WRITE, LOCK, UNLOCK):
-                yield op, base + value
-            else:
-                yield op, value
+    def test_contention_sync_streams_truncated_in_critical_section(self, params, scheme):
+        """Barrier-imbalanced streams under port contention; max_refs
+        cuts node 0 off inside its critical section."""
+        streams = [
+            [(WRITE, i * 32) for i in range(40)] + [(BARRIER, 0), (LOCK, 0)]
+            + [(WRITE, i * 64) for i in range(40)] + [(UNLOCK, 0)],
+            [(READ, 0), (BARRIER, 0), (LOCK, 0), (WRITE, 64), (UNLOCK, 0)],
+            [(BARRIER, 0), (LOCK, 0), (READ, 128), (UNLOCK, 0)],
+            [(WRITE, 512)],  # never reaches the barrier
+        ]
 
-    workload = CustomWorkload(
-        [SegmentSpec("data", pages * params.page_size)], factory, name="literal"
-    )
-    return Machine(params, Scheme.V_COMA, workload)
+        def run(fast):
+            machine = literal_machine(params, scheme, streams, contention=True)
+            return Simulator(machine, max_refs_per_node=60, fast=fast).run()
+
+        fast, scalar = run(True), run(False)
+        assert fast.backend == "compiled"
+        assert fast.refs_per_node[0] == 60
+        assert summary_surface(fast) == summary_surface(scalar)
+        assert machine_state(fast.machine) == machine_state(scalar.machine)
+
+
+class TestContentionPortState:
+    def test_preseeded_ports_load_and_export(self, params):
+        """Ports already busy before the run: C must start from the
+        machine's free times and hand the final ones back."""
+        busy = [600, 0, 2500, 1200]
+
+        def run(fast, ports):
+            machine = Machine(
+                params, Scheme.V_COMA, make_workload("raytrace", intensity=0.5),
+                contention=True,
+            )
+            machine.crossbar._port_free_at = list(ports)
+            return Simulator(machine, max_refs_per_node=200, fast=fast).run()
+
+        fast, scalar = run(True, busy), run(False, busy)
+        assert fast.backend == "compiled"
+        assert summary_surface(fast) == summary_surface(scalar)
+        assert machine_state(fast.machine) == machine_state(scalar.machine)
+        # The seeded free times changed the run, so they were loaded.
+        idle = run(True, [0] * 4)
+        assert summary_surface(idle) != summary_surface(fast)
 
 
 class TestSyncHeavy:
@@ -174,8 +151,10 @@ class TestSyncHeavy:
             [(BARRIER, 0), (BARRIER, 1)],
             [(WRITE, 512)],  # never reaches either barrier
         ]
-        fast = Simulator(literal_machine(params, streams)).run()
-        scalar = Simulator(literal_machine(params, streams), fast=False).run()
+        fast = Simulator(literal_machine(params, Scheme.V_COMA, streams)).run()
+        scalar = Simulator(
+            literal_machine(params, Scheme.V_COMA, streams), fast=False
+        ).run()
         assert fast.backend == "compiled"
         assert summary_surface(fast) == summary_surface(scalar)
         assert machine_state(fast.machine) == machine_state(scalar.machine)
@@ -187,8 +166,10 @@ class TestSyncHeavy:
             [(LOCK, 0), (WRITE, 64), (WRITE, 128), (UNLOCK, 0)] * 5
             for _ in range(4)
         ]
-        fast = Simulator(literal_machine(params, streams)).run()
-        scalar = Simulator(literal_machine(params, streams), fast=False).run()
+        fast = Simulator(literal_machine(params, Scheme.V_COMA, streams)).run()
+        scalar = Simulator(
+            literal_machine(params, Scheme.V_COMA, streams), fast=False
+        ).run()
         assert summary_surface(fast) == summary_surface(scalar)
 
     def test_truncation_inside_critical_section(self, params):
@@ -200,9 +181,11 @@ class TestSyncHeavy:
             [],
             [],
         ]
-        fast = Simulator(literal_machine(params, streams), max_refs_per_node=10).run()
+        fast = Simulator(
+            literal_machine(params, Scheme.V_COMA, streams), max_refs_per_node=10
+        ).run()
         scalar = Simulator(
-            literal_machine(params, streams), max_refs_per_node=10, fast=False
+            literal_machine(params, Scheme.V_COMA, streams), max_refs_per_node=10, fast=False
         ).run()
         assert fast.refs_per_node[0] == 10
         assert summary_surface(fast) == summary_surface(scalar)
