@@ -18,7 +18,7 @@ miss rate off one tap), time breakdowns, counters, histograms.  The
 only allowed difference is the engine-provenance pair
 (``backend``/``fallback_reason``).
 
-The check honours ``REPRO_NO_NUMPY`` and ``REPRO_NO_NUMBA``, so the CI
+The check honours ``REPRO_NO_NUMPY`` and ``REPRO_NO_COMPILED``, so the CI
 matrix runs it against every kernel/backend combination.  When the
 compiled backend is unavailable both passes run scalar; the check then
 degrades to a determinism check and says so.

@@ -15,9 +15,9 @@ must be bit-identical (total time, per-node breakdowns, all counters,
 TLB/DLB statistics, latency histograms); the only allowed difference
 is the ``backend`` tag itself.
 
-The check honours ``REPRO_NO_NUMPY`` and ``REPRO_NO_NUMBA``, so the CI
+The check honours ``REPRO_NO_NUMPY`` and ``REPRO_NO_COMPILED``, so the CI
 matrix runs it against every kernel/backend combination.  When the
-compiled backend is unavailable (missing gcc/cffi, or ``REPRO_NO_NUMBA``
+compiled backend is unavailable (missing gcc/cffi, or ``REPRO_NO_COMPILED``
 set) both passes run scalar; the check then degrades to a determinism
 check and says so — still worth running, but the compiled legs are the
 ones that prove the tentpole contract.  While the backend is

@@ -15,8 +15,6 @@
     python -m repro history   list|record-bench|check [--history-dir DIR]
     python -m repro status    [RUN_ID]
     python -m repro workloads
-    python -m repro serve     [--port 8765] [--worker-port 9000]
-    python -m repro worker    --connect host:9000
 
 The trace-analytics commands (``docs/observability.md``) consume
 recorded artifacts instead of running simulations: ``trace-profile``
@@ -27,13 +25,6 @@ run's metrics export, exiting non-zero on any mismatch),
 ``history`` drives the append-only run-history store and its
 rolling-median regression detector, and ``status`` renders live
 per-job progress of a batch run from its manifest heartbeats.
-
-``serve`` turns the batch runner into a long-running service
-(``docs/service.md``): clients POST JSON grids, poll heartbeat-driven
-status, and fetch results; identical in-flight work coalesces and warm
-specs answer straight from the result cache.  ``worker`` connects a
-remote execution process to a serving hub (``--worker-port``) so grids
-shard across hosts under the supervised-runner fault model.
 
 ``timing`` accepts ``--trace-out FILE`` to record the structured
 protocol-event trace (JSONL; see ``docs/observability.md``) and
@@ -314,43 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip replaying the regression corpus first")
     p.add_argument("--replay-only", action="store_true",
                    help="only replay the corpus; generate nothing")
-
-    p = sub.add_parser(
-        "serve",
-        help="run the simulation service (async HTTP job API; docs/service.md)",
-    )
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address for the HTTP API (default loopback)")
-    p.add_argument("--port", type=int, default=8765,
-                   help="HTTP API port (0 picks a free port)")
-    p.add_argument("--worker-port", type=int, default=None, metavar="PORT",
-                   help="also accept remote workers (repro worker "
-                        "--connect host:PORT) on this TCP port; 0 picks "
-                        "a free port")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="forked worker processes per grid when no remote "
-                        "workers are connected")
-    p.add_argument("--retries", type=int, default=1,
-                   help="transient-failure retry budget per job")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-job wall-clock limit in seconds")
-    p.add_argument("--cache-dir", default=None,
-                   help="cache root serving warm results "
-                        "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
-    p.add_argument("--max-grid-jobs", type=int, default=256,
-                   help="reject submissions larger than this many specs")
-
-    p = sub.add_parser(
-        "worker",
-        help="remote worker: pull jobs from a repro serve hub over TCP",
-    )
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="the hub advertised by repro serve --worker-port")
-    p.add_argument("--no-reconnect", action="store_true",
-                   help="exit when the hub goes away instead of redialing")
-    p.add_argument("--max-retries", type=int, default=None,
-                   help="give up after this many failed dials "
-                        "(default: retry forever)")
 
     return parser
 
@@ -684,58 +638,6 @@ def _cmd_fuzz(args, out) -> int:
     return 1 if (failed or not report.ok) else 0
 
 
-def _cmd_serve(args, out) -> int:
-    """The simulation service front-end (docs/service.md)."""
-    import asyncio
-
-    from repro.service import SimulationService, WorkerHub
-
-    hub = None
-    if args.worker_port is not None:
-        hub = WorkerHub(args.host, args.worker_port)
-        out.write(f"worker hub : {args.host}:{hub.port} "
-                  f"(repro worker --connect {args.host}:{hub.port})\n")
-    service = SimulationService(
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
-        retries=args.retries,
-        timeout=args.timeout,
-        hub=hub,
-        max_grid_jobs=args.max_grid_jobs,
-    )
-
-    async def _main() -> None:
-        host, port = await service.start(args.host, args.port)
-        out.write(f"listening  : http://{host}:{port}\n")
-        out.write("endpoints  : POST /runs · GET /runs/<id>/status · "
-                  "GET /runs/<id>/results · GET /metrics · GET /healthz\n")
-        out.flush()
-        await service.serve_forever()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.close()
-    return 0
-
-
-def _cmd_worker(args, out) -> int:
-    """Remote worker loop; blocks until the hub says stop."""
-    from repro.service import run_worker
-
-    try:
-        return run_worker(
-            args.connect,
-            reconnect=not args.no_reconnect,
-            max_retries=args.max_retries,
-            out=sys.stderr,
-        )
-    except KeyboardInterrupt:
-        return 130
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.common.errors import RunInterrupted
 
@@ -789,12 +691,6 @@ def _dispatch(args, out) -> int:
 
     if args.command == "fuzz":
         return _cmd_fuzz(args, out)
-
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-
-    if args.command == "worker":
-        return _cmd_worker(args, out)
 
     params = machine_params(args)
 

@@ -76,7 +76,7 @@ def _compiled_backend():
 
     Imported lazily: :mod:`repro.core.timing_kernels` imports this
     module for :func:`get_numpy`, so a top-level import would be
-    circular.  ``get_backend`` honors ``REPRO_NO_NUMBA`` per call.
+    circular.  ``get_backend`` honors ``REPRO_NO_COMPILED`` per call.
     """
     from repro.core.timing_kernels import get_backend
 

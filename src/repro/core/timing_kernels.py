@@ -21,9 +21,8 @@ Backend selection mirrors the replay kernels' ``REPRO_NO_NUMPY`` switch:
   per-user cache directory (``$REPRO_FASTSIM_CACHE`` or
   ``~/.cache/repro-fastsim``), keyed by a source hash, and loaded
   through ``cffi``'s ABI mode — no ``Python.h`` or build system needed.
-* ``REPRO_NO_NUMBA`` (historical name, kept for symmetry with the issue
-  tracker) disables the compiled backend entirely; the simulator then
-  falls back to the scalar engine.
+* ``REPRO_NO_COMPILED`` disables the compiled backend entirely; the
+  simulator then falls back to the scalar engine.
 * Missing ``cffi`` or ``gcc`` degrade the same way: ``get_backend()``
   returns ``None`` and :func:`backend_status` says why.
 """
@@ -47,7 +46,7 @@ from repro.system.refs import BARRIER
 
 #: Set non-empty to force the scalar timing engine even when the
 #: compiled backend would load (CI matrix + equivalence tests).
-NO_NUMBA_ENV = "REPRO_NO_NUMBA"
+NO_COMPILED_ENV = "REPRO_NO_COMPILED"
 
 #: Override the shared-library cache directory.
 CACHE_ENV = "REPRO_FASTSIM_CACHE"
@@ -470,7 +469,7 @@ def get_backend() -> Optional[CompiledBackend]:
     — while the expensive compile/dlopen resolution is cached for the
     process lifetime.
     """
-    if os.environ.get(NO_NUMBA_ENV):
+    if os.environ.get(NO_COMPILED_ENV):
         return None
     if not _backend_resolved:
         _resolve_backend()
@@ -479,8 +478,8 @@ def get_backend() -> Optional[CompiledBackend]:
 
 def backend_status() -> str:
     """Human-readable availability: "compiled" or a fallback reason."""
-    if os.environ.get(NO_NUMBA_ENV):
-        return f"disabled ({NO_NUMBA_ENV})"
+    if os.environ.get(NO_COMPILED_ENV):
+        return f"disabled ({NO_COMPILED_ENV})"
     if not _backend_resolved:
         _resolve_backend()
     if _backend is not None:
@@ -501,7 +500,7 @@ def backend_health() -> dict:
         "cflags": build_flags(),
         "quarantined_libraries": _quarantined_libraries,
     }
-    if _backend is not None and not os.environ.get(NO_NUMBA_ENV):
+    if _backend is not None and not os.environ.get(NO_COMPILED_ENV):
         info["path"] = _backend.path
         info["digest"] = _backend.digest
     return info

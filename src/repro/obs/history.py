@@ -168,41 +168,6 @@ def entry_from_bench(payload: Dict, **context) -> HistoryEntry:
     return HistoryEntry(key, metrics, kind="bench", context=context)
 
 
-def entry_from_service_bench(payload: Dict, **context) -> HistoryEntry:
-    """Build an entry from a ``BENCH_service.json`` payload.
-
-    Tracks the service tier's load-test trajectory: warm-cache request
-    latency percentiles, throughput, and the coalescing/cache-hit
-    rates.  Smoke and full runs hash to different keys, same as the
-    throughput bench.
-    """
-    key = config_key(
-        {
-            "bench": "service",
-            "params": payload.get("params", {}),
-            "clients": payload.get("load", {}).get("clients"),
-            "smoke": bool(payload.get("smoke")),
-        }
-    )
-    metrics: Dict[str, float] = {}
-    load = payload.get("load", {})
-    if load:
-        metrics["post_latency_p50_ms"] = load["post_latency_ms"]["p50"]
-        metrics["post_latency_p99_ms"] = load["post_latency_ms"]["p99"]
-        metrics["requests_per_sec"] = load["requests_per_sec"]
-        metrics["warm_hit_rate"] = load["warm_hit_rate"]
-    dedupe = payload.get("dedupe", {})
-    if dedupe:
-        metrics["coalesced_rate"] = dedupe["coalesced_rate"]
-    workers = payload.get("workers", {})
-    if workers:
-        metrics["worker_speedup_vs_serial"] = workers["speedup_vs_serial"]
-    context.setdefault("version", payload.get("version"))
-    context.setdefault("smoke", bool(payload.get("smoke")))
-    context.setdefault("cpu_count", payload.get("cpu_count"))
-    return HistoryEntry(key, metrics, kind="bench", context=context)
-
-
 def detect_regression(
     values: Iterable[float],
     window: int = 5,

@@ -136,66 +136,6 @@ def record_corrupt_trace() -> None:
     ).inc(1)
 
 
-# ---------------------------------------------------------------------------
-# service-tier events
-# ---------------------------------------------------------------------------
-
-
-def record_service_request(route: str) -> None:
-    """One HTTP request handled by the simulation service."""
-    _registry.counter(
-        "repro_service_requests_total",
-        help="HTTP requests handled by the simulation service",
-    ).inc(1, route=route)
-
-
-def record_coalesced_request(count: int = 1) -> None:
-    """A submission landed on an identical in-flight run instead of
-    scheduling a duplicate (whole-grid request coalescing)."""
-    _registry.counter(
-        "repro_coalesced_requests_total",
-        help="submissions coalesced onto an identical in-flight run",
-    ).inc(count)
-
-
-def record_coalesced_job(count: int = 1) -> None:
-    """A job spec attached to an identical in-flight job (spec-level
-    coalescing across different grids)."""
-    _registry.counter(
-        "repro_service_coalesced_jobs_total",
-        help="job specs attached to an identical in-flight job",
-    ).inc(count)
-
-
-def record_spec_result(source: str, count: int = 1) -> None:
-    """How a submitted spec was satisfied: ``cache`` (warm result),
-    ``coalesced`` (attached to in-flight work), or ``executed``."""
-    _registry.counter(
-        "repro_service_spec_results_total",
-        help="submitted specs by resolution source",
-    ).inc(count, source=source)
-
-
-def record_service_simulations(count: int) -> None:
-    """Simulations actually executed on behalf of the service (the
-    denominator for proving coalescing/dedup: N identical submissions
-    must move this by the size of *one* grid)."""
-    if count <= 0:
-        return
-    _registry.counter(
-        "repro_service_simulations_total",
-        help="simulations executed by the service (cache hits excluded)",
-    ).inc(count)
-
-
-def set_connected_workers(count: int) -> None:
-    """Gauge of remote workers currently registered with the hub."""
-    _registry.gauge(
-        "repro_service_workers_connected",
-        help="remote workers currently connected to the job hub",
-    ).set(count)
-
-
 def counter_value(name: str, **labels) -> int:
     """Convenience read of one counter sample (0 when never recorded)."""
     metric = _registry.get(name)

@@ -329,19 +329,6 @@ class BatchRunner:
     resume:
         A prior run id whose manifest's completed jobs are restored
         instead of re-executed.  Requires ``manifest_dir``.
-    manifest_run_id:
-        Pre-chosen id for a *fresh* manifest (the service tier names
-        manifests after submission ids so ``/runs/<id>/status`` maps
-        straight onto :func:`~repro.runner.manifest.read_status`).
-    worker_pool:
-        A remote worker pool (duck-typed: ``worker_count()`` and
-        ``run_jobs(pending, runner, record, fail, heartbeat)``, e.g.
-        :class:`~repro.service.hub.WorkerHub`).  When it has workers,
-        pending jobs shard across them instead of forked processes —
-        and ``effective_jobs`` is *not* clamped to ``os.cpu_count()``,
-        because remote workers live on other hosts (or deliberately
-        oversubscribe this one).  A pool that drains mid-run hands its
-        unfinished jobs back and they complete in-process.
     """
 
     def __init__(
@@ -358,8 +345,6 @@ class BatchRunner:
         fault_plan=None,
         manifest_dir=None,
         resume: Optional[str] = None,
-        manifest_run_id: Optional[str] = None,
-        worker_pool=None,
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.cache = cache
@@ -373,8 +358,6 @@ class BatchRunner:
         self.fault_plan = fault_plan
         self.manifest_dir = manifest_dir
         self.resume = resume
-        self.manifest_run_id = manifest_run_id
-        self.worker_pool = worker_pool
         if resume is not None and manifest_dir is None:
             raise ConfigurationError("resume requires a manifest directory")
         #: Simulations actually executed (cache hits excluded) — the
@@ -426,9 +409,7 @@ class BatchRunner:
             if self.resume is not None:
                 manifest = RunManifest.load(self.manifest_dir, self.resume, total=total)
             else:
-                manifest = RunManifest.create(
-                    self.manifest_dir, total=total, run_id=self.manifest_run_id
-                )
+                manifest = RunManifest.create(self.manifest_dir, total=total)
             self.run_id = manifest.run_id
 
         def land(index: int, outcome: JobOutcome) -> None:
@@ -509,23 +490,6 @@ class BatchRunner:
                 else:
                     pending.append((index, spec))
 
-            pool = self.worker_pool
-            pool_workers = pool.worker_count() if pool is not None else 0
-            if pending and pool_workers > 0:
-                # Remote pool: workers live on other hosts (or are
-                # deliberate loopback oversubscription), so the
-                # cpu-count clamp below does not apply — this is what
-                # lets a 1-CPU front-end drive jobs>1 for real.
-                self.effective_jobs = max(1, min(len(pending), pool_workers))
-                leftovers = pool.run_jobs(pending, self, record, fail, heartbeat)
-                if leftovers:
-                    # Every remote worker vanished mid-grid: a degraded
-                    # pool must not strand the run.
-                    self._run_serial(
-                        [(index, spec) for index, spec, _ in leftovers],
-                        record, fail, heartbeat,
-                    )
-                pending = []
             # The cpu-count clamp is a throughput heuristic; it yields
             # when supervision *requires* process isolation — a hung
             # job can only be killed, and a crash only survived, in a

@@ -137,61 +137,6 @@ class JobSpec:
             label=label,
         )
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "JobSpec":
-        """Rebuild a spec from its canonical :meth:`key` dict.
-
-        This is the service tier's JSON submission format: a client
-        serializes ``spec.key()`` (plus an optional ``label``), and the
-        server reconstructs an identical spec — identical meaning the
-        round trip preserves :meth:`content_hash`, so coalescing and
-        cache lookups see the same job the client described.  Optional
-        fields fall back to the dataclass defaults; ``params`` may be a
-        mapping, ``overrides`` a mapping or a ``[[name, value], ...]``
-        pair list (the JSON form).  Malformed payloads raise the
-        underlying ``TypeError``/``ValueError`` for the caller to map
-        to a 400.
-        """
-        params = data.get("params")
-        if isinstance(params, MachineParams):
-            pass
-        elif isinstance(params, dict):
-            params = MachineParams(**params)
-        else:
-            raise ValueError("job spec needs a params mapping")
-        raw_overrides = data.get("overrides") or ()
-        if isinstance(raw_overrides, dict):
-            pairs = list(raw_overrides.items())
-        else:
-            pairs = [(name, value) for name, value in raw_overrides]
-        # JSON has no tuples; re-freeze list values so the hash matches
-        # a spec built natively.
-        overrides = {
-            name: tuple(value) if isinstance(value, list) else value
-            for name, value in pairs
-        }
-        kwargs = dict(
-            kind=data.get("kind", KIND_SWEEP),
-            params=params,
-            workload=str(data.get("workload", "")).lower(),
-            overrides=_freeze_overrides(overrides),
-            variant=data.get("variant"),
-            entries=data.get("entries"),
-            include_l2_writebacks=bool(data.get("include_l2_writebacks", True)),
-            contention=bool(data.get("contention", False)),
-            max_refs_per_node=data.get("max_refs_per_node"),
-            label=data.get("label"),
-        )
-        if data.get("sizes") is not None:
-            kwargs["sizes"] = tuple(int(size) for size in data["sizes"])
-        if data.get("orgs") is not None:
-            kwargs["orgs"] = tuple(_org_value(org) for org in data["orgs"])
-        if data.get("organization") is not None:
-            kwargs["organization"] = _org_value(data["organization"])
-        if data.get("scheme") is not None:
-            kwargs["scheme"] = _scheme_value(data["scheme"])
-        return cls(**kwargs)
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Crash consistency for the cache tier: flock, atomic writes, quarantine.
 
-The ResultCache/TraceStore/manifest/history stores are about to be
-shared by concurrent writers (the ROADMAP's service tier; already today
-by parallel ``repro`` invocations pointed at one ``--cache-dir``), so
-every mutation follows one discipline, implemented here:
+The ResultCache/TraceStore/manifest/history stores are shared by
+concurrent writers (parallel ``repro`` invocations pointed at one
+``--cache-dir``, and the batch runner's forked worker pool), so every
+mutation follows one discipline, implemented here:
 
 * **Atomic visibility** — payloads land in a same-directory temp file
   (``.<name>.<pid>.tmp``), are flushed and fsynced, and only then moved

@@ -12,19 +12,10 @@ node, so the whole file stays inside the CI timeout guard even though
 every test forks real worker processes.
 """
 
-import json
 import multiprocessing
-import os
-import signal
-import socket
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro import MachineParams, Scheme
 from repro.common.errors import ProtocolError, RunInterrupted
 from repro.runner import BatchRunner, FaultPlan, JobSpec
@@ -244,119 +235,3 @@ class TestInterruptAndResume:
         assert all(job.ok and job.from_manifest for job in jobs)
         assert resumed.simulations_run == 0
 
-
-# ----------------------------------------------------------------------
-# service tier under chaos: killed remote workers, dropped clients
-# ----------------------------------------------------------------------
-def spawn_worker(port: int, delay: float = 0.0) -> subprocess.Popen:
-    """A real ``repro worker`` process dialing the hub.
-
-    ``delay`` maps to ``REPRO_WORKER_DELAY``: the worker provably holds
-    each job for at least that long, which is the window the SIGKILL
-    test aims at.
-    """
-    env = os.environ.copy()
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    if delay:
-        env["REPRO_WORKER_DELAY"] = str(delay)
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker",
-         "--connect", f"127.0.0.1:{port}", "--no-reconnect"],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-
-
-@pytest.fixture
-def service_with_workers():
-    """A live service fronting a worker hub plus two real remote
-    workers (loopback subprocesses)."""
-    from repro.service import (
-        ServiceClient, ServiceThread, SimulationService, WorkerHub,
-    )
-
-    hub = WorkerHub()
-    workers = [spawn_worker(hub.port, delay=0.5) for _ in range(2)]
-    service = SimulationService(hub=hub, retries=2)
-    thread = ServiceThread(service)
-    host, port = thread.start()
-    try:
-        assert hub.wait_for_workers(2, timeout=30), "workers never dialed in"
-        yield service, ServiceClient(host, port), hub, workers
-    finally:
-        for proc in workers:
-            proc.kill()
-            proc.wait(timeout=10)
-        thread.stop()
-
-
-class TestServiceChaos:
-    def test_sigkill_worker_mid_job_redispatches(
-        self, grid, baseline, service_with_workers
-    ):
-        """SIGKILL a remote worker holding a job: the hub detects the
-        dead socket, re-dispatches, and the grid completes
-        bit-identically on the survivor."""
-        service, client, hub, workers = service_with_workers
-        info = client.submit(grid)
-        run_id = info["run"]
-
-        # Wait until some worker is provably mid-job, then shoot it.
-        victim_pid = None
-        deadline = time.monotonic() + 60
-        while victim_pid is None and time.monotonic() < deadline:
-            busy = [w for w in client.workers()["workers"] if w["busy"]]
-            if busy:
-                victim_pid = busy[0]["pid"]
-                break
-            time.sleep(0.05)
-        assert victim_pid is not None, "no job ever landed on a worker"
-        os.kill(victim_pid, signal.SIGKILL)
-
-        final = client.wait(run_id, timeout=300, poll=0.1)
-        assert final["state"] == "done"
-        # Remote workers counted toward the parallelism for real: the
-        # 1-CPU clamp does not apply to the pool path.
-        assert final["effective_jobs"] == 2
-        stats = final["grid_stats"]
-        assert stats["worker_deaths"] >= 1
-        assert stats["completed"] == 12 and stats["failed"] == 0
-        payload = client.results(run_id)
-        fetched = [entry["summary"] for entry in payload["results"]]
-        assert fetched == [json.loads(json.dumps(s)) for s in baseline]
-        # The killed worker really is gone; the survivor carried it.
-        assert hub.worker_count() == 1
-
-    def test_client_disconnect_mid_poll_leaves_server_healthy(
-        self, grid, service_with_workers
-    ):
-        """Clients that vanish mid-request or mid-response must not
-        take the server (or the run) down with them."""
-        service, client, hub, workers = service_with_workers
-        run_id = client.submit(grid[:4])["run"]
-        host, port = service.address
-
-        # Half a request, then gone.
-        sock = socket.create_connection((host, port))
-        sock.sendall(f"GET /runs/{run_id}/status HTTP/1.1\r\n"
-                     "Host: chaos\r\n".encode())  # headers never finish
-        sock.close()
-
-        # Full request, but the client disappears before reading.
-        sock = socket.create_connection((host, port))
-        sock.sendall(f"GET /runs/{run_id}/status HTTP/1.1\r\n"
-                     "Host: chaos\r\n\r\n".encode())
-        sock.close()
-
-        # Garbage on the wire answers 400 without wedging the loop.
-        sock = socket.create_connection((host, port))
-        sock.sendall(b"NOT-HTTP\r\n\r\n")
-        sock.recv(256)
-        sock.close()
-
-        assert client.healthz()["ok"] is True
-        final = client.wait(run_id, timeout=300, poll=0.1)
-        assert final["state"] == "done"
-        assert final["failed"] == 0

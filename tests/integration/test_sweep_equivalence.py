@@ -12,7 +12,7 @@ is retained purely as the differential-testing oracle behind
 ``fast=False`` / ``REPRO_NO_FAST_SWEEP``.
 
 The matrix also covers the degraded environments (``REPRO_NO_NUMPY``
-columns, ``REPRO_NO_NUMBA`` full fallback) and both sides of the
+columns, ``REPRO_NO_COMPILED`` full fallback) and both sides of the
 record/replay split: replayed grids (``JobSpec.execute(replay=True)``,
 whose captures now also ride the compiled engine) must keep matching
 the coupled scalar sweep.
@@ -24,7 +24,7 @@ from repro import MachineParams, make_workload
 from repro.analysis import run_miss_sweep
 from repro.core.replay import NO_NUMPY_ENV, get_numpy
 from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME
-from repro.core.timing_kernels import NO_NUMBA_ENV, get_backend
+from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
 from repro.core.tlb import Organization
 from repro.runner import JobSpec
 from repro.runner.summary import RunSummary
@@ -210,7 +210,7 @@ class TestReplayMatrix:
     @pytest.mark.parametrize("replay", [True, False], ids=["replay", "coupled"])
     @pytest.mark.parametrize(
         "env",
-        [None, NO_NUMPY_ENV, NO_NUMBA_ENV],
+        [None, NO_NUMPY_ENV, NO_COMPILED_ENV],
         ids=["numpy", "no-numpy", "no-numba"],
     )
     def test_matrix_cell(self, params, scalar_oracle, replay, env, monkeypatch):
@@ -251,7 +251,7 @@ class TestFallbacks:
         assert result.backend == "compiled"
 
     def test_no_numba_falls_back_scalar(self, params, monkeypatch):
-        monkeypatch.setenv(NO_NUMBA_ENV, "1")
+        monkeypatch.setenv(NO_COMPILED_ENV, "1")
         result = run_miss_sweep(
             params, make_workload("radix", intensity=0.2), max_refs_per_node=200
         )

@@ -14,7 +14,7 @@ barrier-imbalanced streams are first-class cases here.
 
 The matrix also covers the degraded environments: the columnar
 materialization without numpy (``REPRO_NO_NUMPY``) and the full
-scalar fallback with the compiled backend disabled (``REPRO_NO_NUMBA``)
+scalar fallback with the compiled backend disabled (``REPRO_NO_COMPILED``)
 must produce the same numbers again.
 """
 
@@ -24,7 +24,7 @@ from repro import MachineParams, Scheme, Simulator, make_workload
 from repro.analysis import run_timing
 from repro.core.replay import NO_NUMPY_ENV, get_numpy
 from repro.core.schemes import SCHEME_ORDER
-from repro.core.timing_kernels import NO_NUMBA_ENV, get_backend
+from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
 from repro.core.tlb import Organization
 from repro.fuzz.oracle import literal_machine, machine_state, summary_surface
 from repro.runner.summary import RunSummary
@@ -212,8 +212,8 @@ class TestBackendMatrix:
         assert summary_surface(fast) == summary_surface(scalar_reference)
 
     def test_no_numba_falls_back_scalar(self, params, scalar_reference, monkeypatch):
-        """REPRO_NO_NUMBA disables the backend; results don't change."""
-        monkeypatch.setenv(NO_NUMBA_ENV, "1")
+        """REPRO_NO_COMPILED disables the backend; results don't change."""
+        monkeypatch.setenv(NO_COMPILED_ENV, "1")
         result = run_timing(
             params, Scheme.V_COMA,
             make_workload("raytrace", intensity=0.5), 8,

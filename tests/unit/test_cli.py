@@ -417,9 +417,9 @@ class TestDoctor:
 
     def test_red_when_only_last_resort(self, capsys, monkeypatch):
         from repro.core.replay import NO_NUMPY_ENV
-        from repro.core.timing_kernels import NO_NUMBA_ENV
+        from repro.core.timing_kernels import NO_COMPILED_ENV
 
-        monkeypatch.setenv(NO_NUMBA_ENV, "1")
+        monkeypatch.setenv(NO_COMPILED_ENV, "1")
         monkeypatch.setenv(NO_NUMPY_ENV, "1")
         code, out = run_cli(capsys, "doctor")
         assert code == 1

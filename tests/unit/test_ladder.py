@@ -1,7 +1,7 @@
 """The supervised degradation ladder and fallback provenance.
 
 Forcing any compiled-engine failure the oracle can recover from — an
-injected C OOM, a build failure, ``REPRO_NO_NUMBA`` — must yield a
+injected C OOM, a build failure, ``REPRO_NO_COMPILED`` — must yield a
 bit-identical scalar result with a structured ``fallback_reason``,
 never a crash, and the reason must survive the whole provenance chain:
 ``RunResult`` → ``RunSummary`` → cache round trip → ``GridStats``.
@@ -103,7 +103,7 @@ class TestDegradationPaths:
         assert fallback_counts() == {"compiled": 2}
 
     def test_no_numba_reason_survives_cache_round_trip(self, params, monkeypatch):
-        monkeypatch.setenv(tk.NO_NUMBA_ENV, "1")
+        monkeypatch.setenv(tk.NO_COMPILED_ENV, "1")
         result = run_timing(
             params, Scheme.V_COMA, make_workload("radix", intensity=0.2), 8,
             max_refs_per_node=100,
@@ -188,7 +188,7 @@ class TestLadder:
         assert not only_last_resort()
 
     def test_only_last_resort_when_everything_disabled(self, monkeypatch):
-        monkeypatch.setenv(tk.NO_NUMBA_ENV, "1")
+        monkeypatch.setenv(tk.NO_COMPILED_ENV, "1")
         from repro.core.replay import NO_NUMPY_ENV
 
         monkeypatch.setenv(NO_NUMPY_ENV, "1")
