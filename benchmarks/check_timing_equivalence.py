@@ -13,7 +13,11 @@ columnar engine and once forced onto the scalar reference engine
 (``fast=False``).  Every pair of :class:`RunSummary` serializations
 must be bit-identical (total time, per-node breakdowns, all counters,
 TLB/DLB statistics, latency histograms); the only allowed difference
-is the ``backend`` tag itself.
+is the ``backend`` tag itself.  The traced rows attach a file-backed
+:class:`~repro.obs.trace.Tracer` to both runs and require the JSONL
+bytes to match as well: the compiled engine writes the tracer's packed
+records itself, so these rows drive its trace buffer through growth
+and repeated drains.
 
 The check honours ``REPRO_NO_NUMPY`` and ``REPRO_NO_COMPILED``, so the CI
 matrix runs it against every kernel/backend combination.  When the
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -38,6 +43,7 @@ from repro.core.replay import get_numpy
 from repro.core.schemes import SCHEME_ORDER
 from repro.core.timing_kernels import backend_status, get_backend
 from repro.core.tlb import Organization
+from repro.obs import Tracer
 from repro.runner.summary import RunSummary
 
 PARAMS = MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
@@ -50,6 +56,11 @@ CASES = (
     ("raytrace", 0.5, 8, Organization.FULLY_ASSOCIATIVE, None, True),
     ("ocean", 0.2, 16, Organization.FULLY_ASSOCIATIVE, 250, True),
 )
+#: (scheme, workload, intensity, entries) run with a JSONL tracer.
+TRACED_CASES = (
+    (Scheme.V_COMA, "radix", 0.3, 8),
+    (Scheme.L2_TLB, "radix", 0.3, 8),
+)
 
 
 def comparable(result) -> dict:
@@ -58,6 +69,17 @@ def comparable(result) -> dict:
     payload.pop("backend", None)
     payload.pop("fallback_reason", None)
     return payload
+
+
+def traced_run(scheme, name, intensity, entries, fast, path):
+    """One traced timing run; returns (result, JSONL bytes)."""
+    with Tracer(path) as tracer:
+        result = run_timing(
+            PARAMS, scheme, make_workload(name, intensity=intensity), entries,
+            tracer=tracer, fast=fast,
+        )
+    with open(path, "rb") as handle:
+        return result, handle.read()
 
 
 def main() -> int:
@@ -92,6 +114,32 @@ def main() -> int:
             compiled_runs += fast.backend == "compiled"
             if comparable(fast) != comparable(scalar):
                 failures.append(f"{label}: fast ({fast.backend}) != scalar")
+            elif compiled_expected and fast.backend != "compiled":
+                failures.append(
+                    f"{label}: ran {fast.backend} ({fast.fallback_reason}) "
+                    f"with the compiled backend available"
+                )
+
+    with tempfile.TemporaryDirectory() as scratch:
+        for scheme, name, intensity, entries in TRACED_CASES:
+            label = f"{scheme.value}/{name}@{intensity}/traced"
+            fast, fast_trace = traced_run(
+                scheme, name, intensity, entries, True,
+                os.path.join(scratch, "fast.jsonl"),
+            )
+            scalar, scalar_trace = traced_run(
+                scheme, name, intensity, entries, False,
+                os.path.join(scratch, "scalar.jsonl"),
+            )
+            checked += 1
+            compiled_runs += fast.backend == "compiled"
+            if comparable(fast) != comparable(scalar):
+                failures.append(f"{label}: fast ({fast.backend}) != scalar")
+            elif fast_trace != scalar_trace:
+                failures.append(
+                    f"{label}: trace bytes differ ({len(fast_trace)} fast "
+                    f"vs {len(scalar_trace)} scalar)"
+                )
             elif compiled_expected and fast.backend != "compiled":
                 failures.append(
                     f"{label}: ran {fast.backend} ({fast.fallback_reason}) "

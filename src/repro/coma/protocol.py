@@ -143,6 +143,7 @@ class ProtocolEngine:
         self._em_fetch = None
         self._em_upgrade = None
         self._em_invalidate = None
+        self._em_inject = None
         # Demand entry points are rebound on trace attachment (see the
         # ``trace`` setter): the untraced hot path — one call per SLC
         # miss / write upgrade in the sweep inner loop — jumps straight
@@ -177,7 +178,8 @@ class ProtocolEngine:
     def trace(self, tracer) -> None:
         self._trace = tracer
         if tracer is None:
-            self._em_fetch = self._em_upgrade = self._em_invalidate = None
+            self._em_fetch = self._em_upgrade = None
+            self._em_invalidate = self._em_inject = None
             self.fetch = self._fetch
             self.upgrade_for_write = self._upgrade_for_write
             return
@@ -190,6 +192,11 @@ class ProtocolEngine:
         )
         self._em_invalidate = tracer.event_emitter(
             "protocol.invalidate", ("node", "block", "home")
+        )
+        self._em_inject = tracer.event_emitter(
+            "protocol.inject",
+            ("node", "block", "home", "state"),
+            enums={"state": tuple(state.name for state in AMState)},
         )
         self.fetch = self._traced_fetch
         self.upgrade_for_write = self._traced_upgrade_for_write
@@ -453,11 +460,8 @@ class ProtocolEngine:
         :class:`CapacityError` is raised."""
         self.counters.add("injections")
         home = self.home_of(block)
-        if self._trace is not None:
-            self._trace.event(
-                "protocol.inject", now, node=src, block=block, home=home,
-                state=state.name,
-            )
+        if self._em_inject is not None:
+            self._em_inject(now, src, block, home, int(state))
         t = self.crossbar.transfer(MessageKind.INJECT, src, home, now)
         t += self._dir_lookup_cycles(home, block, for_ownership=False, injection=True, requester=src)
         entry = self.directories[home].entry(block)

@@ -6,7 +6,8 @@
  * kernel owns the (clock, node) event heap and processes whole columnar
  * epochs of plain loads/stores; it returns to Python only when the
  * minimum-clock node's next event is a BARRIER/LOCK/UNLOCK, when a node's
- * stream ends (or hits max_refs), or when the heap drains.  Python then
+ * stream ends (or hits max_refs), when the heap drains, or (traced runs)
+ * when the trace buffer passes its drain limit.  Python then
  * performs exactly the scalar engine's synchronization bookkeeping and
  * re-enters.
  *
@@ -19,6 +20,11 @@
  *    re-insert on touch, first key is the victim).
  *  - The protocol engine's statement order (counter creation included:
  *    a counter key exists iff Counters.add() was called, even with 0).
+ *
+ * With a tracer attached (coupled timing runs), the kernel also writes
+ * the tracer's packed trace records -- the same bytes the scalar
+ * engine's emitters produce, in the same order -- into a bounded buffer
+ * that Python drains at every return (see "packed trace records").
  *
  * Built with plain `gcc -O2 -shared -fPIC` and loaded through cffi's ABI
  * mode; no Python.h involved.
@@ -34,6 +40,7 @@
 #define FS_DONE 0
 #define FS_SYNC 1
 #define FS_NEED_FINISH 2
+#define FS_TRACE_FULL 3 /* trace buffer passed its flush limit; drain, re-enter */
 
 #define FS_ERR_PROTOCOL (-1)
 #define FS_ERR_CAPACITY (-2)
@@ -153,6 +160,32 @@ enum {
     GEOM_MAP_CAPACITY,
     GEOM_CONTENTION, /* crossbar input-port serialization on */
     GEOM_LEN
+};
+
+/* trace configuration array indices (timing_kernels.TC_* slots):
+ * the tracer's codec ids and global string-table ids for every record
+ * shape a coupled timing run emits, plus the drain limit */
+enum {
+    TC_REF = 0,    /* codec ids */
+    TC_FETCH,
+    TC_UPGRADE,
+    TC_INVALIDATE,
+    TC_INJECT,
+    TC_MSG,
+    TC_HIT,
+    TC_FILL,
+    TC_PHASE,
+    TC_PHASE_EVERY, /* refs between "phase" events; 0 disables */
+    TC_LIMIT,       /* buffered bytes that make fs_run return FS_TRACE_FULL */
+    TC_FAIL_GROWTH, /* injected fault: the buffer never grows past its first chunk */
+    TC_PARENT,      /* span id every record emitted outside a C span hangs off */
+    TC_FALSE,       /* string ids */
+    TC_TRUE,
+    TC_READ,
+    TC_WRITE,
+    TC_MSG_NAMES,                        /* N_MSG_KINDS ids, MessageKind order */
+    TC_STATE_NAMES = TC_MSG_NAMES + N_MSG_KINDS, /* 4 ids, AMState order */
+    TC_LEN = TC_STATE_NAMES + 4
 };
 
 /* ------------------------------------------------------------------ */
@@ -554,6 +587,103 @@ static int cap_push(Cap *c, int64_t page) {
 }
 
 /* ------------------------------------------------------------------ */
+/* packed trace records                                                */
+/*                                                                     */
+/* With a tracer attached, the kernel writes the tracer's own packed   */
+/* record format ([u8 codec][n x int64 LE], see fs_trace_render) for   */
+/* every record the scalar engine would emit inside the inter-sync     */
+/* region, in the same order.  Span ids, the innermost open span and   */
+/* the tracer's last seen time are mirrored here and exchanged with    */
+/* the Python tracer at every fs_run / fs_reference boundary.  Spans   */
+/* are written when they close (children before parents), exactly as  */
+/* Tracer.end does.                                                    */
+/* ------------------------------------------------------------------ */
+#define TR_INITIAL_CAP 4096
+#define TR_MAX_DEPTH 4 /* ref > protocol.fetch|upgrade, with headroom */
+#define TR_MAX_SLOTS 4 /* begin values held by an open span */
+
+typedef struct {
+    int codec;
+    int nvals;
+    int64_t id, parent, t0;
+    int64_t vals[TR_MAX_SLOTS]; /* packed begin values (string ids for enum/bool) */
+} TrSpan;
+
+typedef struct {
+    uint8_t *buf;
+    int64_t len, cap, limit;
+    int oom;         /* sticky allocation failure, surfaced by fs_run */
+    int fail_growth; /* injected fault */
+    int64_t cfg[TC_LEN];
+    int64_t next_id, last_time, top; /* top: innermost open span id, -1 none */
+    TrSpan stack[TR_MAX_DEPTH];
+    int depth;
+    int64_t total_refs; /* main-loop references, for "phase" events */
+} Trace;
+
+static void tr_put(Trace *tr, int codec, const int64_t *vals, int n) {
+    int64_t need = 1 + 8 * (int64_t)n;
+    if (tr->oom) return;
+    if (tr->len + need > tr->cap) {
+        int64_t nc = tr->cap ? tr->cap : TR_INITIAL_CAP;
+        while (nc < tr->len + need) nc *= 2;
+        uint8_t *nb = (tr->cap && tr->fail_growth) ? 0 : (uint8_t *)realloc(tr->buf, (size_t)nc);
+        if (!nb) {
+            tr->oom = 1;
+            return;
+        }
+        tr->buf = nb;
+        tr->cap = nc;
+    }
+    uint8_t *o = tr->buf + tr->len;
+    *o++ = (uint8_t)codec;
+    memcpy(o, vals, 8 * (size_t)n); /* the format is little-endian, like the host */
+    tr->len += need;
+}
+
+static inline void tr_seen(Trace *tr, int64_t t) {
+    if (t > tr->last_time) tr->last_time = t;
+}
+
+/* Tracer.event_emitter: (span, t, *vals) under the innermost open span */
+static void tr_event(Trace *tr, int codec, int64_t t, const int64_t *vals, int n) {
+    int64_t rec[2 + TR_MAX_SLOTS + 2];
+    rec[0] = tr->top;
+    rec[1] = t;
+    memcpy(rec + 2, vals, 8 * (size_t)n);
+    tr_put(tr, codec, rec, 2 + n);
+    tr_seen(tr, t);
+}
+
+/* span_emitter begin: assign the id, capture the parent, push */
+static void tr_open(Trace *tr, int codec, int64_t t0, const int64_t *vals, int n) {
+    TrSpan *sp = &tr->stack[tr->depth++];
+    sp->codec = codec;
+    sp->nvals = n;
+    sp->id = tr->next_id++;
+    sp->parent = tr->top;
+    sp->t0 = t0;
+    memcpy(sp->vals, vals, 8 * (size_t)n);
+    tr->top = sp->id;
+    tr_seen(tr, t0);
+}
+
+/* span_emitter end: pop the innermost span and write its record */
+static void tr_close(Trace *tr, int64_t t1, const int64_t *vals, int n) {
+    TrSpan *sp = &tr->stack[--tr->depth];
+    int64_t rec[4 + 2 * TR_MAX_SLOTS];
+    rec[0] = sp->id;
+    rec[1] = sp->parent;
+    rec[2] = sp->t0;
+    rec[3] = t1;
+    memcpy(rec + 4, sp->vals, 8 * (size_t)sp->nvals);
+    memcpy(rec + 4 + sp->nvals, vals, 8 * (size_t)n);
+    tr->top = sp->parent;
+    tr_put(tr, sp->codec, rec, 4 + sp->nvals + n);
+    tr_seen(tr, t1);
+}
+
+/* ------------------------------------------------------------------ */
 /* binary heap of (time, node), lexicographic                          */
 /* ------------------------------------------------------------------ */
 typedef struct {
@@ -680,6 +810,10 @@ typedef struct FastSim {
     Cap *caps; /* N_SWEEP_TAPS * nodes, tap-major; 0 when capture off */
     int capture;
     int cap_oom; /* sticky allocation failure, surfaced by fs_run */
+
+    /* packed trace records (coupled runs with a tracer attached) */
+    int trace;
+    Trace tr;
 } FastSim;
 
 static inline void cap_feed(FastSim *s, int tap, int node, int64_t page) {
@@ -732,24 +866,38 @@ static inline int home_of(FastSim *s, int64_t addr) {
     return (int)((addr >> s->page_bits) & s->node_mask);
 }
 
-/* TimingAgent._translate at a per-node tap */
+/* TimingAgent._translate at a per-node tap; traced runs emit the
+ * buffer's trace_hook event, stamped at the tracer's last seen time */
 static inline int64_t translate(FastSim *s, int buffer, int64_t vpn) {
-    return tlb_access(&s->tlbs[buffer], vpn) ? 0 : s->penalty;
+    int hit = tlb_access(&s->tlbs[buffer], vpn);
+    if (s->trace) {
+        int64_t v[2] = {buffer, vpn};
+        tr_event(&s->tr, (int)s->tr.cfg[hit ? TC_HIT : TC_FILL], s->tr.last_time, v, 2);
+    }
+    return hit ? 0 : s->penalty;
 }
 
 /* ------------------------------------------------------------------ */
 /* crossbar: Crossbar.transfer, latency-only and port-contention modes */
 /* (topologies stay scalar)                                            */
 /* ------------------------------------------------------------------ */
+static inline void trace_msg(FastSim *s, int kind, int src, int dst, int64_t now,
+                             int64_t cycles) {
+    int64_t v[4] = {s->tr.cfg[TC_MSG_NAMES + kind], src, dst, cycles};
+    tr_event(&s->tr, (int)s->tr.cfg[TC_MSG], now, v, 4);
+}
+
 static inline int64_t xfer(FastSim *s, int kind, int src, int dst, int64_t now) {
     gadd(s, G_MSG_BASE + kind, 1);
     if (src == dst) {
         gadd(s, G_MSG_LOCAL, 1);
+        if (s->trace) trace_msg(s, kind, src, dst, now, 0);
         return now;
     }
     int carries = (kind == MSG_BLOCK_REPLY || kind == MSG_INJECT || kind == MSG_INJECT_FORWARD);
     int64_t cycles = carries ? s->blk_cycles : s->req_cycles;
     int64_t payload = carries ? s->blk_payload : s->req_payload;
+    if (s->trace) trace_msg(s, kind, src, dst, now, cycles);
     gadd(s, G_MSG_REMOTE, 1);
     gadd(s, G_NETWORK_CYCLES, cycles);
     gadd(s, G_PAYLOAD_BYTES, payload);
@@ -979,6 +1127,10 @@ static int64_t invalidate_holders(FastSim *s, int64_t slot, int64_t block, int h
         if (rc) return rc;
         int64_t ack = xfer(s, MSG_ACK, n, home, arrive);
         if (ack > done) done = ack;
+        if (s->trace) {
+            int64_t v[3] = {n, block, home};
+            tr_event(&s->tr, (int)s->tr.cfg[TC_INVALIDATE], arrive, v, 3);
+        }
         sharers_clear_bit(d, slot, n);
         if (owner >= 0 && owner == n) owner_cleared = 1;
         count++;
@@ -1072,6 +1224,10 @@ static int accept_injection(FastSim *s, int target, int64_t block, uint8_t state
 static int inject(FastSim *s, int src, int64_t block, uint8_t state, int64_t now) {
     gadd(s, G_INJECTIONS, 1);
     int home = home_of(s, block);
+    if (s->trace) {
+        int64_t v[4] = {src, block, home, s->tr.cfg[TC_STATE_NAMES + state]};
+        tr_event(&s->tr, (int)s->tr.cfg[TC_INJECT], now, v, 4);
+    }
     int64_t t = xfer(s, MSG_INJECT, src, home, now);
     t += dir_lookup_cycles(s, home, block, 1);
     int64_t slot = dir_entry(s, home, block);
@@ -1231,6 +1387,27 @@ static int64_t engine_upgrade_for_write(FastSim *s, int node, int64_t addr, int6
     return s->am_hit + up;
 }
 
+/* ProtocolEngine._traced: with a tracer attached, one demand
+ * transaction runs inside a protocol.fetch / protocol.upgrade span */
+static int64_t demand(FastSim *s, int upgrade_only, int node, int64_t addr, int is_write,
+                      int64_t now, int *remote, int64_t *translation) {
+    if (!s->trace) {
+        return upgrade_only ? engine_upgrade_for_write(s, node, addr, now, remote, translation)
+                            : engine_fetch(s, node, addr, is_write, now, remote, translation);
+    }
+    Trace *tr = &s->tr;
+    int64_t block = addr & s->am_block_mask;
+    int64_t b[4] = {node, tr->cfg[is_write ? TC_TRUE : TC_FALSE], block, home_of(s, block)};
+    tr_open(tr, (int)tr->cfg[upgrade_only ? TC_UPGRADE : TC_FETCH], now, b, 4);
+    int64_t cycles = upgrade_only
+                         ? engine_upgrade_for_write(s, node, addr, now, remote, translation)
+                         : engine_fetch(s, node, addr, is_write, now, remote, translation);
+    if (cycles < 0) return cycles; /* the span stays open, as after a scalar raise */
+    int64_t e[2] = {tr->cfg[*remote ? TC_TRUE : TC_FALSE], *translation};
+    tr_close(tr, now + cycles, e, 2);
+    return cycles;
+}
+
 /* ------------------------------------------------------------------ */
 /* the node (Node._process + fills + attribution)                      */
 /* ------------------------------------------------------------------ */
@@ -1339,8 +1516,8 @@ static int64_t node_process(FastSim *s, int node, int is_write, int64_t vaddr, i
                 if (s->tap == TAP_L2) tlb += translate(s, node, vpn);
                 int remote = 0;
                 int64_t translation = 0;
-                int64_t cycles = engine_fetch(s, node, proto_addr, 0, now + stall + tlb,
-                                              &remote, &translation);
+                int64_t cycles = demand(s, 0, node, proto_addr, 0, now + stall + tlb,
+                                        &remote, &translation);
                 if (cycles < 0) return cycles;
                 stall += cycles;
                 /* _attribute */
@@ -1385,8 +1562,8 @@ static int64_t node_process(FastSim *s, int node, int is_write, int64_t vaddr, i
             if (s->tap == TAP_L2) tlb += translate(s, node, vpn);
             int remote = 0;
             int64_t translation = 0;
-            int64_t cycles = engine_fetch(s, node, proto_addr, 1, now + stall + tlb,
-                                          &remote, &translation);
+            int64_t cycles = demand(s, 0, node, proto_addr, 1, now + stall + tlb,
+                                    &remote, &translation);
             if (cycles < 0) return cycles;
             stall += cycles;
             s->tlb_stall[node] += translation;
@@ -1414,9 +1591,8 @@ static int64_t node_process(FastSim *s, int node, int is_write, int64_t vaddr, i
                 if (s->tap == TAP_L2) tlb += translate(s, node, vpn);
                 int remote = 0;
                 int64_t translation = 0;
-                int64_t cycles = engine_upgrade_for_write(s, node, proto_addr,
-                                                          now + stall + tlb, &remote,
-                                                          &translation);
+                int64_t cycles = demand(s, 1, node, proto_addr, 1, now + stall + tlb,
+                                        &remote, &translation);
                 if (cycles < 0) return cycles;
                 stall += cycles;
                 s->tlb_stall[node] += translation;
@@ -1437,7 +1613,8 @@ static int64_t node_process(FastSim *s, int node, int is_write, int64_t vaddr, i
 }
 
 /* Node.reference: histogram + relaxed-store handling */
-static int64_t node_reference(FastSim *s, int node, int is_write, int64_t vaddr, int64_t now) {
+static int64_t node_reference_body(FastSim *s, int node, int is_write, int64_t vaddr,
+                                   int64_t now) {
     if (is_write && s->relaxed) {
         int64_t loc = s->loc_stall[node];
         int64_t rem = s->rem_stall[node];
@@ -1461,6 +1638,20 @@ static int64_t node_reference(FastSim *s, int node, int is_write, int64_t vaddr,
         hist_record(s->rh_buckets + node * N_HIST_BUCKETS, &s->rh_count[node],
                     &s->rh_total[node], cycles);
     }
+    return cycles;
+}
+
+/* Node.reference, wrapped in a "ref" span when traced (Node._traced_reference) */
+static int64_t node_reference(FastSim *s, int node, int is_write, int64_t vaddr, int64_t now) {
+    if (!s->trace) return node_reference_body(s, node, is_write, vaddr, now);
+    Trace *tr = &s->tr;
+    int64_t tlb_before = s->tlb_stall[node];
+    int64_t b[3] = {node, tr->cfg[is_write ? TC_WRITE : TC_READ], vaddr >> s->page_bits};
+    tr_open(tr, (int)tr->cfg[TC_REF], now, b, 3);
+    int64_t cycles = node_reference_body(s, node, is_write, vaddr, now);
+    if (cycles < 0) return cycles;
+    int64_t e[2] = {cycles, s->tlb_stall[node] - tlb_before};
+    tr_close(tr, now + cycles, e, 2);
     return cycles;
 }
 
@@ -1625,6 +1816,7 @@ void fs_destroy(FastSim *s) {
         free(s->caps);
     }
     free(s->cand);
+    free(s->tr.buf);
     free(s);
 }
 
@@ -1689,6 +1881,47 @@ const int64_t *fs_cap_data(FastSim *s, int tap, int node) {
     return s->caps ? s->caps[tap * s->nodes + node].data : NULL;
 }
 
+/* ---- packed trace records (coupled timing runs) ---- */
+void fs_set_trace(FastSim *s, const int64_t *cfg) {
+    Trace *tr = &s->tr;
+    memcpy(tr->cfg, cfg, sizeof(tr->cfg));
+    tr->limit = cfg[TC_LIMIT];
+    tr->fail_growth = (int)cfg[TC_FAIL_GROWTH];
+    tr->top = cfg[TC_PARENT];
+    s->trace = 1;
+}
+
+/* the tracer's span-id counter and last seen time, before C emits */
+void fs_trace_sync(FastSim *s, int64_t next_id, int64_t last_time) {
+    s->tr.next_id = next_id;
+    s->tr.last_time = last_time;
+}
+
+/* Hands the buffered records to the caller, who must copy them before
+ * the next call into the engine (the buffer is reused).  state receives
+ * [bytes, next span id, last seen time, open spans]. */
+const char *fs_trace_take(FastSim *s, int64_t *state) {
+    Trace *tr = &s->tr;
+    state[0] = tr->len;
+    state[1] = tr->next_id;
+    state[2] = tr->last_time;
+    state[3] = tr->depth;
+    tr->len = 0;
+    return (const char *)tr->buf;
+}
+
+/* Open span i (outermost first) after an engine error: [codec, id,
+ * parent, t0, nvals, packed begin values...] */
+void fs_trace_open_span(FastSim *s, int i, int64_t *out) {
+    const TrSpan *sp = &s->tr.stack[i];
+    out[0] = sp->codec;
+    out[1] = sp->id;
+    out[2] = sp->parent;
+    out[3] = sp->t0;
+    out[4] = sp->nvals;
+    memcpy(out + 5, sp->vals, 8 * (size_t)sp->nvals);
+}
+
 /* ---- run control ---- */
 int fs_run(FastSim *s, int64_t *out) {
     Heap *h = &s->heap;
@@ -1719,6 +1952,15 @@ int fs_run(FastSim *s, int64_t *out) {
             s->clock[n] = t;
             s->refs_done[n]++;
             if (heap_push(h, t, n)) return FS_ERR_INTERNAL;
+            if (s->trace) {
+                Trace *tr = &s->tr;
+                int64_t every = tr->cfg[TC_PHASE_EVERY];
+                tr->total_refs++;
+                if (every && tr->total_refs % every == 0)
+                    tr_event(tr, (int)tr->cfg[TC_PHASE], t, &tr->total_refs, 1);
+                if (tr->oom) return FS_ERR_INTERNAL;
+                if (tr->len >= tr->limit) return FS_TRACE_FULL;
+            }
         } else {
             out[0] = n;
             out[1] = now;
@@ -1733,7 +1975,7 @@ int fs_run(FastSim *s, int64_t *out) {
 /* lock-word stores from the Python sync handlers */
 int64_t fs_reference(FastSim *s, int node, int is_write, int64_t vaddr, int64_t now) {
     int64_t cycles = node_reference(s, node, is_write, vaddr, now);
-    if (cycles >= 0 && s->cap_oom) return FS_ERR_INTERNAL;
+    if (cycles >= 0 && (s->cap_oom || s->tr.oom)) return FS_ERR_INTERNAL;
     return cycles;
 }
 

@@ -108,6 +108,10 @@ int64_t fs_cap_count(FastSim *s, int tap, int node);
 const int64_t *fs_cap_data(FastSim *s, int tap, int node);
 int64_t fs_bank_run(int64_t entries, int64_t sets, int64_t assoc, uint32_t *rng_state,
                     const int64_t *pages, int64_t n, int64_t *tags, int32_t *lens);
+void fs_set_trace(FastSim *s, const int64_t *cfg);
+void fs_trace_sync(FastSim *s, int64_t next_id, int64_t last_time);
+const char *fs_trace_take(FastSim *s, int64_t *state);
+void fs_trace_open_span(FastSim *s, int i, int64_t *out);
 int64_t fs_trace_render(const char *stream, int64_t nbytes,
                         const int32_t *nslots, const int32_t *kind_off,
                         const char *kinds,
@@ -121,6 +125,7 @@ int64_t fs_trace_render(const char *stream, int64_t nbytes,
 DONE = 0
 SYNC = 1
 NEED_FINISH = 2
+TRACE_FULL = 3
 ERR_PROTOCOL = -1
 ERR_CAPACITY = -2
 ERR_KEY = -3
@@ -164,6 +169,33 @@ ERR_INTERNAL = -4
     GEOM_CONTENTION,
     GEOM_LEN,
 ) = range(35)
+
+# Trace configuration slots (order of the C TC_* enum): codec ids,
+# phase cadence, drain limit, fault switch, base parent span, then
+# global string-table ids — false/true, read/write, one per message
+# kind (MessageKind order), one per AM state (AMState order).
+(
+    TC_REF,
+    TC_FETCH,
+    TC_UPGRADE,
+    TC_INVALIDATE,
+    TC_INJECT,
+    TC_MSG,
+    TC_HIT,
+    TC_FILL,
+    TC_PHASE,
+    TC_PHASE_EVERY,
+    TC_LIMIT,
+    TC_FAIL_GROWTH,
+    TC_PARENT,
+    TC_FALSE,
+    TC_TRUE,
+    TC_READ,
+    TC_WRITE,
+    TC_MSG_NAMES,
+) = range(18)
+TC_STATE_NAMES = TC_MSG_NAMES + 10  # N_MSG_KINDS
+TC_LEN = TC_STATE_NAMES + 4
 
 # Tap codes (GEOM_TAP slot).
 TAP_NONE = -1

@@ -2,7 +2,9 @@
 
 One :class:`FuzzCase` is a pure-data (JSON-serializable) description of
 a paired run; :func:`run_case` executes it on the compiled engine and
-the scalar oracle and compares both with the deep-equality oracle.  Any
+the scalar oracle, each with a memory-only tracer attached, and
+compares both with the deep-equality oracle — results, machine state,
+and the decoded trace records.  Any
 divergence — different numbers *or* an engine crash — raises
 :class:`DifferentialMismatch` carrying the case, which is what lets
 hypothesis shrink the failure to a minimal reproducer.
@@ -131,13 +133,17 @@ def _build_params(case: FuzzCase) -> MachineParams:
 
 
 def _paired_results(case: FuzzCase):
-    """(fast_result, scalar_result) for one case, freshly built each."""
+    """``((fast_result, fast_tracer), (scalar_result, scalar_tracer))``
+    for one case, freshly built each, with a memory-only tracer on both
+    sides (the compiled engine writes its own trace records)."""
+    from repro.obs import Tracer
+
     scheme = Scheme(case.scheme)
     if case.workload["kind"] == "named":
         from repro.analysis.experiments import run_timing
         from repro.workloads import make_workload
 
-        def one(fast: bool):
+        def one(fast: bool, tracer):
             return run_timing(
                 _build_params(case),
                 scheme,
@@ -148,6 +154,7 @@ def _paired_results(case: FuzzCase):
                 organization=Organization(case.organization),
                 max_refs_per_node=case.max_refs_per_node,
                 contention=case.contention,
+                tracer=tracer,
                 fast=fast,
             )
 
@@ -158,19 +165,44 @@ def _paired_results(case: FuzzCase):
             [tuple(ref) for ref in stream] for stream in case.workload["streams"]
         ]
 
-        def one(fast: bool):
+        def one(fast: bool, tracer):
             machine = literal_machine(
                 _build_params(case),
                 scheme,
                 streams,
                 pages=case.workload["pages"],
                 contention=case.contention,
+                tracer=tracer,
             )
             return Simulator(
                 machine, max_refs_per_node=case.max_refs_per_node, fast=fast
             ).run()
 
-    return one(True), one(False)
+    pairs = []
+    for fast in (True, False):
+        with Tracer() as tracer:
+            pairs.append((one(fast, tracer), tracer))
+    return pairs
+
+
+def _trace_diffs(expected, actual) -> List[str]:
+    """Where two memory-only tracers' rings (decoded) and drop counts
+    diverge; bounded to the first differing record."""
+    diffs = []
+    if expected.dropped != actual.dropped:
+        diffs.append(f"trace.dropped: {expected.dropped} != {actual.dropped}")
+    want, got = list(expected.records), list(actual.records)
+    if want != got:
+        index = next(
+            (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
+            min(len(want), len(got)),
+        )
+        diffs.append(
+            f"trace.records[{index}] (of {len(want)} vs {len(got)}): "
+            f"{want[index] if index < len(want) else None!r} != "
+            f"{got[index] if index < len(got) else None!r}"
+        )
+    return diffs
 
 
 def run_case(case: FuzzCase) -> Dict[str, object]:
@@ -181,7 +213,7 @@ def run_case(case: FuzzCase) -> Dict[str, object]:
     still executed, but it proved nothing about the compiled engine).
     """
     try:
-        fast, scalar = _paired_results(case)
+        (fast, fast_trace), (scalar, scalar_trace) = _paired_results(case)
     except DifferentialMismatch:
         raise
     except Exception as exc:
@@ -192,6 +224,7 @@ def run_case(case: FuzzCase) -> Dict[str, object]:
     diffs += diff_paths(
         machine_state(scalar.machine), machine_state(fast.machine), "machine"
     )
+    diffs += _trace_diffs(scalar_trace, fast_trace)
     if diffs:
         raise DifferentialMismatch(case, diffs)
     return {"backend": fast.backend, "fallback_reason": fast.fallback_reason}

@@ -134,10 +134,12 @@ def literal_machine(
     streams: Sequence[Sequence[Tuple[int, int]]],
     pages: int = 32,
     contention: bool = False,
+    tracer=None,
 ) -> Machine:
     """A machine over hand-built per-node streams (offsets into one
     ``data`` segment; barrier ids pass through untranslated).
-    ``contention`` turns on the crossbar's port-contention model."""
+    ``contention`` turns on the crossbar's port-contention model;
+    ``tracer`` attaches a :class:`~repro.obs.trace.Tracer`."""
 
     def factory(node, ctx):
         base = ctx.segment("data").base
@@ -150,7 +152,7 @@ def literal_machine(
     workload = CustomWorkload(
         [SegmentSpec("data", pages * params.page_size)], factory, name="literal"
     )
-    return Machine(params, scheme, workload, contention=contention)
+    return Machine(params, scheme, workload, contention=contention, tracer=tracer)
 
 
 __all__ = [

@@ -157,7 +157,7 @@ def entry_from_bench(payload: Dict, **context) -> HistoryEntry:
             metrics[f"{kind}_refs_per_sec"] = row["refs_per_sec"]
     tracing = payload.get("tracing", {})
     if tracing:
-        metrics["tracing_enabled_slowdown"] = tracing["enabled_slowdown"]
+        metrics["tracing_enabled_slowdown"] = tracing["scalar_enabled_slowdown"]
         metrics["tracing_disabled_refs_per_sec"] = tracing["disabled_refs_per_sec"]
     for row in payload.get("grid", ()):
         if "speedup_vs_no_replay" in row:

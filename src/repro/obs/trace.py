@@ -46,6 +46,15 @@ stream:
   every codec's rendering is verified against :func:`_encode` at
   creation, so the on-disk byte stream is identical whichever path —
   or renderer — produced a record.
+
+A third producer writes packed records from outside Python: the
+compiled timing engine (``fastsim.c``).  It learns the codec ids and
+global string ids from the emitters (each carries its ``codec``),
+continues the span-id counter and last seen time
+(:attr:`Tracer.span_state`), and hands its drained buffer to
+:meth:`Tracer.take_packed`, which treats the bytes exactly as the
+emitters would have — batched for the renderer, or split into ring
+entries.
 """
 
 from __future__ import annotations
@@ -608,7 +617,10 @@ class Tracer:
         slots as an index into that key's ``enums`` tuple.  The call
         site hoists the emitter once (so the per-event cost is one
         call and one ``struct.pack``) and must pass values that match
-        the declared layout.  Identical shapes share one emitter.
+        the declared layout.  Identical shapes share one emitter.  The
+        emitter's ``codec`` attribute (its ``id`` and per-slot global
+        string ids, ``gmaps``) lets another producer write the same
+        records.
         """
         shape = _shape_key("event", name, keys, (), enums, bools)
         emit = self._emitters.get(shape)
@@ -633,7 +645,8 @@ class Tracer:
         (sharing the tracer's stack with the generic path, so nesting
         and ids interleave correctly); ``end(t1, *end_values)`` pops it
         and emits the packed record.  Pairs must close LIFO, like the
-        generic API."""
+        generic API.  Both carry the shape's ``codec``, as event
+        emitters do."""
         shape = _shape_key("span", name, begin_keys, end_keys, enums, bools)
         pair = self._emitters.get(shape)
         if pair is None:
@@ -742,7 +755,9 @@ class Tracer:
             f"        _tracer._last_time = t\n"
         )
         exec(compile(src, f"<trace-emitter event:{codec.name}>", "exec"), env)
-        return env["emit"]
+        emit = env["emit"]
+        emit.codec = codec
+        return emit
 
     def _compile_span(self, codec: _PackedCodec):
         nb = len(codec.begin_keys)
@@ -789,7 +804,73 @@ class Tracer:
         )
         exec(compile(begin_src, f"<trace-emitter begin:{codec.name}>", "exec"), env)
         exec(compile(end_src, f"<trace-emitter end:{codec.name}>", "exec"), env)
-        return env["begin"], env["end"]
+        begin, end = env["begin"], env["end"]
+        begin.codec = end.codec = codec
+        return begin, end
+
+    # -- foreign producers (the compiled engine) -------------------------
+    @property
+    def span_state(self) -> Tuple[int, int]:
+        """``(next span id, last seen time)`` — the state a foreign
+        producer continues from and hands back."""
+        return self._next_id, self._last_time
+
+    @span_state.setter
+    def span_state(self, state: Tuple[int, int]) -> None:
+        self._next_id, self._last_time = state
+
+    def checkpoint(self) -> Tuple[int, int, int]:
+        """Opaque marker for :meth:`rewind`."""
+        return self._next_id, self._last_time, len(self._stack)
+
+    def rewind(self, mark: Tuple[int, int, int]) -> None:
+        """Forget the spans opened since ``mark``.  Only valid while no
+        record has been emitted since — an aborted attempt whose run
+        will be replayed from the start."""
+        self._next_id, self._last_time, depth = mark
+        del self._stack[depth:]
+        del self._ids[depth:]
+
+    def take_packed(self, data) -> None:
+        """Append packed records written elsewhere with this tracer's
+        codec and string ids (a drained compiled-engine buffer), in
+        stream order: file-backed tracers batch them for the bulk
+        renderer, memory-only tracers split them into ring entries
+        exactly as the emitters would have stored them."""
+        if self._file is not None:
+            buf = self._packed
+            buf += data
+            if len(buf) >= PACKED_FLUSH_BYTES:
+                self._flush_packed()
+            return
+        data = bytes(data)
+        codecs = self._codecs
+        starts = []
+        pos = 0
+        end = len(data)
+        while pos < end:
+            starts.append(pos)
+            pos += codecs[data[pos]].size
+        ring = self._ring
+        overflow = len(ring) + len(starts) - self._maxlen
+        if overflow > 0:
+            self.dropped += overflow
+            # Only the newest ``maxlen`` records survive the append.
+            starts = starts[-self._maxlen:]
+        ring.extend(data[p:p + codecs[data[p]].size] for p in starts)
+
+    def push_open(self, codec_id: int, span_id: int, parent: int, t0: int, packed) -> None:
+        """Adopt a span a foreign producer left open (engine error
+        mid-reference), so :meth:`close` truncates it exactly as it
+        would a span opened here.  ``packed`` holds the begin values as
+        packed (enum/bool slots as global string ids)."""
+        codec = self._codecs[codec_id]
+        raw = [
+            v if gmap is None else gmap.index(v)
+            for gmap, v in zip(codec.gmaps, packed)
+        ]
+        self._stack.append((codec, span_id, parent, t0, *raw))
+        self._ids.append(span_id)
 
     # -- rendering (packed batch -> JSONL bytes) ------------------------
     def _drain_packed(self) -> None:

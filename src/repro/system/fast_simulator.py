@@ -14,12 +14,26 @@ object (counters, cache/AM/directory images, TLB contents, RNG states,
 histograms, breakdowns) is indistinguishable from one driven by the
 scalar engine, which the differential suite
 (``tests/integration/test_timing_equivalence.py``) enforces field by
-field.  Anything the C engine does not model — tracing, topologies,
-paging extensions, custom agents, invariant checking — makes
+field.  Anything the C engine does not model — topologies, paging
+extensions, custom agents, invariant checking, a tracer on a sweep or
+capture run (or one not attached through the machine) — makes
 :func:`fallback_reason` return a string and the caller stays on the
 scalar path.  The crossbar's port-contention mode is modelled: the
 per-node port free times load into C before the run and export back
 after it.
+
+Traced timing runs are modelled too.  The C engine writes the
+tracer's packed records (:mod:`repro.obs.trace`) for everything the
+scalar engine would emit between synchronization points, using the
+codec and string-table ids of the emitters the machine's layers
+hoisted.  :func:`_drive` syncs the tracer's span-id counter and last
+seen time into C before every ``fs_run``/``fs_reference`` call, drains
+the buffer after it (``fs_run`` also returns ``TRACE_FULL`` when the
+buffer passes ``PACKED_FLUSH_BYTES``), and emits the generic ``run``
+span and ``sim.barrier``/``sim.lock`` events itself, so the trace is
+byte-identical to the scalar run's.  Once a record has reached the
+tracer the run counts as mutated: a later failure propagates instead
+of re-running on the scalar engine and writing every record twice.
 """
 
 from __future__ import annotations
@@ -71,6 +85,20 @@ def _is_sweep_agent(agent) -> bool:
     return type(agent) in (StudyAgent, CaptureAgent)
 
 
+def _traced_throughout(machine) -> bool:
+    """True when one tracer is attached to every instrumented layer,
+    the way :class:`~repro.system.machine.Machine` attaches it — the
+    only wiring whose records the compiled engine reproduces."""
+    tracer = machine.tracer
+    return (
+        tracer is not None
+        and machine.engine.trace is tracer
+        and machine.crossbar.trace is tracer
+        and getattr(machine.agent, "trace", None) is tracer
+        and all(node._trace is tracer for node in machine.nodes)
+    )
+
+
 def fallback_reason(simulator) -> Optional[str]:
     """None when the compiled fast path can reproduce this run exactly;
     otherwise a short human-readable reason for staying scalar."""
@@ -90,7 +118,7 @@ def fallback_reason(simulator) -> Optional[str]:
         machine.tracer is not None
         or machine.engine.trace is not None
         or machine.crossbar.trace is not None
-    ):
+    ) and (sweep_agent or not _traced_throughout(machine)):
         return "tracing attached"
     if simulator.check_invariants_every:
         return "invariant checking requested"
@@ -211,16 +239,76 @@ def run_fast(simulator) -> RunResult:
     handle = lib.fs_create(ffi.new("int64_t[]", geom))
     if handle == ffi.NULL:
         raise EngineDegraded("C engine allocation failed (fs_create OOM)")
+    tracer = machine.tracer
     try:
-        if fault == "oom":
+        # A traced run meets the oom fault where it would really strike:
+        # the trace buffer, which then refuses to grow past its first
+        # chunk.
+        if fault == "oom" and tracer is None:
             raise EngineDegraded("injected fault: C allocation failed (oom)")
         if fault == "internal":
             _raise_engine_error(tk.ERR_INTERNAL)
         if _is_sweep_agent(agent) and lib.fs_set_capture(handle, 1) != 0:
             raise EngineDegraded("capture-mode allocation failed")
-        return _drive(simulator, ffi, lib, handle, swords, think, timing_agent)
+        if tracer is None:
+            return _drive(simulator, ffi, lib, handle, swords, think, timing_agent)
+        mark = tracer.checkpoint()
+        tracer.begin("run", 0, max_refs=max_refs)
+        config = _trace_config(simulator, tracer, fail_growth=fault == "oom")
+        lib.fs_set_trace(handle, ffi.new("int64_t[]", config))
+        try:
+            return _drive(simulator, ffi, lib, handle, swords, think, timing_agent)
+        except (EngineDegraded, MemoryError):
+            # Nothing reached the tracer yet: forget the run span so the
+            # scalar re-run starts from the same tracer state.
+            if not simulator._fast_state_mutated:
+                tracer.rewind(mark)
+            raise
     finally:
         lib.fs_destroy(handle)
+
+
+def _trace_config(simulator, tracer, fail_growth: bool) -> List[int]:
+    """The TC_* vector: the tracer's codec ids and string-table ids for
+    every record shape the C engine writes, read off the emitters the
+    machine's layers hoisted when the tracer attached."""
+    from repro.obs.trace import PACKED_FLUSH_BYTES
+    from repro.system.simulator import phase_emitter
+
+    machine = simulator.machine
+    engine = machine.engine
+
+    def strings(codec, key):
+        return codec.gmaps[(codec.begin_keys + codec.end_keys).index(key)]
+
+    ref = machine.nodes[0]._ref_begin.codec
+    fetch = engine._em_fetch[0].codec
+    msg = machine.crossbar._emit_msg.codec
+    inject = engine._em_inject.codec
+    config = [0] * tk.TC_LEN
+    config[tk.TC_REF] = ref.id
+    config[tk.TC_FETCH] = fetch.id
+    config[tk.TC_UPGRADE] = engine._em_upgrade[0].codec.id
+    config[tk.TC_INVALIDATE] = engine._em_invalidate.codec.id
+    config[tk.TC_INJECT] = inject.id
+    config[tk.TC_MSG] = msg.id
+    emitters = getattr(machine.agent, "trace_emitters", None)
+    if emitters is not None:  # TimingAgent: one TLB/DLB hit/fill pair
+        config[tk.TC_HIT] = emitters[0].codec.id
+        config[tk.TC_FILL] = emitters[1].codec.id
+    config[tk.TC_PHASE] = phase_emitter(tracer).codec.id
+    config[tk.TC_PHASE_EVERY] = simulator.phase_every
+    config[tk.TC_LIMIT] = PACKED_FLUSH_BYTES
+    config[tk.TC_FAIL_GROWTH] = int(fail_growth)
+    parent = tracer.current_span_id
+    config[tk.TC_PARENT] = -1 if parent is None else parent
+    config[tk.TC_FALSE], config[tk.TC_TRUE] = strings(fetch, "write")
+    config[tk.TC_READ], config[tk.TC_WRITE] = strings(ref, "op")
+    names = strings(msg, "msg")
+    config[tk.TC_MSG_NAMES:tk.TC_MSG_NAMES + len(names)] = names
+    states = strings(inject, "state")
+    config[tk.TC_STATE_NAMES:tk.TC_STATE_NAMES + len(states)] = states
+    return config
 
 
 def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResult:
@@ -293,8 +381,50 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
     lock_queue = {}
     out = ffi.new("int64_t[4]")
 
+    # Tracing: the tracer's span-id counter and last seen time go into C
+    # before every fs_run/fs_reference and come back with the records C
+    # wrote, which are drained before Python emits a generic record of
+    # its own — so the stream interleaves exactly as the scalar run's.
+    tracer = machine.tracer
+    if tracer is not None:
+        take_state = ffi.new("int64_t[4]")
+        # fs_trace_open_span: 5 header words + up to 4 begin values.
+        open_span = ffi.new("int64_t[]", 5 + 4)
+
+    def enter() -> None:
+        if tracer is not None:
+            lib.fs_trace_sync(handle, *tracer.span_state)
+
+    def drain(status: int) -> None:
+        if tracer is None:
+            return
+        data = lib.fs_trace_take(handle, take_state)
+        if status == tk.ERR_INTERNAL:
+            # A degradable failure: records still in C never reach the
+            # tracer, so a run that had emitted nothing may re-run.
+            return
+        tracer.span_state = (int(take_state[1]), int(take_state[2]))
+        if take_state[0]:
+            # Records left C: a scalar re-run would write them twice.
+            simulator._fast_state_mutated = True
+            tracer.take_packed(ffi.buffer(data, take_state[0]))
+        if status < 0:
+            # Spans C left open on an engine error stay open on the
+            # tracer, as after a scalar raise (close() truncates them).
+            for i in range(int(take_state[3])):
+                lib.fs_trace_open_span(handle, i, open_span)
+                values = [int(open_span[5 + j]) for j in range(int(open_span[4]))]
+                tracer.push_open(*(int(open_span[j]) for j in range(4)), values)
+
+    def emit(name: str, now: int, **attrs) -> None:
+        if tracer is not None:
+            simulator._fast_state_mutated = True
+            tracer.event(name, now, **attrs)
+
     def reference(node: int, word: int, now: int) -> int:
+        enter()
         stall = int(lib.fs_reference(handle, node, 1, word, now))
+        drain(stall)
         if stall < 0:
             _raise_engine_error(stall)
         return stall
@@ -330,11 +460,15 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
             maybe_release_barrier(barrier_id)
 
     while True:
+        enter()
         status = int(lib.fs_run(handle, out))
+        drain(status)
         if status == tk.DONE:
             break
         if status < 0:
             _raise_engine_error(status)
+        if status == tk.TRACE_FULL:
+            continue
         n, now = int(out[0]), int(out[1])
         if status == tk.NEED_FINISH:
             finish(n, now)
@@ -343,6 +477,7 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
         lib.fs_consume_op(handle, n)
         if op == BARRIER:
             barriers_seen += 1
+            emit("sim.barrier", now, node=n, barrier=value)
             arrivals = barrier_arrivals.setdefault(value, {})
             if n in arrivals:
                 raise ReproError(
@@ -355,6 +490,7 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
             holder = lock_holder.get(value)
             if holder is None:
                 lock_holder[value] = n
+                emit("sim.lock", now, node=n, word=value)
                 stall = reference(n, value, now)
                 lib.fs_set_clock(handle, n, now + stall)
                 lib.fs_push(handle, now + stall, n)
@@ -394,13 +530,15 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
     end_time = max(clock) if clock else 0
     for n in range(count):
         sync[n] += end_time - clock[n]
+    refs_per_node = [int(lib.fs_refs_done(handle, n)) for n in range(count)]
 
     # -- copy every piece of machine state back -------------------------
     # Past this point the Python machine is mutated incrementally, so a
     # failure can no longer degrade to a scalar re-run of the same
     # machine object (Simulator.run checks this flag).
     simulator._fast_state_mutated = True
-    refs_per_node = [int(lib.fs_refs_done(handle, n)) for n in range(count)]
+    if tracer is not None:
+        tracer.end(end_time, refs=sum(refs_per_node), barriers=barriers_seen)
     breakdowns = []
     bd3 = ffi.new("int64_t[3]")
     hist_buckets = ffi.new("int64_t[]", tk.N_HIST_BUCKETS)

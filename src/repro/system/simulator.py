@@ -32,6 +32,12 @@ from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
 from repro.system.results import RunResult
 
 
+def phase_emitter(trace):
+    """The packed "phase" progress event: ``emit(t, refs_processed)``.
+    Shared with the compiled engine, which writes the same records."""
+    return trace.event_emitter("phase", ("refs",))
+
+
 class Simulator:
     """Drives one machine over its workload's reference streams."""
 
@@ -123,6 +129,7 @@ class Simulator:
         trace = getattr(machine, "tracer", None)
         phase_every = self.phase_every if trace is not None else 0
         if trace is not None:
+            emit_phase = phase_emitter(trace)
             trace.begin("run", 0, max_refs=self.max_refs_per_node)
 
         # Barrier state: id -> {node: arrival_time}
@@ -185,7 +192,7 @@ class Simulator:
                 if check_every and total_refs_processed % check_every == 0:
                     machine.engine.check_invariants()
                 if phase_every and total_refs_processed % phase_every == 0:
-                    trace.event("phase", clock[n], refs=total_refs_processed)
+                    emit_phase(clock[n], total_refs_processed)
             elif op == BARRIER:
                 barriers_seen += 1
                 if trace is not None:

@@ -237,18 +237,19 @@ class TimingAgent(TranslationAgent):
         misses."""
         self.trace = trace
         prefix = "dlb" if self.scheme is Scheme.V_COMA else "tlb"
-        hit_name, fill_name = f"{prefix}_hit", f"{prefix}_fill"
-        for node, buffer in enumerate(self._buffers):
-            buffer.trace_hook = self._make_hook(trace, hit_name, fill_name, node)
-
-    @staticmethod
-    def _make_hook(trace, hit_name: str, fill_name: str, node: int):
         # One packed emitter per event name, hoisted here so each
         # translation lookup packs a fixed-layout record (timestamped
         # at the tracer's last seen time — the hooks carry no clock).
-        emit_hit = trace.event_emitter(hit_name, ("node", "vpn"))
-        emit_fill = trace.event_emitter(fill_name, ("node", "vpn"))
+        # The compiled engine writes the same two shapes.
+        self.trace_emitters = (
+            trace.event_emitter(f"{prefix}_hit", ("node", "vpn")),
+            trace.event_emitter(f"{prefix}_fill", ("node", "vpn")),
+        )
+        for node, buffer in enumerate(self._buffers):
+            buffer.trace_hook = self._make_hook(trace, *self.trace_emitters, node)
 
+    @staticmethod
+    def _make_hook(trace, emit_hit, emit_fill, node: int):
         def hook(page: int, hit: bool) -> None:
             (emit_hit if hit else emit_fill)(trace._last_time, node, page)
 

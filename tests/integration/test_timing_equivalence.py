@@ -12,6 +12,11 @@ contention, truncation mid-critical-section hand control back to Python
 sync policy), so RAYTRACE's lock-heavy streams and hand-built
 barrier-imbalanced streams are first-class cases here.
 
+Traced runs are held to the same contract one level further out: the
+compiled engine writes the tracer's packed records itself, and the
+JSONL bytes (file-backed tracers) or ring records and drop counts
+(memory-only tracers) must equal the scalar run's.
+
 The matrix also covers the degraded environments: the columnar
 materialization without numpy (``REPRO_NO_NUMPY``) and the full
 scalar fallback with the compiled backend disabled (``REPRO_NO_COMPILED``)
@@ -22,11 +27,13 @@ import pytest
 
 from repro import MachineParams, Scheme, Simulator, make_workload
 from repro.analysis import run_timing
+from repro.common.errors import ReproError
 from repro.core.replay import NO_NUMPY_ENV, get_numpy
 from repro.core.schemes import SCHEME_ORDER
 from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
 from repro.core.tlb import Organization
 from repro.fuzz.oracle import literal_machine, machine_state, summary_surface
+from repro.obs import Tracer
 from repro.runner.summary import RunSummary
 from repro.system.machine import Machine
 from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
@@ -40,6 +47,44 @@ pytestmark = pytest.mark.skipif(
 @pytest.fixture(scope="module")
 def params():
     return MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
+
+
+#: Ring capacity small enough that every traced case below drops records.
+SMALL_RING = 64
+
+#: Node 0 is cut off by max_refs_per_node=60 inside its critical
+#: section; node 3 never reaches the barrier.
+TRUNCATED_LOCK_STREAMS = [
+    [(WRITE, i * 32) for i in range(40)] + [(BARRIER, 0), (LOCK, 0)]
+    + [(WRITE, i * 64) for i in range(40)] + [(UNLOCK, 0)],
+    [(READ, 0), (BARRIER, 0), (LOCK, 0), (WRITE, 64), (UNLOCK, 0)],
+    [(BARRIER, 0), (LOCK, 0), (READ, 128), (UNLOCK, 0)],
+    [(WRITE, 512)],
+]
+
+
+def traced_pair(run, sink, tmp_path):
+    """``run(tracer, fast)`` on both engines, each with a fresh tracer
+    of kind ``sink``; returns ``(fast, scalar)`` as (result, trace)
+    pairs, the trace being the JSONL bytes or the ring's decoded
+    records and drop count."""
+    outputs = []
+    for fast in (True, False):
+        path = tmp_path / f"{'fast' if fast else 'scalar'}.jsonl"
+        tracer = Tracer(str(path)) if sink == "file" else Tracer(buffer_size=SMALL_RING)
+        with tracer:
+            result = run(tracer, fast)
+        if sink == "file":
+            trace = path.read_bytes()
+        else:
+            trace = (list(tracer.records), tracer.dropped)
+        outputs.append((result, trace))
+    (fast, fast_trace), (scalar, scalar_trace) = outputs
+    assert fast.backend == "compiled" and fast.fallback_reason is None
+    assert scalar.backend == "scalar"
+    if sink == "ring":
+        assert fast_trace[1] > 0  # the ring really overflowed
+    return outputs
 
 
 def paired_run(params, scheme, **kwargs):
@@ -98,22 +143,52 @@ class TestAllSchemes:
     def test_contention_sync_streams_truncated_in_critical_section(self, params, scheme):
         """Barrier-imbalanced streams under port contention; max_refs
         cuts node 0 off inside its critical section."""
-        streams = [
-            [(WRITE, i * 32) for i in range(40)] + [(BARRIER, 0), (LOCK, 0)]
-            + [(WRITE, i * 64) for i in range(40)] + [(UNLOCK, 0)],
-            [(READ, 0), (BARRIER, 0), (LOCK, 0), (WRITE, 64), (UNLOCK, 0)],
-            [(BARRIER, 0), (LOCK, 0), (READ, 128), (UNLOCK, 0)],
-            [(WRITE, 512)],  # never reaches the barrier
-        ]
-
         def run(fast):
-            machine = literal_machine(params, scheme, streams, contention=True)
+            machine = literal_machine(
+                params, scheme, TRUNCATED_LOCK_STREAMS, contention=True
+            )
             return Simulator(machine, max_refs_per_node=60, fast=fast).run()
 
         fast, scalar = run(True), run(False)
         assert fast.backend == "compiled"
         assert fast.refs_per_node[0] == 60
         assert summary_surface(fast) == summary_surface(scalar)
+        assert machine_state(fast.machine) == machine_state(scalar.machine)
+
+    @pytest.mark.parametrize("contention", [False, True], ids=["latency", "contention"])
+    @pytest.mark.parametrize("sink", ["file", "ring"])
+    def test_traced_raytrace_bit_identical(self, params, scheme, sink, contention, tmp_path):
+        """The compiled engine's packed records: lock hand-offs, TLB/DLB
+        events, injections and (optionally) port contention, streamed
+        to JSONL or kept in an overflowing ring."""
+
+        def run(tracer, fast):
+            return run_timing(
+                params, scheme, make_workload("raytrace", intensity=0.5), 8,
+                contention=contention, tracer=tracer,
+                fast=fast,
+            )
+
+        (fast, fast_trace), (scalar, scalar_trace) = traced_pair(run, sink, tmp_path)
+        assert fast_trace == scalar_trace
+        assert machine_state(fast.machine) == machine_state(scalar.machine)
+
+    @pytest.mark.parametrize("sink", ["file", "ring"])
+    def test_traced_sync_streams_truncated_in_critical_section(
+        self, params, scheme, sink, tmp_path
+    ):
+        """sim.barrier / sim.lock records interleave with the drained C
+        records exactly where the scalar run writes them."""
+
+        def run(tracer, fast):
+            machine = literal_machine(
+                params, scheme, TRUNCATED_LOCK_STREAMS, contention=True, tracer=tracer
+            )
+            return Simulator(machine, max_refs_per_node=60, fast=fast).run()
+
+        (fast, fast_trace), (scalar, scalar_trace) = traced_pair(run, sink, tmp_path)
+        assert fast.refs_per_node[0] == 60
+        assert fast_trace == scalar_trace
         assert machine_state(fast.machine) == machine_state(scalar.machine)
 
 
@@ -192,6 +267,24 @@ class TestSyncHeavy:
         assert machine_state(fast.machine) == machine_state(scalar.machine)
 
 
+class TestTracedEngineError:
+    def test_engine_error_leaves_the_same_truncated_spans(self, params):
+        """A store to an unmapped page fails mid-reference on both
+        engines; the spans the compiled engine left open are handed to
+        the tracer, so close() truncates the same records."""
+        streams = [[(WRITE, 0), (READ, 64), (WRITE, 40 * 256)], [], [], []]
+        rings = []
+        for fast in (True, False):
+            tracer = Tracer()
+            machine = literal_machine(params, Scheme.L2_TLB, streams, tracer=tracer)
+            with pytest.raises((ReproError, KeyError)):
+                Simulator(machine, fast=fast).run()
+            tracer.close()
+            rings.append(list(tracer.records))
+        assert rings[0] == rings[1]
+        assert [r["name"] for r in rings[0] if r.get("truncated")] == ["ref", "run"]
+
+
 class TestBackendMatrix:
     @pytest.fixture(scope="class")
     def scalar_reference(self, params):
@@ -241,13 +334,11 @@ class TestBackendReporting:
         assert summary.backend == "compiled"
         assert RunSummary.from_dict(summary.to_dict()).backend == "compiled"
 
-    def test_tracer_forces_scalar(self, params, tmp_path):
-        from repro.obs import Tracer
-
+    def test_tracer_runs_compiled(self, params, tmp_path):
         with Tracer(str(tmp_path / "t.jsonl")) as tracer:
             result = run_timing(
                 params, Scheme.V_COMA,
                 make_workload("radix", intensity=0.2), 8, tracer=tracer,
             )
-        assert result.backend == "scalar"
-        assert result.fallback_reason == "tracing attached"
+        assert result.backend == "compiled"
+        assert result.fallback_reason is None

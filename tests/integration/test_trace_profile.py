@@ -7,8 +7,9 @@ Table-4-shaped overhead breakdown from those traces alone and
 reconcile it **exactly** — assert-equal, not approximately — against
 the committed ``tests/golden/metrics_*.json`` registries for the same
 runs.  A live traced run must also reproduce the committed trace
-record-for-record, so the goldens double as determinism and
-trace-format regressions.
+record-for-record, on the compiled engine and on the scalar oracle
+alike, so the goldens double as determinism, trace-format and
+engine-equivalence regressions.
 
 To refresh after an intentional behavior change::
 
@@ -30,6 +31,7 @@ from repro.obs import (
     attribute_costs,
     profile_trace,
     read_trace,
+    registry_from_summary,
     validate_trace,
 )
 from repro.workloads import make_workload
@@ -64,13 +66,16 @@ def params():
     ).replace(seed=1998)
 
 
-def record_trace(params, scheme: Scheme, path) -> None:
+def record_trace(params, scheme: Scheme, path, fast: bool = True) -> str:
+    """Record the golden configuration's trace; returns the backend
+    that ran."""
     workload = make_workload(WORKLOAD, intensity=INTENSITY)
     with Tracer(str(path)) as tracer:
-        run_timing(
+        result = run_timing(
             params, scheme, workload, ENTRIES,
-            max_refs_per_node=MAX_REFS, tracer=tracer,
+            max_refs_per_node=MAX_REFS, tracer=tracer, fast=fast,
         )
+    return result.backend
 
 
 @pytest.fixture(scope="module", params=SCHEMES, ids=[s.value for s in SCHEMES])
@@ -93,11 +98,18 @@ def test_committed_trace_validates(golden_trace):
     assert stats["spans"] > 0 and stats["events"] > 0
 
 
-def test_committed_trace_matches_live_run(golden_trace, params, tmp_path):
-    """A fresh seeded run reproduces the committed trace record-for-record."""
+@pytest.mark.parametrize("fast", [True, False], ids=["compiled", "scalar"])
+def test_committed_trace_matches_live_run(golden_trace, params, tmp_path, fast):
+    """A fresh seeded run on either engine reproduces the committed
+    trace record-for-record."""
+    from repro.core.timing_kernels import get_backend
+
+    if fast and get_backend() is None:
+        pytest.skip("compiled timing backend unavailable")
     scheme, records = golden_trace
     live_path = tmp_path / "live.jsonl"
-    record_trace(params, scheme, live_path)
+    backend = record_trace(params, scheme, live_path, fast=fast)
+    assert backend == ("compiled" if fast else "scalar")
     assert read_trace(str(live_path)) == records
 
 
@@ -116,6 +128,31 @@ def test_attribution_reconciles_exactly_with_golden_metrics(golden_trace):
     # The breakdown is non-trivial: every category landed cycles.
     for category in ("translation", "local_memory", "remote_memory"):
         assert attribution.categories[category] > 0
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[s.value for s in SCHEMES])
+def test_attribution_reconciles_on_a_compiled_trace(params, scheme, tmp_path):
+    """Strict reconciliation holds on a trace the compiled engine
+    wrote, for a full FFT run under port contention (a configuration
+    the goldens do not cover)."""
+    from repro.core.timing_kernels import get_backend
+
+    if get_backend() is None:
+        pytest.skip("compiled timing backend unavailable")
+    path = tmp_path / "compiled.jsonl"
+    with Tracer(str(path)) as tracer:
+        result = run_timing(
+            params, scheme, make_workload("fft", intensity=0.25), ENTRIES,
+            contention=True, tracer=tracer,
+        )
+    assert result.backend == "compiled"
+    assert result.machine.crossbar.counters["contention_cycles"] > 0
+    records = read_trace(str(path))
+    checks = attribute_costs(records).reconcile(
+        registry_from_summary(result), strict=True
+    )
+    assert len(checks) >= 12
+    assert all(row["ok"] for row in checks)
 
 
 def test_attribution_uses_scheme_vocabulary(golden_trace):

@@ -1,6 +1,6 @@
 """Property tests: the CC-NUMA MSI engine under random operations."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import CustomWorkload, MachineParams, SegmentSpec, Simulator
@@ -43,24 +43,77 @@ def test_directory_consistency_and_conservation(streams):
         assert breakdown.total == result.total_time
 
 
+def caches_block(machine, node, block) -> bool:
+    """True while ``node``'s SLC holds any line of coherence block
+    ``block`` (the FLC is included in the SLC)."""
+    cpu = machine.nodes[node]
+    slc = cpu.slc
+    start = cpu._proto_to_slc_space(block)
+    span = 1 << machine.layout.block_bits
+    return any(
+        slc.state_of(addr) is not None
+        for addr in range(start, start + span, slc.block_size)
+    )
+
+
+def log_ownership(machine):
+    """Record, in simulation order, the events that move a block's
+    directory owner: ``("own", block)`` when a store reaches the
+    protocol (fetch for write, upgrade) and ``("writeback", block)``
+    when a dirty SLC line is evicted to memory."""
+    engine = machine.engine
+    block_of = machine.layout.block_base
+    log = []
+    fetch, upgrade, writeback = engine.fetch, engine.upgrade_for_write, engine.writeback
+
+    def logged_fetch(node, addr, is_write, now):
+        outcome = fetch(node, addr, is_write, now)
+        if is_write:
+            log.append(("own", block_of(addr)))
+        return outcome
+
+    def logged_upgrade(node, addr, now):
+        outcome = upgrade(node, addr, now)
+        log.append(("own", block_of(addr)))
+        return outcome
+
+    def logged_writeback(node, addr, now):
+        writeback(node, addr, now)
+        log.append(("writeback", block_of(addr)))
+
+    engine.fetch = logged_fetch
+    engine.upgrade_for_write = logged_upgrade
+    engine.writeback = logged_writeback
+    return log
+
+
 @given(streams=node_streams)
 @settings(max_examples=60, deadline=None)
+# Five blocks in one 4-way SLC set: the writer's own later reads evict
+# its dirty line, and that writeback correctly clears the owner.
+@example(streams=[[], [(1, 1984), (0, 448), (0, 960), (0, 1472), (0, 2496)]])
+# Two SLC lines of one coherence block: evicting the dirty one clears
+# the owner while the other line stays cached.
+@example(streams=[[], [(1, 0), (0, 64), (0, 512), (0, 1024), (0, 1536), (0, 2048)]])
 def test_last_writer_owns_exclusively(streams):
     machine = build(streams)
+    log = log_ownership(machine)
     Simulator(machine).run()
-    # Replay the streams logically: the last writer of each coherence
-    # block (if nobody read it afterwards) must be the directory owner.
+    # The writer of a block no other node touches owns it, unless one
+    # of its dirty lines was written back (a capacity eviction) after
+    # its last store that reached the protocol: a writeback clears the
+    # owner.  An owner always still caches the block.
     layout = machine.layout
     base = machine.space["data"].base
-    last_event = {}
+    touched_by = {}
     for node, stream in enumerate(streams):
         # Streams interleave in simulation, but within one node order
-        # holds; with 2 nodes we only assert blocks touched by a single
-        # node (no cross-node race on them).
+        # holds; only blocks a single node touches have a race-free
+        # expected owner.
         for op, offset in stream:
             block = layout.block_base(base + offset)
-            last_event.setdefault(block, set()).add(node)
-    for block, nodes in last_event.items():
+            touched_by.setdefault(block, set()).add(node)
+    for block, nodes in touched_by.items():
         if len(nodes) != 1:
             continue
         (node,) = nodes
@@ -70,7 +123,12 @@ def test_last_writer_owns_exclusively(streams):
         )
         entry = machine.engine._entries.get(block)
         if wrote:
-            assert entry is not None and entry.owner == node
+            events = [kind for kind, logged in log if logged == block]
+            owns = events[-1] == "own"
+            assert entry is not None
+            assert entry.owner == (node if owns else None)
+            if owns:
+                assert caches_block(machine, node, block)
         elif entry is not None:
             assert entry.owner is None
 

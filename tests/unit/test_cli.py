@@ -291,7 +291,7 @@ class TestHistoryCommand:
             "cpu_count": 2,
             "params": {"nodes": 8, "page_size": 512},
             "serial": {"timing": {"refs_per_sec": rate}},
-            "tracing": {"enabled_slowdown": 3.0,
+            "tracing": {"scalar_enabled_slowdown": 3.0,
                         "disabled_refs_per_sec": rate * 1.1},
         }
 

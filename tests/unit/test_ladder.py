@@ -175,6 +175,78 @@ class TestDegradationPaths:
 
 
 # ----------------------------------------------------------------------
+# degradation with a tracer attached
+# ----------------------------------------------------------------------
+class TestTracedDegradation:
+    """Traced runs are compiled; the ``oom`` fault then strikes the C
+    trace buffer, which refuses to grow past its first chunk.  Whether
+    the ladder may re-run on the scalar engine depends on whether any
+    record already reached the tracer."""
+
+    @staticmethod
+    def traced(params, streams, path, fast=True):
+        from repro.fuzz.oracle import literal_machine
+        from repro.obs import Tracer
+        from repro.system.simulator import Simulator
+
+        with Tracer(str(path)) as tracer:
+            sim = Simulator(
+                literal_machine(params, Scheme.V_COMA, streams, tracer=tracer),
+                fast=fast,
+            )
+            try:
+                return sim, sim.run()
+            except EngineDegraded:
+                return sim, None
+
+    def test_failure_before_first_record_degrades_to_identical_trace(
+        self, params, tmp_path, monkeypatch
+    ):
+        # No sync op: nothing leaves C before the buffer needs to grow.
+        from repro.system.refs import WRITE
+
+        streams = [[(WRITE, (64 * i + 8 * n) % 4096) for i in range(150)] for n in range(4)]
+        _, scalar = self.traced(params, streams, tmp_path / "scalar.jsonl", fast=False)
+        monkeypatch.setenv(FAULT_ENV, "oom")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sim, degraded = self.traced(params, streams, tmp_path / "degraded.jsonl")
+        assert degraded is not None
+        assert degraded.backend == "scalar"
+        assert degraded.fallback_reason.startswith("compiled engine degraded:")
+        assert fallback_counts() == {"compiled": 1}
+        assert surface(degraded) == surface(scalar)
+        assert (tmp_path / "degraded.jsonl").read_bytes() == (
+            tmp_path / "scalar.jsonl"
+        ).read_bytes()
+
+    def test_failure_after_records_left_c_is_not_rerun(
+        self, params, tmp_path, monkeypatch
+    ):
+        # The barrier hands the first references' records to the
+        # tracer; the buffer overflows its first chunk only afterwards.
+        from repro.obs import read_trace
+        from repro.system.refs import BARRIER, WRITE
+
+        streams = [
+            [(WRITE, 8 * n), (BARRIER, 0)]
+            + [(WRITE, (64 * i + 8 * n) % 4096) for i in range(150)]
+            for n in range(4)
+        ]
+        monkeypatch.setenv(FAULT_ENV, "oom")
+        sim, result = self.traced(params, streams, tmp_path / "t.jsonl")
+        assert result is None  # EngineDegraded propagated, no scalar re-run
+        assert sim.backend == "compiled" and sim._fast_state_mutated
+        assert fallback_counts() == {}
+        records = read_trace(str(tmp_path / "t.jsonl"))
+        refs = [r for r in records if r.get("name") == "ref"]
+        assert len(refs) == 4  # each first write, written exactly once
+        ids = [r["id"] for r in records if r.get("kind") == "span"]
+        assert len(ids) == len(set(ids))
+        assert any(r.get("name") == "sim.barrier" for r in records)
+
+
+# ----------------------------------------------------------------------
 # the ladder itself
 # ----------------------------------------------------------------------
 class TestLadder:

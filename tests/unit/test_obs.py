@@ -150,6 +150,69 @@ class TestTracer:
             validate_trace(records)
 
 
+REF_SHAPE = (("node", "op", "vpn"), ("cycles", "tlb"))
+
+
+def packed_producer_pair(**kwargs):
+    """Two tracers with the same ``ref``/``msg`` shapes: one fed by its
+    emitters, one that will be fed the same records as raw packed
+    bytes (the compiled engine's path)."""
+    pair = []
+    for _ in range(2):
+        tracer = Tracer(**kwargs)
+        ref = tracer.span_emitter("ref", *REF_SHAPE, enums={"op": ("read", "write")})
+        msg = tracer.event_emitter("msg", ("src", "dst"))
+        tracer.begin("run", 0)
+        pair.append((tracer, ref, msg))
+    return pair
+
+
+class TestForeignProducer:
+    """The surface the compiled engine uses: codec ids, span state,
+    drained packed bytes, and spans left open by an engine error."""
+
+    def test_take_packed_matches_emitters_in_an_overflowing_ring(self):
+        (native, (begin, end), msg), (foreign, ref_pair, foreign_msg) = (
+            packed_producer_pair(buffer_size=5)
+        )
+        ref = ref_pair[0].codec
+        event = foreign_msg.codec
+        read, write = ref.gmaps[1]
+        blob = bytearray()
+        for i in range(4):
+            begin(10 * i, 1, i % 2, 7)
+            msg(10 * i + 1, 1, 2)
+            end(10 * i + 5, 5, 0)
+            sid = 2 + i
+            blob += event.struct.pack(event.id, sid, 10 * i + 1, 1, 2)
+            blob += ref.struct.pack(
+                ref.id, sid, 1, 10 * i, 10 * i + 5, 1, write if i % 2 else read, 7, 5, 0
+            )
+        foreign.take_packed(bytes(blob))
+        foreign.span_state = (6, 35)
+        assert native.span_state == foreign.span_state
+        assert native.dropped == foreign.dropped > 0
+        assert list(native.records) == list(foreign.records)
+
+    def test_pushed_open_span_truncates_like_a_native_one(self):
+        (native, (begin, _), _), (foreign, ref_pair, _) = packed_producer_pair()
+        begin(12, 3, 1, 9)
+        ref = ref_pair[0].codec
+        foreign.push_open(ref.id, 2, 1, 12, [3, ref.gmaps[1][1], 9])
+        foreign.span_state = (3, 12)
+        native.close()
+        foreign.close()
+        assert list(native.records) == list(foreign.records)
+        assert any(r.get("truncated") for r in foreign.records)
+
+    def test_rewind_forgets_spans_opened_since_the_mark(self):
+        tracer = Tracer()
+        mark = tracer.checkpoint()
+        tracer.begin("run", 7)
+        tracer.rewind(mark)
+        assert tracer.depth == 0 and tracer.span_state == (1, 0)
+
+
 class TestPhaseTimer:
     def test_records_gauges_and_rates(self):
         registry = MetricsRegistry()
