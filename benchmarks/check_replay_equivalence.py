@@ -1,16 +1,19 @@
-"""CI gate: record-then-replay must match the coupled scalar path.
+"""CI gate: record-then-replay must match the scalar sweep oracle.
 
 Run as a script::
 
     PYTHONPATH=src python benchmarks/check_replay_equivalence.py
 
-Executes a tiny sweep grid twice — once through the record/replay
-pipeline (with an on-disk trace store, so the write → read → replay
-path is exercised too) and once through the coupled scalar reference —
-and diffs every miss count, miss rate, and hierarchy counter.  Exits
-non-zero listing each divergent design point on mismatch.  The check
-honours ``REPRO_NO_NUMPY``, so the CI matrix runs it against both
-kernel families.
+Executes a tiny sweep grid through the record/replay pipeline twice
+(with an on-disk trace store, so the write → read → replay path is
+exercised too) and once through the scalar reference engine
+(``run_miss_sweep(..., fast=False)``), and diffs every miss count, miss
+rate and hierarchy counter.  The summaries must be equal except for the
+engine-provenance pair (``backend``/``fallback_reason``), which is
+checked on its own: the replayed summaries say ``...+replay`` and the
+reference says ``scalar``.  Exits non-zero listing each divergence.
+The check honours ``REPRO_NO_COMPILED``, so CI runs it against both the
+compiled batch replay kernel and the scalar ``TranslationBuffer`` path.
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import MachineParams
-from repro.core.replay import get_numpy
+from repro import MachineParams, make_workload
+from repro.analysis import run_miss_sweep
 from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME
+from repro.core.timing_kernels import backend_status
 from repro.core.tlb import Organization
 from repro.runner import BatchRunner, JobSpec, TraceStore
+from repro.runner.summary import RunSummary
 
 PARAMS = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
 WORKLOADS = ("radix", "fft")
@@ -36,6 +41,7 @@ ORGS = (
     Organization.DIRECT_MAPPED,
 )
 MAX_REFS = 500
+INTENSITY = 0.2
 
 
 def specs() -> list:
@@ -43,28 +49,45 @@ def specs() -> list:
         JobSpec.sweep(
             PARAMS, name, sizes=SIZES, orgs=ORGS,
             max_refs_per_node=MAX_REFS,
-            overrides={"intensity": 0.2}, label=name,
+            overrides={"intensity": INTENSITY}, label=name,
         )
         for name in WORKLOADS
     ]
 
 
+def scalar_reference(name: str) -> RunSummary:
+    """The coupled sweep on the scalar engine: the oracle."""
+    return RunSummary.from_result(
+        run_miss_sweep(
+            PARAMS, make_workload(name, intensity=INTENSITY),
+            sizes=SIZES, orgs=ORGS, max_refs_per_node=MAX_REFS, fast=False,
+        )
+    )
+
+
+def comparable(summary) -> dict:
+    """The run's full serialized surface minus the engine tags."""
+    payload = summary.to_dict()
+    payload.pop("backend", None)
+    payload.pop("fallback_reason", None)
+    return payload
+
+
 def main() -> int:
-    kernels = "pure-python" if get_numpy() is None else "numpy"
-    print(f"replay equivalence check ({kernels} kernels)", flush=True)
+    print(f"replay equivalence check (compiled backend: {backend_status()})", flush=True)
 
     with tempfile.TemporaryDirectory(prefix="repro-equiv-traces-") as tmp:
         store = TraceStore(root=tmp)
         replayed = BatchRunner(jobs=1, trace_store=store, replay=True).run(specs())
         # Re-run against the store so the on-disk round trip is on the path.
         reloaded = BatchRunner(jobs=1, trace_store=store, replay=True).run(specs())
-        scalar = BatchRunner(jobs=1, replay=False).run(specs())
+    scalar = [scalar_reference(name) for name in WORKLOADS]
 
     failures = []
     for fast, disk, slow in zip(replayed, reloaded, scalar):
         name = fast.spec.label
         fast_study = fast.summary.study_results()
-        slow_study = slow.summary.study_results()
+        slow_study = slow.study_results()
         for scheme in SCHEME_ORDER:
             tap = TAP_OF_SCHEME[scheme]
             for size in SIZES:
@@ -76,10 +99,15 @@ def main() -> int:
                             f"{name}: {scheme.value} {size}{org.suffix or '/FA'} "
                             f"replay={got} scalar={want}"
                         )
-        if fast.summary.to_dict() != slow.summary.to_dict():
+        if comparable(fast.summary) != comparable(slow):
             failures.append(f"{name}: hierarchy summary diverged")
         if disk.summary.to_dict() != fast.summary.to_dict():
             failures.append(f"{name}: on-disk trace replay diverged from in-memory")
+        for label, summary in (("replay", fast.summary), ("disk replay", disk.summary)):
+            if not (summary.backend or "").endswith("+replay"):
+                failures.append(f"{name}: {label} backend is {summary.backend!r}, not '...+replay'")
+        if slow.backend != "scalar":
+            failures.append(f"{name}: reference backend is {slow.backend!r}, not 'scalar'")
 
     checked = len(WORKLOADS) * len(SCHEME_ORDER) * len(SIZES) * len(ORGS)
     if failures:
@@ -87,7 +115,7 @@ def main() -> int:
         for line in failures:
             print(f"  {line}")
         return 1
-    print(f"OK: {checked} design points bit-identical (plus summaries and disk round-trip)")
+    print(f"OK: {checked} design points bit-identical (plus summaries, provenance and disk round-trip)")
     return 0
 
 

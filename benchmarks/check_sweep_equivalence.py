@@ -33,8 +33,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import MachineParams, make_workload
 from repro.analysis import run_miss_sweep
-from repro.core.replay import get_numpy
-from repro.core.timing_kernels import backend_status
+from repro.core.timing_kernels import backend_status, get_numpy
 from repro.core.tlb import Organization
 from repro.runner import JobSpec
 from repro.runner.summary import RunSummary

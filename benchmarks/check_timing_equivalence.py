@@ -39,9 +39,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import MachineParams, Scheme, make_workload
 from repro.analysis import run_timing
-from repro.core.replay import get_numpy
 from repro.core.schemes import SCHEME_ORDER
-from repro.core.timing_kernels import backend_status, get_backend
+from repro.core.timing_kernels import backend_status, get_backend, get_numpy
 from repro.core.tlb import Organization
 from repro.obs import Tracer
 from repro.runner.summary import RunSummary

@@ -203,11 +203,44 @@ typedef struct {
 } MT;
 
 /* States transfer from/to random.Random.getstate()/setstate() (625
- * words: mt[624] + index), so the generator never needs Python's
- * seeding logic — only the core recurrence and tempering. */
+ * words: mt[624] + index), so the engine continues a Python-seeded
+ * generator with only the core recurrence and tempering. */
 static void mt_load(MT *r, const uint32_t *state) {
     memcpy(r->mt, state, MT_N * sizeof(uint32_t));
     r->index = (int)state[MT_N];
+}
+
+/* random.Random(seed) for 0 <= seed < 2**64: init_genrand(19650218),
+ * then init_by_array over the seed's little-endian 32-bit digits (one
+ * word below 2**32, zero included) -- CPython's random_seed. */
+static void mt_seed(MT *r, uint64_t seed) {
+    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    int klen = key[1] ? 2 : 1;
+    uint32_t *mt = r->mt;
+    mt[0] = 19650218U;
+    for (int i = 1; i < MT_N; i++)
+        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + (uint32_t)i;
+    int i = 1, j = 0;
+    for (int k = MT_N > klen ? MT_N : klen; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (j >= klen) j = 0;
+    }
+    for (int k = MT_N - 1; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;
+    r->index = MT_N;
 }
 
 static uint32_t mt_genrand(MT *r) {
@@ -567,7 +600,7 @@ static int tlb_access(Tlb *t, int64_t page) {
 /* the hierarchy -- they only observe the page number reaching each of  */
 /* the six translation taps.  In capture mode the kernel appends those  */
 /* pages, per (tap, node), in exact scalar call order; the bank models  */
-/* are then replayed over each stream with one fs_bank_run call.        */
+/* are then replayed over each stream (fs_bank_run / fs_bank_run_many). */
 /* ------------------------------------------------------------------ */
 typedef struct {
     int64_t *data;
@@ -2097,6 +2130,16 @@ void fs_rng_selftest(const uint32_t *state, uint32_t *out, int n) {
     for (int i = 0; i < n; i++) out[i] = mt_genrand(&r);
 }
 
+/* selftest hook: random.Random(seed) seeded in C -- its 625-word
+ * getstate() image, then n draws of genrand */
+void fs_seed_selftest(uint64_t seed, uint32_t *state, uint32_t *out, int n) {
+    MT r;
+    mt_seed(&r, seed);
+    memcpy(state, r.mt, MT_N * sizeof(uint32_t));
+    state[MT_N] = (uint32_t)r.index;
+    for (int i = 0; i < n; i++) out[i] = mt_genrand(&r);
+}
+
 /* selftest hook: shuffle 0..len-1 in place, matching random.shuffle */
 void fs_shuffle_selftest(const uint32_t *state, int32_t *arr, int len) {
     MT r;
@@ -2104,31 +2147,186 @@ void fs_shuffle_selftest(const uint32_t *state, int32_t *arr, int len) {
     mt_shuffle(&r, arr, len);
 }
 
-/* One TranslationBuffer replayed over one recorded tap stream: the
- * "one C call per node stream" bank kernel of the uncoupled sweep
- * engine.  Banks never interact, so per-stream replay with the
- * buffer's own Mersenne Twister substream reproduces every victim
- * draw -- and therefore every miss count -- of the coupled scalar
- * run.  rng_state (625 words, random.Random layout) is read on entry
- * and overwritten with the post-run state; tags/lens receive the
- * final contents (sets*assoc / sets slots).  Returns the miss count,
- * or negative on allocation failure. */
-int64_t fs_bank_run(int64_t entries, int64_t sets, int64_t assoc, uint32_t *rng_state,
-                    const int64_t *pages, int64_t n, int64_t *tags, int32_t *lens) {
-    Tlb t;
-    if (tlb_init(&t, entries, sets, assoc)) {
-        tlb_free(&t);
+/* ------------------------------------------------------------------ */
+/* bank replay over recorded tap streams                               */
+/*                                                                     */
+/* Pages are relabelled once to dense ids, so a geometry keeps a byte  */
+/* residency table: a page lives in exactly one set, so "resident" ==  */
+/* "in its set", a hit is one load, and only a miss touches the set's  */
+/* ways.  The ways keep TranslationBuffer's layout (fill appends, a    */
+/* victim is replaced in place) and victims come from the same         */
+/* rejection-sampled getrandbits(assoc.bit_length()) draws, so miss    */
+/* counts, contents and RNG position all equal the scalar buffer's.    */
+/* ------------------------------------------------------------------ */
+
+/* Relabel n unsigned page numbers of width bytes (4 or 8) to dense
+ * ids: ids[i] is pages[i]'s id and page_of[id] its page.  Returns the
+ * number of distinct pages, FS_ERR_KEY on a page >= 2**63, or
+ * FS_ERR_INTERNAL on allocation failure. */
+static int64_t bank_relabel(const void *pages, int64_t width, int64_t n, int32_t *ids,
+                            int64_t *page_of) {
+    Map m;
+    int64_t unique = 0;
+    if (map_init(&m, n)) {
+        map_free(&m);
         return FS_ERR_INTERNAL;
     }
-    mt_load(&t.rng, rng_state);
-    for (int64_t i = 0; i < n; i++) tlb_access(&t, pages[i]);
-    memcpy(tags, t.tags, (size_t)(sets * assoc) * sizeof(int64_t));
-    memcpy(lens, t.len, (size_t)sets * sizeof(int32_t));
-    memcpy(rng_state, t.rng.mt, MT_N * sizeof(uint32_t));
-    rng_state[MT_N] = (uint32_t)t.rng.index;
-    int64_t misses = t.misses;
-    tlb_free(&t);
+    for (int64_t i = 0; i < n; i++) {
+        int64_t page = width == 4 ? (int64_t)((const uint32_t *)pages)[i]
+                                  : ((const int64_t *)pages)[i];
+        if (page < 0) {
+            unique = FS_ERR_KEY;
+            break;
+        }
+        uint64_t h = map_hash(page) & m.mask;
+        while (m.keys[h] != -1 && m.keys[h] != page) h = (h + 1) & m.mask;
+        if (m.keys[h] == -1) {
+            m.keys[h] = page;
+            m.slot[h] = unique;
+            page_of[unique++] = page;
+        }
+        ids[i] = (int32_t)m.slot[h];
+    }
+    map_free(&m);
+    return unique;
+}
+
+/* One geometry (sets a power of two, assoc ways) replayed over a
+ * relabelled stream; returns its misses.  res (one byte per id) and
+ * lens (sets) must be zero on entry; tags (sets * assoc ids) and lens
+ * hold the final contents on return.  Victims are drawn from *rng,
+ * seeded from seed on the first eviction while *seeded is 0, so
+ * direct-mapped and never-full geometries seed nothing. */
+static int64_t bank_replay(const int32_t *ids, const int64_t *page_of, int64_t n, int64_t sets,
+                           int32_t assoc, MT *rng, int *seeded, uint64_t seed, int32_t *tags,
+                           int32_t *lens, uint8_t *res) {
+    const int64_t mask = sets - 1;
+    const int bits = bit_length32((uint32_t)assoc);
+    int64_t misses = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int32_t id = ids[i];
+        if (res[id]) continue;
+        misses++;
+        int64_t set = page_of[id] & mask;
+        int32_t *ways = tags + set * assoc;
+        int32_t len = lens[set];
+        if (len < assoc) {
+            ways[len] = id;
+            lens[set] = len + 1;
+        } else {
+            uint32_t way = 0;
+            if (assoc > 1) {
+                if (!*seeded) {
+                    mt_seed(rng, seed);
+                    *seeded = 1;
+                }
+                way = mt_getrandbits(rng, bits);
+                while (way >= (uint32_t)assoc) way = mt_getrandbits(rng, bits);
+            }
+            res[ways[way]] = 0;
+            ways[way] = id;
+        }
+        res[id] = 1;
+    }
     return misses;
+}
+
+static inline int bank_geometry_ok(int64_t sets, int64_t assoc) {
+    return sets > 0 && !(sets & (sets - 1)) && assoc > 0 && assoc <= INT32_MAX;
+}
+
+/* One TranslationBuffer replayed over one recorded tap stream, with
+ * its state carried in and out -- the coupled StudyAgent sweep's bank
+ * kernel.  rng_state (625 words, random.Random layout) is read on
+ * entry and overwritten with the post-run state; tags/lens receive the
+ * final contents (sets*assoc / sets slots).  Returns the miss count,
+ * or a negative FS_ERR_* status. */
+int64_t fs_bank_run(int64_t entries, int64_t sets, int64_t assoc, uint32_t *rng_state,
+                    const int64_t *pages, int64_t n, int64_t *tags, int32_t *lens) {
+    (void)entries; /* == sets * assoc */
+    if (!bank_geometry_ok(sets, assoc) || n < 0 || n > INT32_MAX) return FS_ERR_KEY;
+    memset(lens, 0, sizeof(int32_t) * (size_t)sets);
+    if (n == 0) return 0;
+    int32_t *ids = (int32_t *)malloc(sizeof(int32_t) * n);
+    int64_t *page_of = (int64_t *)malloc(sizeof(int64_t) * n);
+    int32_t *way_ids = (int32_t *)malloc(sizeof(int32_t) * sets * assoc);
+    uint8_t *res = NULL;
+    int64_t misses = FS_ERR_INTERNAL;
+    if (!ids || !page_of || !way_ids) goto out;
+    int64_t unique = bank_relabel(pages, 8, n, ids, page_of);
+    if (unique < 0) {
+        misses = unique;
+        goto out;
+    }
+    res = (uint8_t *)calloc((size_t)unique, 1);
+    if (!res) goto out;
+    MT rng;
+    int seeded = 1;
+    mt_load(&rng, rng_state);
+    misses = bank_replay(ids, page_of, n, sets, (int32_t)assoc, &rng, &seeded, 0, way_ids, lens,
+                         res);
+    for (int64_t set = 0; set < sets; set++)
+        for (int32_t w = 0; w < lens[set]; w++)
+            tags[set * assoc + w] = page_of[way_ids[set * assoc + w]];
+    memcpy(rng_state, rng.mt, MT_N * sizeof(uint32_t));
+    rng_state[MT_N] = (uint32_t)rng.index;
+out:
+    free(ids);
+    free(page_of);
+    free(way_ids);
+    free(res);
+    return misses;
+}
+
+/* Every bank member replayed over one recorded tap stream, counts only
+ * -- the record/replay pipeline's kernel, one call per (tap, node)
+ * stream.  pages holds n unsigned page numbers of width bytes (4 or 8:
+ * recorded columns are stored narrow when they fit).  Geometry g draws
+ * victims from random.Random(seeds[g]).  Returns 0, FS_ERR_KEY on a
+ * page >= 2**63 or a bad width/geometry, FS_ERR_INTERNAL on allocation
+ * failure. */
+int64_t fs_bank_run_many(const void *pages, int64_t width, int64_t n, int64_t ngeo,
+                         const int64_t *sets, const int64_t *assoc, const uint64_t *seeds,
+                         int64_t *misses_out) {
+    int64_t max_sets = 1, max_entries = 1;
+    for (int64_t g = 0; g < ngeo; g++) {
+        misses_out[g] = 0;
+        if (!bank_geometry_ok(sets[g], assoc[g])) return FS_ERR_KEY;
+        if (sets[g] > max_sets) max_sets = sets[g];
+        if (sets[g] * assoc[g] > max_entries) max_entries = sets[g] * assoc[g];
+    }
+    if ((width != 4 && width != 8) || n > INT32_MAX) return FS_ERR_KEY;
+    if (n <= 0 || ngeo <= 0) return 0;
+    int32_t *ids = (int32_t *)malloc(sizeof(int32_t) * n);
+    int64_t *page_of = (int64_t *)malloc(sizeof(int64_t) * n);
+    int32_t *tags = (int32_t *)malloc(sizeof(int32_t) * max_entries);
+    int32_t *lens = (int32_t *)malloc(sizeof(int32_t) * max_sets);
+    uint8_t *res = NULL;
+    int64_t status = FS_ERR_INTERNAL;
+    if (!ids || !page_of || !tags || !lens) goto out;
+    int64_t unique = bank_relabel(pages, width, n, ids, page_of);
+    if (unique < 0) {
+        status = unique;
+        goto out;
+    }
+    res = (uint8_t *)malloc((size_t)unique);
+    if (!res) goto out;
+    for (int64_t g = 0; g < ngeo; g++) {
+        MT rng;
+        int seeded = 0;
+        memset(res, 0, (size_t)unique);
+        memset(lens, 0, sizeof(int32_t) * (size_t)sets[g]);
+        misses_out[g] = bank_replay(ids, page_of, n, sets[g], (int32_t)assoc[g], &rng, &seeded,
+                                    seeds[g], tags, lens, res);
+    }
+    status = 0;
+out:
+    free(ids);
+    free(page_of);
+    free(tags);
+    free(lens);
+    free(res);
+    return status;
 }
 
 /* ------------------------------------------------------------------ */

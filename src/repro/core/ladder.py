@@ -1,16 +1,15 @@
-"""The supervised degradation ladder: compiled → numpy → pure-Python.
+"""The supervised degradation ladder: compiled → pure-Python.
 
-Every simulation in this package can be produced by three engines, in
-strictly decreasing speed and strictly increasing dependency-freedom:
+Every simulation in this package can be produced by two engines, in
+decreasing speed and increasing dependency-freedom:
 
 1. **compiled** — the ``fastsim.c`` columnar engine (gcc + cffi),
-   ~8-12x the seed throughput.  Timing runs and uncoupled sweeps.
-2. **numpy** — the vectorized TLB/DLB replay kernels
-   (:mod:`repro.core.replay`); sweeps replayed from recorded traces.
-3. **scalar** — the pure-Python reference engines.  Always available;
-   the differential-testing oracle every other tier is gated against.
+   ~8-12x the seed throughput.  Timing runs, uncoupled sweeps and the
+   bank replay of recorded traces (:mod:`repro.core.replay`).
+2. **scalar** — the pure-Python reference engines.  Always available;
+   the differential-testing oracle the compiled tier is gated against.
 
-All tiers are bit-identical by construction (the equivalence suites
+Both tiers are bit-identical by construction (the equivalence suites
 enforce it), so degrading is always *safe* — the ladder's job is to
 make it **supervised**: each tier is probed for health, every
 degradation is recorded with a structured ``fallback_reason`` (stamped
@@ -73,7 +72,7 @@ class TierHealth:
     tier: str
     healthy: bool
     detail: str
-    #: Tier-specific identity: library digest, numpy version, ...
+    #: Tier-specific identity: library digest, Python version, ...
     version: Optional[str] = None
     extra: Dict[str, object] = field(default_factory=dict)
 
@@ -105,26 +104,6 @@ def probe_compiled() -> TierHealth:
     )
 
 
-def probe_numpy() -> TierHealth:
-    """Health of the vectorized replay tier."""
-    from repro.core.replay import NO_NUMPY_ENV, get_numpy
-
-    if os.environ.get(NO_NUMPY_ENV):
-        return TierHealth("numpy", False, f"disabled ({NO_NUMPY_ENV})")
-    numpy = get_numpy()
-    if numpy is None:
-        return TierHealth("numpy", False, "numpy not installed")
-    try:
-        version = str(numpy.__version__)
-        # A one-element smoke op: a broken install fails here, not
-        # deep inside a replay kernel.
-        if int(numpy.asarray([41], dtype=numpy.int64).sum()) + 1 != 42:
-            return TierHealth("numpy", False, "numpy arithmetic smoke test failed")
-    except Exception as exc:  # pragma: no cover - broken installs vary
-        return TierHealth("numpy", False, f"numpy probe crashed ({exc})")
-    return TierHealth("numpy", True, "vectorized replay kernels", version=version)
-
-
 def probe_scalar() -> TierHealth:
     """The pure-Python last resort — healthy by definition."""
     return TierHealth(
@@ -137,7 +116,7 @@ def probe_scalar() -> TierHealth:
 
 def degradation_ladder() -> List[TierHealth]:
     """Probe every tier, fastest first."""
-    return [probe_compiled(), probe_numpy(), probe_scalar()]
+    return [probe_compiled(), probe_scalar()]
 
 
 def resolved_tier(ladder: Optional[List[TierHealth]] = None) -> TierHealth:

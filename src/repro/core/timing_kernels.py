@@ -15,7 +15,7 @@ oracle; every counter, breakdown, histogram, cache image, and RNG state
 the compiled engine produces is copied back bit-identically
 (``tests/integration/test_timing_equivalence.py``).
 
-Backend selection mirrors the replay kernels' ``REPRO_NO_NUMPY`` switch:
+Backend selection:
 
 * The C source is compiled on first use with the host ``gcc`` into a
   per-user cache directory (``$REPRO_FASTSIM_CACHE`` or
@@ -40,9 +40,12 @@ from typing import Iterable, List, Optional, Tuple
 
 from collections import OrderedDict
 
-from repro.core.replay import get_numpy
 from repro.core.schemes import TapPoint
 from repro.system.refs import BARRIER
+
+#: Set non-empty to materialize columns as ``array.array`` even when
+#: numpy is importable (CI matrix + equivalence tests).
+NO_NUMPY_ENV = "REPRO_NO_NUMPY"
 
 #: Set non-empty to force the scalar timing engine even when the
 #: compiled backend would load (CI matrix + equivalence tests).
@@ -58,6 +61,10 @@ CFLAGS_ENV = "REPRO_FASTSIM_CFLAGS"
 
 #: Words drawn by the post-dlopen RNG self-test probe.
 _SELFTEST_DRAWS = 16
+
+#: Seeds the self-test probe seeds in C, compared with ``random.Random``:
+#: zero, one below 2**32 (a one-word key) and one above (two words).
+_SELFTEST_SEEDS = (0, 0xC0A7, 0x1234_5678_9ABC_DEF0)
 
 _C_SOURCE = os.path.join(os.path.dirname(__file__), "fastsim.c")
 
@@ -102,12 +109,16 @@ void fs_export_tlb_rng(FastSim *s, int idx, uint32_t *out);
 int64_t fs_translation_accum(FastSim *s);
 int64_t fs_active_block(FastSim *s);
 void fs_rng_selftest(const uint32_t *state, uint32_t *out, int n);
+void fs_seed_selftest(uint64_t seed, uint32_t *state, uint32_t *out, int n);
 void fs_shuffle_selftest(const uint32_t *state, int32_t *arr, int len);
 int fs_set_capture(FastSim *s, int enable);
 int64_t fs_cap_count(FastSim *s, int tap, int node);
 const int64_t *fs_cap_data(FastSim *s, int tap, int node);
 int64_t fs_bank_run(int64_t entries, int64_t sets, int64_t assoc, uint32_t *rng_state,
                     const int64_t *pages, int64_t n, int64_t *tags, int32_t *lens);
+int64_t fs_bank_run_many(const void *pages, int64_t width, int64_t n, int64_t ngeo,
+                         const int64_t *sets, const int64_t *assoc, const uint64_t *seeds,
+                         int64_t *misses_out);
 void fs_set_trace(FastSim *s, const int64_t *cfg);
 void fs_trace_sync(FastSim *s, int64_t next_id, int64_t last_time);
 const char *fs_trace_take(FastSim *s, int64_t *state);
@@ -410,11 +421,13 @@ def _build_library(source_path: str) -> str:
 def _self_test(ffi, lib) -> Optional[str]:
     """Probe a freshly-loaded library before trusting it with a run.
 
-    Exercises the two pure functions whose correctness everything else
+    Exercises the pure functions whose correctness everything else
     leans on — the Mersenne Twister core (must continue CPython's exact
-    draw sequence) and the Fisher-Yates shuffle (must match
-    ``random.shuffle``).  A miscompiled, truncated, or ABI-skewed
-    binary fails here instead of corrupting simulation results.
+    draw sequence), its seeding (``random.Random(int)``'s state and
+    first draws, for seeds on both sides of 2**32 and zero) and the
+    Fisher-Yates shuffle (must match ``random.shuffle``).  A
+    miscompiled, truncated, or ABI-skewed binary fails here instead of
+    corrupting simulation results.
     """
     try:
         rng = random.Random(0xC0A7)
@@ -426,6 +439,15 @@ def _self_test(ffi, lib) -> Optional[str]:
         got = [int(out[i]) for i in range(_SELFTEST_DRAWS)]
         if got != expected:
             return "MT19937 draw sequence diverges from random.Random"
+
+        for seed in _SELFTEST_SEEDS:
+            rng = random.Random(seed)
+            lib.fs_seed_selftest(seed, state, out, _SELFTEST_DRAWS)
+            if list(state) != list(rng.getstate()[1]):
+                return f"MT19937 seeding diverges from random.Random({seed:#x})"
+            expected = [rng.getrandbits(32) for _ in range(_SELFTEST_DRAWS)]
+            if list(out) != expected:
+                return f"MT19937 draws after seeding diverge from random.Random({seed:#x})"
 
         rng = random.Random(0x5EED)
         words = rng.getstate()[1]
@@ -541,6 +563,22 @@ def backend_health() -> dict:
 # ---------------------------------------------------------------------------
 # columnar stream materialization
 # ---------------------------------------------------------------------------
+
+_numpy_module = None  # unresolved
+
+
+def get_numpy():
+    """The numpy module, or None (not installed / disabled by env)."""
+    global _numpy_module
+    if os.environ.get(NO_NUMPY_ENV):
+        return None
+    if _numpy_module is None:
+        try:
+            import numpy
+            _numpy_module = numpy
+        except ImportError:
+            _numpy_module = False
+    return _numpy_module or None
 
 
 def materialize_stream(stream: Iterable[Tuple[int, int]]):

@@ -2,21 +2,24 @@
 
 The pipeline's whole claim is that miss counts are *exactly* those of a
 :class:`~repro.system.taps.StudyAgent` run — not statistically close.
-This suite runs the scalar reference path and the record/replay path on
-the same specs and compares every number: per-scheme (all five of the
-paper's translation schemes, via their tap points), per-organization,
-per-size, plus the hierarchy-side summary the study rides on.  Both
-kernel families are covered: the suite runs once with numpy (when
-available) and once with the pure-Python fallback forced.
+This suite runs the scalar reference engine and the record/replay path
+on the same specs and compares every number: per-scheme (all five of
+the paper's translation schemes, via their tap points), per-organization,
+per-size, plus the hierarchy-side summary the study rides on.  The
+replay runs three ways: on the compiled engine with numpy columns,
+with ``array.array`` columns (``REPRO_NO_NUMPY``), and with the
+compiled backend disabled (``REPRO_NO_COMPILED``: scalar capture and
+scalar ``TranslationBuffer`` replay).
 """
 
 import pytest
 
 from repro import MachineParams
-from repro.core.replay import NO_NUMPY_ENV, get_numpy
+from repro.core.timing_kernels import NO_COMPILED_ENV, NO_NUMPY_ENV, get_numpy
 from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME
 from repro.core.tlb import Organization
 from repro.runner import JobSpec, TraceStore
+from repro.system.fast_simulator import NO_FAST_SWEEP_ENV
 
 WORKLOADS = ("radix", "ocean")
 SIZES = (8, 32, 128)
@@ -54,25 +57,30 @@ def make_spec(params, workload):
 
 @pytest.fixture(scope="module")
 def scalar_summaries(params):
-    """The coupled reference runs, shared across every test."""
-    return {
-        workload: make_spec(params, workload).execute(replay=False)
-        for workload in WORKLOADS
-    }
+    """The coupled runs on the scalar engine, shared across every test."""
+    monkeypatch = pytest.MonkeyPatch()
+    monkeypatch.setenv(NO_FAST_SWEEP_ENV, "1")
+    try:
+        return {
+            workload: make_spec(params, workload).execute(replay=False)
+            for workload in WORKLOADS
+        }
+    finally:
+        monkeypatch.undo()
 
 
 @pytest.fixture(
     scope="module",
-    params=["numpy", "fallback"],
-    ids=["numpy", "no-numpy"],
+    params=[None, NO_NUMPY_ENV, NO_COMPILED_ENV],
+    ids=["numpy", "no-numpy", "no-compiled"],
 )
 def replay_summaries(request, params):
-    """The replay runs, once per kernel family."""
-    if request.param == "numpy" and get_numpy() is None:
+    """The replay runs, once per environment."""
+    if request.param is None and get_numpy() is None:
         pytest.skip("numpy unavailable in this environment")
     monkeypatch = pytest.MonkeyPatch()
-    if request.param == "fallback":
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
+    if request.param is not None:
+        monkeypatch.setenv(request.param, "1")
     try:
         return {
             workload: make_spec(params, workload).execute(replay=True)

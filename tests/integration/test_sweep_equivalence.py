@@ -22,9 +22,8 @@ import pytest
 
 from repro import MachineParams, make_workload
 from repro.analysis import run_miss_sweep
-from repro.core.replay import NO_NUMPY_ENV, get_numpy
 from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME
-from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
+from repro.core.timing_kernels import NO_COMPILED_ENV, NO_NUMPY_ENV, get_backend, get_numpy
 from repro.core.tlb import Organization
 from repro.runner import JobSpec
 from repro.runner.summary import RunSummary

@@ -28,9 +28,8 @@ import pytest
 from repro import MachineParams, Scheme, Simulator, make_workload
 from repro.analysis import run_timing
 from repro.common.errors import ReproError
-from repro.core.replay import NO_NUMPY_ENV, get_numpy
 from repro.core.schemes import SCHEME_ORDER
-from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
+from repro.core.timing_kernels import NO_COMPILED_ENV, NO_NUMPY_ENV, get_backend, get_numpy
 from repro.core.tlb import Organization
 from repro.fuzz.oracle import literal_machine, machine_state, summary_surface
 from repro.obs import Tracer

@@ -401,26 +401,32 @@ class TestStatusCommand:
 
 
 class TestDoctor:
+    @staticmethod
+    def expected_status():
+        """Green iff the compiled tier is healthy: scalar is the only
+        other rung, and the last resort alone exits non-zero."""
+        from repro.core.timing_kernels import get_backend
+
+        return 0 if get_backend() is not None else 1
+
     def test_reports_resolved_ladder(self, capsys):
         code, out = run_cli(capsys, "doctor")
-        assert code == 0
+        assert code == self.expected_status()
         assert "degradation ladder" in out
         assert "compiled" in out and "scalar" in out
         assert "<- active" in out
 
     def test_json_output(self, capsys):
         code, out = run_cli(capsys, "doctor", "--json")
-        assert code == 0
+        assert code == self.expected_status()
         tiers = json.loads(out)
-        assert [tier["tier"] for tier in tiers] == ["compiled", "numpy", "scalar"]
+        assert [tier["tier"] for tier in tiers] == ["compiled", "scalar"]
         assert all({"healthy", "detail"} <= set(tier) for tier in tiers)
 
     def test_red_when_only_last_resort(self, capsys, monkeypatch):
-        from repro.core.replay import NO_NUMPY_ENV
         from repro.core.timing_kernels import NO_COMPILED_ENV
 
         monkeypatch.setenv(NO_COMPILED_ENV, "1")
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
         code, out = run_cli(capsys, "doctor")
         assert code == 1
         assert "scalar" in out

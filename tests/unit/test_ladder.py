@@ -250,9 +250,9 @@ class TestTracedDegradation:
 # the ladder itself
 # ----------------------------------------------------------------------
 class TestLadder:
-    def test_three_tiers_in_order(self):
+    def test_two_tiers_in_order(self):
         ladder = degradation_ladder()
-        assert [tier.tier for tier in ladder] == ["compiled", "numpy", "scalar"]
+        assert [tier.tier for tier in ladder] == ["compiled", "scalar"]
         assert ladder[-1].healthy  # scalar is unconditional
 
     def test_resolved_tier_prefers_compiled(self):
@@ -261,9 +261,6 @@ class TestLadder:
 
     def test_only_last_resort_when_everything_disabled(self, monkeypatch):
         monkeypatch.setenv(tk.NO_COMPILED_ENV, "1")
-        from repro.core.replay import NO_NUMPY_ENV
-
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
         ladder = degradation_ladder()
         assert only_last_resort(ladder)
         assert resolved_tier(ladder).tier == "scalar"
@@ -303,6 +300,40 @@ class TestLibraryLifecycle:
                 name for name in os.listdir(tmp_path) if ".corrupt-" in name
             ]
             assert quarantined
+        finally:
+            tk.reset_backend()
+
+    def test_failed_seeding_probe_quarantines_library(self, tmp_path, monkeypatch):
+        """A library whose C seeding diverges from random.Random(seed)
+        is quarantined and rebuilt; when the rebuild fails the probe
+        too, the backend is declared unavailable."""
+
+        class SkewedSeeding:
+            """The real library with one seeded state word flipped."""
+
+            def __init__(self, lib):
+                self._lib = lib
+
+            def fs_seed_selftest(self, seed, state, out, n):
+                self._lib.fs_seed_selftest(seed, state, out, n)
+                state[5] ^= 1
+
+            def __getattr__(self, name):
+                return getattr(self._lib, name)
+
+        real_self_test = tk._self_test
+        monkeypatch.setattr(
+            tk, "_self_test", lambda ffi, lib: real_self_test(ffi, SkewedSeeding(lib))
+        )
+        monkeypatch.setenv(tk.CACHE_ENV, str(tmp_path))
+        tk.reset_backend()
+        try:
+            assert tk.get_backend() is None
+            assert "seeding diverges" in tk.backend_status()
+            quarantined = [
+                name for name in os.listdir(tmp_path) if ".corrupt-" in name
+            ]
+            assert len(quarantined) == 1  # the cached build; its rebuild failed too
         finally:
             tk.reset_backend()
 

@@ -15,14 +15,15 @@ import random
 
 import pytest
 
-from repro.core.replay import NO_NUMPY_ENV, get_numpy
 from repro.core.timing_kernels import (
     EPOCH_END,
     EPOCH_TRUNCATED,
+    NO_NUMPY_ENV,
     RNG_STATE_WORDS,
     backend_status,
     epoch_spans,
     get_backend,
+    get_numpy,
     load_rng_state,
     materialize_stream,
     rng_state_words,
@@ -141,6 +142,14 @@ class TestMaterializeStream:
         assert list(py_ops) == list(np_ops)
         assert list(py_vals) == list(np_vals)
 
+    def test_env_var_disables_numpy(self, monkeypatch):
+        monkeypatch.setenv(NO_NUMPY_ENV, "1")
+        assert get_numpy() is None
+        ops, vals = materialize_stream([(R, 1)])
+        assert isinstance(ops, array.array) and isinstance(vals, array.array)
+        monkeypatch.delenv(NO_NUMPY_ENV)
+        get_numpy()  # either numpy or None; must not raise
+
 
 class TestRngMarshalling:
     def test_round_trip_preserves_sequence(self):
@@ -181,6 +190,19 @@ class TestCompiledMersenneTwister:
         out = backend.ffi.new("uint32_t[]", n)
         state = backend.ffi.from_buffer("uint32_t[]", words)
         backend.lib.fs_rng_selftest(state, out, n)
+        assert list(out) == [rng.getrandbits(32) for _ in range(n)]
+
+    @pytest.mark.parametrize("seed", (0, 1, 0xFFFF_FFFF, 1 << 32, 0x1234_5678_9ABC_DEF0, (1 << 64) - 1))
+    def test_seeding_matches_cpython(self, seed):
+        """random.Random(seed) seeded in C: same state words, and the
+        same draws across the first twist."""
+        backend = get_backend()
+        rng = random.Random(seed)
+        n = 1000
+        state = backend.ffi.new("uint32_t[]", RNG_STATE_WORDS)
+        out = backend.ffi.new("uint32_t[]", n)
+        backend.lib.fs_seed_selftest(seed, state, out, n)
+        assert list(state) == list(rng.getstate()[1])
         assert list(out) == [rng.getrandbits(32) for _ in range(n)]
 
     def test_shuffle_matches_cpython(self):
