@@ -9,29 +9,18 @@ the persistent on-disk result cache, so the four miss-count artifacts
 (Figure 8, Figure 9, Table 2, Table 3) share one simulation each and a
 re-run of the harness reuses every simulation from the previous one.
 
-Environment knobs:
+The shared runner runs serially and retries a transient job failure
+(I/O error, corrupt trace) twice, so an unattended harness run survives
+a flaky filesystem.  Environment knobs (the full list of ``REPRO_*``
+switches is in ``docs/robustness.md``):
 
-* ``REPRO_BENCH_JOBS`` — worker processes used when :func:`all_studies`
-  has to simulate several cold sweeps; default 1 (serial).  Clamped to
-  the CPU count by the runner.
 * ``REPRO_CACHE_DIR`` — relocate the persistent cache (honoured by
   :func:`repro.runner.default_cache_dir`; the tap-trace store lives
   under it).
-* ``REPRO_NO_CACHE`` — set non-empty to disable the persistent cache
-  and trace store (in-process memoization still applies).
-* ``REPRO_NO_REPLAY`` — set non-empty to force sweeps down the coupled
-  scalar reference path instead of record/replay (bit-identical,
-  slower; used to cross-check the pipeline).
 * ``REPRO_NO_NUMPY`` — honoured by :mod:`repro.core.timing_kernels`:
   materializes reference columns as ``array.array`` even when numpy is
   importable.  ``REPRO_NO_COMPILED`` disables the compiled backend,
   so bank replay runs on the scalar ``TranslationBuffer``.
-* ``REPRO_BENCH_RETRIES`` — retry budget for transient job failures
-  (I/O errors, corrupt traces, worker death, timeouts); default 2, so
-  an unattended harness run survives a flaky filesystem.
-* ``REPRO_BENCH_TIMEOUT`` — per-job wall-clock limit in seconds
-  (default: none); a hung simulation is killed, retried, and — if it
-  keeps hanging — reported instead of wedging the harness.
 * ``REPRO_HISTORY_DIR`` — run-history store directory (default: the
   shared cache root).  ``bench_throughput.py`` appends one
   :class:`~repro.obs.history.HistoryEntry` per run there when asked
@@ -105,21 +94,9 @@ def bench_workload(name: str, **overrides):
 
 @functools.lru_cache(maxsize=None)
 def bench_runner() -> BatchRunner:
-    """The harness's shared runner: persistent cache + trace store +
-    optional workers."""
-    no_cache = bool(os.environ.get("REPRO_NO_CACHE"))
-    cache = None if no_cache else ResultCache()
-    trace_store = None if no_cache else TraceStore()
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-    timeout = os.environ.get("REPRO_BENCH_TIMEOUT")
-    return BatchRunner(
-        jobs=jobs,
-        cache=cache,
-        trace_store=trace_store,
-        replay=not os.environ.get("REPRO_NO_REPLAY"),
-        retries=int(os.environ.get("REPRO_BENCH_RETRIES", "2")),
-        timeout=float(timeout) if timeout else None,
-    )
+    """The harness's shared runner: serial, persistent cache + trace
+    store, two retries per job."""
+    return BatchRunner(cache=ResultCache(), trace_store=TraceStore(), retries=2)
 
 
 def bench_history(root: str = None):
@@ -160,7 +137,7 @@ def _sweep_spec(name: str) -> JobSpec:
 
 
 #: In-process memo for sweep studies; :func:`all_studies` fills it in
-#: one batched runner call so cold entries shard across workers.
+#: one batched runner call.
 _STUDIES: Dict[str, StudyResults] = {}
 
 

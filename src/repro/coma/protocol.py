@@ -153,17 +153,6 @@ class ProtocolEngine:
         # Translation cycles of the transaction in flight (reported via
         # AccessOutcome.translation; reset by the demand entry points).
         self._translation_accum = 0
-        # Optional last-resort hook: called with the block whose master
-        # found no slot anywhere; returns True after making room (e.g.
-        # the page daemon swapped a page of that global set out).
-        self.overflow_handler: Optional[Callable[[int], bool]] = None
-        # Block of the demand transaction in flight (so a swap-out
-        # triggered mid-transaction never purges the page being fetched).
-        self.active_demand_block: Optional[int] = None
-        # Optional page-fault hook: called when a demand request reaches
-        # a block with no master copy (its page was swapped out).  The
-        # handler pages it back in and returns True on success.
-        self.fault_handler: Optional[Callable[[int], bool]] = None
 
     @property
     def trace(self):
@@ -246,7 +235,6 @@ class ProtocolEngine:
         untraced engines."""
         block = self.layout.block_base(addr)
         self._translation_accum = 0
-        self.active_demand_block = block
         state = self.ams[node].lookup(block)
         if state.readable:
             if not is_write or state.writable:
@@ -283,7 +271,6 @@ class ProtocolEngine:
         on untraced engines."""
         block = self.layout.block_base(addr)
         self._translation_accum = 0
-        self.active_demand_block = block
         state = self.ams[node].lookup(block)
         if state is AMState.INVALID:
             # SLC held the block but the AM does not — inclusion bug.
@@ -328,27 +315,10 @@ class ProtocolEngine:
         t += self._dir_lookup_cycles(home, block, for_ownership=is_write, requester=node)
         entry = self.directories[home].entry(block)
         owner = entry.owner
-        faulted = False
-        if owner is None and self.fault_handler is not None:
-            # Page fault at the home node: the page was swapped out.
-            if self.fault_handler(block):
-                faulted = True
-                self.counters.add("page_faults")
-                t += self.params.page_fault_penalty
-                entry = self.directories[home].entry(block)
-                owner = entry.owner
         if owner is None:
             raise ProtocolError(f"block {block:#x} has no master copy (home {home})")
         if owner == node:
-            if not faulted:
-                raise ProtocolError(
-                    f"node {node} missed on block {block:#x} it is master of"
-                )
-            # The paged-in master landed at the requester itself.
-            if is_write:
-                entry.sharers.clear()
-                self.ams[node].set_state(block, AMState.EXCLUSIVE)
-            return t - now
+            raise ProtocolError(f"node {node} missed on block {block:#x} it is master of")
 
         if is_write:
             t = self._invalidate_holders(entry, block, home, exclude=node, start=t)
@@ -454,10 +424,10 @@ class ProtocolEngine:
         """Send a replaced master copy toward its home (paper §4.2).
 
         The home accepts only into an Invalid slot; other nodes accept
-        into an Invalid slot or by dropping a Shared replica.  Nodes are
-        tried in random order, then a deterministic fallback scan; if no
-        node can take the master the global set is over-committed and
-        :class:`CapacityError` is raised."""
+        into an Invalid slot or by dropping a Shared replica.  The other
+        nodes are tried in random order; if no node can take the master
+        the global set is over-committed and :class:`CapacityError` is
+        raised."""
         self.counters.add("injections")
         home = self.home_of(block)
         if self._em_inject is not None:
@@ -477,15 +447,6 @@ class ProtocolEngine:
             previous = target
             if self._accept_injection(target, block, state, entry, home_rules=False):
                 return
-        # Every node is full of masters: ask the page daemon (when one
-        # is wired) to swap a page of this global set out, then retry.
-        if self.overflow_handler is not None and self.overflow_handler(block):
-            self.counters.add("overflow_swaps")
-            for target in [home] + candidates:
-                if target != src and self._accept_injection(
-                    target, block, state, entry, home_rules=False
-                ):
-                    return
         raise CapacityError(
             f"no node could accept injected master of block {block:#x} "
             f"(global set over-committed; reduce data set or memory pressure)"
@@ -536,39 +497,10 @@ class ProtocolEngine:
                 self.ams[target].install(block, AMState.MASTER_SHARED)
                 entry.owner = target
                 return target
-        # No free slot: displace a Shared replica (page-in path — during
-        # the initial preload no replicas exist and this never triggers).
-        for offset in range(self.params.nodes):
-            target = (home + offset) % self.params.nodes
-            dropped = self.ams[target].droppable_victim(block)
-            if dropped is None:
-                continue
-            self.ams[target].evict(dropped.block)
-            self.inclusion_hook(target, dropped.block, "invalidate")
-            self.directories[self.home_of(dropped.block)].drop_sharer(
-                dropped.block, target
-            )
-            self.ams[target].install(block, AMState.MASTER_SHARED)
-            entry.owner = target
-            return target
         raise CapacityError(
             f"preload: no free slot anywhere for block {block:#x} "
             f"(data set exceeds attraction-memory capacity in its global set)"
         )
-
-    # ------------------------------------------------------------------
-    # page-out (swap daemon extension)
-    # ------------------------------------------------------------------
-    def purge_block(self, block: int) -> None:
-        """Remove every copy of a block and its directory entry (page
-        swap-out).  No timing: the daemon runs off the critical path."""
-        home = self.home_of(block)
-        entry = self.directories[home].peek(block)
-        if entry is None:
-            return
-        for holder in list(entry.holders):
-            self._invalidate_copy(holder, block)
-        self.directories[home].forget(block)
 
     # ------------------------------------------------------------------
     # invariant checking (tests / paranoid mode)

@@ -23,8 +23,7 @@ class CapacityError(ReproError):
 
     In a real COMA the page daemon would swap a page out; the simulator
     preloads all pages (as the paper does) and treats global-set pressure
-    reaching 1 as a hard error unless the optional swap daemon is
-    enabled."""
+    reaching 1 as a hard error."""
 
 
 class ProtocolError(ReproError):

@@ -59,8 +59,6 @@ class MachineParams:
     am_hit_latency: int = 74
     translation_miss_penalty: int = 40
     directory_lookup_latency: int = 4
-    page_fault_penalty: int = 5000
-    router_latency_cycles: int = 4
 
     network_width_bytes: int = 1
     request_payload_bytes: int = 8
@@ -92,8 +90,6 @@ class MachineParams:
             "am_hit_latency",
             "translation_miss_penalty",
             "directory_lookup_latency",
-            "page_fault_penalty",
-            "router_latency_cycles",
             "network_width_bytes",
             "request_payload_bytes",
             "message_header_bytes",

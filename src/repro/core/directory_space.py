@@ -45,8 +45,7 @@ class DirectoryAddressSpace:
     capacity_pages:
         Maximum simultaneously-allocated directory pages; ``None`` means
         unbounded (the paper sizes directory memory to main memory — the
-        simulator enforces that only when asked, e.g. by the swap-daemon
-        extension).
+        simulator enforces a bound only when one is given).
     """
 
     def __init__(self, entries_per_page: int, capacity_pages: Optional[int] = None) -> None:
@@ -82,7 +81,7 @@ class DirectoryAddressSpace:
         return handle
 
     def reclaim(self, handle: DirectoryPageHandle) -> None:
-        """Return a directory page to the free pool (page-out path)."""
+        """Return a directory page to the free pool."""
         if handle.base not in self._allocated:
             raise KeyError(f"directory page at {handle.base} is not allocated")
         del self._allocated[handle.base]

@@ -835,7 +835,6 @@ typedef struct FastSim {
     Heap heap;
 
     int64_t translation_accum;
-    int64_t active_block;
 
     int32_t *cand; /* injection candidate scratch */
 
@@ -912,7 +911,6 @@ static inline int64_t translate(FastSim *s, int buffer, int64_t vpn) {
 
 /* ------------------------------------------------------------------ */
 /* crossbar: Crossbar.transfer, latency-only and port-contention modes */
-/* (topologies stay scalar)                                            */
 /* ------------------------------------------------------------------ */
 static inline void trace_msg(FastSim *s, int kind, int src, int dst, int64_t now,
                              int64_t cycles) {
@@ -1284,8 +1282,6 @@ static int inject(FastSim *s, int src, int64_t block, uint8_t state, int64_t now
         if (rc < 0) return rc;
         if (rc) return 0;
     }
-    /* overflow handlers are a scalar-path feature; the fast path is
-     * gated off machines that wire one */
     return FS_ERR_CAPACITY;
 }
 
@@ -1377,7 +1373,6 @@ static int64_t engine_fetch(FastSim *s, int node, int64_t addr, int is_write, in
                             int *remote, int64_t *translation) {
     int64_t block = addr & s->am_block_mask;
     s->translation_accum = 0;
-    s->active_block = block;
     uint8_t state = am_lookup(s, node, block);
     if (state != AM_INVALID) {
         if (!is_write || state == AM_EXCLUSIVE) {
@@ -1404,7 +1399,6 @@ static int64_t engine_upgrade_for_write(FastSim *s, int node, int64_t addr, int6
                                         int *remote, int64_t *translation) {
     int64_t block = addr & s->am_block_mask;
     s->translation_accum = 0;
-    s->active_block = block;
     uint8_t state = am_lookup(s, node, block);
     if (state == AM_INVALID) return FS_ERR_PROTOCOL; /* SLC/AM inclusion violated */
     if (state == AM_EXCLUSIVE) {
@@ -1801,7 +1795,6 @@ FastSim *fs_create(const int64_t *geom) {
     for (int64_t n = 0; n < nodes; n++) {
         heap_push(&s->heap, 0, (int32_t)n);
     }
-    s->active_block = -1;
     return s;
 }
 
@@ -2119,8 +2112,6 @@ void fs_export_tlb_rng(FastSim *s, int idx, uint32_t *out) {
 }
 
 int64_t fs_translation_accum(FastSim *s) { return s->translation_accum; }
-
-int64_t fs_active_block(FastSim *s) { return s->active_block; }
 
 /* selftest hook: n draws of genrand (== getrandbits(32)) from a
  * transferred random.Random state */

@@ -107,7 +107,6 @@ int64_t fs_export_tlb(FastSim *s, int idx, int64_t *tags, int32_t *lens, int64_t
 void fs_export_engine_rng(FastSim *s, uint32_t *out);
 void fs_export_tlb_rng(FastSim *s, int idx, uint32_t *out);
 int64_t fs_translation_accum(FastSim *s);
-int64_t fs_active_block(FastSim *s);
 void fs_rng_selftest(const uint32_t *state, uint32_t *out, int n);
 void fs_seed_selftest(uint64_t seed, uint32_t *state, uint32_t *out, int n);
 void fs_shuffle_selftest(const uint32_t *state, int32_t *arr, int len);

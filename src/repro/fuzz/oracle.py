@@ -48,7 +48,6 @@ def machine_state(machine) -> dict:
         "counters": dict(machine.merged_counters().to_dict()),
         "engine_rng": engine._rng.getstate(),
         "translation_accum": engine._translation_accum,
-        "active_demand_block": engine.active_demand_block,
         "port_free_at": list(machine.crossbar._port_free_at),
         "nodes": [],
         "directories": [],

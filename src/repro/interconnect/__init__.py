@@ -9,23 +9,9 @@ is latency-only).
 
 from repro.interconnect.crossbar import Crossbar
 from repro.interconnect.message import Message, MessageKind
-from repro.interconnect.topology import (
-    CrossbarTopology,
-    Mesh2DTopology,
-    RingTopology,
-    TOPOLOGIES,
-    Topology,
-    make_topology,
-)
 
 __all__ = [
     "Crossbar",
-    "CrossbarTopology",
-    "Mesh2DTopology",
     "Message",
     "MessageKind",
-    "RingTopology",
-    "TOPOLOGIES",
-    "Topology",
-    "make_topology",
 ]

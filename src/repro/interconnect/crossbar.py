@@ -18,31 +18,23 @@ Two operating modes:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.common.params import MachineParams
 from repro.common.stats import Counters
 from repro.interconnect.message import KIND_VALUES, MessageKind
-from repro.interconnect.topology import Topology
 
 
 class Crossbar:
     """Charges message latencies and counts traffic.
 
-    With a :class:`~repro.interconnect.topology.Topology` attached,
-    every hop beyond the first adds ``router_latency_cycles`` (the
-    paper's crossbar is the one-hop special case).
+    Every pair of distinct nodes is one hop apart, so a message's
+    latency depends only on its size class.
     """
 
-    def __init__(
-        self,
-        params: MachineParams,
-        contention: bool = False,
-        topology: Optional[Topology] = None,
-    ) -> None:
+    def __init__(self, params: MachineParams, contention: bool = False) -> None:
         self.params = params
         self.contention = contention
-        self.topology = topology
         self.counters = Counters()
         self._port_free_at: List[int] = [0] * params.nodes
         # Per-kind (counter name, base cycles, payload bytes), fixed by
@@ -83,17 +75,12 @@ class Crossbar:
                 enums={"msg": KIND_VALUES},
             )
 
-    def cycles_for(self, kind: MessageKind, src: int = 0, dst: int = 1) -> int:
-        """Latency of one message in processor cycles (0 if node-local
-        — callers skip charging for local hops)."""
+    def cycles_for(self, kind: MessageKind) -> int:
+        """Latency of one remote message in processor cycles (node-local
+        transfers are free and never ask)."""
         if kind.carries_block:
-            base = self.params.block_msg_cycles
-        else:
-            base = self.params.request_msg_cycles
-        if self.topology is not None and src != dst:
-            extra_hops = self.topology.hops(src, dst) - 1
-            base += extra_hops * self.params.router_latency_cycles
-        return base
+            return self.params.block_msg_cycles
+        return self.params.request_msg_cycles
 
     def transfer(self, kind: MessageKind, src: int, dst: int, now: int) -> int:
         """Deliver one message starting at processor cycle ``now``.
@@ -113,9 +100,6 @@ class Crossbar:
             if emit is not None:
                 emit(now, kind_ix, src, dst, 0)
             return now
-        if self.topology is not None:
-            extra_hops = self.topology.hops(src, dst) - 1
-            cycles += extra_hops * self.params.router_latency_cycles
         values["msg_remote"] = values.get("msg_remote", 0) + 1
         values["network_cycles"] = values.get("network_cycles", 0) + cycles
         values["payload_bytes"] = values.get("payload_bytes", 0) + payload

@@ -25,7 +25,6 @@ from repro.common.stats import Counters
 from repro.coma.protocol import TranslationAgent
 from repro.core.schemes import Scheme
 from repro.interconnect.crossbar import Crossbar
-from repro.interconnect.topology import make_topology
 from repro.numa.protocol import NumaEngine
 from repro.system.node import Node
 from repro.vm.frames import FrameAllocator
@@ -45,7 +44,6 @@ class NumaMachine:
         workload: Workload,
         agent: Optional[TranslationAgent] = None,
         contention: bool = False,
-        topology: Optional[str] = None,
         relaxed_writes: bool = False,
     ) -> None:
         self.params = params
@@ -53,8 +51,7 @@ class NumaMachine:
         self.workload = workload
         self.layout = AddressLayout.from_params(params)
         self.agent = agent if agent is not None else TranslationAgent()
-        topo = make_topology(topology, params.nodes) if topology else None
-        self.crossbar = Crossbar(params, contention=contention, topology=topo)
+        self.crossbar = Crossbar(params, contention=contention)
         self.counters = Counters()
 
         self._virtual_home = scheme.uses_virtual_am

@@ -14,9 +14,9 @@ object (counters, cache/AM/directory images, TLB contents, RNG states,
 histograms, breakdowns) is indistinguishable from one driven by the
 scalar engine, which the differential suite
 (``tests/integration/test_timing_equivalence.py``) enforces field by
-field.  Anything the C engine does not model — topologies, paging
-extensions, custom agents, invariant checking, a tracer on a sweep or
-capture run (or one not attached through the machine) — makes
+field.  Anything the C engine does not model — custom machine or agent
+types, a tracer on a sweep or capture run (or one not attached through
+the machine) — makes
 :func:`fallback_reason` return a string and the caller stays on the
 scalar path.  The crossbar's port-contention mode is modelled: the
 per-node port free times load into C before the run and export back
@@ -46,7 +46,6 @@ from repro.coma.states import AMState
 from repro.core import timing_kernels as tk
 from repro.core.ladder import EngineDegraded, injected_fault
 from repro.core.schemes import TAP_OF_SCHEME, TapPoint
-from repro.core.tlb import Organization
 from repro.system.refs import BARRIER, LOCK, UNLOCK
 from repro.system.results import RunResult
 
@@ -120,26 +119,13 @@ def fallback_reason(simulator) -> Optional[str]:
         or machine.crossbar.trace is not None
     ) and (sweep_agent or not _traced_throughout(machine)):
         return "tracing attached"
-    if simulator.check_invariants_every:
-        return "invariant checking requested"
-    if (
-        machine.swap_daemon is not None
-        or machine.engine.overflow_handler is not None
-        or machine.engine.fault_handler is not None
-    ):
-        return "paging extensions active"
-    if machine.crossbar.topology is not None:
-        return "topology model active"
     agent = machine.agent
     from repro.coma.protocol import TranslationAgent
 
-    if type(agent) is TimingAgent:
-        if agent.organization not in (
-            Organization.FULLY_ASSOCIATIVE,
-            Organization.DIRECT_MAPPED,
-        ):
-            return f"unsupported TLB organization {agent.organization.value}"
-    elif not sweep_agent and type(agent) is not TranslationAgent:
+    # TimingAgent builds only fully-associative or direct-mapped
+    # buffers (a set-associative one needs an assoc it does not take),
+    # and the C engine models both.
+    if not sweep_agent and type(agent) not in (TimingAgent, TranslationAgent):
         return f"unsupported agent {type(agent).__name__}"
     if tk.get_backend() is None:
         return f"compiled backend unavailable: {tk.backend_status()}"
@@ -602,8 +588,6 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
     lib.fs_export_engine_rng(handle, rng_out)
     tk.load_rng_state(engine._rng, [int(rng_out[i]) for i in range(tk.RNG_STATE_WORDS)])
     engine._translation_accum = int(lib.fs_translation_accum(handle))
-    active_block = int(lib.fs_active_block(handle))
-    engine.active_demand_block = None if active_block < 0 else active_block
 
     return RunResult(
         machine=machine,

@@ -32,16 +32,14 @@ from repro.common.params import MachineParams
 from repro.common.rng import make_rng
 from repro.common.stats import Counters
 from repro.coma.protocol import ProtocolEngine, TranslationAgent
-from repro.core.directory_space import DirectoryAddressSpace, DirectoryPageHandle
+from repro.core.directory_space import DirectoryAddressSpace
 from repro.core.schemes import Scheme
 from repro.interconnect.crossbar import Crossbar
-from repro.interconnect.topology import make_topology
 from repro.system.node import Node
 from repro.vm.frames import FrameAllocator
 from repro.vm.page_table import HomePageTable, PageTableEntry
 from repro.vm.pressure import PressureTracker
 from repro.vm.segments import SegmentedAddressSpace
-from repro.vm.swap import SwapDaemon
 from repro.workloads.base import Workload, WorkloadContext
 
 
@@ -55,8 +53,6 @@ class Machine:
         workload: Workload,
         agent: Optional[TranslationAgent] = None,
         contention: bool = False,
-        swap_threshold: Optional[float] = None,
-        topology: Optional[str] = None,
         relaxed_writes: bool = False,
         tracer=None,
     ) -> None:
@@ -65,8 +61,7 @@ class Machine:
         self.workload = workload
         self.layout = AddressLayout.from_params(params)
         self.agent = agent if agent is not None else TranslationAgent()
-        topo = make_topology(topology, params.nodes) if topology else None
-        self.crossbar = Crossbar(params, contention=contention, topology=topo)
+        self.crossbar = Crossbar(params, contention=contention)
         self.counters = Counters()
         #: Optional :class:`~repro.obs.trace.Tracer`, threaded through
         #: every instrumented layer (simulator, nodes, protocol engine,
@@ -145,111 +140,7 @@ class Machine:
             for n in range(params.nodes)
         ]
 
-        self.swap_daemon: Optional[SwapDaemon] = None
-        if swap_threshold is not None:
-            self.swap_daemon = SwapDaemon(
-                self.pressure,
-                self.page_tables,
-                self._evict_page,
-                threshold=swap_threshold,
-            )
-            self.engine.overflow_handler = self._handle_overflow
-            self.engine.fault_handler = self._handle_fault
-
         self._preload()
-        if self.swap_daemon is not None:
-            for segment in self.space:
-                for vpn in segment.pages(params.page_size):
-                    self.swap_daemon.note_page_in(vpn)
-
-    # ------------------------------------------------------------------
-    # paging (swap-daemon extension, paper Section 4.3)
-    # ------------------------------------------------------------------
-    def _evict_page(self, vpn: int) -> None:
-        """Swap one page out: purge every block copy, reclaim its
-        directory page (or frame), unmap it."""
-        layout = self.layout
-        home = layout.home_node_of_vpn(vpn)
-        pte = self.page_tables[home].remove(vpn)
-        if self._virtual_am:
-            proto_base = vpn << layout.page_bits
-            self.directory_spaces[home].reclaim(
-                DirectoryPageHandle(pte.payload, self.params.blocks_per_page)
-            )
-        else:
-            pfn = pte.payload
-            proto_base = pfn << layout.page_bits
-            self.frames.free(pfn)
-            del self.page_map[vpn]
-            del self.reverse_map[pfn]
-        block = self.params.am_block
-        for i in range(self.params.blocks_per_page):
-            self.engine.purge_block(proto_base + i * block)
-        self.counters.add("pages_swapped_out")
-
-    def _handle_overflow(self, proto_block: int) -> bool:
-        """Engine hook: an injected master found no slot — force one
-        page of that global set out (never a page involved in the
-        transaction in flight)."""
-        from repro.common.errors import CapacityError
-
-        layout = self.layout
-        gps = (proto_block >> layout.page_bits) & (layout.global_page_sets - 1)
-        exclude = {self._vpn_of_proto(proto_block)}
-        if self.engine.active_demand_block is not None:
-            exclude.add(self._vpn_of_proto(self.engine.active_demand_block))
-        try:
-            victim = self.swap_daemon.make_room(gps, force=True, exclude=exclude)
-        except CapacityError:
-            return False
-        return victim is not None
-
-    def _handle_fault(self, proto_block: int) -> bool:
-        """Engine hook: page a swapped-out page back in (paper §4.3's
-        page-fault flow: request a directory page and a page-table entry
-        from the home, swapping a resident page out first if the global
-        set's pressure is over the daemon's threshold)."""
-        layout = self.layout
-        if not self._virtual_am:
-            # Physical protocol addresses of a swapped page are dead
-            # (the frame was freed); physical-machine faults would come
-            # through the translation layer instead.  Not reachable in
-            # the preloaded workloads.
-            return False
-        vpn = proto_block >> layout.page_bits
-        if self.page_tables[layout.home_node_of_vpn(vpn)].contains(vpn):
-            # Another block of the page faulted first and paged it in,
-            # but this block's master is genuinely gone: corruption.
-            return False
-        self._page_in(vpn)
-        return True
-
-    def _page_in(self, vpn: int) -> None:
-        layout = self.layout
-        home = layout.home_node_of_vpn(vpn)
-        gps = layout.global_page_set_of_vpn(vpn)
-        if self.swap_daemon is not None:
-            # Over-threshold (or full) sets lose a resident page first.
-            if self.pressure.occupancy(gps) >= self.pressure.slots_per_set:
-                self.swap_daemon.make_room(gps, force=True, exclude={vpn})
-            else:
-                self.swap_daemon.make_room(gps, exclude={vpn})
-        handle = self.directory_spaces[home].allocate()
-        self.page_tables[home].insert(PageTableEntry(vpn, handle.base))
-        self.pressure.allocate_page(gps)
-        block = self.params.am_block
-        proto_base = vpn << layout.page_bits
-        for i in range(self.params.blocks_per_page):
-            self.engine.preload_block(proto_base + i * block)
-        if self.swap_daemon is not None:
-            self.swap_daemon.note_page_in(vpn)
-        self.counters.add("pages_faulted_in")
-
-    def _vpn_of_proto(self, proto_addr: int) -> int:
-        page_number = proto_addr >> self.layout.page_bits
-        if self._virtual_am:
-            return page_number
-        return self.reverse_map[page_number]
 
     # ------------------------------------------------------------------
     # address-space conversion

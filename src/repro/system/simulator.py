@@ -45,14 +45,12 @@ class Simulator:
         self,
         machine: Machine,
         max_refs_per_node: Optional[int] = None,
-        check_invariants_every: int = 0,
         phase_every: int = 2048,
         fast: bool = True,
         stream_key: Optional[str] = None,
     ) -> None:
         self.machine = machine
         self.max_refs_per_node = max_refs_per_node
-        self.check_invariants_every = check_invariants_every
         #: With a tracer attached, emit one "phase" progress event per
         #: this many processed references (refs/sec over simulated time).
         self.phase_every = phase_every
@@ -125,7 +123,6 @@ class Simulator:
         active = count
         barriers_seen = 0
         total_refs_processed = 0
-        check_every = self.check_invariants_every
         trace = getattr(machine, "tracer", None)
         phase_every = self.phase_every if trace is not None else 0
         if trace is not None:
@@ -189,8 +186,6 @@ class Simulator:
                 refs_done[n] += 1
                 total_refs_processed += 1
                 heappush(heap, (clock[n], n))
-                if check_every and total_refs_processed % check_every == 0:
-                    machine.engine.check_invariants()
                 if phase_every and total_refs_processed % phase_every == 0:
                     emit_phase(clock[n], total_refs_processed)
             elif op == BARRIER:

@@ -34,8 +34,9 @@ class PressureTracker:
         """Occupy ``count`` page slots in a global set.
 
         Raises :class:`CapacityError` when the set would exceed its
-        ``P*K`` capacity — in a real system the page daemon swaps
-        instead (see :class:`repro.vm.swap.SwapDaemon`).
+        ``P*K`` capacity — in a real system the page daemon would swap
+        a page out instead; the modelled runs preload every page and
+        never page.
         """
         if not 0 <= gps < self.global_page_sets:
             raise ConfigurationError(f"global page set {gps} out of range")

@@ -195,7 +195,7 @@ def make_spec(params, workload="radix"):
 
 
 class TestReplayMatrix:
-    """replay-on/off × numpy/no-numpy/no-numba against one oracle."""
+    """replay-on/off × numpy/no-numpy/no-compiled against one oracle."""
 
     @pytest.fixture(scope="class")
     def scalar_oracle(self, params):
@@ -210,7 +210,7 @@ class TestReplayMatrix:
     @pytest.mark.parametrize(
         "env",
         [None, NO_NUMPY_ENV, NO_COMPILED_ENV],
-        ids=["numpy", "no-numpy", "no-numba"],
+        ids=["numpy", "no-numpy", "no-compiled"],
     )
     def test_matrix_cell(self, params, scalar_oracle, replay, env, monkeypatch):
         if env == NO_NUMPY_ENV and get_numpy() is None:
@@ -249,7 +249,7 @@ class TestFallbacks:
         )
         assert result.backend == "compiled"
 
-    def test_no_numba_falls_back_scalar(self, params, monkeypatch):
+    def test_no_compiled_falls_back_scalar(self, params, monkeypatch):
         monkeypatch.setenv(NO_COMPILED_ENV, "1")
         result = run_miss_sweep(
             params, make_workload("radix", intensity=0.2), max_refs_per_node=200

@@ -303,7 +303,7 @@ class TestBackendMatrix:
         assert fast.backend == "compiled"
         assert summary_surface(fast) == summary_surface(scalar_reference)
 
-    def test_no_numba_falls_back_scalar(self, params, scalar_reference, monkeypatch):
+    def test_no_compiled_falls_back_scalar(self, params, scalar_reference, monkeypatch):
         """REPRO_NO_COMPILED disables the backend; results don't change."""
         monkeypatch.setenv(NO_COMPILED_ENV, "1")
         result = run_timing(

@@ -9,8 +9,13 @@ checks each against the tree:
 * every ``python -m repro <cmd>`` names a subcommand of
   :func:`repro.cli.build_parser`.
 
-A deleted module, doc page or subcommand that the docs still mention
-fails here instead of rotting silently.
+It also holds the ``REPRO_*`` switch table in ``docs/robustness.md``
+equal to the set of switch names quoted in ``src/`` and
+``benchmarks/*.py``.
+
+A deleted module, doc page, subcommand or switch that the docs still
+mention, or a new switch they do not, fails here instead of rotting
+silently.
 """
 
 import argparse
@@ -30,6 +35,8 @@ FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 REPO_PATH = re.compile(r"^(?:src|docs|benchmarks|tests|examples)/")
 CLI_CALL = re.compile(r"python\s+-m\s+repro\s+([a-z][\w-]*)")
+QUOTED_SWITCH = re.compile(r"[\"'](REPRO_[A-Z_]+)[\"']")
+SWITCH_ROW = re.compile(r"^\| `(REPRO_[A-Z_]+)` \|", re.MULTILINE)
 
 
 def _ids(paths):
@@ -76,3 +83,16 @@ def test_cli_invocations_name_real_subcommands(doc):
     known = _subcommands()
     unknown = sorted(set(CLI_CALL.findall(doc.read_text())) - known)
     assert not unknown, f"{doc.name} runs unknown subcommands: {unknown}"
+
+
+def test_env_switch_table_matches_code():
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted(
+        (ROOT / "benchmarks").glob("*.py")
+    )
+    read = set()
+    for path in sources:
+        read.update(QUOTED_SWITCH.findall(path.read_text()))
+    documented = set(SWITCH_ROW.findall((ROOT / "docs" / "robustness.md").read_text()))
+    assert read, "found no REPRO_* switch in the sources"
+    assert read - documented == set(), "switches missing from docs/robustness.md"
+    assert documented - read == set(), "docs/robustness.md lists switches nothing reads"

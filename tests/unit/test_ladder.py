@@ -102,7 +102,7 @@ class TestDegradationPaths:
             run_once()
         assert fallback_counts() == {"compiled": 2}
 
-    def test_no_numba_reason_survives_cache_round_trip(self, params, monkeypatch):
+    def test_no_compiled_reason_survives_cache_round_trip(self, params, monkeypatch):
         monkeypatch.setenv(tk.NO_COMPILED_ENV, "1")
         result = run_timing(
             params, Scheme.V_COMA, make_workload("radix", intensity=0.2), 8,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CustomWorkload, Machine, Scheme, SegmentSpec
+from repro import CapacityError, CustomWorkload, Machine, Scheme, SegmentSpec
 from repro.coma.states import AMState
 from repro.system.refs import READ
 
@@ -57,6 +57,15 @@ class TestPreloadVirtual:
 
     def test_invariants_after_preload(self, vcoma_machine):
         vcoma_machine.engine.check_invariants()
+
+    def test_overcommitted_set_raises(self, small_params):
+        """More same-color pages than the whole global set holds: the
+        preload itself fails, since the simulator never pages."""
+        colors = small_params.am_way_size // small_params.page_size
+        span = (small_params.nodes * small_params.am_assoc + 2) * colors
+        workload = simple_workload(pages=span, page_size=small_params.page_size)
+        with pytest.raises(CapacityError):
+            Machine(small_params, Scheme.V_COMA, workload)
 
 
 def machine_dir_spaces(machine):

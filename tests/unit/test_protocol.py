@@ -245,15 +245,22 @@ class TestInvariantChecker:
         engine.check_invariants()
 
 
-class TestPurge:
-    def test_purge_removes_all_copies(self, engine, tiny_layout):
-        addr = addr_homed_at(tiny_layout, home=0)
-        engine.preload_block(addr)
-        engine.fetch(1, addr, is_write=False, now=0)
-        engine.purge_block(addr)
-        assert not engine.ams[0].contains(addr)
-        assert not engine.ams[1].contains(addr)
-        assert engine.directories[0].peek(addr) is None
-
-    def test_purge_unknown_block_noop(self, engine):
-        engine.purge_block(0x123400)  # must not raise
+class TestInvariantsMidRun:
+    def test_invariants_hold_after_every_reference(self, small_params, small_layout):
+        """Four nodes each write the same 20 blocks, interleaved one
+        reference at a time; directory and AMs agree after every one."""
+        engine = ProtocolEngine(small_params, small_layout, Crossbar(small_params))
+        addrs = [i * 128 for i in range(20)]
+        for addr in addrs:
+            engine.preload_block(addr)
+        engine.check_invariants()
+        now = 0
+        for addr in addrs:
+            for node in range(small_params.nodes):
+                if engine.ams[node].state_of(addr).readable:
+                    outcome = engine.upgrade_for_write(node, addr, now)
+                else:
+                    outcome = engine.fetch(node, addr, is_write=True, now=now)
+                now += outcome.cycles
+                engine.check_invariants()
+                assert engine.ams[node].state_of(addr) is AMState.EXCLUSIVE

@@ -416,3 +416,15 @@ class TestCacheSizeCap:
         assert default_max_bytes() is None
         monkeypatch.setenv(CACHE_MAX_MB_ENV, "-3")
         assert default_max_bytes() is None
+
+    def test_trace_store_env_cap(self, tmp_path, monkeypatch):
+        from repro.runner.traces import (
+            DEFAULT_TRACE_MAX_BYTES,
+            TRACE_MAX_MB_ENV,
+            TraceStore,
+        )
+
+        monkeypatch.delenv(TRACE_MAX_MB_ENV, raising=False)
+        assert TraceStore(tmp_path).max_bytes == DEFAULT_TRACE_MAX_BYTES
+        monkeypatch.setenv(TRACE_MAX_MB_ENV, "3")
+        assert TraceStore(tmp_path).max_bytes == 3 * 1024 * 1024

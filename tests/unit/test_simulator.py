@@ -2,7 +2,17 @@
 
 import pytest
 
-from repro import CustomWorkload, Machine, ReproError, Scheme, SegmentSpec, Simulator
+from repro import (
+    CustomWorkload,
+    Machine,
+    ReproError,
+    Scheme,
+    SegmentSpec,
+    Simulator,
+    make_workload,
+)
+from repro.coma.protocol import TranslationAgent
+from repro.runner.summary import RunSummary
 from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
 
 
@@ -132,7 +142,70 @@ class TestLocks:
         assert held > 0
 
 
-class TestInvariantHook:
-    def test_check_invariants_every(self, small_params):
-        streams = [[(WRITE, i * 128) for i in range(20)] for _ in range(4)]
-        run_machine(small_params, streams, check_invariants_every=5)
+def _numa_machine(params, fast):
+    from repro.numa.machine import NumaMachine
+
+    machine = NumaMachine(params, Scheme.V_COMA, make_workload("radix", intensity=0.2))
+    return Simulator(machine, max_refs_per_node=150, fast=fast).run()
+
+
+class _CustomAgent(TranslationAgent):
+    """A subclass the compiled engine cannot know the semantics of."""
+
+
+def _custom_agent(params, fast):
+    machine = Machine(
+        params, Scheme.V_COMA, make_workload("radix", intensity=0.2), agent=_CustomAgent()
+    )
+    return Simulator(machine, max_refs_per_node=150, fast=fast).run()
+
+
+def _traced_sweep(params, fast):
+    from repro.analysis import run_miss_sweep
+    from repro.obs import Tracer
+
+    with Tracer(buffer_size=64) as tracer:
+        return run_miss_sweep(
+            params, make_workload("radix", intensity=0.2),
+            max_refs_per_node=150, tracer=tracer, fast=fast,
+        )
+
+
+class TestFallbackReason:
+    """Every run the compiled engine cannot model stays scalar, says
+    why, and reports the same numbers as an explicit ``fast=False``."""
+
+    @pytest.mark.parametrize(
+        "run, reason",
+        [
+            (_numa_machine, "custom machine type NumaMachine"),
+            (_custom_agent, "unsupported agent _CustomAgent"),
+            (_traced_sweep, "tracing attached"),
+        ],
+        ids=["custom-machine", "custom-agent", "traced-sweep"],
+    )
+    def test_reason_and_identical_scalar(self, small_params, run, reason):
+        result = run(small_params, True)
+        assert result.backend == "scalar"
+        assert result.fallback_reason == reason
+        oracle = run(small_params, False)
+        assert oracle.fallback_reason == "fast=False"
+        ours, theirs = (
+            RunSummary.from_result(r).to_dict() for r in (result, oracle)
+        )
+        for payload in (ours, theirs):
+            payload.pop("backend")
+            payload.pop("fallback_reason")
+        assert ours == theirs
+
+    def test_timing_agent_refuses_set_associative(self, small_params):
+        """The compiled engine models FA and DM timing buffers only;
+        fallback_reason relies on TimingAgent never building another."""
+        from repro.common.errors import ConfigurationError
+        from repro.core.tlb import Organization
+        from repro.system.taps import TimingAgent
+
+        with pytest.raises(ConfigurationError):
+            TimingAgent(
+                small_params, Scheme.L0_TLB, 8, organization=Organization.SET_ASSOCIATIVE
+            )

@@ -18,6 +18,7 @@ from repro import MachineParams
 from repro.core.timing_kernels import (
     STREAM_CACHE_ENV,
     StreamCache,
+    get_backend,
     materialize_shared,
     stream_cache,
 )
@@ -176,7 +177,8 @@ class TestKeyedByWorkloadNotGridCell:
 
     def test_grid_materializes_each_workload_stream_once(self, params):
         """Three bank grids over one workload: one materialization per
-        node, the rest are LRU hits."""
+        node, the rest are LRU hits.  Without the compiled backend the
+        scalar engine reads the generators and materializes nothing."""
         cache = stream_cache()
         cache.clear()
         hits0, misses0 = cache.hits, cache.misses
@@ -189,6 +191,9 @@ class TestKeyedByWorkloadNotGridCell:
             spec.execute(replay=False)
         new_misses = cache.misses - misses0
         new_hits = cache.hits - hits0
+        cache.clear()
+        if get_backend() is None:
+            assert (new_misses, new_hits) == (0, 0)
+            return
         assert new_misses == params.nodes, "each node's stream cached once"
         assert new_hits == params.nodes * (len(specs) - 1)
-        cache.clear()
