@@ -1,6 +1,6 @@
 """Throughput benchmark: serial refs/sec, record/replay grid, cache reuse.
 
-Run as a script (it is not a pytest-benchmark module)::
+Run as a script (it is not a pytest module)::
 
     PYTHONPATH=src python benchmarks/bench_throughput.py [--smoke] [--out PATH]
 
@@ -52,7 +52,7 @@ from repro.analysis import run_miss_sweep, run_timing
 from repro.core.tlb import Organization
 from repro.runner import BatchRunner, JobSpec, ResultCache, TraceStore
 
-#: Bench machine (mirrors bench_common.BENCH_PARAMS).
+#: Bench machine (the report machine, ``repro.analysis.report.default_params``).
 PARAMS = MachineParams.scaled_down(factor=8, nodes=8, page_size=512)
 
 SWEEP_SIZES = (8, 32, 128, 512)

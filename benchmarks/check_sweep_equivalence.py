@@ -18,8 +18,8 @@ miss rate off one tap), time breakdowns, counters, histograms.  The
 only allowed difference is the engine-provenance pair
 (``backend``/``fallback_reason``).
 
-The check honours ``REPRO_NO_NUMPY`` and ``REPRO_NO_COMPILED``, so the CI
-matrix runs it against every kernel/backend combination.  When the
+The check honours ``REPRO_NO_COMPILED``, so CI runs it against both
+backends.  When the
 compiled backend is unavailable both passes run scalar; the check then
 degrades to a determinism check and says so.
 """
@@ -33,7 +33,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import MachineParams, make_workload
 from repro.analysis import run_miss_sweep
-from repro.core.timing_kernels import backend_status, get_numpy
+from repro.core.timing_kernels import backend_status
 from repro.core.tlb import Organization
 from repro.runner import JobSpec
 from repro.runner.summary import RunSummary
@@ -62,10 +62,8 @@ def comparable(summary) -> dict:
 
 
 def main() -> int:
-    kernels = "pure-python" if get_numpy() is None else "numpy"
     status = backend_status()
-    print(f"sweep equivalence check ({kernels} kernels, "
-          f"compiled backend: {status})", flush=True)
+    print(f"sweep equivalence check (compiled backend: {status})", flush=True)
 
     failures = []
     checked = 0

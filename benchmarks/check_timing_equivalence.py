@@ -19,8 +19,8 @@ bytes to match as well: the compiled engine writes the tracer's packed
 records itself, so these rows drive its trace buffer through growth
 and repeated drains.
 
-The check honours ``REPRO_NO_NUMPY`` and ``REPRO_NO_COMPILED``, so the CI
-matrix runs it against every kernel/backend combination.  When the
+The check honours ``REPRO_NO_COMPILED``, so CI runs it against both
+backends.  When the
 compiled backend is unavailable (missing gcc/cffi, or ``REPRO_NO_COMPILED``
 set) both passes run scalar; the check then degrades to a determinism
 check and says so — still worth running, but the compiled legs are the
@@ -40,7 +40,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro import MachineParams, Scheme, make_workload
 from repro.analysis import run_timing
 from repro.core.schemes import SCHEME_ORDER
-from repro.core.timing_kernels import backend_status, get_backend, get_numpy
+from repro.core.timing_kernels import backend_status, get_backend
 from repro.core.tlb import Organization
 from repro.obs import Tracer
 from repro.runner.summary import RunSummary
@@ -82,11 +82,9 @@ def traced_run(scheme, name, intensity, entries, fast, path):
 
 
 def main() -> int:
-    kernels = "pure-python" if get_numpy() is None else "numpy"
     status = backend_status()
     compiled_expected = get_backend() is not None
-    print(f"timing equivalence check ({kernels} kernels, "
-          f"timing backend: {status})", flush=True)
+    print(f"timing equivalence check (timing backend: {status})", flush=True)
 
     failures = []
     checked = 0

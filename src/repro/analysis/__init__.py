@@ -1,17 +1,17 @@
-"""Experiment harness: one entry point per paper table/figure.
+"""Experiment harness: the paper's tables and figures.
 
-``experiments`` runs the simulations; ``tables`` and ``figures`` render
-paper-style text output.  Every benchmark in ``benchmarks/`` is a thin
-wrapper over these functions, so the full evaluation can also be driven
-programmatically (see ``examples/``).
+``experiments`` runs single simulations; ``tables`` and ``figures``
+render paper-style text output; ``report`` registers every artifact of
+the evaluation (:data:`~repro.analysis.report.EXPERIMENTS`) with its
+simulation cells and shape claims, and renders the one-shot report.
+``python -m repro paper`` and ``python -m repro report`` drive that
+registry; ``examples/`` shows programmatic use.
 """
 
 from repro.analysis.experiments import (
     equivalent_tlb_size,
     pressure_profile,
-    run_execution_breakdown,
     run_miss_sweep,
-    run_sweep_studies,
     run_timing,
     scheme_miss_rates,
     scheme_misses,
@@ -21,9 +21,8 @@ from repro.analysis.tables import (
     render_miss_rate_table,
     render_overhead_table,
 )
-from repro.analysis.report import generate_report, write_report
+from repro.analysis.report import EXPERIMENTS, Claim, Experiment, generate_report, write_report
 from repro.analysis.traffic import WorkloadProfile, profile_workload
-from repro.analysis.validation import Claim, ValidationReport, validate_reproduction
 from repro.analysis.tag_overhead import render_tag_overhead_table, tag_overhead_increase
 from repro.analysis.figures import (
     render_breakdown_bars,
@@ -42,12 +41,11 @@ __all__ = [
     "render_miss_rate_table",
     "render_overhead_table",
     "render_pressure_profile",
-    "run_execution_breakdown",
     "run_miss_sweep",
-    "run_sweep_studies",
     "run_timing",
     "Claim",
-    "ValidationReport",
+    "EXPERIMENTS",
+    "Experiment",
     "WorkloadProfile",
     "generate_report",
     "profile_workload",
@@ -55,6 +53,5 @@ __all__ = [
     "scheme_miss_rates",
     "scheme_misses",
     "tag_overhead_increase",
-    "validate_reproduction",
     "write_report",
 ]

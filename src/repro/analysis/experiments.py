@@ -9,8 +9,8 @@ Two kinds of runs:
   batched sweeps normally run through the record-once/replay-many
   pipeline instead (:mod:`repro.system.taptrace`), which records the
   hierarchy's tap streams once and replays every bank configuration
-  from the recording with vectorized kernels — bit-identical miss
-  counts, a fraction of the wall clock.
+  from the recording — bit-identical miss counts, a fraction of the
+  wall clock.
 * **timing runs** (:func:`run_timing`) — coupled simulations where one
   real TLB/DLB charges its 40-cycle penalty.  Feeds Table 4 and
   Figure 10.  Never replayed: the penalty perturbs the interleaving,
@@ -20,17 +20,10 @@ Figure 11's pressure profile needs no reference simulation at all: the
 profile is fixed by the preloaded page placement
 (:func:`pressure_profile`).
 
-Grid-shaped experiments (:func:`run_sweep_studies`,
-:func:`run_execution_breakdown`) go through
-:class:`~repro.runner.batch.BatchRunner`, so callers can shard them
-across worker processes, reuse the persistent result cache, (for
-sweeps) share recorded traces via the runner's
-:class:`~repro.runner.traces.TraceStore`, and inherit the runner's
-fault-tolerant supervision — retries, per-job timeouts, keep-going
-failure capture, and manifest-based resume (``docs/robustness.md``).
-A keep-going runner omits failed workloads from these helpers' return
-values; the runner's :class:`~repro.runner.summary.GridStats` records
-what was lost.
+Grids of runs go through :class:`~repro.runner.batch.BatchRunner` as
+:class:`~repro.runner.jobs.JobSpec` cells, whose ``execute`` calls the
+two runners here; the paper's grids are registered in
+:mod:`repro.analysis.report`.
 """
 
 from __future__ import annotations
@@ -126,114 +119,6 @@ def run_timing(
     return Simulator(
         machine, max_refs_per_node=max_refs_per_node, fast=fast, stream_key=stream_key
     ).run()
-
-
-def _default_runner(runner):
-    """The caller's runner, or a fresh serial, cache-less one."""
-    if runner is not None:
-        return runner
-    from repro.runner import BatchRunner
-
-    return BatchRunner(jobs=1, cache=None)
-
-
-def run_sweep_studies(
-    params: MachineParams,
-    workloads: Iterable[str],
-    sizes: Iterable[int] = DEFAULT_SWEEP_SIZES,
-    orgs: Iterable[Organization] = DEFAULT_SWEEP_ORGS,
-    intensities: Optional[Dict[str, float]] = None,
-    max_refs_per_node: Optional[int] = None,
-    runner=None,
-) -> Dict[str, StudyResults]:
-    """One miss sweep per workload, batched through the runner.
-
-    Feeds every sweep-backed artifact (Tables 2/3, Figures 8/9); with a
-    parallel, cache-backed runner the whole grid shards across workers
-    and warm invocations simulate nothing.  Each sweep records its
-    hierarchy once and replays every ``(size, org)`` bank from the
-    recording (see :meth:`JobSpec.execute`); a runner with a trace
-    store reuses recordings across different bank grids too.
-    """
-    from repro.runner import JobSpec
-
-    runner = _default_runner(runner)
-    intensities = intensities or {}
-    names = list(workloads)
-    specs = []
-    for name in names:
-        overrides = {}
-        if name in intensities:
-            overrides["intensity"] = intensities[name]
-        specs.append(
-            JobSpec.sweep(
-                params,
-                name,
-                sizes=sizes,
-                orgs=orgs,
-                max_refs_per_node=max_refs_per_node,
-                overrides=overrides,
-                label=name,
-            )
-        )
-    jobs = runner.run(specs)
-    # A runner in keep_going mode returns JobFailure entries for jobs
-    # that exhausted their retries; those workloads are simply absent
-    # from the result (runner.stats records them).
-    return {
-        name: job.summary.study_results()
-        for name, job in zip(names, jobs)
-        if job.ok
-    }
-
-
-def run_execution_breakdown(
-    params: MachineParams,
-    workload_factory,
-    entries: int = 8,
-    max_refs_per_node: Optional[int] = None,
-    include_v2: bool = False,
-    runner=None,
-) -> Dict[str, "RunResult"]:
-    """Figure 10's bar set for one benchmark.
-
-    Runs ``TLB/n`` (L0-TLB, the physical COMA baseline), ``TLB/n/DM``,
-    ``DLB/n`` (V-COMA) and ``DLB/n/DM``; with ``include_v2`` adds
-    ``DLB/n/V2`` using the workload's ``v2`` variant (RAYTRACE's
-    page-aligned padding).  ``workload_factory`` is the workload class
-    or its registry name.  The bars execute through the (optionally
-    parallel, cached) runner and come back as
-    :class:`~repro.runner.summary.RunSummary` objects, which expose the
-    same breakdown surface as :class:`RunResult`.
-    """
-    from repro.runner import JobSpec
-
-    runner = _default_runner(runner)
-    name = workload_factory if isinstance(workload_factory, str) else workload_factory.name
-    combos = [
-        (f"TLB/{entries}", Scheme.L0_TLB, Organization.FULLY_ASSOCIATIVE, None),
-        (f"TLB/{entries}/DM", Scheme.L0_TLB, Organization.DIRECT_MAPPED, None),
-        (f"DLB/{entries}", Scheme.V_COMA, Organization.FULLY_ASSOCIATIVE, None),
-        (f"DLB/{entries}/DM", Scheme.V_COMA, Organization.DIRECT_MAPPED, None),
-    ]
-    if include_v2:
-        combos.append((f"DLB/{entries}/V2", Scheme.V_COMA, Organization.FULLY_ASSOCIATIVE, "v2"))
-    specs = [
-        JobSpec.timing(
-            params,
-            scheme,
-            name,
-            entries,
-            organization=org,
-            max_refs_per_node=max_refs_per_node,
-            variant=variant,
-            label=label,
-        )
-        for label, scheme, org, variant in combos
-    ]
-    # keep_going runners may return JobFailure bars; drop them (the
-    # runner's stats record the loss) rather than plotting a hole.
-    return {job.spec.label: job.summary for job in runner.run(specs) if job.ok}
 
 
 def pressure_profile(

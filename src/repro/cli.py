@@ -5,16 +5,20 @@
     python -m repro describe  [--nodes 8 --factor 8 --page-size 512]
     python -m repro sweep     radix [--sizes 8,32,128,512] [--dm]
     python -m repro timing    ocean --scheme V-COMA --entries 8
-    python -m repro table2    [workloads...]
-    python -m repro table3    [workloads...]
-    python -m repro table4    [workloads...]
-    python -m repro pressure  raytrace [--v2]
+    python -m repro paper     list | run [ID...] | check [ID...]
+    python -m repro report    [workloads...] [--no-figures]
     python -m repro metrics   radix [--format openmetrics|json] [--trace-out t.jsonl]
     python -m repro trace-profile t.jsonl [--metrics m.json]
     python -m repro trace-validate t.jsonl
     python -m repro history   list|record-bench|check [--history-dir DIR]
     python -m repro status    [RUN_ID]
     python -m repro workloads
+
+``paper`` drives the registry of the paper's experiments
+(``repro.analysis.report.EXPERIMENTS``): ``list`` names every
+experiment, ``run`` renders the chosen ones (all by default) exactly as
+the report does, and ``check`` evaluates their shape claims, exiting 1
+when one fails.
 
 The trace-analytics commands (``docs/observability.md``) consume
 recorded artifacts instead of running simulations: ``trace-profile``
@@ -31,9 +35,11 @@ protocol-event trace (JSONL; see ``docs/observability.md``) and
 ``--metrics-out FILE`` to export the run's metrics; ``report`` accepts
 ``--metrics-out`` for its phase/runner telemetry.
 
-Every command accepts the machine options (``--nodes``, ``--factor``,
-``--page-size``, ``--seed``) and ``--refs`` to bound references per
-node.  Simulation-grid commands (``sweep``, ``timing``, ``table2-4``,
+Simulation commands accept the machine options (``--nodes``,
+``--factor``, ``--page-size``, ``--seed``); those that simulate
+single runs (``sweep``, ``timing``, ``metrics``, ``profile``,
+``trace``, ``replay``) also take ``--refs`` to bound references per
+node.  Simulation-grid commands (``sweep``, ``timing``, ``paper``,
 ``report``) also accept ``--jobs N`` to shard independent simulations
 across worker processes (clamped to the CPU count), ``--cache-dir`` to
 relocate the persistent result cache, ``--no-cache`` to bypass it,
@@ -61,17 +67,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis import (
-    pressure_profile,
-    render_equivalent_size_table,
-    render_miss_curves,
-    render_miss_rate_table,
-    render_overhead_table,
-    render_dm_vs_fa,
-    render_pressure_profile,
-    run_sweep_studies,
-    run_timing,
-)
+from repro.analysis import render_dm_vs_fa, render_miss_curves, run_timing
 from repro.common.params import MachineParams
 from repro.core.schemes import Scheme
 from repro.core.tlb import Organization
@@ -90,9 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--factor", type=int, default=8, help="scale-down factor vs the paper machine")
         p.add_argument("--page-size", type=int, default=512, help="page size in bytes")
         p.add_argument("--seed", type=int, default=1998)
-        p.add_argument("--refs", type=int, default=None, help="max references per node")
         p.add_argument("--paper-machine", action="store_true",
                        help="use the exact Section 5.1 configuration (slow)")
+
+    def add_refs_option(p):
+        p.add_argument("--refs", type=int, default=None, help="max references per node")
 
     def add_runner_options(p):
         p.add_argument("--jobs", type=int, default=1,
@@ -147,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dm", action="store_true", help="also show direct-mapped curves (Figure 9)")
     p.add_argument("--intensity", type=float, default=1.0)
     add_machine_options(p)
+    add_refs_option(p)
     add_runner_options(p)
 
     p = sub.add_parser("timing", help="coupled timing run (Table 4 cell)")
@@ -163,14 +162,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the run's metrics (.prom/.txt = OpenMetrics "
                         "text, anything else = JSON)")
     add_machine_options(p)
+    add_refs_option(p)
     add_runner_options(p)
 
-    for table in ("table2", "table3", "table4"):
-        p = sub.add_parser(table, help=f"regenerate paper {table.capitalize()}")
-        p.add_argument("workloads", nargs="*", default=[])
-        p.add_argument("--intensity", type=float, default=1.0)
-        add_machine_options(p)
-        add_runner_options(p)
+    p = sub.add_parser(
+        "paper",
+        help="list, render or check the paper's registered experiments",
+    )
+    p.add_argument("action", choices=["list", "run", "check"])
+    p.add_argument("ids", nargs="*", metavar="ID",
+                   help="experiment ids (default: every experiment; "
+                        "see `paper list`)")
+    add_machine_options(p)
+    add_runner_options(p)
 
     p = sub.add_parser("report", help="run the full evaluation and write a markdown report")
     p.add_argument("--out", default="reproduction_report.md")
@@ -208,28 +212,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="force the scalar reference engine "
                         "(sets REPRO_NO_FAST_TIMING)")
     add_machine_options(p)
-
-    p = sub.add_parser("validate", help="check the paper's shape-claims on this configuration")
-    p.add_argument("--full", action="store_true", help="complete streams (slow)")
-    p.add_argument("workloads", nargs="*", default=[])
-    add_machine_options(p)
+    add_refs_option(p)
 
     p = sub.add_parser("profile", help="per-segment traffic profile of a workload")
     p.add_argument("workload", choices=sorted(WORKLOADS))
     p.add_argument("--intensity", type=float, default=1.0)
     add_machine_options(p)
+    add_refs_option(p)
 
     p = sub.add_parser("trace", help="record a workload's reference trace to a file")
     p.add_argument("workload", choices=sorted(WORKLOADS))
     p.add_argument("--out", required=True)
     p.add_argument("--intensity", type=float, default=1.0)
     add_machine_options(p)
+    add_refs_option(p)
 
     p = sub.add_parser("replay", help="replay a recorded trace through a scheme")
     p.add_argument("trace_file")
     p.add_argument("--scheme", default="V-COMA", choices=[s.value for s in Scheme])
     p.add_argument("--entries", type=int, default=8)
     add_machine_options(p)
+    add_refs_option(p)
 
     p = sub.add_parser(
         "trace-profile",
@@ -276,12 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run id (omit to list known runs)")
     p.add_argument("--cache-dir", default=None,
                    help="cache root holding the run manifests")
-
-    p = sub.add_parser("pressure", help="Figure 11 pressure profile")
-    p.add_argument("workload", choices=sorted(WORKLOADS))
-    p.add_argument("--v2", action="store_true",
-                   help="raytrace only: page-aligned padding layout")
-    add_machine_options(p)
 
     p = sub.add_parser(
         "doctor",
@@ -390,15 +387,57 @@ def _print_progress(done: int, total: int, job) -> None:
     sys.stderr.write(f"[{done}/{total}] {job.spec.describe()} ({origin})\n")
 
 
-def _sweep_studies(params, names, args, runner, sizes=(8, 32, 128, 512)):
-    return run_sweep_studies(
-        params,
-        names,
-        sizes=sizes,
-        intensities={name: args.intensity for name in names},
-        max_refs_per_node=args.refs,
-        runner=runner,
+def _cmd_paper(args, out) -> int:
+    """List, render or check the registered paper experiments."""
+    from repro.analysis import report
+
+    known = {entry.id: entry for entry in report.EXPERIMENTS}
+    unknown = [name for name in args.ids if name not in known]
+    if unknown:
+        raise SystemExit(
+            f"unknown experiment(s) {', '.join(unknown)}; see `repro paper list`"
+        )
+    chosen = [known[name] for name in args.ids] or list(known.values())
+
+    if args.action == "list":
+        for entry in chosen:
+            where = "report" if entry.report else "extra"
+            out.write(
+                f"{entry.id:<22} {where:<6} {len(entry.claims)} claims  {entry.title}\n"
+            )
+        return 0
+
+    runner = batch_runner(args, progress=_print_progress)
+    setup, results, outcomes = report.run_cells(
+        chosen, report.Setup(machine_params(args)), runner
     )
+    _print_grid_stats(runner)
+    failed = not all(job.ok for job in outcomes)
+    if failed and args.action == "check":
+        sys.stderr.write("paper check: failed jobs leave claims unchecked\n")
+        return 1
+    data = {entry.id: entry.collect(setup, results) for entry in chosen}
+
+    if args.action == "run":
+        sections = [entry.section(setup, data[entry.id]) for entry in chosen]
+        out.write("\n\n".join(sections) + "\n")
+        return 1 if failed else 0
+
+    verdicts = [
+        (entry, claim, holds, detail)
+        for entry in chosen
+        for claim, holds, detail in entry.check(data[entry.id])
+    ]
+    for entry, claim, holds, detail in verdicts:
+        out.write(f"[{'PASS' if holds else 'FAIL'}] {entry.id}/{claim.name}: {claim.text}\n")
+        if detail:
+            out.write(f"       {detail}\n")
+    good = sum(1 for *_, holds, _ in verdicts if holds)
+    out.write(
+        f"{good}/{len(verdicts)} claims hold on {setup.params.nodes} nodes, "
+        f"seed {setup.params.seed}\n"
+    )
+    return 0 if good == len(verdicts) else 1
 
 
 def _cmd_trace_profile(args, out) -> int:
@@ -692,18 +731,28 @@ def _dispatch(args, out) -> int:
     if args.command == "fuzz":
         return _cmd_fuzz(args, out)
 
+    if args.command == "paper":
+        return _cmd_paper(args, out)
+
     params = machine_params(args)
 
     if args.command == "sweep":
-        sizes = tuple(int(s) for s in args.sizes.split(","))
-        runner = batch_runner(args)
-        studies = _sweep_studies(
-            params, [args.workload], args, runner, sizes=sizes
+        from repro.runner import JobSpec
+
+        spec = JobSpec.sweep(
+            params,
+            args.workload,
+            sizes=tuple(int(s) for s in args.sizes.split(",")),
+            max_refs_per_node=args.refs,
+            overrides={"intensity": args.intensity},
+            label=args.workload,
         )
+        runner = batch_runner(args)
+        (job,) = runner.run([spec])
         _print_grid_stats(runner)
-        if args.workload not in studies:  # failed under --keep-going
+        if not job.ok:  # JobFailure under --keep-going
             return 1
-        study = studies[args.workload]
+        study = job.summary.study_results()
         out.write(render_miss_curves(args.workload, study) + "\n")
         if args.dm:
             out.write("\n" + render_dm_vs_fa(args.workload, study) + "\n")
@@ -771,60 +820,6 @@ def _dispatch(args, out) -> int:
         )
         return 0
 
-    if args.command == "table2":
-        runner = batch_runner(args)
-        studies = _sweep_studies(
-            params, _workload_list(args), args, runner, sizes=(8, 32, 128)
-        )
-        _print_grid_stats(runner)
-        out.write(render_miss_rate_table(studies, sizes=(8, 32, 128)) + "\n")
-        return 0
-
-    if args.command == "table3":
-        runner = batch_runner(args)
-        studies = _sweep_studies(params, _workload_list(args), args, runner)
-        _print_grid_stats(runner)
-        out.write(render_equivalent_size_table(studies, dlb_entries=8) + "\n")
-        return 0
-
-    if args.command == "table4":
-        from repro.runner import JobSpec
-
-        names = _workload_list(args)
-        specs = []
-        for entries in (8, 16):
-            for prefix, scheme in ((f"L0-TLB/{entries}", Scheme.L0_TLB), (f"DLB/{entries}", Scheme.V_COMA)):
-                specs.extend(
-                    JobSpec.timing(
-                        params, scheme, name, entries,
-                        max_refs_per_node=args.refs,
-                        overrides={"intensity": args.intensity},
-                        label=f"{prefix}:{name}",
-                    )
-                    for name in names
-                )
-        runner = batch_runner(args)
-        finished = {job.spec.label: job.summary for job in runner.run(specs) if job.ok}
-        _print_grid_stats(runner)
-        # Under --keep-going a failed cell drops its whole workload
-        # column (a partial column would misrender the table).
-        names = [
-            name for name in names
-            if all(
-                f"{prefix}:{name}" in finished
-                for entries in (8, 16)
-                for prefix in (f"L0-TLB/{entries}", f"DLB/{entries}")
-            )
-        ]
-        if not names:
-            return 1
-        rows = {}
-        for entries in (8, 16):
-            for prefix in (f"L0-TLB/{entries}", f"DLB/{entries}"):
-                rows[prefix] = {name: finished[f"{prefix}:{name}"] for name in names}
-        out.write(render_overhead_table(rows) + "\n")
-        return 0
-
     if args.command == "report":
         from repro.analysis.report import write_report
 
@@ -876,16 +871,6 @@ def _dispatch(args, out) -> int:
             sys.stderr.write(f"wrote {args.trace_out}\n")
         return 0
 
-    if args.command == "validate":
-        from repro.analysis import validate_reproduction
-
-        names = list(args.workloads) or None
-        report = validate_reproduction(
-            params, quick=not args.full, workload_names=names
-        )
-        out.write(report.render() + "\n")
-        return 0 if report.passed else 1
-
     if args.command == "profile":
         from repro.analysis import profile_workload
 
@@ -924,17 +909,6 @@ def _dispatch(args, out) -> int:
         out.write(
             f"translation : {result.translation_overhead_ratio() * 100:.2f}% of memory stall\n"
         )
-        return 0
-
-    if args.command == "pressure":
-        if args.v2 and args.workload == "raytrace":
-            from repro.workloads import RaytraceWorkload
-
-            workload = RaytraceWorkload.v2()
-        else:
-            workload = make_workload(args.workload)
-        profile = pressure_profile(params, workload)
-        out.write(render_pressure_profile(args.workload, profile) + "\n")
         return 0
 
     raise SystemExit(f"unhandled command {args.command}")  # pragma: no cover

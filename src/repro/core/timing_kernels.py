@@ -41,11 +41,6 @@ from typing import Iterable, List, Optional, Tuple
 from collections import OrderedDict
 
 from repro.core.schemes import TapPoint
-from repro.system.refs import BARRIER
-
-#: Set non-empty to materialize columns as ``array.array`` even when
-#: numpy is importable (CI matrix + equivalence tests).
-NO_NUMPY_ENV = "REPRO_NO_NUMPY"
 
 #: Set non-empty to force the scalar timing engine even when the
 #: compiled backend would load (CI matrix + equivalence tests).
@@ -563,31 +558,14 @@ def backend_health() -> dict:
 # columnar stream materialization
 # ---------------------------------------------------------------------------
 
-_numpy_module = None  # unresolved
-
-
-def get_numpy():
-    """The numpy module, or None (not installed / disabled by env)."""
-    global _numpy_module
-    if os.environ.get(NO_NUMPY_ENV):
-        return None
-    if _numpy_module is None:
-        try:
-            import numpy
-            _numpy_module = numpy
-        except ImportError:
-            _numpy_module = False
-    return _numpy_module or None
-
-
 def materialize_stream(stream: Iterable[Tuple[int, int]]):
     """Drain one node's ``(op, value)`` stream into columnar arrays.
 
-    Returns ``(ops, values)`` — a ``uint8`` opcode column and an
-    ``int64`` value column, numpy arrays when available and
-    ``array.array`` otherwise.  Both expose the buffer protocol, so the
-    compiled backend ingests either via ``ffi.from_buffer`` with no
-    copies beyond this one materialization pass.
+    Returns ``(ops, values)``: a ``uint8`` opcode column and an
+    ``int64`` value column, as ``array.array``.  Both expose the buffer
+    protocol, so the compiled backend ingests them via
+    ``ffi.from_buffer`` with no copies beyond this one materialization
+    pass.
     """
     ops_list: List[int] = []
     vals_list: List[int] = []
@@ -596,12 +574,6 @@ def materialize_stream(stream: Iterable[Tuple[int, int]]):
     for op, value in stream:
         append_op(op)
         append_val(value)
-    numpy = get_numpy()
-    if numpy is not None:
-        count = len(ops_list)
-        ops = numpy.fromiter(ops_list, dtype=numpy.uint8, count=count)
-        vals = numpy.fromiter(vals_list, dtype=numpy.int64, count=count)
-        return ops, vals
     return array.array("B", ops_list), array.array("q", vals_list)
 
 
@@ -621,11 +593,9 @@ class StreamCache:
     A sweep/timing grid varies scheme, TLB/DLB geometry, and page size
     across cells, but every cell of the same workload drains the *same*
     reference stream — regeneration per cell is pure waste.  Columns are
-    therefore keyed by ``(stream_key, node, kind)`` where ``stream_key``
+    therefore keyed by ``(stream_key, node)`` where ``stream_key``
     identifies the workload recipe (``JobSpec.trace_hash()`` in grid
-    runs — the spec identity *minus* bank sizes/orgs and timing knobs)
-    and ``kind`` is the materialization flavor (numpy vs ``array``, so a
-    ``REPRO_NO_NUMPY`` flip never serves the wrong representation).
+    runs — the spec identity *minus* bank sizes/orgs and timing knobs).
 
     Consumers treat cached columns as immutable — the compiled engine
     only ever reads them (``const`` columns in C), and the scalar path
@@ -728,60 +698,13 @@ def materialize_shared(stream_key, node: int, stream_factory):
     """
     if stream_key is None:
         return materialize_stream(stream_factory())
-    kind = "numpy" if get_numpy() is not None else "array"
-    key = (stream_key, node, kind)
+    key = (stream_key, node)
     columns = _stream_cache.get(key)
     if columns is not None:
         return columns
     columns = materialize_stream(stream_factory())
     _stream_cache.put(key, columns)
     return columns
-
-
-def sync_positions(ops) -> List[int]:
-    """Indices of synchronization opcodes in a columnar op stream."""
-    numpy = get_numpy()
-    if numpy is not None:
-        arr = numpy.asarray(ops, dtype=numpy.uint8)
-        return [int(i) for i in numpy.flatnonzero(arr >= BARRIER)]
-    return [i for i, op in enumerate(ops) if op >= BARRIER]
-
-
-#: Epoch boundary markers for :func:`epoch_spans`.
-EPOCH_END = -1  # stream ran out
-EPOCH_TRUNCATED = -2  # max_refs_per_node cut the stream short
-
-
-def epoch_spans(ops, max_refs: Optional[int] = None) -> List[Tuple[int, int, int]]:
-    """Split a columnar op stream into memory-reference epochs.
-
-    Returns ``(start, stop, boundary)`` triples: ``ops[start:stop]`` are
-    the memory references of one epoch and ``boundary`` is the index of
-    the terminating sync op, :data:`EPOCH_END` when the stream ran out,
-    or :data:`EPOCH_TRUNCATED` when ``max_refs`` memory references were
-    reached first.  Only memory references count toward ``max_refs``,
-    matching the scalar simulator's ``refs_done`` accounting; a sync op
-    sitting exactly at the truncation point is *not* executed (the
-    simulator finishes the node before consuming it).
-    """
-    spans: List[Tuple[int, int, int]] = []
-    total = len(ops)
-    done = 0
-    start = 0
-    for idx in sync_positions(ops):
-        refs_here = idx - start
-        if max_refs is not None and done + refs_here >= max_refs:
-            spans.append((start, start + (max_refs - done), EPOCH_TRUNCATED))
-            return spans
-        done += refs_here
-        spans.append((start, idx, idx))
-        start = idx + 1
-    refs_here = total - start
-    if max_refs is not None and done + refs_here > max_refs:
-        spans.append((start, start + (max_refs - done), EPOCH_TRUNCATED))
-    else:
-        spans.append((start, total, EPOCH_END))
-    return spans
 
 
 # ---------------------------------------------------------------------------

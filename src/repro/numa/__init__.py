@@ -15,8 +15,8 @@ This package implements that baseline machine: fixed home memories (no
 attraction memory), an MSI write-invalidate protocol over the home
 directories, and the same cache/translation plumbing as the COMA
 machine, so the two architectures run identical workloads and the
-paper's motivating comparison (``benchmarks/bench_numa_motivation.py``)
-is measurable.
+paper's motivating comparison (``python -m repro paper run numa``) is
+measurable.
 
 Scheme naming: :data:`SHARED_TLB` aliases ``Scheme.V_COMA`` — both mean
 "virtual caches, translation at the home selected by the virtual

@@ -18,8 +18,8 @@ Two consumers:
 * :meth:`RunHistory.compare` — a direct diff of one entry against a
   baseline entry, metric by metric.
 
-``repro history`` is the CLI surface; ``benchmarks/bench_common`` and
-the report's Telemetry section append entries automatically.
+``repro history`` is the CLI surface; ``benchmarks/bench_throughput.py``
+(``--history-dir``) and the report's Telemetry section append entries.
 """
 
 from __future__ import annotations

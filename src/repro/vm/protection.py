@@ -15,7 +15,7 @@ of the page (paper Section 4.3):
 
 :class:`ProtectionManager` implements both flows over a machine and
 reports their cost, so the consistency advantage is measurable (see
-``benchmarks/bench_ablation_shootdown.py``).
+``python -m repro paper run ablation-shootdown``).
 """
 
 from __future__ import annotations

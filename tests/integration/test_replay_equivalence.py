@@ -6,16 +6,15 @@ This suite runs the scalar reference engine and the record/replay path
 on the same specs and compares every number: per-scheme (all five of
 the paper's translation schemes, via their tap points), per-organization,
 per-size, plus the hierarchy-side summary the study rides on.  The
-replay runs three ways: on the compiled engine with numpy columns,
-with ``array.array`` columns (``REPRO_NO_NUMPY``), and with the
-compiled backend disabled (``REPRO_NO_COMPILED``: scalar capture and
-scalar ``TranslationBuffer`` replay).
+replay runs two ways: on the compiled engine, and with the compiled
+backend disabled (``REPRO_NO_COMPILED``: scalar capture and scalar
+``TranslationBuffer`` replay).
 """
 
 import pytest
 
 from repro import MachineParams
-from repro.core.timing_kernels import NO_COMPILED_ENV, NO_NUMPY_ENV, get_numpy
+from repro.core.timing_kernels import NO_COMPILED_ENV
 from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME
 from repro.core.tlb import Organization
 from repro.runner import JobSpec, TraceStore
@@ -71,13 +70,11 @@ def scalar_summaries(params):
 
 @pytest.fixture(
     scope="module",
-    params=[None, NO_NUMPY_ENV, NO_COMPILED_ENV],
-    ids=["numpy", "no-numpy", "no-compiled"],
+    params=[None, NO_COMPILED_ENV],
+    ids=["compiled", "no-compiled"],
 )
 def replay_summaries(request, params):
     """The replay runs, once per environment."""
-    if request.param is None and get_numpy() is None:
-        pytest.skip("numpy unavailable in this environment")
     monkeypatch = pytest.MonkeyPatch()
     if request.param is not None:
         monkeypatch.setenv(request.param, "1")

@@ -11,8 +11,8 @@ latency histograms) — matches the scalar :class:`StudyAgent` run, which
 is retained purely as the differential-testing oracle behind
 ``fast=False`` / ``REPRO_NO_FAST_SWEEP``.
 
-The matrix also covers the degraded environments (``REPRO_NO_NUMPY``
-columns, ``REPRO_NO_COMPILED`` full fallback) and both sides of the
+The matrix also covers the degraded environment (``REPRO_NO_COMPILED``
+full fallback) and both sides of the
 record/replay split: replayed grids (``JobSpec.execute(replay=True)``,
 whose captures now also ride the compiled engine) must keep matching
 the coupled scalar sweep.
@@ -23,7 +23,7 @@ import pytest
 from repro import MachineParams, make_workload
 from repro.analysis import run_miss_sweep
 from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME
-from repro.core.timing_kernels import NO_COMPILED_ENV, NO_NUMPY_ENV, get_backend, get_numpy
+from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
 from repro.core.tlb import Organization
 from repro.runner import JobSpec
 from repro.runner.summary import RunSummary
@@ -195,7 +195,7 @@ def make_spec(params, workload="radix"):
 
 
 class TestReplayMatrix:
-    """replay-on/off × numpy/no-numpy/no-compiled against one oracle."""
+    """replay-on/off × compiled/no-compiled against one oracle."""
 
     @pytest.fixture(scope="class")
     def scalar_oracle(self, params):
@@ -209,12 +209,10 @@ class TestReplayMatrix:
     @pytest.mark.parametrize("replay", [True, False], ids=["replay", "coupled"])
     @pytest.mark.parametrize(
         "env",
-        [None, NO_NUMPY_ENV, NO_COMPILED_ENV],
-        ids=["numpy", "no-numpy", "no-compiled"],
+        [None, NO_COMPILED_ENV],
+        ids=["compiled", "no-compiled"],
     )
     def test_matrix_cell(self, params, scalar_oracle, replay, env, monkeypatch):
-        if env == NO_NUMPY_ENV and get_numpy() is None:
-            pytest.skip("numpy unavailable in this environment")
         if env is not None:
             monkeypatch.setenv(env, "1")
         summary = make_spec(params).execute(replay=replay)

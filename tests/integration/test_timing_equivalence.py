@@ -17,9 +17,8 @@ compiled engine writes the tracer's packed records itself, and the
 JSONL bytes (file-backed tracers) or ring records and drop counts
 (memory-only tracers) must equal the scalar run's.
 
-The matrix also covers the degraded environments: the columnar
-materialization without numpy (``REPRO_NO_NUMPY``) and the full
-scalar fallback with the compiled backend disabled (``REPRO_NO_COMPILED``)
+The matrix also covers the degraded environment: the full scalar
+fallback with the compiled backend disabled (``REPRO_NO_COMPILED``)
 must produce the same numbers again.
 """
 
@@ -29,7 +28,7 @@ from repro import MachineParams, Scheme, Simulator, make_workload
 from repro.analysis import run_timing
 from repro.common.errors import ReproError
 from repro.core.schemes import SCHEME_ORDER
-from repro.core.timing_kernels import NO_COMPILED_ENV, NO_NUMPY_ENV, get_backend, get_numpy
+from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
 from repro.core.tlb import Organization
 from repro.fuzz.oracle import literal_machine, machine_state, summary_surface
 from repro.obs import Tracer
@@ -265,6 +264,28 @@ class TestSyncHeavy:
         assert summary_surface(fast) == summary_surface(scalar)
         assert machine_state(fast.machine) == machine_state(scalar.machine)
 
+    def test_sync_exactly_at_the_cut_is_not_executed(self, params):
+        """Node 0's barrier sits right after its 10th reference and
+        max_refs is 10: the node finishes before consuming the barrier,
+        so only the other three nodes execute it."""
+        streams = [
+            [(WRITE, i * 64) for i in range(10)] + [(BARRIER, 0), (READ, 0)],
+            [(READ, i * 256) for i in range(5)] + [(BARRIER, 0), (WRITE, 128)],
+            [(BARRIER, 0)],
+            [(BARRIER, 0)],
+        ]
+        fast = Simulator(
+            literal_machine(params, Scheme.V_COMA, streams), max_refs_per_node=10
+        ).run()
+        scalar = Simulator(
+            literal_machine(params, Scheme.V_COMA, streams), max_refs_per_node=10, fast=False
+        ).run()
+        assert fast.backend == "compiled"
+        assert fast.refs_per_node[0] == scalar.refs_per_node[0] == 10
+        assert fast.barriers == scalar.barriers == 3
+        assert summary_surface(fast) == summary_surface(scalar)
+        assert machine_state(fast.machine) == machine_state(scalar.machine)
+
 
 class TestTracedEngineError:
     def test_engine_error_leaves_the_same_truncated_spans(self, params):
@@ -291,17 +312,6 @@ class TestBackendMatrix:
             params, Scheme.V_COMA,
             make_workload("raytrace", intensity=0.5), 8, fast=False,
         )
-
-    @pytest.mark.skipif(get_numpy() is None, reason="numpy unavailable")
-    def test_no_numpy_materialization(self, params, scalar_reference, monkeypatch):
-        """array.array columns feed the engine identically to numpy's."""
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        fast = run_timing(
-            params, Scheme.V_COMA,
-            make_workload("raytrace", intensity=0.5), 8,
-        )
-        assert fast.backend == "compiled"
-        assert summary_surface(fast) == summary_surface(scalar_reference)
 
     def test_no_compiled_falls_back_scalar(self, params, scalar_reference, monkeypatch):
         """REPRO_NO_COMPILED disables the backend; results don't change."""

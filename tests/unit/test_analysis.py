@@ -15,7 +15,6 @@ from repro.analysis import (
     render_miss_rate_table,
     render_overhead_table,
     render_pressure_profile,
-    run_execution_breakdown,
     run_miss_sweep,
     run_timing,
     scheme_miss_rates,
@@ -104,17 +103,6 @@ class TestExperimentRunners:
             entries=8, include_l2_writebacks=False, max_refs_per_node=500,
         )
         assert without.timing_summary()["accesses"] <= with_wb.timing_summary()["accesses"]
-
-    def test_run_execution_breakdown_labels(self):
-        params = MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
-        from repro.workloads import OceanWorkload
-
-        runs = run_execution_breakdown(
-            params, OceanWorkload, entries=8, max_refs_per_node=200
-        )
-        assert set(runs) == {"TLB/8", "TLB/8/DM", "DLB/8", "DLB/8/DM"}
-        assert runs["TLB/8"].scheme is Scheme.L0_TLB
-        assert runs["DLB/8"].scheme is Scheme.V_COMA
 
 
 class TestRendering:

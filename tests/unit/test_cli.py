@@ -13,7 +13,10 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
-FAST = ["--nodes", "2", "--factor", "256", "--page-size", "256", "--refs", "300"]
+#: The tiny machine of tests/unit/test_report.py.
+MACHINE = ["--nodes", "2", "--factor", "256", "--page-size", "256"]
+#: Single-run commands also bound the references per node.
+FAST = MACHINE + ["--refs", "300"]
 
 
 class TestParsing:
@@ -38,7 +41,7 @@ class TestParsing:
 
 class TestCommands:
     def test_describe(self, capsys):
-        code, out = run_cli(capsys, "describe", *FAST)
+        code, out = run_cli(capsys, "describe", *MACHINE)
         assert code == 0
         assert "2 nodes" in out
 
@@ -71,43 +74,45 @@ class TestCommands:
         assert "translation" in out and "misses" in out
 
     def test_table2(self, capsys):
-        code, out = run_cli(
-            capsys, "table2", "ocean", "--intensity", "0.1", *FAST
-        )
+        code, out = run_cli(capsys, "paper", "run", "table2", *MACHINE)
         assert code == 0
         assert "Table 2" in out and "OCEAN" in out
 
     def test_table3(self, capsys):
-        code, out = run_cli(
-            capsys, "table3", "ocean", "--intensity", "0.1", *FAST
-        )
+        code, out = run_cli(capsys, "paper", "run", "table3", *MACHINE)
         assert code == 0
         assert "Table 3" in out
 
     def test_table4(self, capsys):
-        code, out = run_cli(
-            capsys, "table4", "barnes", "--intensity", "0.1", *FAST
-        )
+        code, out = run_cli(capsys, "paper", "run", "table4", *MACHINE)
         assert code == 0
         assert "Table 4" in out and "DLB/16" in out
 
     def test_pressure(self, capsys):
-        code, out = run_cli(capsys, "pressure", "fft", *FAST)
+        code, out = run_cli(capsys, "paper", "run", "fig11", *MACHINE)
         assert code == 0
-        assert "Pressure Profile" in out
+        assert "Pressure Profile — FFT" in out
 
     def test_pressure_raytrace_v2(self, capsys):
-        code, out = run_cli(capsys, "pressure", "raytrace", "--v2", *FAST)
+        code, out = run_cli(capsys, "paper", "run", "fig11-padding", *MACHINE)
         assert code == 0
-        assert "mean=" in out
+        assert "V2 (PAGE-ALIGNED PADDING)" in out and "mean=" in out
 
 
 class TestReportCommand:
+    def test_refs_is_a_usage_error(self, capsys):
+        # report always runs complete streams; it must not accept a
+        # bound it would ignore.
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--refs", "5"])
+        assert exc.value.code == 2
+        assert "--refs" in capsys.readouterr().err
+
     def test_report_writes_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.md"
         code, out = run_cli(
             capsys, "report", "ocean", "--out", str(out_file),
-            "--no-figures", *FAST
+            "--no-figures", *MACHINE
         )
         assert code == 0
         text = out_file.read_text()
@@ -117,7 +122,7 @@ class TestReportCommand:
     def test_report_with_figures(self, capsys, tmp_path):
         out_file = tmp_path / "report.md"
         code, out = run_cli(
-            capsys, "report", "barnes", "--out", str(out_file), *FAST
+            capsys, "report", "barnes", "--out", str(out_file), *MACHINE
         )
         assert code == 0
         text = out_file.read_text()
@@ -196,7 +201,7 @@ class TestObservabilityCommands:
         metrics_file = tmp_path / "report.json"
         code, out = run_cli(
             capsys, "report", "ocean", "--out", str(out_file),
-            "--no-figures", "--metrics-out", str(metrics_file), *FAST
+            "--no-figures", "--metrics-out", str(metrics_file), *MACHINE
         )
         assert code == 0
         assert "Telemetry" in out_file.read_text()

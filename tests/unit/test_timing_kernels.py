@@ -1,13 +1,8 @@
-"""Unit tests for the columnar timing-kernel helpers.
-
-The epoch slicer is the contract between the Python driver and the
-compiled engine: ``max_refs_per_node`` truncation must land on exactly
-the reference the scalar simulator would have stopped at, and a sync
-op sitting exactly at the truncation point must NOT be executed (the
-scalar loop checks ``refs_done`` before consuming the sync).  Getting
-any of these boundaries wrong shifts every downstream barrier/lock
-interaction, so they get exhaustive coverage here, independent of the
-heavyweight differential suite.
+"""Unit tests for the columnar timing-kernel helpers: stream
+materialization, RNG state marshalling and the compiled backend's
+loader.  Epoch boundaries (where ``max_refs_per_node`` cuts a stream)
+are cut in C; ``tests/integration/test_timing_equivalence.py`` checks
+them against the scalar simulator.
 """
 
 import array
@@ -16,107 +11,16 @@ import random
 import pytest
 
 from repro.core.timing_kernels import (
-    EPOCH_END,
-    EPOCH_TRUNCATED,
-    NO_NUMPY_ENV,
     RNG_STATE_WORDS,
     backend_status,
-    epoch_spans,
     get_backend,
-    get_numpy,
     load_rng_state,
     materialize_stream,
     rng_state_words,
-    sync_positions,
 )
-from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
+from repro.system.refs import BARRIER, READ, WRITE
 
-R, W, B, L, U = READ, WRITE, BARRIER, LOCK, UNLOCK
-
-
-class TestEpochSpans:
-    def test_no_syncs(self):
-        assert epoch_spans([R, W, R]) == [(0, 3, EPOCH_END)]
-
-    def test_empty_stream(self):
-        assert epoch_spans([]) == [(0, 0, EPOCH_END)]
-
-    def test_sync_at_start(self):
-        assert epoch_spans([B, R, R]) == [(0, 0, 0), (1, 3, EPOCH_END)]
-
-    def test_sync_at_end(self):
-        assert epoch_spans([R, R, B]) == [(0, 2, 2), (3, 3, EPOCH_END)]
-
-    def test_adjacent_syncs(self):
-        assert epoch_spans([R, B, L, W, U]) == [
-            (0, 1, 1),
-            (2, 2, 2),
-            (3, 4, 4),
-            (5, 5, EPOCH_END),
-        ]
-
-    def test_truncation_before_first_sync(self):
-        assert epoch_spans([R, R, R, B, R], max_refs=2) == [(0, 2, EPOCH_TRUNCATED)]
-
-    def test_truncation_exactly_at_sync(self):
-        # 2 refs then a barrier: with max_refs=2 the barrier is NOT
-        # executed — the scalar loop finishes the node before consuming
-        # the sync op, so the span must say TRUNCATED, not boundary=2.
-        assert epoch_spans([R, W, B, R], max_refs=2) == [(0, 2, EPOCH_TRUNCATED)]
-
-    def test_truncation_spanning_epochs(self):
-        # 1 ref, barrier, then the cut lands inside the second epoch.
-        assert epoch_spans([R, B, W, W, W], max_refs=2) == [
-            (0, 1, 1),
-            (2, 3, EPOCH_TRUNCATED),
-        ]
-
-    def test_truncation_exactly_at_stream_end(self):
-        # max_refs equals the total reference count: the node finishes
-        # naturally — EPOCH_END, not TRUNCATED.
-        assert epoch_spans([R, W, R], max_refs=3) == [(0, 3, EPOCH_END)]
-
-    def test_truncation_exactly_at_stream_end_after_sync(self):
-        assert epoch_spans([R, B, W], max_refs=2) == [
-            (0, 1, 1),
-            (2, 3, EPOCH_END),
-        ]
-
-    def test_truncation_one_past_stream_end(self):
-        assert epoch_spans([R, W], max_refs=5) == [(0, 2, EPOCH_END)]
-
-    def test_max_refs_zero(self):
-        assert epoch_spans([R, W], max_refs=0) == [(0, 0, EPOCH_TRUNCATED)]
-
-    def test_spans_partition_the_stream(self):
-        ops = [R, W, B, R, L, W, U, R, R, B, W]
-        spans = epoch_spans(ops)
-        # Consecutive spans tile the stream; each boundary is the sync
-        # op between them.
-        assert spans[0][0] == 0
-        for (s0, e0, b0), (s1, _, _) in zip(spans, spans[1:]):
-            assert b0 == e0
-            assert s1 == e0 + 1
-        assert spans[-1] == (10, 11, EPOCH_END)
-
-    def test_columnar_input(self):
-        ops, _ = materialize_stream([(R, 0), (B, 1), (W, 2)])
-        assert epoch_spans(ops) == [(0, 1, 1), (2, 3, EPOCH_END)]
-
-
-class TestSyncPositions:
-    def test_basic(self):
-        assert sync_positions([R, B, W, L, U, R]) == [1, 3, 4]
-
-    def test_none(self):
-        assert sync_positions([R, W, R]) == []
-
-    @pytest.mark.skipif(get_numpy() is None, reason="numpy unavailable")
-    def test_numpy_matches_fallback(self, monkeypatch):
-        ops = [random.Random(7).choice([R, W, B, L, U]) for _ in range(500)]
-        with_numpy = sync_positions(array.array("B", ops))
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        assert sync_positions(array.array("B", ops)) == with_numpy
+R, W, B = READ, WRITE, BARRIER
 
 
 class TestMaterializeStream:
@@ -125,30 +29,13 @@ class TestMaterializeStream:
         assert list(ops) == [R, W, B]
         assert list(vals) == [4096, -1, 3]
         # Both columns must expose the buffer protocol for ffi.from_buffer.
+        assert isinstance(ops, array.array) and isinstance(vals, array.array)
         assert memoryview(ops).itemsize == 1
         assert memoryview(vals).itemsize == 8
 
     def test_empty(self):
         ops, vals = materialize_stream(iter(()))
         assert len(ops) == 0 and len(vals) == 0
-
-    @pytest.mark.skipif(get_numpy() is None, reason="numpy unavailable")
-    def test_fallback_matches_numpy(self, monkeypatch):
-        stream = [(W, i * 64) for i in range(100)] + [(B, 0)]
-        np_ops, np_vals = materialize_stream(iter(stream))
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        py_ops, py_vals = materialize_stream(iter(stream))
-        assert isinstance(py_ops, array.array)
-        assert list(py_ops) == list(np_ops)
-        assert list(py_vals) == list(np_vals)
-
-    def test_env_var_disables_numpy(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        assert get_numpy() is None
-        ops, vals = materialize_stream([(R, 1)])
-        assert isinstance(ops, array.array) and isinstance(vals, array.array)
-        monkeypatch.delenv(NO_NUMPY_ENV)
-        get_numpy()  # either numpy or None; must not raise
 
 
 class TestRngMarshalling:
