@@ -71,7 +71,9 @@ def scalar_summaries(params):
 @pytest.fixture(
     scope="module",
     params=[None, NO_COMPILED_ENV],
-    ids=["compiled", "no-compiled"],
+    # "C" is kept short so every case's name stays unique in its first
+    # 100 characters (the workload must show after the engine).
+    ids=["C", "no-compiled"],
 )
 def replay_summaries(request, params):
     """The replay runs, once per environment."""
