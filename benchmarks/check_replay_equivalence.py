@@ -12,8 +12,12 @@ rate and hierarchy counter.  The summaries must be equal except for the
 engine-provenance pair (``backend``/``fallback_reason``), which is
 checked on its own: the replayed summaries say ``...+replay`` and the
 reference says ``scalar``.  Exits non-zero listing each divergence.
-The check honours ``REPRO_NO_COMPILED``, so CI runs it against both the
-compiled batch replay kernel and the scalar ``TranslationBuffer`` path.
+The recorded traces themselves are checked too: each workload's
+capture (headless on the compiled engine) must serialize to the same
+bytes as the scalar engine's capture once the provenance pair is
+copied over.  The check honours ``REPRO_NO_COMPILED``, so CI runs it
+against both the compiled batch replay kernel and the scalar
+``TranslationBuffer`` path.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from repro.core.timing_kernels import backend_status
 from repro.core.tlb import Organization
 from repro.runner import BatchRunner, JobSpec, TraceStore
 from repro.runner.summary import RunSummary
+from repro.system.taptrace import capture_tap_traces
 
 PARAMS = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
 WORKLOADS = ("radix", "fft")
@@ -109,13 +114,30 @@ def main() -> int:
         if slow.backend != "scalar":
             failures.append(f"{name}: reference backend is {slow.backend!r}, not 'scalar'")
 
+    for name in WORKLOADS:
+        captures = [
+            capture_tap_traces(
+                PARAMS, make_workload(name, intensity=INTENSITY),
+                max_refs_per_node=MAX_REFS, fast=fast,
+            )
+            for fast in (True, False)
+        ]
+        recorded, reference = captures
+        reference.base.backend = recorded.base.backend
+        reference.base.fallback_reason = recorded.base.fallback_reason
+        if recorded.to_bytes() != reference.to_bytes():
+            failures.append(f"{name}: captured trace bytes differ from the scalar capture")
+
     checked = len(WORKLOADS) * len(SCHEME_ORDER) * len(SIZES) * len(ORGS)
     if failures:
         print(f"FAIL: {len(failures)} mismatches out of {checked} design points:")
         for line in failures:
             print(f"  {line}")
         return 1
-    print(f"OK: {checked} design points bit-identical (plus summaries, provenance and disk round-trip)")
+    print(
+        f"OK: {checked} design points bit-identical (plus summaries, trace "
+        f"bytes, provenance and disk round-trip)"
+    )
     return 0
 
 

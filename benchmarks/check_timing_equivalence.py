@@ -19,6 +19,11 @@ bytes to match as well: the compiled engine writes the tracer's packed
 records itself, so these rows drive its trace buffer through growth
 and repeated drains.
 
+Every ``CASES`` row also runs a third time as a runner job
+(``JobSpec.execute``), which reads its summary straight from the
+compiled engine without building a machine; that summary must equal
+the scalar run's too.
+
 The check honours ``REPRO_NO_COMPILED``, so CI runs it against both
 backends.  When the
 compiled backend is unavailable (missing gcc/cffi, or ``REPRO_NO_COMPILED``
@@ -43,6 +48,7 @@ from repro.core.schemes import SCHEME_ORDER
 from repro.core.timing_kernels import backend_status, get_backend
 from repro.core.tlb import Organization
 from repro.obs import Tracer
+from repro.runner import JobSpec
 from repro.runner.summary import RunSummary
 
 PARAMS = MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
@@ -64,7 +70,8 @@ TRACED_CASES = (
 
 def comparable(result) -> dict:
     """The run's full serialized surface minus the engine tags."""
-    payload = RunSummary.from_result(result).to_dict()
+    summary = result if isinstance(result, RunSummary) else RunSummary.from_result(result)
+    payload = summary.to_dict()
     payload.pop("backend", None)
     payload.pop("fallback_reason", None)
     return payload
@@ -107,15 +114,20 @@ def main() -> int:
                 PARAMS, scheme, make_workload(name, intensity=intensity),
                 entries, fast=False, **kwargs
             )
-            checked += 1
-            compiled_runs += fast.backend == "compiled"
-            if comparable(fast) != comparable(scalar):
-                failures.append(f"{label}: fast ({fast.backend}) != scalar")
-            elif compiled_expected and fast.backend != "compiled":
-                failures.append(
-                    f"{label}: ran {fast.backend} ({fast.fallback_reason}) "
-                    f"with the compiled backend available"
-                )
+            job = JobSpec.timing(
+                PARAMS, scheme, name, entries,
+                overrides={"intensity": intensity}, **kwargs
+            ).execute()
+            for engine, run in (("fast", fast), ("job", job)):
+                checked += 1
+                compiled_runs += run.backend == "compiled"
+                if comparable(run) != comparable(scalar):
+                    failures.append(f"{label}: {engine} ({run.backend}) != scalar")
+                elif compiled_expected and run.backend != "compiled":
+                    failures.append(
+                        f"{label}: {engine} ran {run.backend} "
+                        f"({run.fallback_reason}) with the compiled backend available"
+                    )
 
     with tempfile.TemporaryDirectory() as scratch:
         for scheme, name, intensity, entries in TRACED_CASES:

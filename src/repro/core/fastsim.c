@@ -1853,26 +1853,40 @@ void fs_set_stream(FastSim *s, int node, const uint8_t *ops, const int64_t *vals
     s->slen[node] = len;
 }
 
-int fs_pagemap_add(FastSim *s, int64_t vpn, int64_t pfn) {
-    if (map_put(&s->vpn2pfn, vpn, pfn)) return FS_ERR_INTERNAL;
-    if (map_put(&s->pfn2vpn, pfn, vpn)) return FS_ERR_INTERNAL;
-    return 0;
-}
-
-int fs_am_load(FastSim *s, int node, int64_t block, int state) {
-    Lru *am = &s->am[node];
-    int64_t set = lru_set_of(am, block);
-    if (am->count[set] >= am->assoc) return FS_ERR_INTERNAL;
-    lru_append(am, set, block, (uint8_t)state);
-    return 0;
-}
-
-int fs_dir_load(FastSim *s, int64_t block, int owner, const uint64_t *sharer_words) {
-    int64_t slot = dir_entry_slot(&s->dir, block);
-    if (slot < 0) return (int)slot;
-    s->dir.owner[slot] = owner;
-    memcpy(s->dir.sharers + slot * s->dir.swords, sharer_words,
-           s->dir.swords * sizeof(uint64_t));
+/* Machine._preload's image: ProtocolEngine.preload_block over every
+ * block of every page, in the placement's page order.  ppns[i] is the
+ * protocol page of vpns[i] (the VPN itself on virtual-AM schemes, the
+ * PFN otherwise).  A block's master copy goes to the first node, from
+ * its home onward, whose AM set has a free way; nothing is drawn from
+ * any RNG.  Physical-AM runs also get the vpn <-> pfn maps.  Directory
+ * lookups are not counted: a Python machine counts its own preload's. */
+int fs_preload(FastSim *s, const int64_t *vpns, const int64_t *ppns, int64_t npages) {
+    int64_t blocks = ((int64_t)1 << s->page_bits) / s->am_block;
+    for (int64_t i = 0; i < npages; i++) {
+        if (!s->virtual_am && (map_put(&s->vpn2pfn, vpns[i], ppns[i]) ||
+                               map_put(&s->pfn2vpn, ppns[i], vpns[i])))
+            return FS_ERR_INTERNAL;
+        int64_t base = ppns[i] << s->page_bits;
+        for (int64_t b = 0; b < blocks; b++) {
+            int64_t block = base + b * s->am_block;
+            int64_t slot = dir_entry_slot(&s->dir, block);
+            if (slot < 0) return (int)slot;
+            if (s->dir.owner[slot] >= 0) continue;
+            int home = home_of(s, block);
+            int placed = 0;
+            for (int64_t offset = 0; offset < s->nodes && !placed; offset++) {
+                int target = (int)((home + offset) & s->node_mask);
+                Lru *am = &s->am[target];
+                int64_t set = lru_set_of(am, block);
+                if (am->count[set] < am->assoc) {
+                    lru_append(am, set, block, AM_MASTER_SHARED);
+                    s->dir.owner[slot] = target;
+                    placed = 1;
+                }
+            }
+            if (!placed) return FS_ERR_CAPACITY;
+        }
+    }
     return 0;
 }
 

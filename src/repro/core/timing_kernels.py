@@ -12,8 +12,9 @@ whole machine — heap, caches, attraction memories, directory, TLB/DLB,
 RNG — returning to Python only at sync events.  The scalar engine in
 :mod:`repro.system.simulator` is retained as the differential-testing
 oracle; every counter, breakdown, histogram, cache image, and RNG state
-the compiled engine produces is copied back bit-identically
-(``tests/integration/test_timing_equivalence.py``).
+the compiled engine produces matches it bit for bit
+(``tests/integration/test_timing_equivalence.py``), whether it is read
+straight into a runner job's summary or copied back into a machine.
 
 Backend selection:
 
@@ -73,9 +74,7 @@ typedef struct FastSim FastSim;
 FastSim *fs_create(const int64_t *geom);
 void fs_destroy(FastSim *s);
 void fs_set_stream(FastSim *s, int node, const uint8_t *ops, const int64_t *vals, int64_t len);
-int fs_pagemap_add(FastSim *s, int64_t vpn, int64_t pfn);
-int fs_am_load(FastSim *s, int node, int64_t block, int state);
-int fs_dir_load(FastSim *s, int64_t block, int owner, const uint64_t *sharer_words);
+int fs_preload(FastSim *s, const int64_t *vpns, const int64_t *ppns, int64_t npages);
 void fs_seed_engine(FastSim *s, const uint32_t *state);
 void fs_seed_tlb(FastSim *s, int idx, const uint32_t *state);
 void fs_port_load(FastSim *s, const int64_t *free_at);

@@ -138,9 +138,12 @@ class NumaEngine:
                 self.inclusion_hook(owner, block, "invalidate")
                 entry.owner = None
             else:
-                self.inclusion_hook(owner, block, "downgrade")
-                entry.sharers.add(owner)
+                # Ownership moves before the downgrade drains the old
+                # owner's dirty lines, so their writebacks find a block
+                # nobody owns.
                 entry.owner = None
+                entry.sharers.add(owner)
+                self.inclusion_hook(owner, block, "downgrade")
             t = self.crossbar.transfer(MessageKind.BLOCK_REPLY, owner, node, t)
             self.counters.add("cache_to_cache")
         else:
@@ -193,9 +196,14 @@ class NumaEngine:
             raise ProtocolError(
                 f"node {node}: NUMA writeback of {block:#x} owned by {entry.owner}"
             )
-        # owner may already be None: several SLC lines live inside one
-        # coherence block and the first writeback cleared it.
-        entry.owner = None
+        if entry.owner == node:
+            # Several SLC lines live inside one coherence block.  The
+            # whole block goes home with this writeback, so the writer
+            # drops its other lines of it: a node that is neither owner
+            # nor sharer must not keep a dirty line the next writer's
+            # invalidations would miss.
+            entry.owner = None
+            self.inclusion_hook(node, block, "invalidate")
         self.crossbar.transfer(MessageKind.INJECT, node, home, now)
         self.counters.add("writebacks_to_memory")
 

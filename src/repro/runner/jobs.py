@@ -175,10 +175,14 @@ class JobSpec:
         reference implementation.  Timing jobs are always coupled: the
         translation penalty perturbs the interleaving, so there is
         nothing to replay.
+
+        Compiled timing runs and captures are headless: their summary
+        comes straight from the C engine, with no Python machine built
+        (:func:`~repro.system.simulator.run_summary`).
         """
         # Imported here: repro.analysis imports the runner for its batch
         # entry points, so a module-level import would be circular.
-        from repro.analysis.experiments import run_miss_sweep, run_timing
+        from repro.analysis.experiments import run_miss_sweep, run_timing_summary
         from repro.runner.summary import RunSummary
 
         # The trace hash doubles as the stream-LRU key: it identifies
@@ -210,19 +214,18 @@ class JobSpec:
                 max_refs_per_node=self.max_refs_per_node,
                 stream_key=stream_key,
             )
-        else:
-            result = run_timing(
-                self.params,
-                Scheme(self.scheme),
-                self.build_workload(),
-                self.entries,
-                organization=Organization(self.organization),
-                include_l2_writebacks=self.include_l2_writebacks,
-                max_refs_per_node=self.max_refs_per_node,
-                contention=self.contention,
-                stream_key=stream_key,
-            )
-        return RunSummary.from_result(result)
+            return RunSummary.from_result(result)
+        return run_timing_summary(
+            self.params,
+            Scheme(self.scheme),
+            self.build_workload(),
+            self.entries,
+            organization=Organization(self.organization),
+            include_l2_writebacks=self.include_l2_writebacks,
+            max_refs_per_node=self.max_refs_per_node,
+            contention=self.contention,
+            stream_key=stream_key,
+        )
 
     # ------------------------------------------------------------------
     # identity

@@ -9,45 +9,71 @@ synchronization events (barriers, locks, stream end), where this module
 replays :class:`~repro.system.simulator.Simulator`'s sync semantics
 verbatim through thin C accessors.
 
-The contract is **bit-identical results**: after a fast run the machine
-object (counters, cache/AM/directory images, TLB contents, RNG states,
-histograms, breakdowns) is indistinguishable from one driven by the
-scalar engine, which the differential suite
+A run has three phases:
+
+1. **Start.**  ``fs_preload`` builds the preloaded AM/directory/page-map
+   image in C from the run's page placement
+   (:func:`~repro.system.machine.place_pages`), placing each block as
+   ``ProtocolEngine.preload_block`` does.  The streams are materialized
+   (or taken from the stream LRU) and the RNG states seeded.
+2. **Sync loop.**  ``fs_run`` until every node has finished.
+3. **Export, by caller.**  A :class:`HeadlessRun` — what runner jobs
+   and tap-trace captures use — reads back only what its
+   :class:`~repro.runner.summary.RunSummary` needs: breakdowns,
+   counters, latency histograms, TLB/DLB totals and, for a capture,
+   the tap columns.  No Python machine exists at any point.  A
+   :class:`~repro.system.simulator.Simulator` holds a machine, so the
+   whole final image (cache/AM sets in LRU order, directory entries,
+   TLB contents, RNG states, port free times) is copied back into it
+   as well.
+
+The contract is **bit-identical results**: a headless summary equals
+``RunSummary.from_result`` of the scalar run, and after a
+machine-backed run the machine is indistinguishable from one driven by
+the scalar engine, which the differential suite
 (``tests/integration/test_timing_equivalence.py``) enforces field by
 field.  Anything the C engine does not model — custom machine or agent
 types, a tracer on a sweep or capture run (or one not attached through
-the machine) — makes
-:func:`fallback_reason` return a string and the caller stays on the
-scalar path.  The crossbar's port-contention mode is modelled: the
-per-node port free times load into C before the run and export back
-after it.
+the machine) — makes :func:`fallback_reason` return a string and the
+caller stays on the scalar path.  The crossbar's port-contention mode
+is modelled.
 
 Traced timing runs are modelled too.  The C engine writes the
 tracer's packed records (:mod:`repro.obs.trace`) for everything the
 scalar engine would emit between synchronization points, using the
 codec and string-table ids of the emitters the machine's layers
-hoisted.  :func:`_drive` syncs the tracer's span-id counter and last
-seen time into C before every ``fs_run``/``fs_reference`` call, drains
-the buffer after it (``fs_run`` also returns ``TRACE_FULL`` when the
-buffer passes ``PACKED_FLUSH_BYTES``), and emits the generic ``run``
-span and ``sim.barrier``/``sim.lock`` events itself, so the trace is
-byte-identical to the scalar run's.  Once a record has reached the
-tracer the run counts as mutated: a later failure propagates instead
-of re-running on the scalar engine and writing every record twice.
+hoisted.  :func:`_sync_loop` syncs the tracer's span-id counter and
+last seen time into C before every ``fs_run``/``fs_reference`` call,
+drains the buffer after it (``fs_run`` also returns ``TRACE_FULL``
+when the buffer passes ``PACKED_FLUSH_BYTES``), and emits the generic
+``run`` span and ``sim.barrier``/``sim.lock`` events itself, so the
+trace is byte-identical to the scalar run's.  Once a record has
+reached the tracer the run counts as mutated: a later failure
+propagates instead of re-running on the scalar engine and writing
+every record twice.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import Dict, List, Optional
 
+from repro.common.address import AddressLayout
 from repro.common.errors import CapacityError, ProtocolError, ReproError
+from repro.common.stats import Counters, LatencyHistogram, TimeBreakdown
 from repro.coma.states import AMState
 from repro.core import timing_kernels as tk
 from repro.core.ladder import EngineDegraded, injected_fault
 from repro.core.schemes import TAP_OF_SCHEME, TapPoint
+from repro.system.machine import (
+    build_address_space,
+    engine_rng,
+    merge_counters,
+    place_pages,
+)
 from repro.system.refs import BARRIER, LOCK, UNLOCK
-from repro.system.results import RunResult
+from repro.system.results import RunResult, timing_summary
+from repro.system.taps import TimingAgent
 
 #: Set non-empty to force the scalar engine (CLI ``--no-fast-timing``).
 NO_FAST_ENV = "REPRO_NO_FAST_TIMING"
@@ -98,19 +124,27 @@ def _traced_throughout(machine) -> bool:
     )
 
 
-def fallback_reason(simulator) -> Optional[str]:
-    """None when the compiled fast path can reproduce this run exactly;
-    otherwise a short human-readable reason for staying scalar."""
-    from repro.system.machine import Machine
-    from repro.system.taps import TimingAgent
-
-    machine = simulator.machine
-    sweep_agent = _is_sweep_agent(machine.agent)
+def _switch_reason(sweep_agent: bool) -> Optional[str]:
+    """The env switch forcing the scalar engine for this kind of run."""
     if sweep_agent:
         if os.environ.get(NO_FAST_SWEEP_ENV):
             return f"disabled ({NO_FAST_SWEEP_ENV})"
     elif os.environ.get(NO_FAST_ENV):
         return f"disabled ({NO_FAST_ENV})"
+    return None
+
+
+def fallback_reason(simulator) -> Optional[str]:
+    """None when the compiled fast path can reproduce this run exactly;
+    otherwise a short human-readable reason for staying scalar."""
+    from repro.system.machine import Machine
+    from repro.coma.protocol import TranslationAgent
+
+    machine = simulator.machine
+    sweep_agent = _is_sweep_agent(machine.agent)
+    reason = _switch_reason(sweep_agent)
+    if reason is not None:
+        return reason
     if type(machine) is not Machine:
         return f"custom machine type {type(machine).__name__}"
     if (
@@ -120,8 +154,6 @@ def fallback_reason(simulator) -> Optional[str]:
     ) and (sweep_agent or not _traced_throughout(machine)):
         return "tracing attached"
     agent = machine.agent
-    from repro.coma.protocol import TranslationAgent
-
     # TimingAgent builds only fully-associative or direct-mapped
     # buffers (a set-associative one needs an assoc it does not take),
     # and the C engine models both.
@@ -145,44 +177,167 @@ def _raise_engine_error(status: int) -> None:
     raise EngineDegraded(f"C engine internal error (status {status})")
 
 
-def run_fast(simulator) -> RunResult:
+class HeadlessRun:
+    """A compiled run described by values alone, with no Python machine.
+
+    Runner jobs need only a :class:`~repro.runner.summary.RunSummary`,
+    so they skip :class:`~repro.system.machine.Machine` entirely: the
+    segments, the page placement
+    (:func:`~repro.system.machine.place_pages`, which raises the
+    preload's :class:`~repro.common.errors.CapacityError`) and the
+    workload context that generates the streams are all
+    :func:`run_fast` reads.  ``agent`` is a fresh
+    :class:`~repro.system.taps.TimingAgent` (its buffer geometry, RNG
+    states and, after the run, access/miss totals) or
+    :class:`~repro.system.taptrace.CaptureAgent` (its columns are
+    filled from the capture).
+    """
+
+    machine = None
+    tracer = None
+
+    def __init__(
+        self,
+        params,
+        scheme,
+        workload,
+        agent,
+        contention: bool = False,
+        max_refs_per_node: Optional[int] = None,
+        stream_key: Optional[str] = None,
+    ) -> None:
+        layout = AddressLayout.from_params(params)
+        space, self.ctx = build_address_space(params, layout, workload)
+        self.placement = place_pages(params, layout, scheme.uses_virtual_am, space)
+        self.params = params
+        self.scheme = scheme
+        self.workload = workload
+        self.agent = agent
+        self.contention = contention
+        self.max_refs_per_node = max_refs_per_node
+        self.stream_key = stream_key
+
+    def node_stream(self, node: int):
+        return self.workload.node_stream(node, self.ctx)
+
+
+def headless_eligible(agent) -> bool:
+    """Whether :func:`run_fast` may run a :class:`HeadlessRun` with this
+    agent: no env switch forces the scalar engine and the compiled
+    backend loads.  Otherwise the caller builds a machine and lets
+    :meth:`~repro.system.simulator.Simulator.run` name the reason."""
+    return _switch_reason(_is_sweep_agent(agent)) is None and tk.get_backend() is not None
+
+
+def degraded_reason(exc: BaseException) -> str:
+    """Record a compiled-engine degradation on the runtime metrics and
+    return the ``fallback_reason`` the scalar re-run carries."""
+    from repro.obs.runtime import record_fallback
+
+    detail = getattr(exc, "reason", None) or str(exc) or "MemoryError"
+    record_fallback("compiled", detail)
+    return f"compiled engine degraded: {detail}"
+
+
+def run_fast(run):
     """Run one simulation on the compiled engine.
 
-    The caller must have checked :func:`fallback_reason` first; this
-    function assumes eligibility and raises on engine errors.  Failures
-    the scalar oracle recovers from — C-side allocation failure, the
-    sticky internal error status, injected faults — raise
-    :class:`~repro.core.ladder.EngineDegraded` (or ``MemoryError``),
-    and are only raised while the Python machine is still pristine
-    (``simulator._fast_state_mutated`` guards the copy-back phase), so
-    :meth:`Simulator.run` can re-run the same machine on the scalar
-    engine.
-    """
-    from repro.system.taps import TimingAgent
+    ``run`` is a :class:`~repro.system.simulator.Simulator` or a
+    :class:`HeadlessRun`, and what comes back depends on which:
 
-    simulator._fast_state_mutated = False
+    * A simulator holds a machine, so the whole final image (caches,
+      AMs, directory, TLBs, RNG states, ports, sweep-agent state) is
+      copied back into it, as if the scalar engine had run it, and a
+      :class:`~repro.system.results.RunResult` is returned.
+    * A headless run gets its
+      :class:`~repro.runner.summary.RunSummary` read straight from C:
+      breakdowns, counters, latency histograms, TLB/DLB totals and,
+      for a capture, the tap columns.
+
+    Either way the starting AM/directory/page-map image is built in C
+    by ``fs_preload`` from the run's placement.  For a simulator that
+    is the machine's own :attr:`~repro.system.machine.Machine.placement`,
+    which assumes nothing changed the machine's AMs, directory or page
+    map between construction and :meth:`Simulator.run`.  No caller
+    does: ``run_timing``, ``run_miss_sweep``, the report and ablation
+    experiments, the fuzz harness and the runner's scalar fallback all
+    run a machine straight after building it.  The engine RNG, the TLB
+    RNGs and the crossbar's port free times are still read from the
+    machine.
+
+    The caller must have checked eligibility first (:func:`fallback_reason`
+    or :func:`headless_eligible`); this function raises on engine
+    errors.  Failures the scalar oracle recovers from — C-side
+    allocation failure, the sticky internal error status, injected
+    faults — raise :class:`~repro.core.ladder.EngineDegraded` (or
+    ``MemoryError``), and only while nothing outside C has changed
+    (``run._fast_state_mutated`` guards the copy-back phase), so the
+    caller can re-run on the scalar engine.
+    """
+    run._fast_state_mutated = False
     fault = injected_fault()
     if fault == "create":
         raise EngineDegraded("injected fault: engine allocation failed (create)")
 
     backend = tk.get_backend()
     ffi, lib = backend.ffi, backend.lib
-    machine = simulator.machine
-    params = machine.params
-    layout = machine.layout
-    engine = machine.engine
-    agent = machine.agent
-    nodes = machine.nodes
-    count = params.nodes
-    think = machine.workload.think_cycles
+    machine = run.machine
+    source = run if machine is None else machine
+    agent = source.agent
     timing_agent = type(agent) is TimingAgent
-    max_refs = simulator.max_refs_per_node
-    swords = (count + 63) // 64
+    max_refs = run.max_refs_per_node
+    geom = _geometry(
+        source,
+        max_refs,
+        contention=run.contention if machine is None else machine.crossbar.contention,
+        relaxed=bool(machine and machine.nodes and machine.nodes[0].relaxed_writes),
+    )
 
-    dir_entries = sum(len(d) for d in engine.directories)
+    handle = lib.fs_create(ffi.new("int64_t[]", geom))
+    if handle == ffi.NULL:
+        raise EngineDegraded("C engine allocation failed (fs_create OOM)")
+    tracer = source.tracer
+    try:
+        # A traced run meets the oom fault where it would really strike:
+        # the trace buffer, which then refuses to grow past its first
+        # chunk.
+        if fault == "oom" and tracer is None:
+            raise EngineDegraded("injected fault: C allocation failed (oom)")
+        if fault == "internal":
+            _raise_engine_error(tk.ERR_INTERNAL)
+        if _is_sweep_agent(agent) and lib.fs_set_capture(handle, 1) != 0:
+            raise EngineDegraded("capture-mode allocation failed")
+        if tracer is None:
+            return _drive(run, source, ffi, lib, handle, timing_agent)
+        mark = tracer.checkpoint()
+        tracer.begin("run", 0, max_refs=max_refs)
+        config = _trace_config(run, tracer, fail_growth=fault == "oom")
+        lib.fs_set_trace(handle, ffi.new("int64_t[]", config))
+        try:
+            return _drive(run, source, ffi, lib, handle, timing_agent)
+        except (EngineDegraded, MemoryError):
+            # Nothing reached the tracer yet: forget the run span so the
+            # scalar re-run starts from the same tracer state.
+            if not run._fast_state_mutated:
+                tracer.rewind(mark)
+            raise
+    finally:
+        lib.fs_destroy(handle)
+
+
+def _geometry(source, max_refs: Optional[int], contention: bool, relaxed: bool) -> List[int]:
+    """The GEOM_* vector ``fs_create`` sizes the engine from.  ``source``
+    is a machine or a :class:`HeadlessRun`: either carries the params,
+    scheme, workload, agent and placement."""
+    params = source.params
+    layout = AddressLayout.from_params(params)
+    agent = source.agent
+    count = params.nodes
+    timing_agent = type(agent) is TimingAgent
+    npages = len(source.placement.vpns)
     geom = [0] * tk.GEOM_LEN
     geom[tk.GEOM_NODES] = count
-    geom[tk.GEOM_THINK] = think
+    geom[tk.GEOM_THINK] = source.workload.think_cycles
     geom[tk.GEOM_PAGE_BITS] = layout.page_bits
     geom[tk.GEOM_BLOCK_BITS] = layout.block_bits
     geom[tk.GEOM_FLC_BLOCK] = params.flc_block
@@ -199,12 +354,12 @@ def run_fast(simulator) -> RunResult:
     geom[tk.GEOM_BLK_CYCLES] = params.block_msg_cycles
     geom[tk.GEOM_DIR_LATENCY] = params.directory_lookup_latency
     geom[tk.GEOM_PENALTY] = params.translation_miss_penalty
-    geom[tk.GEOM_VIRTUAL_FLC] = int(machine.scheme.uses_virtual_flc)
-    geom[tk.GEOM_VIRTUAL_SLC] = int(machine.scheme.uses_virtual_slc)
-    geom[tk.GEOM_VIRTUAL_AM] = int(machine.scheme.uses_virtual_am)
-    geom[tk.GEOM_RELAXED] = int(nodes[0].relaxed_writes) if nodes else 0
+    geom[tk.GEOM_VIRTUAL_FLC] = int(source.scheme.uses_virtual_flc)
+    geom[tk.GEOM_VIRTUAL_SLC] = int(source.scheme.uses_virtual_slc)
+    geom[tk.GEOM_VIRTUAL_AM] = int(source.scheme.uses_virtual_am)
+    geom[tk.GEOM_RELAXED] = int(relaxed)
     geom[tk.GEOM_TAP] = (
-        _TAP_CODE[TAP_OF_SCHEME[machine.scheme]] if timing_agent else tk.TAP_NONE
+        _TAP_CODE[TAP_OF_SCHEME[source.scheme]] if timing_agent else tk.TAP_NONE
     )
     geom[tk.GEOM_INCLUDE_L2_WB] = (
         int(agent.include_l2_writebacks) if timing_agent else 1
@@ -218,40 +373,11 @@ def run_fast(simulator) -> RunResult:
     geom[tk.GEOM_AM_BLOCK] = params.am_block
     geom[tk.GEOM_REQ_PAYLOAD] = params.request_payload_bytes
     geom[tk.GEOM_BLK_PAYLOAD] = params.am_block + params.message_header_bytes
-    geom[tk.GEOM_DIR_CAPACITY] = _pow2_at_least(2 * dir_entries + 16)
-    geom[tk.GEOM_MAP_CAPACITY] = _pow2_at_least(2 * len(machine.page_map) + 16)
-    geom[tk.GEOM_CONTENTION] = int(machine.crossbar.contention)
-
-    handle = lib.fs_create(ffi.new("int64_t[]", geom))
-    if handle == ffi.NULL:
-        raise EngineDegraded("C engine allocation failed (fs_create OOM)")
-    tracer = machine.tracer
-    try:
-        # A traced run meets the oom fault where it would really strike:
-        # the trace buffer, which then refuses to grow past its first
-        # chunk.
-        if fault == "oom" and tracer is None:
-            raise EngineDegraded("injected fault: C allocation failed (oom)")
-        if fault == "internal":
-            _raise_engine_error(tk.ERR_INTERNAL)
-        if _is_sweep_agent(agent) and lib.fs_set_capture(handle, 1) != 0:
-            raise EngineDegraded("capture-mode allocation failed")
-        if tracer is None:
-            return _drive(simulator, ffi, lib, handle, swords, think, timing_agent)
-        mark = tracer.checkpoint()
-        tracer.begin("run", 0, max_refs=max_refs)
-        config = _trace_config(simulator, tracer, fail_growth=fault == "oom")
-        lib.fs_set_trace(handle, ffi.new("int64_t[]", config))
-        try:
-            return _drive(simulator, ffi, lib, handle, swords, think, timing_agent)
-        except (EngineDegraded, MemoryError):
-            # Nothing reached the tracer yet: forget the run span so the
-            # scalar re-run starts from the same tracer state.
-            if not simulator._fast_state_mutated:
-                tracer.rewind(mark)
-            raise
-    finally:
-        lib.fs_destroy(handle)
+    geom[tk.GEOM_DIR_CAPACITY] = _pow2_at_least(2 * npages * params.blocks_per_page + 16)
+    mapped = 0 if source.scheme.uses_virtual_am else npages
+    geom[tk.GEOM_MAP_CAPACITY] = _pow2_at_least(2 * mapped + 16)
+    geom[tk.GEOM_CONTENTION] = int(contention)
+    return geom
 
 
 def _trace_config(simulator, tracer, fail_growth: bool) -> List[int]:
@@ -297,23 +423,20 @@ def _trace_config(simulator, tracer, fail_growth: bool) -> List[int]:
     return config
 
 
-def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResult:
-    machine = simulator.machine
-    engine = machine.engine
-    agent = machine.agent
-    nodes = machine.nodes
-    count = machine.params.nodes
+def _drive(run, source, ffi, lib, handle, timing_agent):
+    machine = run.machine
+    agent = source.agent
+    count = source.params.nodes
 
     # -- load the snapshot ----------------------------------------------
     # Streams: materialized columns (shared across grid cells through
     # the stream LRU when the caller supplied a workload identity);
     # `keep` pins the arrays and their cffi views for the lifetime of
     # the run (C holds raw pointers).
-    stream_key = getattr(simulator, "stream_key", None)
     keep = []
     for n in range(count):
         ops, vals = tk.materialize_shared(
-            stream_key, n, lambda node=n: machine.node_stream(node)
+            run.stream_key, n, lambda node=n: source.node_stream(node)
         )
         length = len(ops)
         if length:
@@ -324,32 +447,25 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
         keep.append((ops, vals, ops_view, vals_view))
         lib.fs_set_stream(handle, n, ops_view, vals_view, length)
 
-    for vpn, pfn in machine.page_map.items():
-        if lib.fs_pagemap_add(handle, vpn, pfn) != 0:
-            raise EngineDegraded("page map load failed (map allocation)")
-
-    for n, am in enumerate(engine.ams):
-        for am_set in am._sets:
-            for block, state in am_set.items():
-                if lib.fs_am_load(handle, n, block, int(state)) != 0:
-                    raise EngineDegraded("AM image load failed")
-
-    sharer_words = ffi.new("uint64_t[]", swords)
-    for directory in engine.directories:
-        for block, entry in directory._entries.items():
-            mask = 0
-            for sharer in entry.sharers:
-                mask |= 1 << sharer
-            for w in range(swords):
-                sharer_words[w] = (mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-            owner = -1 if entry.owner is None else entry.owner
-            if lib.fs_dir_load(handle, block, owner, sharer_words) != 0:
-                raise EngineDegraded("directory load failed")
-
-    lib.fs_seed_engine(
-        handle, ffi.from_buffer("uint32_t[]", tk.rng_state_words(engine._rng))
+    placement = source.placement
+    status = lib.fs_preload(
+        handle,
+        ffi.from_buffer("int64_t[]", placement.vpns),
+        ffi.from_buffer("int64_t[]", placement.ppns),
+        len(placement.vpns),
     )
-    lib.fs_port_load(handle, ffi.new("int64_t[]", machine.crossbar._port_free_at))
+    if status == tk.ERR_CAPACITY:
+        raise CapacityError(
+            "preload: no free slot anywhere for a block "
+            "(data set exceeds attraction-memory capacity in its global set)"
+        )
+    if status != 0:
+        raise EngineDegraded("preload image allocation failed")
+
+    rng = engine_rng(source.params) if machine is None else machine.engine._rng
+    lib.fs_seed_engine(handle, ffi.from_buffer("uint32_t[]", tk.rng_state_words(rng)))
+    if machine is not None:
+        lib.fs_port_load(handle, ffi.new("int64_t[]", machine.crossbar._port_free_at))
     if timing_agent:
         for n in range(count):
             lib.fs_seed_tlb(
@@ -358,7 +474,67 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
                 ffi.from_buffer("uint32_t[]", tk.rng_state_words(agent.buffer(n)._rng)),
             )
 
-    # -- sync-event loop (mirrors Simulator.run exactly) ----------------
+    end_time, sync, refs_per_node, barriers = _sync_loop(run, ffi, lib, handle, count)
+    think = source.workload.think_cycles
+    breakdowns = []
+    bd3 = ffi.new("int64_t[3]")
+    for n in range(count):
+        lib.fs_export_breakdown(handle, n, bd3)
+        breakdowns.append(
+            TimeBreakdown(
+                busy=think * refs_per_node[n],
+                sync=sync[n],
+                loc_stall=int(bd3[0]),
+                rem_stall=int(bd3[1]),
+                tlb_stall=int(bd3[2]),
+            )
+        )
+    engine_counters, crossbar_counters = _global_counters(ffi, lib, handle)
+    node_counters = [_node_counters(ffi, lib, handle, n) for n in range(count)]
+    latencies = [_histograms(ffi, lib, handle, n) for n in range(count)]
+
+    if machine is None:
+        # Headless: the agent takes only what the summary reads from it
+        # (a degraded run discards it).
+        if timing_agent:
+            _load_tlb_totals(ffi, lib, handle, agent, count)
+        elif _is_sweep_agent(agent):
+            _load_capture_agent(ffi, lib, handle, agent, count)
+        return _headless_summary(
+            run, end_time, refs_per_node, barriers, breakdowns,
+            [engine_counters, crossbar_counters] + node_counters, latencies,
+        )
+
+    # -- copy every piece of machine state back -------------------------
+    # Past this point the Python machine is mutated incrementally, so a
+    # failure can no longer degrade to a scalar re-run of the same
+    # machine object (Simulator.run checks this flag).
+    run._fast_state_mutated = True
+    if machine.tracer is not None:
+        machine.tracer.end(end_time, refs=sum(refs_per_node), barriers=barriers)
+    _add_counters(machine.engine.counters, engine_counters)
+    _add_counters(machine.crossbar.counters, crossbar_counters)
+    for n, node in enumerate(machine.nodes):
+        for field in ("busy", "sync", "loc_stall", "rem_stall", "tlb_stall"):
+            setattr(node.breakdown, field, getattr(breakdowns[n], field))
+        _add_counters(node.counters, node_counters[n])
+        for hist, fresh in zip((node.read_latency, node.write_latency), latencies[n]):
+            hist._buckets, hist.count, hist.total = fresh._buckets, fresh.count, fresh.total
+    _copy_back(ffi, lib, handle, machine)
+    return RunResult(
+        machine=machine,
+        breakdowns=[node.breakdown for node in machine.nodes],
+        total_time=end_time,
+        refs_per_node=refs_per_node,
+        barriers=barriers,
+    )
+
+
+def _sync_loop(run, ffi, lib, handle, count: int):
+    """Run ``fs_run`` to completion, applying
+    :class:`~repro.system.simulator.Simulator`'s barrier, lock and
+    stream-end semantics at every sync event C hands back.  Returns
+    ``(end_time, sync cycles per node, refs per node, barriers)``."""
     sync: List[int] = [0] * count
     active = count
     barriers_seen = 0
@@ -371,7 +547,8 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
     # before every fs_run/fs_reference and come back with the records C
     # wrote, which are drained before Python emits a generic record of
     # its own — so the stream interleaves exactly as the scalar run's.
-    tracer = machine.tracer
+    machine = run.machine
+    tracer = None if machine is None else machine.tracer
     if tracer is not None:
         take_state = ffi.new("int64_t[4]")
         # fs_trace_open_span: 5 header words + up to 4 begin values.
@@ -392,7 +569,7 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
         tracer.span_state = (int(take_state[1]), int(take_state[2]))
         if take_state[0]:
             # Records left C: a scalar re-run would write them twice.
-            simulator._fast_state_mutated = True
+            run._fast_state_mutated = True
             tracer.take_packed(ffi.buffer(data, take_state[0]))
         if status < 0:
             # Spans C left open on an engine error stay open on the
@@ -404,7 +581,7 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
 
     def emit(name: str, now: int, **attrs) -> None:
         if tracer is not None:
-            simulator._fast_state_mutated = True
+            run._fast_state_mutated = True
             tracer.event(name, now, **attrs)
 
     def reference(node: int, word: int, now: int) -> int:
@@ -517,85 +694,107 @@ def _drive(simulator, ffi, lib, handle, swords, think, timing_agent) -> RunResul
     for n in range(count):
         sync[n] += end_time - clock[n]
     refs_per_node = [int(lib.fs_refs_done(handle, n)) for n in range(count)]
+    return end_time, sync, refs_per_node, barriers_seen
 
-    # -- copy every piece of machine state back -------------------------
-    # Past this point the Python machine is mutated incrementally, so a
-    # failure can no longer degrade to a scalar re-run of the same
-    # machine object (Simulator.run checks this flag).
-    simulator._fast_state_mutated = True
-    if tracer is not None:
-        tracer.end(end_time, refs=sum(refs_per_node), barriers=barriers_seen)
-    breakdowns = []
-    bd3 = ffi.new("int64_t[3]")
-    hist_buckets = ffi.new("int64_t[]", tk.N_HIST_BUCKETS)
-    hist_ct = ffi.new("int64_t[2]")
+
+def _global_counters(ffi, lib, handle):
+    """The engine's and the crossbar's counters, each a dict holding
+    only the keys the run created (``Counters.add`` semantics)."""
+    values = ffi.new("int64_t[]", len(tk.GLOBAL_COUNTERS))
+    calls = ffi.new("int64_t[]", len(tk.GLOBAL_COUNTERS))
+    lib.fs_export_global(handle, values, calls)
+    engine, crossbar = {}, {}
+    for i, name in enumerate(tk.GLOBAL_COUNTERS):
+        if calls[i]:
+            (engine if i < _N_ENGINE_GLOBALS else crossbar)[name] = int(values[i])
+    return engine, crossbar
+
+
+def _node_counters(ffi, lib, handle, node: int) -> Dict[str, int]:
+    values = ffi.new("int64_t[]", len(tk.NODE_COUNTERS))
+    calls = ffi.new("int64_t[]", len(tk.NODE_COUNTERS))
+    lib.fs_export_node_counters(handle, node, values, calls)
+    return {
+        name: int(values[i]) for i, name in enumerate(tk.NODE_COUNTERS) if calls[i]
+    }
+
+
+def _add_counters(counters: Counters, values: Dict[str, int]) -> None:
+    for name, value in values.items():
+        counters.add(name, value)
+
+
+def _histograms(ffi, lib, handle, node: int):
+    """One node's (read, write) stall-latency histograms."""
+    buckets = ffi.new("int64_t[]", tk.N_HIST_BUCKETS)
+    count_total = ffi.new("int64_t[2]")
+    hists = []
+    for is_write in (0, 1):
+        lib.fs_export_hist(handle, node, is_write, buckets, count_total)
+        hist = LatencyHistogram()
+        hist._buckets = {
+            i: int(buckets[i]) for i in range(tk.N_HIST_BUCKETS) if buckets[i]
+        }
+        hist.count = int(count_total[0])
+        hist.total = int(count_total[1])
+        hists.append(hist)
+    return hists
+
+
+def _headless_summary(run, end_time, refs_per_node, barriers, breakdowns, bags, latencies):
+    """The :class:`~repro.runner.summary.RunSummary` a machine-backed
+    run's ``RunSummary.from_result`` would produce, from C readouts."""
+    from repro.runner.summary import RunSummary
+
+    machine_counters = Counters()
+    if len(run.placement.vpns):
+        machine_counters.add("pages_preloaded", len(run.placement.vpns))
+    counters = merge_counters(
+        [machine_counters] + [Counters(**bag) for bag in bags], run.agent, run.scheme
+    )
+    read_latency, write_latency = LatencyHistogram(), LatencyHistogram()
+    for read, write in latencies:
+        read_latency = read_latency.merge(read)
+        write_latency = write_latency.merge(write)
+    return RunSummary(
+        scheme=run.scheme,
+        workload_name=run.workload.name,
+        total_time=end_time,
+        refs_per_node=refs_per_node,
+        barriers=barriers,
+        breakdowns=breakdowns,
+        counters=counters.to_dict(),
+        timing=timing_summary(run.agent),
+        read_latency=read_latency,
+        write_latency=write_latency,
+        backend="compiled",
+    )
+
+
+def _copy_back(ffi, lib, handle, machine) -> None:
+    """The rest of the machine image: cache/AM sets and hit counts,
+    directory entries and lookups, port free times, the agent's state,
+    the engine RNG and the translation accumulator."""
+    engine = machine.engine
     stats2 = ffi.new("int64_t[2]")
-    node_vals = ffi.new("int64_t[]", len(tk.NODE_COUNTERS))
-    node_calls = ffi.new("int64_t[]", len(tk.NODE_COUNTERS))
-
-    for n, node in enumerate(nodes):
-        lib.fs_export_breakdown(handle, n, bd3)
-        breakdown = node.breakdown
-        breakdown.busy = think * refs_per_node[n]
-        breakdown.sync = sync[n]
-        breakdown.loc_stall = int(bd3[0])
-        breakdown.rem_stall = int(bd3[1])
-        breakdown.tlb_stall = int(bd3[2])
-        breakdowns.append(breakdown)
-
-        lib.fs_export_node_counters(handle, n, node_vals, node_calls)
-        values = node.counters._values
-        for i, name in enumerate(tk.NODE_COUNTERS):
-            if node_calls[i]:
-                values[name] = values.get(name, 0) + int(node_vals[i])
-
-        for is_write, hist in ((0, node.read_latency), (1, node.write_latency)):
-            lib.fs_export_hist(handle, n, is_write, hist_buckets, hist_ct)
-            hist._buckets = {
-                i: int(hist_buckets[i])
-                for i in range(tk.N_HIST_BUCKETS)
-                if hist_buckets[i]
-            }
-            hist.count = int(hist_ct[0])
-            hist.total = int(hist_ct[1])
-
+    for n, node in enumerate(machine.nodes):
         _load_cache(ffi, lib, handle, n, 0, node.flc, stats2, lambda s: s)
         _load_cache(ffi, lib, handle, n, 1, node.slc, stats2, lambda s: s)
         _load_cache(ffi, lib, handle, n, 2, engine.ams[n], stats2, AMState)
-
-    glob_vals = ffi.new("int64_t[]", len(tk.GLOBAL_COUNTERS))
-    glob_calls = ffi.new("int64_t[]", len(tk.GLOBAL_COUNTERS))
-    lib.fs_export_global(handle, glob_vals, glob_calls)
-    engine_values = engine.counters._values
-    crossbar_values = machine.crossbar.counters._values
-    for i, name in enumerate(tk.GLOBAL_COUNTERS):
-        if glob_calls[i]:
-            target = engine_values if i < _N_ENGINE_GLOBALS else crossbar_values
-            target[name] = target.get(name, 0) + int(glob_vals[i])
-
-    _load_directory(ffi, lib, handle, machine, swords)
-
+    _load_directory(ffi, lib, handle, machine)
+    count = machine.params.nodes
     ports = ffi.new("int64_t[]", count)
     lib.fs_export_ports(handle, ports)
     machine.crossbar._port_free_at = list(ports)
-
-    if timing_agent:
+    agent = machine.agent
+    if type(agent) is TimingAgent:
         _load_tlbs(ffi, lib, handle, agent, count)
     elif _is_sweep_agent(agent):
         _load_sweep_agent(ffi, lib, handle, agent, count)
-
     rng_out = ffi.new("uint32_t[]", tk.RNG_STATE_WORDS)
     lib.fs_export_engine_rng(handle, rng_out)
     tk.load_rng_state(engine._rng, [int(rng_out[i]) for i in range(tk.RNG_STATE_WORDS)])
     engine._translation_accum = int(lib.fs_translation_accum(handle))
-
-    return RunResult(
-        machine=machine,
-        breakdowns=breakdowns,
-        total_time=end_time,
-        refs_per_node=refs_per_node,
-        barriers=barriers_seen,
-    )
 
 
 def _load_cache(ffi, lib, handle, node: int, which: int, cache, stats2, cast) -> None:
@@ -621,10 +820,11 @@ def _load_cache(ffi, lib, handle, node: int, which: int, cache, stats2, cast) ->
     cache.misses = int(stats2[1])
 
 
-def _load_directory(ffi, lib, handle, machine, swords: int) -> None:
+def _load_directory(ffi, lib, handle, machine) -> None:
     engine = machine.engine
     layout = machine.layout
     count = machine.params.nodes
+    swords = (count + 63) // 64
     dcount = int(lib.fs_dir_count(handle))
     blocks = ffi.new("int64_t[]", max(dcount, 1))
     owners = ffi.new("int32_t[]", max(dcount, 1))
@@ -751,6 +951,18 @@ def _load_capture_agent(ffi, lib, handle, agent, count: int) -> None:
             # bulk copy into the agent's u8 columns is exact.
             columns[n].frombytes(ffi.buffer(pages, 8 * length))
     agent.total_references += total_references
+
+
+def _load_tlb_totals(ffi, lib, handle, agent, count: int) -> None:
+    """Each TLB/DLB's access and miss counts, without its contents."""
+    buffer0 = agent.buffer(0)
+    tags = ffi.new("int64_t[]", buffer0.sets * buffer0.assoc)
+    lens = ffi.new("int32_t[]", buffer0.sets)
+    stats = ffi.new("int64_t[2]")
+    for n in range(count):
+        lib.fs_export_tlb(handle, n, tags, lens, stats)
+        agent.buffer(n).accesses = int(stats[0])
+        agent.buffer(n).misses = int(stats[1])
 
 
 def _load_tlbs(ffi, lib, handle, agent, count: int) -> None:

@@ -15,6 +15,11 @@ then **preloads** every page (the paper simulates no paging): page-table
 entries, directory pages/frames, and one master copy per memory block
 spread from its home node.
 
+The preload's page order, frames and global-set pressure come from
+:func:`place_pages`, which needs no machine: the compiled engine's
+``fs_preload`` builds the same attraction-memory and directory image
+from it, and Figure 11 reads its pressure profile.
+
 Note on L3-TLB: with page coloring and at least as many page colors as
 nodes (the paper's regime), the physical home of a page coincides with
 its virtual home, and virtual indexing makes the AM placement identical
@@ -25,7 +30,9 @@ taps).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from array import array
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.address import AddressLayout
 from repro.common.params import MachineParams
@@ -41,6 +48,100 @@ from repro.vm.page_table import HomePageTable, PageTableEntry
 from repro.vm.pressure import PressureTracker
 from repro.vm.segments import SegmentedAddressSpace
 from repro.workloads.base import Workload, WorkloadContext
+
+
+def build_address_space(
+    params: MachineParams, layout: AddressLayout, workload: Workload
+) -> Tuple[SegmentedAddressSpace, WorkloadContext]:
+    """The workload's segments, allocated in declaration order, and the
+    context its reference streams are generated in."""
+    space = SegmentedAddressSpace(params.page_size)
+    segments = {}
+    for spec in workload.segment_specs(params):
+        segments[spec.name] = space.allocate(
+            spec.name,
+            spec.size,
+            kind=spec.kind,
+            owner=spec.owner,
+            alignment=spec.alignment,
+            offset=spec.offset,
+        )
+    return space, WorkloadContext(params, layout, segments, params.seed, workload.name)
+
+
+def engine_rng(params: MachineParams):
+    """The protocol engine's injection-forwarding RNG substream."""
+    return make_rng(params.seed, "inject")
+
+
+@dataclass
+class Placement:
+    """Where the preload puts every page (paper Section 5.1).
+
+    ``vpns`` lists the pages in preload order; ``ppns`` holds each
+    page's protocol page number: the VPN itself when the attraction
+    memory is virtually indexed, otherwise the sequential PFN the
+    frame allocator handed out.  ``pressure`` is the resulting
+    global-set occupancy (Figure 11).
+    """
+
+    vpns: array
+    ppns: array
+    pressure: PressureTracker
+    frames: Optional[FrameAllocator]
+
+
+def place_pages(
+    params: MachineParams,
+    layout: AddressLayout,
+    virtual_am: bool,
+    space: SegmentedAddressSpace,
+) -> Placement:
+    """Assign every page of ``space`` its protocol page and global set.
+
+    Raises :class:`~repro.common.errors.CapacityError` when physical
+    memory runs out or a global page set overflows its ``P*K`` slots.
+    """
+    pressure = PressureTracker(
+        layout.global_page_sets, params.page_slots_per_global_set
+    )
+    frames = None
+    if not virtual_am:
+        frames = FrameAllocator(layout, params.pages_per_am, coloring=False)
+    vpns = array("q")
+    ppns = array("q")
+    for segment in space:
+        for vpn in segment.pages(params.page_size):
+            if virtual_am:
+                ppn = vpn
+                pressure.allocate_page(layout.global_page_set_of_vpn(vpn))
+            else:
+                ppn = frames.allocate(vpn)
+                pressure.allocate_page(frames.color_of(ppn))
+            vpns.append(vpn)
+            ppns.append(ppn)
+    return Placement(vpns, ppns, pressure, frames)
+
+
+def merge_counters(bags: List[Counters], agent, scheme: Scheme) -> Counters:
+    """The machine-wide counter bag: machine, engine, crossbar and node
+    counters summed in that order, plus the timing agent's translation
+    statistics.
+
+    Those are derived here, not maintained on the hot path.  For V-COMA
+    the structure is the home-directory DLB, otherwise a per-node TLB;
+    with tracing on, ``dlb_hit + dlb_fill`` events reconcile exactly
+    with ``dlb_accesses`` (and fills with misses).
+    """
+    merged = bags[0]
+    for bag in bags[1:]:
+        merged = merged.merge(bag)
+    accesses = getattr(agent, "total_accesses", None)
+    if accesses is not None:
+        prefix = "dlb" if scheme is Scheme.V_COMA else "tlb"
+        merged[f"{prefix}_accesses"] = accesses
+        merged[f"{prefix}_misses"] = agent.total_misses
+    return merged
 
 
 class Machine:
@@ -82,20 +183,12 @@ class Machine:
         self._virtual_am = scheme.uses_virtual_am
         self.page_map: Dict[int, int] = {}
         self.reverse_map: Dict[int, int] = {}
-        self.frames: Optional[FrameAllocator] = None
-        if not self._virtual_am:
-            self.frames = FrameAllocator(
-                self.layout, params.pages_per_am, coloring=False
-            )
         self.page_tables: List[HomePageTable] = [
             HomePageTable(n, self.layout.global_page_sets) for n in range(params.nodes)
         ]
         self.directory_spaces: List[DirectoryAddressSpace] = [
             DirectoryAddressSpace(params.blocks_per_page) for _ in range(params.nodes)
         ]
-        self.pressure = PressureTracker(
-            self.layout.global_page_sets, params.page_slots_per_global_set
-        )
 
         self.engine = ProtocolEngine(
             params,
@@ -103,26 +196,13 @@ class Machine:
             self.crossbar,
             agent=self.agent,
             inclusion_hook=self._inclusion_hook,
-            rng=make_rng(params.seed, "inject"),
+            rng=engine_rng(params),
         )
         if tracer is not None:
             self.engine.trace = tracer
 
         # -- segments and workload context ------------------------------
-        self.space = SegmentedAddressSpace(params.page_size)
-        segments = {}
-        for spec in workload.segment_specs(params):
-            segments[spec.name] = self.space.allocate(
-                spec.name,
-                spec.size,
-                kind=spec.kind,
-                owner=spec.owner,
-                alignment=spec.alignment,
-                offset=spec.offset,
-            )
-        self.ctx = WorkloadContext(
-            params, self.layout, segments, params.seed, workload.name
-        )
+        self.space, self.ctx = build_address_space(params, self.layout, workload)
 
         # -- nodes -------------------------------------------------------
         self.nodes: List[Node] = [
@@ -160,26 +240,25 @@ class Machine:
     # ------------------------------------------------------------------
     def _preload(self) -> None:
         layout = self.layout
+        page_bits = layout.page_bits
         block = self.params.am_block
         blocks_per_page = self.params.blocks_per_page
-        for segment in self.space:
-            for vpn in segment.pages(self.params.page_size):
-                home = layout.home_node_of_vpn(vpn)
-                if self._virtual_am:
-                    handle = self.directory_spaces[home].allocate()
-                    self.page_tables[home].insert(PageTableEntry(vpn, handle.base))
-                    self.pressure.allocate_page(layout.global_page_set_of_vpn(vpn))
-                    proto_base = vpn << layout.page_bits
-                else:
-                    pfn = self.frames.allocate(vpn)
-                    self.page_map[vpn] = pfn
-                    self.reverse_map[pfn] = vpn
-                    self.page_tables[home].insert(PageTableEntry(vpn, pfn))
-                    self.pressure.allocate_page(self.frames.color_of(pfn))
-                    proto_base = pfn << layout.page_bits
-                for i in range(blocks_per_page):
-                    self.engine.preload_block(proto_base + i * block)
-                self.counters.add("pages_preloaded")
+        self.placement = place_pages(self.params, layout, self._virtual_am, self.space)
+        self.pressure = self.placement.pressure
+        self.frames = self.placement.frames
+        for vpn, ppn in zip(self.placement.vpns, self.placement.ppns):
+            home = layout.home_node_of_vpn(vpn)
+            if self._virtual_am:
+                handle = self.directory_spaces[home].allocate()
+                self.page_tables[home].insert(PageTableEntry(vpn, handle.base))
+            else:
+                self.page_map[vpn] = ppn
+                self.reverse_map[ppn] = vpn
+                self.page_tables[home].insert(PageTableEntry(vpn, ppn))
+            proto_base = ppn << page_bits
+            for i in range(blocks_per_page):
+                self.engine.preload_block(proto_base + i * block)
+            self.counters.add("pages_preloaded")
 
     # ------------------------------------------------------------------
     def _inclusion_hook(self, node: int, proto_block: int, action: str) -> None:
@@ -194,21 +273,12 @@ class Machine:
         return self.layout.home_node(lock_addr)
 
     def merged_counters(self) -> Counters:
-        merged = self.counters.merge(self.engine.counters).merge(self.crossbar.counters)
-        for node in self.nodes:
-            merged = merged.merge(node.counters)
-        # Surface the timing agent's translation statistics as counters
-        # (derived here, not maintained on the hot path).  For V-COMA the
-        # structure is the home-directory DLB, otherwise a per-node TLB;
-        # with tracing on, ``dlb_hit + dlb_fill`` events reconcile
-        # exactly with ``dlb_accesses`` (and fills with misses).
-        agent = self.agent
-        accesses = getattr(agent, "total_accesses", None)
-        if accesses is not None:
-            prefix = "dlb" if self.scheme is Scheme.V_COMA else "tlb"
-            merged[f"{prefix}_accesses"] = accesses
-            merged[f"{prefix}_misses"] = agent.total_misses
-        return merged
+        return merge_counters(
+            [self.counters, self.engine.counters, self.crossbar.counters]
+            + [node.counters for node in self.nodes],
+            self.agent,
+            self.scheme,
+        )
 
     def __repr__(self) -> str:
         return (

@@ -7,6 +7,19 @@ from typing import Dict, List, Optional
 from repro.common.stats import AverageBreakdown, Counters, LatencyHistogram, TimeBreakdown
 
 
+def timing_summary(agent) -> Optional[Dict[str, float]]:
+    """A timing agent's translation statistics; None for other agents."""
+    if not hasattr(agent, "total_misses"):
+        return None
+    accesses = agent.total_accesses
+    return {
+        "entries": agent.entries,
+        "accesses": accesses,
+        "misses": agent.total_misses,
+        "miss_rate": agent.total_misses / accesses if accesses else 0.0,
+    }
+
+
 class RunResult:
     """Outcome of one simulated run.
 
@@ -87,16 +100,7 @@ class RunResult:
 
     def timing_summary(self) -> Optional[Dict[str, float]]:
         """Translation statistics when the run used a TimingAgent."""
-        agent = self.machine.agent
-        if not hasattr(agent, "total_misses"):
-            return None
-        accesses = agent.total_accesses
-        return {
-            "entries": agent.entries,
-            "accesses": accesses,
-            "misses": agent.total_misses,
-            "miss_rate": agent.total_misses / accesses if accesses else 0.0,
-        }
+        return timing_summary(self.machine.agent)
 
     def summary(self) -> Dict[str, float]:
         breakdown = self.average_breakdown()

@@ -95,15 +95,15 @@ class Simulator:
                         # Copy-back had begun: the machine is no longer
                         # pristine, so a scalar re-run would be wrong.
                         raise
-                    detail = getattr(exc, "reason", None) or str(exc) or "MemoryError"
-                    reason = f"compiled engine degraded: {detail}"
-                    from repro.obs.runtime import record_fallback
-
-                    record_fallback("compiled", detail)
-            self.fallback_reason = reason
+                    reason = fast_simulator.degraded_reason(exc)
         else:
-            self.fallback_reason = "fast=False"
+            reason = "fast=False"
+        return self.run_scalar(reason)
+
+    def run_scalar(self, reason: str) -> RunResult:
+        """Run on the scalar engine, stamped with why it was chosen."""
         self.backend = "scalar"
+        self.fallback_reason = reason
         return self._stamp(self._run_scalar())
 
     def _stamp(self, result: RunResult) -> RunResult:
@@ -276,3 +276,46 @@ class Simulator:
             clock[node_id] = release
             heapq.heappush(heap, (release, node_id))
         del barrier_arrivals[barrier_id]
+
+
+def run_summary(
+    params,
+    scheme,
+    workload,
+    make_agent,
+    contention: bool = False,
+    max_refs_per_node: Optional[int] = None,
+    stream_key: Optional[str] = None,
+):
+    """One run's :class:`~repro.runner.summary.RunSummary` and the agent
+    that observed it, without a Python machine when the compiled engine
+    can take the run (:class:`~repro.system.fast_simulator.HeadlessRun`).
+
+    ``make_agent()`` returns a fresh agent.  A run the compiled engine
+    may not take builds a :class:`Machine` and goes through
+    :meth:`Simulator.run`, which names the reason.  A headless run that
+    degrades re-runs on a fresh machine and agent on the scalar engine,
+    stamped ``"compiled engine degraded: ..."`` exactly as
+    :meth:`Simulator.run` stamps it.
+    """
+    from repro.core.ladder import EngineDegraded
+    from repro.runner.summary import RunSummary
+    from repro.system import fast_simulator
+
+    agent = make_agent()
+    reason = None
+    if fast_simulator.headless_eligible(agent):
+        run = fast_simulator.HeadlessRun(
+            params, scheme, workload, agent, contention, max_refs_per_node, stream_key
+        )
+        try:
+            return fast_simulator.run_fast(run), agent
+        except (EngineDegraded, MemoryError) as exc:
+            reason = fast_simulator.degraded_reason(exc)
+        agent = make_agent()
+    machine = Machine(params, scheme, workload, agent=agent, contention=contention)
+    simulator = Simulator(
+        machine, max_refs_per_node=max_refs_per_node, stream_key=stream_key
+    )
+    result = simulator.run() if reason is None else simulator.run_scalar(reason)
+    return RunSummary.from_result(result), agent

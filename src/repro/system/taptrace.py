@@ -296,25 +296,39 @@ def capture_tap_traces(
     (V-COMA hierarchy — every scheme's tap stream can be read off it),
     so the recorded streams and base summary match a scalar sweep run
     bit for bit.  The capture prefers the compiled engine's capture
-    mode (``fast=False`` forces the scalar reference path — identical
+    mode, headless: no machine is built and the columns come straight
+    from C (``fast=False`` forces the scalar reference path — identical
     streams either way); ``stream_key`` keys the materialized-column
     LRU for grid-level stream sharing.
     """
     from repro.system.machine import Machine
-    from repro.system.simulator import Simulator
+    from repro.system.simulator import Simulator, run_summary
     from repro.runner.summary import RunSummary
 
-    agent = CaptureAgent(params)
-    machine = Machine(params, Scheme.V_COMA, workload, agent=agent)
-    result = Simulator(
-        machine, max_refs_per_node=max_refs_per_node, fast=fast, stream_key=stream_key
-    ).run()
+    if fast:
+        base, agent = run_summary(
+            params,
+            Scheme.V_COMA,
+            workload,
+            lambda: CaptureAgent(params),
+            max_refs_per_node=max_refs_per_node,
+            stream_key=stream_key,
+        )
+    else:
+        agent = CaptureAgent(params)
+        machine = Machine(params, Scheme.V_COMA, workload, agent=agent)
+        base = RunSummary.from_result(
+            Simulator(
+                machine, max_refs_per_node=max_refs_per_node, fast=False,
+                stream_key=stream_key,
+            ).run()
+        )
     return TapTraceSet(
         nodes=params.nodes,
         seed=params.seed,
         total_references=agent.total_references,
         streams=agent.streams(),
-        base=RunSummary.from_result(result),
+        base=base,
     )
 
 

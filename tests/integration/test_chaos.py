@@ -13,11 +13,14 @@ every test forks real worker processes.
 """
 
 import multiprocessing
+import warnings
 
 import pytest
 
 from repro import MachineParams, Scheme
 from repro.common.errors import ProtocolError, RunInterrupted
+from repro.core.ladder import FAULT_ENV
+from repro.core.timing_kernels import get_backend
 from repro.runner import BatchRunner, FaultPlan, JobSpec
 
 GRID_WORKLOADS = ("fft", "radix")
@@ -191,6 +194,33 @@ class TestChaosGrid:
         assert runner.stats.deterministic_failures == 1
         good = [job.summary.to_dict() for job in jobs if job.ok]
         assert good == baseline[:10] + baseline[11:]
+
+    @pytest.mark.skipif(get_backend() is None, reason="compiled timing backend unavailable")
+    def test_degraded_compiled_engine_grid_matches_clean_run(
+        self, grid, baseline, monkeypatch
+    ):
+        """Every headless job meets an internal engine error in its
+        worker and re-runs on a fresh scalar machine: same numbers,
+        each stamped with the degradation."""
+        monkeypatch.setenv(FAULT_ENV, "internal")
+        runner = BatchRunner(jobs=2, retries=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the warn-once fallback warning
+            jobs = runner.run(grid)
+        assert_no_leaked_workers()
+        assert len(jobs) == 12 and all(job.ok for job in jobs)
+        assert runner.stats.backends == {"scalar": 12}
+        (reason,) = runner.stats.fallback_reasons
+        assert reason.startswith("compiled engine degraded:")
+        assert runner.stats.fallback_reasons[reason] == 12
+
+        def surface(payload):
+            return {k: v for k, v in payload.items() if k not in ("backend", "fallback_reason")}
+
+        assert [surface(job.summary.to_dict()) for job in jobs] == [
+            surface(payload) for payload in baseline
+        ]
+        assert all(payload["backend"] == "compiled" for payload in baseline)
 
 
 class TestInterruptAndResume:

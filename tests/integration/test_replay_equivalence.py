@@ -13,12 +13,13 @@ backend disabled (``REPRO_NO_COMPILED``: scalar capture and scalar
 
 import pytest
 
-from repro import MachineParams
-from repro.core.timing_kernels import NO_COMPILED_ENV
+from repro import MachineParams, make_workload
+from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
 from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME
 from repro.core.tlb import Organization
 from repro.runner import JobSpec, TraceStore
 from repro.system.fast_simulator import NO_FAST_SWEEP_ENV
+from repro.system.taptrace import capture_tap_traces
 
 WORKLOADS = ("radix", "ocean")
 SIZES = (8, 32, 128)
@@ -121,6 +122,24 @@ class TestBitIdentical:
         assert surface(replay_summaries[workload]) == surface(
             scalar_summaries[workload]
         )
+
+    @pytest.mark.skipif(get_backend() is None, reason="compiled timing backend unavailable")
+    def test_headless_capture_bytes_equal_scalar_capture(self, workload, params):
+        """The compiled capture builds no machine; its serialized trace
+        is the scalar capture's, byte for byte, once the provenance
+        stamps (which name the engine) are the same."""
+        recorded, reference = (
+            capture_tap_traces(
+                params, make_workload(workload, intensity=0.2),
+                max_refs_per_node=400, fast=fast,
+            )
+            for fast in (True, False)
+        )
+        assert recorded.base.backend == "compiled"
+        assert reference.base.backend == "scalar"
+        reference.base.backend = recorded.base.backend
+        reference.base.fallback_reason = recorded.base.fallback_reason
+        assert recorded.to_bytes() == reference.to_bytes()
 
 
 class TestThroughTraceStore:

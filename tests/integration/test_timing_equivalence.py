@@ -17,6 +17,13 @@ compiled engine writes the tracer's packed records itself, and the
 JSONL bytes (file-backed tracers) or ring records and drop counts
 (memory-only tracers) must equal the scalar run's.
 
+Runner jobs run headless: ``JobSpec.execute`` reads the summary
+straight from C and never builds a machine, so every scheme row also
+checks that job's summary against the scalar run.  The image
+``fs_preload`` builds in C must equal ``Machine._preload``'s, and a
+data set that does not fit raises the same ``CapacityError`` on both
+paths.
+
 The matrix also covers the degraded environment: the full scalar
 fallback with the compiled backend disabled (``REPRO_NO_COMPILED``)
 must produce the same numbers again.
@@ -24,18 +31,22 @@ must produce the same numbers again.
 
 import pytest
 
-from repro import MachineParams, Scheme, Simulator, make_workload
+from repro import CustomWorkload, MachineParams, Scheme, SegmentSpec, Simulator, make_workload
 from repro.analysis import run_timing
-from repro.common.errors import ReproError
+from repro.analysis.experiments import pressure_profile, run_timing_summary
+from repro.common.address import AddressLayout
+from repro.common.errors import CapacityError, ReproError
 from repro.core.schemes import SCHEME_ORDER
 from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
 from repro.core.tlb import Organization
 from repro.fuzz.oracle import literal_machine, machine_state, summary_surface
 from repro.obs import Tracer
+from repro.runner import JobSpec
 from repro.runner.summary import RunSummary
+from repro.system import fast_simulator
 from repro.system.machine import Machine
 from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
-from repro.workloads.raytrace import RaytraceWorkload
+from repro.workloads import PAPER_ORDER
 
 pytestmark = pytest.mark.skipif(
     get_backend() is None, reason="compiled timing backend unavailable"
@@ -85,14 +96,24 @@ def traced_pair(run, sink, tmp_path):
     return outputs
 
 
-def paired_run(params, scheme, **kwargs):
+def paired_run(params, scheme, workload, intensity, variant=None, **kwargs):
     """One fast and one scalar run of the same spec; asserts the
-    engines actually differed and returns both results."""
-    make = kwargs.pop("workload_factory")
-    fast = run_timing(params, scheme, make(), **kwargs)
-    scalar = run_timing(params, scheme, make(), fast=False, **kwargs)
+    engines actually differed, that the spec run as a runner job
+    (headless: no machine) summarizes exactly like the scalar run, and
+    returns the fast and scalar results."""
+    spec = JobSpec.timing(
+        params, scheme, workload, overrides={"intensity": intensity},
+        variant=variant, **kwargs
+    )
+    fast = run_timing(params, scheme, spec.build_workload(), **kwargs)
+    scalar = run_timing(params, scheme, spec.build_workload(), fast=False, **kwargs)
     assert fast.backend == "compiled" and fast.fallback_reason is None
     assert scalar.backend == "scalar" and scalar.fallback_reason == "fast=False"
+    job = spec.execute()
+    assert job.backend == "compiled" and job.fallback_reason is None
+    payload = job.to_dict()
+    del payload["backend"], payload["fallback_reason"]
+    assert payload == summary_surface(scalar)
     return fast, scalar
 
 
@@ -100,12 +121,7 @@ def paired_run(params, scheme, **kwargs):
 class TestAllSchemes:
     def test_raytrace_locks_bit_identical(self, params, scheme):
         """RAYTRACE's task-queue locks: the sync path Python still owns."""
-        fast, scalar = paired_run(
-            params,
-            scheme,
-            workload_factory=lambda: make_workload("raytrace", intensity=0.5),
-            entries=8,
-        )
+        fast, scalar = paired_run(params, scheme, "raytrace", 0.5, entries=8)
         assert summary_surface(fast) == summary_surface(scalar)
         assert machine_state(fast.machine) == machine_state(scalar.machine)
 
@@ -114,7 +130,8 @@ class TestAllSchemes:
         fast, scalar = paired_run(
             params,
             scheme,
-            workload_factory=lambda: make_workload("radix", intensity=0.3),
+            "radix",
+            0.3,
             entries=8,
             organization=Organization.DIRECT_MAPPED,
             max_refs_per_node=300,
@@ -126,13 +143,8 @@ class TestAllSchemes:
     def test_raytrace_contention_bit_identical(self, params, scheme, variant):
         """Figure 10's padding bars: every remote transfer queues at
         its destination's input port, lock hand-offs included."""
-        make = RaytraceWorkload.v2 if variant else RaytraceWorkload
         fast, scalar = paired_run(
-            params,
-            scheme,
-            workload_factory=lambda: make(intensity=0.5),
-            entries=8,
-            contention=True,
+            params, scheme, "raytrace", 0.5, variant=variant, entries=8, contention=True
         )
         assert fast.machine.crossbar.counters["contention_cycles"] > 0
         assert summary_surface(fast) == summary_surface(scalar)
@@ -188,6 +200,91 @@ class TestAllSchemes:
         assert fast.refs_per_node[0] == 60
         assert fast_trace == scalar_trace
         assert machine_state(fast.machine) == machine_state(scalar.machine)
+
+
+def preload_image(machine):
+    """The AM sets (set-major, LRU order within a set) and directory
+    ``fs_preload`` builds from the machine's placement, read back
+    through the engine's export calls."""
+    backend = get_backend()
+    ffi, lib = backend.ffi, backend.lib
+    params = machine.params
+    geom = fast_simulator._geometry(machine, None, contention=False, relaxed=False)
+    handle = lib.fs_create(ffi.new("int64_t[]", geom))
+    try:
+        placement = machine.placement
+        assert lib.fs_preload(
+            handle,
+            ffi.from_buffer("int64_t[]", placement.vpns),
+            ffi.from_buffer("int64_t[]", placement.ppns),
+            len(placement.vpns),
+        ) == 0
+        capacity = params.am_sets * params.am_assoc
+        blocks = ffi.new("int64_t[]", capacity)
+        states = ffi.new("uint8_t[]", capacity)
+        ams = []
+        for n in range(params.nodes):
+            resident = lib.fs_export_cache(handle, n, 2, blocks, states)
+            ams.append([(blocks[i], states[i]) for i in range(resident)])
+        count = lib.fs_dir_count(handle)
+        owners = ffi.new("int32_t[]", count)
+        dir_blocks = ffi.new("int64_t[]", count)
+        sharers = ffi.new("uint64_t[]", count)  # one word: <= 64 nodes
+        lib.fs_export_dir(handle, dir_blocks, owners, sharers)
+        directory = {
+            dir_blocks[i]: (
+                None if owners[i] < 0 else owners[i],
+                frozenset(n for n in range(params.nodes) if sharers[i] >> n & 1),
+            )
+            for i in range(count)
+        }
+    finally:
+        lib.fs_destroy(handle)
+    return ams, directory
+
+
+@pytest.mark.parametrize("scheme", SCHEME_ORDER, ids=[s.value for s in SCHEME_ORDER])
+class TestPreloadImage:
+    @pytest.mark.parametrize("workload", PAPER_ORDER)
+    def test_fs_preload_equals_machine_preload(self, params, scheme, workload):
+        machine = Machine(params, scheme, make_workload(workload, intensity=0.5))
+        ams, directory = preload_image(machine)
+        assert ams == [
+            [(block, int(state)) for cache_set in am._sets for block, state in cache_set.items()]
+            for am in machine.engine.ams
+        ]
+        assert directory == {
+            block: (entry.owner, frozenset(entry.sharers))
+            for home in machine.engine.directories
+            for block, entry in home._entries.items()
+        }
+        placement = machine.placement
+        expected_map = {} if scheme.uses_virtual_am else dict(zip(placement.vpns, placement.ppns))
+        assert machine.page_map == expected_map
+        assert machine.reverse_map == {pfn: vpn for vpn, pfn in expected_map.items()}
+        assert len(placement.vpns) == machine.counters["pages_preloaded"]
+
+    def test_overflowing_data_set_raises_on_both_paths(self, params, scheme):
+        """One global page set gets one page more than its ``P*K``
+        slots (virtual-AM schemes place by VPN colour); a physical-AM
+        data set one page larger than memory runs out of frames."""
+        layout = AddressLayout.from_params(params)
+        if scheme.uses_virtual_am:
+            stride = layout.global_page_sets * params.page_size
+            specs = [
+                SegmentSpec(f"p{i}", params.page_size, alignment=stride)
+                for i in range(params.page_slots_per_global_set + 1)
+            ]
+        else:
+            specs = [SegmentSpec("data", (params.total_am_pages + 1) * params.page_size)]
+        workload = CustomWorkload(specs, lambda node, ctx: iter(()), name="overflow")
+        with pytest.raises(CapacityError) as scalar:
+            Machine(params, scheme, workload)
+        with pytest.raises(CapacityError) as headless:
+            run_timing_summary(params, scheme, workload, 8)
+        with pytest.raises(CapacityError) as profile:
+            pressure_profile(params, workload, scheme)
+        assert str(headless.value) == str(scalar.value) == str(profile.value)
 
 
 class TestContentionPortState:

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import CustomWorkload, MachineParams, SegmentSpec, Simulator
+from repro.cache.cache import DIRTY
 from repro.numa import NumaMachine, SHARED_TLB
 from repro.system.refs import READ, WRITE
 
@@ -16,6 +17,25 @@ mem_ops = st.tuples(
 )
 node_streams = st.lists(
     st.lists(mem_ops, max_size=40),
+    min_size=PARAMS.nodes,
+    max_size=PARAMS.nodes,
+)
+
+#: Offsets of either SLC line of six coherence blocks that share SLC
+#: sets 0 and 1.  With a 4-way SLC, dirty lines of two-line blocks are
+#: evicted while the block's other line may still be cached, and other
+#: nodes write the same blocks in between.
+SLC_STRIDE = PARAMS.slc_sets * PARAMS.slc_block
+colliding_ops = st.tuples(
+    st.sampled_from([READ, WRITE]),
+    st.builds(
+        lambda block, line: block * SLC_STRIDE + line * PARAMS.slc_block,
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=PARAMS.am_block // PARAMS.slc_block - 1),
+    ),
+)
+colliding_streams = st.lists(
+    st.lists(colliding_ops, max_size=60),
     min_size=PARAMS.nodes,
     max_size=PARAMS.nodes,
 )
@@ -93,7 +113,7 @@ def log_ownership(machine):
 # its dirty line, and that writeback correctly clears the owner.
 @example(streams=[[], [(1, 1984), (0, 448), (0, 960), (0, 1472), (0, 2496)]])
 # Two SLC lines of one coherence block: evicting the dirty one clears
-# the owner while the other line stays cached.
+# the owner, and the writer drops the block's other line with it.
 @example(streams=[[], [(1, 0), (0, 64), (0, 512), (0, 1024), (0, 1536), (0, 2048)]])
 def test_last_writer_owns_exclusively(streams):
     machine = build(streams)
@@ -131,6 +151,24 @@ def test_last_writer_owns_exclusively(streams):
                 assert caches_block(machine, node, block)
         elif entry is not None:
             assert entry.owner is None
+
+
+@given(streams=colliding_streams)
+@settings(max_examples=80, deadline=None)
+def test_partial_block_evictions_keep_dirty_lines_owned(streams):
+    """A writeback of one dirty line of a multi-line block must not
+    leave the writer a dirty line of a block it no longer owns (the
+    next writer's invalidations would miss it, and its writeback would
+    find a foreign owner)."""
+    machine = build(streams)
+    Simulator(machine).run()
+    machine.engine.check_invariants()
+    block_of = machine.layout.block_base  # SHARED_TLB: SLC and home are virtual
+    for node, cpu in enumerate(machine.nodes):
+        for cache_set in cpu.slc._sets:
+            for line, state in cache_set.items():
+                if state == DIRTY:
+                    assert machine.engine._entries[block_of(line)].owner == node
 
 
 @given(streams=node_streams)

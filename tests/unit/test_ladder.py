@@ -85,6 +85,46 @@ class TestDegradationPaths:
         assert degraded.fallback_reason.startswith("compiled engine degraded:")
         assert surface(degraded) == surface(scalar)
 
+    @pytest.mark.parametrize("fault", ["oom", "create", "internal"])
+    @pytest.mark.parametrize("kind", ["timing", "capture"])
+    def test_injected_fault_degrades_headless_job(self, params, fault, kind, monkeypatch):
+        """A runner job builds no machine on the compiled engine; when
+        that engine degrades, the job re-runs on one fresh scalar
+        machine and returns the same summary, stamped with why."""
+        from repro.system.machine import Machine
+
+        if kind == "timing":
+            spec = JobSpec.timing(
+                params, Scheme.V_COMA, "radix", 8,
+                max_refs_per_node=200, overrides={"intensity": 0.2},
+            )
+        else:
+            spec = JobSpec.sweep(
+                params, "radix", max_refs_per_node=200, overrides={"intensity": 0.2}
+            )
+        builds = []
+        build = Machine.__init__
+
+        def counted(machine, *args, **kwargs):
+            builds.append(machine)
+            build(machine, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "__init__", counted)
+        clean = spec.execute()
+        assert clean.backend.startswith("compiled") and builds == []
+        monkeypatch.setenv(FAULT_ENV, fault)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the warn-once fallback warning
+            degraded = spec.execute()
+        assert len(builds) == 1
+        assert degraded.backend.startswith("scalar")
+        assert degraded.fallback_reason.startswith("compiled engine degraded:")
+        assert fallback_counts() == {"compiled": 1}
+        payloads = [summary.to_dict() for summary in (clean, degraded)]
+        for payload in payloads:
+            del payload["backend"], payload["fallback_reason"]
+        assert payloads[0] == payloads[1]
+
     def test_fallback_counted_and_warned_once(self, params, monkeypatch):
         monkeypatch.setenv(FAULT_ENV, "oom")
 

@@ -104,6 +104,29 @@ class TestCoherence:
         machine.engine.writeback(0, addr, 0)
         machine.engine.writeback(0, addr + machine.params.slc_block, 0)
 
+    def test_partial_block_writeback_then_foreign_write(self):
+        """Two dirty SLC lines of one coherence block: evicting the
+        first sends the block home, so the writer must not keep the
+        second.  Another node then writes the block, and the writer
+        evicting its second line must not find a foreign owner."""
+        params = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
+        machine = build(params)
+        writer, other = machine.nodes
+        line = params.slc_block
+        stride = params.slc_sets * params.slc_block  # same SLC set
+        assert params.am_block == 2 * line
+        writer.reference(True, data_addr(machine, 0), now=0)
+        writer.reference(True, data_addr(machine, line), now=0)
+        for way in range(1, params.slc_assoc + 1):  # evict line 0
+            writer.reference(False, data_addr(machine, way * stride), now=0)
+        other.reference(True, data_addr(machine, 0), now=0)
+        for way in range(1, params.slc_assoc + 1):  # evict line 1
+            writer.reference(False, data_addr(machine, line + way * stride), now=0)
+        block = machine.layout.block_base(data_addr(machine))
+        assert machine.engine._entries[block].owner == 1
+        assert not writer.slc.contains(data_addr(machine, line))
+        machine.engine.check_invariants()
+
     def test_foreign_owner_writeback_rejected(self, small_params):
         machine = build(small_params)
         addr = data_addr(machine)
