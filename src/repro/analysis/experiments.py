@@ -16,16 +16,16 @@ Two kinds of runs:
   Figure 10.  Never replayed: the penalty perturbs the interleaving,
   so each design point is its own simulation.
 
-Figure 11's pressure profile needs no reference simulation and no
-machine at all: the profile is fixed by the preload's page placement
+Figure 11's pressure profile needs no reference simulation at all: the
+profile is fixed by the preloaded page placement
 (:func:`pressure_profile`).
 
 Grids of runs go through :class:`~repro.runner.batch.BatchRunner` as
-:class:`~repro.runner.jobs.JobSpec` cells, whose ``execute`` calls
-:func:`run_timing_summary` (or the tap-trace capture): the same runs,
-summarized straight from the compiled engine without building a
-machine.  The paper's grids are registered in
-:mod:`repro.analysis.report`.
+:class:`~repro.runner.jobs.JobSpec` cells, whose ``execute`` runs the
+same simulations and, on the compiled engine, reads their summaries
+straight from C without building a machine
+(:func:`~repro.system.simulator.run_summary`).  The paper's grids are
+registered in :mod:`repro.analysis.report`.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional
 
-from repro.common.address import AddressLayout
 from repro.common.params import MachineParams
 from repro.core.schemes import SCHEME_ORDER, Scheme, TAP_OF_SCHEME, TapPoint
 from repro.core.tlb import Organization
-from repro.system.machine import Machine, build_address_space, place_pages
+from repro.system.machine import Machine
 from repro.system.results import RunResult
-from repro.system.simulator import Simulator, run_summary
+from repro.system.simulator import Simulator
 from repro.system.taps import DEFAULT_SWEEP_ORGS, DEFAULT_SWEEP_SIZES, StudyAgent, StudyResults
 from repro.workloads.base import Workload
 
@@ -121,52 +120,15 @@ def run_timing(
     return Simulator(machine, max_refs_per_node=max_refs_per_node, fast=fast).run()
 
 
-def run_timing_summary(
-    params: MachineParams,
-    scheme: Scheme,
-    workload: Workload,
-    entries: int,
-    organization: Organization = Organization.FULLY_ASSOCIATIVE,
-    include_l2_writebacks: bool = True,
-    max_refs_per_node: Optional[int] = None,
-    contention: bool = False,
-    stream_key: Optional[str] = None,
-):
-    """:func:`run_timing`'s :class:`~repro.runner.summary.RunSummary`,
-    bit-identical, read straight from the compiled engine with no
-    machine built when the run is eligible (see
-    :func:`~repro.system.simulator.run_summary`)."""
-    from repro.system.taps import TimingAgent
-
-    summary, _ = run_summary(
-        params,
-        scheme,
-        workload,
-        lambda: TimingAgent(
-            params,
-            scheme,
-            entries,
-            organization=organization,
-            include_l2_writebacks=include_l2_writebacks,
-        ),
-        contention=contention,
-        max_refs_per_node=max_refs_per_node,
-        stream_key=stream_key,
-    )
-    return summary
-
-
 def pressure_profile(
     params: MachineParams,
     workload: Workload,
     scheme: Scheme = Scheme.V_COMA,
 ) -> List[float]:
-    """Figure 11: global-page-set pressure after preload.  Placement
-    alone determines the profile: the global page set of each VPN for
-    virtual-AM schemes, the frame colour otherwise."""
-    layout = AddressLayout.from_params(params)
-    space, _ = build_address_space(params, layout, workload)
-    return place_pages(params, layout, scheme.uses_virtual_am, space).pressure.profile()
+    """Figure 11: global-page-set pressure after preload (no references
+    are simulated — placement alone determines the profile)."""
+    machine = Machine(params, scheme, workload)
+    return machine.pressure.profile()
 
 
 # ----------------------------------------------------------------------

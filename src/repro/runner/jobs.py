@@ -182,8 +182,10 @@ class JobSpec:
         """
         # Imported here: repro.analysis imports the runner for its batch
         # entry points, so a module-level import would be circular.
-        from repro.analysis.experiments import run_miss_sweep, run_timing_summary
+        from repro.analysis.experiments import run_miss_sweep
         from repro.runner.summary import RunSummary
+        from repro.system.simulator import run_summary
+        from repro.system.taps import TimingAgent
 
         # The trace hash doubles as the stream-LRU key: it identifies
         # the workload recipe minus bank sizes/orgs and timing knobs,
@@ -215,17 +217,23 @@ class JobSpec:
                 stream_key=stream_key,
             )
             return RunSummary.from_result(result)
-        return run_timing_summary(
+        scheme = Scheme(self.scheme)
+        summary, _ = run_summary(
             self.params,
-            Scheme(self.scheme),
+            scheme,
             self.build_workload(),
-            self.entries,
-            organization=Organization(self.organization),
-            include_l2_writebacks=self.include_l2_writebacks,
-            max_refs_per_node=self.max_refs_per_node,
+            lambda: TimingAgent(
+                self.params,
+                scheme,
+                self.entries,
+                organization=Organization(self.organization),
+                include_l2_writebacks=self.include_l2_writebacks,
+            ),
             contention=self.contention,
+            max_refs_per_node=self.max_refs_per_node,
             stream_key=stream_key,
         )
+        return summary
 
     # ------------------------------------------------------------------
     # identity

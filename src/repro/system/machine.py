@@ -18,7 +18,7 @@ spread from its home node.
 The preload's page order, frames and global-set pressure come from
 :func:`place_pages`, which needs no machine: the compiled engine's
 ``fs_preload`` builds the same attraction-memory and directory image
-from it, and Figure 11 reads its pressure profile.
+from it.
 
 Note on L3-TLB: with page coloring and at least as many page colors as
 nodes (the paper's regime), the physical home of a page coincides with

@@ -98,9 +98,9 @@ class Simulator:
                     reason = fast_simulator.degraded_reason(exc)
         else:
             reason = "fast=False"
-        return self.run_scalar(reason)
+        return self._run_scalar_stamped(reason)
 
-    def run_scalar(self, reason: str) -> RunResult:
+    def _run_scalar_stamped(self, reason: str) -> RunResult:
         """Run on the scalar engine, stamped with why it was chosen."""
         self.backend = "scalar"
         self.fallback_reason = reason
@@ -317,5 +317,5 @@ def run_summary(
     simulator = Simulator(
         machine, max_refs_per_node=max_refs_per_node, stream_key=stream_key
     )
-    result = simulator.run() if reason is None else simulator.run_scalar(reason)
+    result = simulator.run() if reason is None else simulator._run_scalar_stamped(reason)
     return RunSummary.from_result(result), agent

@@ -33,7 +33,7 @@ import pytest
 
 from repro import CustomWorkload, MachineParams, Scheme, SegmentSpec, Simulator, make_workload
 from repro.analysis import run_timing
-from repro.analysis.experiments import pressure_profile, run_timing_summary
+from repro.analysis.experiments import pressure_profile
 from repro.common.address import AddressLayout
 from repro.common.errors import CapacityError, ReproError
 from repro.core.schemes import SCHEME_ORDER
@@ -46,6 +46,8 @@ from repro.runner.summary import RunSummary
 from repro.system import fast_simulator
 from repro.system.machine import Machine
 from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
+from repro.system.simulator import run_summary
+from repro.system.taps import TimingAgent
 from repro.workloads import PAPER_ORDER
 
 pytestmark = pytest.mark.skipif(
@@ -281,7 +283,7 @@ class TestPreloadImage:
         with pytest.raises(CapacityError) as scalar:
             Machine(params, scheme, workload)
         with pytest.raises(CapacityError) as headless:
-            run_timing_summary(params, scheme, workload, 8)
+            run_summary(params, scheme, workload, lambda: TimingAgent(params, scheme, 8))
         with pytest.raises(CapacityError) as profile:
             pressure_profile(params, workload, scheme)
         assert str(headless.value) == str(scalar.value) == str(profile.value)
