@@ -34,6 +34,10 @@ root:
   up.
 * **warm cache** — the sweep grid re-run against the result cache
   populated by the jobs=1 pass; asserts zero new simulations.
+* **stream generation** — events/s of every workload's reference
+  streams (all nodes, report intensity), drained from the Python
+  generator vs written by its C twin (``stream_columns``); the two
+  column sets are asserted byte-identical.
 """
 
 from __future__ import annotations
@@ -251,6 +255,46 @@ def tracing_overhead(smoke: bool) -> dict:
     }
 
 
+def stream_generation(smoke: bool) -> dict:
+    """Events/s per workload: Python generator vs its C twin.
+
+    Every node's stream of the bench machine at the report intensity,
+    best of 3 (CPU time); the C rate is None without a compiled
+    backend.  Both sides must produce the same columns."""
+    from repro.common.address import AddressLayout
+    from repro.core.timing_kernels import get_backend, materialize_stream, stream_columns
+    from repro.system.machine import build_address_space
+
+    repeats = 1 if smoke else 3
+    compiled = get_backend() is not None
+    layout = AddressLayout.from_params(PARAMS)
+    rows = {}
+    for name, intensity in INTENSITY.items():
+        workload = make_workload(name, intensity=intensity)
+        _, ctx = build_address_space(PARAMS, layout, workload)
+        nodes = range(PARAMS.nodes)
+        best = {"python": float("inf"), "c": float("inf")}
+        for _ in range(repeats):
+            started = time.process_time()
+            drained = [materialize_stream(workload.node_stream(n, ctx)) for n in nodes]
+            best["python"] = min(best["python"], time.process_time() - started)
+            if compiled:
+                started = time.process_time()
+                written = [stream_columns(workload, n, ctx) for n in nodes]
+                best["c"] = min(best["c"], time.process_time() - started)
+                assert written == drained, f"{name}: C stream twin diverged"
+        events = sum(len(ops) for ops, _ in drained)
+        row = {
+            "events": events,
+            "python_events_per_sec": round(events / best["python"], 1),
+            "c_events_per_sec": round(events / best["c"], 1) if compiled else None,
+        }
+        if compiled:
+            row["speedup"] = round(best["python"] / best["c"], 2)
+        rows[name] = row
+    return {"nodes": PARAMS.nodes, "seed": PARAMS.seed, "runs": repeats, "workloads": rows}
+
+
 def sweep_grid_specs(workloads, configs=BANK_CONFIGS) -> list:
     """One sweep job per (workload, bank configuration)."""
     return [
@@ -437,6 +481,13 @@ def main(argv=None) -> int:
                 f"set REPRO_BENCH_OVERHEAD_TOL to widen the gate"
             )
 
+    print("stream generation (events/s, Python generator vs C twin) ...", flush=True)
+    streams = stream_generation(args.smoke)
+    for name, row in streams["workloads"].items():
+        c_rate = row["c_events_per_sec"]
+        twin = f"{c_rate:>12.1f} C ({row['speedup']:.1f}x)" if c_rate else "no C twin"
+        print(f"  {name:>8}: {row['python_events_per_sec']:>10.1f} Python, {twin}")
+
     specs = sweep_grid_specs(workloads, configs)
     print(f"sweep grid: {len(specs)} jobs "
           f"({len(workloads)} workloads x {len(configs)} bank configs)", flush=True)
@@ -510,6 +561,7 @@ def main(argv=None) -> int:
         "grid_no_replay": no_replay_row,
         "timing_grid": timing_row,
         "warm_cache": warm,
+        "stream_generation": streams,
     }
     with open(out, "w") as handle:
         json.dump(payload, handle, indent=2)

@@ -15,7 +15,8 @@
  *  - CPython's random.Random: MT19937 seeded via init_by_array over the
  *    little-endian 32-bit digits of the 64-bit substream seed;
  *    getrandbits(k<=32) == genrand_uint32() >> (32-k); _randbelow via
- *    rejection sampling; shuffle's exact Fisher-Yates loop.
+ *    rejection sampling; shuffle's exact Fisher-Yates loop; random() as
+ *    genrand_res53 and float ** float as libm pow (the stream twins).
  *  - Python-dict LRU semantics for caches/AM (insertion order, pop and
  *    re-insert on touch, first key is the victim).
  *  - The protocol engine's statement order (counter creation included:
@@ -30,6 +31,7 @@
  * mode; no Python.h involved.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -2150,6 +2152,377 @@ void fs_shuffle_selftest(const uint32_t *state, int32_t *arr, int len) {
     MT r;
     mt_load(&r, state);
     mt_shuffle(&r, arr, len);
+}
+
+/* ------------------------------------------------------------------ */
+/* paper workload streams                                              */
+/*                                                                     */
+/* C twins of the six registered workloads' node_stream generators     */
+/* (repro/workloads/<name>.py), each a statement-for-statement port    */
+/* that writes the (op, value) columns materialize_stream would, from  */
+/* the numeric recipe the workload's stream_recipe() builds.  They     */
+/* draw CPython's exact sequence: random() is genrand_res53,           */
+/* randrange(n) is mt_randbelow, and u ** skew is libm pow (the        */
+/* recipe bounds skew so pow sets no errno CPython would raise on).    */
+/* Every Segment.address bounds check is kept.  A twin never raises    */
+/* and never truncates: a failed check or a full buffer returns        */
+/* GEN_DECLINE and the Python generator runs instead, raising its own  */
+/* error.  Recipe integers are below 2**30 (RECIPE_INT_LIMIT), and     */
+/* every offset below is a sum of at most four products of two of      */
+/* them, so int64 arithmetic cannot overflow.                          */
+/* ------------------------------------------------------------------ */
+#define GEN_DECLINE (-1)
+
+/* reference-stream opcodes (repro.system.refs) */
+#define REF_READ 0
+#define REF_WRITE 1
+#define REF_BARRIER 2
+#define REF_LOCK 3
+#define REF_UNLOCK 4
+
+/* generator kinds, in timing_kernels.STREAM_KINDS order */
+enum { GEN_RADIX, GEN_FFT, GEN_FMM, GEN_OCEAN, GEN_RAYTRACE, GEN_BARNES, GEN_KINDS };
+
+/* the byte granularity of every tree/scene touch in the workloads */
+#define GEN_GRANULARITY 64
+
+typedef struct {
+    const int64_t *seg; /* (base, size) per segment */
+    MT rng;             /* the node's ctx.rng(node) stream */
+    uint8_t *ops;
+    int64_t *vals;
+    int64_t n, cap;
+} Gen;
+
+#define SEG_BASE(g, i) ((g)->seg[2 * (i)])
+#define SEG_SIZE(g, i) ((g)->seg[2 * (i) + 1])
+
+#define EMIT(g, op, v)                              \
+    do {                                            \
+        if ((g)->n >= (g)->cap) return GEN_DECLINE; \
+        (g)->ops[(g)->n] = (uint8_t)(op);           \
+        (g)->vals[(g)->n++] = (v);                  \
+    } while (0)
+
+/* Segment.address(off) of segment i, emitted */
+#define EMIT_AT(g, op, i, off)                                        \
+    do {                                                              \
+        int64_t off_ = (off);                                         \
+        if (off_ < 0 || off_ >= SEG_SIZE(g, i)) return GEN_DECLINE;   \
+        EMIT(g, op, SEG_BASE(g, i) + off_);                           \
+    } while (0)
+
+/* random.Random.random (genrand_res53) */
+static double mt_random(MT *r) {
+    uint32_t a = mt_genrand(r) >> 5;
+    uint32_t b = mt_genrand(r) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* Slot geometry shared by Workload.zipf_accesses and
+ * Workload.tree_walk_accesses with cluster_bytes set. */
+typedef struct {
+    int64_t base, slots, per_cluster, clusters;
+} Slots;
+
+static Slots gen_slots(const Gen *g, int64_t i, int64_t cluster_bytes) {
+    Slots sl;
+    sl.base = SEG_BASE(g, i);
+    sl.slots = SEG_SIZE(g, i) / GEN_GRANULARITY;
+    if (sl.slots < 1) sl.slots = 1;
+    sl.per_cluster = cluster_bytes / GEN_GRANULARITY;
+    if (sl.per_cluster < 1) sl.per_cluster = 1;
+    sl.clusters = sl.slots / sl.per_cluster;
+    if (sl.clusters < 1) sl.clusters = 1;
+    return sl;
+}
+
+/* Knuth multiplicative scatter of the slot's cluster index */
+static int64_t gen_scatter(const Slots *sl, int64_t slot) {
+    int64_t cluster = slot / sl->per_cluster, within = slot % sl->per_cluster;
+    cluster = (cluster * 2654435761LL + 40503) % sl->clusters;
+    return cluster * sl->per_cluster + within;
+}
+
+/* Workload.zipf_accesses(segment i, count, rng, op, 64, skew, cluster_bytes) */
+static int gen_zipf(Gen *g, int64_t i, int64_t count, int op, double skew, int64_t cluster_bytes) {
+    Slots sl = gen_slots(g, i, cluster_bytes);
+    for (int64_t k = 0; k < count; k++) {
+        int64_t slot = (int64_t)((double)sl.slots * pow(mt_random(&g->rng), skew));
+        if (slot >= sl.slots) slot = sl.slots - 1;
+        EMIT(g, op, sl.base + gen_scatter(&sl, slot) * GEN_GRANULARITY);
+    }
+    return 0;
+}
+
+/* Workload.tree_walk_accesses(segment i, ..., 64, descend, cluster_bytes),
+ * one touch per walk_next call (the generator is consumed lazily,
+ * interleaved with other events) */
+typedef struct {
+    Slots sl;
+    int64_t depth;
+    double descend;
+} Walk;
+
+static Walk walk_init(const Gen *g, int64_t i, double descend, int64_t cluster_bytes) {
+    Walk w;
+    w.sl = gen_slots(g, i, cluster_bytes);
+    w.depth = bit_length32((uint32_t)w.sl.slots) - 1; /* slots < 2**30 */
+    if (w.depth < 1) w.depth = 1;
+    w.descend = descend;
+    return w;
+}
+
+static int64_t walk_next(const Walk *w, MT *r) {
+    int64_t level = 0;
+    while (level < w->depth - 1 && mt_random(r) < w->descend) level++;
+    int64_t first = ((int64_t)1 << level) - 1;
+    int64_t width = (int64_t)1 << level;
+    if (w->sl.slots - first < width) width = w->sl.slots - first;
+    int64_t slot = first + (width > 1 ? (int64_t)mt_randbelow(r, (uint32_t)width) : 0);
+    slot = gen_scatter(&w->sl, slot);
+    return w->sl.base + (slot % w->sl.slots) * GEN_GRANULARITY;
+}
+
+/* RadixWorkload.node_stream */
+static int gen_radix(Gen *g, const int64_t *p) {
+    enum { KEYS_IN, KEYS_OUT, HISTOGRAM };
+    int64_t node = p[0], passes = p[1], keys = p[2], key_bytes = p[3];
+    int64_t partition = p[4], my_base = p[5], hist_slots = p[6], buckets = p[7];
+    int64_t bucket_slots = p[8], sub_slots = p[9], total_slots = p[10];
+    int64_t barrier_id = 0;
+    for (int64_t pass = 0; pass < passes; pass++) {
+        int64_t offset = my_base;
+        for (int64_t i = 0; i < keys; i++) {
+            EMIT_AT(g, REF_READ, KEYS_IN, offset);
+            offset = my_base + (offset - my_base + key_bytes) % partition;
+            if (i % 2 == 0)
+                EMIT_AT(g, REF_WRITE, HISTOGRAM,
+                        (int64_t)mt_randbelow(&g->rng, (uint32_t)hist_slots) * 8);
+        }
+        EMIT(g, REF_BARRIER, barrier_id++);
+
+        offset = my_base;
+        int64_t base_quota = keys / buckets, remainder = keys % buckets;
+        for (int64_t bucket = 0; bucket < buckets; bucket++) {
+            int64_t quota = base_quota + (bucket < remainder ? 1 : 0);
+            for (int64_t rank = 0; rank < quota; rank++) {
+                EMIT_AT(g, REF_READ, KEYS_IN, offset);
+                offset = my_base + (offset - my_base + key_bytes) % partition;
+                int64_t slot = bucket * bucket_slots + node * sub_slots + rank % sub_slots;
+                EMIT_AT(g, REF_WRITE, KEYS_OUT, (slot % total_slots) * key_bytes);
+            }
+        }
+        EMIT(g, REF_BARRIER, barrier_id++);
+    }
+    return 0;
+}
+
+/* FFTWorkload.node_stream */
+static int gen_fft(Gen *g, const int64_t *p) {
+    enum { MATRIX_A, MATRIX_B };
+    int64_t node = p[0], nodes = p[1], stages = p[2], n = p[3];
+    int64_t rows_per_node = p[4], row_bytes = p[5], step = p[6], eb = p[7];
+    int64_t my_first_row = node * rows_per_node;
+    int64_t barrier_id = 0;
+    for (int64_t stage = 0; stage < stages; stage++) {
+        int src = stage % 2 == 0 ? MATRIX_A : MATRIX_B;
+        int dst = stage % 2 == 0 ? MATRIX_B : MATRIX_A;
+        for (int64_t row = my_first_row; row < my_first_row + rows_per_node; row++) {
+            int64_t base = row * row_bytes;
+            for (int64_t col = 0; col < n; col += step) {
+                EMIT_AT(g, REF_READ, src, base + col * eb);
+                if (col % 2 == 0) EMIT_AT(g, REF_WRITE, src, base + col * eb);
+            }
+        }
+        EMIT(g, REF_BARRIER, barrier_id++);
+
+        int64_t col_slice = rows_per_node;
+        for (int64_t band = 0; band < nodes; band++) {
+            int64_t src_band = (node + 1 + band) % nodes;
+            for (int64_t row = src_band * rows_per_node; row < (src_band + 1) * rows_per_node;
+                 row++) {
+                /* node * col_slice < n: stream_columns passes node < nodes */
+                int64_t read_base = row * row_bytes + node * col_slice * eb;
+                for (int64_t j = 0; j < col_slice; j += step) {
+                    EMIT_AT(g, REF_READ, src, read_base + j * eb);
+                    int64_t dst_row = node * rows_per_node + j;
+                    EMIT_AT(g, REF_WRITE, dst, dst_row * row_bytes + row * eb);
+                }
+            }
+        }
+        EMIT(g, REF_BARRIER, barrier_id++);
+    }
+    return 0;
+}
+
+/* FMMWorkload.node_stream */
+static int gen_fmm(Gen *g, const int64_t *p, const double *r) {
+    enum { TREE, PARTICLES };
+    const int64_t particle_bytes = 64;
+    int64_t iterations = p[0], count = p[1], interactions = p[2];
+    int64_t partition = p[3], my_base = p[4], page_size = p[5];
+    Walk tree = walk_init(g, TREE, r[0], page_size);
+    int64_t barrier_id = 0;
+    for (int64_t it = 0; it < iterations; it++) {
+        int64_t offset = my_base;
+        for (int64_t i = 0; i < count * interactions; i++) {
+            EMIT(g, REF_READ, walk_next(&tree, &g->rng));
+            if (i % interactions == 0) {
+                EMIT_AT(g, REF_READ, PARTICLES, offset);
+                offset = my_base + (offset - my_base + particle_bytes) % partition;
+            }
+        }
+        EMIT(g, REF_BARRIER, barrier_id++);
+
+        offset = my_base;
+        for (int64_t k = 0; k < count; k++) {
+            EMIT_AT(g, REF_READ, PARTICLES, offset);
+            EMIT_AT(g, REF_WRITE, PARTICLES, offset);
+            offset = my_base + (offset - my_base + particle_bytes) % partition;
+        }
+        EMIT(g, REF_BARRIER, barrier_id++);
+    }
+    return 0;
+}
+
+/* OceanWorkload.node_stream */
+static int gen_ocean(Gen *g, const int64_t *p) {
+    int64_t sweeps = p[0], rows = p[1], cols = p[2], band = p[3];
+    int64_t my_first = p[4], step = p[5], eb = p[6], row_bytes = p[7];
+    int64_t barrier_id = 0;
+    for (int64_t sweep = 0; sweep < sweeps; sweep++) {
+        int src = (int)(sweep % 2), dst = (int)((sweep + 1) % 2); /* grid_a, grid_b */
+        for (int64_t row = my_first; row < my_first + band; row++) {
+            int64_t row_base = row * row_bytes;
+            int64_t up_base = (row - 1 > 0 ? row - 1 : 0) * row_bytes;
+            int64_t down_base = (rows - 1 < row + 1 ? rows - 1 : row + 1) * row_bytes;
+            for (int64_t col = 0; col < cols; col += step) {
+                int64_t col_off = col * eb;
+                EMIT_AT(g, REF_READ, src, row_base + col_off);
+                if (col % 4 == 0) {
+                    EMIT_AT(g, REF_READ, src, up_base + col_off);
+                    EMIT_AT(g, REF_READ, src, down_base + col_off);
+                }
+                EMIT_AT(g, REF_WRITE, dst, row_base + col_off);
+            }
+        }
+        EMIT(g, REF_BARRIER, barrier_id++);
+    }
+    return 0;
+}
+
+/* RaytraceWorkload.node_stream; segments: scene, task_queue, then the
+ * node's stack elements group by group (stack{node}_g{g}_e{i}) */
+static int gen_raytrace(Gen *g, const int64_t *p, const double *r) {
+    enum { SCENE, QUEUE, STACKS };
+    int64_t tasks = p[0], groups = p[1], depth_limit = p[2];
+    int64_t rays = p[3], reads = p[4], page_size = p[5];
+    double skew = r[0];
+    int64_t lock_word = SEG_BASE(g, QUEUE);
+    for (int64_t task = 0; task < tasks; task++) {
+        int64_t elements = STACKS + (task % groups) * depth_limit;
+        EMIT(g, REF_LOCK, lock_word);
+        EMIT_AT(g, REF_READ, QUEUE, 64);
+        EMIT_AT(g, REF_WRITE, QUEUE, 64);
+        EMIT(g, REF_UNLOCK, lock_word);
+
+        int64_t depth = 0;
+        for (int64_t ray = 0; ray < rays; ray++) {
+            if (gen_zipf(g, SCENE, reads, REF_READ, skew, page_size) < 0) return GEN_DECLINE;
+            depth = (depth + 1) % depth_limit;
+            int64_t element = elements + depth;
+            EMIT_AT(g, REF_WRITE, element, 0);
+            EMIT_AT(g, REF_READ, element, 32);
+            EMIT_AT(g, REF_WRITE, element, 64);
+            if (depth > 0 && mt_random(&g->rng) < 0.5) {
+                depth -= 1;
+                EMIT_AT(g, REF_WRITE, elements + depth, 0);
+            }
+        }
+    }
+    EMIT(g, REF_BARRIER, 0);
+    return 0;
+}
+
+/* BarnesWorkload.node_stream */
+static int gen_barnes(Gen *g, const int64_t *p, const double *r) {
+    enum { TREE, BODIES, LOCKS };
+    const int64_t body_bytes = 96;
+    int64_t timesteps = p[0], count = p[1], partition = p[2], my_base = p[3];
+    int64_t walk_reads = p[4], build_locks = p[5], page_size = p[6];
+    Walk tree = walk_init(g, TREE, r[0], page_size);
+    int64_t tree_base = SEG_BASE(g, TREE);
+    int64_t inserts = count / 4 > 1 ? count / 4 : 1;
+    int64_t barrier_id = 0;
+    for (int64_t ts = 0; ts < timesteps; ts++) {
+        int64_t offset = my_base;
+        for (int64_t k = 0; k < inserts; k++) {
+            int64_t write_addr = walk_next(&tree, &g->rng);
+            EMIT_AT(g, REF_READ, BODIES, offset);
+            offset = my_base + (offset - my_base + body_bytes) % partition;
+            int64_t lock_off = (((write_addr - tree_base) / 64) % build_locks) * 64;
+            if (lock_off >= SEG_SIZE(g, LOCKS)) return GEN_DECLINE;
+            int64_t lock_word = SEG_BASE(g, LOCKS) + lock_off;
+            EMIT(g, REF_LOCK, lock_word);
+            EMIT(g, REF_WRITE, write_addr);
+            EMIT(g, REF_UNLOCK, lock_word);
+        }
+        EMIT(g, REF_BARRIER, barrier_id++);
+
+        offset = my_base;
+        for (int64_t k = 0; k < count; k++) {
+            EMIT_AT(g, REF_READ, BODIES, offset);
+            for (int64_t w = 0; w < walk_reads; w++) EMIT(g, REF_READ, walk_next(&tree, &g->rng));
+            offset = my_base + (offset - my_base + body_bytes) % partition;
+        }
+        EMIT(g, REF_BARRIER, barrier_id++);
+
+        offset = my_base;
+        for (int64_t k = 0; k < count; k++) {
+            EMIT_AT(g, REF_READ, BODIES, offset);
+            EMIT_AT(g, REF_WRITE, BODIES, offset);
+            offset = my_base + (offset - my_base + body_bytes) % partition;
+        }
+        EMIT(g, REF_BARRIER, barrier_id++);
+    }
+    return 0;
+}
+
+/* One node's stream of a paper workload into ops/vals (cap events at
+ * most): the event count, or GEN_DECLINE.  ints/reals/segs are the
+ * recipe (segs as (base, size) pairs); seed is the node's substream
+ * seed, seeded like random.Random(seed). */
+int64_t fs_stream(int kind, const int64_t *ints, int64_t nints, const double *reals,
+                  int64_t nreals, const int64_t *segs, int64_t nsegs, uint64_t seed,
+                  uint8_t *ops, int64_t *vals, int64_t cap) {
+    /* recipe shape per kind: ints, reals, segments (-1: raytrace's
+     * 2 + groups * depth_limit) */
+    static const int64_t shape[GEN_KINDS][3] = {
+        {11, 0, 3}, {8, 0, 2}, {6, 1, 2}, {8, 0, 2}, {6, 1, -1}, {7, 1, 3},
+    };
+    if (kind < 0 || kind >= GEN_KINDS) return GEN_DECLINE;
+    int64_t want_segs = shape[kind][2];
+    if (kind == GEN_RAYTRACE && nints == shape[kind][0]) want_segs = 2 + ints[1] * ints[2];
+    if (nints != shape[kind][0] || nreals != shape[kind][1] || nsegs != want_segs)
+        return GEN_DECLINE;
+    Gen g;
+    g.seg = segs;
+    mt_seed(&g.rng, seed);
+    g.ops = ops;
+    g.vals = vals;
+    g.n = 0;
+    g.cap = cap;
+    int status = GEN_DECLINE;
+    switch (kind) {
+    case GEN_RADIX: status = gen_radix(&g, ints); break;
+    case GEN_FFT: status = gen_fft(&g, ints); break;
+    case GEN_FMM: status = gen_fmm(&g, ints, reals); break;
+    case GEN_OCEAN: status = gen_ocean(&g, ints); break;
+    case GEN_RAYTRACE: status = gen_raytrace(&g, ints, reals); break;
+    case GEN_BARNES: status = gen_barnes(&g, ints, reals); break;
+    }
+    return status < 0 ? GEN_DECLINE : g.n;
 }
 
 /* ------------------------------------------------------------------ */

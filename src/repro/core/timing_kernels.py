@@ -9,10 +9,22 @@ only events where cross-node ordering must consult simulator policy.
 materialized into columnar arrays (one ``uint8`` opcode column, one
 ``int64`` value column) and handed to a compiled engine that runs the
 whole machine — heap, caches, attraction memories, directory, TLB/DLB,
-RNG — returning to Python only at sync events.  The scalar engine in
-:mod:`repro.system.simulator` is retained as the differential-testing
-oracle; every counter, breakdown, histogram, cache image, and RNG state
-the compiled engine produces matches it bit for bit
+RNG — returning to Python only at sync events.
+
+The columns of the six paper workloads are written in C too:
+``fs_stream`` holds a twin of each workload's ``node_stream``, fed by
+the numeric recipe the workload builds (``stream_recipe``), and
+:func:`stream_columns` calls it once per node on the cache-miss path
+of :func:`materialize_shared`.  A twin reproduces its generator byte
+for byte — CPython's MT19937 draws, ``random()``, ``randrange`` and
+``float ** float`` included — or declines, and the generator is
+drained by :func:`materialize_stream` as before.  The generators stay
+the specification: the scalar engine, traffic analysis and
+``record_trace`` still drain them.
+
+The scalar engine in :mod:`repro.system.simulator` is retained as the
+differential-testing oracle; every counter, breakdown, histogram, cache
+image, and RNG state the compiled engine produces matches it bit for bit
 (``tests/integration/test_timing_equivalence.py``), whether it is read
 straight into a runner job's summary or copied back into a machine.
 
@@ -112,6 +124,9 @@ int64_t fs_bank_run(int64_t entries, int64_t sets, int64_t assoc, uint32_t *rng_
 int64_t fs_bank_run_many(const void *pages, int64_t width, int64_t n, int64_t ngeo,
                          const int64_t *sets, const int64_t *assoc, const uint64_t *seeds,
                          int64_t *misses_out);
+int64_t fs_stream(int kind, const int64_t *ints, int64_t nints, const double *reals,
+                  int64_t nreals, const int64_t *segs, int64_t nsegs, uint64_t seed,
+                  uint8_t *ops, int64_t *vals, int64_t cap);
 void fs_set_trace(FastSim *s, const int64_t *cfg);
 void fs_trace_sync(FastSim *s, int64_t next_id, int64_t last_time);
 const char *fs_trace_take(FastSim *s, int64_t *state);
@@ -395,7 +410,7 @@ def _build_library(source_path: str) -> str:
     os.close(fd)
     try:
         subprocess.run(
-            ["gcc", "-O2", "-shared", "-fPIC"] + flags + ["-o", tmp, source_path],
+            ["gcc", "-O2", "-shared", "-fPIC"] + flags + ["-o", tmp, source_path, "-lm"],
             check=True,
             capture_output=True,
         )
@@ -451,8 +466,42 @@ def _self_test(ffi, lib) -> Optional[str]:
         rng.shuffle(reference)
         if [int(arr[i]) for i in range(32)] != reference:
             return "shuffle diverges from random.shuffle"
+
+        problem = _stream_self_test(ffi, lib)
+        if problem is not None:
+            return problem
     except Exception as exc:  # missing symbol, bad pointer, ...
         return f"probe crashed ({type(exc).__name__}: {exc})"
+    return None
+
+
+def _stream_self_test(ffi, lib) -> Optional[str]:
+    """Two short stream twins against their Python generators.
+
+    RAYTRACE draws ``random() ** 2.5`` for its zipf scene reads and FMM
+    ``random() < descend`` and ``randrange`` for its tree walks, so a
+    library whose float semantics differ from the interpreter's is
+    refused here rather than trusted with every run's streams.
+    """
+    from repro.common.address import AddressLayout
+    from repro.common.params import MachineParams
+    from repro.system.machine import build_address_space
+    from repro.workloads import FMMWorkload, RaytraceWorkload
+
+    params = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
+    layout = AddressLayout.from_params(params)
+    for workload in (
+        RaytraceWorkload(
+            intensity=0.05, rays_per_task=3, stack_depth=1, stack_groups=1, scene_skew=2.5
+        ),
+        FMMWorkload(intensity=0.01, iterations=1, interactions_per_particle=3),
+    ):
+        _, ctx = build_address_space(params, layout, workload)
+        recipe = workload.stream_recipe(1, ctx)
+        got = None if recipe is None else _run_recipe(ffi, lib, recipe)
+        want = materialize_stream(workload.node_stream(1, ctx))
+        if got is None or got[0] != want[0] or got[1] != want[1]:
+            return f"{workload.name} stream diverges from its Python generator"
     return None
 
 
@@ -556,6 +605,77 @@ def backend_health() -> dict:
 # ---------------------------------------------------------------------------
 # columnar stream materialization
 # ---------------------------------------------------------------------------
+
+#: Generator kinds of ``fs_stream``, in the C ``GEN_*`` order: the
+#: registered paper workloads, each with a C twin of its ``node_stream``.
+STREAM_KINDS = ("radix", "fft", "fmm", "ocean", "raytrace", "barnes")
+
+#: Python errors a recipe's own arithmetic can raise on a config its
+#: generator rejects too; the twin then declines and the generator
+#: raises the real error.
+_RECIPE_ERRORS = (ArithmeticError, LookupError, TypeError, ValueError)
+
+
+def stream_columns(workload, node: int, ctx):
+    """One node's ``(ops, values)`` columns from the workload's C twin.
+
+    Equal byte for byte to ``materialize_stream(workload.node_stream(
+    node, ctx))`` (``benchmarks/check_stream_equivalence.py``), or None
+    where the twin declines: no compiled backend, a workload whose type
+    is not exactly one of the registered paper classes (a subclass may
+    override its generator), a recipe value out of the twin's range
+    (:func:`repro.workloads.base.stream_recipe`), or a failed
+    ``Segment.address`` bounds check.  The caller then drains the
+    Python generator, which raises whatever it raises.
+    """
+    backend = get_backend()
+    if backend is None:
+        return None
+    from repro.workloads import WORKLOADS
+    from repro.workloads.base import WorkloadContext
+
+    if type(workload) not in WORKLOADS.values() or type(ctx) is not WorkloadContext:
+        return None
+    if type(node) is not int or not 0 <= node < ctx.params.nodes:
+        return None
+    try:
+        recipe = workload.stream_recipe(node, ctx)
+    except _RECIPE_ERRORS:
+        return None
+    if recipe is None:
+        return None
+    return _run_recipe(backend.ffi, backend.lib, recipe)
+
+
+def _run_recipe(ffi, lib, recipe):
+    """Expand a :class:`~repro.workloads.base.StreamRecipe` with
+    ``fs_stream``: the columns, or None if the twin declines."""
+    # Tuples enter as temporary C arrays and the columns take the
+    # function's own pointer types: no C type string is parsed, which
+    # would cost ~0.4 ms each in the load-time self-test.
+    ops_type, vals_type = ffi.typeof(lib.fs_stream).args[8:10]
+    segs = tuple(v for segment in recipe.segments for v in (segment.base, segment.size))
+    ops = array.array("B", [0]) * recipe.capacity
+    vals = array.array("q", [0]) * recipe.capacity
+    count = lib.fs_stream(
+        STREAM_KINDS.index(recipe.kind),
+        recipe.ints,
+        len(recipe.ints),
+        recipe.reals,
+        len(recipe.reals),
+        segs,
+        len(recipe.segments),
+        recipe.seed,
+        ffi.from_buffer(ops_type, ops),
+        ffi.from_buffer(vals_type, vals),
+        recipe.capacity,
+    )
+    if count < 0:
+        return None
+    del ops[count:]
+    del vals[count:]
+    return ops, vals
+
 
 def materialize_stream(stream: Iterable[Tuple[int, int]]):
     """Drain one node's ``(op, value)`` stream into columnar arrays.
@@ -687,22 +807,31 @@ def stream_cache() -> StreamCache:
     return _stream_cache
 
 
-def materialize_shared(stream_key, node: int, stream_factory):
+def materialize_shared(stream_key, node: int, stream_factory, columns_factory=None):
     """Materialize one node's columns, shared across a grid via the LRU.
 
     ``stream_factory`` is a zero-argument callable producing the
-    ``(op, value)`` iterable; it is only invoked on a cache miss.  With
-    ``stream_key=None`` (no workload identity available) the cache is
-    bypassed entirely.
+    ``(op, value)`` iterable; it is only invoked on a cache miss, and
+    only if ``columns_factory`` (a zero-argument callable, typically a
+    workload's C twin through :func:`stream_columns`) is absent or
+    returns None.  With ``stream_key=None`` (no workload identity
+    available) the cache is bypassed entirely.
     """
     if stream_key is None:
-        return materialize_stream(stream_factory())
+        return _materialize(stream_factory, columns_factory)
     key = (stream_key, node)
     columns = _stream_cache.get(key)
     if columns is not None:
         return columns
-    columns = materialize_stream(stream_factory())
+    columns = _materialize(stream_factory, columns_factory)
     _stream_cache.put(key, columns)
+    return columns
+
+
+def _materialize(stream_factory, columns_factory):
+    columns = columns_factory() if columns_factory is not None else None
+    if columns is None:
+        columns = materialize_stream(stream_factory())
     return columns
 
 

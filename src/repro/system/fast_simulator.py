@@ -429,14 +429,18 @@ def _drive(run, source, ffi, lib, handle, timing_agent):
     count = source.params.nodes
 
     # -- load the snapshot ----------------------------------------------
-    # Streams: materialized columns (shared across grid cells through
-    # the stream LRU when the caller supplied a workload identity);
-    # `keep` pins the arrays and their cffi views for the lifetime of
-    # the run (C holds raw pointers).
+    # Streams: columns from the workload's C twin, or drained from its
+    # Python generator where the twin declines (shared across grid
+    # cells through the stream LRU when the caller supplied a workload
+    # identity); `keep` pins the arrays and their cffi views for the
+    # lifetime of the run (C holds raw pointers).
     keep = []
     for n in range(count):
         ops, vals = tk.materialize_shared(
-            run.stream_key, n, lambda node=n: source.node_stream(node)
+            run.stream_key,
+            n,
+            lambda node=n: source.node_stream(node),
+            lambda node=n: tk.stream_columns(source.workload, node, source.ctx),
         )
         length = len(ops)
         if length:

@@ -14,11 +14,18 @@ barrier.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from repro.common.params import MachineParams
 from repro.system.refs import READ, WRITE
-from repro.workloads.base import Event, SegmentSpec, Workload, WorkloadContext
+from repro.workloads.base import (
+    Event,
+    SegmentSpec,
+    StreamRecipe,
+    Workload,
+    WorkloadContext,
+    stream_recipe,
+)
 
 
 class BarnesWorkload(Workload):
@@ -116,3 +123,23 @@ class BarnesWorkload(Workload):
                 offset = my_base + (offset - my_base + body_bytes) % partition
             yield self.barrier(barrier_id)
             barrier_id += 1
+
+    def stream_recipe(self, node: int, ctx: WorkloadContext) -> Optional[StreamRecipe]:
+        """:meth:`node_stream` for ``fs_stream``'s ``gen_barnes``."""
+        bodies = ctx.segment("bodies")
+        count = self.bodies_per_node(ctx)
+        partition = bodies.size // ctx.params.nodes
+        walk = self.walk_reads_per_body
+        inserts = max(1, count // 4)
+        return stream_recipe(
+            "barnes",
+            ctx.rng_seed(node),
+            (ctx.segment("tree"), bodies, ctx.segment("locks")),
+            (
+                self.timesteps, count, partition, node * partition, walk,
+                self.build_locks, ctx.params.page_size,
+            ),
+            (self.tree_descend,),
+            capacity=self.timesteps * (4 * inserts + count * (walk + 3) + 3),
+            positive=(partition, self.build_locks),
+        )

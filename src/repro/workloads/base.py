@@ -8,18 +8,25 @@ page, and hands each node's stream to the simulator.
 
 Streams are deterministic functions of ``(machine seed, workload name,
 node)``; re-running a configuration reproduces it bit-for-bit.
+
+The six paper workloads also describe their streams as numbers
+(:meth:`Workload.stream_recipe`), which ``fastsim.c`` expands into the
+same columns in C.  The Python generators are the specification: a C
+twin must reproduce its generator byte for byte, and declines (returns
+no recipe) wherever it cannot.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.address import AddressLayout
 from repro.common.params import MachineParams
-from repro.common.rng import make_rng
+from repro.common.rng import substream_seed
 from repro.system.refs import BARRIER, LOCK, READ, UNLOCK
 from repro.vm.segments import Segment, SegmentKind
 
@@ -59,9 +66,80 @@ class WorkloadContext:
     def segment(self, name: str) -> Segment:
         return self.segments[name]
 
+    def rng_seed(self, node: int, tag: str = "stream") -> int:
+        """The seed of :meth:`rng` (C twins seed MT19937 from it)."""
+        return substream_seed(self.seed, "workload", self.workload_name, tag, node)
+
     def rng(self, node: int, tag: str = "stream") -> random.Random:
         """A deterministic per-node, per-purpose random stream."""
-        return make_rng(self.seed, "workload", self.workload_name, tag, node)
+        return random.Random(self.rng_seed(node, tag))
+
+
+#: Bound on every integer a stream recipe hands to C: counts, strides,
+#: offsets, segment sizes and the event capacity.  Each offset a C twin
+#: computes is a sum of at most four products of two such values, so
+#: int64 arithmetic cannot overflow, and every ``randrange`` argument
+#: stays below 2**32.
+RECIPE_INT_LIMIT = 1 << 30
+
+#: Largest zipf skew a C twin takes: ``u ** skew`` stays a normal double
+#: for every nonzero ``u = random()`` (>= 2**-53), so libm's ``pow``
+#: sets no ``errno`` that CPython's ``float ** float`` would raise on.
+RECIPE_MAX_SKEW = 16.0
+
+
+@dataclass(frozen=True)
+class StreamRecipe:
+    """One node's stream as numbers, for its C twin in ``fastsim.c``.
+
+    ``kind`` names the generator; ``ints`` and ``reals`` are its
+    parameters in the order the C twin reads them; ``segments`` are
+    the segments it addresses (base and size each, every access
+    bounds-checked like :meth:`Segment.address`); ``seed`` seeds the
+    MT19937 stream :meth:`WorkloadContext.rng` would return; and
+    ``capacity`` bounds the event count from above.
+    """
+
+    kind: str
+    seed: int
+    segments: Tuple[Segment, ...]
+    ints: Tuple[int, ...]
+    reals: Tuple[float, ...]
+    capacity: int
+
+
+def stream_recipe(
+    kind: str,
+    seed: int,
+    segments,
+    ints,
+    reals=(),
+    capacity: int = 0,
+    positive=(),
+) -> Optional[StreamRecipe]:
+    """A :class:`StreamRecipe`, or None where the C twin declines.
+
+    It declines when an integer is not a plain int in
+    ``[0, RECIPE_INT_LIMIT)``, a divisor or count in ``positive`` is
+    below 1, a segment is that large or a real is not a finite int or
+    float.  The Python generator then runs instead, raising whatever
+    it raises.
+    """
+    segments = tuple(segments)
+    ints = tuple(ints)
+    values = ints + tuple(positive) + (capacity,) + tuple(s.size for s in segments)
+    if any(type(v) is not int or not 0 <= v < RECIPE_INT_LIMIT for v in values):
+        return None
+    if any(v < 1 for v in positive):
+        return None
+    if any(type(s.base) is not int or s.base >= 1 << 62 for s in segments):
+        return None
+    if any(type(r) not in (int, float) for r in reals):
+        return None
+    reals = tuple(float(r) for r in reals)
+    if not all(math.isfinite(r) for r in reals):
+        return None
+    return StreamRecipe(kind, seed, segments, ints, reals, capacity)
 
 
 class Workload(abc.ABC):
@@ -82,6 +160,15 @@ class Workload(abc.ABC):
     @abc.abstractmethod
     def node_stream(self, node: int, ctx: WorkloadContext) -> Iterator[Event]:
         """The node's reference stream (must be regenerable)."""
+
+    def stream_recipe(self, node: int, ctx: WorkloadContext) -> Optional[StreamRecipe]:
+        """:meth:`node_stream` as a recipe for its C twin, or None.
+
+        Only the six registered paper workloads have twins, and only
+        their exact classes use them: a subclass inherits the recipe
+        but may override the generator.
+        """
+        return None
 
     # ------------------------------------------------------------------
     # shared stream-building helpers

@@ -22,11 +22,18 @@ slices, write the own band) → barrier.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from repro.common.params import MachineParams
 from repro.system.refs import READ, WRITE
-from repro.workloads.base import Event, SegmentSpec, Workload, WorkloadContext
+from repro.workloads.base import (
+    Event,
+    SegmentSpec,
+    StreamRecipe,
+    Workload,
+    WorkloadContext,
+    stream_recipe,
+)
 
 
 class FFTWorkload(Workload):
@@ -62,19 +69,25 @@ class FFTWorkload(Workload):
         n = 1 << (int(math.log2(max(4, elements))) // 2)
         return max(n, ctx.params.nodes)
 
-    def node_stream(self, node: int, ctx: WorkloadContext) -> Iterator[Event]:
+    def _layout(self, ctx: WorkloadContext):
+        """``(n, rows_per_node, row_bytes, step)`` of one run."""
         params = ctx.params
-        a = ctx.segment("matrix_a")
-        b = ctx.segment("matrix_b")
         n = self._dimension(ctx)
         rows_per_node = max(1, n // params.nodes)
         row_bytes = n * self.element_bytes
         # Keep the touched area inside the segment even if n*n elements
         # overshoot the allocation (dimension rounding).
-        usable_rows = min(n, a.size // row_bytes)
+        usable_rows = min(n, ctx.segment("matrix_a").size // row_bytes)
         rows_per_node = min(rows_per_node, max(1, usable_rows // params.nodes))
-        my_first_row = node * rows_per_node
         step = max(1, int(1 / self.intensity)) if self.intensity < 1 else 1
+        return n, rows_per_node, row_bytes, step
+
+    def node_stream(self, node: int, ctx: WorkloadContext) -> Iterator[Event]:
+        params = ctx.params
+        a = ctx.segment("matrix_a")
+        b = ctx.segment("matrix_b")
+        n, rows_per_node, row_bytes, step = self._layout(ctx)
+        my_first_row = node * rows_per_node
         barrier_id = 0
 
         for stage in range(self.stages):
@@ -110,3 +123,19 @@ class FFTWorkload(Workload):
                         yield WRITE, dst.address(dst_row * row_bytes + row * eb)
             yield self.barrier(barrier_id)
             barrier_id += 1
+
+    def stream_recipe(self, node: int, ctx: WorkloadContext) -> Optional[StreamRecipe]:
+        """:meth:`node_stream` for ``fs_stream``'s ``gen_fft``."""
+        nodes = ctx.params.nodes
+        n, rows_per_node, row_bytes, step = self._layout(ctx)
+        cols = -(-n // step)  # len(range(0, n, step))
+        slice_cols = -(-rows_per_node // step)
+        per_stage = rows_per_node * (2 * cols + 2 * nodes * slice_cols) + 2
+        return stream_recipe(
+            "fft",
+            ctx.rng_seed(node),
+            (ctx.segment("matrix_a"), ctx.segment("matrix_b")),
+            (node, nodes, self.stages, n, rows_per_node, row_bytes, step, self.element_bytes),
+            capacity=self.stages * per_stage,
+            positive=(step,),
+        )

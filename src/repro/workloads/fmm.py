@@ -15,11 +15,18 @@ segment interleaved with cell-list reads) → own-particle update phase
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from repro.common.params import MachineParams
 from repro.system.refs import READ, WRITE
-from repro.workloads.base import Event, SegmentSpec, Workload, WorkloadContext
+from repro.workloads.base import (
+    Event,
+    SegmentSpec,
+    StreamRecipe,
+    Workload,
+    WorkloadContext,
+    stream_recipe,
+)
 
 
 class FMMWorkload(Workload):
@@ -97,3 +104,22 @@ class FMMWorkload(Workload):
                 offset = my_base + (offset - my_base + particle_bytes) % partition
             yield self.barrier(barrier_id)
             barrier_id += 1
+
+    def stream_recipe(self, node: int, ctx: WorkloadContext) -> Optional[StreamRecipe]:
+        """:meth:`node_stream` for ``fs_stream``'s ``gen_fmm``."""
+        particles = ctx.segment("particles")
+        count = self.particles_per_node(ctx)
+        partition = particles.size // ctx.params.nodes
+        interactions = self.interactions_per_particle
+        return stream_recipe(
+            "fmm",
+            ctx.rng_seed(node),
+            (ctx.segment("tree"), particles),
+            (
+                self.iterations, count, interactions, partition, node * partition,
+                ctx.params.page_size,
+            ),
+            (self.tree_descend,),
+            capacity=self.iterations * (count * (interactions + 3) + 2),
+            positive=(interactions, partition),
+        )

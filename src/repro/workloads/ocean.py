@@ -15,11 +15,18 @@ between two grids (red/black style).
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from repro.common.params import MachineParams
 from repro.system.refs import READ, WRITE
-from repro.workloads.base import Event, SegmentSpec, Workload, WorkloadContext
+from repro.workloads.base import (
+    Event,
+    SegmentSpec,
+    StreamRecipe,
+    Workload,
+    WorkloadContext,
+    stream_recipe,
+)
 
 
 class OceanWorkload(Workload):
@@ -59,6 +66,9 @@ class OceanWorkload(Workload):
         rows -= rows % ctx.params.nodes
         return rows, cols
 
+    def _step(self) -> int:
+        return max(1, int(1 / self.intensity)) if self.intensity < 1 else 1
+
     def node_stream(self, node: int, ctx: WorkloadContext) -> Iterator[Event]:
         params = ctx.params
         grids = (ctx.segment("grid_a"), ctx.segment("grid_b"))
@@ -66,7 +76,7 @@ class OceanWorkload(Workload):
         band = rows // params.nodes
         row_bytes = cols * self.element_bytes
         my_first = node * band
-        step = max(1, int(1 / self.intensity)) if self.intensity < 1 else 1
+        step = self._step()
         barrier_id = 0
 
         for sweep in range(self.sweeps):
@@ -87,3 +97,20 @@ class OceanWorkload(Workload):
                     yield WRITE, dst.address(row_base + col_off)
             yield self.barrier(barrier_id)
             barrier_id += 1
+
+    def stream_recipe(self, node: int, ctx: WorkloadContext) -> Optional[StreamRecipe]:
+        """:meth:`node_stream` for ``fs_stream``'s ``gen_ocean``."""
+        rows, cols = self._geometry(ctx)
+        band = rows // ctx.params.nodes
+        step = self._step()
+        return stream_recipe(
+            "ocean",
+            ctx.rng_seed(node),
+            (ctx.segment("grid_a"), ctx.segment("grid_b")),
+            (
+                self.sweeps, rows, cols, band, node * band, step, self.element_bytes,
+                cols * self.element_bytes,
+            ),
+            capacity=self.sweeps * (band * 4 * -(-cols // step) + 1),
+            positive=(step,),
+        )

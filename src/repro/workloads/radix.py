@@ -22,11 +22,18 @@ histogram updates, with barriers between passes.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from repro.common.params import MachineParams
 from repro.system.refs import READ, WRITE
-from repro.workloads.base import Event, SegmentSpec, Workload, WorkloadContext
+from repro.workloads.base import (
+    Event,
+    SegmentSpec,
+    StreamRecipe,
+    Workload,
+    WorkloadContext,
+    stream_recipe,
+)
 
 
 class RadixWorkload(Workload):
@@ -67,6 +74,23 @@ class RadixWorkload(Workload):
         per_node = total_keys // ctx.params.nodes
         return max(16, int(per_node * self.intensity))
 
+    def _buckets(self, ctx: WorkloadContext):
+        """``(total_slots, buckets, bucket_slots, sub_slots)`` of the
+        output array.
+
+        Rank-based permutation layout (as in SPLASH-2 radix): the
+        output array is divided into `radix_buckets` dense bucket
+        regions; inside a bucket, each node owns an adjacent
+        sub-region (its prefix-summed rank range).  Sub-regions of
+        different nodes share pages, which is precisely what feeds the
+        DLB's sharing/prefetching effects.
+        """
+        nodes = ctx.params.nodes
+        total_slots = ctx.segment("keys_out").size // self.key_bytes
+        buckets = min(self.radix_buckets, max(1, total_slots // nodes))
+        bucket_slots = total_slots // buckets
+        return total_slots, buckets, bucket_slots, max(1, bucket_slots // nodes)
+
     def node_stream(self, node: int, ctx: WorkloadContext) -> Iterator[Event]:
         params = ctx.params
         keys_in = ctx.segment("keys_in")
@@ -79,16 +103,7 @@ class RadixWorkload(Workload):
         hist_slots = histogram.size // 8
         barrier_id = 0
 
-        # Rank-based permutation layout (as in SPLASH-2 radix): the
-        # output array is divided into `radix_buckets` dense bucket
-        # regions; inside a bucket, each node owns an adjacent
-        # sub-region (its prefix-summed rank range).  Sub-regions of
-        # different nodes share pages, which is precisely what feeds the
-        # DLB's sharing/prefetching effects.
-        total_slots = keys_out.size // self.key_bytes
-        buckets = min(self.radix_buckets, max(1, total_slots // params.nodes))
-        bucket_slots = total_slots // buckets
-        sub_slots = max(1, bucket_slots // params.nodes)
+        total_slots, buckets, bucket_slots, sub_slots = self._buckets(ctx)
 
         for _ in range(self.passes):
             # Phase 1: local histogram of own keys (reads own partition,
@@ -127,3 +142,23 @@ class RadixWorkload(Workload):
                     yield WRITE, keys_out.address((slot % total_slots) * self.key_bytes)
             yield self.barrier(barrier_id)
             barrier_id += 1
+
+    def stream_recipe(self, node: int, ctx: WorkloadContext) -> Optional[StreamRecipe]:
+        """:meth:`node_stream` for ``fs_stream``'s ``gen_radix``."""
+        keys_in = ctx.segment("keys_in")
+        histogram = ctx.segment("histogram")
+        keys = self.keys_per_node(ctx)
+        partition = keys_in.size // ctx.params.nodes
+        total_slots, buckets, bucket_slots, sub_slots = self._buckets(ctx)
+        hist_slots = histogram.size // 8
+        return stream_recipe(
+            "radix",
+            ctx.rng_seed(node),
+            (keys_in, ctx.segment("keys_out"), histogram),
+            (
+                node, self.passes, keys, self.key_bytes, partition, node * partition,
+                hist_slots, buckets, bucket_slots, sub_slots, total_slots,
+            ),
+            capacity=self.passes * (3 * keys + (keys + 1) // 2 + 2),
+            positive=(partition, self.key_bytes, hist_slots, buckets, total_slots),
+        )

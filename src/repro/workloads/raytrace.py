@@ -26,12 +26,20 @@ barrier.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from repro.common.params import MachineParams
 from repro.system.refs import READ, WRITE
 from repro.vm.segments import SegmentKind
-from repro.workloads.base import Event, SegmentSpec, Workload, WorkloadContext
+from repro.workloads.base import (
+    RECIPE_MAX_SKEW,
+    Event,
+    SegmentSpec,
+    StreamRecipe,
+    Workload,
+    WorkloadContext,
+    stream_recipe,
+)
 
 
 class RaytraceWorkload(Workload):
@@ -192,3 +200,26 @@ class RaytraceWorkload(Workload):
                     depth -= 1
                     yield WRITE, elements[depth].address(0)
         yield self.barrier(barrier_id)
+
+    def stream_recipe(self, node: int, ctx: WorkloadContext) -> Optional[StreamRecipe]:
+        """:meth:`node_stream` for ``fs_stream``'s ``gen_raytrace``."""
+        if not 0 <= self.scene_skew <= RECIPE_MAX_SKEW:
+            return None
+        depth_limit = self.effective_stack_depth(ctx.params)
+        groups = self.effective_stack_groups(ctx.params)
+        elements = [
+            ctx.segment(f"stack{node}_g{g}_e{i}")
+            for g in range(groups)
+            for i in range(depth_limit)
+        ]
+        tasks = max(1, int(self.tasks_per_node * self.intensity))
+        rays, reads = self.rays_per_task, self.reads_per_ray
+        return stream_recipe(
+            "raytrace",
+            ctx.rng_seed(node),
+            [ctx.segment("scene"), ctx.segment("task_queue")] + elements,
+            (tasks, groups, depth_limit, rays, reads, ctx.params.page_size),
+            (self.scene_skew,),
+            capacity=tasks * (4 + rays * (reads + 4)) + 1,
+            positive=(groups, depth_limit),
+        )
