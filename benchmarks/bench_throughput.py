@@ -362,10 +362,6 @@ def main(argv=None) -> int:
                         help="small grid (2 workloads, 2 bank configs) for CI smoke runs")
     parser.add_argument("--out", default=None,
                         help="output path (default: BENCH_throughput.json at the repo root)")
-    parser.add_argument("--history-dir", default=None,
-                        help="also append this run to the run-history store "
-                             "(default: $REPRO_HISTORY_DIR if set; "
-                             "see `repro history`)")
     args = parser.parse_args(argv)
 
     out = args.out or os.path.join(os.path.dirname(__file__), "..", "BENCH_throughput.json")
@@ -567,14 +563,6 @@ def main(argv=None) -> int:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
     print(f"wrote {os.path.abspath(out)}")
-
-    history_dir = args.history_dir or os.environ.get("REPRO_HISTORY_DIR")
-    if history_dir:
-        from repro.obs.history import RunHistory, entry_from_bench
-
-        entry = RunHistory(history_dir).append(entry_from_bench(payload))
-        print(f"history: recorded {entry.key} "
-              f"({len(entry.metrics)} metrics) -> {history_dir}")
     return 0
 
 

@@ -997,7 +997,6 @@ def generate_report(
     include_figures: bool = True,
     runner=None,
     metrics_out: Optional[str] = None,
-    history_dir: Optional[str] = None,
 ) -> str:
     """Run the report experiments and return the report as markdown.
 
@@ -1012,12 +1011,6 @@ def generate_report(
     time and throughput plus the runner's supervision counters — as a
     metrics file (OpenMetrics text or JSON, chosen by extension; see
     :func:`repro.obs.export.write_metrics`).
-
-    ``history_dir`` additionally appends this report's wall time and
-    per-phase throughput to the run-history store
-    (:class:`~repro.obs.history.RunHistory`, keyed by the report
-    configuration) and renders the rolling-median regression check in
-    the Telemetry section.
     """
     from repro.obs import MetricsRegistry, PhaseTimer
     from repro.runner import BatchRunner
@@ -1057,41 +1050,6 @@ def generate_report(
     telemetry_lines = [runner.stats.render(), runner.stats.render_telemetry()]
     if timer.phases:
         telemetry_lines.append(timer.render())
-    if history_dir:
-        from repro.obs.history import HistoryEntry, RunHistory, config_key
-
-        key = config_key(
-            {
-                "report": {
-                    "nodes": setup.params.nodes,
-                    "page_size": setup.params.page_size,
-                    "workloads": sorted(setup.workloads),
-                    "sizes": list(setup.sizes),
-                    "figures": bool(include_figures),
-                }
-            }
-        )
-        metrics = {"wall_seconds": round(time.time() - started, 3)}
-        for entry in timer.phases:
-            metrics[f"{entry['phase']}_seconds"] = round(entry["seconds"], 3)
-            if "items_per_sec" in entry:
-                metrics[f"{entry['phase']}_items_per_sec"] = round(
-                    entry["items_per_sec"], 1
-                )
-        history = RunHistory(history_dir)
-        history.append(HistoryEntry(key, metrics, kind="report"))
-        check_lines = [
-            f"run history: {key} ({len(history.entries(key=key))} entries)"
-        ]
-        for row in history.check(key):
-            if row.get("baseline_median") is None:
-                continue  # first entry for this configuration
-            verdict = "ok" if row["ok"] else "REGRESSION"
-            check_lines.append(
-                f"  {row['metric']:<28} {verdict:<10} "
-                f"latest={row['latest']:g} median={row['baseline_median']:g}"
-            )
-        telemetry_lines.append("\n".join(check_lines))
     sections.append(_fence("\n".join(telemetry_lines)))
 
     if metrics_out:

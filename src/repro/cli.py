@@ -10,7 +10,6 @@
     python -m repro metrics   radix [--format openmetrics|json] [--trace-out t.jsonl]
     python -m repro trace-profile t.jsonl [--metrics m.json]
     python -m repro trace-validate t.jsonl
-    python -m repro history   list|record-bench|check [--history-dir DIR]
     python -m repro status    [RUN_ID]
     python -m repro workloads
 
@@ -25,10 +24,9 @@ recorded artifacts instead of running simulations: ``trace-profile``
 renders a span-tree profile and the Table-4-shaped cost attribution
 from a JSONL trace (``--metrics`` reconciles it exactly against the
 run's metrics export, exiting non-zero on any mismatch),
-``trace-validate`` checks a trace against the frozen schema,
-``history`` drives the append-only run-history store and its
-rolling-median regression detector, and ``status`` renders live
-per-job progress of a batch run from its manifest heartbeats.
+``trace-validate`` checks a trace against the frozen schema, and
+``status`` renders live per-job progress of a batch run from its
+manifest heartbeats.
 
 ``timing`` accepts ``--trace-out FILE`` to record the structured
 protocol-event trace (JSONL; see ``docs/observability.md``) and
@@ -183,10 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", default=None, metavar="FILE",
                    help="write report telemetry (phase timers, runner "
                         "supervision counters) as a metrics file")
-    p.add_argument("--history-dir", default=None, metavar="DIR",
-                   help="append this report's wall time and per-phase "
-                        "throughput to the run-history store and render "
-                        "the regression check in the Telemetry section")
     p.add_argument("workloads", nargs="*", default=[])
     add_machine_options(p)
     add_runner_options(p)
@@ -253,23 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="check a recorded trace against the frozen schema",
     )
     p.add_argument("trace_file")
-
-    p = sub.add_parser(
-        "history",
-        help="run-history store: list keys, record a bench, check regressions",
-    )
-    p.add_argument("action", choices=["list", "record-bench", "check"])
-    p.add_argument("payload", nargs="?", default=None,
-                   help="BENCH_throughput.json payload (record-bench)")
-    p.add_argument("--history-dir", default=None,
-                   help="history store directory "
-                        "(default: the shared cache root)")
-    p.add_argument("--key", default=None,
-                   help="restrict check to one config key")
-    p.add_argument("--window", type=int, default=5,
-                   help="rolling-median baseline window")
-    p.add_argument("--tolerance", type=float, default=0.1,
-                   help="allowed fractional drift before flagging")
 
     p = sub.add_parser(
         "status",
@@ -508,64 +485,6 @@ def _cmd_trace_validate(args, out) -> int:
     return 0
 
 
-def _cmd_history(args, out) -> int:
-    """Drive the run-history store (see ``repro.obs.history``)."""
-    import json
-
-    from repro.obs.history import RunHistory, entry_from_bench
-
-    history = RunHistory(args.history_dir)
-
-    if args.action == "list":
-        keys = history.keys()
-        if not keys:
-            out.write(f"no history at {history.path}\n")
-            return 0
-        for key in keys:
-            entries = history.entries(key=key)
-            latest = entries[-1]
-            metrics = "  ".join(
-                f"{name}={value:g}" for name, value in sorted(latest.metrics.items())
-            )
-            out.write(
-                f"{key}  {latest.kind:<6} {len(entries):>4} entries  {metrics}\n"
-            )
-        return 0
-
-    if args.action == "record-bench":
-        if not args.payload:
-            raise SystemExit("history record-bench needs a bench JSON path")
-        with open(args.payload, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        entry = history.append(entry_from_bench(payload))
-        out.write(
-            f"recorded {entry.key} ({len(entry.metrics)} metrics) "
-            f"-> {history.path}\n"
-        )
-        return 0
-
-    # check: rolling-median regression detector over each key's trajectory
-    keys = [args.key] if args.key else history.keys()
-    if not keys:
-        out.write(f"no history at {history.path}\n")
-        return 0
-    failed = False
-    for key in keys:
-        for row in history.check(key, window=args.window, tolerance=args.tolerance):
-            verdict = "ok" if row["ok"] else "REGRESSION"
-            if row.get("baseline_median") is None:
-                detail = row.get("reason", "no baseline")
-            else:
-                detail = (
-                    f"latest={row['latest']:g} "
-                    f"median={row['baseline_median']:g} "
-                    f"ratio={row['ratio']} ({row['direction']} is better)"
-                )
-            out.write(f"{key}  {row['metric']:<32} {verdict:<10} {detail}\n")
-            failed = failed or not row["ok"]
-    return 1 if failed else 0
-
-
 def _cmd_status(args, out) -> int:
     """Render one batch run's live status from its manifest heartbeats."""
     from repro.runner import list_runs, read_status
@@ -719,9 +638,6 @@ def _dispatch(args, out) -> int:
     if args.command == "trace-validate":
         return _cmd_trace_validate(args, out)
 
-    if args.command == "history":
-        return _cmd_history(args, out)
-
     if args.command == "status":
         return _cmd_status(args, out)
 
@@ -832,7 +748,6 @@ def _dispatch(args, out) -> int:
             include_figures=not args.no_figures,
             runner=runner,
             metrics_out=args.metrics_out,
-            history_dir=args.history_dir,
         )
         _print_grid_stats(runner)
         out.write(f"wrote {args.out} ({len(text.splitlines())} lines)\n")

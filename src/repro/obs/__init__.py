@@ -34,13 +34,6 @@ from repro.obs.profile import (
     attribute_costs,
     profile_trace,
 )
-from repro.obs.history import (
-    HistoryEntry,
-    RunHistory,
-    detect_regression,
-    entry_from_bench,
-    entry_from_summary,
-)
 from repro.obs.schema import (
     TRACE_FORMAT_VERSION,
     TraceSchemaError,
@@ -58,20 +51,15 @@ __all__ = [
     "CostAttribution",
     "Counter",
     "Gauge",
-    "HistoryEntry",
     "Histogram",
     "MetricsRegistry",
     "PhaseTimer",
     "ReconciliationError",
-    "RunHistory",
     "TRACE_FORMAT_VERSION",
     "TraceProfile",
     "TraceSchemaError",
     "Tracer",
     "attribute_costs",
-    "detect_regression",
-    "entry_from_bench",
-    "entry_from_summary",
     "profile_trace",
     "read_trace",
     "registry_from_summary",

@@ -1,6 +1,6 @@
 """Crash consistency for the cache tier: flock, atomic writes, quarantine.
 
-The ResultCache/TraceStore/manifest/history stores are shared by
+The ResultCache/TraceStore/manifest stores are shared by
 concurrent writers (parallel ``repro`` invocations pointed at one
 ``--cache-dir``, and the batch runner's forked worker pool), so every
 mutation follows one discipline, implemented here:
@@ -105,7 +105,7 @@ def locked_append(handle, data: bytes, fsync: bool = True) -> None:
     ``O_APPEND`` already makes each ``write`` land at the current end
     of file, but a Python-level write may be split across syscalls for
     large payloads; the flock guarantees whole-line granularity across
-    concurrent appenders (manifests, run history).
+    concurrent manifest appenders.
     """
     fd = handle.fileno()
     locked = False

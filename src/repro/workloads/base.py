@@ -22,7 +22,7 @@ import abc
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.address import AddressLayout
 from repro.common.params import MachineParams
@@ -174,35 +174,6 @@ class Workload(abc.ABC):
     # shared stream-building helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def sequential_sweep(
-        segment: Segment,
-        start: int,
-        length: int,
-        stride: int,
-        op: int = READ,
-    ) -> Iterator[Event]:
-        """Walk ``length`` elements of ``stride`` bytes from ``start``
-        (segment offset), wrapping inside the segment."""
-        size = segment.size
-        offset = start % size
-        for _ in range(length):
-            yield op, segment.base + offset
-            offset = (offset + stride) % size
-
-    @staticmethod
-    def random_accesses(
-        segment: Segment,
-        count: int,
-        rng: random.Random,
-        op: int = READ,
-        granularity: int = 8,
-    ) -> Iterator[Event]:
-        """Uniform random touches at ``granularity``-byte alignment."""
-        slots = segment.size // granularity
-        for _ in range(count):
-            yield op, segment.base + rng.randrange(slots) * granularity
-
-    @staticmethod
     def zipf_accesses(
         segment: Segment,
         count: int,
@@ -304,17 +275,3 @@ class Workload(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-def interleave(streams: Iterable[Iterator[Event]]) -> Iterator[Event]:
-    """Round-robin merge of several event streams (phases that overlap
-    work on several structures)."""
-    active = [iter(s) for s in streams]
-    while active:
-        still = []
-        for stream in active:
-            item = next(stream, None)
-            if item is not None:
-                yield item
-                still.append(stream)
-        active = still

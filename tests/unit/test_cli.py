@@ -288,68 +288,6 @@ class TestTraceAnalyticsCommands:
         assert payload["profile"]["tree"][0]["name"] == "run"
 
 
-class TestHistoryCommand:
-    def bench_payload(self, rate=70000.0):
-        return {
-            "version": "1.4.0",
-            "smoke": False,
-            "cpu_count": 2,
-            "params": {"nodes": 8, "page_size": 512},
-            "serial": {"timing": {"refs_per_sec": rate}},
-            "tracing": {"scalar_enabled_slowdown": 3.0,
-                        "disabled_refs_per_sec": rate * 1.1},
-        }
-
-    def record(self, capsys, tmp_path, rate):
-        payload_file = tmp_path / "bench.json"
-        payload_file.write_text(json.dumps(self.bench_payload(rate)))
-        return run_cli(
-            capsys, "history", "record-bench", str(payload_file),
-            "--history-dir", str(tmp_path / "hist"),
-        )
-
-    def test_record_then_list(self, capsys, tmp_path):
-        code, out = self.record(capsys, tmp_path, 70000.0)
-        assert code == 0 and "recorded" in out
-        code, out = run_cli(
-            capsys, "history", "list", "--history-dir", str(tmp_path / "hist")
-        )
-        assert code == 0
-        assert "timing_refs_per_sec=70000" in out
-
-    def test_check_passes_on_stable_trajectory(self, capsys, tmp_path):
-        for rate in (70000.0, 70500.0, 69800.0):
-            self.record(capsys, tmp_path, rate)
-        code, out = run_cli(
-            capsys, "history", "check", "--history-dir", str(tmp_path / "hist")
-        )
-        assert code == 0
-        assert "REGRESSION" not in out
-
-    def test_check_flags_injected_drop(self, capsys, tmp_path):
-        """The acceptance scenario: a 20% refs/sec drop exits non-zero."""
-        for rate in (70000.0, 70500.0, 69800.0, 70200.0):
-            self.record(capsys, tmp_path, rate)
-        self.record(capsys, tmp_path, 70000.0 * 0.8)
-        code, out = run_cli(
-            capsys, "history", "check", "--history-dir", str(tmp_path / "hist")
-        )
-        assert code == 1
-        assert "REGRESSION" in out
-        assert "timing_refs_per_sec" in out
-
-    def test_empty_store(self, capsys, tmp_path):
-        code, out = run_cli(
-            capsys, "history", "list", "--history-dir", str(tmp_path / "hist")
-        )
-        assert code == 0 and "no history" in out
-
-    def test_record_bench_requires_payload(self, capsys, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["history", "record-bench",
-                  "--history-dir", str(tmp_path / "hist")])
-
-
 class TestStatusCommand:
     def test_status_of_finished_run(self, capsys, tmp_path):
         from repro.common.params import MachineParams

@@ -9,6 +9,9 @@ checks each against the tree:
 * every ``python -m repro <cmd>`` names a subcommand of
   :func:`repro.cli.build_parser`.
 
+It holds the subcommand list in ``docs/api.md``'s "Command line" block
+(``python -m repro {describe, workloads, …}``) equal to that parser's.
+
 It also holds the ``REPRO_*`` switch table in ``docs/robustness.md``
 equal to the set of switch names quoted in ``src/`` and
 ``benchmarks/*.py``.
@@ -35,6 +38,7 @@ FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 REPO_PATH = re.compile(r"^(?:src|docs|benchmarks|tests|examples)/")
 CLI_CALL = re.compile(r"python\s+-m\s+repro\s+([a-z][\w-]*)")
+CLI_LIST = re.compile(r"python\s+-m\s+repro\s+\{([^}]*)\}")
 QUOTED_SWITCH = re.compile(r"[\"'](REPRO_[A-Z_]+)[\"']")
 SWITCH_ROW = re.compile(r"^\| `(REPRO_[A-Z_]+)` \|", re.MULTILINE)
 
@@ -83,6 +87,13 @@ def test_cli_invocations_name_real_subcommands(doc):
     known = _subcommands()
     unknown = sorted(set(CLI_CALL.findall(doc.read_text())) - known)
     assert not unknown, f"{doc.name} runs unknown subcommands: {unknown}"
+
+
+def test_api_subcommand_list_matches_parser():
+    lists = CLI_LIST.findall((ROOT / "docs" / "api.md").read_text())
+    assert len(lists) == 1, "docs/api.md needs one `python -m repro {...}` list"
+    documented = {name for name in re.split(r"[\s,]+", lists[0]) if name}
+    assert documented == _subcommands()
 
 
 def test_env_switch_table_matches_code():

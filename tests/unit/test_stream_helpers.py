@@ -1,11 +1,11 @@
-"""Workload stream-building helpers (zipf, tree walk, sweeps)."""
+"""Workload stream-building helpers (zipf, tree walk)."""
 
 import statistics
 
 import pytest
 
 from repro.common.rng import make_rng
-from repro.system.refs import READ, WRITE
+from repro.system.refs import WRITE
 from repro.vm.segments import Segment
 from repro.workloads.base import Workload
 
@@ -112,16 +112,3 @@ class TestTreeWalk:
         events = list(Workload.tree_walk_accesses(seg, 50, make_rng(0, "t")))
         assert len(events) == 50
         assert all(a == 0 for _, a in events)
-
-
-class TestSweeps:
-    def test_sequential_sweep_ops_and_stride(self, segment):
-        events = list(Workload.sequential_sweep(segment, start=0, length=5, stride=16))
-        assert addresses(events) == [segment.base + i * 16 for i in range(5)]
-        assert all(op == READ for op, _ in events)
-
-    def test_random_accesses_bounds(self, segment):
-        rng = make_rng(0, "r")
-        for _, addr in Workload.random_accesses(segment, 500, rng, granularity=8):
-            assert segment.contains(addr)
-            assert (addr - segment.base) % 8 == 0

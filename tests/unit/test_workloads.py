@@ -7,7 +7,7 @@ import pytest
 from repro import MachineParams, Machine, Scheme, make_workload
 from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
 from repro.workloads import PAPER_ORDER, WORKLOADS
-from repro.workloads.base import Workload, interleave
+from repro.workloads.base import Workload
 from repro.workloads.raytrace import RaytraceWorkload
 
 
@@ -180,10 +180,6 @@ class TestCharacter:
 
 
 class TestHelpers:
-    def test_interleave_round_robin(self):
-        merged = list(interleave([iter([(0, 1), (0, 2)]), iter([(1, 9)])]))
-        assert merged == [(0, 1), (1, 9), (0, 2)]
-
     def test_scaled_fraction(self, small_params):
         wl = make_workload("ocean")
         bytes_ = wl.scaled(small_params, 0.5)
@@ -209,10 +205,3 @@ class TestHelpers:
         import statistics
 
         assert statistics.median(skewed) < statistics.median(flat)
-
-    def test_sequential_sweep_wraps(self):
-        from repro.vm.segments import Segment
-
-        seg = Segment("s", base=1000, size=100)
-        events = list(Workload.sequential_sweep(seg, start=90, length=3, stride=8))
-        assert [v - 1000 for _, v in events] == [90, 98, 6]
