@@ -8,24 +8,21 @@ Four measurements, written to ``BENCH_throughput.json`` at the repo
 root:
 
 * **serial throughput** — references simulated per second for one
-  decoupled sweep run (compiled and scalar engines) and one coupled
-  timing run, compared against the recorded seed-commit baseline
-  (``speedup_vs_seed``).  Both kinds ride their compiled fast path
-  when available (the production configuration; each row's ``backend``
-  records which engine ran): timing is gated at >= 5x the seed
-  baseline, the sweep at >= 8x.  The scalar engines must additionally
-  stay no slower than the seed (cross-era gate, widened by
-  ``REPRO_BENCH_SEED_TOL``).
+  miss sweep (compiled capture + batched replay, and the scalar
+  ``StudyAgent`` oracle) and one coupled timing run, compared against
+  the recorded seed-commit baseline (``speedup_vs_seed``).  Both kinds
+  ride their compiled path when available (the production
+  configuration; each row's ``backend`` records which engine ran):
+  timing is gated at >= 5x the seed baseline, the sweep at >= 8x.
+  The scalar engines must additionally stay no slower than the seed
+  (cross-era gate, widened by ``REPRO_BENCH_SEED_TOL``).
 * **sweep grid** — the record-once/replay-many showcase: every
   workload swept at several TLB/DLB bank configurations (sizes ×
   organizations).  All bank grids of one workload share a single
   recorded tap trace, so the grid simulates each hierarchy once and
-  replays the rest.  ``grid_no_replay`` runs the identical spec list
-  through the coupled scalar path (the PR-1 behaviour);
-  ``speedup_vs_no_replay`` on the jobs=1 row is the pipeline's win and
-  the optimisation target (≥3×).  Miss counts are asserted
-  bit-identical between the two passes.  Each row records
-  ``effective_jobs`` — the worker count after the runner clamps to
+  replays the rest.  (Replay's bit-identity with the scalar oracle is
+  gated by ``benchmarks/check_replay_equivalence.py``.)  Each row
+  records ``effective_jobs`` — the worker count after the runner clamps to
   ``cpu_count`` (a 1-core container runs every level in-process, which
   is why ``--jobs 4`` no longer loses to serial).
 * **timing grid** — the coupled TLB/DLB timing matrix (Table 4 shape).
@@ -89,10 +86,10 @@ ENABLED_SLOWDOWN_LIMIT = 1.75
 #: than the seed (the hoisted-emitter satellite gate).
 FAST_TIMING_SPEEDUP_FLOOR = 5.0
 
-#: Floor on the compiled sweep engine's serial speedup over the seed
-#: baseline (capture mode + one ``fs_bank_run`` per recorded tap
+#: Floor on the compiled sweep's serial speedup over the seed baseline
+#: (headless capture + one ``fs_bank_run_many`` call per recorded tap
 #: stream).  Gated like the timing floor: only when the sweep actually
-#: ran on the compiled backend.
+#: ran on the compiled backend (``backend == "compiled+replay"``).
 FAST_SWEEP_SPEEDUP_FLOOR = 8.0
 
 #: Bank configurations swept per workload.  Each is a (label, sizes,
@@ -324,8 +321,8 @@ def timing_grid_specs(workloads) -> list:
     return specs
 
 
-def run_grid(specs, jobs, cache=None, trace_store=None, replay=True):
-    runner = BatchRunner(jobs=jobs, cache=cache, trace_store=trace_store, replay=replay)
+def run_grid(specs, jobs, cache=None, trace_store=None):
+    runner = BatchRunner(jobs=jobs, cache=cache, trace_store=trace_store)
     started = time.perf_counter()
     results = runner.run(specs)
     elapsed = time.perf_counter() - started
@@ -345,15 +342,6 @@ def engine_mix(row) -> str:
     """Human-readable engine mix of one grid row ("" when nothing ran)."""
     mix = row.get("backends") or {}
     return ", ".join(f"{count} {name}" for name, count in sorted(mix.items()))
-
-
-def study_fingerprint(results) -> dict:
-    """Label → sweep miss counts, for replay-vs-scalar equality checks."""
-    return {
-        job.spec.label: job.summary.study_results().to_dict()
-        for job in results
-        if job.summary.study_results() is not None
-    }
 
 
 def main(argv=None) -> int:
@@ -412,7 +400,7 @@ def main(argv=None) -> int:
                 f"over the seed baseline (target {FAST_TIMING_SPEEDUP_FLOOR}x); "
                 f"set REPRO_BENCH_OVERHEAD_TOL to widen the gate"
             )
-        if serial["sweep"].get("backend") == "compiled":
+        if serial["sweep"].get("backend") == "compiled+replay":
             # Cross-era like the scalar gates below: the 8x target is
             # against the recorded seed constant, and the sweep engine
             # (unlike the 10x+ timing path) does not have enough
@@ -489,35 +477,24 @@ def main(argv=None) -> int:
           f"({len(workloads)} workloads x {len(configs)} bank configs)", flush=True)
     grid = []
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
-        no_replay_row, no_replay_results = run_grid(specs, jobs=1, replay=False)
-        print(f"  no-replay (coupled reference): {no_replay_row['seconds']:.1f} s "
-              f"[{engine_mix(no_replay_row)}]", flush=True)
-
-        replay_fingerprint = None
         for jobs in JOB_LEVELS:
             # Every level records+replays cold except for the shared
             # trace store; the jobs=1 pass also writes the result cache
             # the warm measurement below reads back.
             with tempfile.TemporaryDirectory(prefix="repro-bench-traces-") as trace_tmp:
-                row, results = run_grid(
+                row, _ = run_grid(
                     specs, jobs,
                     cache=ResultCache(tmp) if jobs == 1 else None,
                     trace_store=TraceStore(trace_tmp),
                 )
             if jobs == 1:
                 serial_seconds = row["seconds"]
-                replay_fingerprint = study_fingerprint(results)
-                row["speedup_vs_no_replay"] = round(
-                    no_replay_row["seconds"] / row["seconds"], 3
-                )
             row["speedup_vs_serial"] = round(serial_seconds / row["seconds"], 3)
             grid.append(row)
-            note = (f", {row['speedup_vs_no_replay']:.2f}x vs no-replay"
-                    if jobs == 1 else "")
             mix = engine_mix(row)
             print(f"  --jobs {jobs} (effective {row['effective_jobs']}): "
                   f"{row['seconds']:.1f} s "
-                  f"({row['speedup_vs_serial']:.2f}x vs serial{note})"
+                  f"({row['speedup_vs_serial']:.2f}x vs serial)"
                   f"{f' [{mix}]' if mix else ''}", flush=True)
             if row["effective_jobs"] < jobs:
                 print(f"  WARNING: --jobs {jobs} clamped to "
@@ -525,13 +502,6 @@ def main(argv=None) -> int:
                       f"{'s' if row['effective_jobs'] != 1 else ''} "
                       f"(cpu_count={os.cpu_count()}); speedup_vs_serial "
                       f"measures the clamped pool", flush=True)
-
-        mismatches = [
-            label for label, study in study_fingerprint(no_replay_results).items()
-            if replay_fingerprint.get(label) != study
-        ]
-        assert not mismatches, f"replay/scalar miss counts diverged: {mismatches}"
-        print(f"  replay == scalar: {len(replay_fingerprint)} studies bit-identical")
 
         timing_specs = timing_grid_specs(workloads)
         print(f"timing grid: {len(timing_specs)} coupled jobs", flush=True)
@@ -554,7 +524,6 @@ def main(argv=None) -> int:
         "serial": serial,
         "tracing": tracing,
         "grid": grid,
-        "grid_no_replay": no_replay_row,
         "timing_grid": timing_row,
         "warm_cache": warm,
         "stream_generation": streams,

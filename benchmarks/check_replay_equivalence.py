@@ -4,20 +4,25 @@ Run as a script::
 
     PYTHONPATH=src python benchmarks/check_replay_equivalence.py
 
-Executes a tiny sweep grid through the record/replay pipeline twice
-(with an on-disk trace store, so the write → read → replay path is
-exercised too) and once through the scalar reference engine
-(``run_miss_sweep(..., fast=False)``), and diffs every miss count, miss
-rate and hierarchy counter.  The summaries must be equal except for the
-engine-provenance pair (``backend``/``fallback_reason``), which is
-checked on its own: the replayed summaries say ``...+replay`` and the
-reference says ``scalar``.  Exits non-zero listing each divergence.
-The recorded traces themselves are checked too: each workload's
-capture (headless on the compiled engine) must serialize to the same
-bytes as the scalar engine's capture once the provenance pair is
+Executes a grid of miss sweeps — a 2-node and a 4-node machine,
+lock-heavy RAYTRACE, an untruncated FFT stream, OCEAN, and
+fully-/set-associative and direct-mapped banks — through the
+record/replay pipeline twice (with an on-disk trace store, so the
+write → read → replay path is exercised too), once through
+``run_miss_sweep`` (whose compiled path is the same capture + batched
+replay, with no trace store), and once through the scalar reference
+engine (``run_miss_sweep(..., fast=False)``), and diffs every miss
+count, miss rate and hierarchy counter.  The summaries must be equal
+except for the engine-provenance pair (``backend``/``fallback_reason``),
+which is checked on its own: the replayed summaries say ``...+replay``
+and the reference says ``scalar``.  Exits non-zero listing each
+divergence.  The recorded traces themselves are checked too: each
+case's capture (headless on the compiled engine) must serialize to the
+same bytes as the scalar engine's capture once the provenance pair is
 copied over.  The check honours ``REPRO_NO_COMPILED``, so CI runs it
 against both the compiled batch replay kernel and the scalar
-``TranslationBuffer`` path.
+``TranslationBuffer`` path; without the compiled backend it degrades
+to a determinism check of the scalar engines and says so.
 """
 
 from __future__ import annotations
@@ -31,42 +36,46 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro import MachineParams, make_workload
 from repro.analysis import run_miss_sweep
 from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME
-from repro.core.timing_kernels import backend_status
+from repro.core.timing_kernels import backend_status, get_backend
 from repro.core.tlb import Organization
 from repro.runner import BatchRunner, JobSpec, TraceStore
-from repro.runner.summary import RunSummary
 from repro.system.taptrace import capture_tap_traces
 
-PARAMS = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
-WORKLOADS = ("radix", "fft")
-SIZES = (8, 32, 128)
-ORGS = (
-    Organization.FULLY_ASSOCIATIVE,
-    Organization.SET_ASSOCIATIVE,
-    Organization.DIRECT_MAPPED,
+TWO_NODES = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
+FOUR_NODES = MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
+
+FA = Organization.FULLY_ASSOCIATIVE
+SA = Organization.SET_ASSOCIATIVE
+DM = Organization.DIRECT_MAPPED
+
+#: (label, params, workload, intensity, sizes, orgs, max_refs_per_node)
+CASES = (
+    ("radix@2", TWO_NODES, "radix", 0.2, (8, 32, 128), (FA, SA, DM), 500),
+    ("fft@2", TWO_NODES, "fft", 0.2, (8, 32, 128), (FA, SA, DM), 500),
+    ("radix@4", FOUR_NODES, "radix", 0.3, (8, 32, 128), (FA, SA, DM), 400),
+    ("raytrace@4", FOUR_NODES, "raytrace", 0.5, (8, 32), (FA, DM), 400),
+    ("fft@4/untruncated", FOUR_NODES, "fft", 0.3, (8, 64), (FA, SA), None),
+    ("ocean@4", FOUR_NODES, "ocean", 0.2, (16, 128), (SA, DM), 300),
 )
-MAX_REFS = 500
-INTENSITY = 0.2
 
 
 def specs() -> list:
     return [
         JobSpec.sweep(
-            PARAMS, name, sizes=SIZES, orgs=ORGS,
-            max_refs_per_node=MAX_REFS,
-            overrides={"intensity": INTENSITY}, label=name,
+            params, name, sizes=sizes, orgs=orgs,
+            max_refs_per_node=max_refs,
+            overrides={"intensity": intensity}, label=label,
         )
-        for name in WORKLOADS
+        for label, params, name, intensity, sizes, orgs, max_refs in CASES
     ]
 
 
-def scalar_reference(name: str) -> RunSummary:
-    """The coupled sweep on the scalar engine: the oracle."""
-    return RunSummary.from_result(
-        run_miss_sweep(
-            PARAMS, make_workload(name, intensity=INTENSITY),
-            sizes=SIZES, orgs=ORGS, max_refs_per_node=MAX_REFS, fast=False,
-        )
+def direct_sweep(case, fast: bool):
+    """``run_miss_sweep`` of one case; ``fast=False`` is the oracle."""
+    _, params, name, intensity, sizes, orgs, max_refs = case
+    return run_miss_sweep(
+        params, make_workload(name, intensity=intensity),
+        sizes=sizes, orgs=orgs, max_refs_per_node=max_refs, fast=fast,
     )
 
 
@@ -79,64 +88,76 @@ def comparable(summary) -> dict:
 
 
 def main() -> int:
-    print(f"replay equivalence check (compiled backend: {backend_status()})", flush=True)
+    status = backend_status()
+    print(f"replay equivalence check (compiled backend: {status})", flush=True)
 
     with tempfile.TemporaryDirectory(prefix="repro-equiv-traces-") as tmp:
         store = TraceStore(root=tmp)
-        replayed = BatchRunner(jobs=1, trace_store=store, replay=True).run(specs())
+        replayed = BatchRunner(jobs=1, trace_store=store).run(specs())
         # Re-run against the store so the on-disk round trip is on the path.
-        reloaded = BatchRunner(jobs=1, trace_store=store, replay=True).run(specs())
-    scalar = [scalar_reference(name) for name in WORKLOADS]
+        reloaded = BatchRunner(jobs=1, trace_store=store).run(specs())
 
     failures = []
-    for fast, disk, slow in zip(replayed, reloaded, scalar):
-        name = fast.spec.label
+    checked = 0
+    for case, fast, disk in zip(CASES, replayed, reloaded):
+        label, _, _, _, sizes, orgs, _ = case
+        slow = direct_sweep(case, fast=False)
+        direct = direct_sweep(case, fast=True)
         fast_study = fast.summary.study_results()
         slow_study = slow.study_results()
         for scheme in SCHEME_ORDER:
             tap = TAP_OF_SCHEME[scheme]
-            for size in SIZES:
-                for org in ORGS:
+            for size in sizes:
+                for org in orgs:
+                    checked += 1
                     want = slow_study.misses(tap, size, org)
                     got = fast_study.misses(tap, size, org)
                     if got != want:
                         failures.append(
-                            f"{name}: {scheme.value} {size}{org.suffix or '/FA'} "
+                            f"{label}: {scheme.value} {size}{org.suffix or '/FA'} "
                             f"replay={got} scalar={want}"
                         )
-        if comparable(fast.summary) != comparable(slow):
-            failures.append(f"{name}: hierarchy summary diverged")
+        oracle = comparable(slow)
+        if comparable(fast.summary) != oracle:
+            failures.append(f"{label}: replayed summary diverged from scalar")
+        if comparable(direct) != oracle:
+            failures.append(f"{label}: run_miss_sweep ({direct.backend}) diverged from scalar")
         if disk.summary.to_dict() != fast.summary.to_dict():
-            failures.append(f"{name}: on-disk trace replay diverged from in-memory")
-        for label, summary in (("replay", fast.summary), ("disk replay", disk.summary)):
+            failures.append(f"{label}: on-disk trace replay diverged from in-memory")
+        for leg, summary in (("replay", fast.summary), ("disk replay", disk.summary)):
             if not (summary.backend or "").endswith("+replay"):
-                failures.append(f"{name}: {label} backend is {summary.backend!r}, not '...+replay'")
-        if slow.backend != "scalar":
-            failures.append(f"{name}: reference backend is {slow.backend!r}, not 'scalar'")
-
-    for name in WORKLOADS:
-        captures = [
-            capture_tap_traces(
-                PARAMS, make_workload(name, intensity=INTENSITY),
-                max_refs_per_node=MAX_REFS, fast=fast,
+                failures.append(f"{label}: {leg} backend is {summary.backend!r}, not '...+replay'")
+        expected_direct = "compiled+replay" if get_backend() is not None else "scalar"
+        if direct.backend != expected_direct:
+            failures.append(
+                f"{label}: run_miss_sweep backend is {direct.backend!r}, not {expected_direct!r}"
             )
-            for fast in (True, False)
-        ]
-        recorded, reference = captures
+        if slow.backend != "scalar":
+            failures.append(f"{label}: reference backend is {slow.backend!r}, not 'scalar'")
+
+        _, params, name, intensity, _, _, max_refs = case
+        recorded, reference = (
+            capture_tap_traces(
+                params, make_workload(name, intensity=intensity),
+                max_refs_per_node=max_refs, fast=fast_capture,
+            )
+            for fast_capture in (True, False)
+        )
         reference.base.backend = recorded.base.backend
         reference.base.fallback_reason = recorded.base.fallback_reason
         if recorded.to_bytes() != reference.to_bytes():
-            failures.append(f"{name}: captured trace bytes differ from the scalar capture")
+            failures.append(f"{label}: captured trace bytes differ from the scalar capture")
 
-    checked = len(WORKLOADS) * len(SCHEME_ORDER) * len(SIZES) * len(ORGS)
     if failures:
-        print(f"FAIL: {len(failures)} mismatches out of {checked} design points:")
+        print(f"FAIL: {len(failures)} mismatches ({len(CASES)} cases, {checked} design points):")
         for line in failures:
             print(f"  {line}")
         return 1
+    degraded = "" if get_backend() is not None else f" (degraded: scalar engines only, {status})"
     print(
-        f"OK: {checked} design points bit-identical (plus summaries, trace "
-        f"bytes, provenance and disk round-trip)"
+        f"OK: {len(CASES)} cases, {checked} design points bit-identical (plus "
+        f"summaries, run_miss_sweep, trace bytes, provenance and disk "
+        f"round-trip){degraded}"
     )
     return 0
 

@@ -17,18 +17,29 @@ Run:  python examples/numa_vs_coma.py
 """
 
 from repro import MachineParams, Scheme, Simulator, TapPoint, make_workload
-from repro.numa import NumaMachine, SHARED_TLB
-from repro.system.machine import Machine
+from repro.analysis import run_miss_sweep
+from repro.numa import NumaMachine
 from repro.system.taps import StudyAgent
 from repro.core.tlb import Organization
 
+SIZES = (8, 32)
+ORGS = (Organization.FULLY_ASSOCIATIVE,)
 
-def run(machine_cls, params, workload_name):
-    agent = StudyAgent(params, sizes=(8, 32), orgs=(Organization.FULLY_ASSOCIATIVE,))
-    machine = machine_cls(
+
+def run_numa(params, workload_name):
+    """The CC-NUMA machine has no compiled twin: one scalar run."""
+    agent = StudyAgent(params, sizes=SIZES, orgs=ORGS)
+    machine = NumaMachine(
         params, Scheme.V_COMA, make_workload(workload_name, intensity=0.2), agent=agent
     )
     return Simulator(machine).run()
+
+
+def run_coma(params, workload_name):
+    """The V-COMA leg is an ordinary miss sweep (capture + replay)."""
+    return run_miss_sweep(
+        params, make_workload(workload_name, intensity=0.2), sizes=SIZES, orgs=ORGS
+    )
 
 
 def main() -> None:
@@ -36,8 +47,8 @@ def main() -> None:
     workload = "ocean"
     print(f"Workload: {workload} (grid sweeps; working set >> SLC, << AM)\n")
 
-    numa = run(NumaMachine, params, workload)
-    coma = run(Machine, params, workload)
+    numa = run_numa(params, workload)
+    coma = run_coma(params, workload)
 
     print(f"{'':22s}{'CC-NUMA (SHARED-TLB)':>22s}{'V-COMA':>14s}")
     numa_b, coma_b = numa.average_breakdown(), coma.average_breakdown()

@@ -9,9 +9,6 @@ what is lost.
   per structure).  The difference between shared and partitioned miss
   counts is precisely the sharing + prefetching contribution the paper
   describes qualitatively.
-* :func:`writeback_bypass_ablation` — the paper suggests keeping
-  physical pointers in a virtual SLC so writebacks bypass the L2 TLB;
-  this measures the miss/stall difference with the bypass on and off.
 * :func:`shootdown_scaling` — cost of one mapping/protection change as
   the node count grows: per-node-TLB schemes pay a machine-wide
   shootdown, V-COMA a constant home-side update (the paper's TLB
@@ -93,42 +90,6 @@ def sharing_ablation(
         "accesses": agent.shared_accesses,
         "shared_misses": agent.shared_misses,
         "partitioned_misses": agent.partitioned_misses,
-    }
-
-
-def writeback_bypass_ablation(
-    params: MachineParams,
-    workload_factory,
-    entries: int = 8,
-    max_refs_per_node: Optional[int] = None,
-) -> Dict[str, object]:
-    """L2-TLB with and without the writeback bypass (physical pointers
-    stored in the SLC).  Returns both runs' translation statistics."""
-    from repro.analysis.experiments import run_timing
-
-    with_wb = run_timing(
-        params,
-        Scheme.L2_TLB,
-        workload_factory(),
-        entries,
-        include_l2_writebacks=True,
-        max_refs_per_node=max_refs_per_node,
-    )
-    bypass = run_timing(
-        params,
-        Scheme.L2_TLB,
-        workload_factory(),
-        entries,
-        include_l2_writebacks=False,
-        max_refs_per_node=max_refs_per_node,
-    )
-    return {
-        "with_writebacks": with_wb,
-        "bypass": bypass,
-        "stall_saved": (
-            with_wb.aggregate_breakdown().tlb_stall
-            - bypass.aggregate_breakdown().tlb_stall
-        ),
     }
 
 

@@ -2,15 +2,15 @@
 
 Two kinds of runs:
 
-* **sweep runs** (:func:`run_miss_sweep`) — one simulation per workload
-  with a :class:`~repro.system.taps.StudyAgent`, yielding translation
-  miss counts for every (tap, size, organization) point at once.  Feeds
-  Figures 8 and 9 and Tables 2 and 3.  This is the *reference* path;
-  batched sweeps normally run through the record-once/replay-many
-  pipeline instead (:mod:`repro.system.taptrace`), which records the
-  hierarchy's tap streams once and replays every bank configuration
-  from the recording — bit-identical miss counts, a fraction of the
-  wall clock.
+* **sweep runs** (:func:`run_miss_sweep`) — one hierarchy simulation
+  per workload, yielding translation miss counts for every (tap, size,
+  organization) point at once.  Feeds Figures 8 and 9 and Tables 2
+  and 3.  On the compiled engine it is the record-once/replay-many
+  pipeline (:mod:`repro.system.taptrace`): a headless capture of the
+  hierarchy's tap streams, then every bank configuration replayed
+  from the recording.  The scalar run with a
+  :class:`~repro.system.taps.StudyAgent` is the oracle it must match
+  bit for bit.
 * **timing runs** (:func:`run_timing`) — coupled simulations where one
   real TLB/DLB charges its 40-cycle penalty.  Feeds Table 4 and
   Figure 10.  Never replayed: the penalty perturbs the interleaving,
@@ -35,7 +35,9 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.common.params import MachineParams
 from repro.core.schemes import SCHEME_ORDER, Scheme, TAP_OF_SCHEME, TapPoint
+from repro.core.timing_kernels import get_backend
 from repro.core.tlb import Organization
+from repro.runner.summary import RunSummary
 from repro.system.machine import Machine
 from repro.system.results import RunResult
 from repro.system.simulator import Simulator
@@ -52,31 +54,44 @@ def run_miss_sweep(
     tracer=None,
     fast: bool = True,
     stream_key: Optional[str] = None,
-) -> RunResult:
+) -> RunSummary:
     """Simulate once, observing every translation point.
 
     The machine is configured as V-COMA (virtual caches and attraction
     memory) because the tap streams of every scheme can be read off that
     one hierarchy: L0/L1/L2 sit above the AM and are identical in all
     schemes, L3's stream is the AM miss stream, and HOME is the
-    home-node directory-lookup stream.  ``result.study_results()``
-    exposes the sweep surface.  An optional
-    :class:`~repro.obs.trace.Tracer` records the run's span/event
-    stream.
+    home-node directory-lookup stream.  ``summary.study_results()``
+    exposes the sweep surface.
 
-    ``fast=False`` forces the scalar reference engine; the default
-    prefers the compiled sweep fast path (capture mode + one
-    ``fs_bank_run`` per recorded tap stream) when the run is eligible —
-    bit-identical either way, with ``result.backend`` recording which
-    engine ran.  ``stream_key`` (a workload identity such as
-    ``JobSpec.trace_hash()``) lets grid runs share materialized columns
-    through the stream LRU.
+    On the compiled engine the run builds no machine: a headless
+    capture records every tap stream
+    (:func:`~repro.system.taptrace.capture_tap_traces`) and the banks
+    replay from it (:func:`~repro.system.taptrace.replay_summary`;
+    ``backend`` reads ``"compiled+replay"``).  ``fast=False``, a
+    :class:`~repro.obs.trace.Tracer` (which records the run's
+    span/event stream) or a missing compiled backend runs the scalar
+    oracle instead: one coupled run with a
+    :class:`~repro.system.taps.StudyAgent`, with ``fallback_reason``
+    saying why.  The numbers are bit-identical either way.
+    ``stream_key`` (a workload identity such as
+    ``JobSpec.trace_hash()``) lets compiled grid runs share generated
+    columns through the stream LRU.
     """
+    if fast and tracer is None and get_backend() is not None:
+        # Resolved at call time, as JobSpec.execute does, so wrappers
+        # of the taptrace entry points see these calls too.
+        from repro.system.taptrace import capture_tap_traces, replay_summary
+
+        traces = capture_tap_traces(
+            params, workload, max_refs_per_node=max_refs_per_node, stream_key=stream_key
+        )
+        return replay_summary(traces, sizes, orgs)
     agent = StudyAgent(params, sizes=sizes, orgs=orgs)
     machine = Machine(params, Scheme.V_COMA, workload, agent=agent, tracer=tracer)
-    return Simulator(
-        machine, max_refs_per_node=max_refs_per_node, fast=fast, stream_key=stream_key
-    ).run()
+    return RunSummary.from_result(
+        Simulator(machine, max_refs_per_node=max_refs_per_node, fast=fast).run()
+    )
 
 
 def run_timing(

@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.ablation import sharing_ablation, shootdown_scaling, writeback_bypass_ablation
+from repro.analysis.ablation import sharing_ablation, shootdown_scaling
 from repro.analysis.experiments import equivalent_tlb_size, pressure_profile, scheme_miss_rates
 from repro.analysis.figures import (
     render_breakdown_bars,
@@ -564,11 +564,26 @@ def _multiplexing_bounded(stats):
     return _every({n: s["shared_misses"] <= 2 * s["partitioned_misses"] for n, s in stats.items()})
 
 
+def _writeback_cell(setup: Setup, name: str, include: bool) -> JobSpec:
+    label = f"L2-TLB/8{'' if include else '-bypass'}:{name}"
+    return setup.timing(label, Scheme.L2_TLB, name, include_l2_writebacks=include)
+
+
+def _writeback_cells(setup: Setup) -> List[JobSpec]:
+    return [_writeback_cell(setup, name, include) for name in setup.workloads for include in (True, False)]
+
+
 def _writeback_ablation(setup: Setup, results: Results):
-    return {
-        name: writeback_bypass_ablation(setup.params, lambda name=name: setup.workload(name), entries=8)
-        for name in setup.workloads
-    }
+    stats = {}
+    for name in setup.workloads:
+        with_wb = results[_writeback_cell(setup, name, True)]
+        bypass = results[_writeback_cell(setup, name, False)]
+        stats[name] = {
+            "with_writebacks": with_wb,
+            "bypass": bypass,
+            "stall_saved": with_wb.aggregate_breakdown().tlb_stall - bypass.aggregate_breakdown().tlb_stall,
+        }
+    return stats
 
 
 def _render_writeback(setup: Setup, stats) -> List[str]:
@@ -773,20 +788,32 @@ def _dlb_rate_grows_slower(rows):
 _CAPACITY = ("fft", "ocean")
 
 
+#: Both legs' TLB/DLB sizes (fully associative); the table reads 8.
+_NUMA_SIZES = (8, 32)
+
+
+def _coma_cell(setup: Setup, name: str) -> JobSpec:
+    return setup.sweep(name, sizes=_NUMA_SIZES, orgs=(FA,), label=f"sweep-coma:{name}")
+
+
+def _numa_cells(setup: Setup) -> List[JobSpec]:
+    return [_coma_cell(setup, name) for name in setup.among(_CORE)]
+
+
 def _numa(setup: Setup, results: Results):
     """The same workloads on a CC-NUMA (SHARED-TLB at the home) and on
-    the V-COMA machine, observed by the same sweep agent."""
+    the V-COMA machine, observed at the same TLB/DLB sizes.  The COMA
+    leg is a sweep cell; the NUMA machine has no compiled twin, so its
+    leg runs here, on the scalar engine."""
     from repro.numa import NumaMachine
-    from repro.system.machine import Machine
     from repro.system.simulator import Simulator
     from repro.system.taps import StudyAgent
 
     runs = {}
     for name in setup.among(_CORE):
-        for label, cls in (("numa", NumaMachine), ("coma", Machine)):
-            agent = StudyAgent(setup.params, sizes=(8, 32), orgs=(FA,))
-            machine = cls(setup.params, Scheme.V_COMA, setup.workload(name), agent=agent)
-            runs.setdefault(name, {})[label] = Simulator(machine).run()
+        agent = StudyAgent(setup.params, sizes=_NUMA_SIZES, orgs=(FA,))
+        machine = NumaMachine(setup.params, Scheme.V_COMA, setup.workload(name), agent=agent)
+        runs[name] = {"numa": Simulator(machine).run(), "coma": results[_coma_cell(setup, name)]}
     return runs
 
 
@@ -936,7 +963,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     ),
     Experiment(
         "ablation-writeback", "Ablation — L2-TLB writeback bypass",
-        collect=_writeback_ablation, render=_render_writeback,
+        cells=_writeback_cells, collect=_writeback_ablation, render=_render_writeback,
         claims=(
             Claim("bypass-removes-accesses", "bypassing writebacks never adds TLB accesses", _bypass_removes_accesses),
             Claim("bypass-stall-bounded", "the bypass never costs more than 25% extra translation stall", _bypass_stall_bounded),
@@ -977,7 +1004,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     ),
     Experiment(
         "numa", "Motivation — CC-NUMA vs COMA",
-        collect=_numa, render=_render_numa,
+        cells=_numa_cells, collect=_numa, render=_render_numa,
         claims=(
             Claim("coma-localizes", "the AM localizes capacity misses: less remote stall, less time (FFT/OCEAN)", _coma_localizes),
             Claim("am-filters-home", "the COMA home sees fewer translation accesses than the NUMA home", _am_filters_home_stream),

@@ -41,12 +41,10 @@ node.  Simulation-grid commands (``sweep``, ``timing``, ``paper``,
 ``report``) also accept ``--jobs N`` to shard independent simulations
 across worker processes (clamped to the CPU count), ``--cache-dir`` to
 relocate the persistent result cache, ``--no-cache`` to bypass it,
-``--cache-max-mb`` to cap it with LRU eviction, ``--no-replay`` to
-force miss sweeps down the coupled scalar path instead of the
-record-once/replay-many pipeline, ``--no-fast-timing`` to force
-coupled timing runs onto the scalar reference engine instead of the
-compiled columnar fast path, and ``--no-fast-sweep`` to do the same
-for miss sweeps and trace captures (see ``docs/performance.md``; the
+and ``--cache-max-mb`` to cap it with LRU eviction.  Miss sweeps run
+through the record-once/replay-many pipeline and timing runs through
+the compiled engine; ``REPRO_NO_COMPILED=1`` puts every run on the
+scalar reference engines instead (see ``docs/performance.md``; the
 ``timing`` output's ``engine`` line reports which one ran).
 
 Grids run under the fault-tolerant supervisor (``docs/robustness.md``):
@@ -102,20 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-max-mb", type=float, default=None,
                        help="LRU-evict result-cache entries beyond this size "
                             "(default: $REPRO_CACHE_MAX_MB, else unlimited)")
-        p.add_argument("--no-replay", action="store_true",
-                       help="run miss sweeps through the coupled scalar path "
-                            "instead of the record/replay pipeline "
-                            "(bit-identical, much slower)")
-        p.add_argument("--no-fast-timing", action="store_true",
-                       help="run coupled timing simulations on the scalar "
-                            "reference engine instead of the compiled "
-                            "columnar fast path (bit-identical, much "
-                            "slower; sets REPRO_NO_FAST_TIMING)")
-        p.add_argument("--no-fast-sweep", action="store_true",
-                       help="run miss sweeps and trace captures on the "
-                            "scalar reference engine instead of the "
-                            "compiled sweep fast path (bit-identical, "
-                            "much slower; sets REPRO_NO_FAST_SWEEP)")
         p.add_argument("--retries", type=int, default=0,
                        help="retry budget per job for transient failures "
                             "(I/O errors, corrupt traces, worker death, "
@@ -202,9 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write to a file instead of stdout")
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="also record the protocol-event trace as JSONL")
-    p.add_argument("--no-fast-timing", action="store_true",
-                   help="force the scalar reference engine "
-                        "(sets REPRO_NO_FAST_TIMING)")
     add_machine_options(p)
     add_refs_option(p)
 
@@ -305,8 +286,7 @@ def batch_runner(args, progress=None):
     The persistent cache is on by default; ``--no-cache`` bypasses it
     (the tap-trace store and run manifests included) and ``--cache-dir``
     relocates all three.  ``--cache-max-mb`` caps the result cache with
-    LRU eviction, ``--no-replay`` forces the scalar reference path for
-    sweeps, and ``--retries`` / ``--timeout`` / ``--keep-going`` /
+    LRU eviction, and ``--retries`` / ``--timeout`` / ``--keep-going`` /
     ``--resume`` configure the fault-tolerant supervisor (see
     ``docs/robustness.md``).
     """
@@ -332,7 +312,6 @@ def batch_runner(args, progress=None):
         cache=cache,
         progress=progress,
         trace_store=trace_store,
-        replay=not getattr(args, "no_replay", False),
         retries=getattr(args, "retries", 0),
         timeout=getattr(args, "timeout", None),
         keep_going=getattr(args, "keep_going", False),
@@ -610,17 +589,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args, out) -> int:
-    if getattr(args, "no_fast_timing", False):
-        # Environment, not a parameter: the switch must reach worker
-        # processes spawned by the batch runner too.
-        import os
-
-        os.environ["REPRO_NO_FAST_TIMING"] = "1"
-    if getattr(args, "no_fast_sweep", False):
-        import os
-
-        os.environ["REPRO_NO_FAST_SWEEP"] = "1"
-
     if args.command == "describe":
         out.write(machine_params(args).describe() + "\n")
         return 0

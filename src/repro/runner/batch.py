@@ -154,7 +154,7 @@ JobOutcome = Union[JobResult, JobFailure]
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _worker_loop(conn, trace_store, replay: bool, fault_plan) -> None:
+def _worker_loop(conn, trace_store, fault_plan) -> None:
     """One worker slot: receive ``(index, attempt, spec)``, execute,
     reply ``("ok", ...)`` or ``("err", ...)``; ``None`` stops the loop.
 
@@ -174,7 +174,7 @@ def _worker_loop(conn, trace_store, replay: bool, fault_plan) -> None:
         try:
             if fault_plan is not None:
                 fault_plan.apply_worker(index, attempt)
-            summary = spec.execute(trace_store=trace_store, replay=replay)
+            summary = spec.execute(trace_store=trace_store)
             payload = ("ok", index, attempt, summary, time.perf_counter() - started)
         except Exception as exc:
             payload = (
@@ -303,9 +303,6 @@ class BatchRunner:
         A :class:`~repro.runner.traces.TraceStore` persisting recorded
         tap traces across runs; ``None`` still records and replays
         in-memory (per job), just without cross-run reuse.
-    replay:
-        ``False`` forces the coupled scalar sweep path (the reference
-        implementation the replay pipeline is verified against).
     retries:
         Re-dispatch budget per job for *transient* failures (I/O
         errors, corrupt traces, worker death, timeouts).  Deterministic
@@ -337,7 +334,6 @@ class BatchRunner:
         cache: Optional[ResultCache] = None,
         progress: Optional[ProgressCallback] = None,
         trace_store=None,
-        replay: bool = True,
         retries: int = 0,
         timeout: Optional[float] = None,
         keep_going: bool = False,
@@ -350,7 +346,6 @@ class BatchRunner:
         self.cache = cache
         self.progress = progress
         self.trace_store = trace_store
-        self.replay = replay
         self.retries = max(0, int(retries))
         self.timeout = timeout
         self.keep_going = keep_going
@@ -549,9 +544,7 @@ class BatchRunner:
                 try:
                     if self.fault_plan is not None:
                         self.fault_plan.apply_worker(index, attempt)
-                    summary = spec.execute(
-                        trace_store=self.trace_store, replay=self.replay
-                    )
+                    summary = spec.execute(trace_store=self.trace_store)
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:
@@ -584,7 +577,7 @@ class BatchRunner:
     # ------------------------------------------------------------------
     def _run_supervised(self, pending, workers: int, record, fail, heartbeat) -> None:
         ctx = multiprocessing.get_context("fork")
-        worker_args = (self.trace_store, self.replay, self.fault_plan)
+        worker_args = (self.trace_store, self.fault_plan)
         queue = deque((index, spec, 1) for index, spec in pending)
         #: (ready_at, index, next_attempt, spec) — delayed retries.
         delayed: list = []

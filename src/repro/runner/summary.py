@@ -299,8 +299,9 @@ class RunSummary:
         #: summaries deserialized from pre-1.6 cache files.
         self.backend = backend
         #: Why the scalar engine ran (None on the fast path; e.g.
-        #: "fast=False" or "REPRO_NO_FAST_SWEEP").  None on summaries
-        #: deserialized from pre-1.7 cache files.
+        #: "fast=False", "tracing attached" or "compiled backend
+        #: unavailable: ...").  None on summaries deserialized from
+        #: pre-1.7 cache files.
         self.fallback_reason = fallback_reason
 
     # ------------------------------------------------------------------

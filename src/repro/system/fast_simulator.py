@@ -33,10 +33,11 @@ machine-backed run the machine is indistinguishable from one driven by
 the scalar engine, which the differential suite
 (``tests/integration/test_timing_equivalence.py``) enforces field by
 field.  Anything the C engine does not model — custom machine or agent
-types, a tracer on a sweep or capture run (or one not attached through
-the machine) — makes :func:`fallback_reason` return a string and the
-caller stays on the scalar path.  The crossbar's port-contention mode
-is modelled.
+types, a tracer not attached through the machine, a sweep or capture
+agent on a machine (compiled sweeps are headless: capture, then
+batched replay) — makes :func:`fallback_reason` return a string and
+the caller stays on the scalar path.  The crossbar's port-contention
+mode is modelled.
 
 Traced timing runs are modelled too.  The C engine writes the
 tracer's packed records (:mod:`repro.obs.trace`) for everything the
@@ -55,7 +56,6 @@ every record twice.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
 from repro.common.address import AddressLayout
@@ -74,13 +74,6 @@ from repro.system.machine import (
 from repro.system.refs import BARRIER, LOCK, UNLOCK
 from repro.system.results import RunResult, timing_summary
 from repro.system.taps import TimingAgent
-
-#: Set non-empty to force the scalar engine (CLI ``--no-fast-timing``).
-NO_FAST_ENV = "REPRO_NO_FAST_TIMING"
-
-#: Set non-empty to force the scalar engine for uncoupled sweep/capture
-#: runs (CLI ``--no-fast-sweep``).
-NO_FAST_SWEEP_ENV = "REPRO_NO_FAST_SWEEP"
 
 _TAP_CODE = {
     TapPoint.L0: tk.TAP_L0,
@@ -101,9 +94,8 @@ def _pow2_at_least(n: int) -> int:
 
 
 def _is_sweep_agent(agent) -> bool:
-    """True for the uncoupled sweep instruments (StudyAgent records the
-    full miss surface, CaptureAgent records raw tap streams) — the
-    agents the capture-mode fast path reproduces."""
+    """True for the uncoupled sweep instruments: StudyAgent records the
+    full miss surface, CaptureAgent records raw tap streams."""
     from repro.system.taps import StudyAgent
     from repro.system.taptrace import CaptureAgent
 
@@ -124,27 +116,23 @@ def _traced_throughout(machine) -> bool:
     )
 
 
-def _switch_reason(sweep_agent: bool) -> Optional[str]:
-    """The env switch forcing the scalar engine for this kind of run."""
-    if sweep_agent:
-        if os.environ.get(NO_FAST_SWEEP_ENV):
-            return f"disabled ({NO_FAST_SWEEP_ENV})"
-    elif os.environ.get(NO_FAST_ENV):
-        return f"disabled ({NO_FAST_ENV})"
-    return None
-
-
 def fallback_reason(simulator) -> Optional[str]:
     """None when the compiled fast path can reproduce this run exactly;
-    otherwise a short human-readable reason for staying scalar."""
+    otherwise a short human-readable reason for staying scalar.
+
+    A machine-backed run takes the compiled engine only for coupled
+    timing (a :class:`~repro.system.taps.TimingAgent` or the passive
+    :class:`~repro.coma.protocol.TranslationAgent`).  Compiled sweeps
+    build no machine: :func:`~repro.analysis.experiments.run_miss_sweep`
+    and :func:`~repro.system.taptrace.capture_tap_traces` capture
+    headless and replay the banks in batches, so a sweep agent on a
+    machine is the scalar oracle's run.
+    """
     from repro.system.machine import Machine
     from repro.coma.protocol import TranslationAgent
 
     machine = simulator.machine
     sweep_agent = _is_sweep_agent(machine.agent)
-    reason = _switch_reason(sweep_agent)
-    if reason is not None:
-        return reason
     if type(machine) is not Machine:
         return f"custom machine type {type(machine).__name__}"
     if (
@@ -161,6 +149,11 @@ def fallback_reason(simulator) -> Optional[str]:
         return f"unsupported agent {type(agent).__name__}"
     if tk.get_backend() is None:
         return f"compiled backend unavailable: {tk.backend_status()}"
+    if sweep_agent:
+        return (
+            f"machine-backed {type(agent).__name__} "
+            "(compiled sweeps are headless capture + replay)"
+        )
     return None
 
 
@@ -221,14 +214,6 @@ class HeadlessRun:
         return self.workload.node_stream(node, self.ctx)
 
 
-def headless_eligible(agent) -> bool:
-    """Whether :func:`run_fast` may run a :class:`HeadlessRun` with this
-    agent: no env switch forces the scalar engine and the compiled
-    backend loads.  Otherwise the caller builds a machine and lets
-    :meth:`~repro.system.simulator.Simulator.run` name the reason."""
-    return _switch_reason(_is_sweep_agent(agent)) is None and tk.get_backend() is not None
-
-
 def degraded_reason(exc: BaseException) -> str:
     """Record a compiled-engine degradation on the runtime metrics and
     return the ``fallback_reason`` the scalar re-run carries."""
@@ -246,8 +231,8 @@ def run_fast(run):
     :class:`HeadlessRun`, and what comes back depends on which:
 
     * A simulator holds a machine, so the whole final image (caches,
-      AMs, directory, TLBs, RNG states, ports, sweep-agent state) is
-      copied back into it, as if the scalar engine had run it, and a
+      AMs, directory, TLBs, RNG states, ports) is copied back into it,
+      as if the scalar engine had run it, and a
       :class:`~repro.system.results.RunResult` is returned.
     * A headless run gets its
       :class:`~repro.runner.summary.RunSummary` read straight from C:
@@ -259,11 +244,10 @@ def run_fast(run):
     is the machine's own :attr:`~repro.system.machine.Machine.placement`,
     which assumes nothing changed the machine's AMs, directory or page
     map between construction and :meth:`Simulator.run`.  No caller
-    does: ``run_timing``, ``run_miss_sweep``, the report and ablation
-    experiments, the fuzz harness and the runner's scalar fallback all
-    run a machine straight after building it.  The engine RNG, the TLB
-    RNGs and the crossbar's port free times are still read from the
-    machine.
+    does: ``run_timing``, the report's experiments, the fuzz harness
+    and the runner's scalar fallback all run a machine straight after
+    building it.  The engine RNG, the TLB RNGs and the crossbar's port
+    free times are still read from the machine.
 
     The caller must have checked eligibility first (:func:`fallback_reason`
     or :func:`headless_eligible`); this function raises on engine
@@ -431,13 +415,14 @@ def _drive(run, source, ffi, lib, handle, timing_agent):
     # -- load the snapshot ----------------------------------------------
     # Streams: columns from the workload's C twin, or drained from its
     # Python generator where the twin declines (shared across grid
-    # cells through the stream LRU when the caller supplied a workload
-    # identity); `keep` pins the arrays and their cffi views for the
-    # lifetime of the run (C holds raw pointers).
+    # cells through the stream LRU when a headless run carries its
+    # workload identity); `keep` pins the arrays and their cffi views
+    # for the lifetime of the run (C holds raw pointers).
+    stream_key = run.stream_key if machine is None else None
     keep = []
     for n in range(count):
         ops, vals = tk.materialize_shared(
-            run.stream_key,
+            stream_key,
             n,
             lambda node=n: source.node_stream(node),
             lambda node=n: tk.stream_columns(source.workload, node, source.ctx),
@@ -793,8 +778,6 @@ def _copy_back(ffi, lib, handle, machine) -> None:
     agent = machine.agent
     if type(agent) is TimingAgent:
         _load_tlbs(ffi, lib, handle, agent, count)
-    elif _is_sweep_agent(agent):
-        _load_sweep_agent(ffi, lib, handle, agent, count)
     rng_out = ffi.new("uint32_t[]", tk.RNG_STATE_WORDS)
     lib.fs_export_engine_rng(handle, rng_out)
     tk.load_rng_state(engine._rng, [int(rng_out[i]) for i in range(tk.RNG_STATE_WORDS)])
@@ -857,82 +840,9 @@ def _load_directory(ffi, lib, handle, machine) -> None:
         engine.directories[home].lookups += int(lookups[home])
 
 
-def _load_sweep_agent(ffi, lib, handle, agent, count: int) -> None:
-    """Rebuild a sweep agent's state from the captured tap streams.
-
-    For a :class:`~repro.system.taps.StudyAgent`, every bank member is
-    replayed over its ``(tap, node)`` stream with one ``fs_bank_run``
-    call — banks never interact, and each member draws victims from its
-    own RNG substream, so per-stream replay reproduces the coupled
-    scalar run's miss counts, buffer contents, and RNG states exactly.
-    The lazy-counter convention is preserved: the *bank* access counter
-    is set (the scalar fan-out bumps only it) while member buffers keep
-    ``accesses == 0`` until a reader syncs them.
-
-    For a :class:`~repro.system.taptrace.CaptureAgent`, the raw streams
-    are copied out into its per-tap column arrays.
-    """
-    from repro.system.taps import StudyAgent
-
-    if type(agent) is StudyAgent:
-        _load_study_agent(ffi, lib, handle, agent, count)
-    else:
-        _load_capture_agent(ffi, lib, handle, agent, count)
-
-
-def _load_study_agent(ffi, lib, handle, agent, count: int) -> None:
-    total_references = 0
-    for tap_index, tap in enumerate(tk.SWEEP_TAPS):
-        for n in range(count):
-            length = int(lib.fs_cap_count(handle, tap_index, n))
-            if tap is TapPoint.L0:
-                total_references += length
-            bank = agent._banks[(tap, n)]
-            bank.accesses += length
-            if not length:
-                continue
-            pages = lib.fs_cap_data(handle, tap_index, n)
-            for buffer in bank._buffer_list:
-                _run_bank(ffi, lib, buffer, pages, length)
-    agent.total_references += total_references
-
-
-def _run_bank(ffi, lib, buffer, pages, length: int) -> None:
-    """One fs_bank_run call: replay a recorded stream through one
-    TranslationBuffer, importing misses, contents, and RNG state."""
-    rng_words = tk.rng_state_words(buffer._rng)
-    assoc = buffer.assoc
-    sets = buffer.sets
-    tags = ffi.new("int64_t[]", sets * assoc)
-    lens = ffi.new("int32_t[]", sets)
-    misses = int(
-        lib.fs_bank_run(
-            buffer.entries,
-            sets,
-            assoc,
-            ffi.from_buffer("uint32_t[]", rng_words),
-            pages,
-            length,
-            tags,
-            lens,
-        )
-    )
-    if misses < 0:
-        raise MemoryError("fast sweep engine: bank allocation failed")
-    buffer.misses += misses
-    new_tags = []
-    where = {}
-    for set_idx in range(sets):
-        ways = [int(tags[set_idx * assoc + w]) for w in range(int(lens[set_idx]))]
-        new_tags.append(ways)
-        for way, page in enumerate(ways):
-            where[page] = (set_idx, way)
-    buffer._tags = new_tags
-    buffer._where = where
-    tk.load_rng_state(buffer._rng, rng_words)
-
-
 def _load_capture_agent(ffi, lib, handle, agent, count: int) -> None:
+    """Copy the captured tap streams into a
+    :class:`~repro.system.taptrace.CaptureAgent`'s per-tap columns."""
     per_tap = {
         TapPoint.L0: agent._l0,
         TapPoint.L1: agent._l1,

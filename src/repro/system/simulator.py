@@ -47,7 +47,6 @@ class Simulator:
         max_refs_per_node: Optional[int] = None,
         phase_every: int = 2048,
         fast: bool = True,
-        stream_key: Optional[str] = None,
     ) -> None:
         self.machine = machine
         self.max_refs_per_node = max_refs_per_node
@@ -57,11 +56,6 @@ class Simulator:
         #: Try the compiled columnar engine first (bit-identical; see
         #: repro.system.fast_simulator).  False forces the scalar path.
         self.fast = fast
-        #: Optional workload identity (``JobSpec.trace_hash()`` in grid
-        #: runs) keying the materialized-column LRU, so grid cells that
-        #: share a workload materialize its streams once.  None bypasses
-        #: the cache.
-        self.stream_key = stream_key
         #: After run(): "compiled" or "scalar".
         self.backend: Optional[str] = None
         #: After run(): why the scalar path was used (None on the fast
@@ -291,20 +285,23 @@ def run_summary(
     that observed it, without a Python machine when the compiled engine
     can take the run (:class:`~repro.system.fast_simulator.HeadlessRun`).
 
-    ``make_agent()`` returns a fresh agent.  A run the compiled engine
-    may not take builds a :class:`Machine` and goes through
+    ``make_agent()`` returns a fresh
+    :class:`~repro.system.taps.TimingAgent` or
+    :class:`~repro.system.taptrace.CaptureAgent`.  Without the compiled
+    backend the run builds a :class:`Machine` and goes through
     :meth:`Simulator.run`, which names the reason.  A headless run that
     degrades re-runs on a fresh machine and agent on the scalar engine,
     stamped ``"compiled engine degraded: ..."`` exactly as
     :meth:`Simulator.run` stamps it.
     """
+    from repro.core import timing_kernels
     from repro.core.ladder import EngineDegraded
     from repro.runner.summary import RunSummary
     from repro.system import fast_simulator
 
     agent = make_agent()
     reason = None
-    if fast_simulator.headless_eligible(agent):
+    if timing_kernels.get_backend() is not None:
         run = fast_simulator.HeadlessRun(
             params, scheme, workload, agent, contention, max_refs_per_node, stream_key
         )
@@ -314,8 +311,6 @@ def run_summary(
             reason = fast_simulator.degraded_reason(exc)
         agent = make_agent()
     machine = Machine(params, scheme, workload, agent=agent, contention=contention)
-    simulator = Simulator(
-        machine, max_refs_per_node=max_refs_per_node, stream_key=stream_key
-    )
+    simulator = Simulator(machine, max_refs_per_node=max_refs_per_node)
     result = simulator.run() if reason is None else simulator._run_scalar_stamped(reason)
     return RunSummary.from_result(result), agent

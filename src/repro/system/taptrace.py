@@ -292,14 +292,14 @@ def capture_tap_traces(
 ) -> TapTraceSet:
     """Run the hierarchy once, recording every translation tap.
 
-    The machine is configured exactly as :func:`run_miss_sweep`'s
-    (V-COMA hierarchy — every scheme's tap stream can be read off it),
-    so the recorded streams and base summary match a scalar sweep run
-    bit for bit.  The capture prefers the compiled engine's capture
+    The hierarchy is configured exactly as the scalar
+    :func:`~repro.analysis.experiments.run_miss_sweep` oracle's (V-COMA
+    — every scheme's tap stream can be read off it), so the recorded
+    streams and base summary match a scalar sweep run bit for bit.  The capture prefers the compiled engine's capture
     mode, headless: no machine is built and the columns come straight
     from C (``fast=False`` forces the scalar reference path — identical
-    streams either way); ``stream_key`` keys the materialized-column
-    LRU for grid-level stream sharing.
+    streams either way); on the compiled engine ``stream_key`` keys the
+    materialized-column LRU for grid-level stream sharing.
     """
     from repro.system.machine import Machine
     from repro.system.simulator import Simulator, run_summary
@@ -318,10 +318,7 @@ def capture_tap_traces(
         agent = CaptureAgent(params)
         machine = Machine(params, Scheme.V_COMA, workload, agent=agent)
         base = RunSummary.from_result(
-            Simulator(
-                machine, max_refs_per_node=max_refs_per_node, fast=False,
-                stream_key=stream_key,
-            ).run()
+            Simulator(machine, max_refs_per_node=max_refs_per_node, fast=False).run()
         )
     return TapTraceSet(
         nodes=params.nodes,

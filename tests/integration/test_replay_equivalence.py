@@ -17,8 +17,8 @@ from repro import MachineParams, make_workload
 from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
 from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME
 from repro.core.tlb import Organization
+from repro.analysis import run_miss_sweep
 from repro.runner import JobSpec, TraceStore
-from repro.system.fast_simulator import NO_FAST_SWEEP_ENV
 from repro.system.taptrace import capture_tap_traces
 
 WORKLOADS = ("radix", "ocean")
@@ -55,18 +55,18 @@ def make_spec(params, workload):
     )
 
 
+def scalar_sweep(params, workload, sizes=SIZES, orgs=ORGS):
+    """The coupled sweep on the scalar engine: the oracle."""
+    return run_miss_sweep(
+        params, make_workload(workload, intensity=0.2),
+        sizes=sizes, orgs=orgs, max_refs_per_node=400, fast=False,
+    )
+
+
 @pytest.fixture(scope="module")
 def scalar_summaries(params):
     """The coupled runs on the scalar engine, shared across every test."""
-    monkeypatch = pytest.MonkeyPatch()
-    monkeypatch.setenv(NO_FAST_SWEEP_ENV, "1")
-    try:
-        return {
-            workload: make_spec(params, workload).execute(replay=False)
-            for workload in WORKLOADS
-        }
-    finally:
-        monkeypatch.undo()
+    return {workload: scalar_sweep(params, workload) for workload in WORKLOADS}
 
 
 @pytest.fixture(
@@ -83,7 +83,7 @@ def replay_summaries(request, params):
         monkeypatch.setenv(request.param, "1")
     try:
         return {
-            workload: make_spec(params, workload).execute(replay=True)
+            workload: make_spec(params, workload).execute()
             for workload in WORKLOADS
         }
     finally:
@@ -149,9 +149,9 @@ class TestThroughTraceStore:
         """Record to disk, reload, replay: still bit-identical."""
         store = TraceStore(root=tmp_path)
         spec = make_spec(params, "radix")
-        recorded = spec.execute(trace_store=store, replay=True)
+        recorded = spec.execute(trace_store=store)
         assert store.misses == 1 and len(store) == 1
-        reloaded = spec.execute(trace_store=store, replay=True)
+        reloaded = spec.execute(trace_store=store)
         assert store.hits == 1
         assert surface(recorded) == surface(scalar_summaries["radix"])
         assert surface(reloaded) == surface(scalar_summaries["radix"])
@@ -168,8 +168,11 @@ class TestThroughTraceStore:
             orgs=(Organization.SET_ASSOCIATIVE, Organization.DIRECT_MAPPED),
             max_refs_per_node=400, overrides={"intensity": 0.2},
         )
-        first.execute(trace_store=store, replay=True)
-        fast = second.execute(trace_store=store, replay=True)
+        first.execute(trace_store=store)
+        fast = second.execute(trace_store=store)
         assert store.hits == 1 and len(store) == 1, "second grid must reuse the trace"
-        slow = second.execute(replay=False)
+        slow = scalar_sweep(
+            params, "radix", sizes=second.sizes,
+            orgs=tuple(Organization(org) for org in second.orgs),
+        )
         assert surface(fast) == surface(slow)

@@ -423,15 +423,6 @@ class TestBackendMatrix:
         assert "compiled backend unavailable" in result.fallback_reason
         assert summary_surface(result) == summary_surface(scalar_reference)
 
-    def test_no_fast_timing_env(self, params, monkeypatch):
-        """The CLI escape hatch forces the oracle."""
-        monkeypatch.setenv("REPRO_NO_FAST_TIMING", "1")
-        result = run_timing(
-            params, Scheme.V_COMA, make_workload("radix", intensity=0.2), 8,
-        )
-        assert result.backend == "scalar"
-        assert "REPRO_NO_FAST_TIMING" in result.fallback_reason
-
 
 class TestBackendReporting:
     def test_summary_carries_backend(self, params):

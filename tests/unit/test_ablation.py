@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro import MachineParams, make_workload
+from repro import MachineParams, Scheme, make_workload
 from repro.analysis.ablation import (
     SharedVsPartitionedAgent,
     sharing_ablation,
     shootdown_scaling,
-    writeback_bypass_ablation,
 )
-from repro.workloads import OceanWorkload
+from repro.runner import JobSpec
 
 
 @pytest.fixture
@@ -55,14 +54,20 @@ class TestSharingAblation:
 
 class TestWritebackBypass:
     def test_bypass_never_increases_stall(self, params):
-        stats = writeback_bypass_ablation(
-            params, lambda: OceanWorkload(intensity=0.3), entries=8,
-            max_refs_per_node=2000,
+        """The ``ablation-writeback`` experiment's two L2-TLB/8 timing
+        cells, with writebacks looked up and bypassed."""
+        with_wb, bypass = (
+            JobSpec.timing(
+                params, Scheme.L2_TLB, "ocean", 8, include_l2_writebacks=include,
+                max_refs_per_node=2000, overrides={"intensity": 0.3},
+            ).execute()
+            for include in (True, False)
         )
-        assert stats["stall_saved"] >= 0
-        with_wb = stats["with_writebacks"].timing_summary()
-        bypass = stats["bypass"].timing_summary()
-        assert bypass["accesses"] <= with_wb["accesses"]
+        stall_saved = (
+            with_wb.aggregate_breakdown().tlb_stall - bypass.aggregate_breakdown().tlb_stall
+        )
+        assert stall_saved >= 0
+        assert bypass.timing_summary()["accesses"] <= with_wb.timing_summary()["accesses"]
 
 
 class TestShootdownScaling:

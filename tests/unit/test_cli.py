@@ -38,6 +38,15 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["sweep", "nope"] + FAST)
 
+    @pytest.mark.parametrize("flag", ["--no-replay", "--no-fast-timing", "--no-fast-sweep"])
+    def test_engine_switches_are_gone(self, capsys, flag):
+        """One compiled sweep path is left; REPRO_NO_COMPILED is the
+        only switch to the scalar oracle."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "radix", flag] + FAST)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_describe(self, capsys):

@@ -233,9 +233,19 @@ class TestBatchRunner:
         assert runner.simulations_run == 0
 
     def test_no_replay_matches_replay(self, params):
+        """A replayed grid cell equals the coupled scalar sweep, the
+        no-replay oracle the pipeline is checked against."""
+        from repro.analysis import run_miss_sweep
+        from repro.workloads import make_workload
+
         spec = sweep_spec(params)
-        fast = BatchRunner(jobs=1, replay=True).run([spec])[0].summary
-        slow = BatchRunner(jobs=1, replay=False).run([spec])[0].summary
+        fast = BatchRunner(jobs=1).run([spec])[0].summary
+        slow = run_miss_sweep(
+            params, make_workload("radix", intensity=0.2), sizes=spec.sizes,
+            orgs=(Organization.FULLY_ASSOCIATIVE,),
+            max_refs_per_node=spec.max_refs_per_node, fast=False,
+        )
+        assert slow.backend == "scalar"
 
         def surface(summary):
             # The engine-provenance stamps are allowed (expected, even)

@@ -161,14 +161,15 @@ def _custom_agent(params, fast):
 
 
 def _traced_sweep(params, fast):
-    from repro.analysis import run_miss_sweep
     from repro.obs import Tracer
+    from repro.system.taps import StudyAgent
 
     with Tracer(buffer_size=64) as tracer:
-        return run_miss_sweep(
-            params, make_workload("radix", intensity=0.2),
-            max_refs_per_node=150, tracer=tracer, fast=fast,
+        machine = Machine(
+            params, Scheme.V_COMA, make_workload("radix", intensity=0.2),
+            agent=StudyAgent(params), tracer=tracer,
         )
+        return Simulator(machine, max_refs_per_node=150, fast=fast).run()
 
 
 class TestFallbackReason:

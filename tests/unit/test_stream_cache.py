@@ -188,7 +188,7 @@ class TestKeyedByWorkloadNotGridCell:
             for sizes in ((8,), (16, 32), (64,))
         ]
         for spec in specs:
-            spec.execute(replay=False)
+            spec.execute()
         new_misses = cache.misses - misses0
         new_hits = cache.hits - hits0
         cache.clear()
