@@ -31,11 +31,6 @@ class TagOverhead:
     tag_bits: int
     block_bytes: int
 
-    @property
-    def overhead_ratio(self) -> float:
-        """Tag bits relative to block data bits."""
-        return self.tag_bits / (self.block_bytes * 8)
-
 
 def tag_bits(address_bits: int, block_bytes: int, sets: int, access_right_bits: int = 4) -> int:
     """Tag width for one cache block: address bits minus the block

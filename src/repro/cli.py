@@ -7,7 +7,6 @@
     python -m repro timing    ocean --scheme V-COMA --entries 8
     python -m repro paper     list | run [ID...] | check [ID...]
     python -m repro report    [workloads...] [--no-figures]
-    python -m repro metrics   radix [--format openmetrics|json] [--trace-out t.jsonl]
     python -m repro trace-profile t.jsonl [--metrics m.json]
     python -m repro trace-validate t.jsonl
     python -m repro status    [RUN_ID]
@@ -35,9 +34,9 @@ protocol-event trace (JSONL; see ``docs/observability.md``) and
 
 Simulation commands accept the machine options (``--nodes``,
 ``--factor``, ``--page-size``, ``--seed``); those that simulate
-single runs (``sweep``, ``timing``, ``metrics``, ``profile``,
-``trace``, ``replay``) also take ``--refs`` to bound references per
-node.  Simulation-grid commands (``sweep``, ``timing``, ``paper``,
+single runs (``sweep``, ``timing``, ``profile``, ``trace``,
+``replay``) also take ``--refs`` to bound references per node.
+Simulation-grid commands (``sweep``, ``timing``, ``paper``,
 ``report``) also accept ``--jobs N`` to shard independent simulations
 across worker processes (clamped to the CPU count), ``--cache-dir`` to
 relocate the persistent result cache, ``--no-cache`` to bypass it,
@@ -168,26 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workloads", nargs="*", default=[])
     add_machine_options(p)
     add_runner_options(p)
-
-    p = sub.add_parser(
-        "metrics",
-        help="run one simulation and export its metrics "
-             "(OpenMetrics text or JSON)",
-    )
-    p.add_argument("workload", choices=sorted(WORKLOADS))
-    p.add_argument("--scheme", default="V-COMA",
-                   choices=[s.value for s in Scheme])
-    p.add_argument("--entries", type=int, default=8)
-    p.add_argument("--dm", action="store_true", help="direct-mapped TLB/DLB")
-    p.add_argument("--intensity", type=float, default=1.0)
-    p.add_argument("--format", default="openmetrics",
-                   choices=["openmetrics", "json"])
-    p.add_argument("--out", default=None,
-                   help="write to a file instead of stdout")
-    p.add_argument("--trace-out", default=None, metavar="FILE",
-                   help="also record the protocol-event trace as JSONL")
-    add_machine_options(p)
-    add_refs_option(p)
 
     p = sub.add_parser("profile", help="per-segment traffic profile of a workload")
     p.add_argument("workload", choices=sorted(WORKLOADS))
@@ -721,37 +700,6 @@ def _dispatch(args, out) -> int:
         out.write(f"wrote {args.out} ({len(text.splitlines())} lines)\n")
         if args.metrics_out:
             out.write(f"wrote {args.metrics_out}\n")
-        return 0
-
-    if args.command == "metrics":
-        from repro.obs import Tracer, to_json, to_openmetrics
-        from repro.runner.summary import RunSummary
-
-        org = Organization.DIRECT_MAPPED if args.dm else Organization.FULLY_ASSOCIATIVE
-        workload = make_workload(args.workload, intensity=args.intensity)
-        tracer = Tracer(args.trace_out) if args.trace_out else None
-        try:
-            live = run_timing(
-                params, Scheme(args.scheme), workload, args.entries,
-                organization=org, max_refs_per_node=args.refs,
-                tracer=tracer,
-            )
-        finally:
-            if tracer is not None:
-                tracer.close()
-        registry = RunSummary.from_result(live).to_metrics()
-        rendered = (
-            to_openmetrics(registry) if args.format == "openmetrics"
-            else to_json(registry)
-        )
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(rendered)
-            out.write(f"wrote {args.out}\n")
-        else:
-            out.write(rendered)
-        if args.trace_out:
-            sys.stderr.write(f"wrote {args.trace_out}\n")
         return 0
 
     if args.command == "profile":

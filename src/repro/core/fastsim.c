@@ -2033,8 +2033,6 @@ void fs_mark_finished(FastSim *s, int node) { s->finished[node] = 1; }
 
 int64_t fs_refs_done(FastSim *s, int node) { return s->refs_done[node]; }
 
-int64_t fs_pos(FastSim *s, int node) { return s->pos[node]; }
-
 /* ---- copyback accessors ---- */
 void fs_export_global(FastSim *s, int64_t *values, int64_t *calls) {
     memcpy(values, s->glob, sizeof(s->glob));

@@ -98,7 +98,6 @@ void fs_set_clock(FastSim *s, int node, int64_t t);
 int64_t fs_get_clock(FastSim *s, int node);
 void fs_mark_finished(FastSim *s, int node);
 int64_t fs_refs_done(FastSim *s, int node);
-int64_t fs_pos(FastSim *s, int node);
 void fs_export_global(FastSim *s, int64_t *values, int64_t *calls);
 void fs_export_node_counters(FastSim *s, int node, int64_t *values, int64_t *calls);
 void fs_export_breakdown(FastSim *s, int node, int64_t *out);
@@ -700,12 +699,6 @@ def materialize_stream(stream: Iterable[Tuple[int, int]]):
 # grid-level stream sharing
 # ---------------------------------------------------------------------------
 
-#: Size cap (in MiB) for the in-process materialized-stream LRU.
-STREAM_CACHE_ENV = "REPRO_STREAM_CACHE_MB"
-
-_STREAM_CACHE_DEFAULT_MB = 256.0
-
-
 class StreamCache:
     """Size-capped in-process LRU of materialized ``(ops, vals)`` columns.
 
@@ -718,27 +711,18 @@ class StreamCache:
 
     Consumers treat cached columns as immutable — the compiled engine
     only ever reads them (``const`` columns in C), and the scalar path
-    never sees them.  The byte cap (:data:`STREAM_CACHE_ENV`, default
-    256 MiB) is read per call so tests can shrink it at runtime.
+    never sees them.  ``max_bytes`` caps the columns' total size.
     """
 
-    __slots__ = ("_entries", "_bytes", "hits", "misses", "evictions")
+    __slots__ = ("_entries", "_bytes", "max_bytes", "hits", "misses", "evictions")
 
-    def __init__(self) -> None:
+    def __init__(self, max_bytes: int = 256 * 1024 * 1024) -> None:
         self._entries: "OrderedDict" = OrderedDict()
         self._bytes = 0
+        self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    @staticmethod
-    def max_bytes() -> int:
-        raw = os.environ.get(STREAM_CACHE_ENV)
-        try:
-            mb = float(raw) if raw else _STREAM_CACHE_DEFAULT_MB
-        except ValueError:
-            mb = _STREAM_CACHE_DEFAULT_MB
-        return int(mb * 1024 * 1024)
 
     @staticmethod
     def _cost(columns) -> int:
@@ -755,16 +739,15 @@ class StreamCache:
         return entry[0]
 
     def put(self, key, columns) -> None:
-        cap = self.max_bytes()
         cost = self._cost(columns)
         old = self._entries.pop(key, None)
         if old is not None:
             self._bytes -= old[1]
-        if cost > cap:
+        if cost > self.max_bytes:
             return  # larger than the whole cache: never resident
         self._entries[key] = (columns, cost)
         self._bytes += cost
-        while self._bytes > cap and self._entries:
+        while self._bytes > self.max_bytes and self._entries:
             _, (_, freed) = self._entries.popitem(last=False)
             self._bytes -= freed
             self.evictions += 1

@@ -207,13 +207,6 @@ class NumaEngine:
         self.crossbar.transfer(MessageKind.INJECT, node, home, now)
         self.counters.add("writebacks_to_memory")
 
-    def drop_clean(self, node: int, addr: int) -> None:
-        """Silent clean eviction bookkeeping (called by the machine's
-        inclusion plumbing when an SLC line leaves)."""
-        entry = self._entries.get(self.layout.block_base(addr))
-        if entry is not None:
-            entry.sharers.discard(node)
-
     # ------------------------------------------------------------------
     def _invalidate_sharers(self, entry: CacheLineEntry, block: int, home: int, exclude: int, start: int) -> int:
         sharers = [s for s in entry.sharers if s != exclude]

@@ -125,9 +125,6 @@ class Metric:
         self.help = help
         self._samples: Dict[LabelKey, object] = {}
 
-    def labelsets(self) -> List[LabelKey]:
-        return sorted(self._samples)
-
     def samples(self) -> Iterator[Tuple[LabelKey, object]]:
         """(labels, value) pairs in deterministic (sorted-label) order."""
         for key in sorted(self._samples):

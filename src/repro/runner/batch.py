@@ -193,6 +193,21 @@ def _worker_loop(conn, trace_store, fault_plan) -> None:
             return
 
 
+class _RunTraces:
+    """The trace store of a runner that has none: one run's recordings
+    in memory, keyed by trace hash, so the run captures each hierarchy
+    once (per worker process) and frees them when it ends."""
+
+    def __init__(self) -> None:
+        self._traces = {}
+
+    def get(self, spec: JobSpec):
+        return self._traces.get(spec.trace_hash())
+
+    def put(self, spec: JobSpec, traces) -> None:
+        self._traces[spec.trace_hash()] = traces
+
+
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -301,8 +316,10 @@ class BatchRunner:
         failures.
     trace_store:
         A :class:`~repro.runner.traces.TraceStore` persisting recorded
-        tap traces across runs; ``None`` still records and replays
-        in-memory (per job), just without cross-run reuse.
+        tap traces across runs; ``None`` keeps each :meth:`run`'s
+        recordings in memory (per worker process) until the run ends,
+        so a grid still captures each hierarchy once, just without
+        cross-run reuse.
     retries:
         Re-dispatch budget per job for *transient* failures (I/O
         errors, corrupt traces, worker death, timeouts).  Deterministic
@@ -501,11 +518,12 @@ class BatchRunner:
                 stats.requested_jobs = self.jobs
             if pending:
                 self.effective_jobs = max(1, workers)
+                traces = self.trace_store if self.trace_store is not None else _RunTraces()
                 if workers > 1 and _fork_available():
-                    self._run_supervised(pending, workers, record, fail, heartbeat)
+                    self._run_supervised(pending, workers, traces, record, fail, heartbeat)
                 else:
                     self.effective_jobs = 1
-                    self._run_serial(pending, record, fail, heartbeat)
+                    self._run_serial(pending, traces, record, fail, heartbeat)
         except KeyboardInterrupt:
             raise RunInterrupted(self.run_id, completed=done, total=total) from None
         finally:
@@ -523,19 +541,17 @@ class BatchRunner:
     def _store_counters(self) -> Tuple[int, int, int]:
         """(quarantined, evicted, corrupt-traces) across this runner's
         stores — sampled before/after a run to attribute the delta."""
-        quarantined = evicted = corrupt = 0
-        for store in (self.cache, self.trace_store):
-            if store is None:
-                continue
-            quarantined += getattr(store, "quarantined", 0)
-            evicted += getattr(store, "evictions", 0)
-            corrupt += getattr(store, "corrupt_dropped", 0)
-        return quarantined, evicted, corrupt
+        stores = [store for store in (self.cache, self.trace_store) if store is not None]
+        return (
+            sum(store.quarantined for store in stores),
+            sum(store.evictions for store in stores),
+            self.trace_store.corrupt_dropped if self.trace_store is not None else 0,
+        )
 
     # ------------------------------------------------------------------
     # in-process execution (jobs=1 or no fork)
     # ------------------------------------------------------------------
-    def _run_serial(self, pending, record, fail, heartbeat) -> None:
+    def _run_serial(self, pending, traces, record, fail, heartbeat) -> None:
         for index, spec in pending:
             attempt = 1
             while True:
@@ -544,7 +560,7 @@ class BatchRunner:
                 try:
                     if self.fault_plan is not None:
                         self.fault_plan.apply_worker(index, attempt)
-                    summary = spec.execute(trace_store=self.trace_store)
+                    summary = spec.execute(trace_store=traces)
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:
@@ -575,9 +591,10 @@ class BatchRunner:
     # ------------------------------------------------------------------
     # supervised worker-pool execution
     # ------------------------------------------------------------------
-    def _run_supervised(self, pending, workers: int, record, fail, heartbeat) -> None:
+    def _run_supervised(self, pending, workers: int, traces, record, fail,
+                        heartbeat) -> None:
         ctx = multiprocessing.get_context("fork")
-        worker_args = (self.trace_store, self.fault_plan)
+        worker_args = (traces, self.fault_plan)
         queue = deque((index, spec, 1) for index, spec in pending)
         #: (ready_at, index, next_attempt, spec) — delayed retries.
         delayed: list = []

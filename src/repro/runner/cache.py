@@ -1,24 +1,21 @@
 """Persistent on-disk memoization of finished simulations.
 
-Layout: one JSON file per job under ``<root>/<hh>/<hash>.json`` where
-``hash`` is :meth:`JobSpec.content_hash` (spec content + package
-version) and ``hh`` its first two hex digits.  Files carry the spec's
-canonical key alongside the summary so a cache directory is inspectable
-with nothing but ``jq``.
+A :class:`~repro.runner.store.ContentStore` (layout, recovery, atomic
+writes, quarantine, LRU cap) of one JSON file per job under
+``<root>/<hh>/<hash>.json``, where ``hash`` is
+:meth:`JobSpec.content_hash` (spec content + package version).  Files
+carry the spec's canonical key alongside the summary so a cache
+directory is inspectable with nothing but ``jq``.
 
 Invalidation is by construction: any change to the spec *or* a package
 version bump produces a different hash, so stale entries are simply
-never read again (``clear()`` reclaims the space).  Writes go through a
-temp file + ``os.replace`` so concurrent workers never expose a torn
-entry.
-
-Stale entries do take disk space until evicted: the cache accepts a
-size cap (``max_bytes``, CLI ``--cache-max-mb``, env
-``$REPRO_CACHE_MAX_MB``) and evicts **least-recently-used** entries
-after every write once the cap is exceeded — each hit touches the
-entry's mtime, so recently replayed grids survive and abandoned
-configurations age out.  Without a cap the cache grows unboundedly, as
-before.
+never read again (``clear()`` reclaims the space).  Until then they
+take disk space: the cache accepts a size cap (``max_bytes``, CLI
+``--cache-max-mb``, env ``$REPRO_CACHE_MAX_MB``) and evicts
+least-recently-used entries after every write once the cap is
+exceeded; each hit touches the entry's mtime, so recently replayed
+grids survive and abandoned configurations age out.  Without a cap the
+cache grows unboundedly.
 
 The default root is ``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro``,
 else ``~/.cache/repro``.
@@ -29,15 +26,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.runner.jobs import JobSpec
-from repro.runner.locking import (
-    atomic_write_text,
-    quarantine_file,
-    recover_orphans,
-    store_lock,
-)
+from repro.runner.store import ContentStore, CorruptEntry
 from repro.runner.summary import RunSummary
 
 #: Environment override for the cache root.
@@ -73,146 +65,39 @@ def default_max_bytes(env_var: str = CACHE_MAX_MB_ENV) -> Optional[int]:
     return int(megabytes * 1024 * 1024) if megabytes > 0 else None
 
 
-def touch(path: Path) -> None:
-    """Mark one entry recently used (LRU bookkeeping via mtime)."""
-    try:
-        os.utime(path)
-    except OSError:
-        pass
-
-
-def evict_lru(
-    root: Path, pattern: str, max_bytes: Optional[int], store: str = "cache"
-) -> Tuple[int, int]:
-    """Delete oldest-mtime files matching ``pattern`` under ``root``
-    until their total size fits ``max_bytes``.  Returns
-    ``(files_removed, bytes_freed)``; evictions are counted in the
-    runtime metrics registry under ``store``.  Concurrent deletion by
-    another process is benign (missing files are skipped)."""
-    if max_bytes is None or not root.is_dir():
-        return 0, 0
-    entries = []
-    total = 0
-    for path in root.glob(pattern):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries.append((stat.st_mtime, stat.st_size, path))
-        total += stat.st_size
-    freed = 0
-    removed = 0
-    if total <= max_bytes:
-        return removed, freed
-    entries.sort()
-    for _, size, path in entries:
-        if total - freed <= max_bytes:
-            break
-        try:
-            path.unlink()
-            freed += size
-            removed += 1
-        except OSError:
-            continue
-    if removed:
-        from repro.obs.runtime import record_eviction
-
-        record_eviction(store, removed)
-    return removed, freed
-
-
-class ResultCache:
+class ResultCache(ContentStore):
     """Content-addressed store of :class:`RunSummary` objects.
 
     ``max_bytes`` caps the total size of entries; None (the default)
     falls back to ``$REPRO_CACHE_MAX_MB``, and an unset environment
-    means unlimited.
+    means unlimited.  An entry of another :data:`CACHE_FORMAT` is a
+    plain miss; an unparsable or malformed one is quarantined.
     """
 
-    #: Runtime-metrics label + quarantine reason prefix.
     store_name = "result-cache"
+    suffix = ".json"
+    default_root = staticmethod(default_cache_dir)
+    default_cap = staticmethod(default_max_bytes)
 
-    def __init__(
-        self,
-        root: Optional[os.PathLike] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
-        self.max_bytes = max_bytes if max_bytes is not None else default_max_bytes()
-        self.hits = 0
-        self.misses = 0
-        #: Corrupt entries / orphaned temp files moved to quarantine.
-        self.quarantined = 0
-        #: Entries removed by the LRU size cap (this store object).
-        self.evictions = 0
-        self._recovered = False
+    def key(self, spec: JobSpec) -> str:
+        return spec.content_hash()
 
-    # ------------------------------------------------------------------
-    def path_for(self, spec: JobSpec) -> Path:
-        digest = spec.content_hash()
-        return self.root / digest[:2] / f"{digest}.json"
-
-    def recover(self) -> int:
-        """Quarantine partial files left by writers that died mid-write.
-
-        Runs once per store object (lazily, before the first read or
-        write) under the store lock; committed entries are never
-        touched.  Returns the number of files quarantined."""
-        self._recovered = True
-        if not self.root.is_dir():
-            return 0
-        with store_lock(self.root):
-            recovered = recover_orphans(self.root, self.store_name)
-        self.quarantined += recovered
-        return recovered
-
-    def _quarantine_entry(self, path: Path, reason: str) -> None:
-        if quarantine_file(path, self.root, self.store_name, reason=reason):
-            self.quarantined += 1
-
-    def get(self, spec: JobSpec) -> Optional[RunSummary]:
-        """The cached summary for ``spec``, or None.
-
-        Reads are lock-free (atomic writes guarantee any visible entry
-        is complete); an entry that fails to parse is quarantined —
-        kept as evidence, counted, and never consulted again."""
-        if not self._recovered:
-            self.recover()
-        path = self.path_for(spec)
+    def decode(self, blob: bytes) -> Optional[RunSummary]:
         try:
-            data = json.loads(path.read_text())
-        except OSError:
-            self.misses += 1
-            return None
+            data = json.loads(blob)
         except ValueError:
-            self.misses += 1
-            self._quarantine_entry(path, "unparsable JSON")
-            return None
-        if data.get("format") != CACHE_FORMAT:
-            self.misses += 1
-            return None
+            raise CorruptEntry("unparsable JSON") from None
         try:
-            summary = RunSummary.from_dict(data["summary"])
-        except (KeyError, TypeError, ValueError):
-            # Corrupt or hand-edited entry: treat as absent.
-            self.misses += 1
-            self._quarantine_entry(path, "malformed summary payload")
-            return None
-        self.hits += 1
-        touch(path)
-        return summary
+            if data.get("format") != CACHE_FORMAT:
+                return None
+            return RunSummary.from_dict(data["summary"])
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise CorruptEntry("malformed summary payload") from None
 
     def put(self, spec: JobSpec, summary: RunSummary, elapsed: Optional[float] = None) -> Path:
-        """Store one finished run; returns the entry's path.
-
-        The payload lands atomically (temp + fsync + rename), and the
-        LRU eviction sweep runs under the store's cross-process lock so
-        concurrent writers never double-evict."""
+        """Store one finished run; returns the entry's path."""
         from repro import __version__
 
-        if not self._recovered:
-            self.recover()
-        path = self.path_for(spec)
         payload = {
             "format": CACHE_FORMAT,
             "version": __version__,
@@ -220,48 +105,4 @@ class ResultCache:
             "elapsed": elapsed,
             "summary": summary.to_dict(),
         }
-        atomic_write_text(path, json.dumps(payload))
-        if self.max_bytes is not None:
-            with store_lock(self.root):
-                removed, _ = evict_lru(
-                    self.root, "*/*.json", self.max_bytes, store=self.store_name
-                )
-            self.evictions += removed
-        return path
-
-    def contains(self, spec: JobSpec) -> bool:
-        return self.path_for(spec).is_file()
-
-    # ------------------------------------------------------------------
-    def total_bytes(self) -> int:
-        """Total size of every entry (the quantity the cap bounds)."""
-        if not self.root.is_dir():
-            return 0
-        total = 0
-        for entry in self.root.glob("*/*.json"):
-            try:
-                total += entry.stat().st_size
-            except OSError:
-                continue
-        return total
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        if not self.root.is_dir():
-            return removed
-        for entry in self.root.glob("*/*.json"):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def __repr__(self) -> str:
-        return f"ResultCache({self.root}, entries={len(self)})"
+        return self.write(spec, json.dumps(payload).encode("utf-8"))

@@ -4,35 +4,29 @@ A tap trace is keyed by everything that determines the *hierarchy*
 simulation — machine parameters, workload (name + overrides + variant),
 and the reference bound — but **not** the bank configuration
 (``sizes``/``orgs``): one recorded trace replays every bank design.
-:meth:`JobSpec.trace_hash` computes that identity; the store lays
-entries out exactly like :class:`~repro.runner.cache.ResultCache`
-(``<root>/<hh>/<digest>.trace``, atomic writes), with its own LRU size
-cap since traces are orders of magnitude larger than result summaries.
+:meth:`JobSpec.trace_hash` computes that identity; the store is a
+:class:`~repro.runner.store.ContentStore` like
+:class:`~repro.runner.cache.ResultCache` (``<root>/<hh>/<digest>.trace``),
+with its own LRU size cap since traces are orders of magnitude larger
+than result summaries.
 
 The default root is ``<result-cache root>/traces`` so ``--cache-dir``
 relocates both stores together, and a trace directory remains
 inspectable: each file is self-describing (see
 :mod:`repro.system.taptrace`).  Unreadable, truncated, or corrupt
 trace files are treated as misses and re-recorded; corrupt ones are
-quarantined (deleted) with a ``RuntimeWarning`` and counted in
+quarantined with a ``RuntimeWarning`` and counted in
 :attr:`TraceStore.corrupt_dropped` so disk corruption stays visible.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from pathlib import Path
-from typing import Optional
 
-from repro.runner.cache import default_cache_dir, default_max_bytes, evict_lru, touch
+from repro.runner.cache import default_cache_dir, default_max_bytes
 from repro.runner.jobs import JobSpec
-from repro.runner.locking import (
-    atomic_write_bytes,
-    quarantine_file,
-    recover_orphans,
-    store_lock,
-)
+from repro.runner.store import ContentStore, CorruptEntry
 from repro.system.taptrace import TapTraceSet, TraceError
 
 #: Environment override for the trace-store size cap (in MiB).
@@ -47,128 +41,43 @@ def default_trace_dir() -> Path:
     return default_cache_dir() / "traces"
 
 
-class TraceStore:
+class TraceStore(ContentStore):
     """Content-addressed store of :class:`TapTraceSet` files."""
 
-    #: Runtime-metrics label + quarantine reason prefix.
     store_name = "trace-store"
+    suffix = ".trace"
+    default_root = staticmethod(default_trace_dir)
+    #: Corrupt trace files quarantined by :meth:`get` (per store
+    #: object) — disk corruption is recoverable but must never be silent.
+    corrupt_dropped = 0
 
-    def __init__(
-        self,
-        root: Optional[os.PathLike] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        self.root = Path(root) if root is not None else default_trace_dir()
-        if max_bytes is None:
-            max_bytes = default_max_bytes(TRACE_MAX_MB_ENV)
-        self.max_bytes = max_bytes if max_bytes is not None else DEFAULT_TRACE_MAX_BYTES
-        self.hits = 0
-        self.misses = 0
-        #: Corrupt trace files quarantined by :meth:`get` — disk
-        #: corruption is recoverable but must never be silent.
-        self.corrupt_dropped = 0
-        #: Files moved to quarantine (corrupt traces + orphaned temps).
-        self.quarantined = 0
-        #: Entries removed by the LRU size cap (this store object).
-        self.evictions = 0
-        self._recovered = False
+    @staticmethod
+    def default_cap() -> int:
+        cap = default_max_bytes(TRACE_MAX_MB_ENV)
+        return cap if cap is not None else DEFAULT_TRACE_MAX_BYTES
 
-    # ------------------------------------------------------------------
-    def path_for(self, spec: JobSpec) -> Path:
-        digest = spec.trace_hash()
-        return self.root / digest[:2] / f"{digest}.trace"
+    def key(self, spec: JobSpec) -> str:
+        return spec.trace_hash()
 
-    def recover(self) -> int:
-        """Quarantine partial temp files from dead writers (lazy, once
-        per store object, under the store lock)."""
-        self._recovered = True
-        if not self.root.is_dir():
-            return 0
-        with store_lock(self.root):
-            recovered = recover_orphans(self.root, self.store_name)
-        self.quarantined += recovered
-        return recovered
-
-    def get(self, spec: JobSpec) -> Optional[TapTraceSet]:
-        """The recorded trace for ``spec``'s hierarchy run, or None."""
-        if not self._recovered:
-            self.recover()
-        path = self.path_for(spec)
+    def decode(self, blob: bytes) -> TapTraceSet:
         try:
-            blob = path.read_bytes()
-        except OSError:
-            self.misses += 1
-            return None
-        try:
-            traces = TapTraceSet.from_bytes(blob)
+            return TapTraceSet.from_bytes(blob)
         except TraceError as exc:
-            # Truncated or corrupt: quarantine it and re-record, loudly
-            # — corruption usually means a sick disk or a torn writer.
-            # The bytes move to quarantine/ (not the bin) so the
-            # failure stays diagnosable.
-            self.misses += 1
-            self.corrupt_dropped += 1
-            from repro.obs.runtime import record_corrupt_trace
+            raise CorruptEntry(str(exc)) from exc
 
-            record_corrupt_trace()
-            warnings.warn(
-                f"dropping corrupt tap trace {path}: {exc}; re-recording",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            if quarantine_file(path, self.root, self.store_name, reason=str(exc)):
-                self.quarantined += 1
-            return None
-        self.hits += 1
-        touch(path)
-        return traces
+    def on_corrupt(self, path: Path, reason: str) -> None:
+        # Truncated or corrupt: re-record, loudly — corruption usually
+        # means a sick disk or a torn writer.
+        self.corrupt_dropped += 1
+        from repro.obs.runtime import record_corrupt_trace
+
+        record_corrupt_trace()
+        warnings.warn(
+            f"dropping corrupt tap trace {path}: {reason}; re-recording",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
     def put(self, spec: JobSpec, traces: TapTraceSet) -> Path:
         """Store one recorded trace; returns the entry's path."""
-        if not self._recovered:
-            self.recover()
-        path = self.path_for(spec)
-        atomic_write_bytes(path, traces.to_bytes())
-        if self.max_bytes is not None:
-            with store_lock(self.root):
-                removed, _ = evict_lru(
-                    self.root, "*/*.trace", self.max_bytes, store=self.store_name
-                )
-            self.evictions += removed
-        return path
-
-    def contains(self, spec: JobSpec) -> bool:
-        return self.path_for(spec).is_file()
-
-    # ------------------------------------------------------------------
-    def total_bytes(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        total = 0
-        for entry in self.root.glob("*/*.trace"):
-            try:
-                total += entry.stat().st_size
-            except OSError:
-                continue
-        return total
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.trace"))
-
-    def clear(self) -> int:
-        """Delete every trace; returns the number removed."""
-        removed = 0
-        if not self.root.is_dir():
-            return removed
-        for entry in self.root.glob("*/*.trace"):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def __repr__(self) -> str:
-        return f"TraceStore({self.root}, entries={len(self)})"
+        return self.write(spec, traces.to_bytes())

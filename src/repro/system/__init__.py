@@ -7,7 +7,7 @@ virtual-memory system), preloads a workload's data set, and
 miss statistics, pressure profiles, and the paper's time breakdowns.
 """
 
-from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE, Ref
+from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
 from repro.system.taps import StudyAgent, StudyResults, TimingAgent
 from repro.system.machine import Machine
 from repro.system.simulator import Simulator
@@ -18,7 +18,6 @@ __all__ = [
     "LOCK",
     "Machine",
     "READ",
-    "Ref",
     "RunResult",
     "Simulator",
     "StudyAgent",

@@ -269,9 +269,6 @@ class Machine:
         """The workload's reference stream for one node."""
         return self.workload.node_stream(node, self.ctx)
 
-    def lock_home(self, lock_addr: int) -> int:
-        return self.layout.home_node(lock_addr)
-
     def merged_counters(self) -> Counters:
         return merge_counters(
             [self.counters, self.engine.counters, self.crossbar.counters]

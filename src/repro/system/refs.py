@@ -2,8 +2,7 @@
 
 Workload generators yield a flat stream of ``(op, value)`` tuples per
 node.  Plain tuples with small-int opcodes keep the simulator's hot loop
-cheap; :class:`Ref` is a convenience constructor/namedtuple for tests
-and examples.
+cheap.
 
 ========  =======================================================
 op        value
@@ -16,34 +15,8 @@ UNLOCK    virtual address of the lock word (release)
 ========  =======================================================
 """
 
-from __future__ import annotations
-
-from typing import NamedTuple
-
 READ = 0
 WRITE = 1
 BARRIER = 2
 LOCK = 3
 UNLOCK = 4
-
-OP_NAMES = {READ: "read", WRITE: "write", BARRIER: "barrier", LOCK: "lock", UNLOCK: "unlock"}
-
-
-class Ref(NamedTuple):
-    """One reference-stream event (readable form of the hot-path
-    tuples)."""
-
-    op: int
-    value: int
-
-    @property
-    def op_name(self) -> str:
-        return OP_NAMES[self.op]
-
-    @property
-    def is_memory(self) -> bool:
-        return self.op in (READ, WRITE)
-
-    @property
-    def is_sync(self) -> bool:
-        return self.op in (BARRIER, LOCK, UNLOCK)

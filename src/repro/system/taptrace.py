@@ -158,10 +158,6 @@ class TapTraceSet:
     def stream(self, tap: TapPoint, node: int) -> array:
         return self.streams.get((tap.value, node), array(_U8))
 
-    @property
-    def total_events(self) -> int:
-        return sum(len(column) for column in self.streams.values())
-
     # -- serialization ---------------------------------------------------
     def to_bytes(self) -> bytes:
         columns = []

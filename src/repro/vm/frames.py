@@ -57,10 +57,6 @@ class FrameAllocator:
     def frames_per_color(self) -> int:
         return self.total_frames // self.layout.global_page_sets
 
-    @property
-    def allocated_frames(self) -> int:
-        return len(self._allocated)
-
     # ------------------------------------------------------------------
     def allocate(self, vpn: int, color: int = None) -> int:
         """Allocate a frame for ``vpn``; returns the PFN.

@@ -163,22 +163,25 @@ class TestTraceCommands:
 
 
 class TestObservabilityCommands:
-    def test_metrics_command_openmetrics(self, capsys):
+    def test_timing_metrics_out_openmetrics(self, capsys, tmp_path):
+        prom_file = tmp_path / "metrics.prom"
         code, out = run_cli(
-            capsys, "metrics", "radix", "--intensity", "0.2", *FAST
+            capsys, "timing", "radix", "--intensity", "0.2",
+            "--metrics-out", str(prom_file), *FAST
         )
         assert code == 0
-        assert "# TYPE repro_events_total counter" in out
-        assert out.rstrip().endswith("# EOF")
+        text = prom_file.read_text()
+        assert "# TYPE repro_events_total counter" in text
+        assert text.rstrip().endswith("# EOF")
 
-    def test_metrics_command_json_to_file(self, capsys, tmp_path):
+    def test_timing_metrics_out_json_with_trace(self, capsys, tmp_path):
         import json
 
         out_file = tmp_path / "metrics.json"
         trace_file = tmp_path / "run.jsonl"
         code, out = run_cli(
-            capsys, "metrics", "radix", "--intensity", "0.2",
-            "--format", "json", "--out", str(out_file),
+            capsys, "timing", "radix", "--intensity", "0.2",
+            "--metrics-out", str(out_file),
             "--trace-out", str(trace_file), *FAST
         )
         assert code == 0
@@ -228,8 +231,8 @@ class TestTraceAnalyticsCommands:
         trace_file = tmp_path / "run.jsonl"
         metrics_file = tmp_path / "run.json"
         code, _ = run_cli(
-            capsys, "metrics", "radix", "--intensity", "0.2",
-            "--format", "json", "--out", str(metrics_file),
+            capsys, "timing", "radix", "--intensity", "0.2",
+            "--metrics-out", str(metrics_file),
             "--trace-out", str(trace_file), *FAST
         )
         assert code == 0

@@ -99,18 +99,6 @@ class TestResultCacheCrash:
         assert list(root.glob("*/.*.tmp")) == []
         assert len(list((root / "quarantine").iterdir())) == 1
 
-    def test_corrupt_entry_quarantined_not_deleted(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        spec = timing_spec(seed=3)
-        path = cache.put(spec, canned_summary())
-        path.write_text("{torn")
-        assert cache.get(spec) is None
-        assert not path.exists()
-        # Evidence survives in quarantine/.
-        (evidence,) = list((tmp_path / "cache" / "quarantine").iterdir())
-        assert evidence.read_text() == "{torn"
-        assert cache.quarantined == 1
-
     def test_sigkill_mid_write_loop(self, tmp_path):
         """A writer SIGKILLed at a random instant: every entry that IS
         on disk under its final name parses clean."""

@@ -102,6 +102,26 @@ class TestRegistry:
         # 6 sweeps, 24 Table 4 timing runs, 3 RAYTRACE contention bars.
         assert len(cells) == 33
 
+    def test_a_run_without_a_trace_store_captures_each_hierarchy_once(self, monkeypatch):
+        from repro.runner import BatchRunner
+        from repro.system import taptrace
+
+        captured = []
+        capture = taptrace.capture_tap_traces
+
+        def counting_capture(params, workload, **kwargs):
+            captured.append(workload.name)
+            return capture(params, workload, **kwargs)
+
+        monkeypatch.setattr(taptrace, "capture_tap_traces", counting_capture)
+        chosen = [entry for entry in report.EXPERIMENTS
+                  if entry.id in ("fig8", "numa", "ablation-organization")]
+        setup = report.Setup(TINY, workloads=("radix",))
+        _, _, outcomes = report.run_cells(chosen, setup, BatchRunner(jobs=1))
+        # Three sweep cells share one hierarchy run of radix.
+        assert len(outcomes) == 3 and all(job.ok for job in outcomes)
+        assert len(captured) == 1
+
     def test_paper_run_renders_every_experiment(self, capsys):
         assert main(["paper", "run", *TINY_ARGS]) == 0
         out = capsys.readouterr().out

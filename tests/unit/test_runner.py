@@ -8,7 +8,7 @@ from repro import MachineParams, Scheme
 from repro.core.schemes import TapPoint
 from repro.core.tlb import Organization
 from repro.runner import BatchRunner, JobSpec, ResultCache, RunSummary, default_cache_dir
-from repro.runner.cache import CACHE_DIR_ENV
+from repro.runner.cache import CACHE_DIR_ENV, CACHE_FORMAT
 
 
 @pytest.fixture
@@ -138,12 +138,29 @@ class TestResultCache:
         cache.path_for(spec).write_text("{not json")
         assert cache.get(spec) is None
 
-    def test_clear(self, tmp_path, params):
+    @pytest.mark.parametrize(
+        "text", [f'{{"format": {CACHE_FORMAT}, "summary": {{}}}}', "[1]"],
+        ids=["malformed-summary", "not-an-object"],
+    )
+    def test_malformed_entry_is_quarantined(self, tmp_path, params, text):
         cache = ResultCache(tmp_path)
         spec = timing_spec(params)
-        cache.put(spec, spec.execute(), elapsed=1.0)
-        cache.clear()
-        assert len(cache) == 0
+        path = cache.put(spec, spec.execute(), elapsed=1.0)
+        path.write_text(text)
+        assert cache.get(spec) is None
+        assert (cache.misses, cache.quarantined) == (1, 1)
+        assert not path.exists()
+
+    def test_format_mismatch_is_a_plain_miss(self, tmp_path, params):
+        cache = ResultCache(tmp_path)
+        spec = timing_spec(params)
+        path = cache.put(spec, spec.execute(), elapsed=1.0)
+        payload = json.loads(path.read_text())
+        payload["format"] = CACHE_FORMAT + 1
+        path.write_text(json.dumps(payload))
+        assert cache.get(spec) is None
+        assert (cache.misses, cache.quarantined) == (1, 0)
+        assert path.exists()  # another format's entry is not corrupt
 
 
 # ----------------------------------------------------------------------
@@ -371,48 +388,10 @@ class TestSupervisionSerial:
 
 
 # ----------------------------------------------------------------------
-# Result-cache size cap
+# Store size caps from the environment (the LRU policy itself is in
+# test_store_contract.py)
 # ----------------------------------------------------------------------
 class TestCacheSizeCap:
-    def entries(self, params, count):
-        return [
-            timing_spec(params, overrides={"intensity": 0.2 + 0.01 * i})
-            for i in range(count)
-        ]
-
-    def test_lru_eviction_on_put(self, tmp_path, params):
-        import os as _os
-
-        cache = ResultCache(tmp_path)
-        specs = self.entries(params, 3)
-        summary = specs[0].execute()
-        paths = [cache.put(spec, summary, elapsed=1.0) for spec in specs]
-        for age, path in enumerate(paths):
-            _os.utime(path, (1_000_000 + age, 1_000_000 + age))
-        entry_size = paths[0].stat().st_size
-        cache.max_bytes = int(entry_size * 2.5)
-        extra = timing_spec(params, overrides={"intensity": 0.5})
-        cache.put(extra, summary, elapsed=1.0)
-        assert not paths[0].exists(), "oldest entry should be evicted"
-        assert cache.contains(extra)
-        assert cache.total_bytes() <= cache.max_bytes
-
-    def test_hit_refreshes_recency(self, tmp_path, params):
-        import os as _os
-
-        cache = ResultCache(tmp_path)
-        specs = self.entries(params, 2)
-        summary = specs[0].execute()
-        paths = [cache.put(spec, summary, elapsed=1.0) for spec in specs]
-        for age, path in enumerate(paths):
-            _os.utime(path, (1_000_000 + age, 1_000_000 + age))
-        cache.get(specs[0])  # touches the oldest entry
-        entry_size = paths[0].stat().st_size
-        cache.max_bytes = int(entry_size * 2.5)
-        cache.put(timing_spec(params, overrides={"intensity": 0.6}), summary, elapsed=1.0)
-        assert paths[0].exists(), "freshly hit entry must survive eviction"
-        assert not paths[1].exists()
-
     def test_env_cap_parsing(self, monkeypatch):
         from repro.runner.cache import CACHE_MAX_MB_ENV, default_max_bytes
 

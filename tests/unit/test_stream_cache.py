@@ -3,7 +3,7 @@
 :class:`~repro.core.timing_kernels.StreamCache` lets every cell of a
 grid that shares a workload reuse one materialized ``(ops, vals)``
 column pair.  The properties that matter: LRU hit/evict/cap behavior
-under the ``REPRO_STREAM_CACHE_MB`` byte budget, and keying by the
+under the ``max_bytes`` budget, and keying by the
 *workload* identity (``JobSpec.trace_hash()``) rather than the grid
 cell, so cells that differ only in bank sizes/orgs share streams while
 anything that changes the reference stream itself (machine params,
@@ -16,7 +16,6 @@ import pytest
 
 from repro import MachineParams
 from repro.core.timing_kernels import (
-    STREAM_CACHE_ENV,
     StreamCache,
     get_backend,
     materialize_shared,
@@ -51,9 +50,8 @@ class TestLRU:
         cache.put("a", columns(5))  # replacement, not accumulation
         assert cache.total_bytes == 45 and len(cache) == 1
 
-    def test_evicts_least_recently_used(self, monkeypatch):
-        monkeypatch.setenv(STREAM_CACHE_ENV, str(250 / (1024 * 1024)))
-        cache = StreamCache()
+    def test_evicts_least_recently_used(self):
+        cache = StreamCache(max_bytes=250)
         cache.put("a", columns(10))  # 90 bytes
         cache.put("b", columns(10))  # 180 bytes
         assert cache.get("a") is not None  # refresh a: b is now LRU
@@ -62,22 +60,13 @@ class TestLRU:
         assert cache.get("b") is None
         assert cache.get("a") is not None and cache.get("c") is not None
 
-    def test_oversized_entry_never_resident(self, monkeypatch):
-        monkeypatch.setenv(STREAM_CACHE_ENV, str(50 / (1024 * 1024)))
-        cache = StreamCache()
+    def test_oversized_entry_never_resident(self):
+        cache = StreamCache(max_bytes=50)
         cache.put("big", columns(10))  # 90 bytes > 50-byte cap
         assert len(cache) == 0 and cache.total_bytes == 0
 
-    def test_cap_env_read_per_call(self, monkeypatch):
-        cache = StreamCache()
-        cache.put("a", columns(10))
-        monkeypatch.setenv(STREAM_CACHE_ENV, str(90 / (1024 * 1024)))
-        cache.put("b", columns(10))  # 180 > 90: "a" evicted under new cap
-        assert cache.get("a") is None and cache.get("b") is not None
-
-    def test_bad_env_value_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(STREAM_CACHE_ENV, "not-a-number")
-        assert StreamCache.max_bytes() == 256 * 1024 * 1024
+    def test_default_budget_is_256_mib(self):
+        assert StreamCache().max_bytes == 256 * 1024 * 1024
 
     def test_clear(self):
         cache = StreamCache()
