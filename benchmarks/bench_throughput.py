@@ -24,7 +24,10 @@ root:
   gated by ``benchmarks/check_replay_equivalence.py``.)  Each row
   records ``effective_jobs`` — the worker count after the runner clamps to
   ``cpu_count`` (a 1-core container runs every level in-process, which
-  is why ``--jobs 4`` no longer loses to serial).
+  is why ``--jobs 4`` no longer loses to serial).  The jobs=1 row also
+  carries ``replay``: the grid's replays from in-memory traces on one
+  thread vs the default thread budget (wall clock), with equal counts
+  asserted.
 * **timing grid** — the coupled TLB/DLB timing matrix (Table 4 shape).
   Timing runs are never replayed (the translation penalty perturbs the
   interleaving), so this grid bounds what record/replay cannot speed
@@ -45,6 +48,7 @@ import os
 import sys
 import tempfile
 import time
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -87,8 +91,8 @@ ENABLED_SLOWDOWN_LIMIT = 1.75
 FAST_TIMING_SPEEDUP_FLOOR = 5.0
 
 #: Floor on the compiled sweep's serial speedup over the seed baseline
-#: (headless capture + one ``fs_bank_run_many`` call per recorded tap
-#: stream).  Gated like the timing floor: only when the sweep actually
+#: (headless capture + one ``fs_bank_run_set`` call per recorded trace
+#: set).  Gated like the timing floor: only when the sweep actually
 #: ran on the compiled backend (``backend == "compiled+replay"``).
 FAST_SWEEP_SPEEDUP_FLOOR = 8.0
 
@@ -321,6 +325,46 @@ def timing_grid_specs(workloads) -> list:
     return specs
 
 
+def replay_threads_row(workloads, configs, smoke: bool) -> dict:
+    """Every replay of the sweep grid, from traces captured once in
+    memory: one thread vs the default thread budget
+    (``replay_threads``, patched to 1 for the serial leg), best of 3 in
+    wall clock — CPU time would
+    count both threads' work.  The two legs alternate which runs first
+    and must produce the same studies."""
+    from repro.core.replay import replay_threads
+    from repro.system.taptrace import capture_tap_traces, replay_study
+
+    traces = [
+        capture_tap_traces(PARAMS, make_workload(name, intensity=INTENSITY[name]))
+        for name in workloads
+    ]
+    streams = sum(1 for column in traces[0].streams.values() if len(column))
+    repeats = 1 if smoke else 3
+    best = {1: float("inf"), None: float("inf")}
+    studies = {}
+    for repeat in range(repeats):
+        for threads in ((1, None) if repeat % 2 == 0 else (None, 1)):
+            budget = replay_threads if threads is None else (lambda streams: 1)
+            with mock.patch("repro.core.replay.replay_threads", budget):
+                started = time.perf_counter()
+                studies[threads] = [
+                    replay_study(trace, sizes, orgs).to_dict()
+                    for trace in traces
+                    for _, sizes, orgs in configs
+                ]
+                best[threads] = min(best[threads], time.perf_counter() - started)
+    assert studies[1] == studies[None], "replay counts depend on the thread count"
+    return {
+        "replays": len(studies[1]),
+        "threads": replay_threads(streams),
+        "serial_seconds": round(best[1], 3),
+        "threaded_seconds": round(best[None], 3),
+        "speedup": round(best[1] / best[None], 3),
+        "runs": repeats,
+    }
+
+
 def run_grid(specs, jobs, cache=None, trace_store=None):
     runner = BatchRunner(jobs=jobs, cache=cache, trace_store=trace_store)
     started = time.perf_counter()
@@ -442,16 +486,16 @@ def main(argv=None) -> int:
         )
     if not args.smoke and os.path.exists(out):
         # Gate: with no tracer attached, the instrumented hot paths must
-        # stay within tolerance of the committed baseline's timing rate.
-        # Only comparable when both runs used the same engine — a host
-        # without the compiled backend measures the scalar rate, which
-        # must not be gated against a committed fast-path baseline.
+        # stay within tolerance of the committed baseline's rate for the
+        # same row (tracing.disabled_refs_per_sec).  Only comparable when
+        # both runs used the same engine — a host without the compiled
+        # backend measures the scalar rate, which must not be gated
+        # against a committed fast-path baseline.
         with open(out) as handle:
             committed = json.load(handle)
-        base = committed.get("serial", {}).get("timing", {}).get("refs_per_sec")
+        base = committed.get("tracing", {}).get("disabled_refs_per_sec")
         same_backend = (
-            committed.get("serial", {}).get("timing", {}).get("backend")
-            == serial["timing"].get("backend")
+            committed.get("tracing", {}).get("disabled_backend") == tracing["disabled_backend"]
         )
         if base and same_backend and not committed.get("smoke"):
             tolerance = float(os.environ.get("REPRO_BENCH_OVERHEAD_TOL", "0.02"))
@@ -489,6 +533,7 @@ def main(argv=None) -> int:
                 )
             if jobs == 1:
                 serial_seconds = row["seconds"]
+                row["replay"] = replay_threads_row(workloads, configs, args.smoke)
             row["speedup_vs_serial"] = round(serial_seconds / row["seconds"], 3)
             grid.append(row)
             mix = engine_mix(row)
@@ -496,6 +541,12 @@ def main(argv=None) -> int:
                   f"{row['seconds']:.1f} s "
                   f"({row['speedup_vs_serial']:.2f}x vs serial)"
                   f"{f' [{mix}]' if mix else ''}", flush=True)
+            if "replay" in row:
+                replay = row["replay"]
+                print(f"    replay ({replay['replays']} studies): "
+                      f"{replay['serial_seconds']:.3f} s on 1 thread, "
+                      f"{replay['threaded_seconds']:.3f} s on {replay['threads']} "
+                      f"({replay['speedup']:.2f}x)", flush=True)
             if row["effective_jobs"] < jobs:
                 print(f"  WARNING: --jobs {jobs} clamped to "
                       f"{row['effective_jobs']} worker"

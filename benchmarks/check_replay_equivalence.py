@@ -19,10 +19,13 @@ and the reference says ``scalar``.  Exits non-zero listing each
 divergence.  The recorded traces themselves are checked too: each
 case's capture (headless on the compiled engine) must serialize to the
 same bytes as the scalar engine's capture once the provenance pair is
-copied over.  The check honours ``REPRO_NO_COMPILED``, so CI runs it
-against both the compiled batch replay kernel and the scalar
-``TranslationBuffer`` path; without the compiled backend it degrades
-to a determinism check of the scalar engines and says so.
+copied over, and each capture replayed on one thread must give the
+scalar summary too (the pipeline replays on every CPU available, so
+the two differ in how the set kernel spreads its streams).  The check
+honours ``REPRO_NO_COMPILED``, so CI runs it against both the compiled
+set replay kernel and the scalar ``TranslationBuffer`` path; without
+the compiled backend it degrades to a determinism check of the scalar
+engines and says so.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -39,7 +43,7 @@ from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME
 from repro.core.timing_kernels import backend_status, get_backend
 from repro.core.tlb import Organization
 from repro.runner import BatchRunner, JobSpec, TraceStore
-from repro.system.taptrace import capture_tap_traces
+from repro.system.taptrace import capture_tap_traces, replay_study
 
 TWO_NODES = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
 FOUR_NODES = MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
@@ -147,6 +151,10 @@ def main() -> int:
         reference.base.fallback_reason = recorded.base.fallback_reason
         if recorded.to_bytes() != reference.to_bytes():
             failures.append(f"{label}: captured trace bytes differ from the scalar capture")
+        with mock.patch("repro.core.replay.replay_threads", return_value=1):
+            one_thread = recorded.base.with_study(replay_study(recorded, sizes, orgs))
+        if comparable(one_thread) != oracle:
+            failures.append(f"{label}: one-thread replay diverged from scalar")
 
     if failures:
         print(f"FAIL: {len(failures)} mismatches ({len(CASES)} cases, {checked} design points):")
@@ -156,8 +164,8 @@ def main() -> int:
     degraded = "" if get_backend() is not None else f" (degraded: scalar engines only, {status})"
     print(
         f"OK: {len(CASES)} cases, {checked} design points bit-identical (plus "
-        f"summaries, run_miss_sweep, trace bytes, provenance and disk "
-        f"round-trip){degraded}"
+        f"summaries, run_miss_sweep, trace bytes, one-thread replay, provenance "
+        f"and disk round-trip){degraded}"
     )
     return 0
 

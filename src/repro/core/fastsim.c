@@ -32,6 +32,9 @@
  */
 
 #include <math.h>
+#include <pthread.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -245,29 +248,34 @@ static void mt_seed(MT *r, uint64_t seed) {
     r->index = MT_N;
 }
 
-static uint32_t mt_genrand(MT *r) {
-    uint32_t y;
-    if (r->index >= MT_N) {
-        int kk;
-        uint32_t *mt = r->mt;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & MT_UPPER) | (mt[kk + 1] & MT_LOWER);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ ((y & 1U) ? MT_MATRIX_A : 0U);
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & MT_UPPER) | (mt[kk + 1] & MT_LOWER);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ ((y & 1U) ? MT_MATRIX_A : 0U);
-        }
-        y = (mt[MT_N - 1] & MT_UPPER) | (mt[0] & MT_LOWER);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ ((y & 1U) ? MT_MATRIX_A : 0U);
-        r->index = 0;
+/* Regenerate all MT_N state words (the next block of output). */
+static void mt_twist(MT *r) {
+    uint32_t y, *mt = r->mt;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & MT_UPPER) | (mt[kk + 1] & MT_LOWER);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ ((y & 1U) ? MT_MATRIX_A : 0U);
     }
-    y = r->mt[r->index++];
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & MT_UPPER) | (mt[kk + 1] & MT_LOWER);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ ((y & 1U) ? MT_MATRIX_A : 0U);
+    }
+    y = (mt[MT_N - 1] & MT_UPPER) | (mt[0] & MT_LOWER);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ ((y & 1U) ? MT_MATRIX_A : 0U);
+    r->index = 0;
+}
+
+static inline uint32_t mt_temper(uint32_t y) {
     y ^= (y >> 11);
     y ^= (y << 7) & 0x9d2c5680U;
     y ^= (y << 15) & 0xefc60000U;
     y ^= (y >> 18);
     return y;
+}
+
+static uint32_t mt_genrand(MT *r) {
+    if (r->index >= MT_N) mt_twist(r);
+    return mt_temper(r->mt[r->index++]);
 }
 
 /* random.getrandbits(k) for 1 <= k <= 32 */
@@ -602,11 +610,12 @@ static int tlb_access(Tlb *t, int64_t page) {
 /* the hierarchy -- they only observe the page number reaching each of  */
 /* the six translation taps.  In capture mode the kernel appends those  */
 /* pages, per (tap, node), in exact scalar call order; the bank models  */
-/* are then replayed over each stream (fs_bank_run / fs_bank_run_many). */
+/* are then replayed over every stream of the set (fs_bank_run_set).    */
 /* ------------------------------------------------------------------ */
 typedef struct {
     int64_t *data;
     int64_t len, cap;
+    int width; /* 0 while capturing; 4 or 8 once exported (fs_cap_data) */
 } Cap;
 
 static int cap_push(Cap *c, int64_t page) {
@@ -1919,8 +1928,28 @@ int64_t fs_cap_count(FastSim *s, int tap, int node) {
     return s->caps ? s->caps[tap * s->nodes + node].len : 0;
 }
 
-const int64_t *fs_cap_data(FastSim *s, int tap, int node) {
-    return s->caps ? s->caps[tap * s->nodes + node].data : NULL;
+/* The captured column of (tap, node), *width bytes per page.  The
+ * first export narrows the column in place to 4-byte entries when every
+ * page is below 2**32 -- recorded columns are stored narrow when they
+ * fit -- and ends the capture: nothing is appended afterwards. */
+const void *fs_cap_data(FastSim *s, int tap, int node, int *width) {
+    *width = 8;
+    if (!s->caps) return NULL;
+    s->capture = 0;
+    Cap *c = &s->caps[tap * s->nodes + node];
+    if (!c->width) {
+        int64_t i = 0;
+        while (i < c->len && (uint64_t)c->data[i] <= UINT32_MAX) i++;
+        c->width = i == c->len ? 4 : 8;
+        /* Entry i's 4 bytes land at or below entry i's own 8, so every
+           entry is read before anything overwrites it. */
+        for (i = 0; c->width == 4 && i < c->len; i++) {
+            uint32_t page = (uint32_t)c->data[i];
+            memcpy((char *)c->data + 4 * i, &page, sizeof page);
+        }
+    }
+    *width = c->width;
+    return c->data;
 }
 
 /* ---- packed trace records (coupled timing runs) ---- */
@@ -2535,49 +2564,129 @@ int64_t fs_stream(int kind, const int64_t *ints, int64_t nints, const double *re
 /* counts, contents and RNG position all equal the scalar buffer's.    */
 /* ------------------------------------------------------------------ */
 
+/* Open-addressed page -> dense id table for relabelling.  Sized for
+ * the longest stream it will see (cap_max >= 2n), but each stream
+ * starts at RELABEL_MIN_CAP slots and doubles at half load, so a
+ * stream with few distinct pages keeps its table in cache. */
+#define RELABEL_MIN_CAP 256
+
+typedef struct {
+    int64_t *keys; /* -1 == empty */
+    int32_t *ids;
+    int64_t cap_max;
+} Relabel;
+
+static int relabel_init(Relabel *t, int64_t n) {
+    t->cap_max = 16;
+    while (t->cap_max < 2 * n) t->cap_max <<= 1;
+    t->keys = (int64_t *)malloc(sizeof(int64_t) * t->cap_max);
+    t->ids = (int32_t *)malloc(sizeof(int32_t) * t->cap_max);
+    return t->keys && t->ids ? 0 : -1;
+}
+
+static void relabel_free(Relabel *t) {
+    free(t->keys);
+    free(t->ids);
+}
+
+/* Clear the first cap slots and re-enter page_of[0..unique). */
+static void relabel_fill(Relabel *t, int64_t cap, const int64_t *page_of, int64_t unique) {
+    const uint64_t mask = (uint64_t)cap - 1;
+    for (int64_t i = 0; i < cap; i++) t->keys[i] = -1;
+    for (int64_t id = 0; id < unique; id++) {
+        uint64_t h = map_hash(page_of[id]) & mask;
+        while (t->keys[h] != -1) h = (h + 1) & mask;
+        t->keys[h] = page_of[id];
+        t->ids[h] = (int32_t)id;
+    }
+}
+
 /* Relabel n unsigned page numbers of width bytes (4 or 8) to dense
  * ids: ids[i] is pages[i]'s id and page_of[id] its page.  Returns the
- * number of distinct pages, FS_ERR_KEY on a page >= 2**63, or
- * FS_ERR_INTERNAL on allocation failure. */
+ * number of distinct pages, or FS_ERR_KEY on a page >= 2**63. */
 static int64_t bank_relabel(const void *pages, int64_t width, int64_t n, int32_t *ids,
-                            int64_t *page_of) {
-    Map m;
-    int64_t unique = 0;
-    if (map_init(&m, n)) {
-        map_free(&m);
-        return FS_ERR_INTERNAL;
-    }
+                            int64_t *page_of, Relabel *t) {
+    int64_t cap = t->cap_max < RELABEL_MIN_CAP ? t->cap_max : RELABEL_MIN_CAP;
+    uint64_t mask = (uint64_t)cap - 1;
+    int64_t unique = 0, prev = -1;
+    relabel_fill(t, cap, page_of, 0);
     for (int64_t i = 0; i < n; i++) {
         int64_t page = width == 4 ? (int64_t)((const uint32_t *)pages)[i]
                                   : ((const int64_t *)pages)[i];
-        if (page < 0) {
-            unique = FS_ERR_KEY;
-            break;
+        if (page < 0) return FS_ERR_KEY;
+        if (page == prev) { /* tap streams repeat a page back to back */
+            ids[i] = ids[i - 1];
+            continue;
         }
-        uint64_t h = map_hash(page) & m.mask;
-        while (m.keys[h] != -1 && m.keys[h] != page) h = (h + 1) & m.mask;
-        if (m.keys[h] == -1) {
-            m.keys[h] = page;
-            m.slot[h] = unique;
+        prev = page;
+        uint64_t h = map_hash(page) & mask;
+        while (t->keys[h] != -1 && t->keys[h] != page) h = (h + 1) & mask;
+        if (t->keys[h] == -1) {
+            if (2 * (unique + 1) > cap) { /* cap < 2n <= cap_max: room to double */
+                cap <<= 1;
+                mask = (uint64_t)cap - 1;
+                relabel_fill(t, cap, page_of, unique);
+                h = map_hash(page) & mask;
+                while (t->keys[h] != -1) h = (h + 1) & mask;
+            }
+            t->keys[h] = page;
+            t->ids[h] = (int32_t)unique;
             page_of[unique++] = page;
         }
-        ids[i] = (int32_t)m.slot[h];
+        ids[i] = t->ids[h];
     }
-    map_free(&m);
     return unique;
+}
+
+/* Victim draws of one bank member: random.Random's _randbelow(assoc),
+ * i.e. getrandbits(k) with k = assoc.bit_length(), redrawn until below
+ * assoc.  The generator is seeded from seed on the first eviction
+ * while seeded is 0, so direct-mapped and never-full members seed
+ * nothing.  With batched set (assoc a power of two), a k-bit draw is
+ * below assoc exactly when the word's top bit is clear: the words are
+ * generated a block at a time and the accepted ones kept, without a
+ * branch per word, giving the same accepted sequence (the generator's
+ * final position differs, so only counts-only replays batch). */
+typedef struct {
+    MT mt;
+    uint64_t seed;
+    int seeded, batched;
+    uint32_t words[MT_N]; /* accepted words of the current block */
+} Victims;
+
+static void victims_init(Victims *v, int32_t assoc, uint64_t seed, int batched) {
+    v->seed = seed;
+    v->seeded = 0;
+    v->batched = batched && !(assoc & (assoc - 1));
+}
+
+/* Fill words from the next block; returns how many were accepted.
+ * The generator is always at a block boundary here: seeding leaves it
+ * at one, and fills take whole blocks. */
+static int victims_fill(Victims *v) {
+    int n = 0;
+    mt_twist(&v->mt);
+    v->mt.index = MT_N;
+    for (int i = 0; i < MT_N; i++) {
+        uint32_t y = mt_temper(v->mt.mt[i]);
+        v->words[n] = y;
+        n += !(y >> 31);
+    }
+    return n;
 }
 
 /* One geometry (sets a power of two, assoc ways) replayed over a
  * relabelled stream; returns its misses.  res (one byte per id) and
  * lens (sets) must be zero on entry; tags (sets * assoc ids) and lens
- * hold the final contents on return.  Victims are drawn from *rng,
- * seeded from seed on the first eviction while *seeded is 0, so
- * direct-mapped and never-full geometries seed nothing. */
+ * hold the final contents on return.  The draw state lives in locals,
+ * which the byte stores to res could otherwise force back to memory. */
 static int64_t bank_replay(const int32_t *ids, const int64_t *page_of, int64_t n, int64_t sets,
-                           int32_t assoc, MT *rng, int *seeded, uint64_t seed, int32_t *tags,
-                           int32_t *lens, uint8_t *res) {
+                           int32_t assoc, Victims *v, int32_t *tags, int32_t *lens,
+                           uint8_t *res) {
     const int64_t mask = sets - 1;
     const int bits = bit_length32((uint32_t)assoc);
+    const int batched = v->batched;
+    int seeded = v->seeded, next = 0, avail = 0;
     int64_t misses = 0;
     for (int64_t i = 0; i < n; i++) {
         int32_t id = ids[i];
@@ -2592,23 +2701,61 @@ static int64_t bank_replay(const int32_t *ids, const int64_t *page_of, int64_t n
         } else {
             uint32_t way = 0;
             if (assoc > 1) {
-                if (!*seeded) {
-                    mt_seed(rng, seed);
-                    *seeded = 1;
+                if (!seeded) {
+                    mt_seed(&v->mt, v->seed);
+                    seeded = 1;
                 }
-                way = mt_getrandbits(rng, bits);
-                while (way >= (uint32_t)assoc) way = mt_getrandbits(rng, bits);
+                if (batched) {
+                    while (next == avail) {
+                        avail = victims_fill(v);
+                        next = 0;
+                    }
+                    way = v->words[next++] >> (32 - bits);
+                } else {
+                    way = mt_getrandbits(&v->mt, bits);
+                    while (way >= (uint32_t)assoc) way = mt_getrandbits(&v->mt, bits);
+                }
             }
             res[ways[way]] = 0;
             ways[way] = id;
         }
         res[id] = 1;
     }
+    v->seeded = seeded;
     return misses;
 }
 
 static inline int bank_geometry_ok(int64_t sets, int64_t assoc) {
     return sets > 0 && !(sets & (sets - 1)) && assoc > 0 && assoc <= INT32_MAX;
+}
+
+/* Replay scratch, sized for the longest stream and the largest
+ * geometry of a call (one per worker in fs_bank_run_set). */
+typedef struct {
+    int32_t *ids;
+    int64_t *page_of;
+    uint8_t *res;
+    int32_t *tags, *lens;
+    Relabel map;
+} BankScratch;
+
+static int bank_scratch_init(BankScratch *w, int64_t n, int64_t max_entries, int64_t max_sets) {
+    w->ids = (int32_t *)malloc(sizeof(int32_t) * n);
+    w->page_of = (int64_t *)malloc(sizeof(int64_t) * n);
+    w->res = (uint8_t *)malloc((size_t)n);
+    w->tags = (int32_t *)malloc(sizeof(int32_t) * max_entries);
+    w->lens = (int32_t *)malloc(sizeof(int32_t) * max_sets);
+    int map_ok = relabel_init(&w->map, n) == 0;
+    return map_ok && w->ids && w->page_of && w->res && w->tags && w->lens ? 0 : -1;
+}
+
+static void bank_scratch_free(BankScratch *w) {
+    free(w->ids);
+    free(w->page_of);
+    free(w->res);
+    free(w->tags);
+    free(w->lens);
+    relabel_free(&w->map);
 }
 
 /* One TranslationBuffer replayed over one recorded tap stream, with
@@ -2623,85 +2770,173 @@ int64_t fs_bank_run(int64_t entries, int64_t sets, int64_t assoc, uint32_t *rng_
     if (!bank_geometry_ok(sets, assoc) || n < 0 || n > INT32_MAX) return FS_ERR_KEY;
     memset(lens, 0, sizeof(int32_t) * (size_t)sets);
     if (n == 0) return 0;
-    int32_t *ids = (int32_t *)malloc(sizeof(int32_t) * n);
-    int64_t *page_of = (int64_t *)malloc(sizeof(int64_t) * n);
-    int32_t *way_ids = (int32_t *)malloc(sizeof(int32_t) * sets * assoc);
-    uint8_t *res = NULL;
+    BankScratch w;
     int64_t misses = FS_ERR_INTERNAL;
-    if (!ids || !page_of || !way_ids) goto out;
-    int64_t unique = bank_relabel(pages, 8, n, ids, page_of);
+    if (bank_scratch_init(&w, n, sets * assoc, sets)) goto out;
+    int64_t unique = bank_relabel(pages, 8, n, w.ids, w.page_of, &w.map);
     if (unique < 0) {
         misses = unique;
         goto out;
     }
-    res = (uint8_t *)calloc((size_t)unique, 1);
-    if (!res) goto out;
-    MT rng;
-    int seeded = 1;
-    mt_load(&rng, rng_state);
-    misses = bank_replay(ids, page_of, n, sets, (int32_t)assoc, &rng, &seeded, 0, way_ids, lens,
-                         res);
+    memset(w.res, 0, (size_t)unique);
+    Victims victims;
+    victims_init(&victims, (int32_t)assoc, 0, 0);
+    victims.seeded = 1;
+    mt_load(&victims.mt, rng_state);
+    misses = bank_replay(w.ids, w.page_of, n, sets, (int32_t)assoc, &victims, w.tags, lens, w.res);
     for (int64_t set = 0; set < sets; set++)
-        for (int32_t w = 0; w < lens[set]; w++)
-            tags[set * assoc + w] = page_of[way_ids[set * assoc + w]];
-    memcpy(rng_state, rng.mt, MT_N * sizeof(uint32_t));
-    rng_state[MT_N] = (uint32_t)rng.index;
+        for (int32_t way = 0; way < lens[set]; way++)
+            tags[set * assoc + way] = w.page_of[w.tags[set * assoc + way]];
+    memcpy(rng_state, victims.mt.mt, MT_N * sizeof(uint32_t));
+    rng_state[MT_N] = (uint32_t)victims.mt.index;
 out:
-    free(ids);
-    free(page_of);
-    free(way_ids);
-    free(res);
+    bank_scratch_free(&w);
     return misses;
 }
 
-/* Every bank member replayed over one recorded tap stream, counts only
- * -- the record/replay pipeline's kernel, one call per (tap, node)
- * stream.  pages holds n unsigned page numbers of width bytes (4 or 8:
- * recorded columns are stored narrow when they fit).  Geometry g draws
- * victims from random.Random(seeds[g]).  Returns 0, FS_ERR_KEY on a
- * page >= 2**63 or a bad width/geometry, FS_ERR_INTERNAL on allocation
- * failure. */
-int64_t fs_bank_run_many(const void *pages, int64_t width, int64_t n, int64_t ngeo,
-                         const int64_t *sets, const int64_t *assoc, const uint64_t *seeds,
-                         int64_t *misses_out) {
+/* ---- a whole trace set in one call, streams spread over threads ---- */
+
+/* Upper bound on worker threads per call, whatever the caller asks. */
+#define BANK_MAX_THREADS 64
+
+/* One fs_bank_run_set call: its inputs and outputs, and the queue of
+ * streams its workers claim. */
+typedef struct {
+    const void *const *pages;
+    const int64_t *widths, *lens;
+    int64_t ngeo;
+    const int64_t *sets, *assoc;
+    const uint64_t *seeds;
+    int64_t *misses;
+    const int64_t *order; /* the non-empty streams, longest first */
+    int64_t ntasks;
+    atomic_llong next;  /* index into order of the next unclaimed stream */
+    atomic_int failed;  /* a stream held a page >= 2**63 */
+} BankSet;
+
+typedef struct {
+    BankSet *set;
+    BankScratch scratch;
+    pthread_t thread;
+    int started;
+} BankWorker;
+
+/* One task: relabel stream s once, then replay every geometry over it
+ * into s's own output slots. */
+static int64_t bank_stream(const BankSet *b, BankScratch *w, int64_t s) {
+    int64_t n = b->lens[s];
+    int64_t unique = bank_relabel(b->pages[s], b->widths[s], n, w->ids, w->page_of, &w->map);
+    if (unique < 0) return unique;
+    for (int64_t g = 0; g < b->ngeo; g++) {
+        Victims victims;
+        victims_init(&victims, (int32_t)b->assoc[g], b->seeds[s * b->ngeo + g], 1);
+        memset(w->res, 0, (size_t)unique);
+        memset(w->lens, 0, sizeof(int32_t) * (size_t)b->sets[g]);
+        b->misses[s * b->ngeo + g] = bank_replay(w->ids, w->page_of, n, b->sets[g],
+                                                 (int32_t)b->assoc[g], &victims, w->tags,
+                                                 w->lens, w->res);
+    }
+    return 0;
+}
+
+static void *bank_worker(void *arg) {
+    BankWorker *w = (BankWorker *)arg;
+    BankSet *b = w->set;
+    for (;;) {
+        long long k = atomic_fetch_add(&b->next, 1);
+        if (k >= b->ntasks) break;
+        if (bank_stream(b, &w->scratch, b->order[k]) < 0) atomic_store(&b->failed, 1);
+    }
+    return NULL;
+}
+
+static int bank_longest_first(const void *a, const void *b) {
+    const int64_t *x = (const int64_t *)a, *y = (const int64_t *)b; /* {len, stream} */
+    if (x[0] != y[0]) return x[0] > y[0] ? -1 : 1;
+    return x[1] < y[1] ? -1 : x[1] > y[1];
+}
+
+/* Every bank member replayed over every recorded tap stream of a set,
+ * counts only -- the record/replay pipeline's kernel, one call per
+ * trace set.  Stream s holds lens[s] unsigned page numbers of widths[s]
+ * bytes (4 or 8: recorded columns are stored narrow when they fit);
+ * geometry g of stream s draws victims from random.Random(seeds[s *
+ * ngeo + g]) and its misses land in misses_out[s * ngeo + g].
+ *
+ * Up to nthreads workers (the calling thread is one) claim streams,
+ * longest first, from a shared counter, so a slow core takes fewer.
+ * Each stream writes only its own slots and each geometry draws from
+ * its own generator, so the counts are the same for any thread count.
+ * Threads are created and joined inside the call with every signal
+ * blocked, and all scratch is allocated here, before any starts.
+ * Returns 0, FS_ERR_KEY on a page >= 2**63 or a bad width, length or
+ * geometry, FS_ERR_INTERNAL on allocation failure. */
+int64_t fs_bank_run_set(int64_t nstreams, const void *const *pages, const int64_t *widths,
+                        const int64_t *lens, int64_t ngeo, const int64_t *sets,
+                        const int64_t *assoc, const uint64_t *seeds, int64_t *misses_out,
+                        int64_t nthreads) {
     int64_t max_sets = 1, max_entries = 1;
+    if (nstreams < 0 || ngeo < 0) return FS_ERR_KEY;
+    for (int64_t i = 0; i < nstreams * ngeo; i++) misses_out[i] = 0;
     for (int64_t g = 0; g < ngeo; g++) {
-        misses_out[g] = 0;
         if (!bank_geometry_ok(sets[g], assoc[g])) return FS_ERR_KEY;
         if (sets[g] > max_sets) max_sets = sets[g];
         if (sets[g] * assoc[g] > max_entries) max_entries = sets[g] * assoc[g];
     }
-    if ((width != 4 && width != 8) || n > INT32_MAX) return FS_ERR_KEY;
-    if (n <= 0 || ngeo <= 0) return 0;
-    int32_t *ids = (int32_t *)malloc(sizeof(int32_t) * n);
-    int64_t *page_of = (int64_t *)malloc(sizeof(int64_t) * n);
-    int32_t *tags = (int32_t *)malloc(sizeof(int32_t) * max_entries);
-    int32_t *lens = (int32_t *)malloc(sizeof(int32_t) * max_sets);
-    uint8_t *res = NULL;
+    int64_t ntasks = 0;
+    for (int64_t s = 0; s < nstreams; s++) {
+        if ((widths[s] != 4 && widths[s] != 8) || lens[s] < 0 || lens[s] > INT32_MAX)
+            return FS_ERR_KEY;
+        ntasks += lens[s] > 0;
+    }
+    if (!ntasks || !ngeo) return 0;
+
     int64_t status = FS_ERR_INTERNAL;
-    if (!ids || !page_of || !tags || !lens) goto out;
-    int64_t unique = bank_relabel(pages, width, n, ids, page_of);
-    if (unique < 0) {
-        status = unique;
-        goto out;
+    int64_t *keyed = (int64_t *)malloc(sizeof(int64_t) * 2 * ntasks);
+    int64_t *order = (int64_t *)malloc(sizeof(int64_t) * ntasks);
+    if (nthreads > ntasks) nthreads = ntasks;
+    if (nthreads > BANK_MAX_THREADS) nthreads = BANK_MAX_THREADS;
+    if (nthreads < 1) nthreads = 1;
+    BankWorker *workers = (BankWorker *)calloc((size_t)nthreads, sizeof(BankWorker));
+    if (!keyed || !order || !workers) goto out;
+    for (int64_t s = 0, t = 0; s < nstreams; s++) {
+        if (!lens[s]) continue;
+        keyed[2 * t] = lens[s];
+        keyed[2 * t + 1] = s;
+        t++;
     }
-    res = (uint8_t *)malloc((size_t)unique);
-    if (!res) goto out;
-    for (int64_t g = 0; g < ngeo; g++) {
-        MT rng;
-        int seeded = 0;
-        memset(res, 0, (size_t)unique);
-        memset(lens, 0, sizeof(int32_t) * (size_t)sets[g]);
-        misses_out[g] = bank_replay(ids, page_of, n, sets[g], (int32_t)assoc[g], &rng, &seeded,
-                                    seeds[g], tags, lens, res);
+    qsort(keyed, (size_t)ntasks, 2 * sizeof(int64_t), bank_longest_first);
+    for (int64_t t = 0; t < ntasks; t++) order[t] = keyed[2 * t + 1];
+
+    BankSet set = {.pages = pages, .widths = widths, .lens = lens, .ngeo = ngeo, .sets = sets,
+                   .assoc = assoc, .seeds = seeds, .misses = misses_out, .order = order,
+                   .ntasks = ntasks};
+    atomic_init(&set.next, 0);
+    atomic_init(&set.failed, 0);
+    for (int64_t t = 0; t < nthreads; t++) {
+        workers[t].set = &set;
+        if (bank_scratch_init(&workers[t].scratch, keyed[0], max_entries, max_sets)) goto out;
     }
-    status = 0;
+
+    /* Workers inherit the creator's signal mask: start them with every
+       signal blocked, so signals stay with the calling thread.  A
+       worker that fails to start just leaves its streams to the rest. */
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    for (int64_t t = 1; t < nthreads; t++)
+        workers[t].started =
+            pthread_create(&workers[t].thread, NULL, bank_worker, &workers[t]) == 0;
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    bank_worker(&workers[0]);
+    for (int64_t t = 1; t < nthreads; t++)
+        if (workers[t].started) pthread_join(workers[t].thread, NULL);
+    status = atomic_load(&set.failed) ? FS_ERR_KEY : 0;
 out:
-    free(ids);
-    free(page_of);
-    free(tags);
-    free(lens);
-    free(res);
+    for (int64_t t = 0; workers && t < nthreads; t++) bank_scratch_free(&workers[t].scratch);
+    free(workers);
+    free(keyed);
+    free(order);
     return status;
 }
 

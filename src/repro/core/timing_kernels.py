@@ -117,12 +117,13 @@ void fs_seed_selftest(uint64_t seed, uint32_t *state, uint32_t *out, int n);
 void fs_shuffle_selftest(const uint32_t *state, int32_t *arr, int len);
 int fs_set_capture(FastSim *s, int enable);
 int64_t fs_cap_count(FastSim *s, int tap, int node);
-const int64_t *fs_cap_data(FastSim *s, int tap, int node);
+const void *fs_cap_data(FastSim *s, int tap, int node, int *width);
 int64_t fs_bank_run(int64_t entries, int64_t sets, int64_t assoc, uint32_t *rng_state,
                     const int64_t *pages, int64_t n, int64_t *tags, int32_t *lens);
-int64_t fs_bank_run_many(const void *pages, int64_t width, int64_t n, int64_t ngeo,
-                         const int64_t *sets, const int64_t *assoc, const uint64_t *seeds,
-                         int64_t *misses_out);
+int64_t fs_bank_run_set(int64_t nstreams, const void *const *pages, const int64_t *widths,
+                        const int64_t *lens, int64_t ngeo, const int64_t *sets,
+                        const int64_t *assoc, const uint64_t *seeds, int64_t *misses_out,
+                        int64_t nthreads);
 int64_t fs_stream(int kind, const int64_t *ints, int64_t nints, const double *reals,
                   int64_t nreals, const int64_t *segs, int64_t nsegs, uint64_t seed,
                   uint8_t *ops, int64_t *vals, int64_t cap);
@@ -409,7 +410,8 @@ def _build_library(source_path: str) -> str:
     os.close(fd)
     try:
         subprocess.run(
-            ["gcc", "-O2", "-shared", "-fPIC"] + flags + ["-o", tmp, source_path, "-lm"],
+            ["gcc", "-O2", "-shared", "-fPIC", "-pthread"] + flags
+            + ["-o", tmp, source_path, "-lm"],
             check=True,
             capture_output=True,
         )

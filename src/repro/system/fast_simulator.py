@@ -34,8 +34,8 @@ the scalar engine, which the differential suite
 (``tests/integration/test_timing_equivalence.py``) enforces field by
 field.  Anything the C engine does not model — custom machine or agent
 types, a tracer not attached through the machine, a sweep or capture
-agent on a machine (compiled sweeps are headless: capture, then
-batched replay) — makes :func:`fallback_reason` return a string and
+agent on a machine (compiled sweeps are headless: capture, then one
+set replay) — makes :func:`fallback_reason` return a string and
 the caller stays on the scalar path.  The crossbar's port-contention
 mode is modelled.
 
@@ -56,6 +56,7 @@ every record twice.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional
 
 from repro.common.address import AddressLayout
@@ -843,6 +844,8 @@ def _load_directory(ffi, lib, handle, machine) -> None:
 def _load_capture_agent(ffi, lib, handle, agent, count: int) -> None:
     """Copy the captured tap streams into a
     :class:`~repro.system.taptrace.CaptureAgent`'s per-tap columns."""
+    from repro.system.taptrace import _U4, _U8
+
     per_tap = {
         TapPoint.L0: agent._l0,
         TapPoint.L1: agent._l1,
@@ -852,6 +855,7 @@ def _load_capture_agent(ffi, lib, handle, agent, count: int) -> None:
         TapPoint.HOME: agent._home,
     }
     total_references = 0
+    width = ffi.new("int *")
     for tap_index, tap in enumerate(tk.SWEEP_TAPS):
         columns = per_tap[tap]
         for n in range(count):
@@ -860,10 +864,12 @@ def _load_capture_agent(ffi, lib, handle, agent, count: int) -> None:
                 total_references += length
             if not length:
                 continue
-            pages = lib.fs_cap_data(handle, tap_index, n)
-            # Captured pages are non-negative int64s; a native-order
-            # bulk copy into the agent's u8 columns is exact.
-            columns[n].frombytes(ffi.buffer(pages, 8 * length))
+            pages = lib.fs_cap_data(handle, tap_index, n, width)
+            # Captured pages are non-negative, exported 4 bytes wide
+            # when every one fits: a native-order bulk copy is exact.
+            column = array(_U4 if width[0] == 4 else _U8)
+            column.frombytes(ffi.buffer(pages, width[0] * length))
+            columns[n] = column
     agent.total_references += total_references
 
 

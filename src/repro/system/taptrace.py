@@ -13,8 +13,8 @@ study.  This module splits that work in two:
   hierarchy-side :class:`~repro.runner.summary.RunSummary` (time
   breakdowns, counters — none of which depend on bank configuration).
 * :func:`replay_study` drives banks of **any** sizes/organizations from
-  those recorded streams through :mod:`repro.core.replay` (one batch
-  call per stream), producing a
+  those recorded streams through :mod:`repro.core.replay` (one call per
+  trace set, its streams spread over the CPUs), producing a
   :class:`~repro.system.taps.StudyResults` bit-identical to a coupled
   :class:`StudyAgent` run with the same configuration.
 
@@ -23,7 +23,9 @@ A :class:`TapTraceSet` serializes to a compact columnar binary format
 ``(tap, node)`` stream followed by the concatenated little-endian page
 arrays (4-byte entries when every page number fits, 8-byte otherwise),
 CRC-guarded so truncated or corrupted files are detected and treated
-as cache misses by the :class:`~repro.runner.traces.TraceStore`.
+as cache misses by the :class:`~repro.runner.traces.TraceStore`.  The
+compiled capture already hands its columns over 4 bytes wide when they
+fit, so encoding copies them as they are.
 """
 
 from __future__ import annotations
@@ -170,9 +172,13 @@ class TapTraceSet:
                 # Downcast to 4-byte entries when every page fits: tap
                 # streams are page *numbers*, which are far below 2**32
                 # on any machine configuration we simulate, so this
-                # normally halves the file.
-                narrow = not column or max(column) < 1 << 32
-                data = array(_U4, column) if narrow else column
+                # normally halves the file.  Narrow columns (compiled
+                # captures, decoded traces) are written as they are.
+                if column.typecode == _U4:
+                    narrow, data = True, column
+                else:
+                    narrow = not column or max(column) < 1 << 32
+                    data = array(_U4, column) if narrow else column
                 if sys.byteorder == "big":  # pragma: no cover - exotic host
                     data = array(data.typecode, data)
                     data.byteswap()
@@ -335,25 +341,28 @@ def replay_study(
     Bit-identical to a :class:`~repro.system.taps.StudyAgent` run with
     the same ``sizes``/``orgs``: the per-``(tap, node)`` bank names and
     RNG substreams match, so the replacement decisions — and therefore
-    the miss counts — are the same.
+    the miss counts — are the same.  The whole set replays in one
+    :func:`~repro.core.replay.bank_miss_counts` call, its streams
+    spread over the CPUs available; no count depends on how many.
     """
     sizes = tuple(sorted(set(sizes)))
     orgs = tuple(dict.fromkeys(orgs))
     configs = [(size, org) for size in sizes for org in orgs]
+    names = {
+        tap: [f"{tap.value}:{node}" for node in range(traces.nodes)] for tap in TapPoint
+    }
+    streams = {
+        name: traces.stream(tap, node)
+        for tap, tap_names in names.items()
+        for node, name in enumerate(tap_names)
+    }
+    counts = bank_miss_counts(streams, configs, traces.seed)
     misses: Dict[Tuple[TapPoint, int, Organization], int] = {}
     accesses: Dict[TapPoint, int] = {}
-    for tap in TapPoint:
-        tap_accesses = 0
-        totals = {config: 0 for config in configs}
-        for node in range(traces.nodes):
-            column = traces.stream(tap, node)
-            tap_accesses += len(column)
-            counts = bank_miss_counts(column, configs, traces.seed, f"{tap.value}:{node}")
-            for config, count in counts.items():
-                totals[config] += count
-        accesses[tap] = tap_accesses
-        for (size, org), total in totals.items():
-            misses[(tap, size, org)] = total
+    for tap, tap_names in names.items():
+        accesses[tap] = sum(len(streams[name]) for name in tap_names)
+        for size, org in configs:
+            misses[(tap, size, org)] = sum(counts[name][(size, org)] for name in tap_names)
     return StudyResults(
         nodes=traces.nodes,
         sizes=sizes,

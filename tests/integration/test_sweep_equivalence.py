@@ -3,8 +3,9 @@
 On the compiled engine a miss sweep builds no machine:
 ``run_miss_sweep`` and every runner sweep cell capture the hierarchy's
 tap streams headless (``capture_tap_traces``) and replay every bank
-from them (``replay_summary``: one ``fs_bank_run_many`` call per
-``(tap, node)`` stream).  The coupled scalar run with a
+from them (``replay_summary``: one ``fs_bank_run_set`` call per trace
+set, its ``(tap, node)`` streams spread over the CPUs, which cannot
+move a count).  The coupled scalar run with a
 :class:`StudyAgent` is the differential-testing oracle behind
 ``fast=False``, a tracer, or ``REPRO_NO_COMPILED``; everything the
 summary serializes — the full study surface (all five schemes' taps,

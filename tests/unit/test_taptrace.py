@@ -81,18 +81,44 @@ class TestRoundTrip:
         assert summary.study_results() is not None
 
     def test_wide_pages_use_eight_byte_columns(self, traces):
-        """Streams with ≥2**32 page numbers round-trip losslessly."""
+        """Streams with ≥2**32 page numbers round-trip losslessly, as
+        8-byte columns, beside narrow ones."""
         from array import array
 
         wide = TapTraceSet(
             nodes=1,
             seed=traces.seed,
             total_references=3,
-            streams={(TapPoint.L0.value, 0): array("Q", [1, 1 << 40, 7])},
+            streams={
+                (TapPoint.L0.value, 0): array("Q", [1, 1 << 40, 7]),
+                (TapPoint.L1.value, 0): array("I", [1, 7]),
+            },
             base=traces.base,
         )
         again = TapTraceSet.from_bytes(wide.to_bytes())
         assert list(again.stream(TapPoint.L0, 0)) == [1, 1 << 40, 7]
+        assert again.stream(TapPoint.L0, 0).itemsize == 8
+        assert list(again.stream(TapPoint.L1, 0)) == [1, 7]
+        assert again.stream(TapPoint.L1, 0).itemsize == 4
+
+    def test_headless_capture_columns_are_narrow(self, traces):
+        """The compiled capture hands every column over 4 bytes wide
+        when its pages fit, as the encoder stores them."""
+        if traces.base.backend != "compiled":
+            pytest.skip("compiled backend unavailable")
+        assert traces.streams
+        assert {column.itemsize for column in traces.streams.values()} == {4}
+
+    def test_headless_capture_bytes_match_scalar_capture(self, params, spec, traces):
+        """Narrow headless columns encode to the scalar capture's bytes
+        once the engine-provenance pair is copied over."""
+        scalar = capture_tap_traces(
+            params, spec.build_workload(), max_refs_per_node=300, fast=False
+        )
+        assert {column.itemsize for column in scalar.streams.values()} == {8}
+        scalar.base.backend = traces.base.backend
+        scalar.base.fallback_reason = traces.base.fallback_reason
+        assert scalar.to_bytes() == traces.to_bytes()
 
 
 class TestCorruption:
