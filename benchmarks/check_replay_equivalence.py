@@ -21,7 +21,11 @@ case's capture (headless on the compiled engine) must serialize to the
 same bytes as the scalar engine's capture once the provenance pair is
 copied over, and each capture replayed on one thread must give the
 scalar summary too (the pipeline replays on every CPU available, so
-the two differ in how the set kernel spreads its streams).  The check
+the two differ in how the set kernel spreads its streams).  Each
+capture also replays the ``ablation-sharing`` DLBs (one shared DLB per
+home, one private slice per ``(home, requester)``), on one thread and
+on the default budget, against a pure-Python ``TranslationBuffer``
+replay seeded from the same ``abl-shared``/``abl-part`` substreams.  The check
 honours ``REPRO_NO_COMPILED``, so CI runs it against both the compiled
 set replay kernel and the scalar ``TranslationBuffer`` path; without
 the compiled backend it degrades to a determinism check of the scalar
@@ -39,11 +43,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import MachineParams, make_workload
 from repro.analysis import run_miss_sweep
-from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME
+from repro.common.rng import make_rng
+from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME, TapPoint
 from repro.core.timing_kernels import backend_status, get_backend
-from repro.core.tlb import Organization
+from repro.core.tlb import Organization, TranslationBuffer
 from repro.runner import BatchRunner, JobSpec, TraceStore
-from repro.system.taptrace import capture_tap_traces, replay_study
+from repro.system.taptrace import capture_tap_traces, replay_sharing, replay_study
 
 TWO_NODES = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
 FOUR_NODES = MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
@@ -81,6 +86,33 @@ def direct_sweep(case, fast: bool):
         params, make_workload(name, intensity=intensity),
         sizes=sizes, orgs=orgs, max_refs_per_node=max_refs, fast=fast,
     )
+
+
+#: The sharing ablation's DLB size (the experiment's).
+SHARING_ENTRIES = 8
+
+
+def python_sharing(traces, entries: int) -> dict:
+    """The sharing replay, one ``TranslationBuffer`` per DLB, fed in
+    recorded order: the reference ``replay_sharing`` must equal."""
+    shared = {}
+    private = {}
+    for home in range(traces.nodes):
+        shared[home] = TranslationBuffer(entries, rng=make_rng(traces.seed, "abl-shared", home))
+        for requester in range(traces.nodes):
+            private[(home, requester)] = TranslationBuffer(
+                entries, rng=make_rng(traces.seed, "abl-part", home, requester)
+            )
+        pages = traces.stream(TapPoint.HOME, home)
+        for page, requester in zip(pages, traces.requesters(home)):
+            shared[home].access(page)
+            private[(home, requester)].access(page)
+    return {
+        "entries": entries,
+        "accesses": sum(buffer.accesses for buffer in shared.values()),
+        "shared_misses": sum(buffer.misses for buffer in shared.values()),
+        "partitioned_misses": sum(buffer.misses for buffer in private.values()),
+    }
 
 
 def comparable(summary) -> dict:
@@ -156,6 +188,15 @@ def main() -> int:
         if comparable(one_thread) != oracle:
             failures.append(f"{label}: one-thread replay diverged from scalar")
 
+        want = python_sharing(recorded, SHARING_ENTRIES)
+        with mock.patch("repro.core.replay.replay_threads", return_value=1):
+            sharing_one_thread = replay_sharing(recorded, SHARING_ENTRIES)
+        for leg, got in (("default budget", replay_sharing(recorded, SHARING_ENTRIES)),
+                         ("one thread", sharing_one_thread)):
+            checked += 1
+            if got != want:
+                failures.append(f"{label}: sharing replay ({leg}) {got} != TranslationBuffer {want}")
+
     if failures:
         print(f"FAIL: {len(failures)} mismatches ({len(CASES)} cases, {checked} design points):")
         for line in failures:
@@ -164,8 +205,8 @@ def main() -> int:
     degraded = "" if get_backend() is not None else f" (degraded: scalar engines only, {status})"
     print(
         f"OK: {len(CASES)} cases, {checked} design points bit-identical (plus "
-        f"summaries, run_miss_sweep, trace bytes, one-thread replay, provenance "
-        f"and disk round-trip){degraded}"
+        f"summaries, run_miss_sweep, trace bytes, one-thread replay, sharing "
+        f"replay, provenance and disk round-trip){degraded}"
     )
     return 0
 

@@ -7,8 +7,8 @@ profiles, five ablations, node-count scaling and the CC-NUMA
 motivation).  Each :class:`Experiment` holds
 
 * its simulation cells, as :class:`~repro.runner.jobs.JobSpec` values;
-* how to collect its artifact from the finished cells (artifacts that
-  need a custom machine or agent simulate in-process there);
+* how to collect its artifact from the finished cells (only Figure 11's
+  placement profiles still build a machine there);
 * how to render the artifact as text;
 * the paper's shape claims about it, as :class:`Claim` checks.
 
@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.ablation import sharing_ablation, shootdown_scaling
 from repro.analysis.experiments import equivalent_tlb_size, pressure_profile, scheme_miss_rates
 from repro.analysis.figures import (
     render_breakdown_bars,
@@ -50,6 +49,7 @@ from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME, Scheme, TapPoint
 from repro.core.tlb import Organization
 from repro.runner.jobs import JobSpec
 from repro.system.taps import DEFAULT_SWEEP_SIZES
+from repro.vm.protection import home_update_cost, shootdown_cost
 from repro.workloads import PAPER_ORDER, make_workload
 
 #: Per-workload intensities of the report scale: complete streams of
@@ -104,11 +104,11 @@ class Setup:
         """``names`` that this setup still runs (see :func:`run_cells`)."""
         return [name for name in names if name in self.workloads]
 
-    def sweep(self, name: str, sizes=None, orgs=(FA, DM), params=None, label=None) -> JobSpec:
+    def sweep(self, name: str, sizes=None, orgs=(FA, DM), params=None, label=None, machine="coma") -> JobSpec:
         """A one-run-many-taps miss sweep of ``name``."""
         return JobSpec.sweep(
             params or self.params, name, sizes=sizes or self.sizes, orgs=orgs,
-            overrides=self.overrides(name), label=label or f"sweep:{name}",
+            overrides=self.overrides(name), label=label or f"sweep:{name}", machine=machine,
         )
 
     def timing(self, label: str, scheme: Scheme, name: str, entries: int = 8, **knobs) -> JobSpec:
@@ -117,6 +117,10 @@ class Setup:
             self.params, scheme, name, entries,
             overrides=self.overrides(name), label=label, **knobs,
         )
+
+    def sharing(self, name: str) -> JobSpec:
+        """The shared vs partitioned 8-entry DLB replay of ``name``'s recording."""
+        return JobSpec.sharing(self.params, name, 8, overrides=self.overrides(name), label=f"sharing:{name}")
 
 
 @dataclass(frozen=True)
@@ -535,8 +539,12 @@ def _padding_pressure(profiles):
 # ----------------------------------------------------------------------
 # ablations, scaling and the CC-NUMA motivation
 # ----------------------------------------------------------------------
+def _sharing_cells(setup: Setup) -> List[JobSpec]:
+    return [setup.sharing(name) for name in setup.workloads]
+
+
 def _sharing_ablation(setup: Setup, results: Results):
-    return {name: sharing_ablation(setup.params, setup.workload(name), entries=8) for name in setup.workloads}
+    return {name: results[setup.sharing(name)].sharing for name in setup.workloads}
 
 
 def _render_sharing(setup: Setup, stats) -> List[str]:
@@ -622,8 +630,19 @@ def _bypass_saves(stats):
 _SHOOTDOWN_NODES = (2, 4, 8, 16, 32)
 
 
+#: The machine the shootdown costs are stated on (the costs read only
+#: its message and directory latencies).
+_SHOOTDOWN_PARAMS = MachineParams.scaled_down(factor=32, page_size=256)
+
+
 def _shootdown(setup: Setup, results: Results):
-    return shootdown_scaling(_SHOOTDOWN_NODES)
+    """Cost of one mapping change vs node count: ``(nodes, per-node-TLB
+    shootdown, V-COMA home update)`` rows."""
+    rows = []
+    for nodes in _SHOOTDOWN_NODES:
+        params = _SHOOTDOWN_PARAMS.replace(nodes=nodes)
+        rows.append((nodes, shootdown_cost(params), home_update_cost(params)))
+    return rows
 
 
 def _render_shootdown(setup: Setup, rows) -> List[str]:
@@ -643,29 +662,24 @@ def _shootdown_gap(rows):
     return tlb > 10 * vcoma, f"{tlb:,} vs {vcoma:,} cycles at {rows[-1][0]} nodes"
 
 
-def _sc_cell(setup: Setup, name: str) -> JobSpec:
-    return setup.timing(f"L0-TLB/8:{name}", Scheme.L0_TLB, name)
+def _sc_cell(setup: Setup, name: str, relaxed: bool = False) -> JobSpec:
+    label = f"L0-TLB/8{'-relaxed' if relaxed else ''}:{name}"
+    return setup.timing(label, Scheme.L0_TLB, name, relaxed_writes=relaxed)
 
 
 def _consistency_cells(setup: Setup) -> List[JobSpec]:
-    return [_sc_cell(setup, name) for name in setup.among(_CORE)]
+    return [_sc_cell(setup, name, relaxed) for name in setup.among(_CORE) for relaxed in (False, True)]
 
 
 def _consistency(setup: Setup, results: Results):
     """Sequential consistency (the L0-TLB/8 cell) against the same run
     with stores hidden behind a write buffer."""
-    from repro.system.machine import Machine
-    from repro.system.simulator import Simulator
-    from repro.system.taps import TimingAgent
-
     runs = {}
     for name in setup.among(_CORE):
-        agent = TimingAgent(setup.params, Scheme.L0_TLB, entries=8)
-        machine = Machine(setup.params, Scheme.L0_TLB, setup.workload(name), agent=agent, relaxed_writes=True)
         sc = results[_sc_cell(setup, name)]
         runs[name] = {
             "sc": sc.total_time,
-            "relaxed": Simulator(machine).run().total_time,
+            "relaxed": results[_sc_cell(setup, name, relaxed=True)].total_time,
             "translation": sc.aggregate_breakdown().tlb_stall // setup.params.nodes,
         }
     return runs
@@ -792,29 +806,22 @@ _CAPACITY = ("fft", "ocean")
 _NUMA_SIZES = (8, 32)
 
 
-def _coma_cell(setup: Setup, name: str) -> JobSpec:
-    return setup.sweep(name, sizes=_NUMA_SIZES, orgs=(FA,), label=f"sweep-coma:{name}")
+def _numa_leg(setup: Setup, name: str, machine: str) -> JobSpec:
+    return setup.sweep(name, sizes=_NUMA_SIZES, orgs=(FA,), label=f"sweep-{machine}:{name}", machine=machine)
 
 
 def _numa_cells(setup: Setup) -> List[JobSpec]:
-    return [_coma_cell(setup, name) for name in setup.among(_CORE)]
+    return [_numa_leg(setup, name, machine) for name in setup.among(_CORE) for machine in ("coma", "numa")]
 
 
 def _numa(setup: Setup, results: Results):
     """The same workloads on a CC-NUMA (SHARED-TLB at the home) and on
-    the V-COMA machine, observed at the same TLB/DLB sizes.  The COMA
-    leg is a sweep cell; the NUMA machine has no compiled twin, so its
-    leg runs here, on the scalar engine."""
-    from repro.numa import NumaMachine
-    from repro.system.simulator import Simulator
-    from repro.system.taps import StudyAgent
-
-    runs = {}
-    for name in setup.among(_CORE):
-        agent = StudyAgent(setup.params, sizes=_NUMA_SIZES, orgs=(FA,))
-        machine = NumaMachine(setup.params, Scheme.V_COMA, setup.workload(name), agent=agent)
-        runs[name] = {"numa": Simulator(machine).run(), "coma": results[_coma_cell(setup, name)]}
-    return runs
+    the V-COMA machine, observed at the same TLB/DLB sizes.  The NUMA
+    machine has no compiled twin, so its cells run on the scalar engine."""
+    return {
+        name: {machine: results[_numa_leg(setup, name, machine)] for machine in ("numa", "coma")}
+        for name in setup.among(_CORE)
+    }
 
 
 def _render_numa(setup: Setup, runs) -> List[str]:
@@ -955,7 +962,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     ),
     Experiment(
         "ablation-sharing", "Ablation — the DLB's sharing/prefetching contribution",
-        collect=_sharing_ablation, render=_render_sharing,
+        cells=_sharing_cells, collect=_sharing_ablation, render=_render_sharing,
         claims=(
             Claim("radix-sharing-win", "RADIX's shared DLB misses 20% less than P-fold private slices", _radix_sharing_win),
             Claim("multiplexing-bounded", "the shared DLB never misses more than 2x the private slices", _multiplexing_bounded),

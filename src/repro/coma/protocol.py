@@ -208,7 +208,8 @@ class ProtocolEngine:
         addr: int,
         for_ownership: bool,
         injection: bool = False,
-        requester: Optional[int] = None,
+        *,
+        requester: int,
     ) -> int:
         at_home = self._at_home
         if at_home is None:

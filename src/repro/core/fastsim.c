@@ -118,7 +118,7 @@
 
 #define N_HIST_BUCKETS 64
 
-/* sweep tap-stream indices (timing_kernels.SWEEP_TAPS order; the
+/* capture column indices (taptrace.CAPTURE_COLUMNS order; the
  * uncoupled StudyAgent/CaptureAgent observation points) */
 #define SW_L0 0
 #define SW_L1 1
@@ -126,7 +126,8 @@
 #define SW_L2NW 3
 #define SW_L3 4
 #define SW_HOME 5
-#define N_SWEEP_TAPS 6
+#define SW_HOME_REQ 6 /* the requesting node of each SW_HOME page */
+#define N_SWEEP_TAPS 7
 
 /* geometry array indices (timing_kernels.GEOM fields) */
 enum {
@@ -609,7 +610,8 @@ static int tlb_access(Tlb *t, int64_t page) {
 /* The uncoupled sweep agents (StudyAgent / CaptureAgent) never stall   */
 /* the hierarchy -- they only observe the page number reaching each of  */
 /* the six translation taps.  In capture mode the kernel appends those  */
-/* pages, per (tap, node), in exact scalar call order; the bank models  */
+/* pages, per (tap, node), in exact scalar call order, plus the node    */
+/* that requested each HOME-tap lookup (SW_HOME_REQ); the bank models   */
 /* are then replayed over every stream of the set (fs_bank_run_set).    */
 /* ------------------------------------------------------------------ */
 typedef struct {
@@ -954,9 +956,12 @@ static inline int64_t xfer(FastSim *s, int kind, int src, int dst, int64_t now) 
 }
 
 /* ProtocolEngine._dir_lookup_cycles */
-static inline int64_t dir_lookup_cycles(FastSim *s, int home, int64_t addr, int injection) {
-    if (s->capture)
+static inline int64_t dir_lookup_cycles(FastSim *s, int home, int64_t addr, int injection,
+                                        int requester) {
+    if (s->capture) {
         cap_feed(s, SW_HOME, home, (addr >> s->page_bits) >> s->node_bits);
+        cap_feed(s, SW_HOME_REQ, home, requester);
+    }
     if (s->tap != TAP_HOME) return s->dir_latency;
     int64_t key = (addr >> s->page_bits) >> s->node_bits;
     int64_t pen = translate(s, home, key);
@@ -1271,7 +1276,7 @@ static int inject(FastSim *s, int src, int64_t block, uint8_t state, int64_t now
         tr_event(&s->tr, (int)s->tr.cfg[TC_INJECT], now, v, 4);
     }
     int64_t t = xfer(s, MSG_INJECT, src, home, now);
-    t += dir_lookup_cycles(s, home, block, 1);
+    t += dir_lookup_cycles(s, home, block, 1, src);
     int64_t slot = dir_entry(s, home, block);
     if (slot < 0) return (int)slot;
     if (home != src) {
@@ -1306,7 +1311,7 @@ static int64_t remote_fetch(FastSim *s, int node, int64_t block, int is_write, i
     int home = home_of(s, block);
     int64_t t = now + penalty;
     t = xfer(s, is_write ? MSG_WRITE_REQUEST : MSG_READ_REQUEST, node, home, t);
-    t += dir_lookup_cycles(s, home, block, 0);
+    t += dir_lookup_cycles(s, home, block, 0, node);
     int64_t slot = dir_entry(s, home, block);
     if (slot < 0) return slot;
     int owner = s->dir.owner[slot];
@@ -1365,7 +1370,7 @@ static int64_t upgrade(FastSim *s, int node, int64_t block, int64_t now) {
     int home = home_of(s, block);
     int64_t t = now + penalty;
     t = xfer(s, MSG_UPGRADE_REQUEST, node, home, t);
-    t += dir_lookup_cycles(s, home, block, 0);
+    t += dir_lookup_cycles(s, home, block, 0, node);
     int64_t slot = dir_entry(s, home, block);
     if (slot < 0) return slot;
     if (s->dir.owner[slot] < 0) return FS_ERR_PROTOCOL;

@@ -34,7 +34,7 @@ from __future__ import annotations
 import array
 import multiprocessing
 import os
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng, substream_seed
@@ -143,10 +143,12 @@ def _column(pages: Sequence[int]) -> array.array:
     return array.array("q", pages)
 
 
-def _set_misses(compiled, streams: Mapping[str, Sequence[int]],
-                geometries: Dict[Config, Tuple[int, int]], seed: int,
-                threads: int) -> Dict[str, Dict[Config, int]]:
-    """One ``fs_bank_run_set`` call over every stream and design point."""
+def _set_misses(compiled, streams: Mapping[Hashable, Sequence[int]],
+                geometries: Dict[Config, Tuple[int, int]], seeds: Sequence[int],
+                threads: int) -> Dict[Hashable, Dict[Config, int]]:
+    """One ``fs_bank_run_set`` call over every stream and design point.
+    ``seeds`` holds each member's RNG seed, stream-major: one per
+    ``(stream, design point)`` in ``streams`` and ``geometries`` order."""
     ffi, lib = compiled.ffi, compiled.lib
     names = list(streams)
     columns = [_column(streams[name]) for name in names]
@@ -163,14 +165,7 @@ def _set_misses(compiled, streams: Mapping[str, Sequence[int]],
         count,
         ffi.new("int64_t[]", [geometries[c][1] for c in configs]),
         ffi.new("int64_t[]", [geometries[c][0] for c in configs]),
-        ffi.new(
-            "uint64_t[]",
-            [
-                substream_seed(seed, name, entries, org.value)
-                for name in names
-                for entries, org in configs
-            ],
-        ),
+        ffi.new("uint64_t[]", seeds),
         misses,
         threads,
     )
@@ -183,6 +178,10 @@ def _set_misses(compiled, streams: Mapping[str, Sequence[int]],
         name: dict(zip(configs, flat[index * count : (index + 1) * count]))
         for index, name in enumerate(names)
     }
+
+
+def _threads(streams: Mapping[Hashable, Sequence[int]]) -> int:
+    return replay_threads(sum(1 for pages in streams.values() if len(pages)))
 
 
 def bank_miss_counts(
@@ -205,8 +204,12 @@ def bank_miss_counts(
     }
     compiled = get_backend()
     if compiled is not None:
-        threads = replay_threads(sum(1 for pages in streams.values() if len(pages)))
-        return _set_misses(compiled, streams, geometries, seed, threads)
+        seeds = [
+            substream_seed(seed, name, entries, org.value)
+            for name in streams
+            for entries, org in geometries
+        ]
+        return _set_misses(compiled, streams, geometries, seeds, _threads(streams))
     return {
         name: {
             (entries, org): _scalar_misses(
@@ -215,4 +218,29 @@ def bank_miss_counts(
             for (entries, org), (assoc, _) in geometries.items()
         }
         for name, pages in streams.items()
+    }
+
+
+def buffer_miss_counts(
+    streams: Mapping[Tuple, Sequence[int]],
+    entries: int,
+    seed: int,
+) -> Dict[Tuple, int]:
+    """Misses of one fully-associative ``entries``-entry buffer per stream.
+
+    Stream ``key``'s count equals ``TranslationBuffer(entries,
+    rng=make_rng(seed, *key))`` fed its pages one by one: the key names
+    the buffer's RNG substream.  The compiled path replays every stream
+    in one ``fs_bank_run_set`` call.
+    """
+    config = (entries, Organization.FULLY_ASSOCIATIVE)
+    geometries = {config: _buffer_geometry(*config)}
+    compiled = get_backend()
+    if compiled is not None:
+        seeds = [substream_seed(seed, *key) for key in streams]
+        counts = _set_misses(compiled, streams, geometries, seeds, _threads(streams))
+        return {key: misses[config] for key, misses in counts.items()}
+    return {
+        key: _scalar_misses(pages, entries, config[1], entries, make_rng(seed, *key))
+        for key, pages in streams.items()
     }

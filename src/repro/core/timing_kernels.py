@@ -53,8 +53,6 @@ from typing import Iterable, List, Optional, Tuple
 
 from collections import OrderedDict
 
-from repro.core.schemes import TapPoint
-
 #: Set non-empty to force the scalar timing engine even when the
 #: compiled backend would load (CI matrix + equivalence tests).
 NO_COMPILED_ENV = "REPRO_NO_COMPILED"
@@ -223,18 +221,6 @@ TAP_L1 = 1
 TAP_L2 = 2
 TAP_L3 = 3
 TAP_HOME = 4
-
-#: Capture-mode tap streams in C index order (the SW_* defines): the
-#: six observation points an uncoupled sweep agent records, matching
-#: :class:`repro.core.schemes.TapPoint` member order.
-SWEEP_TAPS = (
-    TapPoint.L0,
-    TapPoint.L1,
-    TapPoint.L2,
-    TapPoint.L2_NO_WBACK,
-    TapPoint.L3,
-    TapPoint.HOME,
-)
 
 # AM line states, in C numeric order (AMState enum value strings).
 AM_STATES = ("invalid", "shared", "master_shared", "exclusive")

@@ -5,9 +5,10 @@ a worker process needs to reproduce one simulation bit-for-bit: machine
 parameters (including the seed — every random substream derives from
 it, so per-job determinism needs no extra plumbing), the workload by
 registry name plus constructor overrides, and the experiment kind
-(miss-sweep or coupled timing) with its knobs.  The spec doubles as the
-persistent cache key via :meth:`content_hash`, which folds in the
-package version so results never survive a code change.
+(miss sweep, coupled timing, or the shared-vs-partitioned DLB replay)
+with its knobs.  The spec doubles as the persistent cache key via
+:meth:`content_hash`, which folds in the package version so results
+never survive a code change.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ from repro.system.taps import DEFAULT_SWEEP_ORGS, DEFAULT_SWEEP_SIZES
 #: Experiment kinds a worker knows how to execute.
 KIND_SWEEP = "sweep"
 KIND_TIMING = "timing"
+KIND_SHARING = "sharing"
+
+#: Machines a job runs on: the COMA machine, or (sweeps only) the
+#: CC-NUMA machine the ``numa`` experiment compares it with.
+MACHINE_COMA = "coma"
+MACHINE_NUMA = "numa"
 
 _DEFAULT_ORG_VALUES = tuple(org.value for org in DEFAULT_SWEEP_ORGS)
 
@@ -62,21 +69,29 @@ class JobSpec:
     # -- sweep knobs ----------------------------------------------------
     sizes: Tuple[int, ...] = DEFAULT_SWEEP_SIZES
     orgs: Tuple[str, ...] = _DEFAULT_ORG_VALUES
-    # -- timing knobs ---------------------------------------------------
+    # -- timing knobs (``entries`` also sizes a sharing job's DLBs) -----
     scheme: Optional[str] = None
     entries: Optional[int] = None
     organization: str = Organization.FULLY_ASSOCIATIVE.value
     include_l2_writebacks: bool = True
     contention: bool = False
+    relaxed_writes: bool = False
     # -- shared ---------------------------------------------------------
+    machine: str = MACHINE_COMA
     max_refs_per_node: Optional[int] = None
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_SWEEP, KIND_TIMING):
+        if self.kind not in (KIND_SWEEP, KIND_TIMING, KIND_SHARING):
             raise ValueError(f"unknown job kind {self.kind!r}")
         if self.kind == KIND_TIMING and (self.scheme is None or self.entries is None):
             raise ValueError("timing jobs need a scheme and an entry count")
+        if self.kind == KIND_SHARING and self.entries is None:
+            raise ValueError("sharing jobs need an entry count")
+        if self.machine not in (MACHINE_COMA, MACHINE_NUMA):
+            raise ValueError(f"unknown machine {self.machine!r}")
+        if self.machine == MACHINE_NUMA and self.kind != KIND_SWEEP:
+            raise ValueError("only sweep jobs run on the CC-NUMA machine")
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -92,8 +107,10 @@ class JobSpec:
         overrides: Optional[Dict] = None,
         variant: Optional[str] = None,
         label: Optional[str] = None,
+        machine: str = MACHINE_COMA,
     ) -> "JobSpec":
-        """A one-run-many-taps miss sweep (Figures 8/9, Tables 2/3)."""
+        """A one-run-many-taps miss sweep (Figures 8/9, Tables 2/3),
+        on the COMA machine or, with ``machine="numa"``, the CC-NUMA one."""
         return cls(
             kind=KIND_SWEEP,
             params=params,
@@ -104,6 +121,7 @@ class JobSpec:
             orgs=tuple(_org_value(org) for org in orgs),
             max_refs_per_node=max_refs_per_node,
             label=label,
+            machine=machine,
         )
 
     @classmethod
@@ -120,8 +138,10 @@ class JobSpec:
         overrides: Optional[Dict] = None,
         variant: Optional[str] = None,
         label: Optional[str] = None,
+        relaxed_writes: bool = False,
     ) -> "JobSpec":
-        """A coupled timing run (Table 4, Figure 10)."""
+        """A coupled timing run (Table 4, Figure 10); ``relaxed_writes``
+        hides store latency behind a write buffer."""
         return cls(
             kind=KIND_TIMING,
             params=params,
@@ -133,6 +153,30 @@ class JobSpec:
             organization=_org_value(organization),
             include_l2_writebacks=include_l2_writebacks,
             contention=contention,
+            relaxed_writes=relaxed_writes,
+            max_refs_per_node=max_refs_per_node,
+            label=label,
+        )
+
+    @classmethod
+    def sharing(
+        cls,
+        params: MachineParams,
+        workload: str,
+        entries: int,
+        max_refs_per_node: Optional[int] = None,
+        overrides: Optional[Dict] = None,
+        label: Optional[str] = None,
+    ) -> "JobSpec":
+        """A shared vs per-requester partitioned DLB replay of the HOME
+        tap (``ablation-sharing``).  It replays the recording of the
+        workload's sweep: the two share :meth:`trace_key`."""
+        return cls(
+            kind=KIND_SHARING,
+            params=params,
+            workload=workload.lower(),
+            overrides=_freeze_overrides(overrides),
+            entries=entries,
             max_refs_per_node=max_refs_per_node,
             label=label,
         )
@@ -164,17 +208,20 @@ class JobSpec:
         """Run the simulation in-process and return a
         :class:`~repro.runner.summary.RunSummary`.
 
-        Sweep jobs are decoupled (translation state never feeds back
-        into the hierarchy), so they run through the
+        Sweep and sharing jobs are decoupled (translation state never
+        feeds back into the hierarchy), so they run through the
         record-once/replay-many pipeline: the hierarchy simulation is
         captured as per-tap page streams — loaded from ``trace_store``
         when a matching trace exists, recorded (and stored) otherwise —
-        and the TLB/DLB banks for this spec's ``sizes``/``orgs`` are
+        and the TLB/DLB banks for this spec's ``sizes``/``orgs`` — or,
+        for a sharing job, the shared and per-requester DLBs — are
         replayed from the recording.  Results are bit-identical to the
         coupled scalar sweep (``run_miss_sweep(..., fast=False)``), the
         oracle the pipeline is checked against.  Timing jobs are always
         coupled: the translation penalty perturbs the interleaving, so
-        there is nothing to replay.
+        there is nothing to replay.  A CC-NUMA sweep has no compiled
+        twin: it runs a scalar ``NumaMachine`` with a ``StudyAgent`` and
+        never touches the trace store.
 
         Compiled timing runs and captures are headless: their summary
         comes straight from the C engine, with no Python machine built
@@ -184,14 +231,16 @@ class JobSpec:
         # attributes (the e2e benchmark's ledger) see every call.
         from repro.system.simulator import run_summary
         from repro.system.taps import TimingAgent
-        from repro.system.taptrace import capture_tap_traces, replay_summary
+        from repro.system.taptrace import capture_tap_traces, replay_summary, sharing_summary
 
+        if self.machine == MACHINE_NUMA:
+            return self._execute_numa()
         # The trace hash doubles as the stream-LRU key: it identifies
         # the workload recipe minus bank sizes/orgs and timing knobs,
         # so every grid cell sharing a workload shares its materialized
         # reference columns.
         stream_key = self.trace_hash()
-        if self.kind == KIND_SWEEP:
+        if self.kind in (KIND_SWEEP, KIND_SHARING):
             traces = trace_store.get(self) if trace_store is not None else None
             if traces is None:
                 traces = capture_tap_traces(
@@ -202,6 +251,8 @@ class JobSpec:
                 )
                 if trace_store is not None:
                     trace_store.put(self, traces)
+            if self.kind == KIND_SHARING:
+                return sharing_summary(traces, self.entries)
             orgs = tuple(Organization(value) for value in self.orgs)
             return replay_summary(traces, self.sizes, orgs)
         scheme = Scheme(self.scheme)
@@ -219,8 +270,25 @@ class JobSpec:
             contention=self.contention,
             max_refs_per_node=self.max_refs_per_node,
             stream_key=stream_key,
+            relaxed_writes=self.relaxed_writes,
         )
         return summary
+
+    def _execute_numa(self):
+        """A sweep on the CC-NUMA machine (SHARED-TLB at the home), on
+        the scalar engine: ``fallback_reason`` names the machine type."""
+        from repro.numa import NumaMachine
+        from repro.runner.summary import RunSummary
+        from repro.system.simulator import Simulator
+        from repro.system.taps import StudyAgent
+
+        agent = StudyAgent(
+            self.params, sizes=self.sizes, orgs=[Organization(value) for value in self.orgs]
+        )
+        machine = NumaMachine(self.params, Scheme.V_COMA, self.build_workload(), agent=agent)
+        return RunSummary.from_result(
+            Simulator(machine, max_refs_per_node=self.max_refs_per_node).run()
+        )
 
     # ------------------------------------------------------------------
     # identity
@@ -240,6 +308,8 @@ class JobSpec:
             "organization": self.organization,
             "include_l2_writebacks": self.include_l2_writebacks,
             "contention": self.contention,
+            "relaxed_writes": self.relaxed_writes,
+            "machine": self.machine,
             "max_refs_per_node": self.max_refs_per_node,
         }
 
@@ -289,4 +359,6 @@ class JobSpec:
             return self.label
         if self.kind == KIND_SWEEP:
             return f"sweep:{self.workload}"
+        if self.kind == KIND_SHARING:
+            return f"sharing:{self.workload}/{self.entries}"
         return f"timing:{self.workload}/{self.scheme}/{self.entries}"

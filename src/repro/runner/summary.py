@@ -5,8 +5,9 @@
 neither cross a process boundary nor be written to disk.  A
 :class:`RunSummary` is the picklable, JSON-serializable subset that the
 analysis layer actually consumes: per-node time breakdowns, merged
-counters, the TLB/DLB timing summary, and (for sweep runs) the full
-:class:`~repro.system.taps.StudyResults` surface.
+counters, the TLB/DLB timing summary, (for sweep runs) the full
+:class:`~repro.system.taps.StudyResults` surface and (for sharing runs)
+the shared-vs-partitioned DLB counts.
 """
 
 from __future__ import annotations
@@ -262,6 +263,7 @@ class RunSummary:
         "write_latency",
         "backend",
         "fallback_reason",
+        "sharing",
     )
 
     def __init__(
@@ -279,6 +281,7 @@ class RunSummary:
         write_latency: Optional[LatencyHistogram] = None,
         backend: Optional[str] = None,
         fallback_reason: Optional[str] = None,
+        sharing: Optional[Dict[str, int]] = None,
     ) -> None:
         self.scheme = scheme
         self.workload_name = workload_name
@@ -303,6 +306,9 @@ class RunSummary:
         #: unavailable: ...").  None on summaries deserialized from
         #: pre-1.7 cache files.
         self.fallback_reason = fallback_reason
+        #: A sharing run's counts (:func:`repro.system.taptrace.replay_sharing`);
+        #: None on every other run.
+        self.sharing = sharing
 
     # ------------------------------------------------------------------
     @classmethod
@@ -342,6 +348,7 @@ class RunSummary:
             write_latency=self.write_latency,
             backend=self.backend,
             fallback_reason=self.fallback_reason,
+            sharing=self.sharing,
         )
 
     # -- RunResult-compatible surface -----------------------------------
@@ -396,8 +403,9 @@ class RunSummary:
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict:
-        """JSON-serializable form (used by the persistent result cache)."""
-        return {
+        """JSON-serializable form (used by the persistent result cache).
+        ``sharing`` appears only on the runs that have it."""
+        data = {
             "scheme": self.scheme.value,
             "workload": self.workload_name,
             "total_time": self.total_time,
@@ -416,6 +424,9 @@ class RunSummary:
                 self.write_latency.to_dict() if self.write_latency is not None else None
             ),
         }
+        if self.sharing is not None:
+            data["sharing"] = dict(self.sharing)
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunSummary":
@@ -444,6 +455,7 @@ class RunSummary:
                 if write_latency is not None
                 else None
             ),
+            sharing=data.get("sharing"),
         )
 
     def __repr__(self) -> str:

@@ -199,6 +199,7 @@ class HeadlessRun:
         contention: bool = False,
         max_refs_per_node: Optional[int] = None,
         stream_key: Optional[str] = None,
+        relaxed_writes: bool = False,
     ) -> None:
         layout = AddressLayout.from_params(params)
         space, self.ctx = build_address_space(params, layout, workload)
@@ -210,6 +211,7 @@ class HeadlessRun:
         self.contention = contention
         self.max_refs_per_node = max_refs_per_node
         self.stream_key = stream_key
+        self.relaxed_writes = relaxed_writes
 
     def node_stream(self, node: int):
         return self.workload.node_stream(node, self.ctx)
@@ -271,12 +273,12 @@ def run_fast(run):
     agent = source.agent
     timing_agent = type(agent) is TimingAgent
     max_refs = run.max_refs_per_node
-    geom = _geometry(
-        source,
-        max_refs,
-        contention=run.contention if machine is None else machine.crossbar.contention,
-        relaxed=bool(machine and machine.nodes and machine.nodes[0].relaxed_writes),
-    )
+    if machine is None:
+        contention, relaxed = run.contention, run.relaxed_writes
+    else:
+        contention = machine.crossbar.contention
+        relaxed = bool(machine.nodes and machine.nodes[0].relaxed_writes)
+    geom = _geometry(source, max_refs, contention=contention, relaxed=relaxed)
 
     handle = lib.fs_create(ffi.new("int64_t[]", geom))
     if handle == ffi.NULL:
@@ -842,30 +844,22 @@ def _load_directory(ffi, lib, handle, machine) -> None:
 
 
 def _load_capture_agent(ffi, lib, handle, agent, count: int) -> None:
-    """Copy the captured tap streams into a
-    :class:`~repro.system.taptrace.CaptureAgent`'s per-tap columns."""
+    """Copy the captured columns into a
+    :class:`~repro.system.taptrace.CaptureAgent`'s per-node columns
+    (the C engine captures them in ``CAPTURE_COLUMNS`` order)."""
     from repro.system.taptrace import _U4, _U8
 
-    per_tap = {
-        TapPoint.L0: agent._l0,
-        TapPoint.L1: agent._l1,
-        TapPoint.L2: agent._l2,
-        TapPoint.L2_NO_WBACK: agent._l2_no_wback,
-        TapPoint.L3: agent._l3,
-        TapPoint.HOME: agent._home,
-    }
     total_references = 0
     width = ffi.new("int *")
-    for tap_index, tap in enumerate(tk.SWEEP_TAPS):
-        columns = per_tap[tap]
+    for index, columns in enumerate(agent.columns()):
         for n in range(count):
-            length = int(lib.fs_cap_count(handle, tap_index, n))
-            if tap is TapPoint.L0:
+            length = int(lib.fs_cap_count(handle, index, n))
+            if index == 0:  # the L0 tap sees every reference
                 total_references += length
             if not length:
                 continue
-            pages = lib.fs_cap_data(handle, tap_index, n, width)
-            # Captured pages are non-negative, exported 4 bytes wide
+            pages = lib.fs_cap_data(handle, index, n, width)
+            # Captured values are non-negative, exported 4 bytes wide
             # when every one fits: a native-order bulk copy is exact.
             column = array(_U4 if width[0] == 4 else _U8)
             column.frombytes(ffi.buffer(pages, width[0] * length))

@@ -280,6 +280,7 @@ def run_summary(
     contention: bool = False,
     max_refs_per_node: Optional[int] = None,
     stream_key: Optional[str] = None,
+    relaxed_writes: bool = False,
 ):
     """One run's :class:`~repro.runner.summary.RunSummary` and the agent
     that observed it, without a Python machine when the compiled engine
@@ -303,14 +304,18 @@ def run_summary(
     reason = None
     if timing_kernels.get_backend() is not None:
         run = fast_simulator.HeadlessRun(
-            params, scheme, workload, agent, contention, max_refs_per_node, stream_key
+            params, scheme, workload, agent, contention, max_refs_per_node, stream_key,
+            relaxed_writes,
         )
         try:
             return fast_simulator.run_fast(run), agent
         except (EngineDegraded, MemoryError) as exc:
             reason = fast_simulator.degraded_reason(exc)
         agent = make_agent()
-    machine = Machine(params, scheme, workload, agent=agent, contention=contention)
+    machine = Machine(
+        params, scheme, workload, agent=agent, contention=contention,
+        relaxed_writes=relaxed_writes,
+    )
     simulator = Simulator(machine, max_refs_per_node=max_refs_per_node)
     result = simulator.run() if reason is None else simulator._run_scalar_stamped(reason)
     return RunSummary.from_result(result), agent

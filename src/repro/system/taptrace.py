@@ -18,6 +18,11 @@ study.  This module splits that work in two:
   :class:`~repro.system.taps.StudyResults` bit-identical to a coupled
   :class:`StudyAgent` run with the same configuration.
 
+Next to the HOME tap's streams the capture records which node
+requested each home lookup (the :data:`REQUESTER` column, one per
+home): :func:`replay_sharing` splits a home's stream by requester to
+compare a shared DLB with per-requester private slices.
+
 A :class:`TapTraceSet` serializes to a compact columnar binary format
 (``to_bytes``/``from_bytes``): a JSON header describing one column per
 ``(tap, node)`` stream followed by the concatenated little-endian page
@@ -40,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.errors import ReproError
 from repro.common.params import MachineParams
 from repro.coma.protocol import TranslationAgent
-from repro.core.replay import bank_miss_counts
+from repro.core.replay import bank_miss_counts, buffer_miss_counts
 from repro.core.schemes import Scheme, TapPoint
 from repro.core.tlb import Organization
 from repro.system.taps import StudyResults
@@ -48,14 +53,18 @@ from repro.workloads.base import Workload
 
 #: On-disk magic + format version; bump the version on any layout change.
 TRACE_MAGIC = b"RTAP"
-TRACE_FORMAT = 1
+TRACE_FORMAT = 2
 
 #: array typecodes for exact 4- and 8-byte unsigned columns.
 _U4 = "I" if array("I").itemsize == 4 else "L"
 _U8 = "Q"
 
-#: Tap values in canonical column order.
-_TAP_ORDER = tuple(tap.value for tap in TapPoint)
+#: The column of the node that requested each HOME-tap lookup.
+REQUESTER = "home/requester"
+
+#: Column names in canonical order, which is also the compiled
+#: capture's column order (the ``SW_*`` indices of ``fastsim.c``).
+CAPTURE_COLUMNS = tuple(tap.value for tap in TapPoint) + (REQUESTER,)
 
 
 class TraceError(ReproError):
@@ -81,6 +90,7 @@ class CaptureAgent(TranslationAgent):
         "_l2_no_wback",
         "_l3",
         "_home",
+        "_requester",
     )
 
     def __init__(self, params: MachineParams) -> None:
@@ -94,6 +104,7 @@ class CaptureAgent(TranslationAgent):
         self._l2_no_wback = [array(_U8) for _ in nodes]
         self._l3 = [array(_U8) for _ in nodes]
         self._home = [array(_U8) for _ in nodes]
+        self._requester = [array(_U8) for _ in nodes]
 
     # -- tap feeds ------------------------------------------------------
     def at_l0(self, node: int, vpn: int) -> int:
@@ -116,24 +127,26 @@ class CaptureAgent(TranslationAgent):
         return 0
 
     def at_home(self, home: int, vpn: int, for_ownership: bool = False, injection: bool = False, requester=None) -> int:
+        if requester is None:
+            raise ValueError(f"HOME-tap lookup at node {home} without a requesting node")
         # Same index transformation as StudyAgent/TimingAgent: the DLB
         # drops the home-selector bits shared by every page at a home.
         self._home[home].append(vpn >> self._node_bits)
+        self._requester[home].append(requester)
         return 0
 
     # -- extraction -----------------------------------------------------
+    def columns(self) -> Tuple[List[array], ...]:
+        """Per-node columns in :data:`CAPTURE_COLUMNS` order."""
+        return (
+            self._l0, self._l1, self._l2, self._l2_no_wback, self._l3,
+            self._home, self._requester,
+        )
+
     def streams(self) -> Dict[Tuple[str, int], array]:
-        per_tap = {
-            TapPoint.L0: self._l0,
-            TapPoint.L1: self._l1,
-            TapPoint.L2: self._l2,
-            TapPoint.L2_NO_WBACK: self._l2_no_wback,
-            TapPoint.L3: self._l3,
-            TapPoint.HOME: self._home,
-        }
         return {
-            (tap.value, node): columns[node]
-            for tap, columns in per_tap.items()
+            (name, node): columns[node]
+            for name, columns in zip(CAPTURE_COLUMNS, self.columns())
             for node in range(self.params.nodes)
         }
 
@@ -160,16 +173,20 @@ class TapTraceSet:
     def stream(self, tap: TapPoint, node: int) -> array:
         return self.streams.get((tap.value, node), array(_U8))
 
+    def requesters(self, home: int) -> array:
+        """The requesting node of each page in ``stream(HOME, home)``."""
+        return self.streams.get((REQUESTER, home), array(_U8))
+
     # -- serialization ---------------------------------------------------
     def to_bytes(self) -> bytes:
         columns = []
         payload_parts: List[bytes] = []
-        for tap_value in _TAP_ORDER:
+        for name in CAPTURE_COLUMNS:
             for node in range(self.nodes):
-                column = self.streams.get((tap_value, node))
+                column = self.streams.get((name, node))
                 if column is None:
                     continue
-                # Downcast to 4-byte entries when every page fits: tap
+                # Downcast to 4-byte entries when every value fits: tap
                 # streams are page *numbers*, which are far below 2**32
                 # on any machine configuration we simulate, so this
                 # normally halves the file.  Narrow columns (compiled
@@ -185,7 +202,7 @@ class TapTraceSet:
                 payload_parts.append(data.tobytes())
                 columns.append(
                     {
-                        "tap": tap_value,
+                        "tap": name,
                         "node": node,
                         "count": len(column),
                         "dtype": "u4" if narrow else "u8",
@@ -373,12 +390,51 @@ def replay_study(
     )
 
 
+def _replayed(summary):
+    """Stamp a summary built from a recording with both halves of the
+    pipeline, e.g. ``"compiled+replay"`` when the capture ran on the
+    fast engine."""
+    summary.backend = f"{summary.backend or 'scalar'}+replay"
+    return summary
+
+
 def replay_summary(traces: TapTraceSet, sizes, orgs):
     """A sweep :class:`~repro.runner.summary.RunSummary`: the recorded
-    hierarchy summary with the replayed study surface attached.  The
-    ``backend`` stamp records both halves of the pipeline — e.g.
-    ``"compiled+replay"`` when the capture ran on the fast engine."""
-    summary = traces.base.with_study(replay_study(traces, sizes, orgs))
-    capture_backend = summary.backend or "scalar"
-    summary.backend = f"{capture_backend}+replay"
-    return summary
+    hierarchy summary with the replayed study surface attached."""
+    return _replayed(traces.base.with_study(replay_study(traces, sizes, orgs)))
+
+
+def replay_sharing(traces: TapTraceSet, entries: int) -> Dict[str, int]:
+    """The DLB's sharing/prefetching contribution, from the HOME tap.
+
+    Every home's stream drives one shared ``entries``-entry DLB, and
+    its split by requesting node drives one private slice of the same
+    size per ``(home, requester)``: the slices have P times the
+    aggregate capacity, so any shared win is pure sharing.  Buffer
+    ``("abl-shared", home)`` and ``("abl-part", home, requester)`` draw
+    from those RNG substreams, and both sides replay in one call.
+    """
+    streams = {}
+    for home in range(traces.nodes):
+        pages = traces.stream(TapPoint.HOME, home)
+        slices = [array(pages.typecode) for _ in range(traces.nodes)]
+        for page, requester in zip(pages, traces.requesters(home)):
+            slices[requester].append(page)
+        streams[("abl-shared", home)] = pages
+        for requester, column in enumerate(slices):
+            streams[("abl-part", home, requester)] = column
+    misses = buffer_miss_counts(streams, entries, traces.seed)
+    return {
+        "entries": entries,
+        "accesses": sum(len(streams[("abl-shared", home)]) for home in range(traces.nodes)),
+        "shared_misses": sum(count for key, count in misses.items() if key[0] == "abl-shared"),
+        "partitioned_misses": sum(count for key, count in misses.items() if key[0] == "abl-part"),
+    }
+
+
+def sharing_summary(traces: TapTraceSet, entries: int):
+    """A sharing :class:`~repro.runner.summary.RunSummary`: the recorded
+    hierarchy summary with :func:`replay_sharing`'s counts attached."""
+    summary = traces.base.with_study(None)
+    summary.sharing = replay_sharing(traces, entries)
+    return _replayed(summary)

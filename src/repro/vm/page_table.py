@@ -12,21 +12,10 @@ physical frames (the payload is just an integer either way).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 from repro.common.errors import TranslationFault
-
-
-class Protection(enum.IntFlag):
-    """Page protection bits (paper Section 2.2.4)."""
-
-    NONE = 0
-    READ = 1
-    WRITE = 2
-    EXECUTE = 4
-    READ_WRITE = READ | WRITE
 
 
 @dataclass
@@ -39,7 +28,6 @@ class PageTableEntry:
 
     vpn: int
     payload: int
-    protection: Protection = Protection.READ_WRITE
     referenced: bool = False
     modified: bool = False
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import TranslationFault
-from repro.vm.page_table import HomePageTable, PageTableEntry, Protection
+from repro.vm.page_table import HomePageTable, PageTableEntry
 
 
 @pytest.fixture
@@ -67,17 +67,8 @@ class TestGlobalSetOrganization:
 
 
 class TestMetadata:
-    def test_default_protection_read_write(self):
-        entry = PageTableEntry(vpn=1, payload=0)
-        assert entry.protection & Protection.READ
-        assert entry.protection & Protection.WRITE
-
     def test_clear_reference_bits(self, table):
         entry = PageTableEntry(vpn=1, payload=0, referenced=True)
         table.insert(entry)
         table.clear_reference_bits()
         assert not entry.referenced
-
-    def test_protection_flags_compose(self):
-        p = Protection.READ | Protection.EXECUTE
-        assert p & Protection.READ and not (p & Protection.WRITE)

@@ -1,107 +1,55 @@
-"""ProtectionManager: protection changes and shootdown costs."""
+"""The mapping-change cost model: per-node-TLB shootdown vs V-COMA update."""
 
 import pytest
 
-from repro import CustomWorkload, Machine, Scheme, SegmentSpec, TranslationFault
-from repro.system.refs import READ
-from repro.vm.page_table import Protection
-from repro.vm.protection import SHOOTDOWN_INTERRUPT_CYCLES, ProtectionManager
+from repro import MachineParams
+from repro.analysis import report
+from repro.vm.protection import SHOOTDOWN_INTERRUPT_CYCLES, home_update_cost, shootdown_cost
+
+#: ``ProtectionManager(machine).mapping_change_cost()`` on an L0-TLB and
+#: a V-COMA machine, before the cost model became two closed forms:
+#: nodes -> (per-node TLBs, V-COMA), on ``MachineParams.scaled_down(
+#: factor=32, page_size=256)``.
+MACHINE_COSTS = {2: (232, 20), 4: (264, 20), 8: (328, 20), 16: (456, 20), 32: (712, 20)}
 
 
-def build(params, scheme):
-    workload = CustomWorkload(
-        [SegmentSpec("data", 8 * params.page_size)],
-        lambda node, ctx: iter(()),
-        name="noop",
-    )
-    return Machine(params, scheme, workload)
-
-
-def first_vpn(machine):
-    return machine.space["data"].base // machine.params.page_size
-
-
-class TestProtectionChange:
-    def test_updates_page_table_entry(self, small_params):
-        machine = build(small_params, Scheme.V_COMA)
-        manager = ProtectionManager(machine)
-        vpn = first_vpn(machine)
-        manager.change_protection(vpn, Protection.READ)
-        home = machine.layout.home_node_of_vpn(vpn)
-        assert machine.page_tables[home].walk(vpn).protection == Protection.READ
-
-    def test_unknown_page_faults(self, small_params):
-        machine = build(small_params, Scheme.V_COMA)
-        manager = ProtectionManager(machine)
-        with pytest.raises(TranslationFault):
-            manager.change_protection(0xDEAD000, Protection.READ)
-
-    def test_counts_changes(self, small_params):
-        machine = build(small_params, Scheme.V_COMA)
-        manager = ProtectionManager(machine)
-        manager.change_protection(first_vpn(machine), Protection.READ)
-        assert manager.counters["protection_changes"] == 1
+def at(nodes):
+    return MachineParams.scaled_down(factor=32, page_size=256).replace(nodes=nodes)
 
 
 class TestCosts:
+    @pytest.mark.parametrize("nodes", sorted(MACHINE_COSTS))
+    def test_closed_forms_equal_the_machine_costs(self, nodes):
+        assert (shootdown_cost(at(nodes)), home_update_cost(at(nodes))) == MACHINE_COSTS[nodes]
+
     def test_tlb_scheme_pays_full_shootdown(self, small_params):
-        machine = build(small_params, Scheme.L0_TLB)
-        manager = ProtectionManager(machine)
-        cost = manager.change_protection(first_vpn(machine), Protection.READ)
         others = small_params.nodes - 1
-        expected = (
+        assert shootdown_cost(small_params) == (
             small_params.request_msg_cycles
             + SHOOTDOWN_INTERRUPT_CYCLES
             + others * small_params.request_msg_cycles
         )
-        assert cost == expected
-        assert manager.counters["shootdown_interrupts"] == others
 
     def test_vcoma_cost_is_home_side_only(self, small_params):
-        machine = build(small_params, Scheme.V_COMA)
-        manager = ProtectionManager(machine)
-        cost = manager.change_protection(first_vpn(machine), Protection.READ)
-        # No holders beyond preload's master at home-ish nodes; cost is
-        # one request + directory access (+ maybe one update round).
-        assert cost <= (
-            small_params.request_msg_cycles * 3
-            + small_params.directory_lookup_latency
+        assert home_update_cost(small_params) == (
+            small_params.request_msg_cycles + small_params.directory_lookup_latency
         )
-        assert manager.counters["shootdown_interrupts"] == 0
-
-    def test_vcoma_updates_block_holders(self, small_params):
-        machine = build(small_params, Scheme.V_COMA)
-        # Give the page a remote sharer first.
-        segment = machine.space["data"]
-        machine.nodes[1].reference(False, segment.base, now=0)
-        manager = ProtectionManager(machine)
-        manager.change_protection(first_vpn(machine), Protection.READ)
-        assert manager.counters["holder_updates"] >= 1
 
     def test_shootdown_cost_grows_with_nodes(self):
-        from repro import MachineParams
-
-        costs = []
-        for nodes in (2, 4, 8):
-            params = MachineParams.scaled_down(factor=64, nodes=nodes, page_size=256)
-            machine = build(params, Scheme.L0_TLB)
-            costs.append(ProtectionManager(machine).mapping_change_cost())
+        costs = [shootdown_cost(at(nodes)) for nodes in (2, 4, 8)]
         assert costs == sorted(costs)
         assert costs[-1] > costs[0]
 
     def test_vcoma_cost_constant_in_nodes(self):
-        from repro import MachineParams
+        assert len({home_update_cost(at(nodes)) for nodes in (2, 4, 8)}) == 1
 
-        costs = []
-        for nodes in (2, 4, 8):
-            params = MachineParams.scaled_down(factor=64, nodes=nodes, page_size=256)
-            machine = build(params, Scheme.V_COMA)
-            costs.append(ProtectionManager(machine).mapping_change_cost())
-        assert len(set(costs)) == 1
 
-    def test_unmap_counts(self, small_params):
-        machine = build(small_params, Scheme.L1_TLB)
-        manager = ProtectionManager(machine)
-        cost = manager.unmap_page(first_vpn(machine))
-        assert cost > 0
-        assert manager.counters["unmaps"] == 1
+class TestShootdownExperiment:
+    def test_tlb_cost_grows_vcoma_constant(self):
+        rows = report._shootdown(report.Setup(at(8)), results=None)
+        assert [nodes for nodes, _, _ in rows] == [2, 4, 8, 16, 32]
+        tlb_costs = [t for _, t, _ in rows]
+        vcoma_costs = [v for _, _, v in rows]
+        assert tlb_costs == sorted(tlb_costs) and tlb_costs[-1] > tlb_costs[0]
+        assert len(set(vcoma_costs)) == 1
+        assert all(v < t for (_, t, v) in rows)

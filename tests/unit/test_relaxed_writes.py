@@ -59,3 +59,33 @@ class TestRelaxedWrites:
         node = machine.nodes[0]
         addr = machine.space["data"].base
         assert node.reference(True, addr, now=0) > 0
+
+
+class TestRelaxedTimingCell:
+    """``JobSpec.timing(relaxed_writes=True)``: the ``ablation-consistency``
+    cell, headless on the compiled engine, equals the scalar relaxed run."""
+
+    def test_cell_equals_scalar_relaxed_machine(self, small_params):
+        from repro import make_workload
+        from repro.runner import JobSpec, RunSummary
+        from repro.system.taps import TimingAgent
+
+        spec = JobSpec.timing(
+            small_params, Scheme.L0_TLB, "ocean", 8, relaxed_writes=True,
+            max_refs_per_node=600, overrides={"intensity": 0.3},
+        )
+        machine = Machine(
+            small_params, Scheme.L0_TLB, make_workload("ocean", intensity=0.3),
+            agent=TimingAgent(small_params, Scheme.L0_TLB, 8), relaxed_writes=True,
+        )
+        oracle = RunSummary.from_result(Simulator(machine, max_refs_per_node=600, fast=False).run())
+        cell = spec.execute()
+        sc = JobSpec.timing(
+            small_params, Scheme.L0_TLB, "ocean", 8,
+            max_refs_per_node=600, overrides={"intensity": 0.3},
+        )
+        for summary in (cell, oracle):
+            summary.backend = summary.fallback_reason = None
+        assert cell.to_dict() == oracle.to_dict()
+        assert cell.total_time < sc.execute().total_time
+        assert spec.content_hash() != sc.content_hash()

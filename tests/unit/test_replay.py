@@ -235,13 +235,17 @@ def recorded():
     """Every (tap, node) stream of a recorded 2-node radix trace set,
     named as ``replay_study`` names its banks."""
     from repro import MachineParams, make_workload
-    from repro.system.taptrace import capture_tap_traces
+    from repro.system.taptrace import REQUESTER, capture_tap_traces
 
     params = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
     traces = capture_tap_traces(
         params, make_workload("radix", intensity=0.2), max_refs_per_node=300
     )
-    return traces.seed, {f"{tap}:{node}": column for (tap, node), column in traces.streams.items()}
+    return traces.seed, {
+        f"{tap}:{node}": column
+        for (tap, node), column in traces.streams.items()
+        if tap != REQUESTER
+    }
 
 
 def with_threads(monkeypatch, threads):

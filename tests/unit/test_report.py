@@ -115,11 +115,12 @@ class TestRegistry:
 
         monkeypatch.setattr(taptrace, "capture_tap_traces", counting_capture)
         chosen = [entry for entry in report.EXPERIMENTS
-                  if entry.id in ("fig8", "numa", "ablation-organization")]
+                  if entry.id in ("fig8", "numa", "ablation-organization", "ablation-sharing")]
         setup = report.Setup(TINY, workloads=("radix",))
         _, _, outcomes = report.run_cells(chosen, setup, BatchRunner(jobs=1))
-        # Three sweep cells share one hierarchy run of radix.
-        assert len(outcomes) == 3 and all(job.ok for job in outcomes)
+        # Three COMA sweep cells and the sharing cell share one
+        # hierarchy run of radix; the CC-NUMA cell captures nothing.
+        assert len(outcomes) == 5 and all(job.ok for job in outcomes)
         assert len(captured) == 1
 
     def test_paper_run_renders_every_experiment(self, capsys):
@@ -148,3 +149,53 @@ class TestRegistry:
     def test_unknown_experiment_is_rejected(self):
         with pytest.raises(SystemExit):
             main(["paper", "run", "fig99", *TINY_ARGS])
+
+
+class TestCollectRunsNoSimulation:
+    """Every experiment gets its simulations from runner cells, so a
+    warm run simulates nothing and ``collect`` only reads ``Results``."""
+
+    #: Figure 11's placement profiles still build a machine to read the
+    #: global-set pressure; moving them waits for the benchmark ledger
+    #: to reconcile a machine-free warm report (ROADMAP item 2).
+    BUILDS_A_MACHINE = ("fig11", "fig11-padding")
+
+    @pytest.fixture(scope="class")
+    def filled(self, tmp_path_factory):
+        from repro.runner import BatchRunner, ResultCache
+
+        cache = ResultCache(tmp_path_factory.mktemp("results"))
+        setup = report.Setup(TINY, workloads=("radix", "raytrace"))
+        cold = BatchRunner(jobs=1, cache=cache)
+        setup, results, outcomes = report.run_cells(report.EXPERIMENTS, setup, cold)
+        assert all(job.ok for job in outcomes) and cold.stats.simulations == len(outcomes)
+        return cache, setup, results
+
+    def test_a_warm_run_simulates_nothing(self, filled):
+        from repro.runner import BatchRunner
+
+        cache, setup, _ = filled
+        warm = BatchRunner(jobs=1, cache=cache)
+        _, _, outcomes = report.run_cells(report.EXPERIMENTS, setup, warm)
+        assert len(report.EXPERIMENTS) == 17
+        assert warm.stats.simulations == 0
+        assert warm.stats.from_cache == len(outcomes)
+
+    def test_collect_builds_no_machine_and_runs_no_simulator(self, filled, monkeypatch):
+        from repro.numa import NumaMachine
+        from repro.system.machine import Machine
+        from repro.system.simulator import Simulator
+
+        _, setup, results = filled
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("collect simulated outside the runner")
+
+        for owner, attr in ((Machine, "__init__"), (NumaMachine, "__init__"), (Simulator, "run")):
+            monkeypatch.setattr(owner, attr, forbidden)
+        for entry in report.EXPERIMENTS:
+            if entry.id in self.BUILDS_A_MACHINE:
+                with pytest.raises(AssertionError, match="outside the runner"):
+                    entry.collect(setup, results)
+            else:
+                entry.render(setup, entry.collect(setup, results))

@@ -16,9 +16,12 @@ from repro import MachineParams
 from repro.core.schemes import TapPoint
 from repro.core.tlb import Organization
 from repro.runner import JobSpec, TraceStore
+from repro.system import taptrace
 from repro.system.taptrace import (
+    REQUESTER,
     TRACE_FORMAT,
     TRACE_MAGIC,
+    CaptureAgent,
     TapTraceSet,
     TraceError,
     capture_tap_traces,
@@ -119,6 +122,28 @@ class TestRoundTrip:
         scalar.base.backend = traces.base.backend
         scalar.base.fallback_reason = traces.base.fallback_reason
         assert scalar.to_bytes() == traces.to_bytes()
+        assert all(len(scalar.requesters(home)) for home in range(params.nodes))
+
+
+class TestRequesterColumn:
+    def test_one_requester_per_home_lookup(self, params, traces):
+        for home in range(params.nodes):
+            requesters = traces.requesters(home)
+            assert len(requesters) == len(traces.stream(TapPoint.HOME, home)) > 0
+            assert set(requesters) <= set(range(params.nodes))
+
+    def test_round_trips_through_bytes(self, traces):
+        again = TapTraceSet.from_bytes(traces.to_bytes())
+        for home in range(traces.nodes):
+            assert list(again.requesters(home)) == list(traces.requesters(home))
+            assert again.streams[(REQUESTER, home)].itemsize == 4
+
+    def test_capture_without_a_requester_is_an_error(self, params):
+        agent = CaptureAgent(params)
+        with pytest.raises(ValueError, match="requesting node"):
+            agent.at_home(0, 8)
+        agent.at_home(0, 8, requester=1)
+        assert list(agent.streams()[(REQUESTER, 0)]) == [1]
 
 
 class TestCorruption:
@@ -243,6 +268,28 @@ class TestTraceStore:
                 assert store.get(spec) is None
             assert not path.exists(), "corrupt file must be quarantined"
         assert store.corrupt_dropped == 4
+
+    def test_old_format_entry_is_a_clean_miss_then_recaptured(self, tmp_path, spec, traces, monkeypatch):
+        """An entry written under the previous TRACE_FORMAT lives under
+        another key: the store misses without a warning or a
+        quarantine, and the runner records the trace again."""
+        import warnings
+
+        from repro.runner import BatchRunner
+
+        store = TraceStore(root=tmp_path)
+        with monkeypatch.context() as old:
+            old.setattr(taptrace, "TRACE_FORMAT", TRACE_FORMAT - 1)
+            stale = store.put(spec, traces)
+            assert store.get(spec) is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.get(spec) is None
+            runner = BatchRunner(jobs=1, trace_store=store)
+            (outcome,) = runner.run([spec])
+        assert outcome.ok and store.contains(spec)
+        assert store.corrupt_dropped == 0 and store.quarantined == 0
+        assert stale.exists() and len(store) == 2
 
     def test_lru_eviction_keeps_recently_used(self, tmp_path, params, traces):
         specs = [
