@@ -16,8 +16,8 @@ TLB/DLB statistics, latency histograms); the only allowed difference
 is the ``backend`` tag itself.  The traced rows attach a file-backed
 :class:`~repro.obs.trace.Tracer` to both runs and require the JSONL
 bytes to match as well: the compiled engine writes the tracer's packed
-records itself, so these rows drive its trace buffer through growth
-and repeated drains.
+records itself, barrier and lock events included, so these rows drive
+its trace buffer through growth and repeated drains.
 
 Every ``CASES`` row also runs a third time as a runner job
 (``JobSpec.execute``), which reads its summary straight from the
@@ -62,9 +62,13 @@ CASES = (
     ("ocean", 0.2, 16, Organization.FULLY_ASSOCIATIVE, 250, True),
 )
 #: (scheme, workload, intensity, entries) run with a JSONL tracer.
+#: Radix has barriers; raytrace adds the ``sim.lock`` records and the
+#: lock-word stores' ``ref`` spans.
 TRACED_CASES = (
     (Scheme.V_COMA, "radix", 0.3, 8),
     (Scheme.L2_TLB, "radix", 0.3, 8),
+    (Scheme.V_COMA, "raytrace", 0.5, 8),
+    (Scheme.L0_TLB, "raytrace", 0.5, 8),
 )
 
 

@@ -1,15 +1,12 @@
-/* Compiled timing kernel: the scalar simulator's READ/WRITE hot path,
- * ported statement-for-statement so results are bit-identical.
+/* Compiled timing kernel: the scalar simulator's run loop, ported
+ * statement-for-statement so results are bit-identical.
  *
- * The Python side (repro.core.timing_kernels / repro.system.fast_simulator)
- * owns everything between synchronization points is NOT true here: this
- * kernel owns the (clock, node) event heap and processes whole columnar
- * epochs of plain loads/stores; it returns to Python only when the
- * minimum-clock node's next event is a BARRIER/LOCK/UNLOCK, when a node's
- * stream ends (or hits max_refs), when the heap drains, or (traced runs)
- * when the trace buffer passes its drain limit.  Python then
- * performs exactly the scalar engine's synchronization bookkeeping and
- * re-enters.
+ * This kernel owns the (clock, node) event heap and the whole run:
+ * plain loads/stores, barriers, FIFO locks and each node's stream end
+ * (or max_refs cut), exactly as Simulator._run_scalar orders them.
+ * fs_run returns to Python once, when the heap drains (or on an
+ * error), plus, on traced runs, whenever the trace buffer passes its
+ * drain limit.
  *
  * Exactness requirements honoured here:
  *  - CPython's random.Random: MT19937 seeded via init_by_array over the
@@ -43,14 +40,25 @@
 /* status / error codes                                                */
 /* ------------------------------------------------------------------ */
 #define FS_DONE 0
-#define FS_SYNC 1
-#define FS_NEED_FINISH 2
-#define FS_TRACE_FULL 3 /* trace buffer passed its flush limit; drain, re-enter */
+#define FS_TRACE_FULL 1 /* trace buffer passed its flush limit; drain, re-enter */
 
 #define FS_ERR_PROTOCOL (-1)
 #define FS_ERR_CAPACITY (-2)
 #define FS_ERR_KEY (-3)
 #define FS_ERR_INTERNAL (-4)
+/* the scalar engine's ReproErrors, detail in fs_run's out / fs_sync_words */
+#define FS_ERR_DEADLOCK (-5)       /* barriers never released */
+#define FS_ERR_BARRIER_TWICE (-6)  /* out: node, barrier */
+#define FS_ERR_UNLOCK (-7)         /* out: node, word, holder (-1: none) */
+#define FS_ERR_LOCKS_HELD (-8)     /* locks still held at the end */
+#define FS_ERR_OPCODE (-9)         /* out: the unknown opcode */
+
+/* reference-stream opcodes (repro.system.refs) */
+#define REF_READ 0
+#define REF_WRITE 1
+#define REF_BARRIER 2
+#define REF_LOCK 3
+#define REF_UNLOCK 4
 
 /* message kinds (order mirrors repro.interconnect.message.MessageKind) */
 #define MSG_READ_REQUEST 0
@@ -181,6 +189,8 @@ enum {
     TC_HIT,
     TC_FILL,
     TC_PHASE,
+    TC_BARRIER,
+    TC_LOCK,
     TC_PHASE_EVERY, /* refs between "phase" events; 0 disables */
     TC_LIMIT,       /* buffered bytes that make fs_run return FS_TRACE_FULL */
     TC_FAIL_GROWTH, /* injected fault: the buffer never grows past its first chunk */
@@ -637,10 +647,10 @@ static int cap_push(Cap *c, int64_t page) {
 /*                                                                     */
 /* With a tracer attached, the kernel writes the tracer's own packed   */
 /* record format ([u8 codec][n x int64 LE], see fs_trace_render) for   */
-/* every record the scalar engine would emit inside the inter-sync     */
-/* region, in the same order.  Span ids, the innermost open span and   */
-/* the tracer's last seen time are mirrored here and exchanged with    */
-/* the Python tracer at every fs_run / fs_reference boundary.  Spans   */
+/* every record the scalar engine would emit inside its "run" span,    */
+/* in the same order.  Span ids, the innermost open span and the       */
+/* tracer's last seen time are mirrored here and exchanged with the    */
+/* Python tracer at every fs_run boundary.  Spans                      */
 /* are written when they close (children before parents), exactly as  */
 /* Tracer.end does.                                                    */
 /* ------------------------------------------------------------------ */
@@ -811,6 +821,72 @@ static void heap_pop(Heap *h, int64_t *t_out, int32_t *n_out) {
 }
 
 /* ------------------------------------------------------------------ */
+/* lock table: Simulator._run_scalar's lock_holder/lock_queue dicts    */
+/* ------------------------------------------------------------------ */
+/* Locks are numbered in first-acquisition order (the holder dict's    */
+/* insertion order); index is an open-addressing table over the words  */
+/* holding lock number + 1 (0: empty).  Each lock's FIFO of waiters is */
+/* linked through per-node fields: a waiting node is in one queue.     */
+typedef struct {
+    int64_t *word;
+    int32_t *holder, *head, *tail; /* -1: none */
+    int32_t *index;                /* 2 * cap slots */
+    int32_t n, cap;
+} Locks;
+
+static void locks_free(Locks *lk) {
+    free(lk->word);
+    free(lk->holder);
+    free(lk->head);
+    free(lk->tail);
+    free(lk->index);
+}
+
+static int lock_find(const Locks *lk, int64_t word) {
+    if (!lk->cap) return -1;
+    uint64_t mask = 2 * (uint64_t)lk->cap - 1;
+    for (uint64_t i = map_hash(word) & mask; lk->index[i]; i = (i + 1) & mask)
+        if (lk->word[lk->index[i] - 1] == word) return lk->index[i] - 1;
+    return -1;
+}
+
+static void lock_index(Locks *lk, int32_t l) {
+    uint64_t mask = 2 * (uint64_t)lk->cap - 1;
+    uint64_t i = map_hash(lk->word[l]) & mask;
+    while (lk->index[i]) i = (i + 1) & mask;
+    lk->index[i] = l + 1;
+}
+
+/* a new, free lock for word; -1 on allocation failure */
+static int lock_add(Locks *lk, int64_t word) {
+    if (lk->n == lk->cap) {
+        int32_t cap = lk->cap ? 2 * lk->cap : 8;
+        int64_t *w = (int64_t *)realloc(lk->word, sizeof(int64_t) * cap);
+        if (w) lk->word = w;
+        int32_t *h = (int32_t *)realloc(lk->holder, sizeof(int32_t) * cap);
+        if (h) lk->holder = h;
+        int32_t *hd = (int32_t *)realloc(lk->head, sizeof(int32_t) * cap);
+        if (hd) lk->head = hd;
+        int32_t *tl = (int32_t *)realloc(lk->tail, sizeof(int32_t) * cap);
+        if (tl) lk->tail = tl;
+        int32_t *ix = (int32_t *)calloc(2 * (size_t)cap, sizeof(int32_t));
+        if (!w || !h || !hd || !tl || !ix) {
+            free(ix);
+            return -1;
+        }
+        free(lk->index);
+        lk->index = ix;
+        lk->cap = cap;
+        for (int32_t l = 0; l < lk->n; l++) lock_index(lk, l);
+    }
+    int32_t l = lk->n++;
+    lk->word[l] = word;
+    lk->holder[l] = lk->head[l] = lk->tail[l] = -1;
+    lock_index(lk, l);
+    return l;
+}
+
+/* ------------------------------------------------------------------ */
 /* the simulator state                                                 */
 /* ------------------------------------------------------------------ */
 typedef struct FastSim {
@@ -846,6 +922,19 @@ typedef struct FastSim {
     int64_t *port_free_at; /* per destination node (contention mode) */
     uint8_t *finished;
     Heap heap;
+
+    /* synchronization: Simulator._run_scalar's barrier and lock state */
+    int64_t *sync;      /* per node: cycles charged to sync */
+    int64_t active;     /* nodes not yet finished */
+    int64_t barriers;   /* barrier events executed */
+    uint8_t *at_bar;    /* per node: waiting at bar_of[n] since bar_at[n] */
+    int64_t *bar_of, *bar_at;
+    int64_t *bar_ids;   /* outstanding barriers in arrival order (<= nodes) */
+    int64_t *bar_count; /* their arrivals */
+    int64_t nbar;
+    Locks locks;
+    int32_t *lq_next;   /* per node: next waiter in its lock's queue */
+    int64_t *lq_at;     /* per node: when it queued */
 
     int64_t translation_accum;
 
@@ -1758,6 +1847,15 @@ FastSim *fs_create(const int64_t *geom) {
     s->port_free_at = (int64_t *)calloc(nodes, sizeof(int64_t));
     s->finished = (uint8_t *)calloc(nodes, sizeof(uint8_t));
     s->cand = (int32_t *)calloc(nodes, sizeof(int32_t));
+    s->sync = (int64_t *)calloc(nodes, sizeof(int64_t));
+    s->at_bar = (uint8_t *)calloc(nodes, sizeof(uint8_t));
+    s->bar_of = (int64_t *)calloc(nodes, sizeof(int64_t));
+    s->bar_at = (int64_t *)calloc(nodes, sizeof(int64_t));
+    s->bar_ids = (int64_t *)calloc(nodes, sizeof(int64_t));
+    s->bar_count = (int64_t *)calloc(nodes, sizeof(int64_t));
+    s->lq_next = (int32_t *)calloc(nodes, sizeof(int32_t));
+    s->lq_at = (int64_t *)calloc(nodes, sizeof(int64_t));
+    s->active = nodes;
     /* Any failed calloc above, or any init below, releases the whole
        partially-built struct (fs_destroy tolerates NULL members), so a
        NULL return never leaks. */
@@ -1766,7 +1864,8 @@ FastSim *fs_create(const int64_t *geom) {
         !s->rh_buckets || !s->wh_buckets || !s->rh_count || !s->rh_total ||
         !s->wh_count || !s->wh_total || !s->ops || !s->vals || !s->slen ||
         !s->pos || !s->clock || !s->refs_done || !s->port_free_at ||
-        !s->finished || !s->cand) {
+        !s->finished || !s->cand || !s->sync || !s->at_bar || !s->bar_of ||
+        !s->bar_at || !s->bar_ids || !s->bar_count || !s->lq_next || !s->lq_at) {
         fs_destroy(s);
         return 0;
     }
@@ -1858,6 +1957,15 @@ void fs_destroy(FastSim *s) {
         free(s->caps);
     }
     free(s->cand);
+    free(s->sync);
+    free(s->at_bar);
+    free(s->bar_of);
+    free(s->bar_at);
+    free(s->bar_ids);
+    free(s->bar_count);
+    free(s->lq_next);
+    free(s->lq_at);
+    locks_free(&s->locks);
     free(s->tr.buf);
     free(s);
 }
@@ -1998,7 +2106,154 @@ void fs_trace_open_span(FastSim *s, int i, int64_t *out) {
     memcpy(out + 5, sp->vals, 8 * (size_t)sp->nvals);
 }
 
-/* ---- run control ---- */
+/* ---- run control: Simulator._run_scalar, synchronization included ---- */
+
+/* a lock-word store (acquire, unlock, hand-off): Node.reference(True, word) */
+static int64_t lock_store(FastSim *s, int node, int64_t word, int64_t now) {
+    int64_t cycles = node_reference(s, node, 1, word, now);
+    if (cycles >= 0 && (s->cap_oom || s->tr.oom)) return FS_ERR_INTERNAL;
+    return cycles;
+}
+
+static inline int wake(FastSim *s, int node, int64_t t) {
+    s->clock[node] = t;
+    return heap_push(&s->heap, t, (int32_t)node) ? FS_ERR_INTERNAL : 0;
+}
+
+/* Simulator._maybe_release_barrier for outstanding barrier b: 1 if it
+ * released (and left the outstanding list), 0 if not, < 0 on error */
+static int barrier_release(FastSim *s, int64_t b) {
+    if (s->bar_count[b] < s->active) return 0;
+    int64_t id = s->bar_ids[b], release = 0;
+    for (int64_t n = 0; n < s->nodes; n++)
+        if (s->at_bar[n] && s->bar_of[n] == id && s->bar_at[n] > release)
+            release = s->bar_at[n];
+    for (int64_t n = 0; n < s->nodes; n++) {
+        if (!s->at_bar[n] || s->bar_of[n] != id) continue;
+        s->at_bar[n] = 0;
+        s->sync[n] += release - s->bar_at[n];
+        if (wake(s, (int)n, release)) return FS_ERR_INTERNAL;
+    }
+    s->nbar--;
+    memmove(s->bar_ids + b, s->bar_ids + b + 1, sizeof(int64_t) * (s->nbar - b));
+    memmove(s->bar_count + b, s->bar_count + b + 1, sizeof(int64_t) * (s->nbar - b));
+    return 1;
+}
+
+static int barrier_arrive(FastSim *s, int n, int64_t id, int64_t now, int64_t *out) {
+    s->barriers++;
+    if (s->trace) {
+        int64_t v[2] = {n, id};
+        tr_event(&s->tr, (int)s->tr.cfg[TC_BARRIER], now, v, 2);
+    }
+    if (s->at_bar[n]) {
+        /* Unreachable: a waiting node is off the heap.  The second
+           arrival mirrors the scalar engine's check. */
+        if (s->bar_of[n] != id) return FS_ERR_INTERNAL;
+        out[0] = n;
+        out[1] = id;
+        return FS_ERR_BARRIER_TWICE;
+    }
+    int64_t b = 0;
+    while (b < s->nbar && s->bar_ids[b] != id) b++;
+    if (b == s->nbar) {
+        s->bar_ids[b] = id;
+        s->bar_count[b] = 0;
+        s->nbar++;
+    }
+    s->bar_count[b]++;
+    s->at_bar[n] = 1;
+    s->bar_of[n] = id;
+    s->bar_at[n] = now;
+    s->clock[n] = now;
+    int released = barrier_release(s, b);
+    return released < 0 ? released : 0;
+}
+
+static int lock_acquire(FastSim *s, int n, int64_t word, int64_t now) {
+    Locks *lk = &s->locks;
+    int l = lock_find(lk, word);
+    if (l >= 0 && lk->holder[l] >= 0) { /* queue behind the holder */
+        s->lq_next[n] = -1;
+        s->lq_at[n] = now;
+        if (lk->tail[l] < 0) lk->head[l] = n;
+        else s->lq_next[lk->tail[l]] = n;
+        lk->tail[l] = n;
+        return 0;
+    }
+    if (l < 0 && (l = lock_add(lk, word)) < 0) return FS_ERR_INTERNAL;
+    lk->holder[l] = n;
+    if (s->trace) {
+        int64_t v[2] = {n, word};
+        tr_event(&s->tr, (int)s->tr.cfg[TC_LOCK], now, v, 2);
+    }
+    int64_t stall = lock_store(s, n, word, now);
+    if (stall < 0) return (int)stall;
+    return wake(s, n, now + stall);
+}
+
+/* the head of lock l's queue, removed; -1 when nobody waits */
+static int lock_dequeue(Locks *lk, const int32_t *next, int l) {
+    int waiter = lk->head[l];
+    if (waiter >= 0) {
+        lk->head[l] = next[waiter];
+        if (lk->head[l] < 0) lk->tail[l] = -1;
+    }
+    return waiter;
+}
+
+static int lock_release(FastSim *s, int n, int64_t word, int64_t now, int64_t *out) {
+    Locks *lk = &s->locks;
+    int l = lock_find(lk, word);
+    int holder = l < 0 ? -1 : lk->holder[l];
+    if (holder != n) {
+        out[0] = n;
+        out[1] = word;
+        out[2] = holder;
+        return FS_ERR_UNLOCK;
+    }
+    int64_t stall = lock_store(s, n, word, now);
+    if (stall < 0) return (int)stall;
+    int64_t release = now + stall;
+    if (wake(s, n, release)) return FS_ERR_INTERNAL;
+    int waiter = lock_dequeue(lk, s->lq_next, l);
+    lk->holder[l] = waiter;
+    if (waiter < 0) return 0;
+    s->sync[waiter] += release - s->lq_at[waiter];
+    stall = lock_store(s, waiter, word, release);
+    if (stall < 0) return (int)stall;
+    return wake(s, waiter, release + stall);
+}
+
+/* the node's stream ended or hit max_refs: it leaves the run, handing
+ * each lock it holds to the first waiter (no lock-word store), and
+ * counts as arrived at every outstanding barrier */
+static int node_finish(FastSim *s, int n, int64_t now) {
+    Locks *lk = &s->locks;
+    s->finished[n] = 1;
+    s->clock[n] = now;
+    s->active--;
+    for (int l = 0; l < lk->n; l++) {
+        if (lk->holder[l] != n) continue;
+        int waiter = lock_dequeue(lk, s->lq_next, l);
+        lk->holder[l] = waiter;
+        if (waiter < 0) continue;
+        int64_t arrival = s->lq_at[waiter];
+        s->sync[waiter] += now > arrival ? now - arrival : 0;
+        if (heap_push(&s->heap, now > arrival ? now : arrival, waiter))
+            return FS_ERR_INTERNAL;
+    }
+    for (int64_t b = 0; b < s->nbar;) {
+        int released = barrier_release(s, b);
+        if (released < 0) return released;
+        if (!released) b++;
+    }
+    return 0;
+}
+
+/* Runs until the heap drains: out[0] = end time, out[1] = barriers.
+ * Every node's idle tail is charged to sync, as the scalar engine's
+ * final implicit barrier does.  Errors leave their detail in out. */
 int fs_run(FastSim *s, int64_t *out) {
     Heap *h = &s->heap;
     const int64_t think = s->think;
@@ -2007,20 +2262,15 @@ int fs_run(FastSim *s, int64_t *out) {
         int32_t n;
         heap_pop(h, &now, &n);
         if (s->finished[n]) continue;
-        if (s->max_refs >= 0 && s->refs_done[n] >= s->max_refs) {
-            out[0] = n;
-            out[1] = now;
-            return FS_NEED_FINISH;
-        }
-        if (s->pos[n] >= s->slen[n]) {
-            out[0] = n;
-            out[1] = now;
-            return FS_NEED_FINISH;
+        if ((s->max_refs >= 0 && s->refs_done[n] >= s->max_refs) || s->pos[n] >= s->slen[n]) {
+            int status = node_finish(s, n, now);
+            if (status) return status;
+            continue;
         }
         uint8_t op = s->ops[n][s->pos[n]];
+        int64_t value = s->vals[n][s->pos[n]++];
+        int status = 0;
         if (op <= 1) {
-            int64_t value = s->vals[n][s->pos[n]];
-            s->pos[n]++;
             int64_t stall = node_reference(s, n, op, value, now + think);
             if (stall < 0) return (int)stall;
             if (s->cap_oom) return FS_ERR_INTERNAL;
@@ -2034,38 +2284,60 @@ int fs_run(FastSim *s, int64_t *out) {
                 tr->total_refs++;
                 if (every && tr->total_refs % every == 0)
                     tr_event(tr, (int)tr->cfg[TC_PHASE], t, &tr->total_refs, 1);
-                if (tr->oom) return FS_ERR_INTERNAL;
-                if (tr->len >= tr->limit) return FS_TRACE_FULL;
             }
+        } else if (op == REF_BARRIER) {
+            status = barrier_arrive(s, n, value, now, out);
+        } else if (op == REF_LOCK) {
+            status = lock_acquire(s, n, value, now);
+        } else if (op == REF_UNLOCK) {
+            status = lock_release(s, n, value, now, out);
         } else {
-            out[0] = n;
-            out[1] = now;
-            out[2] = op;
-            out[3] = s->vals[n][s->pos[n]];
-            return FS_SYNC;
+            out[0] = op;
+            return FS_ERR_OPCODE;
+        }
+        if (status) return status;
+        if (s->trace) {
+            if (s->tr.oom) return FS_ERR_INTERNAL;
+            if (s->tr.len >= s->tr.limit) return FS_TRACE_FULL;
         }
     }
+    if (s->nbar) return FS_ERR_DEADLOCK;
+    for (int l = 0; l < s->locks.n; l++)
+        if (s->locks.holder[l] >= 0) return FS_ERR_LOCKS_HELD;
+    int64_t end = 0;
+    for (int64_t n = 0; n < s->nodes; n++)
+        if (s->clock[n] > end) end = s->clock[n];
+    for (int64_t n = 0; n < s->nodes; n++) s->sync[n] += end - s->clock[n];
+    out[0] = end;
+    out[1] = s->barriers;
     return FS_DONE;
 }
 
-/* lock-word stores from the Python sync handlers */
-int64_t fs_reference(FastSim *s, int node, int is_write, int64_t vaddr, int64_t now) {
-    int64_t cycles = node_reference(s, node, is_write, vaddr, now);
-    if (cycles >= 0 && (s->cap_oom || s->tr.oom)) return FS_ERR_INTERNAL;
-    return cycles;
+/* The list behind FS_ERR_DEADLOCK (outstanding barrier ids, ascending)
+ * or FS_ERR_LOCKS_HELD (held lock words, first-acquisition order);
+ * returns its length and, when out is not NULL, writes it there. */
+int64_t fs_sync_words(FastSim *s, int64_t *out) {
+    int64_t count = 0;
+    if (s->nbar) {
+        for (int64_t b = 0; b < s->nbar; b++) {
+            int64_t id = s->bar_ids[b], i = b;
+            if (out) {
+                while (i > 0 && out[i - 1] > id) {
+                    out[i] = out[i - 1];
+                    i--;
+                }
+                out[i] = id;
+            }
+        }
+        return s->nbar;
+    }
+    for (int l = 0; l < s->locks.n; l++) {
+        if (s->locks.holder[l] < 0) continue;
+        if (out) out[count] = s->locks.word[l];
+        count++;
+    }
+    return count;
 }
-
-void fs_consume_op(FastSim *s, int node) { s->pos[node]++; }
-
-void fs_push(FastSim *s, int64_t t, int node) { heap_push(&s->heap, t, (int32_t)node); }
-
-void fs_set_clock(FastSim *s, int node, int64_t t) { s->clock[node] = t; }
-
-int64_t fs_get_clock(FastSim *s, int node) { return s->clock[node]; }
-
-void fs_mark_finished(FastSim *s, int node) { s->finished[node] = 1; }
-
-int64_t fs_refs_done(FastSim *s, int node) { return s->refs_done[node]; }
 
 /* ---- copyback accessors ---- */
 void fs_export_global(FastSim *s, int64_t *values, int64_t *calls) {
@@ -2078,10 +2350,13 @@ void fs_export_node_counters(FastSim *s, int node, int64_t *values, int64_t *cal
     memcpy(calls, s->node_calls + node * N_NODE_CTR, N_NODE_CTR * sizeof(int64_t));
 }
 
+/* [loc_stall, rem_stall, tlb_stall, sync, refs done] */
 void fs_export_breakdown(FastSim *s, int node, int64_t *out) {
     out[0] = s->loc_stall[node];
     out[1] = s->rem_stall[node];
     out[2] = s->tlb_stall[node];
+    out[3] = s->sync[node];
+    out[4] = s->refs_done[node];
 }
 
 void fs_export_hist(FastSim *s, int node, int is_write, int64_t *buckets, int64_t *count_total) {
@@ -2204,13 +2479,6 @@ void fs_shuffle_selftest(const uint32_t *state, int32_t *arr, int len) {
 /* them, so int64 arithmetic cannot overflow.                          */
 /* ------------------------------------------------------------------ */
 #define GEN_DECLINE (-1)
-
-/* reference-stream opcodes (repro.system.refs) */
-#define REF_READ 0
-#define REF_WRITE 1
-#define REF_BARRIER 2
-#define REF_LOCK 3
-#define REF_UNLOCK 4
 
 /* generator kinds, in timing_kernels.STREAM_KINDS order */
 enum { GEN_RADIX, GEN_FFT, GEN_FMM, GEN_OCEAN, GEN_RAYTRACE, GEN_BARNES, GEN_KINDS };

@@ -1,15 +1,12 @@
 """Compiled columnar timing kernels (backend loader + stream columnarization).
 
 The timing path's hot loop — heap-ordered reference interleaving through
-FLC/SLC/AM lookups, protocol transitions, and crossbar charging — is
-irreducibly sequential *between* synchronization points but involves no
-Python-level decisions there: barriers, locks, and stream end are the
-only events where cross-node ordering must consult simulator policy.
-``fastsim.c`` exploits that split.  Each node's reference stream is
-materialized into columnar arrays (one ``uint8`` opcode column, one
-``int64`` value column) and handed to a compiled engine that runs the
-whole machine — heap, caches, attraction memories, directory, TLB/DLB,
-RNG — returning to Python only at sync events.
+FLC/SLC/AM lookups, protocol transitions, crossbar charging, barriers and
+FIFO locks — is irreducibly sequential but involves no Python-level
+decisions.  Each node's reference stream is materialized into columnar
+arrays (one ``uint8`` opcode column, one ``int64`` value column) and
+handed to ``fastsim.c``, which runs the whole machine — heap, caches,
+attraction memories, directory, TLB/DLB, RNG, sync — in one call.
 
 The columns of the six paper workloads are written in C too:
 ``fs_stream`` holds a twin of each workload's ``node_stream``, fed by
@@ -89,13 +86,7 @@ void fs_seed_engine(FastSim *s, const uint32_t *state);
 void fs_seed_tlb(FastSim *s, int idx, const uint32_t *state);
 void fs_port_load(FastSim *s, const int64_t *free_at);
 int fs_run(FastSim *s, int64_t *out);
-int64_t fs_reference(FastSim *s, int node, int is_write, int64_t vaddr, int64_t now);
-void fs_consume_op(FastSim *s, int node);
-void fs_push(FastSim *s, int64_t t, int node);
-void fs_set_clock(FastSim *s, int node, int64_t t);
-int64_t fs_get_clock(FastSim *s, int node);
-void fs_mark_finished(FastSim *s, int node);
-int64_t fs_refs_done(FastSim *s, int node);
+int64_t fs_sync_words(FastSim *s, int64_t *out);
 void fs_export_global(FastSim *s, int64_t *values, int64_t *calls);
 void fs_export_node_counters(FastSim *s, int node, int64_t *values, int64_t *calls);
 void fs_export_breakdown(FastSim *s, int node, int64_t *out);
@@ -140,13 +131,16 @@ int64_t fs_trace_render(const char *stream, int64_t nbytes,
 
 # fs_run status codes.
 DONE = 0
-SYNC = 1
-NEED_FINISH = 2
-TRACE_FULL = 3
+TRACE_FULL = 1
 ERR_PROTOCOL = -1
 ERR_CAPACITY = -2
 ERR_KEY = -3
 ERR_INTERNAL = -4
+ERR_DEADLOCK = -5
+ERR_BARRIER_TWICE = -6
+ERR_UNLOCK = -7
+ERR_LOCKS_HELD = -8
+ERR_OPCODE = -9
 
 # GEOM vector slots (order of the C enum).
 (
@@ -201,6 +195,8 @@ ERR_INTERNAL = -4
     TC_HIT,
     TC_FILL,
     TC_PHASE,
+    TC_BARRIER,
+    TC_LOCK,
     TC_PHASE_EVERY,
     TC_LIMIT,
     TC_FAIL_GROWTH,
@@ -210,7 +206,7 @@ ERR_INTERNAL = -4
     TC_READ,
     TC_WRITE,
     TC_MSG_NAMES,
-) = range(18)
+) = range(20)
 TC_STATE_NAMES = TC_MSG_NAMES + 10  # N_MSG_KINDS
 TC_LEN = TC_STATE_NAMES + 4
 

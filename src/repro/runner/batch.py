@@ -69,6 +69,7 @@ from repro.runner.cache import ResultCache
 from repro.runner.jobs import JobSpec
 from repro.runner.manifest import RunManifest
 from repro.runner.summary import GridStats, RunSummary
+from repro.system.fast_simulator import is_degradation
 
 #: progress(done_so_far, total, job_result) — called as each job lands
 #: (successes, cache/manifest restores, and — under keep_going —
@@ -442,8 +443,7 @@ class BatchRunner:
             if backend:
                 stats.backends[backend] = stats.backends.get(backend, 0) + 1
             reason = getattr(summary, "fallback_reason", None)
-            # "fast=False" is a caller's choice, not a degradation.
-            if reason and reason != "fast=False":
+            if is_degradation(reason):
                 stats.fallback_reasons[reason] = (
                     stats.fallback_reasons.get(reason, 0) + 1
                 )

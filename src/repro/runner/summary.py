@@ -49,8 +49,9 @@ class GridStats:
     #: "compiled+replay".
     backends: Dict[str, int] = field(default_factory=dict)
     #: Degradation provenance: summary ``fallback_reason`` -> number of
-    #: executed jobs stamped with it ("fast=False" and None excluded —
-    #: only genuine degradations count).
+    #: executed jobs stamped with it.  Only runs that could have run
+    #: compiled count (``fast_simulator.is_degradation``): not
+    #: ``"fast=False"``, nor a machine the C engine does not model.
     fallback_reasons: Dict[str, int] = field(default_factory=dict)
     #: Store hygiene (this run's delta, cache + trace store combined):
     #: corrupt/partial files moved to quarantine.

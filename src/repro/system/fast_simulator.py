@@ -2,12 +2,11 @@
 
 Drives the ``fastsim`` C engine (see :mod:`repro.core.timing_kernels`)
 over materialized columnar reference streams.  The C engine owns the
-whole inter-sync machine — event heap, FLC/SLC/AM hierarchies, COMA-F
-protocol, directory, crossbar charging, TLB/DLB with the scalar path's
-exact Mersenne Twister streams — and returns to Python only at
-synchronization events (barriers, locks, stream end), where this module
-replays :class:`~repro.system.simulator.Simulator`'s sync semantics
-verbatim through thin C accessors.
+whole run — event heap, FLC/SLC/AM hierarchies, COMA-F protocol,
+directory, crossbar charging, TLB/DLB with the scalar path's exact
+Mersenne Twister streams, and
+:class:`~repro.system.simulator.Simulator`'s barrier, lock and
+stream-end semantics — so an untraced run is one ``fs_run`` call.
 
 A run has three phases:
 
@@ -16,7 +15,8 @@ A run has three phases:
    (:func:`~repro.system.machine.place_pages`), placing each block as
    ``ProtocolEngine.preload_block`` does.  The streams are materialized
    (or taken from the stream LRU) and the RNG states seeded.
-2. **Sync loop.**  ``fs_run`` until every node has finished.
+2. **Run.**  ``fs_run`` until every node has finished; a sync error
+   raises the scalar engine's :class:`~repro.common.errors.ReproError`.
 3. **Export, by caller.**  A :class:`HeadlessRun` — what runner jobs
    and tap-trace captures use — reads back only what its
    :class:`~repro.runner.summary.RunSummary` needs: breakdowns,
@@ -41,17 +41,16 @@ mode is modelled.
 
 Traced timing runs are modelled too.  The C engine writes the
 tracer's packed records (:mod:`repro.obs.trace`) for everything the
-scalar engine would emit between synchronization points, using the
-codec and string-table ids of the emitters the machine's layers
-hoisted.  :func:`_sync_loop` syncs the tracer's span-id counter and
-last seen time into C before every ``fs_run``/``fs_reference`` call,
-drains the buffer after it (``fs_run`` also returns ``TRACE_FULL``
-when the buffer passes ``PACKED_FLUSH_BYTES``), and emits the generic
-``run`` span and ``sim.barrier``/``sim.lock`` events itself, so the
-trace is byte-identical to the scalar run's.  Once a record has
-reached the tracer the run counts as mutated: a later failure
-propagates instead of re-running on the scalar engine and writing
-every record twice.
+scalar engine would emit inside its ``run`` span, using the codec
+and string-table ids of the emitters the machine's layers hoisted.
+:func:`_sync_loop` syncs the tracer's span-id counter and last seen
+time into C before every ``fs_run`` call and drains the buffer after
+it (``fs_run`` returns ``TRACE_FULL`` whenever the buffer passes
+``PACKED_FLUSH_BYTES``); Python opens and closes the ``run`` span
+itself, so the trace is byte-identical to the scalar run's.  Once a
+record has reached the tracer the run counts as mutated: a later
+failure propagates instead of re-running on the scalar engine and
+writing every record twice.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ from repro.system.machine import (
     merge_counters,
     place_pages,
 )
-from repro.system.refs import BARRIER, LOCK, UNLOCK
 from repro.system.results import RunResult, timing_summary
 from repro.system.taps import TimingAgent
 
@@ -83,6 +81,10 @@ _TAP_CODE = {
     TapPoint.L3: tk.TAP_L3,
     TapPoint.HOME: tk.TAP_HOME,
 }
+
+#: ``fallback_reason`` prefixes of the two degradations (is_degradation).
+_DEGRADED = "compiled engine degraded: "
+_UNAVAILABLE = "compiled backend unavailable: "
 
 _N_ENGINE_GLOBALS = 11  # glob[0:11] → engine.counters, the rest → crossbar
 
@@ -149,7 +151,7 @@ def fallback_reason(simulator) -> Optional[str]:
     if not sweep_agent and type(agent) not in (TimingAgent, TranslationAgent):
         return f"unsupported agent {type(agent).__name__}"
     if tk.get_backend() is None:
-        return f"compiled backend unavailable: {tk.backend_status()}"
+        return f"{_UNAVAILABLE}{tk.backend_status()}"
     if sweep_agent:
         return (
             f"machine-backed {type(agent).__name__} "
@@ -224,7 +226,15 @@ def degraded_reason(exc: BaseException) -> str:
 
     detail = getattr(exc, "reason", None) or str(exc) or "MemoryError"
     record_fallback("compiled", detail)
-    return f"compiled engine degraded: {detail}"
+    return f"{_DEGRADED}{detail}"
+
+
+def is_degradation(reason: Optional[str]) -> bool:
+    """True for a ``fallback_reason`` of a run that could have run
+    compiled: the engine degraded or the backend is missing.  A run the
+    C engine does not model (a custom machine, say) stays scalar by
+    design, and ``"fast=False"`` is the caller's choice."""
+    return bool(reason) and reason.startswith((_DEGRADED, _UNAVAILABLE))
 
 
 def run_fast(run):
@@ -372,7 +382,7 @@ def _trace_config(simulator, tracer, fail_growth: bool) -> List[int]:
     every record shape the C engine writes, read off the emitters the
     machine's layers hoisted when the tracer attached."""
     from repro.obs.trace import PACKED_FLUSH_BYTES
-    from repro.system.simulator import phase_emitter
+    from repro.system.simulator import barrier_emitter, lock_emitter, phase_emitter
 
     machine = simulator.machine
     engine = machine.engine
@@ -396,6 +406,8 @@ def _trace_config(simulator, tracer, fail_growth: bool) -> List[int]:
         config[tk.TC_HIT] = emitters[0].codec.id
         config[tk.TC_FILL] = emitters[1].codec.id
     config[tk.TC_PHASE] = phase_emitter(tracer).codec.id
+    config[tk.TC_BARRIER] = barrier_emitter(tracer).codec.id
+    config[tk.TC_LOCK] = lock_emitter(tracer).codec.id
     config[tk.TC_PHASE_EVERY] = simulator.phase_every
     config[tk.TC_LIMIT] = PACKED_FLUSH_BYTES
     config[tk.TC_FAIL_GROWTH] = int(fail_growth)
@@ -466,19 +478,22 @@ def _drive(run, source, ffi, lib, handle, timing_agent):
                 ffi.from_buffer("uint32_t[]", tk.rng_state_words(agent.buffer(n)._rng)),
             )
 
-    end_time, sync, refs_per_node, barriers = _sync_loop(run, ffi, lib, handle, count)
+    end_time, barriers = _sync_loop(run, ffi, lib, handle)
     think = source.workload.think_cycles
     breakdowns = []
-    bd3 = ffi.new("int64_t[3]")
+    refs_per_node = []
+    bd = ffi.new("int64_t[5]")
     for n in range(count):
-        lib.fs_export_breakdown(handle, n, bd3)
+        lib.fs_export_breakdown(handle, n, bd)
+        loc_stall, rem_stall, tlb_stall, sync, refs = bd
+        refs_per_node.append(refs)
         breakdowns.append(
             TimeBreakdown(
-                busy=think * refs_per_node[n],
-                sync=sync[n],
-                loc_stall=int(bd3[0]),
-                rem_stall=int(bd3[1]),
-                tlb_stall=int(bd3[2]),
+                busy=think * refs,
+                sync=sync,
+                loc_stall=loc_stall,
+                rem_stall=rem_stall,
+                tlb_stall=tlb_stall,
             )
         )
     engine_counters, crossbar_counters = _global_counters(ffi, lib, handle)
@@ -522,171 +537,72 @@ def _drive(run, source, ffi, lib, handle, timing_agent):
     )
 
 
-def _sync_loop(run, ffi, lib, handle, count: int):
-    """Run ``fs_run`` to completion, applying
+def _sync_loop(run, ffi, lib, handle):
+    """Run the whole simulation in ``fs_run``, which applies
     :class:`~repro.system.simulator.Simulator`'s barrier, lock and
-    stream-end semantics at every sync event C hands back.  Returns
-    ``(end_time, sync cycles per node, refs per node, barriers)``."""
-    sync: List[int] = [0] * count
-    active = count
-    barriers_seen = 0
-    barrier_arrivals = {}
-    lock_holder = {}
-    lock_queue = {}
-    out = ffi.new("int64_t[4]")
+    stream-end semantics itself, and return ``(end_time, barriers)``.
 
-    # Tracing: the tracer's span-id counter and last seen time go into C
-    # before every fs_run/fs_reference and come back with the records C
-    # wrote, which are drained before Python emits a generic record of
-    # its own — so the stream interleaves exactly as the scalar run's.
+    A traced run re-enters after every ``TRACE_FULL`` return: the
+    tracer's span-id counter and last seen time go into C before each
+    call and come back with the records C wrote, which are drained into
+    the tracer."""
+    out = ffi.new("int64_t[4]")
     machine = run.machine
     tracer = None if machine is None else machine.tracer
-    if tracer is not None:
+    if tracer is None:
+        status = lib.fs_run(handle, out)
+    else:
         take_state = ffi.new("int64_t[4]")
-        # fs_trace_open_span: 5 header words + up to 4 begin values.
-        open_span = ffi.new("int64_t[]", 5 + 4)
-
-    def enter() -> None:
-        if tracer is not None:
+        status = tk.TRACE_FULL
+        while status == tk.TRACE_FULL:
             lib.fs_trace_sync(handle, *tracer.span_state)
+            status = lib.fs_run(handle, out)
+            _drain(run, tracer, ffi, lib, handle, status, take_state)
+    if status != tk.DONE:
+        _raise_run_error(status, ffi, lib, handle, out)
+    return out[0], out[1]
 
-    def drain(status: int) -> None:
-        if tracer is None:
-            return
-        data = lib.fs_trace_take(handle, take_state)
-        if status == tk.ERR_INTERNAL:
-            # A degradable failure: records still in C never reach the
-            # tracer, so a run that had emitted nothing may re-run.
-            return
-        tracer.span_state = (int(take_state[1]), int(take_state[2]))
-        if take_state[0]:
-            # Records left C: a scalar re-run would write them twice.
-            run._fast_state_mutated = True
-            tracer.take_packed(ffi.buffer(data, take_state[0]))
-        if status < 0:
-            # Spans C left open on an engine error stay open on the
-            # tracer, as after a scalar raise (close() truncates them).
-            for i in range(int(take_state[3])):
-                lib.fs_trace_open_span(handle, i, open_span)
-                values = [int(open_span[5 + j]) for j in range(int(open_span[4]))]
-                tracer.push_open(*(int(open_span[j]) for j in range(4)), values)
 
-    def emit(name: str, now: int, **attrs) -> None:
-        if tracer is not None:
-            run._fast_state_mutated = True
-            tracer.event(name, now, **attrs)
+def _drain(run, tracer, ffi, lib, handle, status: int, take_state) -> None:
+    """Move the records C buffered into the tracer."""
+    data = lib.fs_trace_take(handle, take_state)
+    if status == tk.ERR_INTERNAL:
+        # A degradable failure: records still in C never reach the
+        # tracer, so a run that had emitted nothing may re-run.
+        return
+    tracer.span_state = (take_state[1], take_state[2])
+    if take_state[0]:
+        # Records left C: a scalar re-run would write them twice.
+        run._fast_state_mutated = True
+        tracer.take_packed(ffi.buffer(data, take_state[0]))
+    if status < 0:
+        # Spans C left open on an engine error stay open on the
+        # tracer, as after a scalar raise (close() truncates them).
+        open_span = ffi.new("int64_t[]", 5 + 4)  # 5 header words + begin values
+        for i in range(take_state[3]):
+            lib.fs_trace_open_span(handle, i, open_span)
+            values = [open_span[5 + j] for j in range(open_span[4])]
+            tracer.push_open(*(open_span[j] for j in range(4)), values)
 
-    def reference(node: int, word: int, now: int) -> int:
-        enter()
-        stall = int(lib.fs_reference(handle, node, 1, word, now))
-        drain(stall)
-        if stall < 0:
-            _raise_engine_error(stall)
-        return stall
 
-    def maybe_release_barrier(barrier_id: int) -> None:
-        arrivals = barrier_arrivals.get(barrier_id)
-        if arrivals is None or len(arrivals) < active:
-            return
-        release = max(arrivals.values()) if arrivals else 0
-        for node_id, arrived in arrivals.items():
-            sync[node_id] += release - arrived
-            lib.fs_set_clock(handle, node_id, release)
-            lib.fs_push(handle, release, node_id)
-        del barrier_arrivals[barrier_id]
-
-    def finish(node: int, now: int) -> None:
-        nonlocal active
-        lib.fs_mark_finished(handle, node)
-        lib.fs_set_clock(handle, node, now)
-        active -= 1
-        for word, holder in list(lock_holder.items()):
-            if holder != node:
-                continue
-            queue = lock_queue.get(word)
-            if queue:
-                waiter, arrival = queue.pop(0)
-                lock_holder[word] = waiter
-                sync[waiter] += max(0, now - arrival)
-                lib.fs_push(handle, max(now, arrival), waiter)
-            else:
-                lock_holder[word] = None
-        for barrier_id in list(barrier_arrivals):
-            maybe_release_barrier(barrier_id)
-
-    while True:
-        enter()
-        status = int(lib.fs_run(handle, out))
-        drain(status)
-        if status == tk.DONE:
-            break
-        if status < 0:
-            _raise_engine_error(status)
-        if status == tk.TRACE_FULL:
-            continue
-        n, now = int(out[0]), int(out[1])
-        if status == tk.NEED_FINISH:
-            finish(n, now)
-            continue
-        op, value = int(out[2]), int(out[3])
-        lib.fs_consume_op(handle, n)
-        if op == BARRIER:
-            barriers_seen += 1
-            emit("sim.barrier", now, node=n, barrier=value)
-            arrivals = barrier_arrivals.setdefault(value, {})
-            if n in arrivals:
-                raise ReproError(
-                    f"node {n} reached barrier {value} twice before release"
-                )
-            arrivals[n] = now
-            lib.fs_set_clock(handle, n, now)
-            maybe_release_barrier(value)
-        elif op == LOCK:
-            holder = lock_holder.get(value)
-            if holder is None:
-                lock_holder[value] = n
-                emit("sim.lock", now, node=n, word=value)
-                stall = reference(n, value, now)
-                lib.fs_set_clock(handle, n, now + stall)
-                lib.fs_push(handle, now + stall, n)
-            else:
-                lock_queue.setdefault(value, []).append((n, now))
-        elif op == UNLOCK:
-            if lock_holder.get(value) != n:
-                raise ReproError(
-                    f"node {n} unlocks {value:#x} held by {lock_holder.get(value)}"
-                )
-            stall = reference(n, value, now)
-            release_time = now + stall
-            lib.fs_set_clock(handle, n, release_time)
-            lib.fs_push(handle, release_time, n)
-            queue = lock_queue.get(value)
-            if queue:
-                waiter, arrival = queue.pop(0)
-                lock_holder[value] = waiter
-                sync[waiter] += release_time - arrival
-                acquire_stall = reference(waiter, value, release_time)
-                lib.fs_set_clock(handle, waiter, release_time + acquire_stall)
-                lib.fs_push(handle, release_time + acquire_stall, waiter)
-            else:
-                lock_holder[value] = None
-        else:
-            raise ReproError(f"unknown opcode {op}")
-
-    if barrier_arrivals:
-        raise ReproError(
-            f"deadlock: barriers {sorted(barrier_arrivals)} never released"
-        )
-    held = [w for w, h in lock_holder.items() if h is not None]
-    if held:
-        raise ReproError(f"locks still held at end of run: {held}")
-
-    clock = [int(lib.fs_get_clock(handle, n)) for n in range(count)]
-    end_time = max(clock) if clock else 0
-    for n in range(count):
-        sync[n] += end_time - clock[n]
-    refs_per_node = [int(lib.fs_refs_done(handle, n)) for n in range(count)]
-    return end_time, sync, refs_per_node, barriers_seen
+def _raise_run_error(status: int, ffi, lib, handle, out) -> None:
+    """Raise what the scalar engine raises for the same run."""
+    if status in (tk.ERR_DEADLOCK, tk.ERR_LOCKS_HELD):
+        count = lib.fs_sync_words(handle, ffi.NULL)
+        buf = ffi.new("int64_t[]", max(count, 1))
+        lib.fs_sync_words(handle, buf)
+        words = list(buf)[:count]
+        if status == tk.ERR_DEADLOCK:
+            raise ReproError(f"deadlock: barriers {words} never released")
+        raise ReproError(f"locks still held at end of run: {words}")
+    if status == tk.ERR_BARRIER_TWICE:
+        raise ReproError(f"node {out[0]} reached barrier {out[1]} twice before release")
+    if status == tk.ERR_UNLOCK:
+        holder = None if out[2] < 0 else out[2]
+        raise ReproError(f"node {out[0]} unlocks {out[1]:#x} held by {holder}")
+    if status == tk.ERR_OPCODE:
+        raise ReproError(f"unknown opcode {out[0]}")
+    _raise_engine_error(status)
 
 
 def _global_counters(ffi, lib, handle):

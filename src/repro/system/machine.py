@@ -99,28 +99,57 @@ def place_pages(
 ) -> Placement:
     """Assign every page of ``space`` its protocol page and global set.
 
-    Raises :class:`~repro.common.errors.CapacityError` when physical
-    memory runs out or a global page set overflows its ``P*K`` slots.
+    A page's global set is the low bits of its protocol page: the VPN
+    with a virtual AM, else the PFN, and a fresh allocator without
+    colouring hands out PFNs 0, 1, 2, … in page order.  So the whole
+    placement is range arithmetic; only a data set that does not fit is
+    replayed page by page, so that the first page that does not fit
+    raises the :class:`~repro.common.errors.CapacityError` it always
+    has (physical memory runs out, or a global page set overflows its
+    ``P*K`` slots).
     """
-    pressure = PressureTracker(
-        layout.global_page_sets, params.page_slots_per_global_set
-    )
-    frames = None
-    if not virtual_am:
-        frames = FrameAllocator(layout, params.pages_per_am, coloring=False)
+    colors = layout.global_page_sets
+    slots = params.page_slots_per_global_set
+    pressure = PressureTracker(colors, slots)
+    ranges = [segment.pages(params.page_size) for segment in space]
     vpns = array("q")
-    ppns = array("q")
-    for segment in space:
-        for vpn in segment.pages(params.page_size):
-            if virtual_am:
-                ppn = vpn
-                pressure.allocate_page(layout.global_page_set_of_vpn(vpn))
-            else:
-                ppn = frames.allocate(vpn)
-                pressure.allocate_page(frames.color_of(ppn))
-            vpns.append(vpn)
-            ppns.append(ppn)
+    for pages in ranges:
+        vpns.extend(pages)
+    count = len(vpns)
+    if virtual_am:
+        frames = None
+        ppns = array("q", vpns)
+        occupied = [0] * colors
+        for pages in ranges:
+            _count_colors(occupied, pages)
+        fits = max(occupied) <= slots
+    else:
+        frames = FrameAllocator(layout, params.pages_per_am, coloring=False)
+        ppns = array("q", range(count))
+        whole, extra = divmod(count, colors)
+        occupied = [whole + (c < extra) for c in range(colors)]
+        fits = count <= frames.total_frames and max(occupied) <= slots
+    if fits:
+        pressure.occupy(occupied)
+        if frames is not None:
+            frames.allocate_first(vpns)
+    else:
+        for vpn in vpns:
+            ppn = vpn if frames is None else frames.allocate(vpn)
+            pressure.allocate_page(ppn & (colors - 1))
     return Placement(vpns, ppns, pressure, frames)
+
+
+def _count_colors(occupied: List[int], pages: range) -> None:
+    """Add the pages of one contiguous VPN range to each colour's count."""
+    colors = len(occupied)
+    whole, extra = divmod(len(pages), colors)
+    if whole:
+        for c in range(colors):
+            occupied[c] += whole
+    first = pages.start
+    for i in range(extra):
+        occupied[(first + i) & (colors - 1)] += 1
 
 
 def merge_counters(bags: List[Counters], agent, scheme: Scheme) -> Counters:

@@ -49,6 +49,12 @@ class PressureTracker:
         if self._occupied[gps] > self.peak[gps]:
             self.peak[gps] = self._occupied[gps]
 
+    def occupy(self, counts: List[int]) -> None:
+        """``allocate_page(gps, counts[gps])`` for every global set."""
+        for gps, count in enumerate(counts):
+            if count:
+                self.allocate_page(gps, count)
+
     def free_page(self, gps: int, count: int = 1) -> None:
         if self._occupied[gps] < count:
             raise ValueError(f"global page set {gps}: freeing more than occupied")

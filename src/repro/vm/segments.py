@@ -58,11 +58,11 @@ class Segment:
             )
         return self.base + offset
 
-    def pages(self, page_size: int) -> Iterator[int]:
+    def pages(self, page_size: int) -> range:
         """Virtual page numbers the segment touches."""
         first = self.base // page_size
         last = (self.end - 1) // page_size
-        return iter(range(first, last + 1))
+        return range(first, last + 1)
 
     def page_count(self, page_size: int) -> int:
         first = self.base // page_size

@@ -8,9 +8,9 @@ images in LRU order, directory entries, TLB contents, Mersenne Twister
 states, the translation accumulator) — matches a run driven by the
 scalar engine, which is retained purely as the differential-testing
 oracle.  Sync-heavy workloads are the hard part (barriers, lock
-contention, truncation mid-critical-section hand control back to Python
-sync policy), so RAYTRACE's lock-heavy streams and hand-built
-barrier-imbalanced streams are first-class cases here.
+contention, truncation mid-critical-section), so RAYTRACE's lock-heavy
+streams and hand-built barrier-imbalanced streams are first-class cases
+here, along with the scalar engine's sync errors.
 
 Traced runs are held to the same contract one level further out: the
 compiled engine writes the tracer's packed records itself, and the
@@ -28,6 +28,8 @@ The matrix also covers the degraded environment: the full scalar
 fallback with the compiled backend disabled (``REPRO_NO_COMPILED``)
 must produce the same numbers again.
 """
+
+import re
 
 import pytest
 
@@ -312,6 +314,30 @@ class TestContentionPortState:
         assert summary_surface(idle) != summary_surface(fast)
 
 
+def raised(streams, params, fast):
+    """The ReproError a run of ``streams`` raises on one engine."""
+    machine = literal_machine(params, Scheme.V_COMA, streams)
+    with pytest.raises(ReproError) as info:
+        Simulator(machine, fast=fast).run()
+    return type(info.value), str(info.value)
+
+
+class _CountingLib:
+    """Pass-through stand-in for the cffi library that counts ``fs_run``
+    calls."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.runs = 0
+
+    def fs_run(self, *args):
+        self.runs += 1
+        return self._lib.fs_run(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+
 class TestSyncHeavy:
     def test_barrier_imbalanced_streams(self, params):
         """One node races ahead; two idle at barriers; one finishes
@@ -384,6 +410,81 @@ class TestSyncHeavy:
         assert fast.barriers == scalar.barriers == 3
         assert summary_surface(fast) == summary_surface(scalar)
         assert machine_state(fast.machine) == machine_state(scalar.machine)
+
+    @pytest.mark.parametrize(
+        "streams, message",
+        [
+            # Two nodes wait at different barriers while the other two
+            # finish: neither barrier ever gathers the active nodes.
+            ([[(BARRIER, 5)], [(BARRIER, 3)], [], []],
+             r"deadlock: barriers \[3, 5\] never released"),
+            ([[(UNLOCK, 64)], [], [], []], r"node 0 unlocks 0x[0-9a-f]+ held by None"),
+            # Node 0 wins the tie at t=0 and takes the lock first.
+            ([[(LOCK, 64), (UNLOCK, 64)], [(UNLOCK, 64)], [], []],
+             r"node 1 unlocks 0x[0-9a-f]+ held by 0"),
+            # Node 0 queues behind itself: both words stay held, listed
+            # in first-acquisition order.
+            ([[(LOCK, 128), (LOCK, 64), (LOCK, 128)], [], [], []],
+             r"locks still held at end of run: \[\d+, \d+\]"),
+            ([[(READ, 0), (7, 0)], [], [], []], r"unknown opcode 7"),
+        ],
+        ids=["deadlock", "unlock-unheld", "unlock-foreign", "locks-held", "opcode"],
+    )
+    def test_sync_errors_match_the_scalar_engine(self, params, streams, message):
+        fast = raised(streams, params, True)
+        assert fast == raised(streams, params, False)
+        assert re.fullmatch(message, fast[1])
+
+    def test_held_locks_in_first_acquisition_order(self, params):
+        _, text = raised([[(LOCK, 128), (LOCK, 64), (LOCK, 128)], [], [], []], params, True)
+        base = literal_machine(params, Scheme.V_COMA, [[]] * 4).ctx.segment("data").base
+        assert text.endswith(f"[{base + 128}, {base + 64}]")
+
+    def test_reused_barrier_id_is_a_new_episode(self, params):
+        """A second arrival at a barrier is an error only before its
+        release: a waiting node is off the heap, so no stream reaches
+        that error, and an id reused after release is a fresh barrier."""
+        streams = [[(BARRIER, 0), (READ, 64), (BARRIER, 0)]] * 4
+        fast = Simulator(literal_machine(params, Scheme.V_COMA, streams)).run()
+        scalar = Simulator(literal_machine(params, Scheme.V_COMA, streams), fast=False).run()
+        assert fast.backend == "compiled" and fast.barriers == 8
+        assert summary_surface(fast) == summary_surface(scalar)
+
+    @pytest.mark.parametrize("contention", [False, True], ids=["free", "contention"])
+    @pytest.mark.parametrize("max_refs", range(17))
+    def test_lock_convoy_cut_at_every_position(self, params, max_refs, contention):
+        """Node i holds the lock for i + 1 stores, four times over, so
+        the cuts land at every position inside every node's critical
+        sections (and right before each unlock).  Port contention makes
+        each lock-word store's stall depend on when it is issued."""
+        streams = [
+            ([(LOCK, 0)] + [(WRITE, 64 * (j + 1)) for j in range(i + 1)] + [(UNLOCK, 0)]) * 4
+            for i in range(4)
+        ]
+        fast = Simulator(
+            literal_machine(params, Scheme.V_COMA, streams, contention=contention),
+            max_refs_per_node=max_refs,
+        ).run()
+        scalar = Simulator(
+            literal_machine(params, Scheme.V_COMA, streams, contention=contention),
+            max_refs_per_node=max_refs, fast=False,
+        ).run()
+        assert fast.backend == "compiled"
+        assert summary_surface(fast) == summary_surface(scalar)
+        assert machine_state(fast.machine) == machine_state(scalar.machine)
+
+    def test_untraced_run_is_one_c_call(self, params, monkeypatch):
+        """A run with barriers and lock contention calls ``fs_run``
+        once, machine-backed or headless."""
+        counting = _CountingLib(get_backend().lib)
+        monkeypatch.setattr(get_backend(), "lib", counting)
+        result = run_timing(params, Scheme.V_COMA, make_workload("raytrace", intensity=0.5), 8)
+        assert result.backend == "compiled" and result.barriers > 0
+        assert counting.runs == 1
+        job = JobSpec.timing(params, Scheme.L0_TLB, "raytrace", 8,
+                             overrides={"intensity": 0.5}).execute()
+        assert job.backend == "compiled"
+        assert counting.runs == 2
 
 
 class TestTracedEngineError:

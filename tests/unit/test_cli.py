@@ -1,10 +1,13 @@
 """Command-line interface."""
 
 import json
+import warnings
 
 import pytest
 
 from repro.cli import build_parser, machine_params, main
+from repro.core.ladder import FAULT_ENV
+from repro.core.timing_kernels import get_backend
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +109,30 @@ class TestCommands:
         code, out = run_cli(capsys, "paper", "run", "fig11-padding", *MACHINE)
         assert code == 0
         assert "V2 (PAGE-ALIGNED PADDING)" in out and "mean=" in out
+
+
+class TestDegradationReport:
+    """Only a cell that could have run compiled counts as degraded."""
+
+    def test_numa_cells_are_not_degradations(self, capsys):
+        code = main(["paper", "run", "numa", "--no-cache", *MACHINE])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert "NumaMachine" not in err
+        if get_backend() is not None:
+            assert "degraded" not in err and "degradations" not in err
+
+    @pytest.mark.skipif(get_backend() is None, reason="compiled timing backend unavailable")
+    def test_forced_degrade_is_still_reported(self, capsys, monkeypatch):
+        monkeypatch.setenv(FAULT_ENV, "internal")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the warn-once fallback warning
+            code = main(["paper", "run", "numa", "--no-cache", *MACHINE])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert "3 degraded to scalar" in err
+        assert "degradations: 3x compiled engine degraded" in err
+        assert "NumaMachine" not in err
 
 
 class TestReportCommand:
