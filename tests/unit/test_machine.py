@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro import CapacityError, CustomWorkload, Machine, Scheme, SegmentSpec
+from repro import CapacityError, CustomWorkload, Machine, Scheme, SegmentSpec, make_workload
 from repro.coma.states import AMState
+from repro.common.address import AddressLayout
+from repro.system.machine import build_address_space, place_pages
 from repro.system.refs import READ
+from repro.vm.frames import FrameAllocator
+from repro.vm.pressure import PressureTracker
+from repro.workloads import PAPER_ORDER
 
 
 def simple_workload(pages=8, page_size=256):
@@ -126,3 +131,41 @@ class TestAssembly:
     def test_every_scheme_builds(self, small_params, scheme):
         machine = Machine(small_params, scheme, simple_workload())
         machine.engine.check_invariants()
+
+
+def place_page_by_page(params, layout, virtual_am, space):
+    """The placement one page at a time, through the allocator and the
+    tracker: the reference :func:`place_pages` must equal."""
+    pressure = PressureTracker(layout.global_page_sets, params.page_slots_per_global_set)
+    frames = None if virtual_am else FrameAllocator(layout, params.pages_per_am)
+    vpns, ppns = [], []
+    for segment in space:
+        for vpn in segment.pages(params.page_size):
+            if virtual_am:
+                ppn = vpn
+                pressure.allocate_page(layout.global_page_set_of_vpn(vpn))
+            else:
+                ppn = frames.allocate(vpn)
+                pressure.allocate_page(frames.color_of(ppn))
+            vpns.append(vpn)
+            ppns.append(ppn)
+    return vpns, ppns, pressure, frames
+
+
+class TestPlacePages:
+    @pytest.mark.parametrize("virtual_am", [True, False], ids=["virtual", "physical"])
+    @pytest.mark.parametrize("name", PAPER_ORDER)
+    def test_equals_page_by_page_placement(self, small_params, name, virtual_am):
+        layout = AddressLayout.from_params(small_params)
+        space, _ = build_address_space(small_params, layout, make_workload(name))
+        placement = place_pages(small_params, layout, virtual_am, space)
+        vpns, ppns, pressure, frames = place_page_by_page(
+            small_params, layout, virtual_am, space
+        )
+        assert list(placement.vpns) == vpns and list(placement.ppns) == ppns
+        assert placement.pressure.profile() == pressure.profile()
+        assert placement.pressure.peak == pressure.peak
+        if virtual_am:
+            assert placement.frames is None
+        else:
+            assert vars(placement.frames) == vars(frames)
