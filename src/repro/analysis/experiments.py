@@ -39,8 +39,7 @@ from repro.core.timing_kernels import get_backend
 from repro.core.tlb import Organization
 from repro.runner.summary import RunSummary
 from repro.system.machine import Machine
-from repro.system.results import RunResult
-from repro.system.simulator import Simulator
+from repro.system.simulator import Simulator, run_summary
 from repro.system.taps import DEFAULT_SWEEP_ORGS, DEFAULT_SWEEP_SIZES, StudyAgent, StudyResults
 from repro.workloads.base import Workload
 
@@ -66,32 +65,35 @@ def run_miss_sweep(
 
     On the compiled engine the run builds no machine: a headless
     capture records every tap stream
-    (:func:`~repro.system.taptrace.capture_tap_traces`) and the banks
-    replay from it (:func:`~repro.system.taptrace.replay_summary`;
-    ``backend`` reads ``"compiled+replay"``).  ``fast=False``, a
-    :class:`~repro.obs.trace.Tracer` (which records the run's
-    span/event stream) or a missing compiled backend runs the scalar
-    oracle instead: one coupled run with a
+    (:func:`~repro.system.taptrace.capture_tap_traces`, which writes a
+    :class:`~repro.obs.trace.Tracer`'s records when one is given) and
+    the banks replay from it
+    (:func:`~repro.system.taptrace.replay_summary`; ``backend`` reads
+    ``"compiled+replay"``).  ``fast=False`` or a missing compiled
+    backend runs the scalar oracle instead: one coupled run with a
     :class:`~repro.system.taps.StudyAgent`, with ``fallback_reason``
-    saying why.  The numbers are bit-identical either way.
-    ``stream_key`` (a workload identity such as
+    saying why.  The numbers and the trace are bit-identical either
+    way.  ``stream_key`` (a workload identity such as
     ``JobSpec.trace_hash()``) lets compiled grid runs share generated
     columns through the stream LRU.
     """
-    if fast and tracer is None and get_backend() is not None:
+    if fast and get_backend() is not None:
         # Resolved at call time, as JobSpec.execute does, so wrappers
         # of the taptrace entry points see these calls too.
         from repro.system.taptrace import capture_tap_traces, replay_summary
 
         traces = capture_tap_traces(
-            params, workload, max_refs_per_node=max_refs_per_node, stream_key=stream_key
+            params, workload, max_refs_per_node=max_refs_per_node, stream_key=stream_key,
+            tracer=tracer,
         )
         return replay_summary(traces, sizes, orgs)
+    from repro.system.fast_simulator import unavailable_reason
+
     agent = StudyAgent(params, sizes=sizes, orgs=orgs)
     machine = Machine(params, Scheme.V_COMA, workload, agent=agent, tracer=tracer)
-    return RunSummary.from_result(
-        Simulator(machine, max_refs_per_node=max_refs_per_node, fast=fast).run()
-    )
+    simulator = Simulator(machine, max_refs_per_node=max_refs_per_node)
+    simulator.fallback_reason = "fast=False" if not fast else unavailable_reason()
+    return RunSummary.from_result(simulator.run())
 
 
 def run_timing(
@@ -105,7 +107,7 @@ def run_timing(
     contention: bool = False,
     tracer=None,
     fast: bool = True,
-) -> RunResult:
+) -> RunSummary:
     """Coupled run: one real translation structure, penalties charged.
 
     ``contention`` enables the crossbar's input-port serialization —
@@ -115,24 +117,30 @@ def run_timing(
     :class:`~repro.obs.trace.Tracer` records one span per reference and
     protocol transaction plus TLB/DLB hit/fill events.
 
-    ``fast=False`` forces the scalar reference engine; the default
-    prefers the compiled columnar fast path when this run is eligible
-    (bit-identical either way — ``result.backend`` records which engine
-    ran; see ``docs/performance.md``).
+    The run goes through :func:`~repro.system.simulator.run_summary`:
+    headless on the compiled engine by default, a scalar machine run
+    with ``fast=False`` (bit-identical either way — ``backend`` records
+    which engine ran; see ``docs/performance.md``).
     """
     from repro.system.taps import TimingAgent
 
-    agent = TimingAgent(
+    summary, _ = run_summary(
         params,
         scheme,
-        entries,
-        organization=organization,
-        include_l2_writebacks=include_l2_writebacks,
+        workload,
+        lambda: TimingAgent(
+            params,
+            scheme,
+            entries,
+            organization=organization,
+            include_l2_writebacks=include_l2_writebacks,
+        ),
+        contention=contention,
+        max_refs_per_node=max_refs_per_node,
+        tracer=tracer,
+        fast=fast,
     )
-    machine = Machine(
-        params, scheme, workload, agent=agent, contention=contention, tracer=tracer
-    )
-    return Simulator(machine, max_refs_per_node=max_refs_per_node, fast=fast).run()
+    return summary
 
 
 def pressure_profile(

@@ -623,7 +623,6 @@ def _dispatch(args, out) -> int:
 
     if args.command == "timing":
         from repro.runner import JobSpec
-        from repro.runner.summary import RunSummary
 
         org = Organization.DIRECT_MAPPED if args.dm else Organization.FULLY_ASSOCIATIVE
         if args.trace_out:
@@ -633,12 +632,11 @@ def _dispatch(args, out) -> int:
 
             workload = make_workload(args.workload, intensity=args.intensity)
             with Tracer(args.trace_out) as tracer:
-                live = run_timing(
+                result = run_timing(
                     params, Scheme(args.scheme), workload, args.entries,
                     organization=org, max_refs_per_node=args.refs,
                     tracer=tracer,
                 )
-            result = RunSummary.from_result(live)
             sys.stderr.write(f"wrote {args.trace_out}\n")
         else:
             spec = JobSpec.timing(

@@ -45,6 +45,42 @@ from repro.interconnect.message import MessageKind
 InclusionHook = Callable[[int, int, str], None]
 
 
+def _transaction_emitter(trace, name: str):
+    return trace.span_emitter(
+        name,
+        ("node", "write", "block", "home"),
+        ("remote", "translation"),
+        bools=("write", "remote"),
+    )
+
+
+def fetch_emitter(trace):
+    """The packed "protocol.fetch" span: ``begin(t0, node, write, block,
+    home)`` and ``end(t1, remote, translation)``.  Shared with the
+    compiled engine, which writes the same records, as it does for the
+    three shapes below."""
+    return _transaction_emitter(trace, "protocol.fetch")
+
+
+def upgrade_emitter(trace):
+    """The packed "protocol.upgrade" span, laid out as the fetch span."""
+    return _transaction_emitter(trace, "protocol.upgrade")
+
+
+def invalidate_emitter(trace):
+    """The packed invalidation: ``emit(t, node, block, home)``."""
+    return trace.event_emitter("protocol.invalidate", ("node", "block", "home"))
+
+
+def inject_emitter(trace):
+    """The packed master injection: ``emit(t, node, block, home, state)``."""
+    return trace.event_emitter(
+        "protocol.inject",
+        ("node", "block", "home", "state"),
+        enums={"state": tuple(state.name for state in AMState)},
+    )
+
+
 class TranslationAgent:
     """Where (and at what cost) addresses get translated.
 
@@ -172,21 +208,10 @@ class ProtocolEngine:
             self.fetch = self._fetch
             self.upgrade_for_write = self._upgrade_for_write
             return
-        span_keys = (("node", "write", "block", "home"), ("remote", "translation"))
-        self._em_fetch = tracer.span_emitter(
-            "protocol.fetch", *span_keys, bools=("write", "remote")
-        )
-        self._em_upgrade = tracer.span_emitter(
-            "protocol.upgrade", *span_keys, bools=("write", "remote")
-        )
-        self._em_invalidate = tracer.event_emitter(
-            "protocol.invalidate", ("node", "block", "home")
-        )
-        self._em_inject = tracer.event_emitter(
-            "protocol.inject",
-            ("node", "block", "home", "state"),
-            enums={"state": tuple(state.name for state in AMState)},
-        )
+        self._em_fetch = fetch_emitter(tracer)
+        self._em_upgrade = upgrade_emitter(tracer)
+        self._em_invalidate = invalidate_emitter(tracer)
+        self._em_inject = inject_emitter(tracer)
         self.fetch = self._traced_fetch
         self.upgrade_for_write = self._traced_upgrade_for_write
 

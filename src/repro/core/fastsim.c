@@ -19,7 +19,7 @@
  *  - The protocol engine's statement order (counter creation included:
  *    a counter key exists iff Counters.add() was called, even with 0).
  *
- * With a tracer attached (coupled timing runs), the kernel also writes
+ * With a tracer attached (timing runs and captures), the kernel also writes
  * the tracer's packed trace records -- the same bytes the scalar
  * engine's emitters produce, in the same order -- into a bounded buffer
  * that Python drains at every return (see "packed trace records").
@@ -178,7 +178,7 @@ enum {
 
 /* trace configuration array indices (timing_kernels.TC_* slots):
  * the tracer's codec ids and global string-table ids for every record
- * shape a coupled timing run emits, plus the drain limit */
+ * shape a traced run emits, plus the drain limit */
 enum {
     TC_REF = 0,    /* codec ids */
     TC_FETCH,
@@ -1982,8 +1982,8 @@ void fs_set_stream(FastSim *s, int node, const uint8_t *ops, const int64_t *vals
  * protocol page of vpns[i] (the VPN itself on virtual-AM schemes, the
  * PFN otherwise).  A block's master copy goes to the first node, from
  * its home onward, whose AM set has a free way; nothing is drawn from
- * any RNG.  Physical-AM runs also get the vpn <-> pfn maps.  Directory
- * lookups are not counted: a Python machine counts its own preload's. */
+ * any RNG.  Physical-AM runs also get the vpn <-> pfn maps.  Each
+ * block counts one directory lookup, as Directory.entry() does. */
 int fs_preload(FastSim *s, const int64_t *vpns, const int64_t *ppns, int64_t npages) {
     int64_t blocks = ((int64_t)1 << s->page_bits) / s->am_block;
     for (int64_t i = 0; i < npages; i++) {
@@ -1993,10 +1993,10 @@ int fs_preload(FastSim *s, const int64_t *vpns, const int64_t *ppns, int64_t npa
         int64_t base = ppns[i] << s->page_bits;
         for (int64_t b = 0; b < blocks; b++) {
             int64_t block = base + b * s->am_block;
-            int64_t slot = dir_entry_slot(&s->dir, block);
+            int home = home_of(s, block);
+            int64_t slot = dir_entry(s, home, block);
             if (slot < 0) return (int)slot;
             if (s->dir.owner[slot] >= 0) continue;
-            int home = home_of(s, block);
             int placed = 0;
             for (int64_t offset = 0; offset < s->nodes && !placed; offset++) {
                 int target = (int)((home + offset) & s->node_mask);
@@ -2022,19 +2022,11 @@ void fs_seed_tlb(FastSim *s, int idx, const uint32_t *state) {
     mt_load(&s->tlbs[idx].rng, state);
 }
 
-/* Crossbar._port_free_at, one entry per node */
-void fs_port_load(FastSim *s, const int64_t *free_at) {
-    memcpy(s->port_free_at, free_at, s->nodes * sizeof(int64_t));
-}
-
 /* ---- tap-stream capture (uncoupled sweep mode) ---- */
-int fs_set_capture(FastSim *s, int enable) {
-    if (enable && !s->caps) {
-        s->caps = (Cap *)calloc((size_t)(N_SWEEP_TAPS * s->nodes), sizeof(Cap));
-        if (!s->caps) return FS_ERR_INTERNAL;
-    }
-    s->capture = enable ? 1 : 0;
-    return 0;
+int fs_set_capture(FastSim *s) {
+    s->caps = (Cap *)calloc((size_t)(N_SWEEP_TAPS * s->nodes), sizeof(Cap));
+    s->capture = s->caps != NULL;
+    return s->caps ? 0 : FS_ERR_INTERNAL;
 }
 
 int64_t fs_cap_count(FastSim *s, int tap, int node) {
@@ -2339,7 +2331,7 @@ int64_t fs_sync_words(FastSim *s, int64_t *out) {
     return count;
 }
 
-/* ---- copyback accessors ---- */
+/* ---- summary accessors ---- */
 void fs_export_global(FastSim *s, int64_t *values, int64_t *calls) {
     memcpy(values, s->glob, sizeof(s->glob));
     memcpy(calls, s->glob_calls, sizeof(s->glob_calls));
@@ -2360,81 +2352,88 @@ void fs_export_breakdown(FastSim *s, int node, int64_t *out) {
 }
 
 void fs_export_hist(FastSim *s, int node, int is_write, int64_t *buckets, int64_t *count_total) {
-    if (is_write) {
-        memcpy(buckets, s->wh_buckets + node * N_HIST_BUCKETS,
-               N_HIST_BUCKETS * sizeof(int64_t));
-        count_total[0] = s->wh_count[node];
-        count_total[1] = s->wh_total[node];
-    } else {
-        memcpy(buckets, s->rh_buckets + node * N_HIST_BUCKETS,
-               N_HIST_BUCKETS * sizeof(int64_t));
-        count_total[0] = s->rh_count[node];
-        count_total[1] = s->rh_total[node];
-    }
+    memcpy(buckets, (is_write ? s->wh_buckets : s->rh_buckets) + node * N_HIST_BUCKETS,
+           N_HIST_BUCKETS * sizeof(int64_t));
+    count_total[0] = (is_write ? s->wh_count : s->rh_count)[node];
+    count_total[1] = (is_write ? s->wh_total : s->rh_total)[node];
 }
 
-/* which: 0 flc, 1 slc, 2 am.  Returns resident count; blocks/states in
- * set order, LRU order within each set. */
-int64_t fs_export_cache(FastSim *s, int node, int which, int64_t *blocks, uint8_t *states) {
-    Lru *c = which == 0 ? &s->flc[node] : which == 1 ? &s->slc[node] : &s->am[node];
-    int64_t k = 0;
+/* TLB/DLB `idx`'s [accesses, misses] */
+void fs_export_tlb(FastSim *s, int idx, int64_t *stats) {
+    stats[0] = s->tlbs[idx].accesses;
+    stats[1] = s->tlbs[idx].misses;
+}
+
+/* ---- the final machine image (the differential oracle's view) ---- */
+typedef struct {
+    int64_t *out, cap, k; /* k: the words the image needs so far */
+} Image;
+
+static inline void img_put(Image *m, int64_t v) {
+    if (m->k < m->cap) m->out[m->k] = v;
+    m->k++;
+}
+
+/* sets, hits, misses, then per set its length and (block, state) pairs */
+static void img_lru(Image *m, const Lru *c) {
+    img_put(m, c->sets);
+    img_put(m, c->hits);
+    img_put(m, c->misses);
     for (int64_t set = 0; set < c->sets; set++) {
-        int n = c->count[set];
-        for (int i = 0; i < n; i++) {
-            blocks[k] = c->blocks[set * c->assoc + i];
-            states[k] = c->states[set * c->assoc + i];
-            k++;
+        img_put(m, c->count[set]);
+        for (int i = 0; i < c->count[set]; i++) {
+            img_put(m, c->blocks[set * c->assoc + i]);
+            img_put(m, c->states[set * c->assoc + i]);
         }
     }
-    return k;
 }
 
-void fs_cache_stats(FastSim *s, int node, int which, int64_t *out) {
-    Lru *c = which == 0 ? &s->flc[node] : which == 1 ? &s->slc[node] : &s->am[node];
-    out[0] = c->hits;
-    out[1] = c->misses;
+/* random.Random.getstate()'s 625 words: mt[624] + index */
+static void img_rng(Image *m, const MT *r) {
+    for (int i = 0; i < MT_N; i++) img_put(m, r->mt[i]);
+    img_put(m, r->index);
 }
 
-int64_t fs_dir_count(FastSim *s) { return s->dir.nentries; }
-
-void fs_export_dir(FastSim *s, int64_t *blocks, int32_t *owners, uint64_t *sharers) {
-    memcpy(blocks, s->dir.blocks, s->dir.nentries * sizeof(int64_t));
-    memcpy(owners, s->dir.owner, s->dir.nentries * sizeof(int32_t));
-    memcpy(sharers, s->dir.sharers, s->dir.nentries * s->dir.swords * sizeof(uint64_t));
+/* The final machine image, flat: nodes, TLB count, page bits and sharer
+ * words per directory entry; the engine RNG, the translation
+ * accumulator and each port's free time; each node's FLC, SLC and AM;
+ * each home's directory lookups, the entry count, then per entry its
+ * block, owner (-1 = none) and sharer words; per TLB/DLB its sets,
+ * accesses, misses, per set its length and tags, then its RNG.  Writes
+ * at most `cap` words and returns the number the image needs. */
+int64_t fs_image(FastSim *s, int64_t *out, int64_t cap) {
+    Image m = {out, cap, 0};
+    int64_t head[] = {s->nodes, s->ntlb, s->page_bits, s->dir.swords};
+    for (int i = 0; i < 4; i++) img_put(&m, head[i]);
+    img_rng(&m, &s->engine_rng);
+    img_put(&m, s->translation_accum);
+    for (int64_t n = 0; n < s->nodes; n++) img_put(&m, s->port_free_at[n]);
+    for (int64_t n = 0; n < s->nodes; n++) {
+        img_lru(&m, &s->flc[n]);
+        img_lru(&m, &s->slc[n]);
+        img_lru(&m, &s->am[n]);
+    }
+    for (int64_t n = 0; n < s->nodes; n++) img_put(&m, s->dir_lookups[n]);
+    img_put(&m, s->dir.nentries);
+    for (int64_t e = 0; e < s->dir.nentries; e++) {
+        img_put(&m, s->dir.blocks[e]);
+        img_put(&m, s->dir.owner[e]);
+        for (int w = 0; w < s->dir.swords; w++)
+            img_put(&m, (int64_t)s->dir.sharers[e * s->dir.swords + w]);
+    }
+    for (int i = 0; i < s->ntlb; i++) {
+        const Tlb *t = &s->tlbs[i];
+        img_put(&m, t->sets);
+        img_put(&m, t->accesses);
+        img_put(&m, t->misses);
+        for (int64_t set = 0; set < t->sets; set++) {
+            img_put(&m, t->len[set]);
+            for (int w = 0; w < t->len[set]; w++) img_put(&m, t->tags[set * t->assoc + w]);
+        }
+        img_rng(&m, &t->rng);
+    }
+    return m.k;
 }
-
-void fs_export_dir_lookups(FastSim *s, int64_t *out) {
-    memcpy(out, s->dir_lookups, s->nodes * sizeof(int64_t));
-}
-
-void fs_export_ports(FastSim *s, int64_t *out) {
-    memcpy(out, s->port_free_at, s->nodes * sizeof(int64_t));
-}
-
-/* tags flat (sets*assoc) + per-set lengths; returns total entries */
-int64_t fs_export_tlb(FastSim *s, int idx, int64_t *tags, int32_t *lens, int64_t *stats) {
-    Tlb *t = &s->tlbs[idx];
-    memcpy(tags, t->tags, t->sets * t->assoc * sizeof(int64_t));
-    memcpy(lens, t->len, t->sets * sizeof(int32_t));
-    stats[0] = t->accesses;
-    stats[1] = t->misses;
-    int64_t total = 0;
-    for (int64_t i = 0; i < t->sets; i++) total += t->len[i];
-    return total;
-}
-
-/* 625 words: mt[624] + index (random.Random setstate layout) */
-void fs_export_engine_rng(FastSim *s, uint32_t *out) {
-    memcpy(out, s->engine_rng.mt, MT_N * sizeof(uint32_t));
-    out[MT_N] = (uint32_t)s->engine_rng.index;
-}
-
-void fs_export_tlb_rng(FastSim *s, int idx, uint32_t *out) {
-    memcpy(out, s->tlbs[idx].rng.mt, MT_N * sizeof(uint32_t));
-    out[MT_N] = (uint32_t)s->tlbs[idx].rng.index;
-}
-
-int64_t fs_translation_accum(FastSim *s) { return s->translation_accum; }
 
 /* selftest hook: n draws of genrand (== getrandbits(32)) from a
  * transferred random.Random state */

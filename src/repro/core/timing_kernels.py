@@ -22,8 +22,9 @@ the specification: the scalar engine, traffic analysis and
 The scalar engine in :mod:`repro.system.simulator` is retained as the
 differential-testing oracle; every counter, breakdown, histogram, cache
 image, and RNG state the compiled engine produces matches it bit for bit
-(``tests/integration/test_timing_equivalence.py``), whether it is read
-straight into a runner job's summary or copied back into a machine.
+(``tests/integration/test_timing_equivalence.py``): the summary is read
+straight from C, and the final machine image (``fs_image``) is read
+only by the differential oracle (:mod:`repro.fuzz.oracle`).
 
 Backend selection:
 
@@ -84,27 +85,18 @@ void fs_set_stream(FastSim *s, int node, const uint8_t *ops, const int64_t *vals
 int fs_preload(FastSim *s, const int64_t *vpns, const int64_t *ppns, int64_t npages);
 void fs_seed_engine(FastSim *s, const uint32_t *state);
 void fs_seed_tlb(FastSim *s, int idx, const uint32_t *state);
-void fs_port_load(FastSim *s, const int64_t *free_at);
 int fs_run(FastSim *s, int64_t *out);
 int64_t fs_sync_words(FastSim *s, int64_t *out);
 void fs_export_global(FastSim *s, int64_t *values, int64_t *calls);
 void fs_export_node_counters(FastSim *s, int node, int64_t *values, int64_t *calls);
 void fs_export_breakdown(FastSim *s, int node, int64_t *out);
 void fs_export_hist(FastSim *s, int node, int is_write, int64_t *buckets, int64_t *count_total);
-int64_t fs_export_cache(FastSim *s, int node, int which, int64_t *blocks, uint8_t *states);
-void fs_cache_stats(FastSim *s, int node, int which, int64_t *out);
-int64_t fs_dir_count(FastSim *s);
-void fs_export_dir(FastSim *s, int64_t *blocks, int32_t *owners, uint64_t *sharers);
-void fs_export_dir_lookups(FastSim *s, int64_t *out);
-void fs_export_ports(FastSim *s, int64_t *out);
-int64_t fs_export_tlb(FastSim *s, int idx, int64_t *tags, int32_t *lens, int64_t *stats);
-void fs_export_engine_rng(FastSim *s, uint32_t *out);
-void fs_export_tlb_rng(FastSim *s, int idx, uint32_t *out);
-int64_t fs_translation_accum(FastSim *s);
+void fs_export_tlb(FastSim *s, int idx, int64_t *stats);
+int64_t fs_image(FastSim *s, int64_t *out, int64_t cap);
 void fs_rng_selftest(const uint32_t *state, uint32_t *out, int n);
 void fs_seed_selftest(uint64_t seed, uint32_t *state, uint32_t *out, int n);
 void fs_shuffle_selftest(const uint32_t *state, int32_t *arr, int len);
-int fs_set_capture(FastSim *s, int enable);
+int fs_set_capture(FastSim *s);
 int64_t fs_cap_count(FastSim *s, int tap, int node);
 const void *fs_cap_data(FastSim *s, int tap, int node, int *width);
 int64_t fs_bank_run(int64_t entries, int64_t sets, int64_t assoc, uint32_t *rng_state,
@@ -819,10 +811,3 @@ def rng_state_words(rng) -> "array.array":
         raise ValueError("unsupported random.Random state shape")
     return array.array("I", internal)
 
-
-def load_rng_state(rng, words) -> None:
-    """Install 625 uint32 words back into a ``random.Random``."""
-    state = tuple(words)
-    if len(state) != RNG_STATE_WORDS:
-        raise ValueError("RNG state must be 625 words")
-    rng.setstate((3, state, None))

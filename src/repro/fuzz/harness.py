@@ -27,7 +27,13 @@ from typing import Callable, Dict, List, Optional
 from repro.common.params import MachineParams
 from repro.core.schemes import Scheme
 from repro.core.tlb import Organization
-from repro.fuzz.oracle import diff_paths, literal_machine, machine_state, summary_surface
+from repro.fuzz.oracle import (
+    compiled_run,
+    diff_paths,
+    literal_workload,
+    scalar_run,
+    summary_surface,
+)
 
 #: Bumped when the on-disk case schema changes shape.
 CASE_FORMAT = 1
@@ -133,55 +139,49 @@ def _build_params(case: FuzzCase) -> MachineParams:
 
 
 def _paired_results(case: FuzzCase):
-    """``((fast_result, fast_tracer), (scalar_result, scalar_tracer))``
-    for one case, freshly built each, with a memory-only tracer on both
-    sides (the compiled engine writes its own trace records)."""
+    """``((compiled, tracer), (scalar, tracer))`` for one case, each a
+    ``(summary, state)`` pair (:func:`~repro.fuzz.oracle.compiled_run`,
+    :func:`~repro.fuzz.oracle.scalar_run`) built fresh, with a
+    memory-only tracer on both sides (the compiled engine writes its
+    own trace records).  Without the compiled backend both sides run
+    the scalar oracle."""
+    from repro.coma.protocol import TranslationAgent
+    from repro.core.timing_kernels import get_backend
     from repro.obs import Tracer
+    from repro.system.taps import TimingAgent
 
+    params = _build_params(case)
     scheme = Scheme(case.scheme)
     if case.workload["kind"] == "named":
-        from repro.analysis.experiments import run_timing
         from repro.workloads import make_workload
 
-        def one(fast: bool, tracer):
-            return run_timing(
-                _build_params(case),
-                scheme,
-                make_workload(
-                    case.workload["name"], intensity=case.workload["intensity"]
-                ),
-                case.entries,
-                organization=Organization(case.organization),
-                max_refs_per_node=case.max_refs_per_node,
-                contention=case.contention,
-                tracer=tracer,
-                fast=fast,
+        def workload():
+            return make_workload(case.workload["name"], intensity=case.workload["intensity"])
+
+        def agent():
+            return TimingAgent(
+                params, scheme, case.entries, organization=Organization(case.organization)
             )
 
     else:
-        from repro.system.simulator import Simulator
-
         streams = [
             [tuple(ref) for ref in stream] for stream in case.workload["streams"]
         ]
 
-        def one(fast: bool, tracer):
-            machine = literal_machine(
-                _build_params(case),
-                scheme,
-                streams,
-                pages=case.workload["pages"],
-                contention=case.contention,
-                tracer=tracer,
-            )
-            return Simulator(
-                machine, max_refs_per_node=case.max_refs_per_node, fast=fast
-            ).run()
+        def workload():
+            return literal_workload(params, streams, pages=case.workload["pages"])
 
+        agent = TranslationAgent
+
+    compiled = compiled_run if get_backend() is not None else scalar_run
     pairs = []
-    for fast in (True, False):
+    for run in (compiled, scalar_run):
         with Tracer() as tracer:
-            pairs.append((one(fast, tracer), tracer))
+            result = run(
+                params, scheme, workload(), agent(), tracer=tracer,
+                max_refs_per_node=case.max_refs_per_node, contention=case.contention,
+            )
+        pairs.append((result, tracer))
     return pairs
 
 
@@ -213,7 +213,9 @@ def run_case(case: FuzzCase) -> Dict[str, object]:
     still executed, but it proved nothing about the compiled engine).
     """
     try:
-        (fast, fast_trace), (scalar, scalar_trace) = _paired_results(case)
+        ((fast, fast_state), fast_trace), ((scalar, scalar_state), scalar_trace) = (
+            _paired_results(case)
+        )
     except DifferentialMismatch:
         raise
     except Exception as exc:
@@ -221,9 +223,7 @@ def run_case(case: FuzzCase) -> Dict[str, object]:
             case, [f"engine crash: {type(exc).__name__}: {exc}"]
         ) from exc
     diffs = diff_paths(summary_surface(scalar), summary_surface(fast), "summary")
-    diffs += diff_paths(
-        machine_state(scalar.machine), machine_state(fast.machine), "machine"
-    )
+    diffs += diff_paths(scalar_state, fast_state, "machine")
     diffs += _trace_diffs(scalar_trace, fast_trace)
     if diffs:
         raise DifferentialMismatch(case, diffs)

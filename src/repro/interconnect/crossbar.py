@@ -25,6 +25,14 @@ from repro.common.stats import Counters
 from repro.interconnect.message import KIND_VALUES, MessageKind
 
 
+def msg_emitter(trace):
+    """The packed "msg" event: ``emit(t, kind, src, dst, cycles)``.
+    Shared with the compiled engine, which writes the same records."""
+    return trace.event_emitter(
+        "msg", ("msg", "src", "dst", "cycles"), enums={"msg": KIND_VALUES}
+    )
+
+
 class Crossbar:
     """Charges message latencies and counts traffic.
 
@@ -69,11 +77,7 @@ class Crossbar:
         if tracer is None:
             self._emit_msg = None
         else:
-            self._emit_msg = tracer.event_emitter(
-                "msg",
-                ("msg", "src", "dst", "cycles"),
-                enums={"msg": KIND_VALUES},
-            )
+            self._emit_msg = msg_emitter(tracer)
 
     def cycles_for(self, kind: MessageKind) -> int:
         """Latency of one remote message in processor cycles (node-local

@@ -216,8 +216,9 @@ class JobSpec:
         and the TLB/DLB banks for this spec's ``sizes``/``orgs`` — or,
         for a sharing job, the shared and per-requester DLBs — are
         replayed from the recording.  Results are bit-identical to the
-        coupled scalar sweep (``run_miss_sweep(..., fast=False)``), the
-        oracle the pipeline is checked against.  Timing jobs are always
+        coupled scalar sweep, the oracle the pipeline is checked
+        against (``run_miss_sweep(..., fast=False)``: one machine with
+        a ``StudyAgent`` on the scalar engine).  Timing jobs are always
         coupled: the translation penalty perturbs the interleaving, so
         there is nothing to replay.  A CC-NUMA sweep has no compiled
         twin: it runs a scalar ``NumaMachine`` with a ``StudyAgent`` and
@@ -286,9 +287,9 @@ class JobSpec:
             self.params, sizes=self.sizes, orgs=[Organization(value) for value in self.orgs]
         )
         machine = NumaMachine(self.params, Scheme.V_COMA, self.build_workload(), agent=agent)
-        return RunSummary.from_result(
-            Simulator(machine, max_refs_per_node=self.max_refs_per_node).run()
-        )
+        simulator = Simulator(machine, max_refs_per_node=self.max_refs_per_node)
+        simulator.fallback_reason = "custom machine type NumaMachine"
+        return RunSummary.from_result(simulator.run())
 
     # ------------------------------------------------------------------
     # identity

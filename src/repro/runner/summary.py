@@ -302,10 +302,11 @@ class RunSummary:
         #: summaries report "<capture backend>+replay".  None on
         #: summaries deserialized from pre-1.6 cache files.
         self.backend = backend
-        #: Why the scalar engine ran (None on the fast path; e.g.
-        #: "fast=False", "tracing attached" or "compiled backend
-        #: unavailable: ...").  None on summaries deserialized from
-        #: pre-1.7 cache files.
+        #: Why the scalar engine ran (None on the compiled engine):
+        #: "fast=False", "compiled backend unavailable: ...", "compiled
+        #: engine degraded: ..." or, for a CC-NUMA cell, "custom
+        #: machine type NumaMachine".  None on summaries deserialized
+        #: from pre-1.7 cache files.
         self.fallback_reason = fallback_reason
         #: A sharing run's counts (:func:`repro.system.taptrace.replay_sharing`);
         #: None on every other run.

@@ -8,49 +8,48 @@ Mersenne Twister streams, and
 :class:`~repro.system.simulator.Simulator`'s barrier, lock and
 stream-end semantics — so an untraced run is one ``fs_run`` call.
 
-A run has three phases:
+Every compiled run is a :class:`HeadlessRun`: it is described by
+values alone and no Python machine exists at any point.  A run has
+three phases:
 
 1. **Start.**  ``fs_preload`` builds the preloaded AM/directory/page-map
    image in C from the run's page placement
    (:func:`~repro.system.machine.place_pages`), placing each block as
    ``ProtocolEngine.preload_block`` does.  The streams are materialized
-   (or taken from the stream LRU) and the RNG states seeded.
+   (or taken from the stream LRU) and the RNG states seeded; the
+   crossbar starts idle.
 2. **Run.**  ``fs_run`` until every node has finished; a sync error
    raises the scalar engine's :class:`~repro.common.errors.ReproError`.
-3. **Export, by caller.**  A :class:`HeadlessRun` — what runner jobs
-   and tap-trace captures use — reads back only what its
-   :class:`~repro.runner.summary.RunSummary` needs: breakdowns,
-   counters, latency histograms, TLB/DLB totals and, for a capture,
-   the tap columns.  No Python machine exists at any point.  A
-   :class:`~repro.system.simulator.Simulator` holds a machine, so the
-   whole final image (cache/AM sets in LRU order, directory entries,
-   TLB contents, RNG states, port free times) is copied back into it
-   as well.
+3. **Export.**  The :class:`~repro.runner.summary.RunSummary` is read
+   straight from C: breakdowns, counters, latency histograms, TLB/DLB
+   totals and, for a capture, the tap columns.  Only the differential
+   oracle (:mod:`repro.fuzz.oracle`) also asks for the final machine
+   image, which ``fs_image`` writes as one flat int64 array.
 
 The contract is **bit-identical results**: a headless summary equals
-``RunSummary.from_result`` of the scalar run, and after a
-machine-backed run the machine is indistinguishable from one driven by
-the scalar engine, which the differential suite
+``RunSummary.from_result`` of the scalar run, and the final image
+decodes to exactly what ``machine_state`` reads off the scalar
+machine, which the differential suite
 (``tests/integration/test_timing_equivalence.py``) enforces field by
-field.  Anything the C engine does not model — custom machine or agent
-types, a tracer not attached through the machine, a sweep or capture
-agent on a machine (compiled sweeps are headless: capture, then one
-set replay) — makes :func:`fallback_reason` return a string and
-the caller stays on the scalar path.  The crossbar's port-contention
-mode is modelled.
+field.  :func:`~repro.system.simulator.run_summary` chooses the engine
+and stamps why a run stayed scalar.
 
-Traced timing runs are modelled too.  The C engine writes the
-tracer's packed records (:mod:`repro.obs.trace`) for everything the
-scalar engine would emit inside its ``run`` span, using the codec
-and string-table ids of the emitters the machine's layers hoisted.
-:func:`_sync_loop` syncs the tracer's span-id counter and last seen
-time into C before every ``fs_run`` call and drains the buffer after
-it (``fs_run`` returns ``TRACE_FULL`` whenever the buffer passes
+Traced runs are modelled too.  The C engine writes the tracer's packed
+records (:mod:`repro.obs.trace`) for everything the scalar engine
+would emit inside its ``run`` span, using the codec and string-table
+ids of the emitters each layer defines next to itself
+(:func:`~repro.system.node.ref_emitter`,
+:func:`~repro.coma.protocol.fetch_emitter` and the rest).  A traced
+run writes the trace header and attaches the agent as
+:class:`~repro.system.machine.Machine` does.  :func:`_sync_loop`
+syncs the tracer's span-id counter and last seen time into C before
+every ``fs_run`` call and drains the buffer after it (``fs_run``
+returns ``TRACE_FULL`` whenever the buffer passes
 ``PACKED_FLUSH_BYTES``); Python opens and closes the ``run`` span
 itself, so the trace is byte-identical to the scalar run's.  Once a
-record has reached the tracer the run counts as mutated: a later
-failure propagates instead of re-running on the scalar engine and
-writing every record twice.
+record has reached the tracer the run counts as mutated
+(``HeadlessRun.mutated``): a later failure propagates instead of
+re-running on the scalar engine and writing every record twice.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from typing import Dict, List, Optional
 from repro.common.address import AddressLayout
 from repro.common.errors import CapacityError, ProtocolError, ReproError
 from repro.common.stats import Counters, LatencyHistogram, TimeBreakdown
-from repro.coma.states import AMState
 from repro.core import timing_kernels as tk
 from repro.core.ladder import EngineDegraded, injected_fault
 from repro.core.schemes import TAP_OF_SCHEME, TapPoint
@@ -71,7 +69,7 @@ from repro.system.machine import (
     merge_counters,
     place_pages,
 )
-from repro.system.results import RunResult, timing_summary
+from repro.system.results import timing_summary
 from repro.system.taps import TimingAgent
 
 _TAP_CODE = {
@@ -96,68 +94,21 @@ def _pow2_at_least(n: int) -> int:
     return size
 
 
-def _is_sweep_agent(agent) -> bool:
-    """True for the uncoupled sweep instruments: StudyAgent records the
-    full miss surface, CaptureAgent records raw tap streams."""
-    from repro.system.taps import StudyAgent
+def _is_capture(agent) -> bool:
     from repro.system.taptrace import CaptureAgent
 
-    return type(agent) in (StudyAgent, CaptureAgent)
+    return type(agent) is CaptureAgent
 
 
-def _traced_throughout(machine) -> bool:
-    """True when one tracer is attached to every instrumented layer,
-    the way :class:`~repro.system.machine.Machine` attaches it — the
-    only wiring whose records the compiled engine reproduces."""
-    tracer = machine.tracer
-    return (
-        tracer is not None
-        and machine.engine.trace is tracer
-        and machine.crossbar.trace is tracer
-        and getattr(machine.agent, "trace", None) is tracer
-        and all(node._trace is tracer for node in machine.nodes)
-    )
-
-
-def fallback_reason(simulator) -> Optional[str]:
-    """None when the compiled fast path can reproduce this run exactly;
-    otherwise a short human-readable reason for staying scalar.
-
-    A machine-backed run takes the compiled engine only for coupled
-    timing (a :class:`~repro.system.taps.TimingAgent` or the passive
-    :class:`~repro.coma.protocol.TranslationAgent`).  Compiled sweeps
-    build no machine: :func:`~repro.analysis.experiments.run_miss_sweep`
-    and :func:`~repro.system.taptrace.capture_tap_traces` capture
-    headless and replay the banks in batches, so a sweep agent on a
-    machine is the scalar oracle's run.
-    """
-    from repro.system.machine import Machine
+def models_agent(agent) -> bool:
+    """True for the agents the C engine models: a
+    :class:`~repro.system.taps.TimingAgent` (which builds only
+    fully-associative or direct-mapped buffers, both modelled), a
+    :class:`~repro.system.taptrace.CaptureAgent` and the passive
+    :class:`~repro.coma.protocol.TranslationAgent`."""
     from repro.coma.protocol import TranslationAgent
 
-    machine = simulator.machine
-    sweep_agent = _is_sweep_agent(machine.agent)
-    if type(machine) is not Machine:
-        return f"custom machine type {type(machine).__name__}"
-    if (
-        machine.tracer is not None
-        or machine.engine.trace is not None
-        or machine.crossbar.trace is not None
-    ) and (sweep_agent or not _traced_throughout(machine)):
-        return "tracing attached"
-    agent = machine.agent
-    # TimingAgent builds only fully-associative or direct-mapped
-    # buffers (a set-associative one needs an assoc it does not take),
-    # and the C engine models both.
-    if not sweep_agent and type(agent) not in (TimingAgent, TranslationAgent):
-        return f"unsupported agent {type(agent).__name__}"
-    if tk.get_backend() is None:
-        return f"{_UNAVAILABLE}{tk.backend_status()}"
-    if sweep_agent:
-        return (
-            f"machine-backed {type(agent).__name__} "
-            "(compiled sweeps are headless capture + replay)"
-        )
-    return None
+    return type(agent) in (TimingAgent, TranslationAgent) or _is_capture(agent)
 
 
 def _raise_engine_error(status: int) -> None:
@@ -176,21 +127,19 @@ def _raise_engine_error(status: int) -> None:
 class HeadlessRun:
     """A compiled run described by values alone, with no Python machine.
 
-    Runner jobs need only a :class:`~repro.runner.summary.RunSummary`,
-    so they skip :class:`~repro.system.machine.Machine` entirely: the
-    segments, the page placement
+    The segments, the page placement
     (:func:`~repro.system.machine.place_pages`, which raises the
     preload's :class:`~repro.common.errors.CapacityError`) and the
     workload context that generates the streams are all
     :func:`run_fast` reads.  ``agent`` is a fresh
     :class:`~repro.system.taps.TimingAgent` (its buffer geometry, RNG
-    states and, after the run, access/miss totals) or
+    states and, after the run, access/miss totals), a
     :class:`~repro.system.taptrace.CaptureAgent` (its columns are
-    filled from the capture).
+    filled from the capture) or the passive
+    :class:`~repro.coma.protocol.TranslationAgent` (no translation
+    structure).  ``tracer`` is an optional
+    :class:`~repro.obs.trace.Tracer` the C engine writes records for.
     """
-
-    machine = None
-    tracer = None
 
     def __init__(
         self,
@@ -202,6 +151,7 @@ class HeadlessRun:
         max_refs_per_node: Optional[int] = None,
         stream_key: Optional[str] = None,
         relaxed_writes: bool = False,
+        tracer=None,
     ) -> None:
         layout = AddressLayout.from_params(params)
         space, self.ctx = build_address_space(params, layout, workload)
@@ -214,9 +164,22 @@ class HeadlessRun:
         self.max_refs_per_node = max_refs_per_node
         self.stream_key = stream_key
         self.relaxed_writes = relaxed_writes
+        self.tracer = tracer
+        #: True once a trace record has left C: a scalar re-run would
+        #: write it twice, so a later failure must propagate.
+        self.mutated = False
+        #: After ``run_fast(run, image=True)``: the final machine image,
+        #: ``fs_image``'s words followed by each node's read and write
+        #: latency histograms (``fs_export_hist``: buckets, count, total).
+        self.image: Optional[array] = None
 
     def node_stream(self, node: int):
         return self.workload.node_stream(node, self.ctx)
+
+
+def unavailable_reason() -> str:
+    """The ``fallback_reason`` of a run made without the compiled backend."""
+    return f"{_UNAVAILABLE}{tk.backend_status()}"
 
 
 def degraded_reason(exc: BaseException) -> str:
@@ -232,68 +195,39 @@ def degraded_reason(exc: BaseException) -> str:
 def is_degradation(reason: Optional[str]) -> bool:
     """True for a ``fallback_reason`` of a run that could have run
     compiled: the engine degraded or the backend is missing.  A run the
-    C engine does not model (a custom machine, say) stays scalar by
+    C engine does not model (a CC-NUMA machine, say) stays scalar by
     design, and ``"fast=False"`` is the caller's choice."""
     return bool(reason) and reason.startswith((_DEGRADED, _UNAVAILABLE))
 
 
-def run_fast(run):
-    """Run one simulation on the compiled engine.
+def run_fast(run: HeadlessRun, image: bool = False):
+    """Run one :class:`HeadlessRun` on the compiled engine and return
+    its :class:`~repro.runner.summary.RunSummary`, read straight from
+    C.  ``image=True`` also leaves the final machine image in
+    ``run.image`` (the differential oracle's view; nothing else pays
+    for it).
 
-    ``run`` is a :class:`~repro.system.simulator.Simulator` or a
-    :class:`HeadlessRun`, and what comes back depends on which:
-
-    * A simulator holds a machine, so the whole final image (caches,
-      AMs, directory, TLBs, RNG states, ports) is copied back into it,
-      as if the scalar engine had run it, and a
-      :class:`~repro.system.results.RunResult` is returned.
-    * A headless run gets its
-      :class:`~repro.runner.summary.RunSummary` read straight from C:
-      breakdowns, counters, latency histograms, TLB/DLB totals and,
-      for a capture, the tap columns.
-
-    Either way the starting AM/directory/page-map image is built in C
-    by ``fs_preload`` from the run's placement.  For a simulator that
-    is the machine's own :attr:`~repro.system.machine.Machine.placement`,
-    which assumes nothing changed the machine's AMs, directory or page
-    map between construction and :meth:`Simulator.run`.  No caller
-    does: ``run_timing``, the report's experiments, the fuzz harness
-    and the runner's scalar fallback all run a machine straight after
-    building it.  The engine RNG, the TLB RNGs and the crossbar's port
-    free times are still read from the machine.
-
-    The caller must have checked eligibility first (:func:`fallback_reason`
-    or :func:`headless_eligible`); this function raises on engine
-    errors.  Failures the scalar oracle recovers from — C-side
-    allocation failure, the sticky internal error status, injected
-    faults — raise :class:`~repro.core.ladder.EngineDegraded` (or
-    ``MemoryError``), and only while nothing outside C has changed
-    (``run._fast_state_mutated`` guards the copy-back phase), so the
-    caller can re-run on the scalar engine.
+    The caller must have checked that the backend is available; this
+    function raises on engine errors.  Failures the scalar oracle
+    recovers from — C-side allocation failure, the sticky internal
+    error status, injected faults — raise
+    :class:`~repro.core.ladder.EngineDegraded` (or ``MemoryError``); a
+    traced run rewinds its tracer first unless ``run.mutated`` says
+    records already reached it.
     """
-    run._fast_state_mutated = False
+    run.mutated = False
     fault = injected_fault()
     if fault == "create":
         raise EngineDegraded("injected fault: engine allocation failed (create)")
 
     backend = tk.get_backend()
     ffi, lib = backend.ffi, backend.lib
-    machine = run.machine
-    source = run if machine is None else machine
-    agent = source.agent
-    timing_agent = type(agent) is TimingAgent
-    max_refs = run.max_refs_per_node
-    if machine is None:
-        contention, relaxed = run.contention, run.relaxed_writes
-    else:
-        contention = machine.crossbar.contention
-        relaxed = bool(machine.nodes and machine.nodes[0].relaxed_writes)
-    geom = _geometry(source, max_refs, contention=contention, relaxed=relaxed)
+    geom = _geometry(run)
 
     handle = lib.fs_create(ffi.new("int64_t[]", geom))
     if handle == ffi.NULL:
         raise EngineDegraded("C engine allocation failed (fs_create OOM)")
-    tracer = source.tracer
+    tracer = run.tracer
     try:
         # A traced run meets the oom fault where it would really strike:
         # the trace buffer, which then refuses to grow past its first
@@ -302,39 +236,37 @@ def run_fast(run):
             raise EngineDegraded("injected fault: C allocation failed (oom)")
         if fault == "internal":
             _raise_engine_error(tk.ERR_INTERNAL)
-        if _is_sweep_agent(agent) and lib.fs_set_capture(handle, 1) != 0:
+        if _is_capture(run.agent) and lib.fs_set_capture(handle) != 0:
             raise EngineDegraded("capture-mode allocation failed")
         if tracer is None:
-            return _drive(run, source, ffi, lib, handle, timing_agent)
-        mark = tracer.checkpoint()
-        tracer.begin("run", 0, max_refs=max_refs)
+            return _drive(run, ffi, lib, handle, image)
         config = _trace_config(run, tracer, fail_growth=fault == "oom")
+        mark = tracer.checkpoint()
+        tracer.begin("run", 0, max_refs=run.max_refs_per_node)
+        config[tk.TC_PARENT] = tracer.current_span_id
         lib.fs_set_trace(handle, ffi.new("int64_t[]", config))
         try:
-            return _drive(run, source, ffi, lib, handle, timing_agent)
+            return _drive(run, ffi, lib, handle, image)
         except (EngineDegraded, MemoryError):
             # Nothing reached the tracer yet: forget the run span so the
             # scalar re-run starts from the same tracer state.
-            if not run._fast_state_mutated:
+            if not run.mutated:
                 tracer.rewind(mark)
             raise
     finally:
         lib.fs_destroy(handle)
 
 
-def _geometry(source, max_refs: Optional[int], contention: bool, relaxed: bool) -> List[int]:
-    """The GEOM_* vector ``fs_create`` sizes the engine from.  ``source``
-    is a machine or a :class:`HeadlessRun`: either carries the params,
-    scheme, workload, agent and placement."""
-    params = source.params
+def _geometry(run: HeadlessRun) -> List[int]:
+    """The GEOM_* vector ``fs_create`` sizes the engine from."""
+    params = run.params
     layout = AddressLayout.from_params(params)
-    agent = source.agent
-    count = params.nodes
+    agent = run.agent
     timing_agent = type(agent) is TimingAgent
-    npages = len(source.placement.vpns)
+    npages = len(run.placement.vpns)
     geom = [0] * tk.GEOM_LEN
-    geom[tk.GEOM_NODES] = count
-    geom[tk.GEOM_THINK] = source.workload.think_cycles
+    geom[tk.GEOM_NODES] = params.nodes
+    geom[tk.GEOM_THINK] = run.workload.think_cycles
     geom[tk.GEOM_PAGE_BITS] = layout.page_bits
     geom[tk.GEOM_BLOCK_BITS] = layout.block_bits
     geom[tk.GEOM_FLC_BLOCK] = params.flc_block
@@ -351,12 +283,12 @@ def _geometry(source, max_refs: Optional[int], contention: bool, relaxed: bool) 
     geom[tk.GEOM_BLK_CYCLES] = params.block_msg_cycles
     geom[tk.GEOM_DIR_LATENCY] = params.directory_lookup_latency
     geom[tk.GEOM_PENALTY] = params.translation_miss_penalty
-    geom[tk.GEOM_VIRTUAL_FLC] = int(source.scheme.uses_virtual_flc)
-    geom[tk.GEOM_VIRTUAL_SLC] = int(source.scheme.uses_virtual_slc)
-    geom[tk.GEOM_VIRTUAL_AM] = int(source.scheme.uses_virtual_am)
-    geom[tk.GEOM_RELAXED] = int(relaxed)
+    geom[tk.GEOM_VIRTUAL_FLC] = int(run.scheme.uses_virtual_flc)
+    geom[tk.GEOM_VIRTUAL_SLC] = int(run.scheme.uses_virtual_slc)
+    geom[tk.GEOM_VIRTUAL_AM] = int(run.scheme.uses_virtual_am)
+    geom[tk.GEOM_RELAXED] = int(run.relaxed_writes)
     geom[tk.GEOM_TAP] = (
-        _TAP_CODE[TAP_OF_SCHEME[source.scheme]] if timing_agent else tk.TAP_NONE
+        _TAP_CODE[TAP_OF_SCHEME[run.scheme]] if timing_agent else tk.TAP_NONE
     )
     geom[tk.GEOM_INCLUDE_L2_WB] = (
         int(agent.include_l2_writebacks) if timing_agent else 1
@@ -366,53 +298,69 @@ def _geometry(source, max_refs: Optional[int], contention: bool, relaxed: bool) 
         geom[tk.GEOM_TLB_ENTRIES] = buffer0.entries
         geom[tk.GEOM_TLB_SETS] = buffer0.sets
         geom[tk.GEOM_TLB_ASSOC] = buffer0.assoc
+    max_refs = run.max_refs_per_node
     geom[tk.GEOM_MAX_REFS] = -1 if max_refs is None else max_refs
     geom[tk.GEOM_AM_BLOCK] = params.am_block
     geom[tk.GEOM_REQ_PAYLOAD] = params.request_payload_bytes
     geom[tk.GEOM_BLK_PAYLOAD] = params.am_block + params.message_header_bytes
     geom[tk.GEOM_DIR_CAPACITY] = _pow2_at_least(2 * npages * params.blocks_per_page + 16)
-    mapped = 0 if source.scheme.uses_virtual_am else npages
+    mapped = 0 if run.scheme.uses_virtual_am else npages
     geom[tk.GEOM_MAP_CAPACITY] = _pow2_at_least(2 * mapped + 16)
-    geom[tk.GEOM_CONTENTION] = int(contention)
+    geom[tk.GEOM_CONTENTION] = int(run.contention)
     return geom
 
 
-def _trace_config(simulator, tracer, fail_growth: bool) -> List[int]:
-    """The TC_* vector: the tracer's codec ids and string-table ids for
-    every record shape the C engine writes, read off the emitters the
-    machine's layers hoisted when the tracer attached."""
+def _trace_config(run: HeadlessRun, tracer, fail_growth: bool) -> List[int]:
+    """Attach ``tracer`` as :class:`~repro.system.machine.Machine` and
+    :class:`~repro.system.simulator.Simulator` would — trace header,
+    agent, and every record shape's emitter in their order — and return
+    the TC_* vector: the codec ids and string-table ids of every record
+    shape the C engine writes.  ``TC_PARENT`` is left for the caller."""
+    from repro.coma.protocol import (
+        fetch_emitter,
+        inject_emitter,
+        invalidate_emitter,
+        upgrade_emitter,
+    )
+    from repro.interconnect.crossbar import msg_emitter
     from repro.obs.trace import PACKED_FLUSH_BYTES
-    from repro.system.simulator import barrier_emitter, lock_emitter, phase_emitter
-
-    machine = simulator.machine
-    engine = machine.engine
+    from repro.system.machine import write_trace_meta
+    from repro.system.node import ref_emitter
+    from repro.system.simulator import (
+        PHASE_EVERY,
+        barrier_emitter,
+        lock_emitter,
+        phase_emitter,
+    )
 
     def strings(codec, key):
         return codec.gmaps[(codec.begin_keys + codec.end_keys).index(key)]
 
-    ref = machine.nodes[0]._ref_begin.codec
-    fetch = engine._em_fetch[0].codec
-    msg = machine.crossbar._emit_msg.codec
-    inject = engine._em_inject.codec
+    write_trace_meta(tracer, run.params, run.scheme, run.workload)
+    msg = msg_emitter(tracer).codec
+    run.agent.attach_trace(tracer)
+    fetch = fetch_emitter(tracer)[0].codec
+    upgrade = upgrade_emitter(tracer)[0].codec
+    invalidate = invalidate_emitter(tracer).codec
+    inject = inject_emitter(tracer).codec
+    ref = ref_emitter(tracer)[0].codec
     config = [0] * tk.TC_LEN
     config[tk.TC_REF] = ref.id
     config[tk.TC_FETCH] = fetch.id
-    config[tk.TC_UPGRADE] = engine._em_upgrade[0].codec.id
-    config[tk.TC_INVALIDATE] = engine._em_invalidate.codec.id
+    config[tk.TC_UPGRADE] = upgrade.id
+    config[tk.TC_INVALIDATE] = invalidate.id
     config[tk.TC_INJECT] = inject.id
     config[tk.TC_MSG] = msg.id
-    emitters = getattr(machine.agent, "trace_emitters", None)
+    emitters = getattr(run.agent, "trace_emitters", None)
     if emitters is not None:  # TimingAgent: one TLB/DLB hit/fill pair
         config[tk.TC_HIT] = emitters[0].codec.id
         config[tk.TC_FILL] = emitters[1].codec.id
     config[tk.TC_PHASE] = phase_emitter(tracer).codec.id
     config[tk.TC_BARRIER] = barrier_emitter(tracer).codec.id
     config[tk.TC_LOCK] = lock_emitter(tracer).codec.id
-    config[tk.TC_PHASE_EVERY] = simulator.phase_every
+    config[tk.TC_PHASE_EVERY] = PHASE_EVERY
     config[tk.TC_LIMIT] = PACKED_FLUSH_BYTES
     config[tk.TC_FAIL_GROWTH] = int(fail_growth)
-    parent = tracer.current_span_id
-    config[tk.TC_PARENT] = -1 if parent is None else parent
     config[tk.TC_FALSE], config[tk.TC_TRUE] = strings(fetch, "write")
     config[tk.TC_READ], config[tk.TC_WRITE] = strings(ref, "op")
     names = strings(msg, "msg")
@@ -422,25 +370,23 @@ def _trace_config(simulator, tracer, fail_growth: bool) -> List[int]:
     return config
 
 
-def _drive(run, source, ffi, lib, handle, timing_agent):
-    machine = run.machine
-    agent = source.agent
-    count = source.params.nodes
+def _drive(run: HeadlessRun, ffi, lib, handle, image: bool):
+    agent = run.agent
+    count = run.params.nodes
 
     # -- load the snapshot ----------------------------------------------
     # Streams: columns from the workload's C twin, or drained from its
     # Python generator where the twin declines (shared across grid
-    # cells through the stream LRU when a headless run carries its
-    # workload identity); `keep` pins the arrays and their cffi views
-    # for the lifetime of the run (C holds raw pointers).
-    stream_key = run.stream_key if machine is None else None
+    # cells through the stream LRU when the run carries its workload
+    # identity); `keep` pins the arrays and their cffi views for the
+    # lifetime of the run (C holds raw pointers).
     keep = []
     for n in range(count):
         ops, vals = tk.materialize_shared(
-            stream_key,
+            run.stream_key,
             n,
-            lambda node=n: source.node_stream(node),
-            lambda node=n: tk.stream_columns(source.workload, node, source.ctx),
+            lambda node=n: run.node_stream(node),
+            lambda node=n: tk.stream_columns(run.workload, node, run.ctx),
         )
         length = len(ops)
         if length:
@@ -451,7 +397,7 @@ def _drive(run, source, ffi, lib, handle, timing_agent):
         keep.append((ops, vals, ops_view, vals_view))
         lib.fs_set_stream(handle, n, ops_view, vals_view, length)
 
-    placement = source.placement
+    placement = run.placement
     status = lib.fs_preload(
         handle,
         ffi.from_buffer("int64_t[]", placement.vpns),
@@ -466,10 +412,9 @@ def _drive(run, source, ffi, lib, handle, timing_agent):
     if status != 0:
         raise EngineDegraded("preload image allocation failed")
 
-    rng = engine_rng(source.params) if machine is None else machine.engine._rng
+    rng = engine_rng(run.params)
     lib.fs_seed_engine(handle, ffi.from_buffer("uint32_t[]", tk.rng_state_words(rng)))
-    if machine is not None:
-        lib.fs_port_load(handle, ffi.new("int64_t[]", machine.crossbar._port_free_at))
+    timing_agent = type(agent) is TimingAgent
     if timing_agent:
         for n in range(count):
             lib.fs_seed_tlb(
@@ -479,7 +424,7 @@ def _drive(run, source, ffi, lib, handle, timing_agent):
             )
 
     end_time, barriers = _sync_loop(run, ffi, lib, handle)
-    think = source.workload.think_cycles
+    think = run.workload.think_cycles
     breakdowns = []
     refs_per_node = []
     bd = ffi.new("int64_t[5]")
@@ -496,48 +441,24 @@ def _drive(run, source, ffi, lib, handle, timing_agent):
                 tlb_stall=tlb_stall,
             )
         )
-    engine_counters, crossbar_counters = _global_counters(ffi, lib, handle)
-    node_counters = [_node_counters(ffi, lib, handle, n) for n in range(count)]
+    bags = list(_global_counters(ffi, lib, handle))
+    bags += [_node_counters(ffi, lib, handle, n) for n in range(count)]
     latencies = [_histograms(ffi, lib, handle, n) for n in range(count)]
+    if image:
+        run.image = _image(ffi, lib, handle, latencies)
 
-    if machine is None:
-        # Headless: the agent takes only what the summary reads from it
-        # (a degraded run discards it).
-        if timing_agent:
-            _load_tlb_totals(ffi, lib, handle, agent, count)
-        elif _is_sweep_agent(agent):
-            _load_capture_agent(ffi, lib, handle, agent, count)
-        return _headless_summary(
-            run, end_time, refs_per_node, barriers, breakdowns,
-            [engine_counters, crossbar_counters] + node_counters, latencies,
-        )
-
-    # -- copy every piece of machine state back -------------------------
-    # Past this point the Python machine is mutated incrementally, so a
-    # failure can no longer degrade to a scalar re-run of the same
-    # machine object (Simulator.run checks this flag).
-    run._fast_state_mutated = True
-    if machine.tracer is not None:
-        machine.tracer.end(end_time, refs=sum(refs_per_node), barriers=barriers)
-    _add_counters(machine.engine.counters, engine_counters)
-    _add_counters(machine.crossbar.counters, crossbar_counters)
-    for n, node in enumerate(machine.nodes):
-        for field in ("busy", "sync", "loc_stall", "rem_stall", "tlb_stall"):
-            setattr(node.breakdown, field, getattr(breakdowns[n], field))
-        _add_counters(node.counters, node_counters[n])
-        for hist, fresh in zip((node.read_latency, node.write_latency), latencies[n]):
-            hist._buckets, hist.count, hist.total = fresh._buckets, fresh.count, fresh.total
-    _copy_back(ffi, lib, handle, machine)
-    return RunResult(
-        machine=machine,
-        breakdowns=[node.breakdown for node in machine.nodes],
-        total_time=end_time,
-        refs_per_node=refs_per_node,
-        barriers=barriers,
-    )
+    # The agent takes only what the summary reads from it (a degraded
+    # run discards it).
+    if timing_agent:
+        _load_tlb_totals(ffi, lib, handle, agent, count)
+    elif _is_capture(agent):
+        _load_capture_agent(ffi, lib, handle, agent, count)
+    if run.tracer is not None:
+        run.tracer.end(end_time, refs=sum(refs_per_node), barriers=barriers)
+    return _summary(run, end_time, refs_per_node, barriers, breakdowns, bags, latencies)
 
 
-def _sync_loop(run, ffi, lib, handle):
+def _sync_loop(run: HeadlessRun, ffi, lib, handle):
     """Run the whole simulation in ``fs_run``, which applies
     :class:`~repro.system.simulator.Simulator`'s barrier, lock and
     stream-end semantics itself, and return ``(end_time, barriers)``.
@@ -547,8 +468,7 @@ def _sync_loop(run, ffi, lib, handle):
     call and come back with the records C wrote, which are drained into
     the tracer."""
     out = ffi.new("int64_t[4]")
-    machine = run.machine
-    tracer = None if machine is None else machine.tracer
+    tracer = run.tracer
     if tracer is None:
         status = lib.fs_run(handle, out)
     else:
@@ -563,7 +483,7 @@ def _sync_loop(run, ffi, lib, handle):
     return out[0], out[1]
 
 
-def _drain(run, tracer, ffi, lib, handle, status: int, take_state) -> None:
+def _drain(run: HeadlessRun, tracer, ffi, lib, handle, status: int, take_state) -> None:
     """Move the records C buffered into the tracer."""
     data = lib.fs_trace_take(handle, take_state)
     if status == tk.ERR_INTERNAL:
@@ -573,7 +493,7 @@ def _drain(run, tracer, ffi, lib, handle, status: int, take_state) -> None:
     tracer.span_state = (take_state[1], take_state[2])
     if take_state[0]:
         # Records left C: a scalar re-run would write them twice.
-        run._fast_state_mutated = True
+        run.mutated = True
         tracer.take_packed(ffi.buffer(data, take_state[0]))
     if status < 0:
         # Spans C left open on an engine error stay open on the
@@ -627,11 +547,6 @@ def _node_counters(ffi, lib, handle, node: int) -> Dict[str, int]:
     }
 
 
-def _add_counters(counters: Counters, values: Dict[str, int]) -> None:
-    for name, value in values.items():
-        counters.add(name, value)
-
-
 def _histograms(ffi, lib, handle, node: int):
     """One node's (read, write) stall-latency histograms."""
     buckets = ffi.new("int64_t[]", tk.N_HIST_BUCKETS)
@@ -649,9 +564,23 @@ def _histograms(ffi, lib, handle, node: int):
     return hists
 
 
-def _headless_summary(run, end_time, refs_per_node, barriers, breakdowns, bags, latencies):
-    """The :class:`~repro.runner.summary.RunSummary` a machine-backed
-    run's ``RunSummary.from_result`` would produce, from C readouts."""
+def _image(ffi, lib, handle, latencies) -> array:
+    """``fs_image``'s words, then each node's read and write latency
+    histograms as ``fs_export_hist`` lays them out."""
+    size = lib.fs_image(handle, ffi.NULL, 0)
+    words = array("q", bytes(8 * size))
+    if lib.fs_image(handle, ffi.from_buffer("int64_t[]", words), size) != size:
+        raise ReproError("fs_image: the image changed size between two calls")
+    for hists in latencies:
+        for hist in hists:
+            words.extend(hist._buckets.get(i, 0) for i in range(tk.N_HIST_BUCKETS))
+            words.extend((hist.count, hist.total))
+    return words
+
+
+def _summary(run: HeadlessRun, end_time, refs_per_node, barriers, breakdowns, bags, latencies):
+    """The :class:`~repro.runner.summary.RunSummary` the scalar run's
+    ``RunSummary.from_result`` would produce, from C readouts."""
     from repro.runner.summary import RunSummary
 
     machine_counters = Counters()
@@ -677,86 +606,6 @@ def _headless_summary(run, end_time, refs_per_node, barriers, breakdowns, bags, 
         write_latency=write_latency,
         backend="compiled",
     )
-
-
-def _copy_back(ffi, lib, handle, machine) -> None:
-    """The rest of the machine image: cache/AM sets and hit counts,
-    directory entries and lookups, port free times, the agent's state,
-    the engine RNG and the translation accumulator."""
-    engine = machine.engine
-    stats2 = ffi.new("int64_t[2]")
-    for n, node in enumerate(machine.nodes):
-        _load_cache(ffi, lib, handle, n, 0, node.flc, stats2, lambda s: s)
-        _load_cache(ffi, lib, handle, n, 1, node.slc, stats2, lambda s: s)
-        _load_cache(ffi, lib, handle, n, 2, engine.ams[n], stats2, AMState)
-    _load_directory(ffi, lib, handle, machine)
-    count = machine.params.nodes
-    ports = ffi.new("int64_t[]", count)
-    lib.fs_export_ports(handle, ports)
-    machine.crossbar._port_free_at = list(ports)
-    agent = machine.agent
-    if type(agent) is TimingAgent:
-        _load_tlbs(ffi, lib, handle, agent, count)
-    rng_out = ffi.new("uint32_t[]", tk.RNG_STATE_WORDS)
-    lib.fs_export_engine_rng(handle, rng_out)
-    tk.load_rng_state(engine._rng, [int(rng_out[i]) for i in range(tk.RNG_STATE_WORDS)])
-    engine._translation_accum = int(lib.fs_translation_accum(handle))
-
-
-def _load_cache(ffi, lib, handle, node: int, which: int, cache, stats2, cast) -> None:
-    """Rebuild a Python cache/AM image from the C engine's LRU arrays.
-
-    The export is set-major and LRU-ordered within each set, so
-    appending into fresh per-set dicts reproduces the scalar path's
-    dict insertion order (= LRU order) exactly.
-    """
-    capacity = cache.sets * cache.assoc
-    blocks = ffi.new("int64_t[]", capacity)
-    states = ffi.new("uint8_t[]", capacity)
-    resident = int(lib.fs_export_cache(handle, node, which, blocks, states))
-    shift = cache._block_shift
-    mask = cache._set_mask
-    fresh = [dict() for _ in range(cache.sets)]
-    for i in range(resident):
-        block = int(blocks[i])
-        fresh[(block >> shift) & mask][block] = cast(int(states[i]))
-    cache._sets = fresh
-    lib.fs_cache_stats(handle, node, which, stats2)
-    cache.hits = int(stats2[0])
-    cache.misses = int(stats2[1])
-
-
-def _load_directory(ffi, lib, handle, machine) -> None:
-    engine = machine.engine
-    layout = machine.layout
-    count = machine.params.nodes
-    swords = (count + 63) // 64
-    dcount = int(lib.fs_dir_count(handle))
-    blocks = ffi.new("int64_t[]", max(dcount, 1))
-    owners = ffi.new("int32_t[]", max(dcount, 1))
-    sharers = ffi.new("uint64_t[]", max(dcount, 1) * swords)
-    lib.fs_export_dir(handle, blocks, owners, sharers)
-    page_bits = layout.page_bits
-    node_mask = count - 1
-    for i in range(dcount):
-        block = int(blocks[i])
-        home = (block >> page_bits) & node_mask
-        entry = engine.directories[home]._entries[block]
-        owner = int(owners[i])
-        entry.owner = None if owner < 0 else owner
-        holders = set()
-        for w in range(swords):
-            word = int(sharers[i * swords + w])
-            base = 64 * w
-            while word:
-                low = word & -word
-                holders.add(base + low.bit_length() - 1)
-                word ^= low
-        entry.sharers = holders
-    lookups = ffi.new("int64_t[]", count)
-    lib.fs_export_dir_lookups(handle, lookups)
-    for home in range(count):
-        engine.directories[home].lookups += int(lookups[home])
 
 
 def _load_capture_agent(ffi, lib, handle, agent, count: int) -> None:
@@ -785,39 +634,8 @@ def _load_capture_agent(ffi, lib, handle, agent, count: int) -> None:
 
 def _load_tlb_totals(ffi, lib, handle, agent, count: int) -> None:
     """Each TLB/DLB's access and miss counts, without its contents."""
-    buffer0 = agent.buffer(0)
-    tags = ffi.new("int64_t[]", buffer0.sets * buffer0.assoc)
-    lens = ffi.new("int32_t[]", buffer0.sets)
     stats = ffi.new("int64_t[2]")
     for n in range(count):
-        lib.fs_export_tlb(handle, n, tags, lens, stats)
+        lib.fs_export_tlb(handle, n, stats)
         agent.buffer(n).accesses = int(stats[0])
         agent.buffer(n).misses = int(stats[1])
-
-
-def _load_tlbs(ffi, lib, handle, agent, count: int) -> None:
-    rng_out = ffi.new("uint32_t[]", tk.RNG_STATE_WORDS)
-    for n in range(count):
-        buffer = agent.buffer(n)
-        capacity = buffer.sets * buffer.assoc
-        tags = ffi.new("int64_t[]", capacity)
-        lens = ffi.new("int32_t[]", buffer.sets)
-        stats = ffi.new("int64_t[2]")
-        lib.fs_export_tlb(handle, n, tags, lens, stats)
-        new_tags = []
-        where = {}
-        for set_idx in range(buffer.sets):
-            ways = [
-                int(tags[set_idx * buffer.assoc + w]) for w in range(int(lens[set_idx]))
-            ]
-            new_tags.append(ways)
-            for way, page in enumerate(ways):
-                where[page] = (set_idx, way)
-        buffer._tags = new_tags
-        buffer._where = where
-        buffer.accesses = int(stats[0])
-        buffer.misses = int(stats[1])
-        lib.fs_export_tlb_rng(handle, n, rng_out)
-        tk.load_rng_state(
-            buffer._rng, [int(rng_out[i]) for i in range(tk.RNG_STATE_WORDS)]
-        )

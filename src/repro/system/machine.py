@@ -152,6 +152,15 @@ def _count_colors(occupied: List[int], pages: range) -> None:
         occupied[(first + i) & (colors - 1)] += 1
 
 
+def write_trace_meta(tracer, params: MachineParams, scheme: Scheme, workload: Workload) -> None:
+    """A run's trace header: scheme, node count, workload and version."""
+    from repro import __version__
+
+    tracer.set_meta(
+        scheme=scheme.value, nodes=params.nodes, workload=workload.name, version=__version__
+    )
+
+
 def merge_counters(bags: List[Counters], agent, scheme: Scheme) -> Counters:
     """The machine-wide counter bag: machine, engine, crossbar and node
     counters summed in that order, plus the timing agent's translation
@@ -198,14 +207,7 @@ class Machine:
         #: crossbar, translation agent).  None → tracing disabled.
         self.tracer = tracer
         if tracer is not None:
-            from repro import __version__
-
-            tracer.set_meta(
-                scheme=scheme.value,
-                nodes=params.nodes,
-                workload=workload.name,
-                version=__version__,
-            )
+            write_trace_meta(tracer, params, scheme, workload)
             self.crossbar.trace = tracer
             self.agent.attach_trace(tracer)
 

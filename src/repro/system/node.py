@@ -28,6 +28,15 @@ from repro.core.schemes import Scheme, TapPoint
 AddrMap = Callable[[int], int]
 
 
+def ref_emitter(trace):
+    """The packed "ref" span: ``begin(t0, node, op, vpn)`` and
+    ``end(t1, cycles, tlb)``.  Shared with the compiled engine, which
+    writes the same records."""
+    return trace.span_emitter(
+        "ref", ("node", "op", "vpn"), ("cycles", "tlb"), enums={"op": ("read", "write")}
+    )
+
+
 class Node:
     """A processor node wired for one translation scheme."""
 
@@ -119,12 +128,7 @@ class Node:
         #: packs a fixed-layout record instead of building dicts.
         self._trace = trace
         if trace is not None:
-            self._ref_begin, self._ref_end = trace.span_emitter(
-                "ref",
-                ("node", "op", "vpn"),
-                ("cycles", "tlb"),
-                enums={"op": ("read", "write")},
-            )
+            self._ref_begin, self._ref_end = ref_emitter(trace)
         else:
             self._ref_begin = self._ref_end = None
         #: Main entry point, one load or store per call.  Bound to the

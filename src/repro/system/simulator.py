@@ -32,6 +32,11 @@ from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
 from repro.system.results import RunResult
 
 
+#: With a tracer attached, one "phase" progress event per this many
+#: processed references (refs/sec over simulated time).
+PHASE_EVERY = 2048
+
+
 def phase_emitter(trace):
     """The packed "phase" progress event: ``emit(t, refs_processed)``.
     Shared with the compiled engine, which writes the same records, as
@@ -50,68 +55,25 @@ def lock_emitter(trace):
 
 
 class Simulator:
-    """Drives one machine over its workload's reference streams."""
+    """Drives one machine over its workload's reference streams on the
+    scalar engine, the differential oracle of the compiled one.
+    Compiled runs build no machine: see :func:`run_summary`."""
 
-    def __init__(
-        self,
-        machine: Machine,
-        max_refs_per_node: Optional[int] = None,
-        phase_every: int = 2048,
-        fast: bool = True,
-    ) -> None:
+    def __init__(self, machine: Machine, max_refs_per_node: Optional[int] = None) -> None:
         self.machine = machine
         self.max_refs_per_node = max_refs_per_node
-        #: With a tracer attached, emit one "phase" progress event per
-        #: this many processed references (refs/sec over simulated time).
-        self.phase_every = phase_every
-        #: Try the compiled columnar engine first (bit-identical; see
-        #: repro.system.fast_simulator).  False forces the scalar path.
-        self.fast = fast
-        #: After run(): "compiled" or "scalar".
+        #: After run(): "scalar".
         self.backend: Optional[str] = None
-        #: After run(): why the scalar path was used (None on the fast
-        #: path; "fast=False" when explicitly disabled).
+        #: Why the scalar engine runs, set by the caller that chose it
+        #: (:func:`run_summary`, a CC-NUMA runner cell); None when the
+        #: caller names no reason.  Stamped on the result.
         self.fallback_reason: Optional[str] = None
 
     def run(self) -> RunResult:
-        """Run to completion, preferring the compiled fast path.
-
-        Both paths produce bit-identical results (the differential
-        suite enforces it); ``backend``/``fallback_reason`` record
-        which one actually ran.  A compiled-engine failure the scalar
-        oracle recovers from — C-side allocation failure, the sticky
-        internal error status, an injected fault — degrades to a
-        scalar re-run of the same (still pristine) machine, recorded
-        on the ladder's fallback counters and stamped as a structured
-        ``fallback_reason``; it never crashes the run.
-        """
-        if self.fast:
-            from repro.core.ladder import EngineDegraded
-            from repro.system import fast_simulator
-
-            reason = fast_simulator.fallback_reason(self)
-            if reason is None:
-                self.backend = "compiled"
-                self.fallback_reason = None
-                try:
-                    return self._stamp(fast_simulator.run_fast(self))
-                except (EngineDegraded, MemoryError) as exc:
-                    if getattr(self, "_fast_state_mutated", False):
-                        # Copy-back had begun: the machine is no longer
-                        # pristine, so a scalar re-run would be wrong.
-                        raise
-                    reason = fast_simulator.degraded_reason(exc)
-        else:
-            reason = "fast=False"
-        return self._run_scalar_stamped(reason)
-
-    def _run_scalar_stamped(self, reason: str) -> RunResult:
-        """Run on the scalar engine, stamped with why it was chosen."""
+        """Run to completion on the scalar engine; the result carries
+        ``backend`` and this simulator's ``fallback_reason``."""
         self.backend = "scalar"
-        self.fallback_reason = reason
-        return self._stamp(self._run_scalar())
-
-    def _stamp(self, result: RunResult) -> RunResult:
+        result = self._run_scalar()
         result.backend = self.backend
         result.fallback_reason = self.fallback_reason
         return result
@@ -129,7 +91,7 @@ class Simulator:
         barriers_seen = 0
         total_refs_processed = 0
         trace = getattr(machine, "tracer", None)
-        phase_every = self.phase_every if trace is not None else 0
+        phase_every = PHASE_EVERY if trace is not None else 0
         if trace is not None:
             emit_phase = phase_emitter(trace)
             emit_barrier = barrier_emitter(trace)
@@ -294,19 +256,25 @@ def run_summary(
     max_refs_per_node: Optional[int] = None,
     stream_key: Optional[str] = None,
     relaxed_writes: bool = False,
+    tracer=None,
+    fast: bool = True,
 ):
     """One run's :class:`~repro.runner.summary.RunSummary` and the agent
-    that observed it, without a Python machine when the compiled engine
-    can take the run (:class:`~repro.system.fast_simulator.HeadlessRun`).
+    that observed it, on the compiled engine without a Python machine
+    (:class:`~repro.system.fast_simulator.HeadlessRun`) when it can.
 
     ``make_agent()`` returns a fresh
-    :class:`~repro.system.taps.TimingAgent` or
-    :class:`~repro.system.taptrace.CaptureAgent`.  Without the compiled
-    backend the run builds a :class:`Machine` and goes through
-    :meth:`Simulator.run`, which names the reason.  A headless run that
-    degrades re-runs on a fresh machine and agent on the scalar engine,
-    stamped ``"compiled engine degraded: ..."`` exactly as
-    :meth:`Simulator.run` stamps it.
+    :class:`~repro.system.taps.TimingAgent`,
+    :class:`~repro.system.taptrace.CaptureAgent` or passive
+    :class:`~repro.coma.protocol.TranslationAgent`; an optional
+    :class:`~repro.obs.trace.Tracer` records the run either way.
+    ``fast=False``, any other agent type or a missing compiled backend
+    runs a :class:`Machine` on the scalar engine instead, and a compiled run
+    that degrades re-runs on a fresh machine and agent — unless trace
+    records already left C, when the failure propagates.
+    ``fallback_reason`` says why the scalar engine ran, in that order:
+    ``"fast=False"``, ``"unsupported agent ..."``, ``"compiled backend
+    unavailable: ..."``, or ``"compiled engine degraded: ..."``.
     """
     from repro.core import timing_kernels
     from repro.core.ladder import EngineDegraded
@@ -314,21 +282,28 @@ def run_summary(
     from repro.system import fast_simulator
 
     agent = make_agent()
-    reason = None
-    if timing_kernels.get_backend() is not None:
+    if not fast:
+        reason = "fast=False"
+    elif not fast_simulator.models_agent(agent):
+        reason = f"unsupported agent {type(agent).__name__}"
+    elif timing_kernels.get_backend() is None:
+        reason = fast_simulator.unavailable_reason()
+    else:
         run = fast_simulator.HeadlessRun(
             params, scheme, workload, agent, contention, max_refs_per_node, stream_key,
-            relaxed_writes,
+            relaxed_writes, tracer,
         )
         try:
             return fast_simulator.run_fast(run), agent
         except (EngineDegraded, MemoryError) as exc:
+            if run.mutated:
+                raise
             reason = fast_simulator.degraded_reason(exc)
         agent = make_agent()
     machine = Machine(
         params, scheme, workload, agent=agent, contention=contention,
-        relaxed_writes=relaxed_writes,
+        relaxed_writes=relaxed_writes, tracer=tracer,
     )
     simulator = Simulator(machine, max_refs_per_node=max_refs_per_node)
-    result = simulator.run() if reason is None else simulator._run_scalar_stamped(reason)
-    return RunSummary.from_result(result), agent
+    simulator.fallback_reason = reason
+    return RunSummary.from_result(simulator.run()), agent

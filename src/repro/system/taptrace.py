@@ -308,37 +308,35 @@ def capture_tap_traces(
     max_refs_per_node: Optional[int] = None,
     fast: bool = True,
     stream_key: Optional[str] = None,
+    tracer=None,
 ) -> TapTraceSet:
     """Run the hierarchy once, recording every translation tap.
 
     The hierarchy is configured exactly as the scalar
     :func:`~repro.analysis.experiments.run_miss_sweep` oracle's (V-COMA
     — every scheme's tap stream can be read off it), so the recorded
-    streams and base summary match a scalar sweep run bit for bit.  The capture prefers the compiled engine's capture
-    mode, headless: no machine is built and the columns come straight
-    from C (``fast=False`` forces the scalar reference path — identical
-    streams either way); on the compiled engine ``stream_key`` keys the
-    materialized-column LRU for grid-level stream sharing.
+    streams and base summary match a scalar sweep run bit for bit.
+    The capture runs headless on the compiled engine's capture mode
+    (:func:`~repro.system.simulator.run_summary`): no machine is built
+    and the columns come straight from C (``fast=False`` forces the
+    scalar reference path — identical streams either way).  On the
+    compiled engine ``stream_key`` keys the materialized-column LRU for
+    grid-level stream sharing.  A :class:`~repro.obs.trace.Tracer`
+    records the hierarchy run's spans and events; no agent here emits
+    translation events.
     """
-    from repro.system.machine import Machine
-    from repro.system.simulator import Simulator, run_summary
-    from repro.runner.summary import RunSummary
+    from repro.system.simulator import run_summary
 
-    if fast:
-        base, agent = run_summary(
-            params,
-            Scheme.V_COMA,
-            workload,
-            lambda: CaptureAgent(params),
-            max_refs_per_node=max_refs_per_node,
-            stream_key=stream_key,
-        )
-    else:
-        agent = CaptureAgent(params)
-        machine = Machine(params, Scheme.V_COMA, workload, agent=agent)
-        base = RunSummary.from_result(
-            Simulator(machine, max_refs_per_node=max_refs_per_node, fast=False).run()
-        )
+    base, agent = run_summary(
+        params,
+        Scheme.V_COMA,
+        workload,
+        lambda: CaptureAgent(params),
+        max_refs_per_node=max_refs_per_node,
+        stream_key=stream_key,
+        tracer=tracer,
+        fast=fast,
+    )
     return TapTraceSet(
         nodes=params.nodes,
         seed=params.seed,

@@ -7,15 +7,14 @@ from them (``replay_summary``: one ``fs_bank_run_set`` call per trace
 set, its ``(tap, node)`` streams spread over the CPUs, which cannot
 move a count).  The coupled scalar run with a
 :class:`StudyAgent` is the differential-testing oracle behind
-``fast=False``, a tracer, or ``REPRO_NO_COMPILED``; everything the
-summary serializes — the full study surface (all five schemes' taps,
-every size × organization), time breakdowns, counters, latency
-histograms — must match it.
+``fast=False`` or ``REPRO_NO_COMPILED``; everything the summary
+serializes — the full study surface (all five schemes' taps, every
+size × organization), time breakdowns, counters, latency histograms —
+must match it, and so must the capture's final machine image.
 
-The compiled engine takes a machine-backed
-:class:`~repro.system.simulator.Simulator` only for coupled timing, so
-a sweep or capture agent on a machine runs scalar, says why, and leaves
-the machine image an explicit ``fast=False`` run leaves.
+Traced sweeps run compiled too: the capture writes the hierarchy run's
+records (a sweep agent emits no translation events), and the JSONL
+bytes or ring records must equal the scalar ``StudyAgent`` run's.
 """
 
 import pytest
@@ -25,6 +24,8 @@ from repro.analysis import run_miss_sweep
 from repro.core.schemes import SCHEME_ORDER, TAP_OF_SCHEME, Scheme
 from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
 from repro.core.tlb import Organization
+from repro.fuzz.oracle import compiled_run, diff_paths, scalar_run
+from repro.obs import Tracer
 from repro.runner import JobSpec
 from repro.runner.summary import RunSummary
 from repro.system import machine as machine_module
@@ -45,8 +46,8 @@ ORGS = (
     Organization.DIRECT_MAPPED,
 )
 
-#: The reason a machine-backed sweep or capture run stays scalar.
-MACHINE_BACKED = "(compiled sweeps are headless capture + replay)"
+#: Ring capacity small enough that the traced sweeps below drop records.
+SMALL_RING = 64
 
 
 @pytest.fixture(scope="module")
@@ -63,79 +64,11 @@ def surface(summary) -> dict:
     return payload
 
 
-def sets_image(structure):
-    """Tag/state sets as ordered item lists — dict equality ignores
-    insertion order, but here order IS the LRU position."""
-    return [list(s.items()) for s in structure._sets]
-
-
-def machine_state(machine) -> dict:
-    """The post-run machine image, deep enough to catch any state a
-    run left behind (bank LRU order and RNG positions included)."""
-    engine = machine.engine
-    state = {
-        "counters": dict(machine.merged_counters().to_dict()),
-        "engine_rng": engine._rng.getstate(),
-        "nodes": [],
-        "directories": [],
-    }
-    for node in machine.nodes:
-        state["nodes"].append(
-            {
-                "flc": (sets_image(node.flc), node.flc.hits, node.flc.misses),
-                "slc": (sets_image(node.slc), node.slc.hits, node.slc.misses),
-                "read_hist": (
-                    dict(node.read_latency._buckets),
-                    node.read_latency.count,
-                    node.read_latency.total,
-                ),
-                "write_hist": (
-                    dict(node.write_latency._buckets),
-                    node.write_latency.count,
-                    node.write_latency.total,
-                ),
-            }
-        )
-    for n, am in enumerate(engine.ams):
-        state["nodes"][n]["am"] = (sets_image(am), am.hits, am.misses)
-    for directory in engine.directories:
-        state["directories"].append(
-            {
-                "lookups": directory.lookups,
-                "entries": {
-                    block: (entry.owner, frozenset(entry.sharers))
-                    for block, entry in directory._entries.items()
-                },
-            }
-        )
-    # Every sweep bank, every member buffer: tag lists in residency
-    # order, counters, and the exact random.Random state.
-    agent = machine.agent
-    state["banks"] = {
-        f"{tap.value}:{node}": {
-            "accesses": bank.accesses,
-            "buffers": [
-                {
-                    "tags": [list(ways) for ways in buf._tags],
-                    "where": dict(buf._where),
-                    "accesses": buf.accesses,
-                    "misses": buf.misses,
-                    "rng": buf._rng.getstate(),
-                }
-                for buf in bank._buffer_list
-            ],
-        }
-        for (tap, node), bank in agent._banks.items()
-    }
-    return state
-
-
-def machine_sweep(params, workload, fast=True, **kwargs):
-    """A coupled StudyAgent run on a machine: ``(machine, result)``."""
+def machine_sweep(params, workload, **kwargs):
+    """A coupled StudyAgent run on a scalar machine."""
     agent = StudyAgent(params, sizes=SIZES, orgs=ORGS)
     machine = Machine(params, Scheme.V_COMA, workload, agent=agent)
-    result = Simulator(machine, fast=fast, **kwargs).run()
-    return machine, result
+    return Simulator(machine, **kwargs).run()
 
 
 def paired_sweep(params, workload_factory, **kwargs):
@@ -153,8 +86,8 @@ class TestBitIdentical:
     def test_deep_machine_state(self, params, workload):
         """Three stream shapes (radix: dense; raytrace: lock-heavy;
         ocean: barrier-heavy).  The compiled sweep's summary equals the
-        oracle's, and a StudyAgent on a machine runs scalar, names why,
-        and leaves the oracle's machine image."""
+        oracle's, and the headless capture leaves the oracle's machine
+        image (caches and AMs in LRU order, directories, RNG, ports)."""
         def make():
             return make_workload(workload, intensity=0.3)
 
@@ -163,12 +96,18 @@ class TestBitIdentical:
         )
         assert surface(fast) == surface(scalar)
 
-        ours, result = machine_sweep(params, make(), max_refs_per_node=400)
-        assert result.backend == "scalar"
-        assert result.fallback_reason == f"machine-backed StudyAgent {MACHINE_BACKED}"
-        oracle, _ = machine_sweep(params, make(), fast=False, max_refs_per_node=400)
-        assert machine_state(ours) == machine_state(oracle)
-        assert surface(RunSummary.from_result(result)) == surface(scalar)
+        _, captured = compiled_run(
+            params, Scheme.V_COMA, make(), CaptureAgent(params), max_refs_per_node=400
+        )
+        oracle, state = scalar_run(
+            params, Scheme.V_COMA, make(), StudyAgent(params, sizes=SIZES, orgs=ORGS),
+            max_refs_per_node=400,
+        )
+        assert surface(oracle) == surface(scalar)
+        # Counters are the summaries' to compare: the capture's carry no
+        # study statistics.
+        del captured["counters"], state["counters"]
+        assert diff_paths(state, captured) == []
 
     def test_every_scheme_every_design_point(self, params):
         """All five paper schemes, every size × organization."""
@@ -240,7 +179,7 @@ def make_spec(params, workload="radix"):
 
 
 class TestReplayMatrix:
-    """Runner cell (capture + replay) and coupled machine-backed run,
+    """Runner cell (capture + replay) and coupled scalar machine run,
     each with and without the compiled backend, against one oracle."""
 
     @pytest.fixture(scope="class")
@@ -262,7 +201,7 @@ class TestReplayMatrix:
         if replay:
             summary = make_spec(params).execute()
         else:
-            _, result = machine_sweep(
+            result = machine_sweep(
                 params, make_workload("radix", intensity=0.3), max_refs_per_node=400
             )
             assert result.backend == "scalar"
@@ -288,40 +227,55 @@ class TestFallbacks:
         )
         assert result.backend == "scalar"
         assert "compiled backend unavailable" in result.fallback_reason
-        _, coupled = machine_sweep(
+        traces = capture_tap_traces(
             params, make_workload("radix", intensity=0.2), max_refs_per_node=200
         )
-        assert coupled.fallback_reason.startswith("compiled backend unavailable: ")
+        assert traces.base.fallback_reason.startswith("compiled backend unavailable: ")
 
     def test_capture_agent_on_a_machine_runs_scalar(self, params):
-        """A CaptureAgent on a machine stays scalar, names why, and
-        records the streams the headless capture records."""
-        streams, reasons = [], []
-        for fast in (True, False):
-            agent = CaptureAgent(params)
-            machine = Machine(
-                params, Scheme.V_COMA, make_workload("ocean", intensity=0.2), agent=agent
+        """A CaptureAgent on a scalar machine records the streams the
+        headless capture records; ``fast=False`` captures on one."""
+        agent = CaptureAgent(params)
+        machine = Machine(
+            params, Scheme.V_COMA, make_workload("ocean", intensity=0.2), agent=agent
+        )
+        result = Simulator(machine, max_refs_per_node=300).run()
+        assert result.backend == "scalar"
+        headless, oracle = (
+            capture_tap_traces(
+                params, make_workload("ocean", intensity=0.2), max_refs_per_node=300,
+                fast=fast,
             )
-            result = Simulator(machine, max_refs_per_node=300, fast=fast).run()
-            assert result.backend == "scalar"
-            streams.append(agent.streams())
-            reasons.append(result.fallback_reason)
-        assert reasons == [f"machine-backed CaptureAgent {MACHINE_BACKED}", "fast=False"]
-        headless = capture_tap_traces(
-            params, make_workload("ocean", intensity=0.2), max_refs_per_node=300
+            for fast in (True, False)
         )
         assert headless.base.backend == "compiled"
-        assert streams[0] == streams[1] == headless.streams
+        assert oracle.base.fallback_reason == "fast=False"
+        assert agent.streams() == oracle.streams == headless.streams
 
-    def test_tracer_forces_scalar(self, params, tmp_path):
-        from repro.obs import Tracer
-
-        with Tracer(str(tmp_path / "t.jsonl")) as tracer:
-            result = run_miss_sweep(
-                params,
-                make_workload("radix", intensity=0.2),
-                max_refs_per_node=200,
-                tracer=tracer,
-            )
-        assert result.backend == "scalar"
-        assert result.fallback_reason == "tracing attached"
+    @pytest.mark.parametrize("workload", ["radix", "raytrace"])
+    @pytest.mark.parametrize("sink", ["file", "ring"])
+    def test_traced_sweep_bit_identical(self, params, workload, sink, tmp_path):
+        """A traced sweep captures compiled and writes the scalar
+        StudyAgent run's trace: JSONL bytes, or ring records and drop
+        counts."""
+        traces, summaries = [], []
+        for fast in (True, False):
+            path = tmp_path / f"{fast}.jsonl"
+            tracer = Tracer(str(path)) if sink == "file" else Tracer(buffer_size=SMALL_RING)
+            with tracer:
+                summaries.append(run_miss_sweep(
+                    params, make_workload(workload, intensity=0.3),
+                    sizes=SIZES, orgs=ORGS, max_refs_per_node=300,
+                    tracer=tracer, fast=fast,
+                ))
+            if sink == "file":
+                traces.append(path.read_bytes())
+            else:
+                traces.append((list(tracer.records), tracer.dropped))
+        fast, scalar = summaries
+        assert fast.backend == "compiled+replay" and fast.fallback_reason is None
+        assert scalar.backend == "scalar"
+        assert surface(fast) == surface(scalar)
+        assert traces[0] == traces[1]
+        if sink == "ring":
+            assert traces[0][1] > 0  # the ring really overflowed

@@ -1,24 +1,26 @@
 """The compiled timing fast path must be bit-identical to the scalar oracle.
 
 The tentpole contract of the columnar engine (``repro.core.timing_kernels``
-+ ``repro.system.fast_simulator``): after a fast run, *everything* — the
-RunSummary surface (total time, per-node breakdowns, counters, TLB/DLB
-statistics, latency histograms) and the machine object itself (cache/AM
-images in LRU order, directory entries, TLB contents, Mersenne Twister
-states, the translation accumulator) — matches a run driven by the
-scalar engine, which is retained purely as the differential-testing
-oracle.  Sync-heavy workloads are the hard part (barriers, lock
-contention, truncation mid-critical-section), so RAYTRACE's lock-heavy
-streams and hand-built barrier-imbalanced streams are first-class cases
-here, along with the scalar engine's sync errors.
++ ``repro.system.fast_simulator``): after a compiled run, *everything* —
+the RunSummary surface (total time, per-node breakdowns, counters,
+TLB/DLB statistics, latency histograms) and the final machine image
+(cache/AM images in LRU order, directory entries, TLB contents, Mersenne
+Twister states, the translation accumulator, port free times) — matches
+a run driven by the scalar engine, which is retained purely as the
+differential-testing oracle.  A compiled run builds no machine, so its
+image is read from C (``fs_image``) and decoded into the dict
+``machine_state`` reads off the scalar machine; a test below proves the
+decoder drops no field.  Sync-heavy workloads are the hard part
+(barriers, lock contention, truncation mid-critical-section), so
+RAYTRACE's lock-heavy streams and hand-built barrier-imbalanced streams
+are first-class cases here, along with the scalar engine's sync errors.
 
 Traced runs are held to the same contract one level further out: the
 compiled engine writes the tracer's packed records itself, and the
 JSONL bytes (file-backed tracers) or ring records and drop counts
 (memory-only tracers) must equal the scalar run's.
 
-Runner jobs run headless: ``JobSpec.execute`` reads the summary
-straight from C and never builds a machine, so every scheme row also
+Runner jobs go through the same headless path, so every scheme row also
 checks that job's summary against the scalar run.  The image
 ``fs_preload`` builds in C must equal ``Machine._preload``'s, and a
 data set that does not fit raises the same ``CapacityError`` on both
@@ -33,15 +35,24 @@ import re
 
 import pytest
 
-from repro import CustomWorkload, MachineParams, Scheme, SegmentSpec, Simulator, make_workload
+from repro import CustomWorkload, MachineParams, Scheme, SegmentSpec, make_workload
 from repro.analysis import run_timing
 from repro.analysis.experiments import pressure_profile
+from repro.coma.protocol import TranslationAgent
 from repro.common.address import AddressLayout
 from repro.common.errors import CapacityError, ReproError
 from repro.core.schemes import SCHEME_ORDER
 from repro.core.timing_kernels import NO_COMPILED_ENV, get_backend
 from repro.core.tlb import Organization
-from repro.fuzz.oracle import literal_machine, machine_state, summary_surface
+from repro.fuzz.oracle import (
+    compiled_run,
+    decode_image,
+    diff_paths,
+    literal_workload,
+    machine_state,
+    scalar_run,
+    summary_surface,
+)
 from repro.obs import Tracer
 from repro.runner import JobSpec
 from repro.runner.summary import RunSummary
@@ -76,98 +87,104 @@ TRUNCATED_LOCK_STREAMS = [
 ]
 
 
+def assert_identical(fast, scalar):
+    """Two ``(summary, state)`` pairs: the compiled one really ran
+    compiled, and both summaries and final images agree."""
+    (fast_summary, fast_state), (scalar_summary, scalar_state) = fast, scalar
+    assert fast_summary.backend == "compiled" and fast_summary.fallback_reason is None
+    assert scalar_summary.backend == "scalar"
+    assert summary_surface(fast_summary) == summary_surface(scalar_summary)
+    assert diff_paths(scalar_state, fast_state) == []
+
+
+def literal_pair(params, scheme, streams, **kwargs):
+    """Compiled and scalar ``(summary, state)`` of hand-built streams
+    under the passive translation agent."""
+    return [
+        run(params, scheme, literal_workload(params, streams), TranslationAgent(), **kwargs)
+        for run in (compiled_run, scalar_run)
+    ]
+
+
 def traced_pair(run, sink, tmp_path):
-    """``run(tracer, fast)`` on both engines, each with a fresh tracer
-    of kind ``sink``; returns ``(fast, scalar)`` as (result, trace)
-    pairs, the trace being the JSONL bytes or the ring's decoded
-    records and drop count."""
+    """``run(tracer, compiled_run | scalar_run)`` on both engines, each
+    with a fresh tracer of kind ``sink``; returns ``(fast, scalar)`` as
+    ((summary, state), trace) pairs, the trace being the JSONL bytes or
+    the ring's decoded records and drop count."""
     outputs = []
-    for fast in (True, False):
-        path = tmp_path / f"{'fast' if fast else 'scalar'}.jsonl"
+    for engine in (compiled_run, scalar_run):
+        path = tmp_path / f"{engine.__name__}.jsonl"
         tracer = Tracer(str(path)) if sink == "file" else Tracer(buffer_size=SMALL_RING)
         with tracer:
-            result = run(tracer, fast)
+            result = run(tracer, engine)
         if sink == "file":
             trace = path.read_bytes()
         else:
             trace = (list(tracer.records), tracer.dropped)
         outputs.append((result, trace))
     (fast, fast_trace), (scalar, scalar_trace) = outputs
-    assert fast.backend == "compiled" and fast.fallback_reason is None
-    assert scalar.backend == "scalar"
+    assert_identical(fast, scalar)
     if sink == "ring":
         assert fast_trace[1] > 0  # the ring really overflowed
     return outputs
 
 
-def paired_run(params, scheme, workload, intensity, variant=None, **kwargs):
-    """One fast and one scalar run of the same spec; asserts the
-    engines actually differed, that the spec run as a runner job
-    (headless: no machine) summarizes exactly like the scalar run, and
-    returns the fast and scalar results."""
+def paired_run(params, scheme, workload, intensity, variant=None, entries=8,
+               organization=Organization.FULLY_ASSOCIATIVE, **kwargs):
+    """One compiled and one scalar run of the same spec, each a
+    ``(summary, state)`` pair; asserts they agree and that the spec run
+    as a runner job summarizes exactly like the scalar run."""
     spec = JobSpec.timing(
-        params, scheme, workload, overrides={"intensity": intensity},
-        variant=variant, **kwargs
+        params, scheme, workload, entries, organization=organization,
+        overrides={"intensity": intensity}, variant=variant, **kwargs
     )
-    fast = run_timing(params, scheme, spec.build_workload(), **kwargs)
-    scalar = run_timing(params, scheme, spec.build_workload(), fast=False, **kwargs)
-    assert fast.backend == "compiled" and fast.fallback_reason is None
-    assert scalar.backend == "scalar" and scalar.fallback_reason == "fast=False"
+    fast, scalar = (
+        run(params, scheme, spec.build_workload(),
+            TimingAgent(params, scheme, entries, organization=organization), **kwargs)
+        for run in (compiled_run, scalar_run)
+    )
+    assert_identical(fast, scalar)
     job = spec.execute()
     assert job.backend == "compiled" and job.fallback_reason is None
-    payload = job.to_dict()
-    del payload["backend"], payload["fallback_reason"]
-    assert payload == summary_surface(scalar)
+    assert summary_surface(job) == summary_surface(scalar[0])
     return fast, scalar
 
 
 @pytest.mark.parametrize("scheme", SCHEME_ORDER, ids=[s.value for s in SCHEME_ORDER])
 class TestAllSchemes:
     def test_raytrace_locks_bit_identical(self, params, scheme):
-        """RAYTRACE's task-queue locks: the sync path Python still owns."""
-        fast, scalar = paired_run(params, scheme, "raytrace", 0.5, entries=8)
-        assert summary_surface(fast) == summary_surface(scalar)
-        assert machine_state(fast.machine) == machine_state(scalar.machine)
+        """RAYTRACE's task-queue locks, fully-associative buffers."""
+        paired_run(params, scheme, "raytrace", 0.5)
 
     def test_direct_mapped_with_truncation(self, params, scheme):
         """DM structures plus max_refs truncation (epoch edge cases)."""
-        fast, scalar = paired_run(
+        paired_run(
             params,
             scheme,
             "radix",
             0.3,
-            entries=8,
             organization=Organization.DIRECT_MAPPED,
             max_refs_per_node=300,
         )
-        assert summary_surface(fast) == summary_surface(scalar)
-        assert machine_state(fast.machine) == machine_state(scalar.machine)
 
     @pytest.mark.parametrize("variant", [None, "v2"], ids=["base", "v2"])
     def test_raytrace_contention_bit_identical(self, params, scheme, variant):
         """Figure 10's padding bars: every remote transfer queues at
         its destination's input port, lock hand-offs included."""
-        fast, scalar = paired_run(
-            params, scheme, "raytrace", 0.5, variant=variant, entries=8, contention=True
+        (fast, state), _ = paired_run(
+            params, scheme, "raytrace", 0.5, variant=variant, contention=True
         )
-        assert fast.machine.crossbar.counters["contention_cycles"] > 0
-        assert summary_surface(fast) == summary_surface(scalar)
-        assert machine_state(fast.machine) == machine_state(scalar.machine)
+        assert fast.counters["contention_cycles"] > 0
+        assert any(state["port_free_at"])
 
     def test_contention_sync_streams_truncated_in_critical_section(self, params, scheme):
         """Barrier-imbalanced streams under port contention; max_refs
         cuts node 0 off inside its critical section."""
-        def run(fast):
-            machine = literal_machine(
-                params, scheme, TRUNCATED_LOCK_STREAMS, contention=True
-            )
-            return Simulator(machine, max_refs_per_node=60, fast=fast).run()
-
-        fast, scalar = run(True), run(False)
-        assert fast.backend == "compiled"
-        assert fast.refs_per_node[0] == 60
-        assert summary_surface(fast) == summary_surface(scalar)
-        assert machine_state(fast.machine) == machine_state(scalar.machine)
+        fast, scalar = literal_pair(
+            params, scheme, TRUNCATED_LOCK_STREAMS, contention=True, max_refs_per_node=60
+        )
+        assert fast[0].refs_per_node[0] == 60
+        assert_identical(fast, scalar)
 
     @pytest.mark.parametrize("contention", [False, True], ids=["latency", "contention"])
     @pytest.mark.parametrize("sink", ["file", "ring"])
@@ -176,16 +193,14 @@ class TestAllSchemes:
         events, injections and (optionally) port contention, streamed
         to JSONL or kept in an overflowing ring."""
 
-        def run(tracer, fast):
-            return run_timing(
-                params, scheme, make_workload("raytrace", intensity=0.5), 8,
-                contention=contention, tracer=tracer,
-                fast=fast,
+        def run(tracer, engine):
+            return engine(
+                params, scheme, make_workload("raytrace", intensity=0.5),
+                TimingAgent(params, scheme, 8), contention=contention, tracer=tracer,
             )
 
-        (fast, fast_trace), (scalar, scalar_trace) = traced_pair(run, sink, tmp_path)
+        (_, fast_trace), (_, scalar_trace) = traced_pair(run, sink, tmp_path)
         assert fast_trace == scalar_trace
-        assert machine_state(fast.machine) == machine_state(scalar.machine)
 
     @pytest.mark.parametrize("sink", ["file", "ring"])
     def test_traced_sync_streams_truncated_in_critical_section(
@@ -194,57 +209,83 @@ class TestAllSchemes:
         """sim.barrier / sim.lock records interleave with the drained C
         records exactly where the scalar run writes them."""
 
-        def run(tracer, fast):
-            machine = literal_machine(
-                params, scheme, TRUNCATED_LOCK_STREAMS, contention=True, tracer=tracer
+        def run(tracer, engine):
+            return engine(
+                params, scheme, literal_workload(params, TRUNCATED_LOCK_STREAMS),
+                TranslationAgent(), tracer=tracer, contention=True, max_refs_per_node=60,
             )
-            return Simulator(machine, max_refs_per_node=60, fast=fast).run()
 
-        (fast, fast_trace), (scalar, scalar_trace) = traced_pair(run, sink, tmp_path)
+        ((fast, _), fast_trace), (_, scalar_trace) = traced_pair(run, sink, tmp_path)
         assert fast.refs_per_node[0] == 60
         assert fast_trace == scalar_trace
-        assert machine_state(fast.machine) == machine_state(scalar.machine)
 
 
-def preload_image(machine):
-    """The AM sets (set-major, LRU order within a set) and directory
-    ``fs_preload`` builds from the machine's placement, read back
-    through the engine's export calls."""
+class TestImageDecoder:
+    """``decode_image`` must turn every word of ``fs_image`` that holds
+    state into a field the oracle compares: flip one bit of a word in
+    a key's region and the diff must name that key."""
+
+    @pytest.fixture(scope="class")
+    def image(self, params):
+        run = fast_simulator.HeadlessRun(
+            params, Scheme.V_COMA, make_workload("raytrace", intensity=0.5),
+            TimingAgent(params, Scheme.V_COMA, 8), contention=True,
+        )
+        fast_simulator.run_fast(run, image=True)
+        return run.image
+
+    def test_every_key_has_a_region(self, params, image):
+        _, fields = decode_image(image)
+        nodes = [
+            f"$['nodes'][{n}][{key!r}]"
+            for n in range(params.nodes)
+            for key in ("flc", "slc", "am", "read_hist", "write_hist")
+        ]
+        tlbs = [f"$['tlbs'][{n}]" for n in range(params.nodes)]
+        top = ["$['engine_rng']", "$['translation_accum']", "$['port_free_at']",
+               "$['directories']"]
+        assert sorted(fields) == sorted(top + nodes + tlbs)
+
+    def test_perturbed_word_is_named_by_the_diff(self, image):
+        state, fields = decode_image(image)
+        for path, offsets in fields.items():
+            # The first and last words cover each region's counts, its
+            # first entry and its tail (an RNG, a histogram's totals).
+            for offset in sorted(set(offsets[:4] + offsets[-4:])):
+                perturbed = type(image)(image.typecode, image)
+                perturbed[offset] ^= 1
+                diffs = diff_paths(state, decode_image(perturbed)[0])
+                assert diffs and all(d.startswith(path) for d in diffs), (path, offset)
+
+    def test_layout_is_consumed_exactly(self, image):
+        with pytest.raises(ValueError):
+            decode_image(image + type(image)(image.typecode, [0]))
+
+
+def preload_image(params, scheme, workload):
+    """The AM sets and directories ``fs_preload`` builds from the
+    run's placement, decoded from the engine's ``fs_image``."""
     backend = get_backend()
     ffi, lib = backend.ffi, backend.lib
-    params = machine.params
-    geom = fast_simulator._geometry(machine, None, contention=False, relaxed=False)
-    handle = lib.fs_create(ffi.new("int64_t[]", geom))
+    run = fast_simulator.HeadlessRun(params, scheme, workload, TranslationAgent())
+    handle = lib.fs_create(ffi.new("int64_t[]", fast_simulator._geometry(run)))
     try:
-        placement = machine.placement
+        placement = run.placement
         assert lib.fs_preload(
             handle,
             ffi.from_buffer("int64_t[]", placement.vpns),
             ffi.from_buffer("int64_t[]", placement.ppns),
             len(placement.vpns),
         ) == 0
-        capacity = params.am_sets * params.am_assoc
-        blocks = ffi.new("int64_t[]", capacity)
-        states = ffi.new("uint8_t[]", capacity)
-        ams = []
-        for n in range(params.nodes):
-            resident = lib.fs_export_cache(handle, n, 2, blocks, states)
-            ams.append([(blocks[i], states[i]) for i in range(resident)])
-        count = lib.fs_dir_count(handle)
-        owners = ffi.new("int32_t[]", count)
-        dir_blocks = ffi.new("int64_t[]", count)
-        sharers = ffi.new("uint64_t[]", count)  # one word: <= 64 nodes
-        lib.fs_export_dir(handle, dir_blocks, owners, sharers)
-        directory = {
-            dir_blocks[i]: (
-                None if owners[i] < 0 else owners[i],
-                frozenset(n for n in range(params.nodes) if sharers[i] >> n & 1),
-            )
-            for i in range(count)
-        }
+        size = lib.fs_image(handle, ffi.NULL, 0)
+        words = ffi.new("int64_t[]", size)
+        assert lib.fs_image(handle, words, size) == size
     finally:
         lib.fs_destroy(handle)
-    return ams, directory
+    # fs_image's words, then the (empty) per-node latency histograms.
+    hists = ([0] * 64 + [0, 0]) * 2 * params.nodes
+    state, _ = decode_image(list(words) + hists)
+    return [node["am"] for node in state["nodes"]], state["directories"]
 
 
 @pytest.mark.parametrize("scheme", SCHEME_ORDER, ids=[s.value for s in SCHEME_ORDER])
@@ -252,16 +293,10 @@ class TestPreloadImage:
     @pytest.mark.parametrize("workload", PAPER_ORDER)
     def test_fs_preload_equals_machine_preload(self, params, scheme, workload):
         machine = Machine(params, scheme, make_workload(workload, intensity=0.5))
-        ams, directory = preload_image(machine)
-        assert ams == [
-            [(block, int(state)) for cache_set in am._sets for block, state in cache_set.items()]
-            for am in machine.engine.ams
-        ]
-        assert directory == {
-            block: (entry.owner, frozenset(entry.sharers))
-            for home in machine.engine.directories
-            for block, entry in home._entries.items()
-        }
+        ams, directories = preload_image(params, scheme, make_workload(workload, intensity=0.5))
+        expected = machine_state(machine)
+        assert ams == [node["am"] for node in expected["nodes"]]
+        assert directories == expected["directories"]
         placement = machine.placement
         expected_map = {} if scheme.uses_virtual_am else dict(zip(placement.vpns, placement.ppns))
         assert machine.page_map == expected_map
@@ -291,48 +326,32 @@ class TestPreloadImage:
         assert str(headless.value) == str(scalar.value) == str(profile.value)
 
 
-class TestContentionPortState:
-    def test_preseeded_ports_load_and_export(self, params):
-        """Ports already busy before the run: C must start from the
-        machine's free times and hand the final ones back."""
-        busy = [600, 0, 2500, 1200]
-
-        def run(fast, ports):
-            machine = Machine(
-                params, Scheme.V_COMA, make_workload("raytrace", intensity=0.5),
-                contention=True,
-            )
-            machine.crossbar._port_free_at = list(ports)
-            return Simulator(machine, max_refs_per_node=200, fast=fast).run()
-
-        fast, scalar = run(True, busy), run(False, busy)
-        assert fast.backend == "compiled"
-        assert summary_surface(fast) == summary_surface(scalar)
-        assert machine_state(fast.machine) == machine_state(scalar.machine)
-        # The seeded free times changed the run, so they were loaded.
-        idle = run(True, [0] * 4)
-        assert summary_surface(idle) != summary_surface(fast)
-
-
 def raised(streams, params, fast):
     """The ReproError a run of ``streams`` raises on one engine."""
-    machine = literal_machine(params, Scheme.V_COMA, streams)
     with pytest.raises(ReproError) as info:
-        Simulator(machine, fast=fast).run()
+        run_summary(
+            params, Scheme.V_COMA, literal_workload(params, streams), TranslationAgent,
+            fast=fast,
+        )
     return type(info.value), str(info.value)
 
 
 class _CountingLib:
     """Pass-through stand-in for the cffi library that counts ``fs_run``
-    calls."""
+    calls and trace drains (``fs_trace_take``)."""
 
     def __init__(self, lib):
         self._lib = lib
         self.runs = 0
+        self.drains = 0
 
     def fs_run(self, *args):
         self.runs += 1
         return self._lib.fs_run(*args)
+
+    def fs_trace_take(self, *args):
+        self.drains += 1
+        return self._lib.fs_trace_take(*args)
 
     def __getattr__(self, name):
         return getattr(self._lib, name)
@@ -349,13 +368,7 @@ class TestSyncHeavy:
             [(BARRIER, 0), (BARRIER, 1)],
             [(WRITE, 512)],  # never reaches either barrier
         ]
-        fast = Simulator(literal_machine(params, Scheme.V_COMA, streams)).run()
-        scalar = Simulator(
-            literal_machine(params, Scheme.V_COMA, streams), fast=False
-        ).run()
-        assert fast.backend == "compiled"
-        assert summary_surface(fast) == summary_surface(scalar)
-        assert machine_state(fast.machine) == machine_state(scalar.machine)
+        assert_identical(*literal_pair(params, Scheme.V_COMA, streams))
 
     def test_lock_convoy(self, params):
         """All nodes contend for one lock word; FIFO handoff order and
@@ -364,11 +377,7 @@ class TestSyncHeavy:
             [(LOCK, 0), (WRITE, 64), (WRITE, 128), (UNLOCK, 0)] * 5
             for _ in range(4)
         ]
-        fast = Simulator(literal_machine(params, Scheme.V_COMA, streams)).run()
-        scalar = Simulator(
-            literal_machine(params, Scheme.V_COMA, streams), fast=False
-        ).run()
-        assert summary_surface(fast) == summary_surface(scalar)
+        assert_identical(*literal_pair(params, Scheme.V_COMA, streams))
 
     def test_truncation_inside_critical_section(self, params):
         """max_refs cuts node 0 off while it holds the lock; the finish
@@ -379,15 +388,9 @@ class TestSyncHeavy:
             [],
             [],
         ]
-        fast = Simulator(
-            literal_machine(params, Scheme.V_COMA, streams), max_refs_per_node=10
-        ).run()
-        scalar = Simulator(
-            literal_machine(params, Scheme.V_COMA, streams), max_refs_per_node=10, fast=False
-        ).run()
-        assert fast.refs_per_node[0] == 10
-        assert summary_surface(fast) == summary_surface(scalar)
-        assert machine_state(fast.machine) == machine_state(scalar.machine)
+        fast, scalar = literal_pair(params, Scheme.V_COMA, streams, max_refs_per_node=10)
+        assert fast[0].refs_per_node[0] == 10
+        assert_identical(fast, scalar)
 
     def test_sync_exactly_at_the_cut_is_not_executed(self, params):
         """Node 0's barrier sits right after its 10th reference and
@@ -399,17 +402,10 @@ class TestSyncHeavy:
             [(BARRIER, 0)],
             [(BARRIER, 0)],
         ]
-        fast = Simulator(
-            literal_machine(params, Scheme.V_COMA, streams), max_refs_per_node=10
-        ).run()
-        scalar = Simulator(
-            literal_machine(params, Scheme.V_COMA, streams), max_refs_per_node=10, fast=False
-        ).run()
-        assert fast.backend == "compiled"
-        assert fast.refs_per_node[0] == scalar.refs_per_node[0] == 10
-        assert fast.barriers == scalar.barriers == 3
-        assert summary_surface(fast) == summary_surface(scalar)
-        assert machine_state(fast.machine) == machine_state(scalar.machine)
+        fast, scalar = literal_pair(params, Scheme.V_COMA, streams, max_refs_per_node=10)
+        assert fast[0].refs_per_node[0] == scalar[0].refs_per_node[0] == 10
+        assert fast[0].barriers == scalar[0].barriers == 3
+        assert_identical(fast, scalar)
 
     @pytest.mark.parametrize(
         "streams, message",
@@ -437,7 +433,8 @@ class TestSyncHeavy:
 
     def test_held_locks_in_first_acquisition_order(self, params):
         _, text = raised([[(LOCK, 128), (LOCK, 64), (LOCK, 128)], [], [], []], params, True)
-        base = literal_machine(params, Scheme.V_COMA, [[]] * 4).ctx.segment("data").base
+        machine = Machine(params, Scheme.V_COMA, literal_workload(params, [[]] * 4))
+        base = machine.ctx.segment("data").base
         assert text.endswith(f"[{base + 128}, {base + 64}]")
 
     def test_reused_barrier_id_is_a_new_episode(self, params):
@@ -445,10 +442,9 @@ class TestSyncHeavy:
         release: a waiting node is off the heap, so no stream reaches
         that error, and an id reused after release is a fresh barrier."""
         streams = [[(BARRIER, 0), (READ, 64), (BARRIER, 0)]] * 4
-        fast = Simulator(literal_machine(params, Scheme.V_COMA, streams)).run()
-        scalar = Simulator(literal_machine(params, Scheme.V_COMA, streams), fast=False).run()
-        assert fast.backend == "compiled" and fast.barriers == 8
-        assert summary_surface(fast) == summary_surface(scalar)
+        fast, scalar = literal_pair(params, Scheme.V_COMA, streams)
+        assert fast[0].barriers == 8
+        assert_identical(fast, scalar)
 
     @pytest.mark.parametrize("contention", [False, True], ids=["free", "contention"])
     @pytest.mark.parametrize("max_refs", range(17))
@@ -461,21 +457,16 @@ class TestSyncHeavy:
             ([(LOCK, 0)] + [(WRITE, 64 * (j + 1)) for j in range(i + 1)] + [(UNLOCK, 0)]) * 4
             for i in range(4)
         ]
-        fast = Simulator(
-            literal_machine(params, Scheme.V_COMA, streams, contention=contention),
-            max_refs_per_node=max_refs,
-        ).run()
-        scalar = Simulator(
-            literal_machine(params, Scheme.V_COMA, streams, contention=contention),
-            max_refs_per_node=max_refs, fast=False,
-        ).run()
-        assert fast.backend == "compiled"
-        assert summary_surface(fast) == summary_surface(scalar)
-        assert machine_state(fast.machine) == machine_state(scalar.machine)
+        assert_identical(*literal_pair(
+            params, Scheme.V_COMA, streams, contention=contention, max_refs_per_node=max_refs
+        ))
 
     def test_untraced_run_is_one_c_call(self, params, monkeypatch):
         """A run with barriers and lock contention calls ``fs_run``
-        once, machine-backed or headless."""
+        once, through ``run_timing`` or a runner job; a traced run
+        calls it once per drain of the trace buffer."""
+        from repro.obs import trace
+
         counting = _CountingLib(get_backend().lib)
         monkeypatch.setattr(get_backend(), "lib", counting)
         result = run_timing(params, Scheme.V_COMA, make_workload("raytrace", intensity=0.5), 8)
@@ -484,7 +475,13 @@ class TestSyncHeavy:
         job = JobSpec.timing(params, Scheme.L0_TLB, "raytrace", 8,
                              overrides={"intensity": 0.5}).execute()
         assert job.backend == "compiled"
-        assert counting.runs == 2
+        assert counting.runs == 2 and counting.drains == 0
+        monkeypatch.setattr(trace, "PACKED_FLUSH_BYTES", 1 << 16)
+        with Tracer() as tracer:
+            run_timing(params, Scheme.V_COMA, make_workload("raytrace", intensity=0.5), 8,
+                       tracer=tracer)
+        assert counting.drains > 1
+        assert counting.runs - 2 == counting.drains
 
 
 class TestTracedEngineError:
@@ -496,9 +493,11 @@ class TestTracedEngineError:
         rings = []
         for fast in (True, False):
             tracer = Tracer()
-            machine = literal_machine(params, Scheme.L2_TLB, streams, tracer=tracer)
             with pytest.raises((ReproError, KeyError)):
-                Simulator(machine, fast=fast).run()
+                run_summary(
+                    params, Scheme.L2_TLB, literal_workload(params, streams),
+                    TranslationAgent, tracer=tracer, fast=fast,
+                )
             tracer.close()
             rings.append(list(tracer.records))
         assert rings[0] == rings[1]
@@ -530,9 +529,8 @@ class TestBackendReporting:
         result = run_timing(
             params, Scheme.V_COMA, make_workload("radix", intensity=0.2), 8,
         )
-        summary = RunSummary.from_result(result)
-        assert summary.backend == "compiled"
-        assert RunSummary.from_dict(summary.to_dict()).backend == "compiled"
+        assert result.backend == "compiled"
+        assert RunSummary.from_dict(result.to_dict()).backend == "compiled"
 
     def test_tracer_runs_compiled(self, params, tmp_path):
         with Tracer(str(tmp_path / "t.jsonl")) as tracer:

@@ -146,7 +146,7 @@ def test_attribution_reconciles_on_a_compiled_trace(params, scheme, tmp_path):
             contention=True, tracer=tracer,
         )
     assert result.backend == "compiled"
-    assert result.machine.crossbar.counters["contention_cycles"] > 0
+    assert result.counters["contention_cycles"] > 0
     records = read_trace(str(path))
     checks = attribute_costs(records).reconcile(
         registry_from_summary(result), strict=True

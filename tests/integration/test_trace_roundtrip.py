@@ -37,7 +37,7 @@ def traced_run(params, scheme, path):
             params, scheme, workload, ENTRIES,
             max_refs_per_node=MAX_REFS, tracer=tracer,
         )
-        counters = result.counters.to_dict()
+        counters = dict(result.counters)
         total_time = result.total_time
     return read_trace(str(path)), counters, total_time
 
@@ -134,7 +134,7 @@ def test_tracing_does_not_perturb_the_simulation(params, vcoma, tmp_path):
         ENTRIES, max_refs_per_node=MAX_REFS,
     )
     assert untraced.total_time == traced_time
-    assert untraced.counters.to_dict() == traced_counters
+    assert untraced.counters == traced_counters
 
 
 def test_schema_rejects_foreign_vocabulary(vcoma):

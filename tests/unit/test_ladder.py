@@ -4,7 +4,7 @@ Forcing any compiled-engine failure the oracle can recover from — an
 injected C OOM, a build failure, ``REPRO_NO_COMPILED`` — must yield a
 bit-identical scalar result with a structured ``fallback_reason``,
 never a crash, and the reason must survive the whole provenance chain:
-``RunResult`` → ``RunSummary`` → cache round trip → ``GridStats``.
+``RunSummary`` → cache round trip → ``GridStats``.
 Backend lifecycle hardening rides along: corrupted or stale cached
 ``.so`` files are quarantined and rebuilt, the load-time self-test
 gates dlopen, and every degradation lands on the runtime metrics
@@ -55,8 +55,8 @@ def params():
     return MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
 
 
-def surface(result):
-    payload = RunSummary.from_result(result).to_dict()
+def surface(summary):
+    payload = summary.to_dict()
     payload.pop("backend", None)
     payload.pop("fallback_reason", None)
     return payload
@@ -150,12 +150,11 @@ class TestDegradationPaths:
         )
         assert result.backend == "scalar"
         assert "compiled backend unavailable" in result.fallback_reason
-        summary = RunSummary.from_result(result)
-        again = RunSummary.from_dict(summary.to_dict())
+        again = RunSummary.from_dict(result.to_dict())
         assert again.fallback_reason == result.fallback_reason
 
     def test_provenance_reaches_grid_stats(self, params, monkeypatch):
-        """RunResult -> RunSummary -> GridStats.fallback_reasons."""
+        """RunSummary -> GridStats.fallback_reasons."""
         monkeypatch.setenv(FAULT_ENV, "oom")
         spec = JobSpec.timing(
             params, Scheme.V_COMA, "radix", 8,
@@ -189,29 +188,25 @@ class TestDegradationPaths:
         assert job.summary.backend == "compiled"
         assert runner.stats.fallback_reasons == {}
 
-    def test_mutated_state_never_degrades(self, params):
-        """Once copy-back has begun the machine is not pristine; a
-        silent scalar re-run would double-count.  EngineDegraded raised
-        after the mutation marker must propagate, not degrade."""
-        from repro.system.simulator import Simulator
-        from repro.system.machine import Machine
+    def test_mutated_state_never_degrades(self, params, monkeypatch):
+        """Once a record has left C the tracer is not pristine; a silent
+        scalar re-run would write it twice.  EngineDegraded raised after
+        the mutation marker must propagate, not degrade."""
+        from repro.system import fast_simulator
+        from repro.system.simulator import run_summary
+        from repro.system.taps import TimingAgent
 
-        machine = Machine(params, Scheme.V_COMA, make_workload("radix", intensity=0.2))
-        sim = Simulator(machine, max_refs_per_node=50)
-        sim._fast_state_mutated = True
-
-        def boom(_):
+        def late_failure(run):
+            run.mutated = True
             raise EngineDegraded("late failure")
 
-        from repro.system import fast_simulator
-
-        original = fast_simulator.run_fast
-        fast_simulator.run_fast = boom
-        try:
-            with pytest.raises(EngineDegraded):
-                sim.run()
-        finally:
-            fast_simulator.run_fast = original
+        monkeypatch.setattr(fast_simulator, "run_fast", late_failure)
+        with pytest.raises(EngineDegraded):
+            run_summary(
+                params, Scheme.V_COMA, make_workload("radix", intensity=0.2),
+                lambda: TimingAgent(params, Scheme.V_COMA, 8), max_refs_per_node=50,
+            )
+        assert fallback_counts() == {}
 
 
 # ----------------------------------------------------------------------
@@ -225,19 +220,21 @@ class TestTracedDegradation:
 
     @staticmethod
     def traced(params, streams, path, fast=True):
-        from repro.fuzz.oracle import literal_machine
+        """The run's summary, or None when EngineDegraded propagated."""
+        from repro.coma.protocol import TranslationAgent
+        from repro.fuzz.oracle import literal_workload
         from repro.obs import Tracer
-        from repro.system.simulator import Simulator
+        from repro.system.simulator import run_summary
 
         with Tracer(str(path)) as tracer:
-            sim = Simulator(
-                literal_machine(params, Scheme.V_COMA, streams, tracer=tracer),
-                fast=fast,
-            )
             try:
-                return sim, sim.run()
+                summary, _ = run_summary(
+                    params, Scheme.V_COMA, literal_workload(params, streams),
+                    TranslationAgent, tracer=tracer, fast=fast,
+                )
             except EngineDegraded:
-                return sim, None
+                return None
+            return summary
 
     def test_failure_before_first_record_degrades_to_identical_trace(
         self, params, tmp_path, monkeypatch
@@ -246,11 +243,11 @@ class TestTracedDegradation:
         from repro.system.refs import WRITE
 
         streams = [[(WRITE, (64 * i + 8 * n) % 4096) for i in range(150)] for n in range(4)]
-        _, scalar = self.traced(params, streams, tmp_path / "scalar.jsonl", fast=False)
+        scalar = self.traced(params, streams, tmp_path / "scalar.jsonl", fast=False)
         monkeypatch.setenv(FAULT_ENV, "oom")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sim, degraded = self.traced(params, streams, tmp_path / "degraded.jsonl")
+            degraded = self.traced(params, streams, tmp_path / "degraded.jsonl")
         assert degraded is not None
         assert degraded.backend == "scalar"
         assert degraded.fallback_reason.startswith("compiled engine degraded:")
@@ -289,9 +286,8 @@ class TestTracedDegradation:
             + [(WRITE, (64 * i + 8 * n) % 4096) for i in range(150)]
             for n in range(4)
         ]
-        sim, result = self.traced(params, streams, tmp_path / "t.jsonl")
+        result = self.traced(params, streams, tmp_path / "t.jsonl")
         assert result is None  # EngineDegraded propagated, no scalar re-run
-        assert sim.backend == "compiled" and sim._fast_state_mutated
         assert backend.lib.runs == 2
         assert fallback_counts() == {}
         records = read_trace(str(tmp_path / "t.jsonl"))

@@ -78,7 +78,7 @@ class TestRelaxedTimingCell:
             small_params, Scheme.L0_TLB, make_workload("ocean", intensity=0.3),
             agent=TimingAgent(small_params, Scheme.L0_TLB, 8), relaxed_writes=True,
         )
-        oracle = RunSummary.from_result(Simulator(machine, max_refs_per_node=600, fast=False).run())
+        oracle = RunSummary.from_result(Simulator(machine, max_refs_per_node=600).run())
         cell = spec.execute()
         sc = JobSpec.timing(
             small_params, Scheme.L0_TLB, "ocean", 8,

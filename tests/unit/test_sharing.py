@@ -71,7 +71,7 @@ class SharedVsPartitionedOracle(TranslationAgent):
 def oracle(params, name, intensity, entries, max_refs):
     agent = SharedVsPartitionedOracle(params, entries)
     machine = Machine(params, Scheme.V_COMA, make_workload(name, intensity=intensity), agent=agent)
-    Simulator(machine, max_refs_per_node=max_refs, fast=False).run()
+    Simulator(machine, max_refs_per_node=max_refs).run()
     return agent.counts(entries)
 
 

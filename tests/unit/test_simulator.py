@@ -12,8 +12,11 @@ from repro import (
     make_workload,
 )
 from repro.coma.protocol import TranslationAgent
+from repro.core.tlb import Organization
 from repro.runner.summary import RunSummary
 from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
+from repro.system.simulator import run_summary
+from repro.system.taps import StudyAgent
 
 
 def run_machine(params, streams, pages=32, **sim_kwargs):
@@ -143,10 +146,22 @@ class TestLocks:
 
 
 def _numa_machine(params, fast):
+    """The CC-NUMA runner cell, or (``fast=False``) the same machine run
+    by a bare scalar simulator."""
     from repro.numa.machine import NumaMachine
+    from repro.runner import JobSpec
 
-    machine = NumaMachine(params, Scheme.V_COMA, make_workload("radix", intensity=0.2))
-    return Simulator(machine, max_refs_per_node=150, fast=fast).run()
+    spec = JobSpec.sweep(
+        params, "radix", max_refs_per_node=150, overrides={"intensity": 0.2},
+        machine="numa",
+    )
+    if fast:
+        return spec.execute()
+    agent = StudyAgent(params, sizes=spec.sizes, orgs=[Organization(o) for o in spec.orgs])
+    machine = NumaMachine(params, Scheme.V_COMA, spec.build_workload(), agent=agent)
+    simulator = Simulator(machine, max_refs_per_node=150)
+    simulator.fallback_reason = "fast=False"
+    return RunSummary.from_result(simulator.run())
 
 
 class _CustomAgent(TranslationAgent):
@@ -154,22 +169,11 @@ class _CustomAgent(TranslationAgent):
 
 
 def _custom_agent(params, fast):
-    machine = Machine(
-        params, Scheme.V_COMA, make_workload("radix", intensity=0.2), agent=_CustomAgent()
+    summary, _ = run_summary(
+        params, Scheme.V_COMA, make_workload("radix", intensity=0.2), _CustomAgent,
+        max_refs_per_node=150, fast=fast,
     )
-    return Simulator(machine, max_refs_per_node=150, fast=fast).run()
-
-
-def _traced_sweep(params, fast):
-    from repro.obs import Tracer
-    from repro.system.taps import StudyAgent
-
-    with Tracer(buffer_size=64) as tracer:
-        machine = Machine(
-            params, Scheme.V_COMA, make_workload("radix", intensity=0.2),
-            agent=StudyAgent(params), tracer=tracer,
-        )
-        return Simulator(machine, max_refs_per_node=150, fast=fast).run()
+    return summary
 
 
 class TestFallbackReason:
@@ -181,9 +185,8 @@ class TestFallbackReason:
         [
             (_numa_machine, "custom machine type NumaMachine"),
             (_custom_agent, "unsupported agent _CustomAgent"),
-            (_traced_sweep, "tracing attached"),
         ],
-        ids=["custom-machine", "custom-agent", "traced-sweep"],
+        ids=["custom-machine", "custom-agent"],
     )
     def test_reason_and_identical_scalar(self, small_params, run, reason):
         result = run(small_params, True)
@@ -191,9 +194,7 @@ class TestFallbackReason:
         assert result.fallback_reason == reason
         oracle = run(small_params, False)
         assert oracle.fallback_reason == "fast=False"
-        ours, theirs = (
-            RunSummary.from_result(r).to_dict() for r in (result, oracle)
-        )
+        ours, theirs = (r.to_dict() for r in (result, oracle))
         for payload in (ours, theirs):
             payload.pop("backend")
             payload.pop("fallback_reason")

@@ -14,7 +14,6 @@ from repro.core.timing_kernels import (
     RNG_STATE_WORDS,
     backend_status,
     get_backend,
-    load_rng_state,
     materialize_stream,
     rng_state_words,
 )
@@ -46,12 +45,8 @@ class TestRngMarshalling:
         assert len(words) == RNG_STATE_WORDS
         expected = [rng.getrandbits(32) for _ in range(10)]
         fresh = random.Random()
-        load_rng_state(fresh, words)
+        fresh.setstate((3, tuple(words), None))
         assert [fresh.getrandbits(32) for _ in range(10)] == expected
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            load_rng_state(random.Random(), array.array("I", [0] * 10))
 
     def test_rejects_pending_gauss(self):
         rng = random.Random(5)
