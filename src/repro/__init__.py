@@ -26,11 +26,8 @@ from repro.common import (
     ProtocolError,
     ReproError,
     TimeBreakdown,
-    TranslationFault,
 )
 from repro.core import (
-    DirectoryAddressSpace,
-    DirectoryLookasideBuffer,
     Organization,
     SCHEME_ORDER,
     Scheme,
@@ -65,8 +62,6 @@ __all__ = [
     "ConfigurationError",
     "Counters",
     "CustomWorkload",
-    "DirectoryAddressSpace",
-    "DirectoryLookasideBuffer",
     "Machine",
     "MachineParams",
     "MetricsRegistry",
@@ -89,7 +84,6 @@ __all__ = [
     "Tracer",
     "TranslationBank",
     "TranslationBuffer",
-    "TranslationFault",
     "WORKLOADS",
     "Workload",
     "__version__",

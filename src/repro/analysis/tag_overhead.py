@@ -16,20 +16,11 @@ tag-compression mitigation's headroom).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 #: (virtual bits, physical bits) for the paper's two reference ISAs.
 POWERPC_32 = (52, 32)
 POWERPC_64 = (80, 64)
-
-
-@dataclass(frozen=True)
-class TagOverhead:
-    """Tag storage for one addressing option, in bits per block."""
-
-    tag_bits: int
-    block_bytes: int
 
 
 def tag_bits(address_bits: int, block_bytes: int, sets: int, access_right_bits: int = 4) -> int:

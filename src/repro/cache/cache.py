@@ -32,10 +32,6 @@ class EvictedBlock(NamedTuple):
     block: int
     state: int
 
-    @property
-    def dirty(self) -> bool:
-        return self.state == DIRTY
-
 
 class Cache:
     """Set-associative, LRU, tags-only cache.
@@ -100,9 +96,6 @@ class Cache:
     def block_base(self, addr: int) -> int:
         return addr & ~self._offset_mask
 
-    def set_index(self, addr: int) -> int:
-        return (addr >> self._block_shift) & self._set_mask
-
     def _set_for(self, addr: int) -> Dict[int, int]:
         return self._sets[(addr >> self._block_shift) & self._set_mask]
 
@@ -159,13 +152,6 @@ class Cache:
             raise KeyError(f"{self.name}: set_state on absent block {block:#x}")
         cache_set[block] = state
 
-    def invalidate(self, addr: int) -> Optional[EvictedBlock]:
-        """Remove the block holding ``addr`` if present; returns it (with
-        its state) so callers can propagate dirty data upward."""
-        block = addr & ~self._offset_mask
-        state = self._sets[(addr >> self._block_shift) & self._set_mask].pop(block, None)
-        return None if state is None else EvictedBlock(block, state)
-
     def invalidate_span(self, base: int, span: int) -> Iterator[EvictedBlock]:
         """Invalidate every cache block inside ``[base, base+span)`` —
         used to keep inclusion when a larger upper-level block leaves."""
@@ -192,24 +178,9 @@ class Cache:
                 yield EvictedBlock(block, old)
             cache_set[block] = state
 
-    def flush(self) -> Iterator[EvictedBlock]:
-        """Empty the cache, yielding blocks that were DIRTY."""
-        for cache_set in self._sets:
-            for block, state in list(cache_set.items()):
-                if state == DIRTY:
-                    yield EvictedBlock(block, state)
-            cache_set.clear()
-
     def resident_blocks(self) -> Iterator[int]:
         for cache_set in self._sets:
             yield from cache_set.keys()
-
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
 
     def __repr__(self) -> str:
         return (

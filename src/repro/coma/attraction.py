@@ -163,18 +163,8 @@ class AttractionMemory:
         for am_set in self._sets:
             yield from am_set.items()
 
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-    def set_occupancy(self, set_index: int) -> int:
-        return len(self._sets[set_index])
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
     def __repr__(self) -> str:
         return (
             f"AttractionMemory(node={self.node}, sets={self.sets}, "
-            f"assoc={self.assoc}, occupancy={self.occupancy()})"
+            f"assoc={self.assoc})"
         )

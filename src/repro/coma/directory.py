@@ -3,16 +3,17 @@
 The directory of a flat COMA records, for every block homed at this
 node, where the master copy lives and which nodes hold replicas.  In
 V-COMA the directory is *located* through the virtual-to-directory-
-address translation (page table + DLB); that lookup path is modelled in
-:mod:`repro.core.dlb` and charged by the protocol engine — this module
-is the storage itself, keyed by protocol block address.
+address translation (page table + DLB); the protocol engine charges
+that lookup as a DLB access at the home, a
+:class:`~repro.core.tlb.TranslationBuffer` whose miss costs the
+page-table walk — this module is the storage itself, keyed by protocol
+block address.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.common.errors import ProtocolError
 from repro.coma.states import DirectoryEntry
 
 
@@ -37,28 +38,10 @@ class Directory:
         """Entry without creating or counting (tests/invariants)."""
         return self._entries.get(block)
 
-    def require_owner(self, block: int) -> int:
-        """The master's node; raises :class:`ProtocolError` when the
-        block has no master (data would be lost — impossible after
-        preload)."""
-        entry = self.entry(block)
-        if entry.owner is None:
-            raise ProtocolError(
-                f"home {self.node}: block {block:#x} has no master copy"
-            )
-        return entry.owner
-
     def drop_sharer(self, block: int, node: int) -> None:
         entry = self._entries.get(block)
         if entry is not None:
             entry.sharers.discard(node)
 
-    def forget(self, block: int) -> None:
-        """Remove a block's entry entirely (page-out path)."""
-        self._entries.pop(block, None)
-
     def blocks(self) -> Iterator[Tuple[int, DirectoryEntry]]:
         return iter(self._entries.items())
-
-    def __len__(self) -> int:
-        return len(self._entries)

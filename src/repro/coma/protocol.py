@@ -220,8 +220,8 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
     def home_of(self, addr: int) -> int:
         """Home node: low ``p`` bits of the page number.  Holds for both
-        virtual addresses (V-COMA/L3) and our physical layout (the frame
-        allocator mirrors the field placement)."""
+        virtual addresses (V-COMA/L3) and our physical layout (PFNs go
+        out round robin, so the same field selects the home)."""
         return self.layout.home_node(addr)
 
     def _vpn(self, addr: int) -> int:

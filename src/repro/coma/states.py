@@ -60,10 +60,6 @@ class DirectoryEntry:
             return set(self.sharers)
         return self.sharers | {self.owner}
 
-    @property
-    def is_exclusive(self) -> bool:
-        return self.owner is not None and not self.sharers
-
     def check(self) -> None:
         """Internal-consistency assertion (used by tests and the
         protocol's paranoid mode)."""

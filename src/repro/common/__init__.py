@@ -10,7 +10,6 @@ from repro.common.errors import (
     ConfigurationError,
     ProtocolError,
     ReproError,
-    TranslationFault,
 )
 from repro.common.address import AddressLayout
 from repro.common.params import MachineParams
@@ -26,7 +25,6 @@ __all__ = [
     "ProtocolError",
     "ReproError",
     "TimeBreakdown",
-    "TranslationFault",
     "make_rng",
     "substream_seed",
 ]

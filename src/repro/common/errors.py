@@ -32,12 +32,6 @@ class ProtocolError(ReproError):
     a workload problem."""
 
 
-class TranslationFault(ReproError):
-    """A virtual address could not be translated — no page-table entry at
-    the home node.  With preloaded data sets this means the workload
-    touched an address outside its declared segments."""
-
-
 class JobError(ReproError):
     """A worker-side exception that could not be rehydrated in the
     parent (unknown type, unpicklable payload).  Carries the original
@@ -67,7 +61,7 @@ def is_transient(exc: BaseException) -> bool:
     *Transient* failures are environmental — I/O errors, corrupt trace
     bytes, worker death, timeouts — and may succeed on a re-run.
     *Deterministic* failures (:class:`ConfigurationError`,
-    :class:`ProtocolError`, :class:`TranslationFault`, and any other
+    :class:`CapacityError`, :class:`ProtocolError`, and any other
     exception reproducibly raised by the simulation itself) would fail
     identically every attempt, so retrying only wastes work.
     """

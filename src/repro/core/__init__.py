@@ -3,24 +3,20 @@
 This package holds the translation hardware models — the generic
 :class:`TranslationBuffer` (covering TLBs and V-COMA's DLB in
 fully-associative, set-associative and direct-mapped organizations with
-the paper's random replacement), banks of buffers for size sweeps, the
-:class:`Scheme` enumeration of the five designs (L0-TLB, L1-TLB, L2-TLB,
-L3-TLB, V-COMA), and V-COMA's directory address space (directory pages
-plus the virtual-to-directory-address translation of paper Figure 6).
+the paper's random replacement), banks of buffers for size sweeps, and
+the :class:`Scheme` enumeration of the five designs (L0-TLB, L1-TLB,
+L2-TLB, L3-TLB, V-COMA).
+
+V-COMA's DLB is a :class:`TranslationBuffer` at the home node.  A DLB
+miss costs the page-table walk's ``translation_miss_penalty``; no page
+table or directory page is simulated, because every page is preloaded
+and the walk always hits.
 """
 
 from repro.core.tlb import Organization, TranslationBuffer, TranslationBank
 from repro.core.schemes import Scheme, TapPoint, TAP_OF_SCHEME, SCHEME_ORDER
-from repro.core.directory_space import (
-    DirectoryAddressSpace,
-    DirectoryPageHandle,
-)
-from repro.core.dlb import DirectoryLookasideBuffer
 
 __all__ = [
-    "DirectoryAddressSpace",
-    "DirectoryLookasideBuffer",
-    "DirectoryPageHandle",
     "Organization",
     "SCHEME_ORDER",
     "Scheme",

@@ -52,12 +52,6 @@ class Scheme(enum.Enum):
         """
         return self in (Scheme.L3_TLB, Scheme.V_COMA)
 
-    @property
-    def translation_is_shared(self) -> bool:
-        """V-COMA's DLB is shared at the home node; every TLB is
-        per-node."""
-        return self is Scheme.V_COMA
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
@@ -97,7 +97,8 @@ class TranslationBuffer:
         self._assoc_bits = assoc.bit_length()
         # One list of tags per set; position in the list is the way.
         self._tags: List[List[int]] = [[] for _ in range(self.sets)]
-        self._where: Dict[int, Tuple[int, int]] = {}
+        # The resident pages, for the hit check.
+        self._where: Set[int] = set()
         self.accesses = 0
         self.misses = 0
         #: Optional ``(page, hit)`` observer fired by :meth:`access`
@@ -117,9 +118,6 @@ class TranslationBuffer:
     @property
     def valid_entries(self) -> int:
         return len(self._where)
-
-    def _set_of(self, page: int) -> int:
-        return page % self.sets
 
     def contains(self, page: int) -> bool:
         """True iff the page's translation is currently cached (no
@@ -147,7 +145,6 @@ class TranslationBuffer:
         set_idx = page % self.sets
         ways = self._tags[set_idx]
         if len(ways) < self.assoc:
-            where[page] = (set_idx, len(ways))
             ways.append(page)
         else:
             assoc = self.assoc
@@ -159,48 +156,9 @@ class TranslationBuffer:
                     way = getrandbits(bits)
             else:
                 way = 0
-            victim = ways[way]
-            del where[victim]
+            where.remove(ways[way])
             ways[way] = page
-            where[page] = (set_idx, way)
-
-    def probe(self, page: int) -> bool:
-        """Like :meth:`access` but without installing on a miss (models a
-        lookup that is aborted, e.g. a writeback using a stored physical
-        pointer)."""
-        self.accesses += 1
-        if page in self._where:
-            return True
-        self.misses += 1
-        return False
-
-    def invalidate(self, page: int) -> bool:
-        """Remove one translation (TLB shootdown).  Returns True if it
-        was present."""
-        location = self._where.pop(page, None)
-        if location is None:
-            return False
-        set_idx, way = location
-        ways = self._tags[set_idx]
-        last = len(ways) - 1
-        if way != last:
-            moved = ways[last]
-            ways[way] = moved
-            self._where[moved] = (set_idx, way)
-        ways.pop()
-        return True
-
-    def flush(self) -> None:
-        """Drop every translation (context-switch style flush)."""
-        self._tags = [[] for _ in range(self.sets)]
-        self._where.clear()
-
-    def resident_pages(self) -> Iterable[int]:
-        return self._where.keys()
-
-    def reset_stats(self) -> None:
-        self.accesses = 0
-        self.misses = 0
+        where.add(page)
 
     def __repr__(self) -> str:
         return (
@@ -220,7 +178,7 @@ class TranslationBank:
     #: Ways used for SET_ASSOCIATIVE bank members (capped by entries).
     SET_ASSOC_WAYS = 4
 
-    __slots__ = ("buffers", "_buffer_list", "_fanout", "accesses")
+    __slots__ = ("buffers", "_fanout", "accesses")
 
     def __init__(self, configs: Iterable[Tuple[int, Organization]], seed: int = 0, name: str = "bank") -> None:
         self.buffers: Dict[Tuple[int, Organization], TranslationBuffer] = {}
@@ -237,8 +195,7 @@ class TranslationBank:
                 assoc=assoc,
                 rng=make_rng(seed, name, entries, organization.value),
             )
-        self._buffer_list = list(self.buffers.values())
-        self._fanout = [(buf._where, buf._install) for buf in self._buffer_list]
+        self._fanout = [(buf._where, buf._install) for buf in self.buffers.values()]
         self.accesses = 0
 
     def access(self, page: int) -> None:
@@ -246,29 +203,18 @@ class TranslationBank:
         # out to every (size, organization) buffer.  The presence dict
         # and the miss-path bound method are pre-resolved, the hit check
         # is inlined (hits dominate), and the per-buffer access count —
-        # identical across members by construction — is materialized
-        # lazily by _sync_access_counts rather than bumped per access.
+        # identical across members by construction — is kept once, in
+        # the bank, rather than bumped per member.
         self.accesses += 1
         for where, install in self._fanout:
             if page not in where:
                 install(page)
 
-    def _sync_access_counts(self) -> None:
-        """Propagate the bank access count to the member buffers (every
-        member observes the same stream)."""
-        for buffer in self._buffer_list:
-            buffer.accesses = self.accesses
-
     def misses(self, entries: int, organization: Organization = Organization.FULLY_ASSOCIATIVE) -> int:
         return self.buffers[(entries, organization)].misses
 
-    def miss_rate(self, entries: int, organization: Organization = Organization.FULLY_ASSOCIATIVE) -> float:
-        self._sync_access_counts()
-        return self.buffers[(entries, organization)].miss_rate
-
     def results(self) -> Dict[Tuple[int, str], int]:
         """Miss counts keyed by ``(entries, organization value)``."""
-        self._sync_access_counts()
         return {
             (entries, org.value): buf.misses
             for (entries, org), buf in self.buffers.items()

@@ -8,10 +8,9 @@ is latency-only).
 """
 
 from repro.interconnect.crossbar import Crossbar
-from repro.interconnect.message import Message, MessageKind
+from repro.interconnect.message import MessageKind
 
 __all__ = [
     "Crossbar",
-    "Message",
     "MessageKind",
 ]

@@ -79,13 +79,6 @@ class Crossbar:
         else:
             self._emit_msg = msg_emitter(tracer)
 
-    def cycles_for(self, kind: MessageKind) -> int:
-        """Latency of one remote message in processor cycles (node-local
-        transfers are free and never ask)."""
-        if kind.carries_block:
-            return self.params.block_msg_cycles
-        return self.params.request_msg_cycles
-
     def transfer(self, kind: MessageKind, src: int, dst: int, now: int) -> int:
         """Deliver one message starting at processor cycle ``now``.
 
@@ -119,7 +112,3 @@ class Crossbar:
         if start > now:
             values["contention_cycles"] = values.get("contention_cycles", 0) + (start - now)
         return done
-
-    def traffic_bytes(self) -> int:
-        """Total payload bytes moved between distinct nodes."""
-        return self.counters["payload_bytes"]

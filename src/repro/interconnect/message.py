@@ -1,15 +1,14 @@
 """Protocol message vocabulary.
 
-Messages are descriptive records: the simulator charges their latency
-through :class:`~repro.interconnect.crossbar.Crossbar` and counts them in
-per-kind statistics; no queues of live message objects are kept (the
+The simulator charges each message's latency through
+:class:`~repro.interconnect.crossbar.Crossbar` and counts it in
+per-kind statistics; no message objects are kept (the
 trace-interleaved engine processes each transaction to completion).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class MessageKind(enum.Enum):
@@ -49,17 +48,3 @@ for _i, _kind in enumerate(MessageKind):
 
 #: Wire names in ``index`` order (``KIND_VALUES[kind.index] == kind.value``).
 KIND_VALUES = tuple(kind.value for kind in MessageKind)
-
-
-@dataclass(frozen=True)
-class Message:
-    """One protocol message (for tracing and tests)."""
-
-    kind: MessageKind
-    src: int
-    dst: int
-    addr: int
-
-    @property
-    def is_local(self) -> bool:
-        return self.src == self.dst

@@ -1,9 +1,9 @@
 """CC-NUMA machine assembly.
 
 Mirrors :class:`~repro.system.machine.Machine` but with fixed home
-memories instead of attraction memories: preload allocates frames and
-page-table entries only (data "lives" at its home; there are no master
-copies to place and no global-set pressure).  The same
+memories instead of attraction memories: preload only maps pages to
+frames, for the physical-home schemes (data "lives" at its home; there
+are no master copies to place and no global-set pressure).  The same
 :class:`~repro.system.node.Node`, translation agents, and
 :class:`~repro.system.simulator.Simulator` drive it, so COMA-vs-NUMA
 comparisons hold everything else equal.
@@ -26,12 +26,9 @@ from repro.coma.protocol import TranslationAgent
 from repro.core.schemes import Scheme
 from repro.interconnect.crossbar import Crossbar
 from repro.numa.protocol import NumaEngine
+from repro.system.machine import build_address_space, frames_exhausted
 from repro.system.node import Node
-from repro.vm.frames import FrameAllocator
-from repro.vm.page_table import HomePageTable, PageTableEntry
-from repro.vm.pressure import PressureTracker
-from repro.vm.segments import SegmentedAddressSpace
-from repro.workloads.base import Workload, WorkloadContext
+from repro.workloads.base import Workload
 
 
 class NumaMachine:
@@ -57,18 +54,6 @@ class NumaMachine:
         self._virtual_home = scheme.uses_virtual_am
         self.page_map: Dict[int, int] = {}
         self.reverse_map: Dict[int, int] = {}
-        self.frames: Optional[FrameAllocator] = None
-        if not self._virtual_home:
-            self.frames = FrameAllocator(self.layout, params.pages_per_am)
-        self.page_tables: List[HomePageTable] = [
-            HomePageTable(n, self.layout.global_page_sets) for n in range(params.nodes)
-        ]
-        # NUMA home memories are direct-mapped DRAM: no global-set
-        # competition exists.  The tracker stays for interface parity
-        # (RunResult.pressure_profile) and reports flat zero.
-        self.pressure = PressureTracker(
-            self.layout.global_page_sets, params.page_slots_per_global_set
-        )
 
         self.engine = NumaEngine(
             params,
@@ -79,20 +64,7 @@ class NumaMachine:
             rng=make_rng(params.seed, "numa"),
         )
 
-        self.space = SegmentedAddressSpace(params.page_size)
-        segments = {}
-        for spec in workload.segment_specs(params):
-            segments[spec.name] = self.space.allocate(
-                spec.name,
-                spec.size,
-                kind=spec.kind,
-                owner=spec.owner,
-                alignment=spec.alignment,
-                offset=spec.offset,
-            )
-        self.ctx = WorkloadContext(
-            params, self.layout, segments, params.seed, workload.name
-        )
+        self.space, self.ctx = build_address_space(params, self.layout, workload)
 
         self.nodes: List[Node] = [
             Node(
@@ -122,20 +94,20 @@ class NumaMachine:
         return (vpn << page_bits) | (paddr & (self.params.page_size - 1))
 
     def _preload(self) -> None:
-        """Map every page; with physical addressing, frames are handed
-        out round robin (the OS's page placement — the thing the paper
-        notes cannot chase locality in a CC-NUMA)."""
-        layout = self.layout
+        """Map every page; with physical addressing, page ``i`` gets
+        frame ``i``, so frames go out round robin over the homes (the
+        OS's page placement — the thing the paper notes cannot chase
+        locality in a CC-NUMA)."""
+        frames = self.params.total_am_pages
+        pfn = 0
         for segment in self.space:
             for vpn in segment.pages(self.params.page_size):
-                home = layout.home_node_of_vpn(vpn)
-                if self._virtual_home:
-                    self.page_tables[home].insert(PageTableEntry(vpn, vpn))
-                else:
-                    pfn = self.frames.allocate(vpn)
+                if not self._virtual_home:
+                    if pfn == frames:
+                        raise frames_exhausted(vpn)
                     self.page_map[vpn] = pfn
                     self.reverse_map[pfn] = vpn
-                    self.page_tables[home].insert(PageTableEntry(vpn, pfn))
+                    pfn += 1
                 self.counters.add("pages_preloaded")
 
     # ------------------------------------------------------------------

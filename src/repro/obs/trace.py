@@ -136,10 +136,6 @@ def _encode(record: Dict) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def _compact(record: Dict) -> str:
-    return _encode(record)
-
-
 # Slot kinds shared with fs_trace_render: a plain int, an int rendered
 # as ``null`` when negative (optional span/parent ids), or an index
 # into the tracer's global string table (enum choices, true/false).

@@ -57,7 +57,7 @@ import traceback as _traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
-from typing import Callable, ClassVar, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, ClassVar, Iterable, List, Optional, Tuple, Union
 
 from repro.common.errors import (
     ConfigurationError,
@@ -704,25 +704,3 @@ class BatchRunner:
             spec=spec, error_type=error_type, message=message,
             attempts=attempt, transient=True, **flags,
         ))
-
-    # ------------------------------------------------------------------
-    def run_labelled(self, specs: Sequence[JobSpec]) -> dict:
-        """Like :meth:`run`, keyed by each spec's label (or describe()).
-
-        Duplicate labels would silently overwrite each other's results,
-        so they raise :class:`ConfigurationError` up front.  Under
-        ``keep_going`` a failed job maps to ``None`` (its
-        ``JobFailure.summary``).
-        """
-        labels = [spec.label or spec.describe() for spec in specs]
-        seen = set()
-        duplicates = sorted({label for label in labels
-                             if label in seen or seen.add(label)})
-        if duplicates:
-            raise ConfigurationError(
-                f"duplicate job labels would overwrite results: {duplicates}"
-            )
-        return {
-            label: job.summary
-            for label, job in zip(labels, self.run(specs))
-        }

@@ -3,22 +3,22 @@
 ``Machine(params, scheme, workload)`` builds the full system:
 
 * the segmented virtual address space with the workload's segments,
-* per-home page tables; for virtual-AM schemes (L3-TLB, V-COMA) a
-  directory-page allocator per home, for physical-AM schemes (L0/L1/L2)
-  the round-robin frame allocator and the virtual↔physical page maps,
 * attraction memories + directories + COMA-F protocol engine,
 * one :class:`~repro.system.node.Node` per processor, wired with the
   right cache virtuality and translation taps,
-* global-set pressure accounting (paper Figure 11),
 
-then **preloads** every page (the paper simulates no paging): page-table
-entries, directory pages/frames, and one master copy per memory block
-spread from its home node.
+then **preloads** every page (the paper simulates no paging): one
+master copy per memory block, spread from its home node, and for the
+physical-AM schemes (L0/L1/L2-TLB) the virtual↔physical page maps.
 
-The preload's page order, frames and global-set pressure come from
-:func:`place_pages`, which needs no machine: the compiled engine's
-``fs_preload`` builds the same attraction-memory and directory image
-from it.
+The page placement, :func:`place_pages`, is the whole VM model: each
+page's protocol page and the global-set pressure (paper Figure 11).  It
+needs no machine; the compiled engine's ``fs_preload`` builds the same
+attraction-memory and directory image from it.  No page table or
+directory page is simulated: V-COMA's DLB is a translation buffer at
+the home, a miss costs the page-table walk's
+``translation_miss_penalty``, and the walk of a preloaded page always
+hits.
 
 Note on L3-TLB: with page coloring and at least as many page colors as
 nodes (the paper's regime), the physical home of a page coincides with
@@ -35,16 +35,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.address import AddressLayout
+from repro.common.errors import CapacityError
 from repro.common.params import MachineParams
 from repro.common.rng import make_rng
 from repro.common.stats import Counters
 from repro.coma.protocol import ProtocolEngine, TranslationAgent
-from repro.core.directory_space import DirectoryAddressSpace
 from repro.core.schemes import Scheme
 from repro.interconnect.crossbar import Crossbar
 from repro.system.node import Node
-from repro.vm.frames import FrameAllocator
-from repro.vm.page_table import HomePageTable, PageTableEntry
 from repro.vm.pressure import PressureTracker
 from repro.vm.segments import SegmentedAddressSpace
 from repro.workloads.base import Workload, WorkloadContext
@@ -80,15 +78,21 @@ class Placement:
 
     ``vpns`` lists the pages in preload order; ``ppns`` holds each
     page's protocol page number: the VPN itself when the attraction
-    memory is virtually indexed, otherwise the sequential PFN the
-    frame allocator handed out.  ``pressure`` is the resulting
-    global-set occupancy (Figure 11).
+    memory is virtually indexed, otherwise the page's position in
+    preload order (frames go out round robin, uncoloured).
+    ``pressure`` is the resulting global-set occupancy (Figure 11).
     """
 
     vpns: array
     ppns: array
     pressure: PressureTracker
-    frames: Optional[FrameAllocator]
+
+
+def frames_exhausted(vpn: int) -> CapacityError:
+    """The error of the first physical page that finds no frame: page
+    ``i`` gets PFN ``i``, so page ``params.total_am_pages`` is the first
+    without one."""
+    return CapacityError(f"physical memory exhausted allocating VPN {vpn:#x}")
 
 
 def place_pages(
@@ -100,13 +104,13 @@ def place_pages(
     """Assign every page of ``space`` its protocol page and global set.
 
     A page's global set is the low bits of its protocol page: the VPN
-    with a virtual AM, else the PFN, and a fresh allocator without
-    colouring hands out PFNs 0, 1, 2, … in page order.  So the whole
-    placement is range arithmetic; only a data set that does not fit is
-    replayed page by page, so that the first page that does not fit
-    raises the :class:`~repro.common.errors.CapacityError` it always
-    has (physical memory runs out, or a global page set overflows its
-    ``P*K`` slots).
+    with a virtual AM, else the PFN, and PFNs go out 0, 1, 2, … in page
+    order.  So the whole placement is range arithmetic; only a data set
+    that does not fit is replayed page by page, so that the first page
+    that does not fit raises the
+    :class:`~repro.common.errors.CapacityError` it always has (physical
+    memory runs out, which is checked first, or a global page set
+    overflows its ``P*K`` slots).
     """
     colors = layout.global_page_sets
     slots = params.page_slots_per_global_set
@@ -116,28 +120,26 @@ def place_pages(
     for pages in ranges:
         vpns.extend(pages)
     count = len(vpns)
+    frames = params.total_am_pages
     if virtual_am:
-        frames = None
         ppns = array("q", vpns)
         occupied = [0] * colors
         for pages in ranges:
             _count_colors(occupied, pages)
         fits = max(occupied) <= slots
     else:
-        frames = FrameAllocator(layout, params.pages_per_am, coloring=False)
         ppns = array("q", range(count))
         whole, extra = divmod(count, colors)
         occupied = [whole + (c < extra) for c in range(colors)]
-        fits = count <= frames.total_frames and max(occupied) <= slots
+        fits = count <= frames and max(occupied) <= slots
     if fits:
         pressure.occupy(occupied)
-        if frames is not None:
-            frames.allocate_first(vpns)
     else:
-        for vpn in vpns:
-            ppn = vpn if frames is None else frames.allocate(vpn)
+        for vpn, ppn in zip(vpns, ppns):
+            if not virtual_am and ppn == frames:
+                raise frames_exhausted(vpn)
             pressure.allocate_page(ppn & (colors - 1))
-    return Placement(vpns, ppns, pressure, frames)
+    return Placement(vpns, ppns, pressure)
 
 
 def _count_colors(occupied: List[int], pages: range) -> None:
@@ -214,12 +216,6 @@ class Machine:
         self._virtual_am = scheme.uses_virtual_am
         self.page_map: Dict[int, int] = {}
         self.reverse_map: Dict[int, int] = {}
-        self.page_tables: List[HomePageTable] = [
-            HomePageTable(n, self.layout.global_page_sets) for n in range(params.nodes)
-        ]
-        self.directory_spaces: List[DirectoryAddressSpace] = [
-            DirectoryAddressSpace(params.blocks_per_page) for _ in range(params.nodes)
-        ]
 
         self.engine = ProtocolEngine(
             params,
@@ -276,16 +272,10 @@ class Machine:
         blocks_per_page = self.params.blocks_per_page
         self.placement = place_pages(self.params, layout, self._virtual_am, self.space)
         self.pressure = self.placement.pressure
-        self.frames = self.placement.frames
         for vpn, ppn in zip(self.placement.vpns, self.placement.ppns):
-            home = layout.home_node_of_vpn(vpn)
-            if self._virtual_am:
-                handle = self.directory_spaces[home].allocate()
-                self.page_tables[home].insert(PageTableEntry(vpn, handle.base))
-            else:
+            if not self._virtual_am:
                 self.page_map[vpn] = ppn
                 self.reverse_map[ppn] = vpn
-                self.page_tables[home].insert(PageTableEntry(vpn, ppn))
             proto_base = ppn << page_bits
             for i in range(blocks_per_page):
                 self.engine.preload_block(proto_base + i * block)

@@ -23,9 +23,9 @@ def timing_summary(agent) -> Optional[Dict[str, float]]:
 class RunResult:
     """Outcome of one simulated run.
 
-    Collects per-node time breakdowns, merged counters, the pressure
-    profile, and (when the run used a :class:`~repro.system.taps.StudyAgent`)
-    the full translation-miss sweep.
+    Collects per-node time breakdowns, merged counters, and (when the
+    run used a :class:`~repro.system.taps.StudyAgent`) the full
+    translation-miss sweep.
     """
 
     def __init__(
@@ -72,9 +72,6 @@ class RunResult:
         """Table 4's metric: translation stall / memory stall, averaged
         machine-wide."""
         return self.aggregate_breakdown().translation_overhead_ratio()
-
-    def pressure_profile(self) -> List[float]:
-        return self.machine.pressure.profile()
 
     def read_latency_histogram(self) -> LatencyHistogram:
         """Machine-wide distribution of load stall latencies."""

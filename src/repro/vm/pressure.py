@@ -11,7 +11,7 @@ virtual-layout locality spreads pressure almost uniformly.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.common.errors import CapacityError, ConfigurationError
 
@@ -25,10 +25,6 @@ class PressureTracker:
         self.global_page_sets = global_page_sets
         self.slots_per_set = slots_per_set
         self._occupied: List[int] = [0] * global_page_sets
-        self.peak: List[int] = [0] * global_page_sets
-
-    def set_of_vpn(self, vpn: int) -> int:
-        return vpn & (self.global_page_sets - 1)
 
     def allocate_page(self, gps: int, count: int = 1) -> None:
         """Occupy ``count`` page slots in a global set.
@@ -46,8 +42,6 @@ class PressureTracker:
                 f"{self._occupied[gps]}+{count} > {self.slots_per_set} slots"
             )
         self._occupied[gps] += count
-        if self._occupied[gps] > self.peak[gps]:
-            self.peak[gps] = self._occupied[gps]
 
     def occupy(self, counts: List[int]) -> None:
         """``allocate_page(gps, counts[gps])`` for every global set."""
@@ -55,40 +49,6 @@ class PressureTracker:
             if count:
                 self.allocate_page(gps, count)
 
-    def free_page(self, gps: int, count: int = 1) -> None:
-        if self._occupied[gps] < count:
-            raise ValueError(f"global page set {gps}: freeing more than occupied")
-        self._occupied[gps] -= count
-
-    def occupancy(self, gps: int) -> int:
-        return self._occupied[gps]
-
-    def pressure(self, gps: int) -> float:
-        return self._occupied[gps] / self.slots_per_set
-
     def profile(self) -> List[float]:
         """Pressure of every global page set (Figure 11's x-axis order)."""
         return [occ / self.slots_per_set for occ in self._occupied]
-
-    def peak_profile(self) -> List[float]:
-        return [occ / self.slots_per_set for occ in self.peak]
-
-    def max_pressure(self) -> float:
-        return max(self.profile())
-
-    def mean_pressure(self) -> float:
-        profile = self.profile()
-        return sum(profile) / len(profile)
-
-    def imbalance(self) -> float:
-        """Max/mean pressure ratio — 1.0 is perfectly uniform."""
-        mean = self.mean_pressure()
-        return self.max_pressure() / mean if mean else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "mean": self.mean_pressure(),
-            "max": self.max_pressure(),
-            "min": min(self.profile()),
-            "imbalance": self.imbalance(),
-        }

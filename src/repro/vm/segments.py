@@ -64,11 +64,6 @@ class Segment:
         last = (self.end - 1) // page_size
         return range(first, last + 1)
 
-    def page_count(self, page_size: int) -> int:
-        first = self.base // page_size
-        last = (self.end - 1) // page_size
-        return last - first + 1
-
 
 class SegmentedAddressSpace:
     """Allocator of non-overlapping segments in one global space.
@@ -132,17 +127,3 @@ class SegmentedAddressSpace:
 
     def __len__(self) -> int:
         return len(self._segments)
-
-    def segment_of(self, addr: int) -> Optional[Segment]:
-        """The segment containing ``addr`` (linear scan; segments are
-        few)."""
-        for segment in self._segments.values():
-            if segment.contains(addr):
-                return segment
-        return None
-
-    def total_bytes(self) -> int:
-        return sum(s.size for s in self._segments.values())
-
-    def total_pages(self) -> int:
-        return sum(s.page_count(self.page_size) for s in self._segments.values())

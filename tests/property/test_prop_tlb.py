@@ -71,18 +71,6 @@ def test_direct_mapped_matches_reference_model(entries, stream):
     assert tlb.misses == expected_misses
 
 
-@given(entries=sizes, org=orgs, stream=pages)
-@settings(max_examples=100, deadline=None)
-def test_invalidate_then_contains_false(entries, org, stream):
-    tlb = build(entries, org)
-    for page in stream:
-        tlb.access(page)
-    for page in set(stream):
-        tlb.invalidate(page)
-        assert not tlb.contains(page)
-    assert tlb.valid_entries == 0
-
-
 @given(stream=pages, seed=st.integers(min_value=0, max_value=5))
 @settings(max_examples=60, deadline=None)
 def test_random_replacement_deterministic_per_seed(stream, seed):

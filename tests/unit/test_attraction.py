@@ -125,6 +125,5 @@ class TestEviction:
         blocks = blocks_in_same_set(tiny_layout, 3)
         for b in blocks:
             am.install(b, AMState.SHARED)
-        assert am.occupancy() == 3
-        assert am.set_occupancy(tiny_layout.am_set_index(blocks[0])) == 3
+        assert am.free_ways(blocks[0]) == am.assoc - 3
         assert sorted(b for b, _ in am.resident_blocks()) == sorted(blocks)

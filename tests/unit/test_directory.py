@@ -4,7 +4,6 @@ import pytest
 
 from repro.coma.directory import Directory
 from repro.coma.states import DirectoryEntry
-from repro.common.errors import ProtocolError
 
 
 class TestDirectoryEntry:
@@ -15,11 +14,6 @@ class TestDirectoryEntry:
     def test_holders_without_owner(self):
         e = DirectoryEntry(sharers={2})
         assert e.holders == {2}
-
-    def test_is_exclusive(self):
-        assert DirectoryEntry(owner=1).is_exclusive
-        assert not DirectoryEntry(owner=1, sharers={2}).is_exclusive
-        assert not DirectoryEntry().is_exclusive
 
     def test_check_rejects_owner_in_sharers(self):
         e = DirectoryEntry(owner=1, sharers={1})
@@ -32,7 +26,7 @@ class TestDirectory:
         d = Directory(0)
         e = d.entry(0x100)
         assert e.owner is None and not e.sharers
-        assert len(d) == 1
+        assert d.peek(0x100) is e
         assert d.lookups == 1
 
     def test_entry_persistent(self):
@@ -43,17 +37,7 @@ class TestDirectory:
     def test_peek_does_not_create(self):
         d = Directory(0)
         assert d.peek(0x100) is None
-        assert len(d) == 0
-
-    def test_require_owner(self):
-        d = Directory(0)
-        d.entry(0x100).owner = 2
-        assert d.require_owner(0x100) == 2
-
-    def test_require_owner_missing_raises(self):
-        d = Directory(0)
-        with pytest.raises(ProtocolError):
-            d.require_owner(0x100)
+        assert not list(d.blocks())
 
     def test_drop_sharer(self):
         d = Directory(0)
@@ -63,12 +47,6 @@ class TestDirectory:
 
     def test_drop_sharer_unknown_block_noop(self):
         Directory(0).drop_sharer(0x500, 1)  # must not raise
-
-    def test_forget(self):
-        d = Directory(0)
-        d.entry(0x100)
-        d.forget(0x100)
-        assert d.peek(0x100) is None
 
     def test_blocks_iteration(self):
         d = Directory(0)

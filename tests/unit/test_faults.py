@@ -9,7 +9,6 @@ from repro.common.errors import (
     CapacityError,
     ConfigurationError,
     ProtocolError,
-    TranslationFault,
     is_transient,
 )
 from repro.runner import BatchRunner, FaultPlan, JobSpec, ResultCache, TraceStore
@@ -59,7 +58,6 @@ class TestTaxonomy:
         for exc in (
             ConfigurationError("bad geometry"),
             ProtocolError("two exclusive copies"),
-            TranslationFault("no PTE"),
             CapacityError("global set full"),
             ValueError("nonsense"),
             KeyError("missing"),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import MachineParams
-from repro.interconnect import Crossbar, Message, MessageKind
+from repro.interconnect import Crossbar, MessageKind
 
 
 @pytest.fixture
@@ -18,20 +18,16 @@ class TestMessageKinds:
         assert not MessageKind.READ_REQUEST.carries_block
         assert not MessageKind.ACK.carries_block
 
-    def test_message_locality(self):
-        assert Message(MessageKind.ACK, 1, 1, 0).is_local
-        assert not Message(MessageKind.ACK, 1, 2, 0).is_local
-
 
 class TestLatency:
     def test_request_and_block_costs(self, xbar, small_params):
-        assert xbar.cycles_for(MessageKind.READ_REQUEST) == small_params.request_msg_cycles
-        assert xbar.cycles_for(MessageKind.BLOCK_REPLY) == small_params.block_msg_cycles
+        assert xbar.transfer(MessageKind.READ_REQUEST, 0, 1, 0) == small_params.request_msg_cycles
+        assert xbar.transfer(MessageKind.BLOCK_REPLY, 0, 1, 0) == small_params.block_msg_cycles
 
     def test_paper_costs(self):
         xbar = Crossbar(MachineParams.paper_baseline())
-        assert xbar.cycles_for(MessageKind.READ_REQUEST) == 16
-        assert xbar.cycles_for(MessageKind.BLOCK_REPLY) == 272
+        assert xbar.transfer(MessageKind.READ_REQUEST, 0, 1, 0) == 16
+        assert xbar.transfer(MessageKind.BLOCK_REPLY, 0, 1, 0) == 272
 
     def test_local_transfer_free(self, xbar):
         assert xbar.transfer(MessageKind.READ_REQUEST, 2, 2, now=100) == 100
@@ -53,11 +49,11 @@ class TestLatency:
         expected = small_params.request_payload_bytes + (
             small_params.am_block + small_params.message_header_bytes
         )
-        assert xbar.traffic_bytes() == expected
+        assert xbar.counters["payload_bytes"] == expected
 
     def test_local_transfer_moves_no_bytes(self, xbar):
         xbar.transfer(MessageKind.BLOCK_REPLY, 1, 1, 0)
-        assert xbar.traffic_bytes() == 0
+        assert xbar.counters["payload_bytes"] == 0
 
 
 class TestContention:

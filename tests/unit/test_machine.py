@@ -7,7 +7,8 @@ from repro.coma.states import AMState
 from repro.common.address import AddressLayout
 from repro.system.machine import build_address_space, place_pages
 from repro.system.refs import READ
-from repro.vm.frames import FrameAllocator
+from repro.system.simulator import run_summary
+from repro.system.taps import TimingAgent
 from repro.vm.pressure import PressureTracker
 from repro.workloads import PAPER_ORDER
 
@@ -32,17 +33,32 @@ def l0_machine(small_params):
     return Machine(small_params, Scheme.L0_TLB, simple_workload())
 
 
+def data_pages(machine):
+    return list(machine.space["data"].pages(machine.params.page_size))
+
+
 class TestPreloadVirtual:
     def test_every_page_mapped_at_home(self, vcoma_machine):
         machine = vcoma_machine
-        segment = machine.space["data"]
-        for vpn in segment.pages(machine.params.page_size):
+        placed = set(machine.placement.vpns)
+        for vpn in data_pages(machine):
+            assert vpn in placed
             home = machine.layout.home_node_of_vpn(vpn)
-            assert machine.page_tables[home].contains(vpn)
+            entry = machine.engine.directories[home].peek(vpn << machine.layout.page_bits)
+            assert entry is not None and entry.owner is not None
 
     def test_directory_pages_allocated(self, vcoma_machine):
-        total = sum(len(s) for s in machine_dir_spaces(vcoma_machine))
-        assert total == vcoma_machine.space.total_pages()
+        """Every block of every page has its directory entry at the
+        page's home."""
+        machine = vcoma_machine
+        page_bits = machine.layout.page_bits
+        blocks = {
+            (vpn << page_bits) + i * machine.params.am_block
+            for vpn in data_pages(machine)
+            for i in range(machine.params.blocks_per_page)
+        }
+        held = {b for d in machine.engine.directories for b, _ in d.blocks()}
+        assert held == blocks
 
     def test_masters_installed(self, vcoma_machine):
         machine = vcoma_machine
@@ -57,7 +73,8 @@ class TestPreloadVirtual:
         assert sum(vcoma_machine.pressure.profile()) > 0
 
     def test_no_frames_for_virtual_scheme(self, vcoma_machine):
-        assert vcoma_machine.frames is None
+        placement = vcoma_machine.placement
+        assert list(placement.ppns) == list(placement.vpns)
         assert not vcoma_machine.page_map
 
     def test_invariants_after_preload(self, vcoma_machine):
@@ -73,19 +90,15 @@ class TestPreloadVirtual:
             Machine(small_params, Scheme.V_COMA, workload)
 
 
-def machine_dir_spaces(machine):
-    return machine.directory_spaces
-
-
 class TestPreloadPhysical:
     def test_frames_allocated_per_page(self, l0_machine):
-        assert len(l0_machine.page_map) == l0_machine.space.total_pages()
+        vpns = data_pages(l0_machine)
+        assert l0_machine.page_map == {vpn: i for i, vpn in enumerate(vpns)}
+        assert list(l0_machine.placement.ppns) == list(range(len(vpns)))
 
     def test_round_robin_homes(self, l0_machine):
-        homes = [
-            l0_machine.frames.home_of(pfn) for pfn in sorted(l0_machine.page_map.values())
-        ]
         nodes = l0_machine.params.nodes
+        homes = [pfn & (nodes - 1) for pfn in sorted(l0_machine.page_map.values())]
         assert homes[:nodes] == list(range(nodes))
 
     def test_address_conversion_roundtrip(self, l0_machine):
@@ -122,7 +135,7 @@ class TestAssembly:
 
     def test_merged_counters_include_preload(self, vcoma_machine):
         counters = vcoma_machine.merged_counters()
-        assert counters["pages_preloaded"] == vcoma_machine.space.total_pages()
+        assert counters["pages_preloaded"] == len(data_pages(vcoma_machine))
 
     def test_repr_mentions_scheme(self, vcoma_machine):
         assert "V-COMA" in repr(vcoma_machine)
@@ -134,22 +147,18 @@ class TestAssembly:
 
 
 def place_page_by_page(params, layout, virtual_am, space):
-    """The placement one page at a time, through the allocator and the
-    tracker: the reference :func:`place_pages` must equal."""
+    """The placement one page at a time through the tracker, page ``i``
+    taking PFN ``i`` on a physical AM: the reference :func:`place_pages`
+    must equal."""
     pressure = PressureTracker(layout.global_page_sets, params.page_slots_per_global_set)
-    frames = None if virtual_am else FrameAllocator(layout, params.pages_per_am)
     vpns, ppns = [], []
     for segment in space:
         for vpn in segment.pages(params.page_size):
-            if virtual_am:
-                ppn = vpn
-                pressure.allocate_page(layout.global_page_set_of_vpn(vpn))
-            else:
-                ppn = frames.allocate(vpn)
-                pressure.allocate_page(frames.color_of(ppn))
+            ppn = vpn if virtual_am else len(vpns)
+            pressure.allocate_page(ppn & (layout.global_page_sets - 1))
             vpns.append(vpn)
             ppns.append(ppn)
-    return vpns, ppns, pressure, frames
+    return vpns, ppns, pressure
 
 
 class TestPlacePages:
@@ -159,13 +168,41 @@ class TestPlacePages:
         layout = AddressLayout.from_params(small_params)
         space, _ = build_address_space(small_params, layout, make_workload(name))
         placement = place_pages(small_params, layout, virtual_am, space)
-        vpns, ppns, pressure, frames = place_page_by_page(
-            small_params, layout, virtual_am, space
-        )
+        vpns, ppns, pressure = place_page_by_page(small_params, layout, virtual_am, space)
         assert list(placement.vpns) == vpns and list(placement.ppns) == ppns
         assert placement.pressure.profile() == pressure.profile()
-        assert placement.pressure.peak == pressure.peak
-        if virtual_am:
-            assert placement.frames is None
-        else:
-            assert vars(placement.frames) == vars(frames)
+
+
+def one_page_too_many(params):
+    """A data set of one page more than the attraction memories hold,
+    and the VPN of that page."""
+    workload = simple_workload(pages=params.total_am_pages + 1, page_size=params.page_size)
+    layout = AddressLayout.from_params(params)
+    space, _ = build_address_space(params, layout, workload)
+    return workload, space["data"].pages(params.page_size)[-1]
+
+
+class TestPhysicalCapacity:
+    """A physical-AM data set that outgrows the frames fails at its
+    first page without one, on every path that places pages."""
+
+    def test_machine_raises_at_first_unfit_page(self, small_params):
+        workload, vpn = one_page_too_many(small_params)
+        with pytest.raises(CapacityError, match=f"physical memory exhausted allocating VPN {vpn:#x}$"):
+            Machine(small_params, Scheme.L0_TLB, workload)
+
+    def test_run_summary_raises_at_first_unfit_page(self, small_params):
+        """On the compiled engine the placement comes from the headless
+        run, without a machine."""
+        workload, vpn = one_page_too_many(small_params)
+        with pytest.raises(CapacityError, match=f"physical memory exhausted allocating VPN {vpn:#x}$"):
+            run_summary(
+                small_params, Scheme.L0_TLB, workload,
+                lambda: TimingAgent(small_params, Scheme.L0_TLB, 8),
+            )
+
+    def test_exact_fit_places_every_frame(self, small_params):
+        workload = simple_workload(pages=small_params.total_am_pages, page_size=small_params.page_size)
+        machine = Machine(small_params, Scheme.L0_TLB, workload)
+        assert sorted(machine.reverse_map) == list(range(small_params.total_am_pages))
+        assert machine.pressure.profile() == [1.0] * machine.layout.global_page_sets

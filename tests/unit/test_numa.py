@@ -3,7 +3,7 @@
 import pytest
 
 from repro import CustomWorkload, MachineParams, Scheme, SegmentSpec, Simulator
-from repro.common.errors import ProtocolError
+from repro.common.errors import CapacityError, ProtocolError
 from repro.numa import NumaMachine, SHARED_TLB
 from repro.system.machine import Machine
 from repro.system.refs import READ, WRITE
@@ -34,12 +34,20 @@ class TestBasics:
         assert len(machine.nodes) == small_params.nodes
 
     def test_no_frames_for_virtual_home(self, small_params):
-        assert build(small_params, SHARED_TLB).frames is None
-        assert build(small_params, Scheme.L0_TLB).frames is not None
+        assert not build(small_params, SHARED_TLB).page_map
+        machine = build(small_params, Scheme.L0_TLB)
+        vpns = list(machine.space["data"].pages(small_params.page_size))
+        assert machine.page_map == {vpn: i for i, vpn in enumerate(vpns)}
+        assert machine.reverse_map == dict(enumerate(vpns))
 
-    def test_pressure_profile_flat_zero(self, small_params):
-        machine = build(small_params)
-        assert all(p == 0.0 for p in machine.pressure.profile())
+    def test_physical_capacity_raises_at_first_unfit_page(self, small_params):
+        """A virtual home maps no frames, so only the physical build
+        runs out of them."""
+        pages = small_params.total_am_pages + 1
+        virtual = build(small_params, SHARED_TLB, pages=pages)
+        vpn = virtual.space["data"].pages(small_params.page_size)[-1]
+        with pytest.raises(CapacityError, match=f"physical memory exhausted allocating VPN {vpn:#x}$"):
+            build(small_params, Scheme.L0_TLB, pages=pages)
 
 
 class TestCoherence:

@@ -34,7 +34,7 @@ class TestPreload:
         addr = addr_homed_at(tiny_layout, home=0)
         assert engine.preload_block(addr) == 0
         assert engine.preload_block(addr) == 0
-        assert engine.ams[0].occupancy() == 1
+        assert len(list(engine.ams[0].resident_blocks())) == 1
 
     def test_overflow_spreads_to_other_nodes(self, engine, tiny_layout):
         # Fill home 0's set (assoc=4) with same-color pages, then more.

@@ -53,10 +53,6 @@ class TestAggregation:
         for key in ("scheme", "workload", "total_time", "busy", "sync"):
             assert key in summary
 
-    def test_pressure_profile_length(self, small_params):
-        result = run_small(small_params)
-        assert len(result.pressure_profile()) == small_params.global_page_sets
-
 
 class TestAgentIntrospection:
     def test_study_results_none_without_study_agent(self, small_params):

@@ -211,24 +211,6 @@ class TestBatchRunner:
         for s_job, p_job in zip(serial, parallel):
             assert p_job.summary.to_dict() == s_job.summary.to_dict()
 
-    def test_run_labelled(self, params):
-        runner = BatchRunner(jobs=1)
-        out = runner.run_labelled([sweep_spec(params, label="sweep"), timing_spec(params)])
-        assert set(out) == {"sweep", "timing:fft/V-COMA/8"}
-
-    def test_run_labelled_rejects_duplicate_labels(self, params):
-        from repro.common.errors import ConfigurationError
-
-        runner = BatchRunner(jobs=1)
-        specs = [sweep_spec(params, label="dup"), timing_spec(params, label="dup")]
-        with pytest.raises(ConfigurationError, match="dup"):
-            runner.run_labelled(specs)
-        # Implicit describe() collisions are caught too.
-        specs = [timing_spec(params), timing_spec(params, overrides={"intensity": 0.3})]
-        assert specs[0].describe() == specs[1].describe()
-        with pytest.raises(ConfigurationError):
-            runner.run_labelled(specs)
-
     def test_effective_jobs_clamped_to_cpu_count(self, params, monkeypatch):
         import os as _os
 

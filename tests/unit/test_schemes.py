@@ -21,11 +21,6 @@ def test_cache_virtuality_progression():
     assert Scheme.V_COMA.uses_virtual_am
 
 
-def test_only_vcoma_shares_translation():
-    shared = [s for s in Scheme if s.translation_is_shared]
-    assert shared == [Scheme.V_COMA]
-
-
 def test_tap_mapping_complete():
     assert set(TAP_OF_SCHEME) == set(Scheme)
     assert TAP_OF_SCHEME[Scheme.V_COMA] is TapPoint.HOME

@@ -22,11 +22,10 @@ class TestSegment:
     def test_pages(self):
         s = Segment("s", base=0x1000, size=0x200)
         assert list(s.pages(page_size=256)) == [16, 17]
-        assert s.page_count(256) == 2
 
     def test_pages_partial_last_page(self):
         s = Segment("s", base=0, size=300)
-        assert s.page_count(256) == 2
+        assert list(s.pages(page_size=256)) == [0, 1]
 
     def test_invalid_size(self):
         with pytest.raises(ConfigurationError):
@@ -71,19 +70,6 @@ class TestSpace:
         assert list(space) == [a]
         assert len(space) == 1
         assert a.owner == 3
-
-    def test_segment_of(self):
-        space = SegmentedAddressSpace(page_size=256)
-        a = space.allocate("a", 100)
-        assert space.segment_of(a.base) is a
-        assert space.segment_of(a.base - 1) is None
-
-    def test_totals(self):
-        space = SegmentedAddressSpace(page_size=256)
-        space.allocate("a", 300)
-        space.allocate("b", 256)
-        assert space.total_bytes() == 556
-        assert space.total_pages() == 3  # 2 + 1
 
     def test_bad_page_size(self):
         with pytest.raises(ConfigurationError):

@@ -75,12 +75,6 @@ class TestAccess:
         for page in range(8):
             assert tlb.access(page) is True
 
-    def test_probe_does_not_install(self):
-        tlb = TranslationBuffer(4)
-        assert tlb.probe(9) is False
-        assert not tlb.contains(9)
-        assert tlb.misses == 1
-
     def test_random_replacement_deterministic_with_seed(self):
         def run():
             tlb = TranslationBuffer(4, rng=random.Random(7))
@@ -89,42 +83,6 @@ class TestAccess:
             return tlb.misses
 
         assert run() == run()
-
-
-class TestInvalidateAndFlush:
-    def test_invalidate_present(self):
-        tlb = TranslationBuffer(4)
-        tlb.access(5)
-        assert tlb.invalidate(5) is True
-        assert not tlb.contains(5)
-
-    def test_invalidate_absent(self):
-        assert TranslationBuffer(4).invalidate(5) is False
-
-    def test_invalidate_keeps_others(self):
-        tlb = TranslationBuffer(4)
-        for p in (1, 2, 3):
-            tlb.access(p)
-        tlb.invalidate(2)
-        assert tlb.contains(1) and tlb.contains(3)
-        # Freed slot is reusable without evicting anything.
-        tlb.access(4)
-        assert tlb.contains(1) and tlb.contains(3) and tlb.contains(4)
-
-    def test_flush_empties(self):
-        tlb = TranslationBuffer(4)
-        for p in range(4):
-            tlb.access(p)
-        tlb.flush()
-        assert tlb.valid_entries == 0
-        assert not any(tlb.contains(p) for p in range(4))
-
-    def test_reset_stats(self):
-        tlb = TranslationBuffer(4)
-        tlb.access(1)
-        tlb.reset_stats()
-        assert tlb.accesses == 0 and tlb.misses == 0
-        assert tlb.contains(1)  # contents survive
 
 
 class TestBank:
