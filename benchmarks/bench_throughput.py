@@ -23,7 +23,7 @@ root:
   replays the rest.  (Replay's bit-identity with the scalar oracle is
   gated by ``benchmarks/check_replay_equivalence.py``.)  Each row
   records ``effective_jobs`` — the worker count after the runner clamps to
-  ``cpu_count`` (a 1-core container runs every level in-process, which
+  ``replay.usable_cpus()`` (a 1-core container runs every level in-process, which
   is why ``--jobs 4`` no longer loses to serial).  The jobs=1 row also
   carries ``replay``: the grid's replays from in-memory traces on one
   thread vs the default thread budget (wall clock), with equal counts

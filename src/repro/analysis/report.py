@@ -1035,14 +1035,14 @@ def generate_report(
     """Run the report experiments and return the report as markdown.
 
     ``runner`` (a configured :class:`BatchRunner`) controls workers,
-    caching and supervision — retries, timeouts, ``keep_going``,
-    resume; the default is a serial runner without a cache.  Under
+    caching, ``keep_going`` and resume; the default is a serial runner
+    without a cache.  Under
     ``keep_going`` a workload with any failed job is dropped from every
     artifact and listed in a closing *Failed jobs* section instead of
     aborting the report.
 
     ``metrics_out`` writes the report's own telemetry — per-phase wall
-    time and throughput plus the runner's supervision counters — as a
+    time and throughput plus the runner's grid counters — as a
     metrics file (OpenMetrics text or JSON, chosen by extension; see
     :func:`repro.obs.export.write_metrics`).
     """

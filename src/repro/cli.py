@@ -38,21 +38,19 @@ single runs (``sweep``, ``timing``, ``profile``, ``trace``,
 ``replay``) also take ``--refs`` to bound references per node.
 Simulation-grid commands (``sweep``, ``timing``, ``paper``,
 ``report``) also accept ``--jobs N`` to shard independent simulations
-across worker processes (clamped to the CPU count), ``--cache-dir`` to
-relocate the persistent result cache, ``--no-cache`` to bypass it,
-and ``--cache-max-mb`` to cap it with LRU eviction.  Miss sweeps run
+across worker processes (clamped to the CPUs the process may use),
+``--cache-dir`` to relocate the persistent result cache, ``--no-cache``
+to bypass it, and ``--cache-max-mb`` to cap it with LRU eviction.  Miss sweeps run
 through the record-once/replay-many pipeline and timing runs through
 the compiled engine; ``REPRO_NO_COMPILED=1`` puts every run on the
 scalar reference engines instead (see ``docs/performance.md``; the
 ``timing`` output's ``engine`` line reports which one ran).
 
-Grids run under the fault-tolerant supervisor (``docs/robustness.md``):
-``--retries N`` retries transient failures with backoff, ``--timeout S``
-kills and respawns workers holding hung jobs, ``--keep-going`` records
-failures and finishes the grid, and a Ctrl-C'd run prints a
+A grid fails on its first failed job; ``--keep-going`` records
+failures and finishes the grid instead.  A Ctrl-C'd run prints a
 ``--resume RUN_ID`` hint that re-executes only the jobs missing from
-its manifest.  Output is plain text, identical to the benchmark
-harness's.
+its manifest (``docs/robustness.md``).  Output is plain text,
+identical to the benchmark harness's.
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_runner_options(p):
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for independent simulations "
-                            "(clamped to the machine's CPU count)")
+                            "(clamped to the CPUs this process may use)")
         p.add_argument("--cache-dir", default=None,
                        help="persistent result-cache directory "
                             "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -99,14 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-max-mb", type=float, default=None,
                        help="LRU-evict result-cache entries beyond this size "
                             "(default: $REPRO_CACHE_MAX_MB, else unlimited)")
-        p.add_argument("--retries", type=int, default=0,
-                       help="retry budget per job for transient failures "
-                            "(I/O errors, corrupt traces, worker death, "
-                            "timeouts); exponential backoff between attempts")
-        p.add_argument("--timeout", type=float, default=None,
-                       help="per-job wall-clock limit in seconds; an "
-                            "overrunning worker is killed and the job "
-                            "retried (needs worker processes)")
         p.add_argument("--keep-going", action="store_true",
                        help="record failed jobs and finish the grid instead "
                             "of failing fast on the first error")
@@ -163,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tables only (much faster)")
     p.add_argument("--metrics-out", default=None, metavar="FILE",
                    help="write report telemetry (phase timers, runner "
-                        "supervision counters) as a metrics file")
+                        "grid counters) as a metrics file")
     p.add_argument("workloads", nargs="*", default=[])
     add_machine_options(p)
     add_runner_options(p)
@@ -265,9 +255,9 @@ def batch_runner(args, progress=None):
     The persistent cache is on by default; ``--no-cache`` bypasses it
     (the tap-trace store and run manifests included) and ``--cache-dir``
     relocates all three.  ``--cache-max-mb`` caps the result cache with
-    LRU eviction, and ``--retries`` / ``--timeout`` / ``--keep-going`` /
-    ``--resume`` configure the fault-tolerant supervisor (see
-    ``docs/robustness.md``).
+    LRU eviction, ``--keep-going`` records failed jobs instead of
+    failing the grid, and ``--resume`` restores an interrupted run from
+    its manifest (see ``docs/robustness.md``).
     """
     from repro.runner import BatchRunner, ResultCache, TraceStore, default_manifest_dir
 
@@ -291,8 +281,6 @@ def batch_runner(args, progress=None):
         cache=cache,
         progress=progress,
         trace_store=trace_store,
-        retries=getattr(args, "retries", 0),
-        timeout=getattr(args, "timeout", None),
         keep_going=getattr(args, "keep_going", False),
         manifest_dir=manifest_dir,
         resume=resume,
@@ -300,8 +288,9 @@ def batch_runner(args, progress=None):
 
 
 def _print_grid_stats(runner) -> None:
-    """Surface supervision events (failures, retries, timeouts, worker
-    deaths) after a grid; silent when nothing eventful happened."""
+    """Surface grid events (failures, degradations, store repairs, a
+    clamped ``--jobs``) after a grid; silent when nothing eventful
+    happened."""
     if runner is not None and runner.stats.eventful:
         sys.stderr.write(runner.stats.render() + "\n")
 
@@ -309,8 +298,7 @@ def _print_grid_stats(runner) -> None:
 def _print_progress(done: int, total: int, job) -> None:
     if not job.ok:
         sys.stderr.write(
-            f"[{done}/{total}] {job.spec.describe()} FAILED ({job.error_type}, "
-            f"{job.attempts} attempt{'s' if job.attempts != 1 else ''})\n"
+            f"[{done}/{total}] {job.spec.describe()} FAILED ({job.error_type})\n"
         )
         return
     if job.from_cache:
@@ -494,15 +482,9 @@ def _cmd_status(args, out) -> int:
     for job in view["jobs"].values():
         state = job.get("state")
         if state == "running":
-            detail = f"attempt {job.get('attempt', 1)}"
-            if job.get("worker") is not None:
-                detail += f", worker {job['worker']}"
-            out.write(f"  running: {job.get('label')} ({detail})\n")
+            out.write(f"  running: {job.get('label')}\n")
         elif state == "failed":
-            out.write(
-                f"  failed : {job.get('label')} "
-                f"({job.get('error')}, {job.get('attempts', 1)} attempts)\n"
-            )
+            out.write(f"  failed : {job.get('label')} ({job.get('error')})\n")
     return 0
 
 

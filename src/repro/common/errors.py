@@ -33,9 +33,8 @@ class ProtocolError(ReproError):
 
 
 class JobError(ReproError):
-    """A worker-side exception that could not be rehydrated in the
-    parent (unknown type, unpicklable payload).  Carries the original
-    type name and traceback text in its message."""
+    """A batch run lost a worker process mid-job (segfault, OOM-kill):
+    the message names the jobs that were in flight."""
 
 
 class RunInterrupted(ReproError):
@@ -54,21 +53,3 @@ class RunInterrupted(ReproError):
             f"interrupted after {completed}/{total} jobs{hint}"
         )
 
-
-def is_transient(exc: BaseException) -> bool:
-    """Whether a job failure is worth retrying.
-
-    *Transient* failures are environmental — I/O errors, corrupt trace
-    bytes, worker death, timeouts — and may succeed on a re-run.
-    *Deterministic* failures (:class:`ConfigurationError`,
-    :class:`CapacityError`, :class:`ProtocolError`, and any other
-    exception reproducibly raised by the simulation itself) would fail
-    identically every attempt, so retrying only wastes work.
-    """
-    if isinstance(exc, OSError):
-        return True
-    # TraceError lives in repro.system.taptrace, which imports this
-    # module; resolve it lazily to avoid the cycle.
-    from repro.system.taptrace import TraceError
-
-    return isinstance(exc, TraceError)

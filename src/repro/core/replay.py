@@ -117,14 +117,10 @@ def _cpu_quota() -> Optional[int]:
     return min(limits, default=None)
 
 
-def replay_threads(streams: int) -> int:
-    """Threads for one set replay: the CPUs this process may run on,
-    no more than its cgroup CPU quota grants, at most one per non-empty
-    stream.  A worker process of a pool (the ``BatchRunner``'s,
-    ``jobs > 1``) replays on one thread, because the pool already fills
-    the CPUs."""
-    if multiprocessing.parent_process() is not None:
-        return 1
+def usable_cpus() -> int:
+    """The CPUs this process may use: those it may run on, no more than
+    its cgroup CPU quota grants.  It caps both a set replay's threads
+    and a ``BatchRunner``'s worker processes."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
@@ -132,7 +128,17 @@ def replay_threads(streams: int) -> int:
     quota = _cpu_quota()
     if quota is not None:
         cpus = min(cpus, quota)
-    return max(1, min(cpus, streams))
+    return max(1, cpus)
+
+
+def replay_threads(streams: int) -> int:
+    """Threads for one set replay: :func:`usable_cpus`, at most one per
+    non-empty stream.  A worker process of a pool (the
+    ``BatchRunner``'s, ``jobs > 1``) replays on one thread, because the
+    pool already fills the CPUs."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    return max(1, min(usable_cpus(), streams))
 
 
 def _column(pages: Sequence[int]) -> array.array:

@@ -3,7 +3,7 @@
 The paper's artifacts (Figures 8-11, Tables 2-4) are produced by
 embarrassingly parallel, fully deterministic simulations.  This package
 turns each simulation into a picklable :class:`JobSpec`, fans a grid of
-them across ``multiprocessing`` workers with :class:`BatchRunner`, and
+them across a pool of worker processes with :class:`BatchRunner`, and
 memoizes finished runs on disk with :class:`ResultCache` so repeated
 invocations of ``repro report``, the table commands, and the benchmark
 harness never re-simulate a design point they have already seen.
@@ -24,16 +24,13 @@ JSON-serializable snapshots that expose the same analysis surface as
 :class:`~repro.system.results.RunResult` (breakdowns, overhead ratios,
 sweep studies, timing summaries) without holding the machine alive.
 
-The runner supervises its workers (see :mod:`repro.runner.batch` and
-``docs/robustness.md``): per-job failures come back as structured
-:class:`JobFailure` results instead of aborting the grid, transient
-failures retry with exponential backoff, hung jobs are killed at a
-wall-clock ``timeout``, dead workers respawn, and — given a manifest
-directory — an interrupted run resumes with ``resume=run_id``,
-re-executing only the jobs missing from its append-only manifest
-(:class:`RunManifest`).  :class:`FaultPlan` injects deterministic chaos
-(crashes, hangs, transient errors, corrupt cache/trace bytes) to prove
-those paths.
+Without ``keep_going`` the first job that raises fails the run with its
+own exception; with it, failures land as structured :class:`JobFailure`
+results and the grid finishes.  A worker process that dies mid-job
+fails the run with :class:`~repro.common.errors.JobError` naming the
+jobs in flight.  Given a manifest directory, an interrupted run resumes
+with ``resume=run_id``, re-executing only the jobs missing from its
+append-only manifest (:class:`RunManifest`).
 
 Sweep jobs additionally run through a record-once/replay-many pipeline
 (see :mod:`repro.system.taptrace` and ``docs/performance.md``): the
@@ -45,7 +42,6 @@ the coupled scalar sweep.
 
 from repro.runner.batch import BatchRunner, JobFailure, JobResult
 from repro.runner.cache import ResultCache, default_cache_dir
-from repro.runner.faults import Fault, FaultPlan
 from repro.runner.jobs import JobSpec
 from repro.runner.manifest import (
     RunManifest,
@@ -58,8 +54,6 @@ from repro.runner.traces import TraceStore, default_trace_dir
 
 __all__ = [
     "BatchRunner",
-    "Fault",
-    "FaultPlan",
     "GridStats",
     "JobFailure",
     "JobResult",

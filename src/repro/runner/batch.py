@@ -1,70 +1,48 @@
-"""Supervised, fault-tolerant execution of simulation grids.
+"""Ordered execution of simulation grids.
 
 Every job is deterministic given its spec (all randomness derives from
 ``MachineParams.seed`` via named substreams), so sharding a grid across
 worker processes is pure divide-and-conquer: results are bit-identical
 to a serial run, whatever the worker count or completion order.
 
-The runner is a *supervisor*, not a bare pool.  Each worker slot is one
-forked process connected by its own pipe; the parent dispatches one job
-at a time, so it always knows which job a dead or wedged worker was
-holding.  On top of that sit the recovery paths:
+``jobs=1`` runs every job in-process.  ``jobs > 1`` hands the jobs to a
+:class:`~concurrent.futures.ProcessPoolExecutor` of forked workers, one
+job per worker in flight, and lands each result at its spec's index:
 
-* **Failure capture** — a job that raises comes back as a structured
-  :class:`JobFailure` (exception type, message, traceback, attempt
-  count) instead of tearing down the grid.  By default a deterministic
-  failure (``ConfigurationError``, ``ProtocolError``, ...) still fails
-  the run fast — rerunning it would fail identically — while
-  ``keep_going=True`` records it and completes the rest of the grid.
-* **Retries** — *transient* failures (``OSError``, ``TraceError``,
-  worker death, timeouts; see :func:`repro.common.errors.is_transient`)
-  are retried up to ``retries`` times with exponential backoff and
-  deterministic jitter.  Deterministic failures are never retried.
-* **Timeouts** — ``timeout`` seconds of wall clock per job attempt;
-  an overrunning worker is killed and respawned, and the job counts as
-  a transient failure (a hung simulation cannot stall the grid).
-  Enforced only when worker processes are in play (``jobs > 1``).
+* **Failure** — the first job that raises fails the run with its own
+  exception (``ProtocolError``, ``ConfigurationError``, ...).  Under
+  ``keep_going=True`` it lands as a :class:`JobFailure` instead and the
+  rest of the grid runs.
 * **Worker death** — a worker that vanishes mid-job (segfault,
-  OOM-kill, injected crash) is detected through its closed pipe; the
-  slot respawns and the lost job is re-dispatched.
+  OOM-kill) breaks the pool; the run raises
+  :class:`~repro.common.errors.JobError` naming the jobs in flight, and
+  leaves no worker process behind.
 * **Resume** — with a manifest directory, every landed job is appended
   to a flushed JSONL manifest (:mod:`repro.runner.manifest`); a
-  SIGINT'd run shuts its workers down cleanly and raises
-  :class:`~repro.common.errors.RunInterrupted` carrying the run id, and
-  ``resume=run_id`` restores completed summaries so only the missing
-  jobs execute.
-* **Chaos** — a :class:`~repro.runner.faults.FaultPlan` deterministically
-  injects crashes, hangs, transient errors, and corrupt cache/trace
-  bytes at chosen job indices; the test suite drives every path above
-  through it.
+  SIGINT'd run raises :class:`~repro.common.errors.RunInterrupted`
+  carrying the run id, and ``resume=run_id`` restores completed
+  summaries so only the missing jobs execute.
 
-Worker sizing: the requested ``jobs`` is clamped to ``os.cpu_count()``
-and to the number of pending jobs — oversubscribing cores only adds
-process startup and scheduler churn.  The clamp actually applied is
-recorded in :attr:`BatchRunner.effective_jobs`.  ``jobs=1`` (or a
-platform without ``fork``) runs in-process with the same capture,
-retry, and resume semantics (timeout excepted).
+Worker sizing: the requested ``jobs`` is clamped to the CPUs this
+process may use (:func:`repro.core.replay.usable_cpus`: its CPU
+affinity within its cgroup CPU quota) and to the number of pending
+jobs.  The count applied is recorded in
+:attr:`BatchRunner.effective_jobs`.  A platform without ``fork`` runs
+in-process.
 """
 
 from __future__ import annotations
 
-import hashlib
-import heapq
 import multiprocessing
-import os
+import signal
 import time
 import traceback as _traceback
 from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _connection_wait
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, List, Optional, Tuple, Union
 
-from repro.common.errors import (
-    ConfigurationError,
-    JobError,
-    RunInterrupted,
-    is_transient,
-)
+from repro.common.errors import ConfigurationError, JobError, RunInterrupted
+from repro.core.replay import usable_cpus
 from repro.runner.cache import ResultCache
 from repro.runner.jobs import JobSpec
 from repro.runner.manifest import RunManifest
@@ -76,9 +54,6 @@ from repro.system.fast_simulator import is_degradation
 #: failures alike).
 ProgressCallback = Callable[[int, int, "JobOutcome"], None]
 
-#: Clean-shutdown join budget before escalating to SIGKILL.
-_JOIN_TIMEOUT = 5.0
-
 
 @dataclass
 class JobResult:
@@ -89,7 +64,6 @@ class JobResult:
     elapsed: float
     from_cache: bool = False
     from_manifest: bool = False
-    attempts: int = 1
 
     #: Discriminates successes from :class:`JobFailure` in a result list.
     ok: ClassVar[bool] = True
@@ -97,7 +71,7 @@ class JobResult:
 
 @dataclass
 class JobFailure:
-    """One job that failed after exhausting its retry budget.
+    """One job that raised.
 
     Takes a success's place in the result list under ``keep_going``:
     same ``spec`` / ``elapsed`` / provenance surface, but ``ok`` is
@@ -107,10 +81,6 @@ class JobFailure:
     spec: JobSpec
     error_type: str
     message: str
-    attempts: int = 1
-    transient: bool = False
-    timed_out: bool = False
-    worker_died: bool = False
     traceback: str = ""
     elapsed: float = 0.0
     from_cache: bool = False
@@ -119,79 +89,12 @@ class JobFailure:
     ok: ClassVar[bool] = False
     summary: ClassVar[None] = None
 
-    def exception(self) -> BaseException:
-        """Rehydrate the failure as a raisable exception.
-
-        Resolves the recorded type name against the library's exception
-        modules and builtins; unknown types degrade to
-        :class:`~repro.common.errors.JobError` carrying the original
-        traceback text.
-        """
-        from repro.runner.faults import resolve_exception
-
-        try:
-            cls = resolve_exception(self.error_type)
-            exc = cls(self.message)
-        except Exception:
-            exc = JobError(
-                f"{self.error_type}: {self.message}\n{self.traceback}".rstrip()
-            )
-        return exc
-
     def describe(self) -> str:
-        cause = "timed out" if self.timed_out else (
-            "worker died" if self.worker_died else self.error_type
-        )
-        return (
-            f"{self.spec.describe()}: {cause} after "
-            f"{self.attempts} attempt{'s' if self.attempts != 1 else ''}"
-        )
+        return f"{self.spec.describe()}: {self.error_type}"
 
 
 #: What a result list may contain.
 JobOutcome = Union[JobResult, JobFailure]
-
-
-# ----------------------------------------------------------------------
-# worker side
-# ----------------------------------------------------------------------
-def _worker_loop(conn, trace_store, fault_plan) -> None:
-    """One worker slot: receive ``(index, attempt, spec)``, execute,
-    reply ``("ok", ...)`` or ``("err", ...)``; ``None`` stops the loop.
-
-    Exceptions cross the pipe pre-serialized (type name, message,
-    traceback text, transient flag) so an unpicklable exception object
-    can never poison the channel.
-    """
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        if message is None:
-            return
-        index, attempt, spec = message
-        started = time.perf_counter()
-        try:
-            if fault_plan is not None:
-                fault_plan.apply_worker(index, attempt)
-            summary = spec.execute(trace_store=trace_store)
-            payload = ("ok", index, attempt, summary, time.perf_counter() - started)
-        except Exception as exc:
-            payload = (
-                "err",
-                index,
-                attempt,
-                type(exc).__name__,
-                str(exc),
-                _traceback.format_exc(),
-                is_transient(exc),
-                time.perf_counter() - started,
-            )
-        try:
-            conn.send(payload)
-        except (OSError, ValueError):
-            return
 
 
 class _RunTraces:
@@ -209,105 +112,43 @@ class _RunTraces:
         self._traces[spec.trace_hash()] = traces
 
 
+# ----------------------------------------------------------------------
+# worker side
+# ----------------------------------------------------------------------
+#: The trace store a pool worker's jobs read and feed (set by
+#: :func:`_init_worker`).
+_worker_traces = None
+
+
+def _init_worker(trace_store) -> None:
+    """Give a pool worker the runner's trace store, or its own
+    in-memory one.  A Ctrl-C reaches the whole process group; only the
+    parent acts on it (it stops the pool and raises RunInterrupted), so
+    a worker ignores SIGINT instead of dying with a traceback."""
+    global _worker_traces
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_traces = trace_store if trace_store is not None else _RunTraces()
+
+
+def _execute(spec: JobSpec) -> Tuple[RunSummary, float]:
+    started = time.perf_counter()
+    summary = spec.execute(trace_store=_worker_traces)
+    return summary, time.perf_counter() - started
+
+
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-class _Slot:
-    """One supervised worker: a forked process plus its private pipe.
-
-    The parent tracks exactly which job (and attempt) the slot holds,
-    so a closed pipe or a blown deadline maps back to a specific job.
-    """
-
-    __slots__ = ("ctx", "worker_args", "process", "conn",
-                 "index", "spec", "attempt", "deadline")
-
-    def __init__(self, ctx, worker_args) -> None:
-        self.ctx = ctx
-        self.worker_args = worker_args
-        self.process = None
-        self.conn = None
-        self.clear()
-        self.spawn()
-
-    # -- lifecycle -----------------------------------------------------
-    def spawn(self) -> None:
-        parent_conn, child_conn = self.ctx.Pipe()
-        self.process = self.ctx.Process(
-            target=_worker_loop, args=(child_conn, *self.worker_args), daemon=True
-        )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
-
-    def respawn(self) -> None:
-        """Replace a dead or wedged worker with a fresh one."""
-        self.kill()
-        self.clear()
-        self.spawn()
-
-    def kill(self) -> None:
-        if self.process is not None:
-            self.process.terminate()
-            self.process.join(timeout=_JOIN_TIMEOUT)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(timeout=_JOIN_TIMEOUT)
-        if self.conn is not None:
-            try:
-                self.conn.close()
-            except OSError:
-                pass
-        self.process = None
-        self.conn = None
-
-    def shutdown(self) -> None:
-        """Best-effort graceful stop, then guarantee the process is gone
-        (the SIGINT worker-leak fix lives here: the supervisor calls
-        this in a ``finally``)."""
-        if self.conn is not None and not self.busy:
-            try:
-                self.conn.send(None)
-                self.process.join(timeout=_JOIN_TIMEOUT)
-            except (OSError, ValueError):
-                pass
-        self.kill()
-
-    # -- job bookkeeping -----------------------------------------------
-    @property
-    def busy(self) -> bool:
-        return self.index is not None
-
-    def clear(self) -> None:
-        self.index = None
-        self.spec = None
-        self.attempt = None
-        self.deadline = None
-
-    def dispatch(self, index: int, spec: JobSpec, attempt: int,
-                 timeout: Optional[float]) -> None:
-        try:
-            self.conn.send((index, attempt, spec))
-        except (OSError, ValueError):
-            # The worker died while idle; replace it and retry once.
-            self.respawn()
-            self.conn.send((index, attempt, spec))
-        self.index = index
-        self.spec = spec
-        self.attempt = attempt
-        self.deadline = (time.monotonic() + timeout) if timeout else None
-
-
 class BatchRunner:
-    """Runs :class:`JobSpec` grids under supervision.
+    """Runs :class:`JobSpec` grids, results in spec order.
 
     Parameters
     ----------
     jobs:
         Worker process count; ``1`` (default) runs everything
-        in-process.  Clamped to ``os.cpu_count()`` and the pending-job
-        count.
+        in-process.  Clamped to :func:`~repro.core.replay.usable_cpus`
+        and the pending-job count.
     cache:
         A :class:`ResultCache` consulted before and fed after every
         simulation; ``None`` disables persistence.
@@ -321,23 +162,9 @@ class BatchRunner:
         recordings in memory (per worker process) until the run ends,
         so a grid still captures each hierarchy once, just without
         cross-run reuse.
-    retries:
-        Re-dispatch budget per job for *transient* failures (I/O
-        errors, corrupt traces, worker death, timeouts).  Deterministic
-        failures never retry.
-    timeout:
-        Per-attempt wall-clock limit in seconds; the worker holding an
-        overrunning job is killed and respawned.  Only enforced with
-        worker processes (``effective_jobs > 1``).
     keep_going:
         Record failures as :class:`JobFailure` results and finish the
-        grid instead of failing fast on the first exhausted job.
-    retry_delay:
-        Base of the exponential backoff (seconds); attempt *k* waits
-        ``retry_delay * 2**(k-1)`` scaled by a deterministic jitter in
-        [0.5, 1.0] derived from the job index.
-    fault_plan:
-        A :class:`~repro.runner.faults.FaultPlan` for chaos testing.
+        grid instead of failing fast on the first one.
     manifest_dir:
         Directory for append-only run manifests; ``None`` (default)
         disables manifests and resumption.
@@ -352,11 +179,7 @@ class BatchRunner:
         cache: Optional[ResultCache] = None,
         progress: Optional[ProgressCallback] = None,
         trace_store=None,
-        retries: int = 0,
-        timeout: Optional[float] = None,
         keep_going: bool = False,
-        retry_delay: float = 0.25,
-        fault_plan=None,
         manifest_dir=None,
         resume: Optional[str] = None,
     ) -> None:
@@ -364,11 +187,7 @@ class BatchRunner:
         self.cache = cache
         self.progress = progress
         self.trace_store = trace_store
-        self.retries = max(0, int(retries))
-        self.timeout = timeout
         self.keep_going = keep_going
-        self.retry_delay = retry_delay
-        self.fault_plan = fault_plan
         self.manifest_dir = manifest_dir
         self.resume = resume
         if resume is not None and manifest_dir is None:
@@ -378,22 +197,13 @@ class BatchRunner:
         self.simulations_run = 0
         self.cache_hits = 0
         #: Worker processes actually used by the last :meth:`run` after
-        #: clamping to cpu_count and the pending-job count (1 = ran
+        #: clamping to the CPU budget and the pending-job count (1 = ran
         #: in-process).
         self.effective_jobs = 1
-        #: Supervision counters for the last :meth:`run`.
+        #: Counters for the last :meth:`run`.
         self.stats = GridStats()
         #: Manifest id of the last :meth:`run` (None without a manifest).
         self.run_id: Optional[str] = None
-
-    # ------------------------------------------------------------------
-    def _backoff(self, index: int, attempt: int) -> float:
-        """Exponential backoff with deterministic jitter in [0.5, 1.0]:
-        the same (job, attempt) always waits the same time, so chaos
-        tests and resumed runs are reproducible."""
-        digest = hashlib.sha256(f"backoff:{index}:{attempt}".encode()).digest()
-        jitter = 0.5 + digest[0] / 510.0
-        return self.retry_delay * (2 ** (attempt - 1)) * jitter
 
     # ------------------------------------------------------------------
     def run(self, specs: Iterable[JobSpec]) -> List[JobOutcome]:
@@ -401,9 +211,8 @@ class BatchRunner:
 
         Each entry is a :class:`JobResult`, or — only under
         ``keep_going`` — a :class:`JobFailure`.  Without ``keep_going``
-        the first job to exhaust its attempts raises (deterministic
-        failures raise their original exception type).  SIGINT shuts
-        the workers down, flushes the manifest, and raises
+        the first job to fail raises its own exception.  SIGINT flushes
+        the manifest and raises
         :class:`~repro.common.errors.RunInterrupted` with the resume
         hint.
         """
@@ -414,8 +223,6 @@ class BatchRunner:
         run_started = time.perf_counter()
         stats = self.stats = GridStats(total=total)
         store_base = self._store_counters()
-        if self.fault_plan is not None:
-            self.fault_plan.arm()
 
         manifest = None
         if self.manifest_dir is not None:
@@ -434,8 +241,7 @@ class BatchRunner:
             if self.progress is not None:
                 self.progress(done, total, outcome)
 
-        def record(index: int, summary: RunSummary, elapsed: float,
-                   attempts: int = 1) -> None:
+        def record(index: int, summary: RunSummary, elapsed: float) -> None:
             spec = specs[index]
             self.simulations_run += 1
             stats.simulations += 1
@@ -451,38 +257,34 @@ class BatchRunner:
                 self.cache.put(spec, summary, elapsed=elapsed)
             if manifest is not None:
                 manifest.record_success(spec, summary, elapsed=elapsed)
-            land(index, JobResult(spec, summary, elapsed=elapsed, attempts=attempts))
+            land(index, JobResult(spec, summary, elapsed=elapsed))
 
-        def heartbeat(spec: JobSpec, attempt: int,
-                      worker: Optional[int] = None) -> None:
+        def heartbeat(spec: JobSpec) -> None:
             if manifest is not None:
-                manifest.record_heartbeat(
-                    spec, attempt=attempt, worker=worker,
-                    workers=self.effective_jobs,
-                )
+                manifest.record_heartbeat(spec, workers=self.effective_jobs)
 
-        def fail(index: int, failure: JobFailure,
-                 cause: Optional[BaseException] = None) -> None:
+        def fail(index: int, exc: Exception, elapsed: float = 0.0) -> None:
             spec = specs[index]
+            failure = JobFailure(
+                spec=spec,
+                error_type=type(exc).__name__,
+                message=str(exc),
+                traceback="".join(_traceback.format_exception(
+                    type(exc), exc, exc.__traceback__
+                )),
+                elapsed=elapsed,
+            )
             stats.failed += 1
-            if failure.transient:
-                stats.transient_failures += 1
-            else:
-                stats.deterministic_failures += 1
             stats.failure_labels.append(failure.describe())
             if manifest is not None:
                 manifest.record_failure(spec, failure)
             if not self.keep_going:
-                raise cause if cause is not None else failure.exception()
+                raise exc
             land(index, failure)
 
         try:
             pending: List[Tuple[int, JobSpec]] = []
             for index, spec in enumerate(specs):
-                if self.fault_plan is not None:
-                    self.fault_plan.apply_parent(
-                        index, spec, cache=self.cache, trace_store=self.trace_store
-                    )
                 if manifest is not None and manifest.completed:
                     payload = manifest.completed.get(spec.content_hash())
                     if payload is not None:
@@ -502,28 +304,21 @@ class BatchRunner:
                 else:
                     pending.append((index, spec))
 
-            # The cpu-count clamp is a throughput heuristic; it yields
-            # when supervision *requires* process isolation — a hung
-            # job can only be killed, and a crash only survived, in a
-            # worker process.
-            needs_workers = self.timeout is not None or self.fault_plan is not None
-            limit = len(pending) if needs_workers else min(
-                len(pending), os.cpu_count() or 1
-            )
-            workers = min(self.jobs, limit)
-            # Record the clamp only when the pool (CPU count, fork
-            # support) bound us, not when there were simply fewer
-            # pending jobs than requested workers.
+            workers = min(self.jobs, len(pending))
+            if workers > 1:
+                workers = min(workers, usable_cpus())
+            # Record the clamp only when the CPU budget bound us, not
+            # when there were simply fewer pending jobs than requested
+            # workers.
             if self.jobs > workers and len(pending) > workers:
                 stats.requested_jobs = self.jobs
             if pending:
-                self.effective_jobs = max(1, workers)
-                traces = self.trace_store if self.trace_store is not None else _RunTraces()
                 if workers > 1 and _fork_available():
-                    self._run_supervised(pending, workers, traces, record, fail, heartbeat)
+                    self.effective_jobs = workers
+                    self._run_pool(pending, workers, record, fail, heartbeat)
                 else:
                     self.effective_jobs = 1
-                    self._run_serial(pending, traces, record, fail, heartbeat)
+                    self._run_serial(pending, record, fail, heartbeat)
         except KeyboardInterrupt:
             raise RunInterrupted(self.run_id, completed=done, total=total) from None
         finally:
@@ -549,158 +344,55 @@ class BatchRunner:
         )
 
     # ------------------------------------------------------------------
-    # in-process execution (jobs=1 or no fork)
-    # ------------------------------------------------------------------
-    def _run_serial(self, pending, traces, record, fail, heartbeat) -> None:
+    def _run_serial(self, pending, record, fail, heartbeat) -> None:
+        traces = self.trace_store if self.trace_store is not None else _RunTraces()
         for index, spec in pending:
-            attempt = 1
-            while True:
-                heartbeat(spec, attempt)
-                started = time.perf_counter()
-                try:
-                    if self.fault_plan is not None:
-                        self.fault_plan.apply_worker(index, attempt)
-                    summary = spec.execute(trace_store=traces)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    elapsed = time.perf_counter() - started
-                    if is_transient(exc) and attempt <= self.retries:
-                        self.stats.retries += 1
-                        time.sleep(self._backoff(index, attempt))
-                        attempt += 1
-                        continue
-                    fail(
-                        index,
-                        JobFailure(
-                            spec=spec,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            traceback=_traceback.format_exc(),
-                            attempts=attempt,
-                            transient=is_transient(exc),
-                            elapsed=elapsed,
-                        ),
-                        cause=exc,
-                    )
-                    break
-                record(index, summary, time.perf_counter() - started,
-                       attempts=attempt)
-                break
+            heartbeat(spec)
+            started = time.perf_counter()
+            try:
+                summary = spec.execute(trace_store=traces)
+            except Exception as exc:
+                fail(index, exc, time.perf_counter() - started)
+                continue
+            record(index, summary, time.perf_counter() - started)
 
-    # ------------------------------------------------------------------
-    # supervised worker-pool execution
-    # ------------------------------------------------------------------
-    def _run_supervised(self, pending, workers: int, traces, record, fail,
-                        heartbeat) -> None:
-        ctx = multiprocessing.get_context("fork")
-        worker_args = (traces, self.fault_plan)
-        queue = deque((index, spec, 1) for index, spec in pending)
-        #: (ready_at, index, next_attempt, spec) — delayed retries.
-        delayed: list = []
-        slots = [_Slot(ctx, worker_args) for _ in range(workers)]
-        try:
-            while queue or delayed or any(slot.busy for slot in slots):
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _, index, attempt, spec = heapq.heappop(delayed)
-                    queue.append((index, spec, attempt))
-                for slot_index, slot in enumerate(slots):
-                    if not slot.busy and queue:
-                        index, spec, attempt = queue.popleft()
-                        heartbeat(spec, attempt, worker=slot_index)
-                        slot.dispatch(index, spec, attempt, self.timeout)
+    def _run_pool(self, pending, workers: int, record, fail, heartbeat) -> None:
+        # Imported here: a serial run, every benchmark workload's, does
+        # not pay the pool's modules in start-up time and memory.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
 
-                busy = [slot for slot in slots if slot.busy]
-                if not busy:
-                    if delayed:
-                        time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
-                    continue
-
-                wait_for = None
-                wakeups = [slot.deadline for slot in busy if slot.deadline is not None]
-                if delayed:
-                    wakeups.append(delayed[0][0])
-                if wakeups:
-                    wait_for = max(0.0, min(wakeups) - time.monotonic())
-                ready = _connection_wait(
-                    [slot.conn for slot in busy], timeout=wait_for
-                )
-                for conn in ready:
-                    slot = next(s for s in slots if s.conn is conn)
-                    self._drain_slot(slot, record, fail, delayed)
-
-                now = time.monotonic()
-                for slot in slots:
-                    if slot.busy and slot.deadline is not None and now >= slot.deadline:
-                        self._expire_slot(slot, fail, delayed)
-        finally:
-            # Whatever ends the loop — completion, a fail-fast raise, or
-            # SIGINT — no worker process survives it.
-            for slot in slots:
-                slot.shutdown()
-
-    def _drain_slot(self, slot: _Slot, record, fail, delayed) -> None:
-        index, spec, attempt = slot.index, slot.spec, slot.attempt
-        try:
-            message = slot.conn.recv()
-        except (EOFError, OSError):
-            # Hard worker death mid-job (segfault / OOM-kill / chaos
-            # crash): respawn the slot, re-dispatch or fail the job.
-            exitcode = slot.process.exitcode if slot.process is not None else None
-            self.stats.worker_deaths += 1
-            slot.respawn()
-            self._retry_or_fail(
-                index, spec, attempt, fail, delayed,
-                error_type="WorkerDied",
-                message=f"worker process died (exit code {exitcode})",
-                worker_died=True,
-            )
-            return
-        slot.clear()
-        kind = message[0]
-        if kind == "ok":
-            _, index, attempt, summary, elapsed = message
-            record(index, summary, elapsed, attempts=attempt)
-            return
-        _, index, attempt, error_type, text, tb, transient, elapsed = message
-        if transient and attempt <= self.retries:
-            self.stats.retries += 1
-            heapq.heappush(
-                delayed,
-                (time.monotonic() + self._backoff(index, attempt),
-                 index, attempt + 1, spec),
-            )
-            return
-        fail(index, JobFailure(
-            spec=spec, error_type=error_type, message=text, traceback=tb,
-            attempts=attempt, transient=transient, elapsed=elapsed,
-        ))
-
-    def _expire_slot(self, slot: _Slot, fail, delayed) -> None:
-        """Kill a worker whose job blew its wall-clock deadline."""
-        index, spec, attempt = slot.index, slot.spec, slot.attempt
-        self.stats.timeouts += 1
-        slot.respawn()
-        self._retry_or_fail(
-            index, spec, attempt, fail, delayed,
-            error_type="JobTimeout",
-            message=f"job exceeded {self.timeout}s wall clock",
-            timed_out=True,
+        queue = deque(pending)
+        running = {}  # future -> (index, spec)
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(self.trace_store,),
         )
-
-    def _retry_or_fail(self, index, spec, attempt, fail, delayed,
-                       error_type, message, **flags) -> None:
-        """Shared tail for worker-death and timeout: both transient."""
-        if attempt <= self.retries:
-            self.stats.retries += 1
-            heapq.heappush(
-                delayed,
-                (time.monotonic() + self._backoff(index, attempt),
-                 index, attempt + 1, spec),
-            )
-            return
-        fail(index, JobFailure(
-            spec=spec, error_type=error_type, message=message,
-            attempts=attempt, transient=True, **flags,
-        ))
+        try:
+            while queue or running:
+                while queue and len(running) < workers:
+                    index, spec = queue.popleft()
+                    heartbeat(spec)
+                    running[pool.submit(_execute, spec)] = (index, spec)
+                finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in sorted(finished, key=lambda f: running[f][0]):
+                    try:
+                        summary, elapsed = future.result()
+                    except BrokenProcessPool as exc:
+                        labels = ", ".join(
+                            spec.describe() for _, spec in sorted(running.values())
+                        )
+                        raise JobError(
+                            f"a worker process died with these jobs in flight: {labels}"
+                        ) from exc
+                    except Exception as exc:
+                        fail(running.pop(future)[0], exc)
+                        continue
+                    record(running.pop(future)[0], summary, elapsed)
+        finally:
+            # Whatever ends the loop — completion, a failure, a dead
+            # worker or SIGINT — the jobs not yet started are dropped and
+            # every worker is joined.
+            pool.shutdown(wait=True, cancel_futures=True)

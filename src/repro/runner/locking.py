@@ -24,9 +24,8 @@ mutation follows one discipline, implemented here:
 Deterministic crash injection for the test suite rides the same code
 path: when :data:`CRASH_WRITE_ENV` names a substring of the
 destination, :func:`atomic_write_bytes` writes *half* the payload to
-the temp file and hard-exits with the fault harness's
-``CRASH_EXIT_CODE`` — byte-for-byte what a SIGKILL mid-write leaves
-behind.
+the temp file and hard-exits with :data:`CRASH_EXIT_CODE` —
+byte-for-byte what a SIGKILL mid-write leaves behind.
 """
 
 from __future__ import annotations
@@ -46,6 +45,9 @@ except ImportError:  # pragma: no cover - non-posix
 #: target matches writes half the payload and hard-exits (simulated
 #: SIGKILL mid-write, deterministic).
 CRASH_WRITE_ENV = "REPRO_CRASH_WRITE"
+
+#: Exit status of a writer crashed by that hook (recognizably non-zero).
+CRASH_EXIT_CODE = 87
 
 #: Subdirectory (under a store root) receiving quarantined files.
 QUARANTINE_DIR = "quarantine"
@@ -143,8 +145,6 @@ def _maybe_crash(path: Path, tmp: Path, data: bytes) -> None:
     needle = os.environ.get(CRASH_WRITE_ENV)
     if not needle or needle not in str(path):
         return
-    from repro.runner.faults import CRASH_EXIT_CODE
-
     with open(tmp, "wb") as handle:
         handle.write(data[: max(1, len(data) // 2)])
         handle.flush()

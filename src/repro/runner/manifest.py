@@ -11,7 +11,7 @@ every job that completed.
 Resume matches jobs by :meth:`JobSpec.content_hash`, not by position:
 a resumed grid may reorder, drop, or extend the original spec list and
 still skips exactly the work that already succeeded.  Failure lines are
-deliberately *not* restored — a resumed run retries them.  A torn final
+deliberately *not* restored — a resumed run runs them again.  A torn final
 line (the process died mid-write) is skipped, not fatal.
 """
 
@@ -134,29 +134,20 @@ class RunManifest:
             }
         )
 
-    def record_heartbeat(
-        self,
-        spec,
-        attempt: int = 1,
-        worker: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> None:
-        """Mark a job dispatched (or re-dispatched after a retry).
+    def record_heartbeat(self, spec, workers: Optional[int] = None) -> None:
+        """Mark a job dispatched.
 
         Heartbeats are liveness markers for ``repro status``: they
-        carry a wall-clock stamp, the attempt number, and the worker
-        slot.  :meth:`load` skips them — they are not landed results
-        and never affect resumption.
+        carry a wall-clock stamp and the run's worker count.
+        :meth:`load` skips them — they are not landed results and never
+        affect resumption.
         """
         entry = {
             "heartbeat": "dispatch",
             "hash": spec.content_hash(),
             "label": spec.describe(),
-            "attempt": int(attempt),
             "at": round(time.time(), 3),
         }
-        if worker is not None:
-            entry["worker"] = int(worker)
         if workers is not None:
             entry["workers"] = int(workers)
         self._append(entry)
@@ -169,10 +160,6 @@ class RunManifest:
                 "status": "failed",
                 "error_type": failure.error_type,
                 "message": failure.message,
-                "attempts": failure.attempts,
-                "transient": failure.transient,
-                "timed_out": failure.timed_out,
-                "worker_died": failure.worker_died,
             }
         )
 
@@ -235,13 +222,7 @@ def read_status(run_id: str, root: Optional[os.PathLike] = None) -> Dict:
                 continue
             job = jobs.setdefault(digest, {"label": entry.get("label")})
             if "heartbeat" in entry:
-                job.update(
-                    state="running",
-                    attempt=entry.get("attempt", 1),
-                    since=entry.get("at"),
-                )
-                if entry.get("worker") is not None:
-                    job["worker"] = entry["worker"]
+                job.update(state="running", since=entry.get("at"))
                 if entry.get("workers"):
                     workers = entry["workers"]
             elif entry.get("status") == "ok":
@@ -249,11 +230,7 @@ def read_status(run_id: str, root: Optional[os.PathLike] = None) -> Dict:
                 job.update(state="ok", elapsed=entry.get("elapsed", 0.0))
             else:
                 job.pop("since", None)
-                job.update(
-                    state="failed",
-                    error=entry.get("error_type"),
-                    attempts=entry.get("attempts", job.get("attempt", 1)),
-                )
+                job.update(state="failed", error=entry.get("error_type"))
 
     counts = {"ok": 0, "failed": 0, "running": 0}
     for job in jobs.values():

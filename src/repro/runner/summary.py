@@ -22,12 +22,12 @@ from repro.system.taps import StudyResults
 
 @dataclass
 class GridStats:
-    """Supervision counters for one :meth:`BatchRunner.run` call.
+    """Counters for one :meth:`BatchRunner.run` call.
 
-    Everything the fault-tolerant supervisor observed: how many jobs
-    landed (and from where), how many failed after exhausting their
-    retries, and how often each recovery path fired.  Rendered by the
-    CLI after any grid that needed one of those paths.
+    How many jobs landed (and from where), how many failed, which
+    engines ran them, and what the stores had to repair.  Rendered by
+    the CLI after any grid where something beyond plain completion
+    happened.
     """
 
     total: int = 0
@@ -36,11 +36,6 @@ class GridStats:
     from_cache: int = 0
     from_manifest: int = 0
     simulations: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    worker_deaths: int = 0
-    transient_failures: int = 0
-    deterministic_failures: int = 0
     #: Labels of jobs that ended as :class:`JobFailure`s.
     failure_labels: List[str] = field(default_factory=list)
     #: Engine mix: summary ``backend`` value -> number of jobs that
@@ -67,7 +62,7 @@ class GridStats:
     #: Worker processes used (1 = in-process).
     workers: int = 1
     #: Worker processes the caller asked for (``--jobs``), before the
-    #: runner clamped to the machine's CPU count.  0 = not recorded.
+    #: runner clamped to the CPUs it may use.  0 = not recorded.
     requested_jobs: int = 0
 
     @property
@@ -75,14 +70,14 @@ class GridStats:
         """Fraction of the worker pool's wall-clock capacity spent
         executing jobs: ``job_seconds / (wall_seconds * workers)``.
         Near 1.0 means the pool stayed busy; low values mean the grid
-        was cache-dominated or supervision-bound."""
+        was cache-dominated or dispatch-bound."""
         capacity = self.wall_seconds * max(1, self.workers)
         return self.job_seconds / capacity if capacity > 0 else 0.0
 
     @property
     def jobs_clamped(self) -> bool:
         """Whether the runner granted fewer workers than requested
-        (``--jobs`` exceeded the machine's CPU count)."""
+        (``--jobs`` exceeded the CPUs this process may use)."""
         return self.requested_jobs > self.workers > 0
 
     @property
@@ -90,9 +85,6 @@ class GridStats:
         """Whether anything beyond plain completion happened."""
         return bool(
             self.failed
-            or self.retries
-            or self.timeouts
-            or self.worker_deaths
             or self.jobs_clamped
             or self.fallback_reasons
             or self.store_quarantined
@@ -111,12 +103,6 @@ class GridStats:
         ]
         if self.failed:
             parts.append(f"{self.failed} failed")
-        if self.retries:
-            parts.append(f"{self.retries} retried")
-        if self.timeouts:
-            parts.append(f"{self.timeouts} timed out")
-        if self.worker_deaths:
-            parts.append(f"{self.worker_deaths} worker deaths")
         if self.backends:
             mix = ", ".join(
                 f"{count} {name}" for name, count in sorted(self.backends.items())
@@ -139,7 +125,7 @@ class GridStats:
             text += (
                 f"\nwarning: --jobs {self.requested_jobs} requested, "
                 f"{self.workers} worker{'s' if self.workers != 1 else ''} "
-                f"granted (CPU-count clamp)"
+                f"granted (CPU budget clamp)"
             )
         if self.failure_labels:
             text += "\nfailed jobs: " + ", ".join(self.failure_labels)
@@ -155,7 +141,7 @@ class GridStats:
         )
 
     def to_metrics(self, registry):
-        """Project the supervision counters and pool telemetry onto a
+        """Project the grid counters and pool telemetry onto a
         :class:`~repro.obs.metrics.MetricsRegistry`."""
         runs = registry.counter(
             "repro_runner_jobs_total", help="grid jobs by disposition"
@@ -167,12 +153,6 @@ class GridStats:
         registry.counter(
             "repro_runner_simulations_total", help="simulations actually executed"
         ).inc(self.simulations)
-        recoveries = registry.counter(
-            "repro_runner_recoveries_total", help="supervision recovery events"
-        )
-        recoveries.inc(self.retries, kind="retry")
-        recoveries.inc(self.timeouts, kind="timeout")
-        recoveries.inc(self.worker_deaths, kind="worker_death")
         registry.gauge(
             "repro_runner_wall_seconds", help="wall-clock time of the grid"
         ).set(round(self.wall_seconds, 6))
@@ -222,11 +202,6 @@ class GridStats:
             "from_cache": self.from_cache,
             "from_manifest": self.from_manifest,
             "simulations": self.simulations,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "worker_deaths": self.worker_deaths,
-            "transient_failures": self.transient_failures,
-            "deterministic_failures": self.deterministic_failures,
             "wall_seconds": self.wall_seconds,
             "job_seconds": self.job_seconds,
             "workers": self.workers,

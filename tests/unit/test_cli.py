@@ -363,7 +363,7 @@ class TestStatusCommand:
         params = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
         spec = JobSpec.timing(params, Scheme.V_COMA, "radix", 8)
         manifest = RunManifest.create(tmp_path / "runs", total=3, run_id="run-x")
-        manifest.record_heartbeat(spec, attempt=2, worker=0, workers=2)
+        manifest.record_heartbeat(spec, workers=2)
         manifest.close()
 
         code, out = run_cli(
@@ -371,7 +371,8 @@ class TestStatusCommand:
         )
         assert code == 0
         assert "0 ok, 0 failed, 1 running, 2 pending" in out
-        assert "attempt 2, worker 0" in out
+        assert f"running: {spec.describe()}" in out
+        assert "workers    : 2" in out
 
     def test_status_unknown_run(self, capsys, tmp_path):
         with pytest.raises(SystemExit, match="unknown run id"):

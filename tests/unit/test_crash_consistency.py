@@ -1,8 +1,8 @@
 """Crash-consistent concurrent caches: the tentpole acceptance suite.
 
 A writer killed at ANY instant — simulated deterministically with the
-``REPRO_CRASH_WRITE`` hook (half payload, hard exit with the fault
-harness's ``CRASH_EXIT_CODE``) or with a real ``SIGKILL`` mid-loop —
+``REPRO_CRASH_WRITE`` hook (half payload, hard exit with
+``repro.runner.locking.CRASH_EXIT_CODE``) or with a real ``SIGKILL`` mid-loop —
 must never cost a committed entry.  Recovery on the next open
 quarantines the partial temp file (kept as evidence under
 ``quarantine/``, never silently deleted), and two concurrent writer
@@ -22,8 +22,7 @@ import pytest
 from repro import MachineParams
 from repro.core.schemes import Scheme
 from repro.runner import JobSpec, ResultCache, TraceStore
-from repro.runner.faults import CRASH_EXIT_CODE
-from repro.runner.locking import CRASH_WRITE_ENV
+from repro.runner.locking import CRASH_EXIT_CODE, CRASH_WRITE_ENV
 from repro.runner.summary import RunSummary
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")

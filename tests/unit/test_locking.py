@@ -16,6 +16,7 @@ import pytest
 
 from repro.obs.runtime import counter_value, reset_runtime_metrics
 from repro.runner.locking import (
+    CRASH_EXIT_CODE,
     CRASH_WRITE_ENV,
     FileLock,
     atomic_write_bytes,
@@ -62,8 +63,6 @@ class TestAtomicWrites:
         proc = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True
         )
-        from repro.runner.faults import CRASH_EXIT_CODE
-
         assert proc.returncode == CRASH_EXIT_CODE
         assert not target.exists()
         (partial,) = list(target.parent.glob(".*.tmp"))

@@ -42,8 +42,6 @@ def failure_for(spec):
         spec=spec,
         error_type="ProtocolError",
         message="boom",
-        attempts=1,
-        transient=False,
     )
 
 
@@ -77,7 +75,7 @@ class TestManifestFile:
 
         loaded = RunManifest.load(tmp_path, "run-b")
         assert set(loaded.completed) == {fft.content_hash(), radix.content_hash()}
-        # Failures are informational only — a resumed run retries them.
+        # Failures are informational only — a resumed run runs them again.
         assert ocean.content_hash() in loaded.failed
         assert ocean.content_hash() not in loaded.completed
         assert loaded.completed[fft.content_hash()] == jobs[0].summary.to_dict()
@@ -184,10 +182,10 @@ class TestRunnerManifestIntegration:
 class TestHeartbeatsAndStatus:
     def test_heartbeat_round_trip(self, tmp_path, params):
         """A dispatched-but-unfinished job shows as running, with its
-        attempt, worker slot, and dispatch stamp, via read_status."""
+        dispatch stamp and the run's worker count, via read_status."""
         spec = specs_for(params, ["fft"])[0]
         manifest = RunManifest.create(tmp_path, total=2, run_id="run-hb")
-        manifest.record_heartbeat(spec, attempt=2, worker=1, workers=4)
+        manifest.record_heartbeat(spec, workers=4)
         manifest.close()
 
         view = read_status("run-hb", tmp_path)
@@ -196,7 +194,6 @@ class TestHeartbeatsAndStatus:
         assert view["pending"] == 1
         (job,) = view["jobs"].values()
         assert job["state"] == "running"
-        assert job["attempt"] == 2 and job["worker"] == 1
         assert job["since"] > 0
         assert job["label"] == spec.describe()
 
@@ -204,7 +201,7 @@ class TestHeartbeatsAndStatus:
         spec = specs_for(params, ["fft"])[0]
         (job,) = BatchRunner(jobs=1).run([spec])
         manifest = RunManifest.create(tmp_path, total=1, run_id="run-done")
-        manifest.record_heartbeat(spec, attempt=1)
+        manifest.record_heartbeat(spec)
         manifest.record_success(spec, job.summary, elapsed=1.5)
         manifest.close()
 
@@ -221,7 +218,7 @@ class TestHeartbeatsAndStatus:
         result is neither completed nor failed."""
         spec = specs_for(params, ["fft"])[0]
         manifest = RunManifest.create(tmp_path, total=1, run_id="run-live")
-        manifest.record_heartbeat(spec, attempt=1)
+        manifest.record_heartbeat(spec)
         manifest.close()
 
         loaded = RunManifest.load(tmp_path, "run-live")
@@ -242,7 +239,7 @@ class TestHeartbeatsAndStatus:
         assert len(beats) == 2
         for spec, beat in zip(specs, beats):
             assert beat["hash"] == spec.content_hash()
-            assert beat["attempt"] == 1
+            assert beat["workers"] == 1
         # Every heartbeat precedes its job's landed result.
         for beat in beats:
             beat_at = lines.index(beat)

@@ -1,13 +1,35 @@
 """Unit tests for the batch runner, job specs, and the result cache."""
 
+import dataclasses
 import json
+import multiprocessing
+import os
+import warnings
 
 import pytest
 
 from repro import MachineParams, Scheme
+from repro.common.errors import (
+    ConfigurationError,
+    JobError,
+    ProtocolError,
+    RunInterrupted,
+)
+from repro.core import replay
+from repro.core.ladder import FAULT_ENV
 from repro.core.schemes import TapPoint
+from repro.core.timing_kernels import get_backend
 from repro.core.tlb import Organization
-from repro.runner import BatchRunner, JobSpec, ResultCache, RunSummary, default_cache_dir
+from repro.runner import (
+    BatchRunner,
+    JobFailure,
+    JobSpec,
+    ResultCache,
+    RunSummary,
+    TraceStore,
+    batch,
+    default_cache_dir,
+)
 from repro.runner.cache import CACHE_DIR_ENV, CACHE_FORMAT
 
 
@@ -31,6 +53,27 @@ def timing_spec(params, **overrides):
     kwargs = dict(max_refs_per_node=300, overrides={"intensity": 0.2})
     kwargs.update(overrides)
     return JobSpec.timing(params, Scheme.V_COMA, "fft", 8, **kwargs)
+
+
+def fail_labelled(monkeypatch, label, exc):
+    """Make the job labelled ``label`` raise ``exc`` instead of running.
+    Patched on the class, so forked pool workers inherit it."""
+    execute = JobSpec.execute
+
+    def failing(spec, *args, **kwargs):
+        if spec.label == label:
+            raise exc
+        return execute(spec, *args, **kwargs)
+
+    monkeypatch.setattr(JobSpec, "execute", failing)
+
+
+def flip_bytes(path):
+    """Corrupt a stored entry in place: invert eight bytes spread over it."""
+    blob = bytearray(path.read_bytes())
+    for i in range(8):
+        blob[i * len(blob) // 8] ^= 0xFF
+    path.write_bytes(bytes(blob))
 
 
 # ----------------------------------------------------------------------
@@ -212,14 +255,25 @@ class TestBatchRunner:
             assert p_job.summary.to_dict() == s_job.summary.to_dict()
 
     def test_effective_jobs_clamped_to_cpu_count(self, params, monkeypatch):
-        import os as _os
-
-        monkeypatch.setattr(_os, "cpu_count", lambda: 1)
-        import repro.runner.batch as batch_mod
-
+        monkeypatch.setattr(batch, "usable_cpus", lambda: 1)
         runner = BatchRunner(jobs=8)
-        runner.run([timing_spec(params)])
+        runner.run([timing_spec(params), timing_spec(params, label="b")])
         assert runner.effective_jobs == 1
+        assert runner.stats.jobs_clamped and runner.stats.requested_jobs == 8
+
+    def test_effective_jobs_clamped_to_cpu_quota(self, params, monkeypatch):
+        """A container limited to one CPU on a 64-core host: the cgroup
+        quota, not the host's core count, bounds the pool, exactly as it
+        bounds the replay's threads."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        monkeypatch.setattr(replay, "_cpu_quota", lambda: 1)
+        runner = BatchRunner(jobs=64)
+        runner.run([timing_spec(params, label=str(i)) for i in range(3)])
+        assert runner.effective_jobs == 1
+        assert runner.stats.requested_jobs == 64
+        assert replay.replay_threads(1000) == 1
 
     def test_effective_jobs_clamped_to_pending(self, params, tmp_path):
         # A fully warm cache leaves nothing pending: no workers spawn.
@@ -257,8 +311,6 @@ class TestBatchRunner:
         assert surface(fast) == surface(slow)
 
     def test_trace_store_reused_across_runs(self, params, tmp_path):
-        from repro.runner import TraceStore
-
         store = TraceStore(root=tmp_path)
         specs = [sweep_spec(params), sweep_spec(params, sizes=(16, 64))]
         runner = BatchRunner(jobs=1, trace_store=store)
@@ -270,28 +322,20 @@ class TestBatchRunner:
 
 
 # ----------------------------------------------------------------------
-# Supervision: failure capture, retries, keep-going (serial path)
+# Failure capture and keep-going (serial path)
 # ----------------------------------------------------------------------
 class TestSupervisionSerial:
-    def test_deterministic_failure_fails_fast_by_default(self, params):
-        from repro.common.errors import ProtocolError
-        from repro.runner import FaultPlan
-
-        plan = FaultPlan().raising(1, "ProtocolError", "injected bug")
-        runner = BatchRunner(jobs=1, retries=3, retry_delay=0.01, fault_plan=plan)
+    def test_deterministic_failure_fails_fast_by_default(self, params, monkeypatch):
+        fail_labelled(monkeypatch, "bad", ProtocolError("injected bug"))
+        runner = BatchRunner(jobs=1)
         with pytest.raises(ProtocolError, match="injected bug"):
             runner.run([timing_spec(params), timing_spec(params, label="bad")])
-        # Deterministic failures are never retried, whatever the budget.
-        assert runner.stats.retries == 0
-        assert runner.stats.deterministic_failures == 1
+        assert runner.stats.completed == 1 and runner.stats.failed == 1
+        assert runner.stats.failure_labels == ["bad: ProtocolError"]
 
-    def test_keep_going_records_structured_failure(self, params):
-        from repro.runner import FaultPlan, JobFailure
-
-        plan = FaultPlan().raising(0, "ConfigurationError", "broken spec")
-        runner = BatchRunner(
-            jobs=1, retries=2, retry_delay=0.01, fault_plan=plan, keep_going=True
-        )
+    def test_keep_going_records_structured_failure(self, params, monkeypatch):
+        fail_labelled(monkeypatch, "bad", ConfigurationError("broken spec"))
+        runner = BatchRunner(jobs=1, keep_going=True)
         good = timing_spec(params)
         results = runner.run([timing_spec(params, label="bad"), good])
         assert len(results) == 2
@@ -299,74 +343,220 @@ class TestSupervisionSerial:
         assert isinstance(failure, JobFailure)
         assert not failure.ok and failure.summary is None
         assert failure.error_type == "ConfigurationError"
-        assert failure.attempts == 1 and not failure.transient
+        assert failure.message == "broken spec"
+        assert "broken spec" in failure.traceback
         assert success.ok and success.summary.total_time > 0
         assert runner.stats.failed == 1 and runner.stats.completed == 1
-        assert runner.stats.retries == 0
 
-    def test_transient_failure_retried_until_success(self, params):
-        from repro.runner import FaultPlan
+    def test_fail_fast_raises_original_exception_serially(self, params, monkeypatch):
+        fail_labelled(monkeypatch, "bad", OSError("disk gone"))
+        runner = BatchRunner(jobs=1)
+        with pytest.raises(OSError, match="disk gone"):
+            runner.run([timing_spec(params, label="bad")])
 
-        plan = FaultPlan().transient(0, times=2)
-        runner = BatchRunner(jobs=1, retries=2, retry_delay=0.001, fault_plan=plan)
-        (job,) = runner.run([timing_spec(params)])
-        assert job.ok and job.attempts == 3
-        assert runner.stats.retries == 2
-        assert runner.stats.failed == 0
-        # The retried result matches an undisturbed run bit-for-bit.
-        (clean,) = BatchRunner(jobs=1).run([timing_spec(params)])
-        assert job.summary.to_dict() == clean.summary.to_dict()
-
-    def test_transient_failure_exhausts_budget(self, params):
-        from repro.runner import FaultPlan
-
-        plan = FaultPlan().transient(0, times=None)
-        runner = BatchRunner(
-            jobs=1, retries=2, retry_delay=0.001, fault_plan=plan, keep_going=True
-        )
-        (failure,) = runner.run([timing_spec(params)])
-        assert not failure.ok
-        assert failure.transient and failure.error_type == "OSError"
-        assert failure.attempts == 3  # 1 try + 2 retries
-        assert runner.stats.transient_failures == 1
-
-    def test_fail_fast_raises_original_exception_serially(self, params):
-        from repro.runner import FaultPlan
-
-        plan = FaultPlan().transient(0, times=None)
-        runner = BatchRunner(jobs=1, retries=0, fault_plan=plan)
-        with pytest.raises(OSError, match="injected transient fault"):
-            runner.run([timing_spec(params)])
-
-    def test_backoff_is_deterministic_and_exponential(self, params):
-        runner = BatchRunner(jobs=1, retries=3, retry_delay=0.25)
-        first = runner._backoff(3, 1)
-        assert first == runner._backoff(3, 1)
-        assert runner._backoff(3, 2) > first
-        assert runner._backoff(4, 1) != first  # jitter varies by job
-        # Jitter stays within [0.5, 1.0] of the nominal exponential.
-        for attempt in (1, 2, 3):
-            nominal = 0.25 * 2 ** (attempt - 1)
-            delay = runner._backoff(7, attempt)
-            assert 0.5 * nominal <= delay <= nominal
-
-    def test_progress_reports_failures_under_keep_going(self, params):
-        from repro.runner import FaultPlan
-
+    def test_progress_reports_failures_under_keep_going(self, params, monkeypatch):
+        fail_labelled(monkeypatch, "a", ValueError("boom"))
         seen = []
-        plan = FaultPlan().raising(0, "ValueError", "boom")
         runner = BatchRunner(
-            jobs=1, fault_plan=plan, keep_going=True,
+            jobs=1, keep_going=True,
             progress=lambda done, total, job: seen.append((done, total, job.ok)),
         )
-        runner.run([timing_spec(params), timing_spec(params, label="b")])
+        runner.run([timing_spec(params, label="a"), timing_spec(params, label="b")])
         assert seen == [(1, 2, False), (2, 2, True)]
 
     def test_resume_requires_manifest_dir(self):
-        from repro.common.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             BatchRunner(resume="some-run")
+
+
+# ----------------------------------------------------------------------
+# Corrupt store entries: a miss that re-simulates, never a wrong answer
+# ----------------------------------------------------------------------
+class TestCorruptionRecovery:
+    def test_corrupt_cache_entry_is_resimulated(self, tmp_path, params):
+        spec = timing_spec(params)
+        cache = ResultCache(tmp_path)
+        (clean,) = BatchRunner(jobs=1, cache=cache).run([spec])
+        assert cache.contains(spec)
+
+        flip_bytes(cache.path_for(spec))
+        runner = BatchRunner(jobs=1, cache=cache)
+        (job,) = runner.run([spec])
+        # The flipped entry must read as a miss, never a wrong answer.
+        assert not job.from_cache
+        assert runner.simulations_run == 1
+        assert runner.stats.store_quarantined == 1
+        assert job.summary.to_dict() == clean.summary.to_dict()
+
+    def test_corrupt_trace_is_quarantined_and_rerecorded(self, tmp_path, params):
+        spec = sweep_spec(params)
+        store = TraceStore(root=tmp_path)
+        (clean,) = BatchRunner(jobs=1, trace_store=store).run([spec])
+        assert len(store) == 1
+
+        flip_bytes(store.path_for(spec))
+        runner = BatchRunner(jobs=1, trace_store=store)
+        with pytest.warns(RuntimeWarning, match="corrupt tap trace"):
+            (job,) = runner.run([spec])
+        assert store.corrupt_dropped == 1
+        assert job.ok
+        assert job.summary.to_dict() == clean.summary.to_dict()
+        # The store healed itself: a fresh trace is back on disk.
+        assert len(store) == 1
+
+
+# ----------------------------------------------------------------------
+# The process pool (jobs=2 with forked workers)
+# ----------------------------------------------------------------------
+@pytest.fixture
+def pool(monkeypatch):
+    """Give ``jobs=2`` two forked workers whatever CPUs the host has."""
+    monkeypatch.setattr(batch, "usable_cpus", lambda: 2)
+
+
+@pytest.fixture(scope="module")
+def grid():
+    """12 timing jobs: 2 workloads x 2 schemes x 3 TLB/DLB sizes."""
+    params = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
+    return [
+        JobSpec.timing(
+            params, scheme, name, entries,
+            max_refs_per_node=300, overrides={"intensity": 0.2},
+        )
+        for name in ("fft", "radix")
+        for scheme in (Scheme.V_COMA, Scheme.L0_TLB)
+        for entries in (8, 32, 128)
+    ]
+
+
+@pytest.fixture(scope="module")
+def baseline(grid):
+    """Clean serial run of the grid; pool runs must match it bit for bit."""
+    return [job.summary.to_dict() for job in BatchRunner(jobs=1).run(grid)]
+
+
+def assert_no_leaked_workers():
+    assert multiprocessing.active_children() == []
+
+
+class TestPool:
+    def test_dead_worker_fails_the_run_and_names_its_job(self, params, monkeypatch, pool):
+        parent = os.getpid()
+        execute = JobSpec.execute
+
+        def dying(spec, *args, **kwargs):
+            if spec.label == "doomed":
+                assert os.getpid() != parent, "the job ran in-process"
+                os._exit(1)
+            return execute(spec, *args, **kwargs)
+
+        monkeypatch.setattr(JobSpec, "execute", dying)
+        specs = [
+            timing_spec(params, label="first"),
+            timing_spec(params, label="doomed"),
+            timing_spec(params, label="last"),
+        ]
+        runner = BatchRunner(jobs=2)
+        with pytest.raises(JobError, match="doomed"):
+            runner.run(specs)
+        assert runner.effective_jobs == 2
+        assert_no_leaked_workers()
+
+    def test_fail_fast_raises_the_worker_exception(self, grid, monkeypatch, pool):
+        fail_labelled(monkeypatch, "bad", ProtocolError("injected bug"))
+        specs = list(grid)
+        specs[2] = dataclasses.replace(specs[2], label="bad")
+        runner = BatchRunner(jobs=2)
+        with pytest.raises(ProtocolError, match="injected bug"):
+            runner.run(specs)
+        assert runner.effective_jobs == 2
+        assert runner.stats.failure_labels == ["bad: ProtocolError"]
+        assert_no_leaked_workers()
+
+    def test_keep_going_returns_every_outcome_in_spec_order(
+        self, grid, baseline, monkeypatch, pool
+    ):
+        fail_labelled(monkeypatch, "bad", ProtocolError("injected bug"))
+        specs = list(grid)
+        specs[2] = dataclasses.replace(specs[2], label="bad")
+        runner = BatchRunner(jobs=2, keep_going=True)
+        jobs = runner.run(specs)
+        assert runner.effective_jobs == 2
+        assert_no_leaked_workers()
+        assert [job.spec for job in jobs] == specs
+        failure = jobs[2]
+        assert not failure.ok and failure.error_type == "ProtocolError"
+        assert "injected bug" in failure.traceback
+        assert runner.stats.failed == 1 and runner.stats.completed == 11
+        good = [job.summary.to_dict() for job in jobs if job.ok]
+        assert good == baseline[:2] + baseline[3:]
+
+    @pytest.mark.skipif(get_backend() is None, reason="compiled timing backend unavailable")
+    def test_degraded_compiled_engine_grid_matches_clean_run(
+        self, grid, baseline, monkeypatch, pool
+    ):
+        """Every headless job meets an internal engine error in its
+        worker and re-runs on a fresh scalar machine: same numbers,
+        each stamped with the degradation."""
+        monkeypatch.setenv(FAULT_ENV, "internal")
+        runner = BatchRunner(jobs=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the warn-once fallback warning
+            jobs = runner.run(grid)
+        assert runner.effective_jobs == 2
+        assert_no_leaked_workers()
+        assert len(jobs) == 12 and all(job.ok for job in jobs)
+        assert runner.stats.backends == {"scalar": 12}
+        (reason,) = runner.stats.fallback_reasons
+        assert reason.startswith("compiled engine degraded:")
+        assert runner.stats.fallback_reasons[reason] == 12
+
+        def surface(payload):
+            return {k: v for k, v in payload.items() if k not in ("backend", "fallback_reason")}
+
+        assert [surface(job.summary.to_dict()) for job in jobs] == [
+            surface(payload) for payload in baseline
+        ]
+        assert all(payload["backend"] == "compiled" for payload in baseline)
+
+
+class TestInterruptAndResume:
+    def test_sigint_resume_runs_only_missing_jobs(
+        self, grid, baseline, tmp_path, pool
+    ):
+        """A SIGINT'd pool run resumes from its manifest bit-identically."""
+
+        def interrupt_late(index, total, job):
+            if index >= 5:
+                raise KeyboardInterrupt  # what SIGINT raises in the parent
+
+        runner = BatchRunner(jobs=2, progress=interrupt_late, manifest_dir=tmp_path)
+        with pytest.raises(RunInterrupted) as excinfo:
+            runner.run(grid)
+        assert runner.effective_jobs == 2
+        assert_no_leaked_workers()
+        err = excinfo.value
+        assert err.run_id == runner.run_id
+        assert 5 <= err.completed < 12 and err.total == 12
+        assert f"--resume {err.run_id}" in str(err)
+
+        resumed = BatchRunner(jobs=2, manifest_dir=tmp_path, resume=err.run_id)
+        jobs = resumed.run(grid)
+        assert_no_leaked_workers()
+        assert len(jobs) == 12 and all(job.ok for job in jobs)
+        # Only the jobs the interrupt lost are re-simulated...
+        assert resumed.stats.from_manifest == err.completed
+        assert resumed.simulations_run == 12 - err.completed
+        # ...and the merged grid is bit-identical to a clean run.
+        assert [job.summary.to_dict() for job in jobs] == baseline
+
+    def test_resume_of_completed_run_simulates_nothing(self, grid, tmp_path):
+        first = BatchRunner(jobs=1, manifest_dir=tmp_path)
+        first.run(grid)
+        resumed = BatchRunner(jobs=1, manifest_dir=tmp_path, resume=first.run_id)
+        jobs = resumed.run(grid)
+        assert all(job.ok and job.from_manifest for job in jobs)
+        assert resumed.simulations_run == 0
 
 
 # ----------------------------------------------------------------------
