@@ -1,31 +1,31 @@
 #!/usr/bin/env python3
 """Generate the complete reproduction report in one call.
 
-Runs every table and figure of the paper's evaluation on a scaled-down
-machine and writes ``reproduction_report.md`` next to this script's
-working directory.  Equivalent to ``python -m repro report``.
-
-For a quick pass use fewer workloads or --no-figures via the CLI; the
-full default run simulates a few million references and takes a few
-minutes of CPU.
+Runs every table and figure of the paper's evaluation on the scaled-down
+report machine and writes the markdown report to ``out.md`` (default
+``reproduction_report.md`` in the working directory).  The sections are
+the ones ``python -m repro paper run`` prints for the report
+experiments.
 
 Run:  python examples/full_reproduction.py [out.md]
 """
 
 import sys
 
-from repro import MachineParams
-from repro.analysis import write_report
+from repro.analysis import generate_report
+from repro.analysis.report import default_params
 
 
 def main() -> None:
     out = sys.argv[1] if len(sys.argv) > 1 else "reproduction_report.md"
-    params = MachineParams.scaled_down(factor=8, nodes=8, page_size=512)
+    params = default_params()
     print("Machine:")
     print(params.describe())
     print()
-    print(f"Running the full evaluation (this takes a few minutes) ...")
-    text = write_report(out, params=params)
+    print("Running the full evaluation ...")
+    text = generate_report(params=params)
+    with open(out, "w") as handle:
+        handle.write(text)
     print(f"Wrote {out}: {len(text.splitlines())} lines, "
           f"{sum(1 for l in text.splitlines() if l.startswith('##'))} sections")
 

@@ -3,9 +3,10 @@
 ``experiments`` runs single simulations; ``tables`` and ``figures``
 render paper-style text output; ``report`` registers every artifact of
 the evaluation (:data:`~repro.analysis.report.EXPERIMENTS`) with its
-simulation cells and shape claims, and renders the one-shot report.
-``python -m repro paper`` and ``python -m repro report`` drive that
-registry; ``examples/`` shows programmatic use.
+simulation cells and shape claims, and renders the report experiments
+as one markdown document (:func:`~repro.analysis.report.generate_report`).
+``python -m repro paper`` drives that registry; ``traffic`` profiles a
+workload's per-segment traffic; ``examples/`` shows programmatic use.
 """
 
 from repro.analysis.experiments import (
@@ -14,14 +15,13 @@ from repro.analysis.experiments import (
     run_miss_sweep,
     run_timing,
     scheme_miss_rates,
-    scheme_misses,
 )
 from repro.analysis.tables import (
     render_equivalent_size_table,
     render_miss_rate_table,
     render_overhead_table,
 )
-from repro.analysis.report import EXPERIMENTS, Claim, Experiment, generate_report, write_report
+from repro.analysis.report import EXPERIMENTS, Claim, Experiment, generate_report
 from repro.analysis.traffic import WorkloadProfile, profile_workload
 from repro.analysis.tag_overhead import render_tag_overhead_table, tag_overhead_increase
 from repro.analysis.figures import (
@@ -51,7 +51,5 @@ __all__ = [
     "profile_workload",
     "render_tag_overhead_table",
     "scheme_miss_rates",
-    "scheme_misses",
     "tag_overhead_increase",
-    "write_report",
 ]

@@ -191,16 +191,6 @@ def equivalent_tlb_size(
     return math.inf
 
 
-def scheme_misses(
-    study: StudyResults,
-    scheme: Scheme,
-    size: int,
-    org: Organization = Organization.FULLY_ASSOCIATIVE,
-) -> int:
-    """Misses for one of the five schemes at one design point."""
-    return study.misses(TAP_OF_SCHEME[scheme], size, org)
-
-
 def scheme_miss_rates(
     study: StudyResults,
     size: int,

@@ -12,11 +12,11 @@ motivation).  Each :class:`Experiment` holds
 * how to render the artifact as text;
 * the paper's shape claims about it, as :class:`Claim` checks.
 
-Everything that runs the paper reads this registry.
-:func:`generate_report` runs the report experiments and renders one
-markdown document (``python -m repro report``).  ``python -m repro
+Everything that runs the paper reads this registry.  ``python -m repro
 paper list|run|check`` lists the experiments, renders any of them, or
-evaluates their claims and exits non-zero when one fails.  Cells shared
+evaluates their claims and exits non-zero when one fails.
+:func:`generate_report` runs the report experiments and renders them
+as one markdown document.  Cells shared
 between experiments run once: :func:`run_cells` deduplicates them by
 :meth:`JobSpec.key` and submits them as one
 :class:`~repro.runner.batch.BatchRunner` batch.
@@ -28,7 +28,7 @@ check orderings and effect directions (EXPERIMENTS.md records them).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import equivalent_tlb_size, pressure_profile, scheme_miss_rates
@@ -91,11 +91,10 @@ class Setup:
     params: MachineParams
     workloads: Tuple[str, ...] = tuple(PAPER_ORDER)
     #: Figure 8's size axis; Table 2 shows the sizes up to 128.
-    sizes: Tuple[int, ...] = DEFAULT_SWEEP_SIZES
-    intensities: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_INTENSITY))
+    sizes = DEFAULT_SWEEP_SIZES
 
     def overrides(self, name: str) -> Dict[str, float]:
-        return {"intensity": self.intensities.get(name, 1.0)}
+        return {"intensity": DEFAULT_INTENSITY[name]}
 
     def workload(self, name: str):
         return make_workload(name, **self.overrides(name))
@@ -143,8 +142,7 @@ class Experiment:
     ``collect(setup, results)`` builds the artifact's data from the
     finished cells; ``render(setup, data)`` returns the text blocks of
     its section.  ``report`` puts the experiment in
-    :func:`generate_report`, and ``figure`` drops it from a tables-only
-    report.
+    :func:`generate_report`.
     """
 
     id: str
@@ -154,7 +152,6 @@ class Experiment:
     cells: Callable[[Setup], List[JobSpec]] = _no_cells
     claims: Tuple[Claim, ...] = ()
     report: bool = False
-    figure: bool = True
 
     def section(self, setup: Setup, data) -> str:
         """The experiment's markdown section, exactly as the report has it."""
@@ -895,7 +892,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
             Claim("vcoma-lowest", "V-COMA has the lowest rate (within 10%) in >= 80% of cells", _vcoma_lowest),
             Claim("l0-significant", "the L0-TLB/8 miss rate exceeds 1% on at least 4 workloads", _l0_significant),
         ),
-        report=True, figure=False,
+        report=True,
     ),
     Experiment(
         "table3", "Table 3 — TLB size equivalent to an 8-entry DLB",
@@ -906,7 +903,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
             Claim("l3-closer", "L3's equivalent size <= L0's on all but one workload", _l3_closer),
             Claim("equivalent-size", "matching an 8-entry DLB takes an L0 TLB above 32 entries (RADIX)", _radix_equivalent),
         ),
-        report=True, figure=False,
+        report=True,
     ),
     Experiment(
         "table4", "Table 4 — translation stall / memory stall (%)",
@@ -918,7 +915,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
             Claim("bigger-tlb-helps", "L0-TLB/16 stalls no more than L0-TLB/8 on all but one workload", _bigger_tlb_helps),
             Claim("overhead", "translation stall: above 2% under L0-TLB, smaller under V-COMA (RADIX)", _radix_overhead),
         ),
-        report=True, figure=False,
+        report=True,
     ),
     Experiment(
         "fig10", "Figure 10 — execution-time breakdown (normalized to L0-TLB/8)",
@@ -941,7 +938,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "tag-overhead", "§6 — virtual-tag memory overhead",
         collect=lambda setup, results: None,
         render=lambda setup, data: [render_tag_overhead_table()],
-        report=True, figure=False,
+        report=True,
     ),
     Experiment(
         "fig10-dm", "Figure 10 with direct-mapped bars",
@@ -1023,15 +1020,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
 # ----------------------------------------------------------------------
 # the report
 # ----------------------------------------------------------------------
-def generate_report(
-    params: Optional[MachineParams] = None,
-    workloads: Iterable[str] = PAPER_ORDER,
-    sizes: Iterable[int] = DEFAULT_SWEEP_SIZES,
-    intensities: Optional[Dict[str, float]] = None,
-    include_figures: bool = True,
-    runner=None,
-    metrics_out: Optional[str] = None,
-) -> str:
+def generate_report(params: Optional[MachineParams] = None, runner=None) -> str:
     """Run the report experiments and return the report as markdown.
 
     ``runner`` (a configured :class:`BatchRunner`) controls workers,
@@ -1040,25 +1029,16 @@ def generate_report(
     ``keep_going`` a workload with any failed job is dropped from every
     artifact and listed in a closing *Failed jobs* section instead of
     aborting the report.
-
-    ``metrics_out`` writes the report's own telemetry — per-phase wall
-    time and throughput plus the runner's grid counters — as a
-    metrics file (OpenMetrics text or JSON, chosen by extension; see
-    :func:`repro.obs.export.write_metrics`).
     """
     from repro.obs import MetricsRegistry, PhaseTimer
     from repro.runner import BatchRunner
 
-    setup = Setup(
-        params or default_params(), tuple(workloads), tuple(sizes),
-        dict(DEFAULT_INTENSITY, **(intensities or {})),
-    )
+    setup = Setup(params or default_params())
     started = time.time()
-    registry = MetricsRegistry()
-    timer = PhaseTimer(registry)
+    timer = PhaseTimer(MetricsRegistry())
     if runner is None:
         runner = BatchRunner()
-    experiments = [e for e in EXPERIMENTS if e.report and (include_figures or not e.figure)]
+    experiments = [e for e in EXPERIMENTS if e.report]
 
     sections: List[str] = []
     sections.append("# Reproduction report — Dynamic Address Translation in COMAs")
@@ -1086,23 +1066,9 @@ def generate_report(
         telemetry_lines.append(timer.render())
     sections.append(_fence("\n".join(telemetry_lines)))
 
-    if metrics_out:
-        from repro.obs.export import write_metrics
-
-        runner.stats.to_metrics(registry)
-        write_metrics(registry, metrics_out)
-
     elapsed = time.time() - started
     sections.append(
         f"*Generated in {elapsed:.1f} s of simulation on "
         f"{setup.params.nodes} simulated nodes.*"
     )
     return "\n\n".join(sections) + "\n"
-
-
-def write_report(path: str, **kwargs) -> str:
-    """Generate the report and write it to ``path``; returns the text."""
-    text = generate_report(**kwargs)
-    with open(path, "w") as handle:
-        handle.write(text)
-    return text

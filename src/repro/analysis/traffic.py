@@ -4,8 +4,9 @@ Answers "what does this workload actually do?" without running the
 machine: reference counts and page footprints per segment, read/write
 mix, lock activity, and barrier structure.  Used to sanity-check the
 synthetic generators against their SPLASH-2 models (Table 1 of the
-paper gives only total shared-memory sizes) and exposed on the CLI as
-``python -m repro profile <workload>``.
+paper gives only total shared-memory sizes):
+``tests/integration/test_workload_character.py`` pins each generator's
+character with it, which DESIGN.md §2's substitution argument rests on.
 """
 
 from __future__ import annotations

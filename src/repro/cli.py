@@ -6,9 +6,10 @@
     python -m repro sweep     radix [--sizes 8,32,128,512] [--dm]
     python -m repro timing    ocean --scheme V-COMA --entries 8
     python -m repro paper     list | run [ID...] | check [ID...]
-    python -m repro report    [workloads...] [--no-figures]
     python -m repro trace-profile t.jsonl [--metrics m.json]
     python -m repro trace-validate t.jsonl
+    python -m repro fuzz      [--cases 200] [--replay-only]
+    python -m repro doctor    [--json]
     python -m repro status    [RUN_ID]
     python -m repro workloads
 
@@ -16,7 +17,7 @@
 (``repro.analysis.report.EXPERIMENTS``): ``list`` names every
 experiment, ``run`` renders the chosen ones (all by default) exactly as
 the report does, and ``check`` evaluates their shape claims, exiting 1
-when one fails.
+when one fails.  Experiment ids may come before or after the options.
 
 The trace-analytics commands (``docs/observability.md``) consume
 recorded artifacts instead of running simulations: ``trace-profile``
@@ -29,15 +30,13 @@ manifest heartbeats.
 
 ``timing`` accepts ``--trace-out FILE`` to record the structured
 protocol-event trace (JSONL; see ``docs/observability.md``) and
-``--metrics-out FILE`` to export the run's metrics; ``report`` accepts
-``--metrics-out`` for its phase/runner telemetry.
+``--metrics-out FILE`` to export the run's metrics.
 
 Simulation commands accept the machine options (``--nodes``,
-``--factor``, ``--page-size``, ``--seed``); those that simulate
-single runs (``sweep``, ``timing``, ``profile``, ``trace``,
-``replay``) also take ``--refs`` to bound references per node.
-Simulation-grid commands (``sweep``, ``timing``, ``paper``,
-``report``) also accept ``--jobs N`` to shard independent simulations
+``--factor``, ``--page-size``, ``--seed``); the single-run commands
+(``sweep``, ``timing``) also take ``--refs`` to bound references per
+node, while ``paper`` always runs complete streams.  All three also
+accept ``--jobs N`` to shard independent simulations
 across worker processes (clamped to the CPUs the process may use),
 ``--cache-dir`` to relocate the persistent result cache, ``--no-cache``
 to bypass it, and ``--cache-max-mb`` to cap it with LRU eviction.  Miss sweeps run
@@ -50,21 +49,42 @@ A grid fails on its first failed job; ``--keep-going`` records
 failures and finishes the grid instead.  A Ctrl-C'd run prints a
 ``--resume RUN_ID`` hint that re-executes only the jobs missing from
 its manifest (``docs/robustness.md``).  Output is plain text,
-identical to the benchmark harness's.
+identical to the benchmark harness's.  A malformed option value exits
+2 with a one-line ``repro: error:`` message.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis import render_dm_vs_fa, render_miss_curves, run_timing
+from repro.common.errors import ConfigurationError
 from repro.common.params import MachineParams
 from repro.core.schemes import Scheme
 from repro.core.tlb import Organization
 from repro.workloads import PAPER_ORDER, WORKLOADS, make_workload
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that takes its positionals anywhere among
+    its options.  Plain argparse matches every positional of a chunk at
+    once, so ``paper check --seed 7 fig8`` would bind ``check`` and an
+    empty id list before ``--seed`` and reject ``fig8``."""
+
+    _intermixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._intermixing:  # the two passes of the intermixed parse
+            return super().parse_known_args(args, namespace)
+        self._intermixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixing = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Reproduction of 'Options for Dynamic Address Translation in COMAs'",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def add_machine_options(p):
         p.add_argument("--nodes", type=int, default=8, help="processor count (power of two)")
@@ -147,37 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_machine_options(p)
     add_runner_options(p)
 
-    p = sub.add_parser("report", help="run the full evaluation and write a markdown report")
-    p.add_argument("--out", default="reproduction_report.md")
-    p.add_argument("--no-figures", action="store_true",
-                   help="tables only (much faster)")
-    p.add_argument("--metrics-out", default=None, metavar="FILE",
-                   help="write report telemetry (phase timers, runner "
-                        "grid counters) as a metrics file")
-    p.add_argument("workloads", nargs="*", default=[])
-    add_machine_options(p)
-    add_runner_options(p)
-
-    p = sub.add_parser("profile", help="per-segment traffic profile of a workload")
-    p.add_argument("workload", choices=sorted(WORKLOADS))
-    p.add_argument("--intensity", type=float, default=1.0)
-    add_machine_options(p)
-    add_refs_option(p)
-
-    p = sub.add_parser("trace", help="record a workload's reference trace to a file")
-    p.add_argument("workload", choices=sorted(WORKLOADS))
-    p.add_argument("--out", required=True)
-    p.add_argument("--intensity", type=float, default=1.0)
-    add_machine_options(p)
-    add_refs_option(p)
-
-    p = sub.add_parser("replay", help="replay a recorded trace through a scheme")
-    p.add_argument("trace_file")
-    p.add_argument("--scheme", default="V-COMA", choices=[s.value for s in Scheme])
-    p.add_argument("--entries", type=int, default=8)
-    add_machine_options(p)
-    add_refs_option(p)
-
     p = sub.add_parser(
         "trace-profile",
         help="span-tree profile + cost attribution of a recorded trace",
@@ -241,12 +230,22 @@ def machine_params(args) -> MachineParams:
     ).replace(seed=args.seed)
 
 
-def _workload_list(args) -> List[str]:
-    names = list(getattr(args, "workloads", [])) or list(PAPER_ORDER)
-    for name in names:
-        if name not in WORKLOADS:
-            raise SystemExit(f"unknown workload {name!r}; choose from {sorted(WORKLOADS)}")
-    return names
+def _positive(flag: str, value: float) -> float:
+    """``value`` when it is a finite positive number; a usage error
+    naming ``flag`` otherwise."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{flag} must be a positive number, got {value:g}")
+    return value
+
+
+def _sizes(text: str) -> Tuple[int, ...]:
+    """``--sizes``: comma-separated TLB/DLB entry counts."""
+    try:
+        return tuple(int(size) for size in text.split(","))
+    except ValueError:
+        raise ConfigurationError(
+            f"--sizes takes comma-separated integers, got {text!r}"
+        ) from None
 
 
 def batch_runner(args, progress=None):
@@ -263,7 +262,7 @@ def batch_runner(args, progress=None):
 
     max_bytes = getattr(args, "cache_max_mb", None)
     if max_bytes is not None:
-        max_bytes = int(max_bytes * 1024 * 1024)
+        max_bytes = int(_positive("--cache-max-mb", max_bytes) * 1024 * 1024)
     cache_dir = getattr(args, "cache_dir", None)
     no_cache = getattr(args, "no_cache", False)
     cache = None if no_cache else ResultCache(cache_dir, max_bytes=max_bytes)
@@ -315,12 +314,13 @@ def _cmd_paper(args, out) -> int:
     from repro.analysis import report
 
     known = {entry.id: entry for entry in report.EXPERIMENTS}
-    unknown = [name for name in args.ids if name not in known]
+    ids = list(dict.fromkeys(args.ids))  # each experiment once, in order
+    unknown = [name for name in ids if name not in known]
     if unknown:
         raise SystemExit(
             f"unknown experiment(s) {', '.join(unknown)}; see `repro paper list`"
         )
-    chosen = [known[name] for name in args.ids] or list(known.values())
+    chosen = [known[name] for name in ids] or list(known.values())
 
     if args.action == "list":
         for entry in chosen:
@@ -542,6 +542,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args, sys.stdout)
+    except ConfigurationError as exc:
+        sys.stderr.write(f"repro: error: {exc}\n")
+        return 2
     except RunInterrupted as exc:
         # SIGINT mid-grid: the runner already shut its workers down and
         # flushed the manifest; hand the user the resume recipe.
@@ -580,6 +583,7 @@ def _dispatch(args, out) -> int:
         return _cmd_paper(args, out)
 
     params = machine_params(args)
+    _positive("--intensity", args.intensity)
 
     if args.command == "sweep":
         from repro.runner import JobSpec
@@ -587,7 +591,7 @@ def _dispatch(args, out) -> int:
         spec = JobSpec.sweep(
             params,
             args.workload,
-            sizes=tuple(int(s) for s in args.sizes.split(",")),
+            sizes=_sizes(args.sizes),
             max_refs_per_node=args.refs,
             overrides={"intensity": args.intensity},
             label=args.workload,
@@ -660,65 +664,6 @@ def _dispatch(args, out) -> int:
         out.write(
             f"TLB/DLB       : {summary['misses']:,} misses / "
             f"{summary['accesses']:,} accesses ({summary['miss_rate'] * 100:.2f}%)\n"
-        )
-        return 0
-
-    if args.command == "report":
-        from repro.analysis.report import write_report
-
-        names = _workload_list(args)
-        runner = batch_runner(args, progress=_print_progress)
-        text = write_report(
-            args.out,
-            params=params,
-            workloads=names,
-            include_figures=not args.no_figures,
-            runner=runner,
-            metrics_out=args.metrics_out,
-        )
-        _print_grid_stats(runner)
-        out.write(f"wrote {args.out} ({len(text.splitlines())} lines)\n")
-        if args.metrics_out:
-            out.write(f"wrote {args.metrics_out}\n")
-        return 0
-
-    if args.command == "profile":
-        from repro.analysis import profile_workload
-
-        profile = profile_workload(
-            params,
-            make_workload(args.workload, intensity=args.intensity),
-            max_refs_per_node=args.refs,
-        )
-        out.write(profile.render() + "\n")
-        return 0
-
-    if args.command == "trace":
-        from repro.system.machine import Machine
-        from repro.workloads.trace import record_trace
-
-        workload = make_workload(args.workload, intensity=args.intensity)
-        machine = Machine(params, Scheme.V_COMA, workload)
-        with open(args.out, "w") as handle:
-            written = record_trace(
-                workload, machine.ctx, handle, max_refs_per_node=args.refs
-            )
-        out.write(f"wrote {args.out}: {written} events\n")
-        return 0
-
-    if args.command == "replay":
-        from repro.workloads.trace import TraceWorkload
-
-        workload = TraceWorkload.from_file(args.trace_file)
-        result = run_timing(
-            params, Scheme(args.scheme), workload, args.entries,
-            max_refs_per_node=args.refs,
-        )
-        out.write(f"scheme      : {args.scheme}\n")
-        out.write(f"total time  : {result.total_time:,} cycles\n")
-        out.write(f"references  : {result.total_references:,}\n")
-        out.write(
-            f"translation : {result.translation_overhead_ratio() * 100:.2f}% of memory stall\n"
         )
         return 0
 

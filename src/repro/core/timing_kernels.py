@@ -16,8 +16,8 @@ of :func:`materialize_shared`.  A twin reproduces its generator byte
 for byte — CPython's MT19937 draws, ``random()``, ``randrange`` and
 ``float ** float`` included — or declines, and the generator is
 drained by :func:`materialize_stream` as before.  The generators stay
-the specification: the scalar engine, traffic analysis and
-``record_trace`` still drain them.
+the specification: the scalar engine and the traffic analysis still
+drain them.
 
 The scalar engine in :mod:`repro.system.simulator` is retained as the
 differential-testing oracle; every counter, breakdown, histogram, cache

@@ -5,8 +5,9 @@ embarrassingly parallel, fully deterministic simulations.  This package
 turns each simulation into a picklable :class:`JobSpec`, fans a grid of
 them across a pool of worker processes with :class:`BatchRunner`, and
 memoizes finished runs on disk with :class:`ResultCache` so repeated
-invocations of ``repro report``, the table commands, and the benchmark
-harness never re-simulate a design point they have already seen.
+invocations of ``repro paper``, the single-cell commands, and the
+benchmark harness never re-simulate a design point they have already
+seen.
 
 Quick start::
 

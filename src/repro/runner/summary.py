@@ -140,60 +140,6 @@ class GridStats:
             f"utilization {self.utilization:.0%}"
         )
 
-    def to_metrics(self, registry):
-        """Project the grid counters and pool telemetry onto a
-        :class:`~repro.obs.metrics.MetricsRegistry`."""
-        runs = registry.counter(
-            "repro_runner_jobs_total", help="grid jobs by disposition"
-        )
-        runs.inc(self.completed, disposition="completed")
-        runs.inc(self.failed, disposition="failed")
-        runs.inc(self.from_cache, disposition="from_cache")
-        runs.inc(self.from_manifest, disposition="from_manifest")
-        registry.counter(
-            "repro_runner_simulations_total", help="simulations actually executed"
-        ).inc(self.simulations)
-        registry.gauge(
-            "repro_runner_wall_seconds", help="wall-clock time of the grid"
-        ).set(round(self.wall_seconds, 6))
-        registry.gauge(
-            "repro_runner_job_seconds", help="summed per-job execution time"
-        ).set(round(self.job_seconds, 6))
-        registry.gauge(
-            "repro_runner_workers", help="worker processes used"
-        ).set(self.workers)
-        registry.gauge(
-            "repro_runner_utilization", help="job_seconds / (wall * workers)"
-        ).set(round(self.utilization, 4))
-        engines = registry.counter(
-            "repro_runner_backend_jobs_total",
-            help="executed jobs by simulator engine",
-        )
-        for name, count in sorted(self.backends.items()):
-            engines.inc(count, backend=name)
-        # Degradation/store-hygiene counters are emitted only when
-        # nonzero: healthy runs keep the exact metric surface the
-        # golden snapshots pin.
-        if self.fallback_reasons:
-            degraded = registry.counter(
-                "repro_runner_degraded_jobs_total",
-                help="executed jobs that fell back to the scalar engine",
-            )
-            for reason, count in sorted(self.fallback_reasons.items()):
-                degraded.inc(count, reason=reason)
-        if self.store_quarantined or self.store_evictions or self.trace_corrupt_dropped:
-            events = registry.counter(
-                "repro_runner_store_events_total",
-                help="cache/trace store hygiene events during the grid",
-            )
-            if self.store_quarantined:
-                events.inc(self.store_quarantined, kind="quarantined")
-            if self.store_evictions:
-                events.inc(self.store_evictions, kind="evicted")
-            if self.trace_corrupt_dropped:
-                events.inc(self.trace_corrupt_dropped, kind="corrupt_trace")
-        return registry
-
     def to_dict(self) -> Dict:
         return {
             "total": self.total,

@@ -30,7 +30,6 @@ from repro.workloads.ocean import OceanWorkload
 from repro.workloads.raytrace import RaytraceWorkload
 from repro.workloads.barnes import BarnesWorkload
 from repro.workloads.custom import CustomWorkload
-from repro.workloads.trace import TraceWorkload, record_trace
 
 WORKLOADS = {
     "radix": RadixWorkload,
@@ -66,10 +65,8 @@ __all__ = [
     "RadixWorkload",
     "RaytraceWorkload",
     "SegmentSpec",
-    "TraceWorkload",
     "WORKLOADS",
     "Workload",
     "WorkloadContext",
     "make_workload",
-    "record_trace",
 ]

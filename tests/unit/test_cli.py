@@ -50,6 +50,33 @@ class TestParsing:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["report", "profile", "trace", "replay"])
+    def test_removed_subcommands_are_unknown(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["timing", "radix", "--cache-max-mb", "0"],
+        ["timing", "radix", "--cache-max-mb", "-1"],
+        ["sweep", "radix", "--sizes", "8,x"],
+        ["sweep", "radix", "--sizes", "0"],
+        ["timing", "radix", "--entries", "0"],
+        ["describe", "--nodes", "3"],
+        ["timing", "radix", "--page-size", "100"],
+        ["sweep", "radix", "--intensity", "-1"],
+    ], ids=" ".join)
+    def test_malformed_values_are_usage_errors(self, capsys, tmp_path, argv):
+        """Exit 2 with one line, before any job runs: no traceback, no
+        store capped at zero bytes, no clamped toy workload."""
+        machine = [] if argv[0] == "describe" else FAST + ["--cache-dir", str(tmp_path)]
+        code = main(argv[:2] + machine + argv[2:])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro: error: ") and err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.json"))
+
 
 class TestCommands:
     def test_describe(self, capsys):
@@ -135,58 +162,34 @@ class TestDegradationReport:
         assert "NumaMachine" not in err
 
 
-class TestReportCommand:
+class TestPaperCommand:
     def test_refs_is_a_usage_error(self, capsys):
-        # report always runs complete streams; it must not accept a
+        # paper always runs complete streams; it must not accept a
         # bound it would ignore.
         with pytest.raises(SystemExit) as exc:
-            main(["report", "--refs", "5"])
+            main(["paper", "run", "--refs", "5"])
         assert exc.value.code == 2
         assert "--refs" in capsys.readouterr().err
 
-    def test_report_writes_file(self, capsys, tmp_path):
-        out_file = tmp_path / "report.md"
+    def test_ids_may_follow_options(self, capsys):
+        code, out = run_cli(capsys, "paper", "list", "fig8", "--seed", "7", "table2")
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == ["fig8", "table2"]
+        code, out = run_cli(capsys, "paper", "check", "--no-cache", "ablation-shootdown")
+        assert code == 0
+        assert "2/2 claims hold" in out
+
+    def test_repeated_ids_run_once(self, capsys):
         code, out = run_cli(
-            capsys, "report", "ocean", "--out", str(out_file),
-            "--no-figures", *MACHINE
+            capsys, "paper", "run", "tag-overhead", "--no-cache", "tag-overhead"
         )
         assert code == 0
-        text = out_file.read_text()
-        assert "Table 2" in text and "Table 4" in text
-        assert "Figure 8" not in text  # --no-figures
-
-    def test_report_with_figures(self, capsys, tmp_path):
-        out_file = tmp_path / "report.md"
+        assert out.count("virtual-tag memory overhead") == 1
         code, out = run_cli(
-            capsys, "report", "barnes", "--out", str(out_file), *MACHINE
+            capsys, "paper", "check", "ablation-shootdown", "ablation-shootdown", "--no-cache"
         )
         assert code == 0
-        text = out_file.read_text()
-        assert "Figure 8" in text and "Figure 11" in text
-
-
-class TestTraceCommands:
-    def test_trace_then_replay(self, capsys, tmp_path):
-        trace_file = tmp_path / "barnes.trace"
-        code, out = run_cli(
-            capsys, "trace", "barnes", "--out", str(trace_file),
-            "--intensity", "0.1", *FAST
-        )
-        assert code == 0 and "events" in out
-        assert trace_file.read_text().startswith("#repro-trace")
-
-        code, out = run_cli(
-            capsys, "replay", str(trace_file), "--scheme", "L0-TLB", *FAST
-        )
-        assert code == 0
-        assert "translation" in out
-
-    def test_profile_command(self, capsys):
-        code, out = run_cli(
-            capsys, "profile", "radix", "--intensity", "0.1", *FAST
-        )
-        assert code == 0
-        assert "keys_out" in out and "writes%" in out
+        assert "2/2 claims hold" in out
 
 
 class TestObservabilityCommands:
@@ -234,21 +237,6 @@ class TestObservabilityCommands:
         from repro.obs import read_trace, validate_trace
 
         validate_trace(read_trace(str(trace_file)))
-
-    def test_report_metrics_out(self, capsys, tmp_path):
-        out_file = tmp_path / "report.md"
-        metrics_file = tmp_path / "report.json"
-        code, out = run_cli(
-            capsys, "report", "ocean", "--out", str(out_file),
-            "--no-figures", "--metrics-out", str(metrics_file), *MACHINE
-        )
-        assert code == 0
-        assert "Telemetry" in out_file.read_text()
-        import json
-
-        data = json.loads(metrics_file.read_text())
-        assert "repro_runner_jobs_total" in data
-        assert "repro_phase_seconds" in data
 
 
 class TestTraceAnalyticsCommands:

@@ -7,21 +7,15 @@ import pytest
 
 from repro import MachineParams
 from repro.analysis import report
-from repro.analysis.report import Claim, generate_report, write_report
+from repro.analysis.report import Claim, generate_report
 from repro.cli import main
 
 TINY = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
-FAST = dict(
-    params=TINY,
-    workloads=["barnes"],
-    sizes=(8, 32),
-    intensities={"barnes": 0.1},
-)
 
 
 @pytest.fixture(scope="module")
 def report_text():
-    return generate_report(include_figures=True, **FAST)
+    return generate_report(params=TINY)
 
 
 class TestGenerateReport:
@@ -44,26 +38,8 @@ class TestGenerateReport:
     def test_code_fences_balanced(self, report_text):
         assert report_text.count("```") % 2 == 0
 
-    def test_tables_only_mode(self):
-        text = generate_report(include_figures=False, **FAST)
-        assert "Table 2" in text
-        assert "Figure 8" not in text
-        assert len(text) < len(generate_report(include_figures=True, **FAST))
-
-    def test_raytrace_adds_v2_bar(self):
-        text = generate_report(
-            params=TINY,
-            workloads=["raytrace"],
-            sizes=(8,),
-            intensities={"raytrace": 0.3},
-            include_figures=True,
-        )
-        assert "DLB/8/V2" in text
-
-    def test_write_report_roundtrip(self, tmp_path):
-        path = tmp_path / "r.md"
-        text = write_report(str(path), include_figures=False, **FAST)
-        assert path.read_text() == text
+    def test_raytrace_adds_v2_bar(self, report_text):
+        assert "DLB/8/V2" in report_text
 
 
 #: TINY as the CLI spells it; ``paper`` runs every workload at the
@@ -78,15 +54,11 @@ def _section(text, heading):
 
 
 class TestRegistry:
-    @pytest.fixture(scope="class")
-    def full_report(self):
-        return generate_report(params=TINY)
-
     @pytest.mark.parametrize("experiment_id", ["table2", "table3", "table4"])
-    def test_paper_run_matches_report_section(self, experiment_id, full_report, capsys):
+    def test_paper_run_matches_report_section(self, experiment_id, report_text, capsys):
         heading = {"table2": "Table 2", "table3": "Table 3", "table4": "Table 4"}[experiment_id]
         assert main(["paper", "run", experiment_id, *TINY_ARGS]) == 0
-        assert capsys.readouterr().out == _section(full_report, heading) + "\n"
+        assert capsys.readouterr().out == _section(report_text, heading) + "\n"
 
     def test_paper_list_names_every_experiment(self, capsys):
         assert main(["paper", "list"]) == 0
