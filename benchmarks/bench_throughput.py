@@ -349,7 +349,7 @@ def replay_threads_row(workloads, configs, smoke: bool) -> dict:
             with mock.patch("repro.core.replay.replay_threads", budget):
                 started = time.perf_counter()
                 studies[threads] = [
-                    replay_study(trace, sizes, orgs).to_dict()
+                    replay_study(trace, [(sizes, orgs)])[0].to_dict()
                     for trace in traces
                     for _, sizes, orgs in configs
                 ]

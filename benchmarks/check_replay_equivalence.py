@@ -25,7 +25,12 @@ the two differ in how the set kernel spreads its streams).  Each
 capture also replays the ``ablation-sharing`` DLBs (one shared DLB per
 home, one private slice per ``(home, requester)``), on one thread and
 on the default budget, against a pure-Python ``TranslationBuffer``
-replay seeded from the same ``abl-shared``/``abl-part`` substreams.  The check
+replay seeded from the same ``abl-shared``/``abl-part`` substreams.  A
+last leg runs a grid shaped like the e2e benchmark's ``sweep-grid``
+(six workloads, each with five overlapping bank grids and a sharing
+cell) through ``BatchRunner``, which runs each workload's cells as one
+unit on one recording and one replay, and compares every cell with the
+same cell run alone.  The check
 honours ``REPRO_NO_COMPILED``, so CI runs it against both the compiled
 set replay kernel and the scalar ``TranslationBuffer`` path; without
 the compiled backend it degrades to a determinism check of the scalar
@@ -49,6 +54,7 @@ from repro.core.timing_kernels import backend_status, get_backend
 from repro.core.tlb import Organization, TranslationBuffer
 from repro.runner import BatchRunner, JobSpec, TraceStore
 from repro.system.taptrace import capture_tap_traces, replay_sharing, replay_study
+from repro.workloads import PAPER_ORDER
 
 TWO_NODES = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
 FOUR_NODES = MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
@@ -66,6 +72,42 @@ CASES = (
     ("fft@4/untruncated", FOUR_NODES, "fft", 0.3, (8, 64), (FA, SA), None),
     ("ocean@4", FOUR_NODES, "ocean", 0.2, (16, 128), (SA, DM), 300),
 )
+
+
+#: The unit grid's bank grids per workload: overlapping and disjoint
+#: sizes and organizations, as in the e2e ``sweep-grid`` workload.
+UNIT_GRIDS = (
+    ((8, 32, 128, 512), (FA, DM)),
+    ((8, 32, 128), (FA,)),
+    ((8, 16, 32, 64), (FA, SA)),
+    ((16, 64, 256), (FA, DM)),
+    ((32, 128, 512), (SA, DM)),
+)
+
+
+def unit_specs() -> list:
+    """Six workloads x (five sweep cells + one sharing cell), each
+    workload's cells on one recording."""
+    common = dict(max_refs_per_node=300, overrides={"intensity": 0.2})
+    cells = []
+    for name in PAPER_ORDER:
+        cells += [
+            JobSpec.sweep(TWO_NODES, name, sizes=sizes, orgs=orgs,
+                          label=f"{name}:{sizes}{[org.value for org in orgs]}", **common)
+            for sizes, orgs in UNIT_GRIDS
+        ]
+        cells.append(JobSpec.sharing(TWO_NODES, name, SHARING_ENTRIES,
+                                     label=f"{name}:sharing", **common))
+    return cells
+
+
+def unit_mismatches(cells) -> list:
+    """Cells run as units must equal the same cells run alone."""
+    failures = []
+    for outcome in BatchRunner(jobs=1).run(cells):
+        if outcome.summary.to_dict() != outcome.spec.execute().to_dict():
+            failures.append(f"{outcome.spec.label}: unit replay diverged from the cell alone")
+    return failures
 
 
 def specs() -> list:
@@ -184,7 +226,8 @@ def main() -> int:
         if recorded.to_bytes() != reference.to_bytes():
             failures.append(f"{label}: captured trace bytes differ from the scalar capture")
         with mock.patch("repro.core.replay.replay_threads", return_value=1):
-            one_thread = recorded.base.with_study(replay_study(recorded, sizes, orgs))
+            (study,) = replay_study(recorded, [(sizes, orgs)])
+        one_thread = recorded.base.with_study(study)
         if comparable(one_thread) != oracle:
             failures.append(f"{label}: one-thread replay diverged from scalar")
 
@@ -197,6 +240,9 @@ def main() -> int:
             if got != want:
                 failures.append(f"{label}: sharing replay ({leg}) {got} != TranslationBuffer {want}")
 
+    unit_cells = unit_specs()
+    failures += unit_mismatches(unit_cells)
+
     if failures:
         print(f"FAIL: {len(failures)} mismatches ({len(CASES)} cases, {checked} design points):")
         for line in failures:
@@ -206,7 +252,8 @@ def main() -> int:
     print(
         f"OK: {len(CASES)} cases, {checked} design points bit-identical (plus "
         f"summaries, run_miss_sweep, trace bytes, one-thread replay, sharing "
-        f"replay, provenance and disk round-trip){degraded}"
+        f"replay, provenance and disk round-trip); {len(unit_cells)} grid cells run as "
+        f"units equal each cell run alone{degraded}"
     )
     return 0
 

@@ -86,7 +86,8 @@ def run_miss_sweep(
             params, workload, max_refs_per_node=max_refs_per_node, stream_key=stream_key,
             tracer=tracer,
         )
-        return replay_summary(traces, sizes, orgs)
+        (summary,) = replay_summary(traces, [(sizes, orgs)])
+        return summary
     from repro.system.fast_simulator import unavailable_reason
 
     agent = StudyAgent(params, sizes=sizes, orgs=orgs)

@@ -584,6 +584,8 @@ def _dispatch(args, out) -> int:
 
     params = machine_params(args)
     _positive("--intensity", args.intensity)
+    if args.refs is not None and args.refs < 0:
+        raise ConfigurationError(f"--refs must be a count of at least 0, got {args.refs}")
 
     if args.command == "sweep":
         from repro.runner import JobSpec

@@ -44,8 +44,9 @@ from repro.core.tlb import Organization, TranslationBank, TranslationBuffer
 Config = Tuple[int, Organization]
 
 
-def _buffer_geometry(entries: int, organization: Organization) -> Tuple[int, int]:
-    """(assoc, sets) for one bank member, mirroring TranslationBank."""
+def buffer_geometry(entries: int, organization: Organization) -> Tuple[int, int]:
+    """(assoc, sets) for one bank member, mirroring TranslationBank;
+    a :class:`ConfigurationError` for an invalid entry count."""
     if entries <= 0 or entries & (entries - 1):
         raise ConfigurationError(f"entries={entries} must be a positive power of two")
     if organization is Organization.FULLY_ASSOCIATIVE:
@@ -205,7 +206,7 @@ def bank_miss_counts(
     any number.
     """
     geometries = {
-        (entries, organization): _buffer_geometry(entries, organization)
+        (entries, organization): buffer_geometry(entries, organization)
         for entries, organization in configs
     }
     compiled = get_backend()
@@ -240,7 +241,7 @@ def buffer_miss_counts(
     in one ``fs_bank_run_set`` call.
     """
     config = (entries, Organization.FULLY_ASSOCIATIVE)
-    geometries = {config: _buffer_geometry(*config)}
+    geometries = {config: buffer_geometry(*config)}
     compiled = get_backend()
     if compiled is not None:
         seeds = [substream_seed(seed, *key) for key in streams]

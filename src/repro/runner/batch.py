@@ -5,14 +5,21 @@ Every job is deterministic given its spec (all randomness derives from
 worker processes is pure divide-and-conquer: results are bit-identical
 to a serial run, whatever the worker count or completion order.
 
-``jobs=1`` runs every job in-process.  ``jobs > 1`` hands the jobs to a
-:class:`~concurrent.futures.ProcessPoolExecutor` of forked workers, one
-job per worker in flight, and lands each result at its spec's index:
+The unit of work is a recording: every pending COMA sweep or sharing
+cell with the same :meth:`JobSpec.trace_hash` runs as one unit
+(:func:`~repro.runner.jobs.execute_unit`), which gets or captures the
+trace once and replays all its cells' bank points in one call.  Timing
+and CC-NUMA cells are units of one.  Units run in the spec order of
+their first cell.  ``jobs=1`` runs every unit in-process.  ``jobs > 1``
+hands the units to a :class:`~concurrent.futures.ProcessPoolExecutor`
+of forked workers, one unit per worker in flight.  Either way each
+cell lands on its own, at its spec's index:
 
-* **Failure** — the first job that raises fails the run with its own
+* **Failure** — the first job that fails fails the run with its own
   exception (``ProtocolError``, ``ConfigurationError``, ...).  Under
   ``keep_going=True`` it lands as a :class:`JobFailure` instead and the
-  rest of the grid runs.
+  rest of the grid runs.  A cell with an invalid bank geometry fails
+  alone; a capture that raises fails every cell of its unit.
 * **Worker death** — a worker that vanishes mid-job (segfault,
   OOM-kill) breaks the pool; the run raises
   :class:`~repro.common.errors.JobError` naming the jobs in flight, and
@@ -26,7 +33,7 @@ job per worker in flight, and lands each result at its spec's index:
 Worker sizing: the requested ``jobs`` is clamped to the CPUs this
 process may use (:func:`repro.core.replay.usable_cpus`: its CPU
 affinity within its cgroup CPU quota) and to the number of pending
-jobs.  The count applied is recorded in
+units.  The count applied is recorded in
 :attr:`BatchRunner.effective_jobs`.  A platform without ``fork`` runs
 in-process.
 """
@@ -44,7 +51,7 @@ from typing import Callable, ClassVar, Iterable, List, Optional, Tuple, Union
 from repro.common.errors import ConfigurationError, JobError, RunInterrupted
 from repro.core.replay import usable_cpus
 from repro.runner.cache import ResultCache
-from repro.runner.jobs import JobSpec
+from repro.runner.jobs import JobSpec, execute_unit
 from repro.runner.manifest import RunManifest
 from repro.runner.summary import GridStats, RunSummary
 from repro.system.fast_simulator import is_degradation
@@ -97,43 +104,54 @@ class JobFailure:
 JobOutcome = Union[JobResult, JobFailure]
 
 
-class _RunTraces:
-    """The trace store of a runner that has none: one run's recordings
-    in memory, keyed by trace hash, so the run captures each hierarchy
-    once (per worker process) and frees them when it ends."""
-
-    def __init__(self) -> None:
-        self._traces = {}
-
-    def get(self, spec: JobSpec):
-        return self._traces.get(spec.trace_hash())
-
-    def put(self, spec: JobSpec, traces) -> None:
-        self._traces[spec.trace_hash()] = traces
-
-
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-#: The trace store a pool worker's jobs read and feed (set by
+#: The trace store a pool worker's units read and feed (set by
 #: :func:`_init_worker`).
 _worker_traces = None
 
 
 def _init_worker(trace_store) -> None:
-    """Give a pool worker the runner's trace store, or its own
-    in-memory one.  A Ctrl-C reaches the whole process group; only the
-    parent acts on it (it stops the pool and raises RunInterrupted), so
-    a worker ignores SIGINT instead of dying with a traceback."""
+    """Give a pool worker the runner's trace store.  A Ctrl-C reaches
+    the whole process group; only the parent acts on it (it stops the
+    pool and raises RunInterrupted), so a worker ignores SIGINT instead
+    of dying with a traceback."""
     global _worker_traces
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_traces = trace_store if trace_store is not None else _RunTraces()
+    _worker_traces = trace_store
 
 
-def _execute(spec: JobSpec) -> Tuple[RunSummary, float]:
+def _execute(specs: List[JobSpec]) -> Tuple[list, float]:
+    from concurrent.futures.process import _ExceptionWithTraceback
+
     started = time.perf_counter()
-    summary = spec.execute(trace_store=_worker_traces)
-    return summary, time.perf_counter() - started
+    outcomes = execute_unit(specs, trace_store=_worker_traces)
+    elapsed = time.perf_counter() - started
+    # A failed cell's exception crosses to the parent the way a raised
+    # one would: with the worker's traceback as its cause.
+    return [
+        _ExceptionWithTraceback(outcome, outcome.__traceback__)
+        if isinstance(outcome, Exception) else outcome
+        for outcome in outcomes
+    ], elapsed
+
+
+def _units(pending: List[Tuple[int, JobSpec]]) -> List[List[Tuple[int, JobSpec]]]:
+    """Pending cells grouped into units, in the spec order of each
+    unit's first cell: every cell that :meth:`~JobSpec.replays` joins
+    the unit of its recording, any other cell is a unit of one."""
+    units: List[List[Tuple[int, JobSpec]]] = []
+    by_trace = {}
+    for index, spec in pending:
+        if not spec.replays():
+            units.append([(index, spec)])
+            continue
+        unit = by_trace.setdefault(spec.trace_hash(), [])
+        if not unit:
+            units.append(unit)
+        unit.append((index, spec))
+    return units
 
 
 def _fork_available() -> bool:
@@ -148,7 +166,7 @@ class BatchRunner:
     jobs:
         Worker process count; ``1`` (default) runs everything
         in-process.  Clamped to :func:`~repro.core.replay.usable_cpus`
-        and the pending-job count.
+        and the pending-unit count.
     cache:
         A :class:`ResultCache` consulted before and fed after every
         simulation; ``None`` disables persistence.
@@ -158,10 +176,9 @@ class BatchRunner:
         failures.
     trace_store:
         A :class:`~repro.runner.traces.TraceStore` persisting recorded
-        tap traces across runs; ``None`` keeps each :meth:`run`'s
-        recordings in memory (per worker process) until the run ends,
-        so a grid still captures each hierarchy once, just without
-        cross-run reuse.
+        tap traces across runs; ``None`` keeps each recording in memory
+        for its unit only, so a grid still captures each hierarchy
+        once, just without cross-run reuse.
     keep_going:
         Record failures as :class:`JobFailure` results and finish the
         grid instead of failing fast on the first one.
@@ -197,7 +214,7 @@ class BatchRunner:
         self.simulations_run = 0
         self.cache_hits = 0
         #: Worker processes actually used by the last :meth:`run` after
-        #: clamping to the CPU budget and the pending-job count (1 = ran
+        #: clamping to the CPU budget and the pending-unit count (1 = ran
         #: in-process).
         self.effective_jobs = 1
         #: Counters for the last :meth:`run`.
@@ -259,9 +276,10 @@ class BatchRunner:
                 manifest.record_success(spec, summary, elapsed=elapsed)
             land(index, JobResult(spec, summary, elapsed=elapsed))
 
-        def heartbeat(spec: JobSpec) -> None:
+        def heartbeat(unit) -> None:
             if manifest is not None:
-                manifest.record_heartbeat(spec, workers=self.effective_jobs)
+                for _, spec in unit:
+                    manifest.record_heartbeat(spec, workers=self.effective_jobs)
 
         def fail(index: int, exc: Exception, elapsed: float = 0.0) -> None:
             spec = specs[index]
@@ -281,6 +299,16 @@ class BatchRunner:
             if not self.keep_going:
                 raise exc
             land(index, failure)
+
+        def land_unit(unit, outcomes, elapsed: float) -> None:
+            """Land each cell of a finished unit; each cell's elapsed
+            time is an even share of the unit's."""
+            share = elapsed / len(unit)
+            for (index, _), outcome in zip(unit, outcomes):
+                if isinstance(outcome, Exception):
+                    fail(index, outcome, share)
+                else:
+                    record(index, outcome, share)
 
         try:
             pending: List[Tuple[int, JobSpec]] = []
@@ -304,21 +332,22 @@ class BatchRunner:
                 else:
                     pending.append((index, spec))
 
-            workers = min(self.jobs, len(pending))
+            units = _units(pending)
+            workers = min(self.jobs, len(units))
             if workers > 1:
                 workers = min(workers, usable_cpus())
             # Record the clamp only when the CPU budget bound us, not
-            # when there were simply fewer pending jobs than requested
+            # when there were simply fewer pending units than requested
             # workers.
-            if self.jobs > workers and len(pending) > workers:
+            if self.jobs > workers and len(units) > workers:
                 stats.requested_jobs = self.jobs
-            if pending:
+            if units:
                 if workers > 1 and _fork_available():
                     self.effective_jobs = workers
-                    self._run_pool(pending, workers, record, fail, heartbeat)
+                    self._run_pool(units, workers, land_unit, heartbeat)
                 else:
                     self.effective_jobs = 1
-                    self._run_serial(pending, record, fail, heartbeat)
+                    self._run_serial(units, land_unit, heartbeat)
         except KeyboardInterrupt:
             raise RunInterrupted(self.run_id, completed=done, total=total) from None
         finally:
@@ -344,26 +373,21 @@ class BatchRunner:
         )
 
     # ------------------------------------------------------------------
-    def _run_serial(self, pending, record, fail, heartbeat) -> None:
-        traces = self.trace_store if self.trace_store is not None else _RunTraces()
-        for index, spec in pending:
-            heartbeat(spec)
+    def _run_serial(self, units, land_unit, heartbeat) -> None:
+        for unit in units:
+            heartbeat(unit)
             started = time.perf_counter()
-            try:
-                summary = spec.execute(trace_store=traces)
-            except Exception as exc:
-                fail(index, exc, time.perf_counter() - started)
-                continue
-            record(index, summary, time.perf_counter() - started)
+            outcomes = execute_unit([spec for _, spec in unit], trace_store=self.trace_store)
+            land_unit(unit, outcomes, time.perf_counter() - started)
 
-    def _run_pool(self, pending, workers: int, record, fail, heartbeat) -> None:
+    def _run_pool(self, units, workers: int, land_unit, heartbeat) -> None:
         # Imported here: a serial run, every benchmark workload's, does
         # not pay the pool's modules in start-up time and memory.
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        queue = deque(pending)
-        running = {}  # future -> (index, spec)
+        queue = deque(units)
+        running = {}  # future -> unit
         pool = ProcessPoolExecutor(
             workers,
             mp_context=multiprocessing.get_context("fork"),
@@ -373,26 +397,31 @@ class BatchRunner:
         try:
             while queue or running:
                 while queue and len(running) < workers:
-                    index, spec = queue.popleft()
-                    heartbeat(spec)
-                    running[pool.submit(_execute, spec)] = (index, spec)
+                    unit = queue.popleft()
+                    heartbeat(unit)
+                    running[pool.submit(_execute, [spec for _, spec in unit])] = unit
                 finished, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in sorted(finished, key=lambda f: running[f][0]):
+                for future in sorted(finished, key=lambda f: running[f][0][0]):
                     try:
-                        summary, elapsed = future.result()
+                        outcomes, elapsed = future.result()
                     except BrokenProcessPool as exc:
                         labels = ", ".join(
-                            spec.describe() for _, spec in sorted(running.values())
+                            spec.describe()
+                            for unit in sorted(running.values())
+                            for _, spec in unit
                         )
                         raise JobError(
                             f"a worker process died with these jobs in flight: {labels}"
                         ) from exc
                     except Exception as exc:
-                        fail(running.pop(future)[0], exc)
+                        # The unit's result could not come back: every
+                        # cell fails with the same error.
+                        unit = running.pop(future)
+                        land_unit(unit, [exc] * len(unit), 0.0)
                         continue
-                    record(running.pop(future)[0], summary, elapsed)
+                    land_unit(running.pop(future), outcomes, elapsed)
         finally:
             # Whatever ends the loop — completion, a failure, a dead
-            # worker or SIGINT — the jobs not yet started are dropped and
-            # every worker is joined.
+            # worker or SIGINT — the units not yet started are dropped
+            # and every worker is joined.
             pool.shutdown(wait=True, cancel_futures=True)

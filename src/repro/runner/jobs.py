@@ -17,7 +17,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.common.params import MachineParams
 from repro.core.schemes import Scheme
@@ -204,21 +204,28 @@ class JobSpec:
             return maker(**config)
         return factory(**config)
 
+    def replays(self) -> bool:
+        """Whether this cell replays a recording of the COMA hierarchy
+        (a COMA sweep or a sharing job): such cells with one
+        :meth:`trace_hash` run as one unit (:func:`execute_unit`)."""
+        return self.kind in (KIND_SWEEP, KIND_SHARING) and self.machine == MACHINE_COMA
+
     def execute(self, trace_store=None):
         """Run the simulation in-process and return a
         :class:`~repro.runner.summary.RunSummary`.
 
         Sweep and sharing jobs are decoupled (translation state never
         feeds back into the hierarchy), so they run through the
-        record-once/replay-many pipeline: the hierarchy simulation is
-        captured as per-tap page streams — loaded from ``trace_store``
-        when a matching trace exists, recorded (and stored) otherwise —
-        and the TLB/DLB banks for this spec's ``sizes``/``orgs`` — or,
-        for a sharing job, the shared and per-requester DLBs — are
-        replayed from the recording.  Results are bit-identical to the
-        coupled scalar sweep, the oracle the pipeline is checked
-        against (``run_miss_sweep(..., fast=False)``: one machine with
-        a ``StudyAgent`` on the scalar engine).  Timing jobs are always
+        record-once/replay-many pipeline as a unit of one
+        (:func:`execute_unit`): the hierarchy simulation is captured as
+        per-tap page streams — loaded from ``trace_store`` when a
+        matching trace exists, recorded (and stored) otherwise — and
+        the TLB/DLB banks for this spec's ``sizes``/``orgs`` — or, for
+        a sharing job, the shared and per-requester DLBs — are replayed
+        from the recording.  Results are bit-identical to the coupled
+        scalar sweep, the oracle the pipeline is checked against
+        (``run_miss_sweep(..., fast=False)``: one machine with a
+        ``StudyAgent`` on the scalar engine).  Timing jobs are always
         coupled: the translation penalty perturbs the interleaving, so
         there is nothing to replay.  A CC-NUMA sweep has no compiled
         twin: it runs a scalar ``NumaMachine`` with a ``StudyAgent`` and
@@ -232,30 +239,14 @@ class JobSpec:
         # attributes (the e2e benchmark's ledger) see every call.
         from repro.system.simulator import run_summary
         from repro.system.taps import TimingAgent
-        from repro.system.taptrace import capture_tap_traces, replay_summary, sharing_summary
 
+        if self.replays():
+            (outcome,) = _execute_recorded([self], trace_store)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
         if self.machine == MACHINE_NUMA:
             return self._execute_numa()
-        # The trace hash doubles as the stream-LRU key: it identifies
-        # the workload recipe minus bank sizes/orgs and timing knobs,
-        # so every grid cell sharing a workload shares its materialized
-        # reference columns.
-        stream_key = self.trace_hash()
-        if self.kind in (KIND_SWEEP, KIND_SHARING):
-            traces = trace_store.get(self) if trace_store is not None else None
-            if traces is None:
-                traces = capture_tap_traces(
-                    self.params,
-                    self.build_workload(),
-                    max_refs_per_node=self.max_refs_per_node,
-                    stream_key=stream_key,
-                )
-                if trace_store is not None:
-                    trace_store.put(self, traces)
-            if self.kind == KIND_SHARING:
-                return sharing_summary(traces, self.entries)
-            orgs = tuple(Organization(value) for value in self.orgs)
-            return replay_summary(traces, self.sizes, orgs)
         scheme = Scheme(self.scheme)
         summary, _ = run_summary(
             self.params,
@@ -270,10 +261,28 @@ class JobSpec:
             ),
             contention=self.contention,
             max_refs_per_node=self.max_refs_per_node,
-            stream_key=stream_key,
+            # The trace hash doubles as the stream-LRU key: it
+            # identifies the workload recipe minus bank sizes/orgs and
+            # timing knobs, so every grid cell sharing a workload shares
+            # its materialized reference columns.
+            stream_key=self.trace_hash(),
             relaxed_writes=self.relaxed_writes,
         )
         return summary
+
+    def _bank_grid(self):
+        """A sweep's ``(sizes, orgs)`` cell, or ``None`` for a sharing
+        job, once every bank member's geometry is known to be valid."""
+        from repro.core.replay import buffer_geometry
+
+        if self.kind == KIND_SHARING:
+            buffer_geometry(self.entries, Organization.FULLY_ASSOCIATIVE)
+            return None
+        orgs = tuple(Organization(value) for value in self.orgs)
+        for size in self.sizes:
+            for org in orgs:
+                buffer_geometry(size, org)
+        return self.sizes, orgs
 
     def _execute_numa(self):
         """A sweep on the CC-NUMA machine (SHARED-TLB at the home), on
@@ -363,3 +372,74 @@ class JobSpec:
         if self.kind == KIND_SHARING:
             return f"sharing:{self.workload}/{self.entries}"
         return f"timing:{self.workload}/{self.scheme}/{self.entries}"
+
+
+def execute_unit(specs: Sequence[JobSpec], trace_store=None) -> List:
+    """Run the cells of one unit of work; one outcome per cell, in
+    order: its :class:`~repro.runner.summary.RunSummary`, or the
+    exception that failed it.
+
+    A unit is one cell of any kind, run by :meth:`JobSpec.execute`, or
+    the COMA sweep and sharing cells of one recording (every spec
+    :meth:`~JobSpec.replays`, with one :meth:`~JobSpec.trace_hash`).
+    Such a unit gets the recording from ``trace_store`` or captures it
+    (and stores it) once, replays the union of its sweep cells' design
+    points in one call and runs each sharing cell on the same trace in
+    memory.  A cell fails alone when its bank geometry is invalid
+    (checked before anything runs) or its own replay raises; a capture
+    that raises fails every cell.
+    """
+    if len(specs) == 1:
+        try:
+            return [specs[0].execute(trace_store=trace_store)]
+        except Exception as exc:
+            return [exc]
+    return _execute_recorded(specs, trace_store)
+
+
+def _execute_recorded(specs: Sequence[JobSpec], trace_store) -> List:
+    """:func:`execute_unit` for cells that replay one recording."""
+    # Resolved at call time, as in JobSpec.execute.
+    from repro.system.taptrace import capture_tap_traces, replay_summary, sharing_summary
+
+    outcomes: List = [None] * len(specs)
+    grids = {}  # position -> (sizes, orgs), or None for a sharing cell
+    for position, spec in enumerate(specs):
+        try:
+            grids[position] = spec._bank_grid()
+        except Exception as exc:
+            outcomes[position] = exc
+    if not grids:
+        return outcomes
+    lead = specs[next(iter(grids))]
+    try:
+        traces = trace_store.get(lead) if trace_store is not None else None
+        if traces is None:
+            traces = capture_tap_traces(
+                lead.params,
+                lead.build_workload(),
+                max_refs_per_node=lead.max_refs_per_node,
+                stream_key=lead.trace_hash(),
+            )
+            if trace_store is not None:
+                trace_store.put(lead, traces)
+    except Exception as exc:
+        for position in grids:
+            outcomes[position] = exc
+        return outcomes
+
+    sweeps = [position for position, grid in grids.items() if grid is not None]
+    if sweeps:
+        try:
+            summaries = replay_summary(traces, [grids[position] for position in sweeps])
+        except Exception as exc:
+            summaries = [exc] * len(sweeps)
+        for position, summary in zip(sweeps, summaries):
+            outcomes[position] = summary
+    for position, grid in grids.items():
+        if grid is None:
+            try:
+                outcomes[position] = sharing_summary(traces, specs[position].entries)
+            except Exception as exc:
+                outcomes[position] = exc
+    return outcomes

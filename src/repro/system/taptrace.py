@@ -14,9 +14,10 @@ study.  This module splits that work in two:
   breakdowns, counters — none of which depend on bank configuration).
 * :func:`replay_study` drives banks of **any** sizes/organizations from
   those recorded streams through :mod:`repro.core.replay` (one call per
-  trace set, its streams spread over the CPUs), producing a
-  :class:`~repro.system.taps.StudyResults` bit-identical to a coupled
-  :class:`StudyAgent` run with the same configuration.
+  trace set, its streams spread over the CPUs), producing for each
+  requested bank grid a :class:`~repro.system.taps.StudyResults`
+  bit-identical to a coupled :class:`StudyAgent` run with the same
+  configuration.
 
 Next to the HOME tap's streams the capture records which node
 requested each home lookup (the :data:`REQUESTER` column, one per
@@ -47,7 +48,6 @@ from repro.common.params import MachineParams
 from repro.coma.protocol import TranslationAgent
 from repro.core.replay import bank_miss_counts, buffer_miss_counts
 from repro.core.schemes import Scheme, TapPoint
-from repro.core.tlb import Organization
 from repro.system.taps import StudyResults
 from repro.workloads.base import Workload
 
@@ -346,23 +346,27 @@ def capture_tap_traces(
     )
 
 
-def replay_study(
-    traces: TapTraceSet,
-    sizes,
-    orgs,
-) -> StudyResults:
-    """Drive banks of every ``(size, org)`` point from recorded streams.
+def replay_study(traces: TapTraceSet, cells) -> List[StudyResults]:
+    """Drive banks of every cell's ``(size, org)`` points from recorded streams.
 
-    Bit-identical to a :class:`~repro.system.taps.StudyAgent` run with
-    the same ``sizes``/``orgs``: the per-``(tap, node)`` bank names and
-    RNG substreams match, so the replacement decisions — and therefore
-    the miss counts — are the same.  The whole set replays in one
-    :func:`~repro.core.replay.bank_miss_counts` call, its streams
-    spread over the CPUs available; no count depends on how many.
+    A cell is one sweep's bank grid, a ``(sizes, orgs)`` pair.  The
+    union of the cells' design points replays in one
+    :func:`~repro.core.replay.bank_miss_counts` call, its streams spread
+    over the CPUs available, so each stream is relabelled once however
+    many cells read it; each cell's :class:`StudyResults` is cut from
+    those counts.  Each is bit-identical to a
+    :class:`~repro.system.taps.StudyAgent` run with that cell's
+    ``sizes``/``orgs``: the per-``(tap, node)`` bank names and RNG
+    substreams match, and a member's seed depends only on the trace
+    seed, its bank name and its design point, so no count depends on
+    which other cells replay with it or on how many CPUs run them.
     """
-    sizes = tuple(sorted(set(sizes)))
-    orgs = tuple(dict.fromkeys(orgs))
-    configs = [(size, org) for size in sizes for org in orgs]
+    cells = [
+        (tuple(sorted(set(sizes))), tuple(dict.fromkeys(orgs))) for sizes, orgs in cells
+    ]
+    configs = list(dict.fromkeys(
+        (size, org) for sizes, orgs in cells for size in sizes for org in orgs
+    ))
     names = {
         tap: [f"{tap.value}:{node}" for node in range(traces.nodes)] for tap in TapPoint
     }
@@ -372,20 +376,25 @@ def replay_study(
         for node, name in enumerate(tap_names)
     }
     counts = bank_miss_counts(streams, configs, traces.seed)
-    misses: Dict[Tuple[TapPoint, int, Organization], int] = {}
-    accesses: Dict[TapPoint, int] = {}
-    for tap, tap_names in names.items():
-        accesses[tap] = sum(len(streams[name]) for name in tap_names)
-        for size, org in configs:
-            misses[(tap, size, org)] = sum(counts[name][(size, org)] for name in tap_names)
-    return StudyResults(
-        nodes=traces.nodes,
-        sizes=sizes,
-        orgs=orgs,
-        misses=misses,
-        accesses=accesses,
-        total_references=traces.total_references,
-    )
+    accesses = {
+        tap: sum(len(streams[name]) for name in tap_names) for tap, tap_names in names.items()
+    }
+    return [
+        StudyResults(
+            nodes=traces.nodes,
+            sizes=sizes,
+            orgs=orgs,
+            misses={
+                (tap, size, org): sum(counts[name][(size, org)] for name in tap_names)
+                for tap, tap_names in names.items()
+                for size in sizes
+                for org in orgs
+            },
+            accesses=dict(accesses),
+            total_references=traces.total_references,
+        )
+        for sizes, orgs in cells
+    ]
 
 
 def _replayed(summary):
@@ -396,10 +405,13 @@ def _replayed(summary):
     return summary
 
 
-def replay_summary(traces: TapTraceSet, sizes, orgs):
-    """A sweep :class:`~repro.runner.summary.RunSummary`: the recorded
-    hierarchy summary with the replayed study surface attached."""
-    return _replayed(traces.base.with_study(replay_study(traces, sizes, orgs)))
+def replay_summary(traces: TapTraceSet, cells) -> List:
+    """One sweep :class:`~repro.runner.summary.RunSummary` per
+    ``(sizes, orgs)`` cell: the recorded hierarchy summary with the
+    cell's replayed study surface attached (:func:`replay_study`)."""
+    return [
+        _replayed(traces.base.with_study(study)) for study in replay_study(traces, cells)
+    ]
 
 
 def replay_sharing(traces: TapTraceSet, entries: int) -> Dict[str, int]:

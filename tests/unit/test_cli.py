@@ -66,6 +66,8 @@ class TestParsing:
         ["describe", "--nodes", "3"],
         ["timing", "radix", "--page-size", "100"],
         ["sweep", "radix", "--intensity", "-1"],
+        ["sweep", "radix", "--refs", "-5"],
+        ["timing", "radix", "--refs", "-5"],
     ], ids=" ".join)
     def test_malformed_values_are_usage_errors(self, capsys, tmp_path, argv):
         """Exit 2 with one line, before any job runs: no traceback, no

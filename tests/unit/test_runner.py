@@ -312,13 +312,14 @@ class TestBatchRunner:
 
     def test_trace_store_reused_across_runs(self, params, tmp_path):
         store = TraceStore(root=tmp_path)
-        specs = [sweep_spec(params), sweep_spec(params, sizes=(16, 64))]
+        BatchRunner(jobs=1, trace_store=store).run([sweep_spec(params)])
         runner = BatchRunner(jobs=1, trace_store=store)
-        jobs = runner.run(specs)
-        # Both sweeps share one hierarchy identity: record once, replay twice.
+        (job,) = runner.run([sweep_spec(params, sizes=(16, 64))])
+        # Both sweeps share one hierarchy identity: record once, and the
+        # second run replays the stored recording.
         assert len(store) == 1
         assert store.hits == 1 and store.misses == 1
-        assert jobs[0].summary.study_results() is not None
+        assert job.summary.study_results() is not None
 
 
 # ----------------------------------------------------------------------
@@ -557,6 +558,152 @@ class TestInterruptAndResume:
         jobs = resumed.run(grid)
         assert all(job.ok and job.from_manifest for job in jobs)
         assert resumed.simulations_run == 0
+
+
+# ----------------------------------------------------------------------
+# Recordings as units of work: the cells of one trace run together
+# ----------------------------------------------------------------------
+FA = Organization.FULLY_ASSOCIATIVE
+SA = Organization.SET_ASSOCIATIVE
+DM = Organization.DIRECT_MAPPED
+
+
+@pytest.fixture(scope="module")
+def unit_grid():
+    """Four COMA cells on radix's recording (overlapping and disjoint
+    bank grids, a sharing cell), a timing and a CC-NUMA cell of radix
+    that never replay it, and a second recording (fft)."""
+    params = MachineParams.scaled_down(factor=256, nodes=2, page_size=256)
+    common = dict(max_refs_per_node=300, overrides={"intensity": 0.2})
+    return [
+        JobSpec.sweep(params, "radix", sizes=(8, 32), orgs=(FA,), label="base", **common),
+        JobSpec.timing(params, Scheme.V_COMA, "radix", 8, label="timing", **common),
+        JobSpec.sweep(params, "radix", sizes=(32, 128), orgs=(FA, DM), label="overlap", **common),
+        JobSpec.sharing(params, "radix", 8, label="sharing", **common),
+        JobSpec.sweep(params, "radix", sizes=(16,), orgs=(SA,), label="disjoint", **common),
+        JobSpec.sweep(params, "radix", sizes=(8, 32), orgs=(FA,), machine="numa",
+                      label="numa", **common),
+        JobSpec.sweep(params, "fft", sizes=(8, 64), orgs=(FA, DM), label="fft", **common),
+    ]
+
+
+@pytest.fixture(scope="module")
+def alone(unit_grid):
+    """Every cell of the grid run by itself."""
+    return {spec.label: spec.execute().to_dict() for spec in unit_grid}
+
+
+def count_captures(monkeypatch):
+    """Count captures per workload, in this process and in forked
+    workers alike (the counters live in shared memory)."""
+    from repro.system import taptrace
+
+    counts = {name: multiprocessing.Value("i", 0) for name in ("radix", "fft")}
+    capture = taptrace.capture_tap_traces
+
+    def counting(params, workload, **kwargs):
+        with counts[workload.name].get_lock():
+            counts[workload.name].value += 1
+        return capture(params, workload, **kwargs)
+
+    monkeypatch.setattr(taptrace, "capture_tap_traces", counting)
+    return counts
+
+
+class TestRecordingUnits:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_cell_equals_the_cell_run_alone(
+        self, unit_grid, alone, monkeypatch, pool, jobs
+    ):
+        captures = count_captures(monkeypatch)
+        runner = BatchRunner(jobs=jobs)
+        results = runner.run(unit_grid)
+        assert runner.effective_jobs == jobs
+        assert_no_leaked_workers()
+        assert [job.spec for job in results] == unit_grid
+        for job in results:
+            assert job.ok and job.elapsed > 0
+            assert job.summary.to_dict() == alone[job.spec.label], job.spec.label
+        assert {name: count.value for name, count in captures.items()} == {"radix": 1, "fft": 1}
+        numa = results[5].summary
+        assert numa.fallback_reason == "custom machine type NumaMachine"
+        assert runner.simulations_run == len(unit_grid) == runner.stats.simulations
+
+    def test_one_store_read_per_recording(self, unit_grid, alone, tmp_path):
+        store = TraceStore(root=tmp_path)
+        BatchRunner(jobs=1, trace_store=store).run(unit_grid)
+        assert (store.hits, store.misses, len(store)) == (0, 2, 2)
+        results = BatchRunner(jobs=1, trace_store=store).run(unit_grid)
+        assert (store.hits, store.misses) == (2, 2)
+        assert all(job.summary.to_dict() == alone[job.spec.label] for job in results)
+
+    def test_partly_cached_unit_replays_only_its_uncached_cells(
+        self, unit_grid, alone, tmp_path, monkeypatch
+    ):
+        from repro.system import taptrace
+
+        cache = ResultCache(tmp_path)
+        BatchRunner(jobs=1, cache=cache).run([unit_grid[2]])
+        replayed = []
+        bank_miss_counts = taptrace.bank_miss_counts
+
+        def recording(streams, configs, seed):
+            replayed.append(set(configs))
+            return bank_miss_counts(streams, configs, seed)
+
+        monkeypatch.setattr(taptrace, "bank_miss_counts", recording)
+        runner = BatchRunner(jobs=1, cache=cache)
+        results = runner.run(unit_grid)
+        # One replay per recording: radix's uncached sweep cells, then fft.
+        assert replayed == [{(8, FA), (32, FA), (16, SA)}, {(8, FA), (64, FA), (8, DM), (64, DM)}]
+        assert [job.from_cache for job in results] == [False, False, True] + [False] * 4
+        assert runner.cache_hits == 1 and runner.stats.from_cache == 1
+        assert runner.simulations_run == len(unit_grid) - 1
+        assert all(job.summary.to_dict() == alone[job.spec.label] for job in results)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_invalid_geometry_fails_its_cell_alone(self, unit_grid, alone, pool, jobs):
+        bad = dataclasses.replace(unit_grid[0], sizes=(12,), label="bad")
+        specs = [unit_grid[0], bad] + unit_grid[1:]
+        runner = BatchRunner(jobs=jobs, keep_going=True)
+        results = runner.run(specs)
+        assert_no_leaked_workers()
+        failure = results[1]
+        assert not failure.ok and failure.error_type == "ConfigurationError"
+        assert "entries=12" in failure.message
+        assert runner.stats.failure_labels == ["bad: ConfigurationError"]
+        for job in results[:1] + results[2:]:
+            assert job.ok and job.summary.to_dict() == alone[job.spec.label]
+        with pytest.raises(ConfigurationError, match="entries=12"):
+            BatchRunner(jobs=jobs).run(specs)
+        assert_no_leaked_workers()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_capture_fails_every_cell_of_its_unit(
+        self, unit_grid, alone, monkeypatch, pool, jobs
+    ):
+        from repro.system import taptrace
+
+        capture = taptrace.capture_tap_traces
+
+        def broken(params, workload, **kwargs):
+            if workload.name == "radix":
+                raise ProtocolError("capture broke")
+            return capture(params, workload, **kwargs)
+
+        monkeypatch.setattr(taptrace, "capture_tap_traces", broken)
+        runner = BatchRunner(jobs=jobs, keep_going=True)
+        results = runner.run(unit_grid)
+        assert_no_leaked_workers()
+        failed = [job.spec.label for job in results if not job.ok]
+        assert failed == ["base", "overlap", "sharing", "disjoint"]
+        for job in results:
+            if job.ok:
+                assert job.summary.to_dict() == alone[job.spec.label]
+            else:
+                assert job.error_type == "ProtocolError"
+                assert "capture broke" in job.traceback
+        assert runner.stats.failed == 4 and runner.stats.completed == 3
 
 
 # ----------------------------------------------------------------------

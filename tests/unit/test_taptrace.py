@@ -72,13 +72,13 @@ class TestRoundTrip:
         """write → read → replay equals replay from the live capture."""
         again = TapTraceSet.from_bytes(traces.to_bytes())
         orgs = tuple(Organization(value) for value in spec.orgs)
-        live = replay_study(traces, spec.sizes, orgs)
-        loaded = replay_study(again, spec.sizes, orgs)
+        (live,) = replay_study(traces, [(spec.sizes, orgs)])
+        (loaded,) = replay_study(again, [(spec.sizes, orgs)])
         assert loaded.to_dict() == live.to_dict()
 
     def test_replay_summary_carries_base_surface(self, traces, spec):
         orgs = tuple(Organization(value) for value in spec.orgs)
-        summary = replay_summary(traces, spec.sizes, orgs)
+        (summary,) = replay_summary(traces, [(spec.sizes, orgs)])
         assert summary.total_time == traces.base.total_time
         assert summary.counters == traces.base.counters
         assert summary.study_results() is not None
