@@ -72,9 +72,8 @@ TRACED_CASES = (
 )
 
 
-def comparable(result) -> dict:
+def comparable(summary: RunSummary) -> dict:
     """The run's full serialized surface minus the engine tags."""
-    summary = result if isinstance(result, RunSummary) else RunSummary.from_result(result)
     payload = summary.to_dict()
     payload.pop("backend", None)
     payload.pop("fallback_reason", None)

@@ -70,7 +70,7 @@ def main() -> None:
           "of the NUMA home's lookup traffic.")
 
     print("\nLoad-latency distribution (V-COMA):")
-    print(coma.read_latency_histogram().render())
+    print(coma.read_latency.render())
 
 
 if __name__ == "__main__":

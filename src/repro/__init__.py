@@ -39,7 +39,6 @@ from repro.core import (
 from repro.obs import MetricsRegistry, PhaseTimer, Tracer
 from repro.system import (
     Machine,
-    RunResult,
     Simulator,
     StudyAgent,
     StudyResults,
@@ -70,7 +69,6 @@ __all__ = [
     "PhaseTimer",
     "ProtocolError",
     "ReproError",
-    "RunResult",
     "SCHEME_ORDER",
     "Scheme",
     "SegmentSpec",

@@ -94,7 +94,7 @@ def run_miss_sweep(
     machine = Machine(params, Scheme.V_COMA, workload, agent=agent, tracer=tracer)
     simulator = Simulator(machine, max_refs_per_node=max_refs_per_node)
     simulator.fallback_reason = "fast=False" if not fast else unavailable_reason()
-    return RunSummary.from_result(simulator.run())
+    return simulator.run()
 
 
 def run_timing(

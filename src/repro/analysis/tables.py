@@ -7,7 +7,7 @@ from typing import List, Mapping, Sequence
 
 from repro.core.schemes import SCHEME_ORDER, Scheme, TAP_OF_SCHEME
 from repro.core.tlb import Organization
-from repro.system.results import RunResult
+from repro.runner.summary import RunSummary
 from repro.system.taps import StudyResults
 from repro.analysis.experiments import equivalent_tlb_size
 
@@ -71,12 +71,12 @@ def render_equivalent_size_table(
 
 
 def render_overhead_table(
-    rows: Mapping[str, Mapping[str, RunResult]],
+    rows: Mapping[str, Mapping[str, RunSummary]],
 ) -> str:
     """Table 4: address translation time / total memory stall time (%).
 
     ``rows`` maps a configuration label (e.g. ``"L0-TLB/8"``) to
-    ``{benchmark: RunResult}``.
+    ``{benchmark: RunSummary}``.
     """
     benchmarks: List[str] = []
     for per_bench in rows.values():

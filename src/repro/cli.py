@@ -286,6 +286,16 @@ def batch_runner(args, progress=None):
     )
 
 
+def _check_writable(flag: str, path: str) -> None:
+    """Fail before any simulation when ``path`` cannot be opened for
+    writing (a missing directory, a directory in its place)."""
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ConfigurationError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _print_grid_stats(runner) -> None:
     """Surface grid events (failures, degradations, store repairs, a
     clamped ``--jobs``) after a grid; silent when nothing eventful
@@ -375,15 +385,24 @@ def _cmd_trace_profile(args, out) -> int:
         read_trace,
     )
 
+    registry = None
+    if args.metrics:
+        try:
+            with open(args.metrics, "r", encoding="utf-8") as handle:
+                registry = MetricsRegistry.from_dict(json.load(handle))
+        except OSError as exc:
+            raise ConfigurationError(
+                f"--metrics: cannot read {args.metrics}: {exc.strerror or exc}"
+            ) from None
+        except ValueError as exc:
+            raise ConfigurationError(f"--metrics: cannot parse {args.metrics}: {exc}") from None
     records = read_trace(args.trace_file)
     profile = profile_trace(records)
     attribution = attribute_costs(records)
 
     checks = None
     status = 0
-    if args.metrics:
-        with open(args.metrics, "r", encoding="utf-8") as handle:
-            registry = MetricsRegistry.from_dict(json.load(handle))
+    if registry is not None:
         try:
             checks = attribution.reconcile(registry, strict=True)
         except ReconciliationError as exc:
@@ -613,6 +632,8 @@ def _dispatch(args, out) -> int:
         from repro.runner import JobSpec
 
         org = Organization.DIRECT_MAPPED if args.dm else Organization.FULLY_ASSOCIATIVE
+        if args.metrics_out:
+            _check_writable("--metrics-out", args.metrics_out)
         if args.trace_out:
             # A tracer holds an open file, so a traced run executes
             # in-process instead of going through the batch runner.

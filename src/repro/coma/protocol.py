@@ -26,7 +26,7 @@ only processor stalls on local/remote accesses appear.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.common.address import AddressLayout
 from repro.common.errors import CapacityError, ProtocolError
@@ -132,6 +132,17 @@ class TranslationAgent:
         requester: Optional[int] = None,
     ) -> int:
         return 0
+
+    # -- what a run summary reads ---------------------------------------
+    def timing(self) -> Optional[Dict[str, float]]:
+        """The TLB/DLB totals of an agent that charges a real buffer
+        (:class:`~repro.system.taps.TimingAgent`); None here."""
+        return None
+
+    def study(self):
+        """The miss sweep of an agent that feeds TLB banks
+        (:class:`~repro.system.taps.StudyAgent`); None here."""
+        return None
 
 
 class AccessOutcome(NamedTuple):

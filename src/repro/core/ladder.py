@@ -13,7 +13,7 @@ Both tiers are bit-identical by construction (the equivalence suites
 enforce it), so degrading is always *safe* — the ladder's job is to
 make it **supervised**: each tier is probed for health, every
 degradation is recorded with a structured ``fallback_reason`` (stamped
-through ``RunResult`` → ``RunSummary`` → ``GridStats``), counted in the
+through ``RunSummary`` → ``GridStats``), counted in the
 runtime metrics registry (:mod:`repro.obs.runtime`), and reported to
 the user exactly once.  ``repro doctor`` renders the resolved ladder
 and exits non-zero when only the last-resort tier is left.

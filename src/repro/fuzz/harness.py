@@ -2,9 +2,9 @@
 
 One :class:`FuzzCase` is a pure-data (JSON-serializable) description of
 a paired run; :func:`run_case` executes it on the compiled engine and
-the scalar oracle, each with a memory-only tracer attached, and
+the scalar oracle, each streaming its trace to a temporary file, and
 compares both with the deep-equality oracle — results, machine state,
-and the decoded trace records.  Any
+and the whole JSONL trace streams.  Any
 divergence — different numbers *or* an engine crash — raises
 :class:`DifferentialMismatch` carrying the case, which is what lets
 hypothesis shrink the failure to a minimal reproducer.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
@@ -139,12 +140,12 @@ def _build_params(case: FuzzCase) -> MachineParams:
 
 
 def _paired_results(case: FuzzCase):
-    """``((compiled, tracer), (scalar, tracer))`` for one case, each a
+    """``((compiled, trace), (scalar, trace))`` for one case, each a
     ``(summary, state)`` pair (:func:`~repro.fuzz.oracle.compiled_run`,
-    :func:`~repro.fuzz.oracle.scalar_run`) built fresh, with a
-    memory-only tracer on both sides (the compiled engine writes its
-    own trace records).  Without the compiled backend both sides run
-    the scalar oracle."""
+    :func:`~repro.fuzz.oracle.scalar_run`) built fresh, and the JSONL
+    bytes its tracer wrote to a temporary file (the compiled engine
+    writes its own trace records).  Without the compiled backend both
+    sides run the scalar oracle."""
     from repro.coma.protocol import TranslationAgent
     from repro.core.timing_kernels import get_backend
     from repro.obs import Tracer
@@ -175,34 +176,34 @@ def _paired_results(case: FuzzCase):
 
     compiled = compiled_run if get_backend() is not None else scalar_run
     pairs = []
-    for run in (compiled, scalar_run):
-        with Tracer() as tracer:
-            result = run(
-                params, scheme, workload(), agent(), tracer=tracer,
-                max_refs_per_node=case.max_refs_per_node, contention=case.contention,
-            )
-        pairs.append((result, tracer))
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as scratch:
+        for side, run in (("compiled", compiled), ("scalar", scalar_run)):
+            path = os.path.join(scratch, f"{side}.jsonl")
+            with Tracer(path) as tracer:
+                result = run(
+                    params, scheme, workload(), agent(), tracer=tracer,
+                    max_refs_per_node=case.max_refs_per_node, contention=case.contention,
+                )
+            with open(path, "rb") as handle:
+                pairs.append((result, handle.read()))
     return pairs
 
 
-def _trace_diffs(expected, actual) -> List[str]:
-    """Where two memory-only tracers' rings (decoded) and drop counts
-    diverge; bounded to the first differing record."""
-    diffs = []
-    if expected.dropped != actual.dropped:
-        diffs.append(f"trace.dropped: {expected.dropped} != {actual.dropped}")
-    want, got = list(expected.records), list(actual.records)
-    if want != got:
-        index = next(
-            (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
-            min(len(want), len(got)),
-        )
-        diffs.append(
-            f"trace.records[{index}] (of {len(want)} vs {len(got)}): "
-            f"{want[index] if index < len(want) else None!r} != "
-            f"{got[index] if index < len(got) else None!r}"
-        )
-    return diffs
+def _trace_diffs(expected: bytes, actual: bytes) -> List[str]:
+    """Where two JSONL trace streams diverge: the first differing line
+    (1-based) and both line counts."""
+    if expected == actual:
+        return []
+    want, got = expected.splitlines(), actual.splitlines()
+    index = next(
+        (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
+        min(len(want), len(got)),
+    )
+    return [
+        f"trace line {index + 1} (of {len(want)} vs {len(got)}): "
+        f"{want[index].decode() if index < len(want) else None!r} != "
+        f"{got[index].decode() if index < len(got) else None!r}"
+    ]
 
 
 def run_case(case: FuzzCase) -> Dict[str, object]:

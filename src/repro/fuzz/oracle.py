@@ -29,13 +29,9 @@ from repro.system.taps import TimingAgent
 from repro.workloads import CustomWorkload, SegmentSpec
 
 
-def summary_surface(result) -> dict:
-    """Everything RunSummary serializes, minus the engine tags.
-    ``result`` is a :class:`~repro.runner.summary.RunSummary` or a
-    scalar :class:`~repro.system.results.RunResult`."""
-    if not isinstance(result, RunSummary):
-        result = RunSummary.from_result(result)
-    payload = result.to_dict()
+def summary_surface(summary: RunSummary) -> dict:
+    """Everything RunSummary serializes, minus the engine tags."""
+    payload = summary.to_dict()
     payload.pop("backend", None)
     payload.pop("fallback_reason", None)
     return payload
@@ -217,7 +213,7 @@ def scalar_run(params, scheme, workload, agent, tracer=None, max_refs_per_node=N
     machine = Machine(params, scheme, workload, agent=agent, tracer=tracer, **kwargs)
     simulator = Simulator(machine, max_refs_per_node=max_refs_per_node)
     simulator.fallback_reason = "fast=False"
-    return RunSummary.from_result(simulator.run()), machine_state(machine)
+    return simulator.run(), machine_state(machine)
 
 
 def diff_paths(expected, actual, path: str = "", limit: int = 8) -> List[str]:

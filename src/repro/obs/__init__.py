@@ -7,14 +7,14 @@ Three pieces, all optional and off by default:
   associative merge semantics (safe to reduce across worker processes
   in any order).
 * :mod:`repro.obs.trace` — structured span/event tracing.  A
-  :class:`Tracer` attached to a :class:`~repro.system.machine.Machine`
-  records one span per protocol transaction (with parent ids, node,
-  latency, outcome) into a bounded ring buffer and, optionally, a
-  streaming JSONL file.  With no tracer attached the instrumented hot
-  paths pay a single ``is None`` check.
+  :class:`Tracer` handed to a run on either engine streams one span
+  per memory reference and protocol transaction (with parent ids,
+  node, latency, outcome) to a JSONL file.  With no tracer attached
+  the instrumented hot paths pay a single ``is None`` check.
 * :mod:`repro.obs.export` — OpenMetrics-style text exposition and JSON
-  export of a registry, plus ``registry_from_summary`` which turns any
-  finished run into a metrics registry (the golden-snapshot surface).
+  export of a registry, plus ``registry_from_summary`` which turns a
+  finished run's summary into a metrics registry (the golden-snapshot
+  surface).
 
 See ``docs/observability.md`` for the trace schema and workflows.
 """

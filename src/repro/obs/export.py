@@ -1,12 +1,11 @@
 """Registry exporters and the run → registry bridge.
 
-``registry_from_summary`` converts any finished run — a live
-:class:`~repro.system.results.RunResult` or a detached
-:class:`~repro.runner.summary.RunSummary` — into a
-:class:`~repro.obs.metrics.MetricsRegistry`.  Both inputs produce the
-same registry (RunSummary snapshots everything the bridge reads), which
-is what lets the golden-snapshot suite compare ``--jobs 1`` (in-process
-RunResult path) and ``--jobs 2`` (pickled RunSummary path) bit for bit.
+``registry_from_summary`` converts a finished run's
+:class:`~repro.runner.summary.RunSummary` into a
+:class:`~repro.obs.metrics.MetricsRegistry`.  A summary made in-process
+and one pickled back from a worker produce the same registry, which is
+what lets the golden-snapshot suite compare ``--jobs 1`` and ``--jobs
+2`` bit for bit.
 
 Two text formats:
 
@@ -32,13 +31,11 @@ from repro.obs.metrics import MetricsRegistry, bucket_upper_bound
 def registry_from_summary(
     summary, registry: Optional[MetricsRegistry] = None
 ) -> MetricsRegistry:
-    """Project a finished run onto a metrics registry.
-
-    Accepts a :class:`~repro.system.results.RunResult` or
-    :class:`~repro.runner.summary.RunSummary` (anything exposing the
-    shared read-side surface).  Only deterministic simulation state is
-    exported — no wall-clock values — so identical runs yield identical
-    registries regardless of the execution path.
+    """Project a finished run's
+    :class:`~repro.runner.summary.RunSummary` onto a metrics registry.
+    Only deterministic simulation state is exported — no wall-clock
+    values — so identical runs yield identical registries regardless
+    of the execution path.
     """
     registry = registry if registry is not None else MetricsRegistry()
     scheme = summary.scheme.value
@@ -68,12 +65,10 @@ def registry_from_summary(
         for component, cycles in breakdown.to_dict().items():
             time_cycles.inc(cycles, node=node, component=component)
 
-    counters = summary.counters
-    items = counters.to_dict().items() if hasattr(counters, "to_dict") else counters.items()
     events = registry.counter(
         "repro_events_total", help="merged simulator counters by event name"
     )
-    for name, value in sorted(items):
+    for name, value in sorted(summary.counters.items()):
         events.inc(value, event=name)
 
     timing = summary.timing_summary()
@@ -91,9 +86,7 @@ def registry_from_summary(
             "repro_translation_miss_rate", help="misses / accesses"
         ).set(round(timing["miss_rate"], 9))
 
-    for direction in ("read", "write"):
-        hist = getattr(summary, f"{direction}_latency_histogram", None)
-        hist = hist() if callable(hist) else hist
+    for direction, hist in (("read", summary.read_latency), ("write", summary.write_latency)):
         if hist is not None and hist.count:
             hist.to_metrics(
                 registry,

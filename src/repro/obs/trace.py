@@ -1,4 +1,4 @@
-"""Structured span/event tracing with a ring buffer and JSONL streaming.
+"""Structured span/event tracing, streamed to a JSONL file.
 
 A :class:`Tracer` records two record shapes (see :mod:`repro.obs.schema`
 for the frozen format):
@@ -16,13 +16,11 @@ assigned at ``begin`` and parents captured then, so every reference in
 the output resolves; records are *written* when a span ends (children
 before parents in the stream).
 
-A memory-only tracer keeps everything in a bounded ring buffer
-(newest records win); a tracer with a path streams every record to a
-JSONL file with a ``meta`` header instead — the file keeps the full
-history, so the per-record ring bookkeeping is skipped entirely on
-that mode's hot path.  The hot paths in node/protocol/crossbar code
-only touch a tracer through an ``is None`` check, so a detached
-tracer costs one pointer comparison.
+A tracer streams every record to its JSONL file, after a ``meta``
+header; the file keeps the full history.  Recording on a closed tracer
+raises :class:`~repro.common.errors.ConfigurationError`.  The hot paths
+in node/protocol/crossbar code only touch a tracer through an ``is
+None`` check, so a detached tracer costs one pointer comparison.
 
 Two recording paths share the stack, the id counter, and the output
 stream:
@@ -35,42 +33,31 @@ stream:
   :meth:`Tracer.span_emitter`) is for hot, fixed-shape records: the
   call site hoists an emitter once and each record becomes one
   ``struct``-packed ``bytes`` object — a codec-id byte followed by the
-  slot values as little-endian int64s.  Memory-only tracers keep the
-  packed records in the ring as-is (``bytes`` is untracked by the
-  cycle GC, so a full 65536-entry ring adds nothing to collection
-  sweeps); file-backed tracers append them to a binary batch that is
-  rendered to JSONL text in bulk — by the compiled ``fs_trace_render``
-  kernel when the timing backend is available, else by a Python
-  fallback.  Ring entries decode
-  back to dicts lazily (``records`` iteration / ``counts()``), and
-  every codec's rendering is verified against :func:`_encode` at
-  creation, so the on-disk byte stream is identical whichever path —
-  or renderer — produced a record.
+  slot values as little-endian int64s — appended to a binary batch
+  that is rendered to JSONL text in bulk: by the compiled
+  ``fs_trace_render`` kernel when the timing backend is available,
+  else by a Python fallback.  Every codec's rendering is verified
+  against :func:`_encode` at creation, so the on-disk byte stream is
+  identical whichever path — or renderer — produced a record.
 
 A third producer writes packed records from outside Python: the
 compiled timing engine (``fastsim.c``).  It learns the codec ids and
 global string ids from the emitters (each carries its ``codec``),
 continues the span-id counter and last seen time
 (:attr:`Tracer.span_state`), and hands its drained buffer to
-:meth:`Tracer.take_packed`, which treats the bytes exactly as the
-emitters would have — batched for the renderer, or split into ring
-entries.
+:meth:`Tracer.take_packed`, which batches the bytes for the renderer
+exactly as the emitters would have.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from collections import deque
-from contextlib import contextmanager
 from sys import intern as _intern
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.obs.schema import TRACE_FORMAT_VERSION
-
-#: Default ring-buffer capacity (records, not bytes).
-DEFAULT_BUFFER_SIZE = 65536
 
 #: Encoded records accumulated before a single batched file write.
 FLUSH_BATCH = 512
@@ -282,7 +269,7 @@ class _PackedCodec:
                     f"from the generic encoder: {rendered!r} != {expected!r}"
                 )
 
-    # -- decoding (cold: ring-buffer reads, truncated closes) -----------
+    # -- decoding (cold: the construction self-check, truncated closes) -
     def decode(self, packed: bytes) -> Dict:
         """Rebuild the dict the generic path would have recorded."""
         values = self.struct.unpack(packed)
@@ -339,38 +326,6 @@ class _PackedCodec:
         return record
 
 
-class _RingView:
-    """Read-only dict view of the ring buffer; packed entries decode
-    lazily, one record per access."""
-
-    __slots__ = ("_ring", "_codecs")
-
-    def __init__(self, ring: deque, codecs: List[_PackedCodec]) -> None:
-        self._ring = ring
-        self._codecs = codecs
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def __iter__(self) -> Iterator[Dict]:
-        codecs = self._codecs
-        for entry in self._ring:
-            yield entry if entry.__class__ is dict else codecs[entry[0]].decode(entry)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            codecs = self._codecs
-            return [
-                e if e.__class__ is dict else codecs[e[0]].decode(e)
-                for e in list(self._ring)[index]
-            ]
-        entry = self._ring[index]
-        return entry if entry.__class__ is dict else self._codecs[entry[0]].decode(entry)
-
-    def __repr__(self) -> str:
-        return f"_RingView({len(self._ring)} records)"
-
-
 def _slot_table(
     keys: Tuple[str, ...], enums: Optional[Dict], bools: Sequence[str]
 ) -> Dict[str, object]:
@@ -395,42 +350,28 @@ def _shape_key(kind, name, begin_keys, end_keys, enums, bools):
 
 
 class Tracer:
-    """Collects spans and events; optionally streams them to JSONL.
+    """Collects spans and events and streams them to a JSONL file.
 
-    Parameters
-    ----------
-    path:
-        Optional JSONL output path.  When given, every record (meta
-        header included) is streamed to the file; encoded lines are
-        batched ``FLUSH_BATCH`` at a time (packed records
-        ``PACKED_FLUSH_BYTES`` of binary at a time) to keep the
-        per-record cost off the hot path (``flush()``/``close()``
-        drain the batches).  A file-backed tracer does **not**
-        maintain the in-memory ring — the file holds the full record
-        stream; ``records`` is the memory-only view.
-    buffer_size:
-        Ring-buffer capacity in records (memory-only tracers).  When
-        full, the oldest records are dropped and counted in
-        ``dropped``.
+    Every record (meta header included) goes to ``path`` (gzipped for
+    a ``.gz`` path); encoded lines are batched ``FLUSH_BATCH`` at a
+    time (packed records ``PACKED_FLUSH_BYTES`` of binary at a time)
+    to keep the per-record cost off the hot path (``close()`` drains
+    the batches).  A path that cannot be opened for writing raises
+    :class:`~repro.common.errors.ConfigurationError`.
     """
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        buffer_size: int = DEFAULT_BUFFER_SIZE,
-    ) -> None:
-        if buffer_size <= 0:
-            raise ConfigurationError("buffer_size must be positive")
-        self._path = str(path) if path is not None else None
+    def __init__(self, path: str) -> None:
+        self._path = str(path)
         # The write side is binary: rendered batches come out of
         # fs_trace_render as raw ASCII and go to the file without a
         # str round-trip (the content is pure UTF-8 either way).
-        self._file = _open_trace(self._path, "wb") if self._path else None
-        # Ring entries are dicts (generic path) or packed bytes whose
-        # first byte indexes ``_codecs`` (packed path).  Never rebound:
-        # packed emitters close over it.
-        self._ring: deque = deque(maxlen=buffer_size)
-        self._maxlen = buffer_size
+        # close() sets it to None.
+        try:
+            self._file = _open_trace(self._path, "wb")
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot write trace {self._path}: {exc.strerror or exc}"
+            ) from None
         # Mixed stack: dicts for generic spans, flat tuples
         # (codec, id, parent, t0, *begin_values) for packed ones, with
         # a parallel list of span ids shared by both paths.
@@ -439,7 +380,6 @@ class Tracer:
         self._next_id = 1
         self._last_time = 0
         self._meta: Optional[Dict] = None
-        self.dropped = 0  # records evicted from the ring buffer
         self._pending: List[bytes] = []  # encoded lines awaiting a batched write
         self._packed = bytearray()  # packed records awaiting a bulk render
         self._codecs: List[_PackedCodec] = []
@@ -453,6 +393,7 @@ class Tracer:
     # -- lifecycle -----------------------------------------------------
     def set_meta(self, scheme: str, nodes: int, **extra: object) -> None:
         """Write the meta header.  Called once when a machine attaches."""
+        self._check_open()
         if self._meta is not None:
             return
         record = {
@@ -469,35 +410,24 @@ class Tracer:
     def meta(self) -> Optional[Dict]:
         return self._meta
 
-    @property
-    def records(self) -> _RingView:
-        """The ring buffer as lazily decoded dict records (empty for
-        file-backed tracers — the file holds the stream; use
-        :func:`read_trace`)."""
-        return _RingView(self._ring, self._codecs)
-
-    def flush(self) -> None:
-        if self._file is not None:
-            if self._packed:
-                self._drain_packed()
-            if self._pending:
-                self._file.write(b"".join(self._pending))
-                self._pending.clear()
-            self._file.flush()
-
     def close(self) -> None:
         """End any still-open spans (at the last seen time) and close
-        the output file."""
+        the output file.  Closing a closed tracer does nothing."""
+        if self._file is None:
+            return
         while self._stack:
             self.end(self._last_time, truncated=True)
-        if self._file is not None:
-            if self._packed:
-                self._drain_packed()
-            if self._pending:
-                self._file.write(b"".join(self._pending))
-                self._pending.clear()
-            self._file.close()
-            self._file = None
+        if self._packed:
+            self._drain_packed()
+        if self._pending:
+            self._file.write(b"".join(self._pending))
+            self._pending.clear()
+        self._file.close()
+        self._file = None
+
+    def _check_open(self) -> None:
+        if self._file is None:
+            raise ConfigurationError(f"trace {self._path} is closed")
 
     def __enter__(self) -> "Tracer":
         return self
@@ -525,6 +455,7 @@ class Tracer:
     ) -> int:
         """Open a span; returns its id.  The parent is the innermost
         span already open."""
+        self._check_open()
         t = int(t)
         span_id = self._next_id
         self._next_id = span_id + 1
@@ -549,6 +480,7 @@ class Tracer:
 
     def end(self, t: int, **attrs: object) -> Dict:
         """Close the innermost span and emit its record."""
+        self._check_open()
         if not self._stack:
             raise ConfigurationError("Tracer.end() with no open span")
         t = int(t)
@@ -582,21 +514,6 @@ class Tracer:
         if t > self._last_time:
             self._last_time = t
         self._emit(record)
-
-    @contextmanager
-    def span(
-        self, name: str, t0: int, t1_default: Optional[int] = None, **attrs: object
-    ) -> Iterator[Dict]:
-        """Context-managed span.  Mutate the yielded dict to set
-        attributes; set ``dict['t1']`` before exit (else ``t1_default``
-        or ``t0`` is used)."""
-        self.begin(name, t0, **attrs)
-        handle: Dict = {}
-        try:
-            yield handle
-        finally:
-            t1 = handle.pop("t1", t1_default if t1_default is not None else t0)
-            self.end(t1, **handle)
 
     # -- packed emitters ------------------------------------------------
     def event_emitter(
@@ -683,8 +600,6 @@ class Tracer:
             "_tracer": self,
             "_ids": self._ids,
             "_stack": self._stack,
-            "_ring": self._ring,
-            "_maxlen": self._maxlen,
             "_buf": self._packed,
             "_extend": self._packed.extend,
             "_limit": PACKED_FLUSH_BYTES,
@@ -715,23 +630,17 @@ class Tracer:
         paths that fire half a million times per run)."""
         return "".join(f", {name}={name}" for name in names if name in env)
 
-    def _record_stmts(self) -> str:
-        """The generated statements that store one packed record ``b``
-        at time ``t``: file-backed tracers batch it for the bulk
-        renderer (the file keeps every record, so the ring buffer is
-        skipped entirely); memory-only tracers maintain the ring."""
-        if self._file is not None:
-            return (
-                f"    if _tracer._file is not None:\n"
-                f"        _extend(b)\n"
-                f"        if len(_buf) >= _limit:\n"
-                f"            _tracer._flush_packed()\n"
-            )
-        return (
-            f"    if len(_ring) == _maxlen:\n"
-            f"        _tracer.dropped += 1\n"
-            f"    _ring.append(b)\n"
-        )
+    #: The generated statements that store one packed record ``b``:
+    #: batched for the bulk renderer, or refused once the tracer is
+    #: closed.
+    _RECORD_STMTS = (
+        "    if _tracer._file is not None:\n"
+        "        _extend(b)\n"
+        "        if len(_buf) >= _limit:\n"
+        "            _tracer._flush_packed()\n"
+        "    else:\n"
+        "        _tracer._check_open()\n"
+    )
 
     def _compile_event(self, codec: _PackedCodec):
         names = [f"v{i}" for i in range(len(codec.begin_keys))]
@@ -740,13 +649,12 @@ class Tracer:
         env = self._emitter_env(codec)
         gnames = [f"_g{i}" for i in range(len(codec.gmaps))]
         binds = self._bind(
-            env, "_pack", "_cid", "_ids", "_ring", "_maxlen", "_tracer",
-            "_extend", "_buf", "_limit", *gnames,
+            env, "_pack", "_cid", "_ids", "_tracer", "_extend", "_buf", "_limit", *gnames,
         )
         src = (
             f"def emit(t, {args}{binds}):\n"
             f"    b = _pack(_cid, _ids[-1] if _ids else -1, t, {packs})\n"
-            f"{self._record_stmts()}"
+            f"{self._RECORD_STMTS}"
             f"    if t > _tracer._last_time:\n"
             f"        _tracer._last_time = t\n"
         )
@@ -769,8 +677,8 @@ class Tracer:
         gnames = [f"_g{i}" for i in range(len(codec.gmaps))]
         bbinds = self._bind(env, "_tracer", "_ids", "_stack", "_codec")
         ebinds = self._bind(
-            env, "_pack", "_cid", "_ids", "_stack", "_codec", "_ring",
-            "_maxlen", "_tracer", "_extend", "_buf", "_limit", *gnames,
+            env, "_pack", "_cid", "_ids", "_stack", "_codec", "_tracer",
+            "_extend", "_buf", "_limit", *gnames,
         )
         begin_src = (
             f"def begin(t, {bargs}{bbinds}):\n"
@@ -794,7 +702,7 @@ class Tracer:
             f"    _ids.pop()\n"
             f"{unpack}"
             f"    b = _pack(_cid, entry[1], entry[2], entry[3], t, {packs})\n"
-            f"{self._record_stmts()}"
+            f"{self._RECORD_STMTS}"
             f"    if t > _tracer._last_time:\n"
             f"        _tracer._last_time = t\n"
         )
@@ -830,30 +738,13 @@ class Tracer:
     def take_packed(self, data) -> None:
         """Append packed records written elsewhere with this tracer's
         codec and string ids (a drained compiled-engine buffer), in
-        stream order: file-backed tracers batch them for the bulk
-        renderer, memory-only tracers split them into ring entries
-        exactly as the emitters would have stored them."""
-        if self._file is not None:
-            buf = self._packed
-            buf += data
-            if len(buf) >= PACKED_FLUSH_BYTES:
-                self._flush_packed()
-            return
-        data = bytes(data)
-        codecs = self._codecs
-        starts = []
-        pos = 0
-        end = len(data)
-        while pos < end:
-            starts.append(pos)
-            pos += codecs[data[pos]].size
-        ring = self._ring
-        overflow = len(ring) + len(starts) - self._maxlen
-        if overflow > 0:
-            self.dropped += overflow
-            # Only the newest ``maxlen`` records survive the append.
-            starts = starts[-self._maxlen:]
-        ring.extend(data[p:p + codecs[data[p]].size] for p in starts)
+        stream order, batched for the bulk renderer exactly as the
+        emitters would have batched them."""
+        self._check_open()
+        buf = self._packed
+        buf += data
+        if len(buf) >= PACKED_FLUSH_BYTES:
+            self._flush_packed()
 
     def push_open(self, codec_id: int, span_id: int, parent: int, t0: int, packed) -> None:
         """Adopt a span a foreign producer left open (engine error
@@ -972,12 +863,7 @@ class Tracer:
 
     # -- internals -----------------------------------------------------
     def _emit(self, record: Dict) -> None:
-        if self._file is None:
-            ring = self._ring
-            if len(ring) == self._maxlen:
-                self.dropped += 1
-            ring.append(record)
-            return
+        self._check_open()
         if self._packed:
             # Keep stream order: batched packed records precede this
             # generic one.
@@ -988,26 +874,9 @@ class Tracer:
             self._file.write(b"".join(pending))
             pending.clear()
 
-    def counts(self) -> Dict[str, int]:
-        """Per-name record counts currently in the ring buffer."""
-        out: Dict[str, int] = {}
-        codecs = self._codecs
-        for entry in self._ring:
-            if entry.__class__ is dict:
-                if entry["kind"] == "meta":
-                    continue
-                key = entry["name"]
-            else:
-                key = codecs[entry[0]].name
-            out[key] = out.get(key, 0) + 1
-        return out
-
     def __repr__(self) -> str:
-        target = self._path or "<memory>"
-        return (
-            f"Tracer({target}, {len(self._ring)} buffered, "
-            f"{self.depth} open)"
-        )
+        state = "closed" if self._file is None else f"{self.depth} open"
+        return f"Tracer({self._path}, {state})"
 
 
 def _open_trace(path: str, mode: str):
@@ -1029,7 +898,11 @@ def _open_trace(path: str, mode: str):
 def read_trace(path: str) -> List[Dict]:
     """Parse a JSONL trace file (optionally ``.gz``) back into records."""
     records: List[Dict] = []
-    with _open_trace(path, "rt") as handle:
+    try:
+        handle = _open_trace(path, "rt")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read trace {path}: {exc.strerror or exc}") from None
+    with handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

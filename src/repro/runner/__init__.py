@@ -20,10 +20,10 @@ Quick start::
     for job in runner.run(specs):
         print(job.spec.workload, job.summary.study_results().curve(...))
 
-Results come back as :class:`RunSummary` objects — picklable,
-JSON-serializable snapshots that expose the same analysis surface as
-:class:`~repro.system.results.RunResult` (breakdowns, overhead ratios,
-sweep studies, timing summaries) without holding the machine alive.
+Results come back as :class:`RunSummary` objects — the one form of a
+finished run on either engine: picklable, JSON-serializable snapshots
+of breakdowns, overhead ratios, sweep studies and timing summaries
+that hold no machine.
 
 Without ``keep_going`` the first job that raises fails the run with its
 own exception; with it, failures land as structured :class:`JobFailure`

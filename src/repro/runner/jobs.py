@@ -288,7 +288,6 @@ class JobSpec:
         """A sweep on the CC-NUMA machine (SHARED-TLB at the home), on
         the scalar engine: ``fallback_reason`` names the machine type."""
         from repro.numa import NumaMachine
-        from repro.runner.summary import RunSummary
         from repro.system.simulator import Simulator
         from repro.system.taps import StudyAgent
 
@@ -298,7 +297,7 @@ class JobSpec:
         machine = NumaMachine(self.params, Scheme.V_COMA, self.build_workload(), agent=agent)
         simulator = Simulator(machine, max_refs_per_node=self.max_refs_per_node)
         simulator.fallback_reason = "custom machine type NumaMachine"
-        return RunSummary.from_result(simulator.run())
+        return simulator.run()
 
     # ------------------------------------------------------------------
     # identity

@@ -1,21 +1,19 @@
-"""Detached run results: what survives a worker process or a cache file.
+"""Run results: what a finished simulation leaves behind.
 
-:class:`~repro.system.results.RunResult` holds the whole
-:class:`~repro.system.machine.Machine` (closures included), so it can
-neither cross a process boundary nor be written to disk.  A
-:class:`RunSummary` is the picklable, JSON-serializable subset that the
-analysis layer actually consumes: per-node time breakdowns, merged
-counters, the TLB/DLB timing summary, (for sweep runs) the full
+A :class:`RunSummary` is the one form of a finished run, on either
+engine: per-node time breakdowns, merged counters, latency histograms,
+the TLB/DLB timing summary, (for sweep runs) the full
 :class:`~repro.system.taps.StudyResults` surface and (for sharing runs)
-the shared-vs-partitioned DLB counts.
+the shared-vs-partitioned DLB counts.  It holds no machine, so it
+pickles across worker processes and serializes into the result cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.common.stats import AverageBreakdown, LatencyHistogram, TimeBreakdown
+from repro.common.stats import AverageBreakdown, Counters, LatencyHistogram, TimeBreakdown
 from repro.core.schemes import Scheme
 from repro.system.taps import StudyResults
 
@@ -163,13 +161,10 @@ class GridStats:
 
 
 class RunSummary:
-    """A self-contained snapshot of one finished simulation.
-
-    Mirrors the read-side API of :class:`~repro.system.results.RunResult`
-    (``average_breakdown``, ``translation_overhead_ratio``,
-    ``timing_summary``, ``study_results``, ...) so tables and figures
-    accept either interchangeably.
-    """
+    """A self-contained snapshot of one finished simulation: what the
+    tables and figures read (``average_breakdown``,
+    ``translation_overhead_ratio``, ``timing_summary``,
+    ``study_results``, ...)."""
 
     __slots__ = (
         "scheme",
@@ -235,22 +230,43 @@ class RunSummary:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_result(cls, result) -> "RunSummary":
-        """Snapshot a live :class:`~repro.system.results.RunResult`."""
+    def from_result(
+        cls,
+        scheme: Scheme,
+        workload_name: str,
+        total_time: int,
+        refs_per_node: List[int],
+        barriers: int,
+        breakdowns: List[TimeBreakdown],
+        counters: Counters,
+        latencies: List[Tuple[LatencyHistogram, LatencyHistogram]],
+        agent,
+        backend: str,
+        fallback_reason: Optional[str] = None,
+    ) -> "RunSummary":
+        """Summarize a finished run on either engine: its totals,
+        per-node breakdowns, merged counters, per-node ``(read,
+        write)`` latency histograms (merged machine-wide here) and the
+        :class:`~repro.coma.protocol.TranslationAgent` that observed
+        it, whose ``timing()`` and ``study()`` the summary keeps."""
+        read_latency, write_latency = LatencyHistogram(), LatencyHistogram()
+        for read, write in latencies:
+            read_latency = read_latency.merge(read)
+            write_latency = write_latency.merge(write)
         return cls(
-            scheme=result.scheme,
-            workload_name=result.workload_name,
-            total_time=result.total_time,
-            refs_per_node=result.refs_per_node,
-            barriers=result.barriers,
-            breakdowns=result.breakdowns,
-            counters=result.counters.to_dict(),
-            timing=result.timing_summary(),
-            study=result.study_results(),
-            read_latency=result.read_latency_histogram(),
-            write_latency=result.write_latency_histogram(),
-            backend=getattr(result, "backend", None),
-            fallback_reason=getattr(result, "fallback_reason", None),
+            scheme=scheme,
+            workload_name=workload_name,
+            total_time=total_time,
+            refs_per_node=refs_per_node,
+            barriers=barriers,
+            breakdowns=breakdowns,
+            counters=counters.to_dict(),
+            timing=agent.timing(),
+            study=agent.study(),
+            read_latency=read_latency,
+            write_latency=write_latency,
+            backend=backend,
+            fallback_reason=fallback_reason,
         )
 
     def with_study(self, study: Optional[StudyResults]) -> "RunSummary":
@@ -274,7 +290,7 @@ class RunSummary:
             sharing=self.sharing,
         )
 
-    # -- RunResult-compatible surface -----------------------------------
+    # -- read side -------------------------------------------------------
     @property
     def total_references(self) -> int:
         return sum(self.refs_per_node)
@@ -296,12 +312,6 @@ class RunSummary:
 
     def study_results(self) -> Optional[StudyResults]:
         return self.study
-
-    def read_latency_histogram(self) -> Optional[LatencyHistogram]:
-        return self.read_latency
-
-    def write_latency_histogram(self) -> Optional[LatencyHistogram]:
-        return self.write_latency
 
     def to_metrics(self, registry=None):
         """This run as a :class:`~repro.obs.metrics.MetricsRegistry`

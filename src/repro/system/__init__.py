@@ -11,14 +11,12 @@ from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
 from repro.system.taps import StudyAgent, StudyResults, TimingAgent
 from repro.system.machine import Machine
 from repro.system.simulator import Simulator
-from repro.system.results import RunResult
 
 __all__ = [
     "BARRIER",
     "LOCK",
     "Machine",
     "READ",
-    "RunResult",
     "Simulator",
     "StudyAgent",
     "StudyResults",

@@ -26,8 +26,9 @@ three phases:
    oracle (:mod:`repro.fuzz.oracle`) also asks for the final machine
    image, which ``fs_image`` writes as one flat int64 array.
 
-The contract is **bit-identical results**: a headless summary equals
-``RunSummary.from_result`` of the scalar run, and the final image
+The contract is **bit-identical results**: both engines build their
+summary with ``RunSummary.from_result``, the headless one from C
+readouts, and the two summaries are equal; the final image
 decodes to exactly what ``machine_state`` reads off the scalar
 machine, which the differential suite
 (``tests/integration/test_timing_equivalence.py``) enforces field by
@@ -69,7 +70,6 @@ from repro.system.machine import (
     merge_counters,
     place_pages,
 )
-from repro.system.results import timing_summary
 from repro.system.taps import TimingAgent
 
 _TAP_CODE = {
@@ -579,8 +579,9 @@ def _image(ffi, lib, handle, latencies) -> array:
 
 
 def _summary(run: HeadlessRun, end_time, refs_per_node, barriers, breakdowns, bags, latencies):
-    """The :class:`~repro.runner.summary.RunSummary` the scalar run's
-    ``RunSummary.from_result`` would produce, from C readouts."""
+    """The run's :class:`~repro.runner.summary.RunSummary`, built from
+    C readouts by the same ``RunSummary.from_result`` the scalar
+    engine calls."""
     from repro.runner.summary import RunSummary
 
     machine_counters = Counters()
@@ -589,22 +590,17 @@ def _summary(run: HeadlessRun, end_time, refs_per_node, barriers, breakdowns, ba
     counters = merge_counters(
         [machine_counters] + [Counters(**bag) for bag in bags], run.agent, run.scheme
     )
-    read_latency, write_latency = LatencyHistogram(), LatencyHistogram()
-    for read, write in latencies:
-        read_latency = read_latency.merge(read)
-        write_latency = write_latency.merge(write)
-    return RunSummary(
-        scheme=run.scheme,
-        workload_name=run.workload.name,
-        total_time=end_time,
-        refs_per_node=refs_per_node,
-        barriers=barriers,
-        breakdowns=breakdowns,
-        counters=counters.to_dict(),
-        timing=timing_summary(run.agent),
-        read_latency=read_latency,
-        write_latency=write_latency,
-        backend="compiled",
+    return RunSummary.from_result(
+        run.scheme,
+        run.workload.name,
+        end_time,
+        refs_per_node,
+        barriers,
+        breakdowns,
+        counters,
+        latencies,
+        run.agent,
+        "compiled",
     )
 
 

@@ -176,11 +176,11 @@ def merge_counters(bags: List[Counters], agent, scheme: Scheme) -> Counters:
     merged = bags[0]
     for bag in bags[1:]:
         merged = merged.merge(bag)
-    accesses = getattr(agent, "total_accesses", None)
-    if accesses is not None:
+    timing = agent.timing()
+    if timing is not None:
         prefix = "dlb" if scheme is Scheme.V_COMA else "tlb"
-        merged[f"{prefix}_accesses"] = accesses
-        merged[f"{prefix}_misses"] = agent.total_misses
+        merged[f"{prefix}_accesses"] = timing["accesses"]
+        merged[f"{prefix}_misses"] = timing["misses"]
     return merged
 
 

@@ -29,7 +29,6 @@ from typing import Dict, Optional
 from repro.common.errors import ReproError
 from repro.system.machine import Machine
 from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
-from repro.system.results import RunResult
 
 
 #: With a tracer attached, one "phase" progress event per this many
@@ -66,19 +65,16 @@ class Simulator:
         self.backend: Optional[str] = None
         #: Why the scalar engine runs, set by the caller that chose it
         #: (:func:`run_summary`, a CC-NUMA runner cell); None when the
-        #: caller names no reason.  Stamped on the result.
+        #: caller names no reason.  Stamped on the summary.
         self.fallback_reason: Optional[str] = None
 
-    def run(self) -> RunResult:
-        """Run to completion on the scalar engine; the result carries
+    def run(self):
+        """Run to completion on the scalar engine; returns the run's
+        :class:`~repro.runner.summary.RunSummary`, stamped with
         ``backend`` and this simulator's ``fallback_reason``."""
-        self.backend = "scalar"
-        result = self._run_scalar()
-        result.backend = self.backend
-        result.fallback_reason = self.fallback_reason
-        return result
+        from repro.runner.summary import RunSummary
 
-    def _run_scalar(self) -> RunResult:
+        self.backend = "scalar"
         machine = self.machine
         nodes = machine.nodes
         count = len(nodes)
@@ -222,12 +218,18 @@ class Simulator:
         if trace is not None:
             trace.end(end_time, refs=total_refs_processed, barriers=barriers_seen)
 
-        return RunResult(
-            machine=machine,
-            breakdowns=[node.breakdown for node in nodes],
-            total_time=end_time,
-            refs_per_node=refs_done,
-            barriers=barriers_seen,
+        return RunSummary.from_result(
+            machine.scheme,
+            machine.workload.name,
+            end_time,
+            refs_done,
+            barriers_seen,
+            [node.breakdown for node in nodes],
+            machine.merged_counters(),
+            [(node.read_latency, node.write_latency) for node in nodes],
+            machine.agent,
+            self.backend,
+            self.fallback_reason,
         )
 
     # ------------------------------------------------------------------
@@ -278,7 +280,6 @@ def run_summary(
     """
     from repro.core import timing_kernels
     from repro.core.ladder import EngineDegraded
-    from repro.runner.summary import RunSummary
     from repro.system import fast_simulator
 
     agent = make_agent()
@@ -306,4 +307,4 @@ def run_summary(
     )
     simulator = Simulator(machine, max_refs_per_node=max_refs_per_node)
     simulator.fallback_reason = reason
-    return RunSummary.from_result(simulator.run()), agent
+    return simulator.run(), agent

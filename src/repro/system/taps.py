@@ -168,7 +168,7 @@ class StudyAgent(TranslationAgent):
         return 0
 
     # -- results --------------------------------------------------------
-    def results(self) -> StudyResults:
+    def study(self) -> StudyResults:
         misses: Dict[Tuple[TapPoint, int, Organization], int] = {}
         accesses: Dict[TapPoint, int] = {}
         for tap in TapPoint:
@@ -263,6 +263,16 @@ class TimingAgent(TranslationAgent):
     @property
     def total_accesses(self) -> int:
         return sum(buffer.accesses for buffer in self._buffers)
+
+    def timing(self) -> Dict[str, float]:
+        accesses = self.total_accesses
+        misses = self.total_misses
+        return {
+            "entries": self.entries,
+            "accesses": accesses,
+            "misses": misses,
+            "miss_rate": misses / accesses if accesses else 0.0,
+        }
 
     def buffer(self, node: int) -> TranslationBuffer:
         return self._buffers[node]

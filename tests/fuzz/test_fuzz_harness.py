@@ -8,6 +8,7 @@ injected divergence produces a saved, reloadable reproducer.
 """
 
 import json
+import re
 
 import pytest
 
@@ -89,6 +90,35 @@ class TestRunCase:
             run_case(broken)
         assert "engine crash" in str(excinfo.value)
         assert excinfo.value.case is broken
+
+    def test_first_record_divergence_in_a_long_trace(self, monkeypatch):
+        """The whole trace streams are compared: one side's header
+        differs, and the trace runs past 65,536 records."""
+        from repro.fuzz import harness
+
+        long_case = FuzzCase.from_dict(SMOKE_CASE.to_dict())
+        long_case.nodes = 4
+        long_case.workload = {"kind": "named", "name": "radix", "intensity": 1.0}
+        long_case.max_refs_per_node = None
+        scalar_run = harness.scalar_run
+        calls = []
+
+        def mislabelled(params, scheme, workload, agent, tracer=None, **kwargs):
+            # Only the first call writes its own header: the oracle side
+            # with the compiled backend, else the first of two scalar runs.
+            if not calls:
+                tracer.set_meta("bogus", params.nodes)
+            calls.append(scheme)
+            return scalar_run(params, scheme, workload, agent, tracer=tracer, **kwargs)
+
+        monkeypatch.setattr(harness, "scalar_run", mislabelled)
+        with pytest.raises(DifferentialMismatch) as excinfo:
+            run_case(long_case)
+        (diff,) = excinfo.value.diffs
+        match = re.match(r"trace line 1 \(of (\d+) vs (\d+)\): ", diff)
+        assert match is not None, diff
+        assert int(match.group(1)) == int(match.group(2)) > 65536
+        assert '"scheme":"bogus"' in diff
 
 
 class TestCorpusReplay:

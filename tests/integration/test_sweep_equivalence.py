@@ -14,8 +14,10 @@ must match it, and so must the capture's final machine image.
 
 Traced sweeps run compiled too: the capture writes the hierarchy run's
 records (a sweep agent emits no translation events), and the JSONL
-bytes or ring records must equal the scalar ``StudyAgent`` run's.
+bytes, plain or gzipped, must equal the scalar ``StudyAgent`` run's.
 """
+
+import gzip
 
 import pytest
 
@@ -27,7 +29,6 @@ from repro.core.tlb import Organization
 from repro.fuzz.oracle import compiled_run, diff_paths, scalar_run
 from repro.obs import Tracer
 from repro.runner import JobSpec
-from repro.runner.summary import RunSummary
 from repro.system import machine as machine_module
 from repro.system.machine import Machine
 from repro.system.simulator import Simulator
@@ -45,9 +46,6 @@ ORGS = (
     Organization.SET_ASSOCIATIVE,
     Organization.DIRECT_MAPPED,
 )
-
-#: Ring capacity small enough that the traced sweeps below drop records.
-SMALL_RING = 64
 
 
 @pytest.fixture(scope="module")
@@ -201,11 +199,10 @@ class TestReplayMatrix:
         if replay:
             summary = make_spec(params).execute()
         else:
-            result = machine_sweep(
+            summary = machine_sweep(
                 params, make_workload("radix", intensity=0.3), max_refs_per_node=400
             )
-            assert result.backend == "scalar"
-            summary = RunSummary.from_result(result)
+            assert summary.backend == "scalar"
         assert surface(summary) == surface(scalar_oracle)
 
     def test_replay_summary_backend_stamp(self, params):
@@ -253,29 +250,24 @@ class TestFallbacks:
         assert agent.streams() == oracle.streams == headless.streams
 
     @pytest.mark.parametrize("workload", ["radix", "raytrace"])
-    @pytest.mark.parametrize("sink", ["file", "ring"])
+    @pytest.mark.parametrize("sink", ["file", "gz"])
     def test_traced_sweep_bit_identical(self, params, workload, sink, tmp_path):
         """A traced sweep captures compiled and writes the scalar
-        StudyAgent run's trace: JSONL bytes, or ring records and drop
-        counts."""
+        StudyAgent run's trace: the same JSONL bytes, plain or through
+        a gzipped sink."""
         traces, summaries = [], []
         for fast in (True, False):
-            path = tmp_path / f"{fast}.jsonl"
-            tracer = Tracer(str(path)) if sink == "file" else Tracer(buffer_size=SMALL_RING)
-            with tracer:
+            path = tmp_path / f"{fast}.jsonl{'.gz' if sink == 'gz' else ''}"
+            with Tracer(str(path)) as tracer:
                 summaries.append(run_miss_sweep(
                     params, make_workload(workload, intensity=0.3),
                     sizes=SIZES, orgs=ORGS, max_refs_per_node=300,
                     tracer=tracer, fast=fast,
                 ))
-            if sink == "file":
-                traces.append(path.read_bytes())
-            else:
-                traces.append((list(tracer.records), tracer.dropped))
+            data = path.read_bytes()
+            traces.append(data if sink == "file" else gzip.decompress(data))
         fast, scalar = summaries
         assert fast.backend == "compiled+replay" and fast.fallback_reason is None
         assert scalar.backend == "scalar"
         assert surface(fast) == surface(scalar)
         assert traces[0] == traces[1]
-        if sink == "ring":
-            assert traces[0][1] > 0  # the ring really overflowed

@@ -31,6 +31,7 @@ fallback with the compiled backend disabled (``REPRO_NO_COMPILED``)
 must produce the same numbers again.
 """
 
+import gzip
 import re
 
 import pytest
@@ -53,7 +54,7 @@ from repro.fuzz.oracle import (
     scalar_run,
     summary_surface,
 )
-from repro.obs import Tracer
+from repro.obs import Tracer, read_trace
 from repro.runner import JobSpec
 from repro.runner.summary import RunSummary
 from repro.system import fast_simulator
@@ -72,9 +73,6 @@ pytestmark = pytest.mark.skipif(
 def params():
     return MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
 
-
-#: Ring capacity small enough that every traced case below drops records.
-SMALL_RING = 64
 
 #: Node 0 is cut off by max_refs_per_node=60 inside its critical
 #: section; node 3 never reaches the barrier.
@@ -108,24 +106,18 @@ def literal_pair(params, scheme, streams, **kwargs):
 
 def traced_pair(run, sink, tmp_path):
     """``run(tracer, compiled_run | scalar_run)`` on both engines, each
-    with a fresh tracer of kind ``sink``; returns ``(fast, scalar)`` as
-    ((summary, state), trace) pairs, the trace being the JSONL bytes or
-    the ring's decoded records and drop count."""
+    with a fresh tracer writing a plain (``sink="file"``) or gzipped
+    (``"gz"``) JSONL file; returns ``(fast, scalar)`` as
+    ((summary, state), trace) pairs, the trace being the JSONL bytes."""
     outputs = []
     for engine in (compiled_run, scalar_run):
-        path = tmp_path / f"{engine.__name__}.jsonl"
-        tracer = Tracer(str(path)) if sink == "file" else Tracer(buffer_size=SMALL_RING)
-        with tracer:
+        path = tmp_path / f"{engine.__name__}.jsonl{'.gz' if sink == 'gz' else ''}"
+        with Tracer(str(path)) as tracer:
             result = run(tracer, engine)
-        if sink == "file":
-            trace = path.read_bytes()
-        else:
-            trace = (list(tracer.records), tracer.dropped)
-        outputs.append((result, trace))
-    (fast, fast_trace), (scalar, scalar_trace) = outputs
+        data = path.read_bytes()
+        outputs.append((result, data if sink == "file" else gzip.decompress(data)))
+    (fast, _), (scalar, _) = outputs
     assert_identical(fast, scalar)
-    if sink == "ring":
-        assert fast_trace[1] > 0  # the ring really overflowed
     return outputs
 
 
@@ -187,11 +179,11 @@ class TestAllSchemes:
         assert_identical(fast, scalar)
 
     @pytest.mark.parametrize("contention", [False, True], ids=["latency", "contention"])
-    @pytest.mark.parametrize("sink", ["file", "ring"])
+    @pytest.mark.parametrize("sink", ["file", "gz"])
     def test_traced_raytrace_bit_identical(self, params, scheme, sink, contention, tmp_path):
         """The compiled engine's packed records: lock hand-offs, TLB/DLB
         events, injections and (optionally) port contention, streamed
-        to JSONL or kept in an overflowing ring."""
+        to JSONL, plain or gzipped."""
 
         def run(tracer, engine):
             return engine(
@@ -202,7 +194,7 @@ class TestAllSchemes:
         (_, fast_trace), (_, scalar_trace) = traced_pair(run, sink, tmp_path)
         assert fast_trace == scalar_trace
 
-    @pytest.mark.parametrize("sink", ["file", "ring"])
+    @pytest.mark.parametrize("sink", ["file", "gz"])
     def test_traced_sync_streams_truncated_in_critical_section(
         self, params, scheme, sink, tmp_path
     ):
@@ -461,7 +453,7 @@ class TestSyncHeavy:
             params, Scheme.V_COMA, streams, contention=contention, max_refs_per_node=max_refs
         ))
 
-    def test_untraced_run_is_one_c_call(self, params, monkeypatch):
+    def test_untraced_run_is_one_c_call(self, params, monkeypatch, tmp_path):
         """A run with barriers and lock contention calls ``fs_run``
         once, through ``run_timing`` or a runner job; a traced run
         calls it once per drain of the trace buffer."""
@@ -477,7 +469,7 @@ class TestSyncHeavy:
         assert job.backend == "compiled"
         assert counting.runs == 2 and counting.drains == 0
         monkeypatch.setattr(trace, "PACKED_FLUSH_BYTES", 1 << 16)
-        with Tracer() as tracer:
+        with Tracer(str(tmp_path / "t.jsonl")) as tracer:
             run_timing(params, Scheme.V_COMA, make_workload("raytrace", intensity=0.5), 8,
                        tracer=tracer)
         assert counting.drains > 1
@@ -485,23 +477,25 @@ class TestSyncHeavy:
 
 
 class TestTracedEngineError:
-    def test_engine_error_leaves_the_same_truncated_spans(self, params):
+    def test_engine_error_leaves_the_same_truncated_spans(self, params, tmp_path):
         """A store to an unmapped page fails mid-reference on both
         engines; the spans the compiled engine left open are handed to
         the tracer, so close() truncates the same records."""
         streams = [[(WRITE, 0), (READ, 64), (WRITE, 40 * 256)], [], [], []]
-        rings = []
+        traces = []
         for fast in (True, False):
-            tracer = Tracer()
+            path = tmp_path / f"{fast}.jsonl"
+            tracer = Tracer(str(path))
             with pytest.raises((ReproError, KeyError)):
                 run_summary(
                     params, Scheme.L2_TLB, literal_workload(params, streams),
                     TranslationAgent, tracer=tracer, fast=fast,
                 )
             tracer.close()
-            rings.append(list(tracer.records))
-        assert rings[0] == rings[1]
-        assert [r["name"] for r in rings[0] if r.get("truncated")] == ["ref", "run"]
+            traces.append(path.read_bytes())
+        assert traces[0] == traces[1]
+        records = read_trace(str(tmp_path / "True.jsonl"))
+        assert [r["name"] for r in records if r.get("truncated")] == ["ref", "run"]
 
 
 class TestBackendMatrix:

@@ -177,7 +177,7 @@ def test_deterministic(streams):
     a = Simulator(build(streams)).run()
     b = Simulator(build(streams)).run()
     assert a.total_time == b.total_time
-    assert a.counters.to_dict() == b.counters.to_dict()
+    assert a.counters == b.counters
 
 
 @given(streams=node_streams)

@@ -80,7 +80,7 @@ def test_deterministic_replay(streams):
     a = Simulator(build_machine(streams)).run()
     b = Simulator(build_machine(streams)).run()
     assert a.total_time == b.total_time
-    assert a.counters.to_dict() == b.counters.to_dict()
+    assert a.counters == b.counters
 
 
 @given(streams=node_streams)

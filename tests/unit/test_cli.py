@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ def run_cli(capsys, *argv):
 MACHINE = ["--nodes", "2", "--factor", "256", "--page-size", "256"]
 #: Single-run commands also bound the references per node.
 FAST = MACHINE + ["--refs", "300"]
+#: A committed trace of a radix V-COMA run.
+GOLDEN_TRACE = str(Path(__file__).parents[1] / "golden" / "trace_v_coma_radix.jsonl.gz")
 
 
 class TestParsing:
@@ -68,11 +71,19 @@ class TestParsing:
         ["sweep", "radix", "--intensity", "-1"],
         ["sweep", "radix", "--refs", "-5"],
         ["timing", "radix", "--refs", "-5"],
+        ["timing", "radix", "--trace-out", "{tmp}/missing/t.jsonl"],
+        ["timing", "radix", "--metrics-out", "{tmp}/missing/m.json"],
+        ["trace-validate", "{tmp}/missing.jsonl"],
+        ["trace-profile", "{tmp}/missing.jsonl"],
+        ["trace-profile", "{golden}", "--metrics", "{tmp}/missing.json"],
     ], ids=" ".join)
     def test_malformed_values_are_usage_errors(self, capsys, tmp_path, argv):
         """Exit 2 with one line, before any job runs: no traceback, no
-        store capped at zero bytes, no clamped toy workload."""
-        machine = [] if argv[0] == "describe" else FAST + ["--cache-dir", str(tmp_path)]
+        store capped at zero bytes, no clamped toy workload, no
+        simulation whose output has nowhere to go."""
+        argv = [arg.format(tmp=tmp_path, golden=GOLDEN_TRACE) for arg in argv]
+        runs = argv[0] in ("sweep", "timing")
+        machine = FAST + ["--cache-dir", str(tmp_path)] if runs else []
         code = main(argv[:2] + machine + argv[2:])
         err = capsys.readouterr().err
         assert code == 2

@@ -77,8 +77,8 @@ class TestMachineIntegration:
         )
         machine = Machine(small_params, Scheme.V_COMA, workload)
         result = Simulator(machine).run()
-        reads = result.read_latency_histogram()
-        writes = result.write_latency_histogram()
+        reads = result.read_latency
+        writes = result.write_latency
         assert reads.count == small_params.nodes
         assert writes.count == small_params.nodes
         # The first read is an AM/remote access: latency >= 74.
@@ -95,4 +95,4 @@ class TestMachineIntegration:
             small_params, Scheme.V_COMA, workload, relaxed_writes=True
         )
         result = Simulator(machine).run()
-        assert result.write_latency_histogram().mean == 0.0
+        assert result.write_latency.mean == 0.0

@@ -16,6 +16,7 @@ from repro.obs import (
     validate_trace,
     write_metrics,
 )
+from repro.obs import trace
 from repro.obs.schema import TraceSchemaError
 
 
@@ -107,16 +108,8 @@ class TestExporters:
 
 
 class TestTracer:
-    def test_ring_buffer_bounds_memory(self):
-        tracer = Tracer(buffer_size=4)
-        tracer.set_meta(scheme="V-COMA", nodes=1)
-        for i in range(10):
-            tracer.event("msg", i)
-        assert len(tracer.records) == 4
-        assert tracer.dropped == 7  # meta + first 6 events displaced
-
-    def test_end_without_begin_rejected(self):
-        tracer = Tracer()
+    def test_end_without_begin_rejected(self, tmp_path):
+        tracer = Tracer(str(tmp_path / "t.jsonl"))
         with pytest.raises(ConfigurationError):
             tracer.end(0)
 
@@ -124,15 +117,25 @@ class TestTracer:
         path = tmp_path / "t.jsonl"
         with Tracer(str(path)) as tracer:
             tracer.set_meta(scheme="V-COMA", nodes=1)
-            with tracer.span("run", 0):
-                with tracer.span("ref", 1, node=0):
-                    tracer.event("dlb_hit", 1, node=0)
+            tracer.begin("run", 0)
+            tracer.begin("ref", 1, node=0)
+            tracer.event("dlb_hit", 1, node=0)
+            tracer.end(1)
+            tracer.end(1)
         records = read_trace(str(path))
         validate_trace(records)
         spans = {r["name"]: r for r in records if r.get("kind") == "span"}
         assert spans["ref"]["parent"] == spans["run"]["id"]
         event = next(r for r in records if r.get("kind") == "event")
         assert event["span"] == spans["ref"]["id"]
+
+    def test_unwritable_path_is_a_configuration_error(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot write trace"):
+            Tracer(str(tmp_path / "missing" / "t.jsonl"))
+
+    def test_missing_trace_is_a_configuration_error(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot read trace"):
+            read_trace(str(tmp_path / "missing.jsonl"))
 
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -153,13 +156,14 @@ class TestTracer:
 REF_SHAPE = (("node", "op", "vpn"), ("cycles", "tlb"))
 
 
-def packed_producer_pair(**kwargs):
-    """Two tracers with the same ``ref``/``msg`` shapes: one fed by its
-    emitters, one that will be fed the same records as raw packed
-    bytes (the compiled engine's path)."""
+def packed_producer_pair(tmp_path):
+    """Two tracers with the same ``ref``/``msg`` shapes, writing
+    ``native.jsonl`` and ``foreign.jsonl``: one fed by its emitters,
+    one that will be fed the same records as raw packed bytes (the
+    compiled engine's path)."""
     pair = []
-    for _ in range(2):
-        tracer = Tracer(**kwargs)
+    for name in ("native", "foreign"):
+        tracer = Tracer(str(tmp_path / f"{name}.jsonl"))
         ref = tracer.span_emitter("ref", *REF_SHAPE, enums={"op": ("read", "write")})
         msg = tracer.event_emitter("msg", ("src", "dst"))
         tracer.begin("run", 0)
@@ -171,46 +175,91 @@ class TestForeignProducer:
     """The surface the compiled engine uses: codec ids, span state,
     drained packed bytes, and spans left open by an engine error."""
 
-    def test_take_packed_matches_emitters_in_an_overflowing_ring(self):
+    def test_take_packed_matches_emitters_across_flushes(self, tmp_path, monkeypatch):
+        # A limit below one iteration's records: both sides render and
+        # write their packed batch mid-stream.
+        monkeypatch.setattr(trace, "PACKED_FLUSH_BYTES", 64)
         (native, (begin, end), msg), (foreign, ref_pair, foreign_msg) = (
-            packed_producer_pair(buffer_size=5)
+            packed_producer_pair(tmp_path)
         )
         ref = ref_pair[0].codec
         event = foreign_msg.codec
         read, write = ref.gmaps[1]
-        blob = bytearray()
+        drains = []  # one drained engine buffer per reference
         for i in range(4):
             begin(10 * i, 1, i % 2, 7)
             msg(10 * i + 1, 1, 2)
             end(10 * i + 5, 5, 0)
             sid = 2 + i
-            blob += event.struct.pack(event.id, sid, 10 * i + 1, 1, 2)
-            blob += ref.struct.pack(
-                ref.id, sid, 1, 10 * i, 10 * i + 5, 1, write if i % 2 else read, 7, 5, 0
+            drains.append(
+                event.struct.pack(event.id, sid, 10 * i + 1, 1, 2)
+                + ref.struct.pack(
+                    ref.id, sid, 1, 10 * i, 10 * i + 5, 1, write if i % 2 else read, 7, 5, 0
+                )
             )
-        foreign.take_packed(bytes(blob))
+        for drained in drains:
+            foreign.take_packed(drained)
         foreign.span_state = (6, 35)
         assert native.span_state == foreign.span_state
-        assert native.dropped == foreign.dropped > 0
-        assert list(native.records) == list(foreign.records)
+        native.close()
+        foreign.close()
+        data = (tmp_path / "native.jsonl").read_bytes()
+        assert data == (tmp_path / "foreign.jsonl").read_bytes()
+        assert data.count(b'"name":"ref"') == 4 and data.count(b'"name":"msg"') == 4
 
-    def test_pushed_open_span_truncates_like_a_native_one(self):
-        (native, (begin, _), _), (foreign, ref_pair, _) = packed_producer_pair()
+    def test_pushed_open_span_truncates_like_a_native_one(self, tmp_path):
+        (native, (begin, _), _), (foreign, ref_pair, _) = packed_producer_pair(tmp_path)
         begin(12, 3, 1, 9)
         ref = ref_pair[0].codec
         foreign.push_open(ref.id, 2, 1, 12, [3, ref.gmaps[1][1], 9])
         foreign.span_state = (3, 12)
         native.close()
         foreign.close()
-        assert list(native.records) == list(foreign.records)
-        assert any(r.get("truncated") for r in foreign.records)
+        data = (tmp_path / "native.jsonl").read_bytes()
+        assert data == (tmp_path / "foreign.jsonl").read_bytes()
+        assert any(r.get("truncated") for r in read_trace(str(tmp_path / "foreign.jsonl")))
 
-    def test_rewind_forgets_spans_opened_since_the_mark(self):
-        tracer = Tracer()
+    def test_rewind_forgets_spans_opened_since_the_mark(self, tmp_path):
+        tracer = Tracer(str(tmp_path / "t.jsonl"))
         mark = tracer.checkpoint()
         tracer.begin("run", 7)
         tracer.rewind(mark)
         assert tracer.depth == 0 and tracer.span_state == (1, 0)
+
+
+class TestClosedTracer:
+    """Recording after close() raises instead of losing the record."""
+
+    @pytest.fixture
+    def closed(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        tracer = Tracer(str(path))
+        ref = tracer.span_emitter("ref", *REF_SHAPE, enums={"op": ("read", "write")})
+        msg = tracer.event_emitter("msg", ("src", "dst"))
+        tracer.close()
+        return tracer, ref, msg, path
+
+    @pytest.mark.parametrize("record", [
+        lambda tracer, ref, msg: tracer.set_meta(scheme="V-COMA", nodes=1),
+        lambda tracer, ref, msg: tracer.event("msg", 1),
+        lambda tracer, ref, msg: tracer.begin("run", 1),
+        lambda tracer, ref, msg: tracer.end(1),
+        lambda tracer, ref, msg: tracer.take_packed(
+            msg.codec.struct.pack(msg.codec.id, -1, 1, 1, 2)
+        ),
+        lambda tracer, ref, msg: msg(1, 1, 2),
+        lambda tracer, ref, msg: (ref[0](1, 0, 0, 7), ref[1](2, 5, 0)),
+    ], ids=["set_meta", "event", "begin", "end", "take_packed", "event_emitter", "span_emitter"])
+    def test_recording_raises(self, closed, record):
+        tracer, ref, msg, path = closed
+        with pytest.raises(ConfigurationError, match="is closed"):
+            record(tracer, ref, msg)
+        assert path.read_bytes() == b""
+
+    def test_close_twice_is_a_no_op(self, closed):
+        tracer, _, _, path = closed
+        tracer.close()
+        assert path.read_bytes() == b""
 
 
 class TestPhaseTimer:

@@ -67,7 +67,7 @@ class TestRelaxedTimingCell:
 
     def test_cell_equals_scalar_relaxed_machine(self, small_params):
         from repro import make_workload
-        from repro.runner import JobSpec, RunSummary
+        from repro.runner import JobSpec
         from repro.system.taps import TimingAgent
 
         spec = JobSpec.timing(
@@ -78,7 +78,7 @@ class TestRelaxedTimingCell:
             small_params, Scheme.L0_TLB, make_workload("ocean", intensity=0.3),
             agent=TimingAgent(small_params, Scheme.L0_TLB, 8), relaxed_writes=True,
         )
-        oracle = RunSummary.from_result(Simulator(machine, max_refs_per_node=600).run())
+        oracle = Simulator(machine, max_refs_per_node=600).run()
         cell = spec.execute()
         sc = JobSpec.timing(
             small_params, Scheme.L0_TLB, "ocean", 8,

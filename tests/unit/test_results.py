@@ -1,4 +1,4 @@
-"""RunResult aggregation."""
+"""A scalar run's RunSummary: aggregation and agent readouts."""
 
 import pytest
 

@@ -13,7 +13,6 @@ from repro import (
 )
 from repro.coma.protocol import TranslationAgent
 from repro.core.tlb import Organization
-from repro.runner.summary import RunSummary
 from repro.system.refs import BARRIER, LOCK, READ, UNLOCK, WRITE
 from repro.system.simulator import run_summary
 from repro.system.taps import StudyAgent
@@ -161,7 +160,7 @@ def _numa_machine(params, fast):
     machine = NumaMachine(params, Scheme.V_COMA, spec.build_workload(), agent=agent)
     simulator = Simulator(machine, max_refs_per_node=150)
     simulator.fallback_reason = "fast=False"
-    return RunSummary.from_result(simulator.run())
+    return simulator.run()
 
 
 class _CustomAgent(TranslationAgent):

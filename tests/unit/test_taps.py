@@ -27,21 +27,21 @@ class TestStudyAgent:
     def test_results_sum_over_nodes(self, agent):
         agent.at_l0(0, 1)
         agent.at_l0(1, 2)
-        study = agent.results()
+        study = agent.study()
         assert study.misses(TapPoint.L0, 4) == 2
         assert study.accesses(TapPoint.L0) == 2
 
     def test_no_wback_excludes_writebacks(self, agent):
         agent.at_l2(0, 1, writeback=False)
         agent.at_l2(0, 2, writeback=True)
-        study = agent.results()
+        study = agent.study()
         assert study.accesses(TapPoint.L2) == 2
         assert study.accesses(TapPoint.L2_NO_WBACK) == 1
 
     def test_home_tap_keyed_by_home_node(self, agent, small_params):
         for _ in range(3):
             agent.at_home(2, 7)
-        study = agent.results()
+        study = agent.study()
         # Same page re-accessed at one home: 1 cold miss only.
         assert study.misses(TapPoint.HOME, 4) == 1
 
@@ -49,19 +49,19 @@ class TestStudyAgent:
         agent.at_l0(0, 1)
         agent.at_l0(0, 1)
         agent.at_l3(0, 5)
-        study = agent.results()
+        study = agent.study()
         assert study.miss_rate(TapPoint.L3, 4) == pytest.approx(0.5)
 
     def test_misses_per_node(self, agent, small_params):
         agent.at_l0(0, 1)
-        study = agent.results()
+        study = agent.study()
         assert study.misses_per_node(TapPoint.L0, 4) == pytest.approx(
             1 / small_params.nodes
         )
 
     def test_curve_sorted_by_size(self, agent):
         agent.at_l0(0, 1)
-        curve = agent.results().curve(TapPoint.L0)
+        curve = agent.study().curve(TapPoint.L0)
         assert [size for size, _ in curve] == [4, 16]
 
     def test_larger_buffer_never_worse(self, small_params):
@@ -71,7 +71,7 @@ class TestStudyAgent:
         rng = random.Random(0)
         for _ in range(3000):
             agent.at_l0(0, rng.randrange(30))
-        study = agent.results()
+        study = agent.study()
         assert study.misses(TapPoint.L0, 64) <= study.misses(TapPoint.L0, 4)
 
 
