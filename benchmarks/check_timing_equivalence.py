@@ -22,7 +22,10 @@ its trace buffer through growth and repeated drains.
 Every ``CASES`` row also runs a third time as a runner job
 (``JobSpec.execute``), which reads its summary straight from the
 compiled engine without building a machine; that summary must equal
-the scalar run's too.
+the scalar run's too.  The set leg then runs the rows' jobs as timing
+units (``execute_unit``: the cells of one workload stream in one
+threaded ``fs_run_set`` call) on 1, 2 and 8 threads, and every cell's
+summary must equal its scalar run's as well.
 
 The check honours ``REPRO_NO_COMPILED``, so CI runs it against both
 backends.  When the
@@ -48,7 +51,10 @@ from repro.core.schemes import SCHEME_ORDER
 from repro.core.timing_kernels import backend_status, get_backend
 from repro.core.tlb import Organization
 from repro.obs import Tracer
+from unittest import mock
+
 from repro.runner import JobSpec
+from repro.runner.jobs import execute_unit
 from repro.runner.summary import RunSummary
 
 PARAMS = MachineParams.scaled_down(factor=64, nodes=4, page_size=256)
@@ -99,6 +105,7 @@ def main() -> int:
     failures = []
     checked = 0
     compiled_runs = 0
+    jobs = []  # (label, JobSpec, scalar summary) of every CASES row
     for scheme in SCHEME_ORDER:
         for name, intensity, entries, org, max_refs, contention in CASES:
             label = (f"{scheme.value}/{name}@{intensity}"
@@ -117,10 +124,12 @@ def main() -> int:
                 PARAMS, scheme, make_workload(name, intensity=intensity),
                 entries, fast=False, **kwargs
             )
-            job = JobSpec.timing(
+            spec = JobSpec.timing(
                 PARAMS, scheme, name, entries,
                 overrides={"intensity": intensity}, **kwargs
-            ).execute()
+            )
+            jobs.append((label, spec, scalar))
+            job = spec.execute()
             for engine, run in (("fast", fast), ("job", job)):
                 checked += 1
                 compiled_runs += run.backend == "compiled"
@@ -131,6 +140,29 @@ def main() -> int:
                         f"{label}: {engine} ran {run.backend} "
                         f"({run.fallback_reason}) with the compiled backend available"
                     )
+
+    units = {}
+    for row in jobs:
+        units.setdefault(row[1].unit_key(), []).append(row)
+    for threads in (1, 2, 8):
+        with mock.patch("repro.core.replay.replay_threads", return_value=threads):
+            for unit in units.values():
+                outcomes = execute_unit([spec for _, spec, _ in unit])
+                for (label, _, scalar), run in zip(unit, outcomes):
+                    checked += 1
+                    if isinstance(run, Exception):
+                        failures.append(f"{label}: set on {threads} threads raised {run!r}")
+                        continue
+                    compiled_runs += run.backend == "compiled"
+                    if comparable(run) != comparable(scalar):
+                        failures.append(
+                            f"{label}: set on {threads} threads ({run.backend}) != scalar"
+                        )
+                    elif compiled_expected and run.backend != "compiled":
+                        failures.append(
+                            f"{label}: set on {threads} threads ran {run.backend} "
+                            f"({run.fallback_reason}) with the compiled backend available"
+                        )
 
     with tempfile.TemporaryDirectory() as scratch:
         for scheme, name, intensity, entries in TRACED_CASES:

@@ -35,6 +35,9 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#ifdef __GLIBC__ /* defined by the headers above */
+#include <malloc.h>
+#endif
 
 /* ------------------------------------------------------------------ */
 /* status / error codes                                                */
@@ -170,8 +173,8 @@ enum {
     GEOM_AM_BLOCK,
     GEOM_REQ_PAYLOAD,
     GEOM_BLK_PAYLOAD,
-    GEOM_DIR_CAPACITY,
-    GEOM_MAP_CAPACITY,
+    GEOM_DIR_CAPACITY, /* directory entries before the first growth */
+    GEOM_MAP_CAPACITY, /* mapped pages: PFNs 0.. (0 with a virtual AM) */
     GEOM_CONTENTION, /* crossbar input-port serialization on */
     GEOM_LEN
 };
@@ -401,35 +404,18 @@ static inline void lru_append(Lru *c, int64_t set, int64_t block, uint8_t state)
 }
 
 /* ------------------------------------------------------------------ */
-/* open-addressed int64 -> slot hash maps (no deletion)                */
+/* open-addressed hash index over a key array (no deletion)            */
 /* ------------------------------------------------------------------ */
+/* The table holds position + 1 into its owner's key array (0: empty):
+ * a lookup compares keys[position], so a slot costs 4 bytes.  It stays
+ * under 70% full, doubling when an insert would pass that. */
 typedef struct {
-    int64_t *keys; /* -1 == empty */
-    int64_t *slot; /* payload index (or value) */
-    int64_t capacity;
-    int64_t mask;
+    int32_t *pos;
+    int64_t mask; /* capacity - 1 */
     int64_t used;
-} Map;
+} Index;
 
-static int map_init(Map *m, int64_t capacity_hint) {
-    int64_t cap = 16;
-    while (cap < capacity_hint * 2) cap <<= 1;
-    m->capacity = cap;
-    m->mask = cap - 1;
-    m->used = 0;
-    m->keys = (int64_t *)malloc(sizeof(int64_t) * cap);
-    m->slot = (int64_t *)malloc(sizeof(int64_t) * cap);
-    if (!m->keys || !m->slot) return -1;
-    for (int64_t i = 0; i < cap; i++) m->keys[i] = -1;
-    return 0;
-}
-
-static void map_free(Map *m) {
-    free(m->keys);
-    free(m->slot);
-}
-
-static inline uint64_t map_hash(int64_t key) {
+static inline uint64_t key_hash(int64_t key) {
     uint64_t h = (uint64_t)key;
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdULL;
@@ -437,56 +423,49 @@ static inline uint64_t map_hash(int64_t key) {
     return h;
 }
 
-static int64_t map_get(const Map *m, int64_t key) {
-    uint64_t i = map_hash(key) & m->mask;
-    while (m->keys[i] != -1) {
-        if (m->keys[i] == key) return m->slot[i];
-        i = (i + 1) & m->mask;
-    }
+/* Room for `entries` keys before the first growth: the smallest power
+ * of two, at least 16, that they keep under 70%. */
+static int index_init(Index *x, int64_t entries) {
+    int64_t cap = 16;
+    while (entries * 10 >= cap * 7) cap <<= 1;
+    x->pos = (int32_t *)calloc((size_t)cap, sizeof(int32_t));
+    x->mask = cap - 1;
+    x->used = 0;
+    return x->pos ? 0 : -1;
+}
+
+static void index_free(Index *x) {
+    free(x->pos);
+}
+
+/* the position of `key` in keys, or -1 */
+static inline int64_t index_get(const Index *x, const int64_t *keys, int64_t key) {
+    for (uint64_t i = key_hash(key) & x->mask; x->pos[i]; i = (i + 1) & x->mask)
+        if (keys[x->pos[i] - 1] == key) return x->pos[i] - 1;
     return -1;
 }
 
-static int map_grow(Map *m);
-
-static int map_put(Map *m, int64_t key, int64_t value) {
-    if ((m->used + 1) * 10 >= m->capacity * 7) {
-        if (map_grow(m)) return -1;
-    }
-    uint64_t i = map_hash(key) & m->mask;
-    while (m->keys[i] != -1) {
-        if (m->keys[i] == key) {
-            m->slot[i] = value;
-            return 0;
-        }
-        i = (i + 1) & m->mask;
-    }
-    m->keys[i] = key;
-    m->slot[i] = value;
-    m->used++;
-    return 0;
+static void index_place(int32_t *pos, int64_t mask, int64_t key, int64_t p) {
+    uint64_t i = key_hash(key) & mask;
+    while (pos[i]) i = (i + 1) & mask;
+    pos[i] = (int32_t)(p + 1);
 }
 
-static int map_grow(Map *m) {
-    int64_t old_cap = m->capacity;
-    int64_t *ok = m->keys, *os = m->slot;
-    m->capacity = old_cap * 2;
-    m->mask = m->capacity - 1;
-    m->keys = (int64_t *)malloc(sizeof(int64_t) * m->capacity);
-    m->slot = (int64_t *)malloc(sizeof(int64_t) * m->capacity);
-    if (!m->keys || !m->slot) return -1;
-    for (int64_t i = 0; i < m->capacity; i++) m->keys[i] = -1;
-    m->used = 0;
-    for (int64_t i = 0; i < old_cap; i++) {
-        if (ok[i] != -1) {
-            uint64_t j = map_hash(ok[i]) & m->mask;
-            while (m->keys[j] != -1) j = (j + 1) & m->mask;
-            m->keys[j] = ok[i];
-            m->slot[j] = os[i];
-            m->used++;
-        }
+/* Index keys[p], a key not indexed yet; -1 on allocation failure. */
+static int index_add(Index *x, const int64_t *keys, int64_t p) {
+    if (p >= INT32_MAX) return -1;
+    if ((x->used + 1) * 10 >= (x->mask + 1) * 7) {
+        int64_t mask = 2 * x->mask + 1;
+        int32_t *pos = (int32_t *)calloc((size_t)mask + 1, sizeof(int32_t));
+        if (!pos) return -1;
+        for (int64_t i = 0; i <= x->mask; i++)
+            if (x->pos[i]) index_place(pos, mask, keys[x->pos[i] - 1], x->pos[i] - 1);
+        free(x->pos);
+        x->pos = pos;
+        x->mask = mask;
     }
-    free(ok);
-    free(os);
+    index_place(x->pos, x->mask, keys[p], p);
+    x->used++;
     return 0;
 }
 
@@ -494,7 +473,7 @@ static int map_grow(Map *m) {
 /* directory storage: block -> (owner, sharer bitmask)                 */
 /* ------------------------------------------------------------------ */
 typedef struct {
-    Map index; /* block -> entry slot */
+    Index index; /* block -> entry slot, over blocks */
     int64_t *blocks;
     int32_t *owner;
     uint64_t *sharers; /* nentries * swords */
@@ -503,27 +482,32 @@ typedef struct {
     int swords;
 } Dir;
 
-static int dir_init(Dir *d, int64_t capacity_hint, int swords) {
+/* Room for `entries` blocks before the first growth. */
+static int dir_init(Dir *d, int64_t entries, int swords) {
     d->swords = swords;
     d->nentries = 0;
-    d->cap_entries = capacity_hint > 16 ? capacity_hint : 16;
+    d->cap_entries = entries > 16 ? entries : 16;
     d->blocks = (int64_t *)malloc(sizeof(int64_t) * d->cap_entries);
     d->owner = (int32_t *)malloc(sizeof(int32_t) * d->cap_entries);
     d->sharers = (uint64_t *)calloc(d->cap_entries * swords, sizeof(uint64_t));
     if (!d->blocks || !d->owner || !d->sharers) return -1;
-    return map_init(&d->index, capacity_hint);
+    return index_init(&d->index, d->cap_entries);
 }
 
 static void dir_free(Dir *d) {
     free(d->blocks);
     free(d->owner);
     free(d->sharers);
-    map_free(&d->index);
+    index_free(&d->index);
 }
 
 /* entry slot, creating on first touch (caller counts the lookup) */
+static inline int64_t dir_find(const Dir *d, int64_t block) {
+    return index_get(&d->index, d->blocks, block);
+}
+
 static int64_t dir_entry_slot(Dir *d, int64_t block) {
-    int64_t slot = map_get(&d->index, block);
+    int64_t slot = dir_find(d, block);
     if (slot >= 0) return slot;
     if (d->nentries >= d->cap_entries) {
         int64_t nc = d->cap_entries * 2;
@@ -541,7 +525,7 @@ static int64_t dir_entry_slot(Dir *d, int64_t block) {
     slot = d->nentries++;
     d->blocks[slot] = block;
     d->owner[slot] = -1;
-    if (map_put(&d->index, block, slot)) return FS_ERR_INTERNAL;
+    if (index_add(&d->index, d->blocks, slot)) return FS_ERR_INTERNAL;
     return slot;
 }
 
@@ -845,14 +829,14 @@ static void locks_free(Locks *lk) {
 static int lock_find(const Locks *lk, int64_t word) {
     if (!lk->cap) return -1;
     uint64_t mask = 2 * (uint64_t)lk->cap - 1;
-    for (uint64_t i = map_hash(word) & mask; lk->index[i]; i = (i + 1) & mask)
+    for (uint64_t i = key_hash(word) & mask; lk->index[i]; i = (i + 1) & mask)
         if (lk->word[lk->index[i] - 1] == word) return lk->index[i] - 1;
     return -1;
 }
 
 static void lock_index(Locks *lk, int32_t l) {
     uint64_t mask = 2 * (uint64_t)lk->cap - 1;
-    uint64_t i = map_hash(lk->word[l]) & mask;
+    uint64_t i = key_hash(lk->word[l]) & mask;
     while (lk->index[i]) i = (i + 1) & mask;
     lk->index[i] = l + 1;
 }
@@ -906,7 +890,9 @@ typedef struct FastSim {
     Tlb *tlbs;
     int ntlb;
     MT engine_rng;
-    Map vpn2pfn, pfn2vpn;
+    int64_t *pfn2vpn; /* page i has PFN i: the mapped pages' VPNs, -1 unset */
+    int64_t npfn;
+    Index vpn2pfn; /* over pfn2vpn */
 
     int64_t glob[N_GLOBAL], glob_calls[N_GLOBAL];
     int64_t *node_ctr, *node_calls;              /* nodes * N_NODE_CTR */
@@ -979,7 +965,7 @@ static inline void hist_record(int64_t *buckets, int64_t *count, int64_t *total,
 /* address plumbing                                                    */
 /* ------------------------------------------------------------------ */
 static inline int64_t to_phys(FastSim *s, int64_t vaddr, int *err) {
-    int64_t pfn = map_get(&s->vpn2pfn, vaddr >> s->page_bits);
+    int64_t pfn = index_get(&s->vpn2pfn, s->pfn2vpn, vaddr >> s->page_bits);
     if (pfn < 0) {
         *err = FS_ERR_KEY;
         return 0;
@@ -988,7 +974,8 @@ static inline int64_t to_phys(FastSim *s, int64_t vaddr, int *err) {
 }
 
 static inline int64_t to_virt(FastSim *s, int64_t paddr, int *err) {
-    int64_t vpn = map_get(&s->pfn2vpn, paddr >> s->page_bits);
+    int64_t pfn = paddr >> s->page_bits;
+    int64_t vpn = pfn >= 0 && pfn < s->npfn ? s->pfn2vpn[pfn] : -1;
     if (vpn < 0) {
         *err = FS_ERR_KEY;
         return 0;
@@ -1305,7 +1292,7 @@ static int make_room(FastSim *s, int node, int64_t block, int64_t now) {
     if (vstate == AM_SHARED) {
         int vhome = home_of(s, victim);
         (void)xfer(s, MSG_SHARER_DROP, node, vhome, now);
-        int64_t slot = map_get(&s->dir.index, victim);
+        int64_t slot = dir_find(&s->dir, victim);
         if (slot >= 0) sharers_clear_bit(&s->dir, slot, node);
         gadd(s, G_SHARER_DROPS, 1);
         return 0;
@@ -1348,7 +1335,7 @@ static int accept_injection(FastSim *s, int target, int64_t block, uint8_t state
     lru_remove_at(am, set, way);
     int rc = inclusion(s, target, dropped, INCLUSION_INVALIDATE);
     if (rc) return rc;
-    int64_t dslot = map_get(&s->dir.index, dropped);
+    int64_t dslot = dir_find(&s->dir, dropped);
     if (dslot >= 0) sharers_clear_bit(&s->dir, dslot, target);
     gadd(s, G_INJECT_DISPLACEMENTS, 1);
     rc = am_install(s, target, block, state);
@@ -1420,7 +1407,7 @@ static int64_t remote_fetch(FastSim *s, int node, int64_t block, int is_write, i
         t = xfer(s, MSG_BLOCK_REPLY, supplier, node, t);
         int rc = make_room(s, node, block, now);
         if (rc) return rc;
-        slot = map_get(&s->dir.index, block); /* re-find: inject may rehash */
+        slot = dir_find(&s->dir, block); /* re-find: inject may rehash */
         rc = am_install(s, node, block, AM_EXCLUSIVE);
         if (rc) return rc;
         s->dir.owner[slot] = node;
@@ -1442,7 +1429,7 @@ static int64_t remote_fetch(FastSim *s, int node, int64_t block, int is_write, i
         t = xfer(s, MSG_BLOCK_REPLY, supplier, node, t);
         int rc = make_room(s, node, block, now);
         if (rc) return rc;
-        slot = map_get(&s->dir.index, block);
+        slot = dir_find(&s->dir, block);
         rc = am_install(s, node, block, AM_SHARED);
         if (rc) return rc;
         sharers_add(&s->dir, slot, node);
@@ -1879,12 +1866,14 @@ FastSim *fs_create(const int64_t *geom) {
         }
     }
     int swords = (int)((nodes + 63) / 64);
-    if (dir_init(&s->dir, geom[GEOM_DIR_CAPACITY], swords) ||
-        map_init(&s->vpn2pfn, geom[GEOM_MAP_CAPACITY]) ||
-        map_init(&s->pfn2vpn, geom[GEOM_MAP_CAPACITY])) {
+    s->npfn = geom[GEOM_MAP_CAPACITY];
+    s->pfn2vpn = (int64_t *)malloc(sizeof(int64_t) * (s->npfn > 0 ? s->npfn : 1));
+    if (!s->pfn2vpn || dir_init(&s->dir, geom[GEOM_DIR_CAPACITY], swords) ||
+        index_init(&s->vpn2pfn, s->npfn)) {
         fs_destroy(s);
         return 0;
     }
+    for (int64_t i = 0; i < s->npfn; i++) s->pfn2vpn[i] = -1;
 
     s->ntlb = 0;
     if (s->tap != TAP_NONE) {
@@ -1925,8 +1914,8 @@ void fs_destroy(FastSim *s) {
     free(s->slc);
     free(s->am);
     dir_free(&s->dir);
-    map_free(&s->vpn2pfn);
-    map_free(&s->pfn2vpn);
+    index_free(&s->vpn2pfn);
+    free(s->pfn2vpn);
     if (s->tlbs) {
         for (int i = 0; i < s->ntlb; i++) tlb_free(&s->tlbs[i]);
         free(s->tlbs);
@@ -1987,9 +1976,11 @@ void fs_set_stream(FastSim *s, int node, const uint8_t *ops, const int64_t *vals
 int fs_preload(FastSim *s, const int64_t *vpns, const int64_t *ppns, int64_t npages) {
     int64_t blocks = ((int64_t)1 << s->page_bits) / s->am_block;
     for (int64_t i = 0; i < npages; i++) {
-        if (!s->virtual_am && (map_put(&s->vpn2pfn, vpns[i], ppns[i]) ||
-                               map_put(&s->pfn2vpn, ppns[i], vpns[i])))
-            return FS_ERR_INTERNAL;
+        if (!s->virtual_am) {
+            if (ppns[i] < 0 || ppns[i] >= s->npfn) return FS_ERR_INTERNAL;
+            s->pfn2vpn[ppns[i]] = vpns[i];
+            if (index_add(&s->vpn2pfn, s->pfn2vpn, ppns[i])) return FS_ERR_INTERNAL;
+        }
         int64_t base = ppns[i] << s->page_bits;
         for (int64_t b = 0; b < blocks; b++) {
             int64_t block = base + b * s->am_block;
@@ -2866,7 +2857,7 @@ static void relabel_fill(Relabel *t, int64_t cap, const int64_t *page_of, int64_
     const uint64_t mask = (uint64_t)cap - 1;
     for (int64_t i = 0; i < cap; i++) t->keys[i] = -1;
     for (int64_t id = 0; id < unique; id++) {
-        uint64_t h = map_hash(page_of[id]) & mask;
+        uint64_t h = key_hash(page_of[id]) & mask;
         while (t->keys[h] != -1) h = (h + 1) & mask;
         t->keys[h] = page_of[id];
         t->ids[h] = (int32_t)id;
@@ -2891,14 +2882,14 @@ static int64_t bank_relabel(const void *pages, int64_t width, int64_t n, int32_t
             continue;
         }
         prev = page;
-        uint64_t h = map_hash(page) & mask;
+        uint64_t h = key_hash(page) & mask;
         while (t->keys[h] != -1 && t->keys[h] != page) h = (h + 1) & mask;
         if (t->keys[h] == -1) {
             if (2 * (unique + 1) > cap) { /* cap < 2n <= cap_max: room to double */
                 cap <<= 1;
                 mask = (uint64_t)cap - 1;
                 relabel_fill(t, cap, page_of, unique);
-                h = map_hash(page) & mask;
+                h = key_hash(page) & mask;
                 while (t->keys[h] != -1) h = (h + 1) & mask;
             }
             t->keys[h] = page;
@@ -3066,13 +3057,73 @@ out:
     return misses;
 }
 
-/* ---- a whole trace set in one call, streams spread over threads ---- */
+/* ---- the set kernels' worker threads ---- */
 
 /* Upper bound on worker threads per call, whatever the caller asks. */
-#define BANK_MAX_THREADS 64
+#define SET_MAX_THREADS 64
 
-/* One fs_bank_run_set call: its inputs and outputs, and the queue of
- * streams its workers claim. */
+/* The tasks of one set call.  task(ctx, worker, k) runs task k with
+ * the scratch of `worker` (0 .. threads-1); workers claim tasks from a
+ * shared counter, so a slow core takes fewer. */
+typedef struct {
+    void (*task)(void *ctx, int64_t worker, int64_t k);
+    void *ctx;
+    int64_t ntasks;
+    atomic_llong next; /* the next unclaimed task */
+} TaskQueue;
+
+typedef struct {
+    TaskQueue *queue;
+    int64_t id;
+} TaskWorker;
+
+static void *task_worker(void *arg) {
+    TaskWorker *w = (TaskWorker *)arg;
+    TaskQueue *q = w->queue;
+    for (;;) {
+        long long k = atomic_fetch_add(&q->next, 1);
+        if (k >= q->ntasks) break;
+        q->task(q->ctx, w->id, k);
+    }
+    return NULL;
+}
+
+/* The worker count of a call: what the caller asks, within 1 ..
+ * SET_MAX_THREADS and at most one per task. */
+static int64_t set_threads(int64_t nthreads, int64_t ntasks) {
+    if (nthreads > ntasks) nthreads = ntasks;
+    if (nthreads > SET_MAX_THREADS) nthreads = SET_MAX_THREADS;
+    return nthreads < 1 ? 1 : nthreads;
+}
+
+/* Runs every task on `nthreads` workers (set_threads' count), the
+ * calling thread being worker 0.  The others are created and joined
+ * inside the call with every signal blocked, so signals stay with the
+ * calling thread; a worker that fails to start leaves its tasks to the
+ * rest. */
+static void run_tasks(void (*task)(void *, int64_t, int64_t), void *ctx, int64_t ntasks,
+                      int64_t nthreads) {
+    TaskQueue queue = {.task = task, .ctx = ctx, .ntasks = ntasks};
+    atomic_init(&queue.next, 0);
+    TaskWorker workers[SET_MAX_THREADS];
+    pthread_t threads[SET_MAX_THREADS];
+    int started[SET_MAX_THREADS] = {0};
+    for (int64_t t = 0; t < nthreads; t++) workers[t] = (TaskWorker){&queue, t};
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    for (int64_t t = 1; t < nthreads; t++)
+        started[t] = pthread_create(&threads[t], NULL, task_worker, &workers[t]) == 0;
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    task_worker(&workers[0]);
+    for (int64_t t = 1; t < nthreads; t++)
+        if (started[t]) pthread_join(threads[t], NULL);
+}
+
+/* ---- a whole trace set in one call, streams spread over threads ---- */
+
+/* One fs_bank_run_set call: its inputs and outputs, the streams its
+ * workers claim and each worker's scratch. */
 typedef struct {
     const void *const *pages;
     const int64_t *widths, *lens;
@@ -3081,24 +3132,21 @@ typedef struct {
     const uint64_t *seeds;
     int64_t *misses;
     const int64_t *order; /* the non-empty streams, longest first */
-    int64_t ntasks;
-    atomic_llong next;  /* index into order of the next unclaimed stream */
-    atomic_int failed;  /* a stream held a page >= 2**63 */
+    BankScratch *scratch; /* one per worker */
+    atomic_int failed;    /* a stream held a page >= 2**63 */
 } BankSet;
 
-typedef struct {
-    BankSet *set;
-    BankScratch scratch;
-    pthread_t thread;
-    int started;
-} BankWorker;
-
-/* One task: relabel stream s once, then replay every geometry over it
- * into s's own output slots. */
-static int64_t bank_stream(const BankSet *b, BankScratch *w, int64_t s) {
-    int64_t n = b->lens[s];
+/* Task k: relabel stream order[k] once, then replay every geometry
+ * over it into that stream's own output slots. */
+static void bank_task(void *ctx, int64_t worker, int64_t k) {
+    BankSet *b = (BankSet *)ctx;
+    BankScratch *w = &b->scratch[worker];
+    int64_t s = b->order[k], n = b->lens[s];
     int64_t unique = bank_relabel(b->pages[s], b->widths[s], n, w->ids, w->page_of, &w->map);
-    if (unique < 0) return unique;
+    if (unique < 0) {
+        atomic_store(&b->failed, 1);
+        return;
+    }
     for (int64_t g = 0; g < b->ngeo; g++) {
         Victims victims;
         victims_init(&victims, (int32_t)b->assoc[g], b->seeds[s * b->ngeo + g], 1);
@@ -3108,18 +3156,6 @@ static int64_t bank_stream(const BankSet *b, BankScratch *w, int64_t s) {
                                                  (int32_t)b->assoc[g], &victims, w->tags,
                                                  w->lens, w->res);
     }
-    return 0;
-}
-
-static void *bank_worker(void *arg) {
-    BankWorker *w = (BankWorker *)arg;
-    BankSet *b = w->set;
-    for (;;) {
-        long long k = atomic_fetch_add(&b->next, 1);
-        if (k >= b->ntasks) break;
-        if (bank_stream(b, &w->scratch, b->order[k]) < 0) atomic_store(&b->failed, 1);
-    }
-    return NULL;
 }
 
 static int bank_longest_first(const void *a, const void *b) {
@@ -3135,14 +3171,12 @@ static int bank_longest_first(const void *a, const void *b) {
  * geometry g of stream s draws victims from random.Random(seeds[s *
  * ngeo + g]) and its misses land in misses_out[s * ngeo + g].
  *
- * Up to nthreads workers (the calling thread is one) claim streams,
- * longest first, from a shared counter, so a slow core takes fewer.
+ * Up to nthreads workers (run_tasks) claim streams, longest first.
  * Each stream writes only its own slots and each geometry draws from
  * its own generator, so the counts are the same for any thread count.
- * Threads are created and joined inside the call with every signal
- * blocked, and all scratch is allocated here, before any starts.
- * Returns 0, FS_ERR_KEY on a page >= 2**63 or a bad width, length or
- * geometry, FS_ERR_INTERNAL on allocation failure. */
+ * All scratch is allocated here, before any worker starts.  Returns
+ * 0, FS_ERR_KEY on a page >= 2**63 or a bad width, length or geometry,
+ * FS_ERR_INTERNAL on allocation failure. */
 int64_t fs_bank_run_set(int64_t nstreams, const void *const *pages, const int64_t *widths,
                         const int64_t *lens, int64_t ngeo, const int64_t *sets,
                         const int64_t *assoc, const uint64_t *seeds, int64_t *misses_out,
@@ -3164,13 +3198,11 @@ int64_t fs_bank_run_set(int64_t nstreams, const void *const *pages, const int64_
     if (!ntasks || !ngeo) return 0;
 
     int64_t status = FS_ERR_INTERNAL;
+    nthreads = set_threads(nthreads, ntasks);
     int64_t *keyed = (int64_t *)malloc(sizeof(int64_t) * 2 * ntasks);
     int64_t *order = (int64_t *)malloc(sizeof(int64_t) * ntasks);
-    if (nthreads > ntasks) nthreads = ntasks;
-    if (nthreads > BANK_MAX_THREADS) nthreads = BANK_MAX_THREADS;
-    if (nthreads < 1) nthreads = 1;
-    BankWorker *workers = (BankWorker *)calloc((size_t)nthreads, sizeof(BankWorker));
-    if (!keyed || !order || !workers) goto out;
+    BankScratch *scratch = (BankScratch *)calloc((size_t)nthreads, sizeof(BankScratch));
+    if (!keyed || !order || !scratch) goto out;
     for (int64_t s = 0, t = 0; s < nstreams; s++) {
         if (!lens[s]) continue;
         keyed[2 * t] = lens[s];
@@ -3179,37 +3211,59 @@ int64_t fs_bank_run_set(int64_t nstreams, const void *const *pages, const int64_
     }
     qsort(keyed, (size_t)ntasks, 2 * sizeof(int64_t), bank_longest_first);
     for (int64_t t = 0; t < ntasks; t++) order[t] = keyed[2 * t + 1];
+    for (int64_t t = 0; t < nthreads; t++)
+        if (bank_scratch_init(&scratch[t], keyed[0], max_entries, max_sets)) goto out;
 
     BankSet set = {.pages = pages, .widths = widths, .lens = lens, .ngeo = ngeo, .sets = sets,
                    .assoc = assoc, .seeds = seeds, .misses = misses_out, .order = order,
-                   .ntasks = ntasks};
-    atomic_init(&set.next, 0);
+                   .scratch = scratch};
     atomic_init(&set.failed, 0);
-    for (int64_t t = 0; t < nthreads; t++) {
-        workers[t].set = &set;
-        if (bank_scratch_init(&workers[t].scratch, keyed[0], max_entries, max_sets)) goto out;
-    }
-
-    /* Workers inherit the creator's signal mask: start them with every
-       signal blocked, so signals stay with the calling thread.  A
-       worker that fails to start just leaves its streams to the rest. */
-    sigset_t all, old;
-    sigfillset(&all);
-    pthread_sigmask(SIG_SETMASK, &all, &old);
-    for (int64_t t = 1; t < nthreads; t++)
-        workers[t].started =
-            pthread_create(&workers[t].thread, NULL, bank_worker, &workers[t]) == 0;
-    pthread_sigmask(SIG_SETMASK, &old, NULL);
-    bank_worker(&workers[0]);
-    for (int64_t t = 1; t < nthreads; t++)
-        if (workers[t].started) pthread_join(workers[t].thread, NULL);
+    run_tasks(bank_task, &set, ntasks, nthreads);
     status = atomic_load(&set.failed) ? FS_ERR_KEY : 0;
 out:
-    for (int64_t t = 0; workers && t < nthreads; t++) bank_scratch_free(&workers[t].scratch);
-    free(workers);
+    for (int64_t t = 0; scratch && t < nthreads; t++) bank_scratch_free(&scratch[t]);
+    free(scratch);
     free(keyed);
     free(order);
     return status;
+}
+
+/* ---- loaded timing engines run to completion, spread over threads ---- */
+
+typedef struct {
+    FastSim *const *sims;
+    int64_t *outs;
+    int *status;
+} SimSet;
+
+static void sim_task(void *ctx, int64_t worker, int64_t k) {
+    (void)worker; /* an engine carries all its own state */
+    SimSet *set = (SimSet *)ctx;
+    set->status[k] = fs_run(set->sims[k], set->outs + 4 * k);
+}
+
+/* fs_run over n loaded, untraced engines: engine k's status lands in
+ * status[k] and its out words in outs[4k .. 4k+3].  Up to nthreads
+ * workers (run_tasks) claim engines in order.  Engines share nothing
+ * writable (their streams are read-only), so each result is the one a
+ * lone fs_run gives, for any thread count.  Returns 0, or FS_ERR_KEY
+ * for a negative n. */
+int64_t fs_run_set(FastSim *const *sims, int64_t n, int64_t *outs, int *status,
+                   int64_t nthreads) {
+    if (n < 0) return FS_ERR_KEY;
+    if (!n) return 0;
+    SimSet set = {sims, outs, status};
+    run_tasks(sim_task, &set, n, set_threads(nthreads, n));
+    return 0;
+}
+
+/* Return the free memory at the heap's top and in free pages inside it
+ * to the OS (glibc's malloc_trim; nothing elsewhere): a set's engines
+ * are freed together, after other allocations landed above them. */
+void fs_trim(void) {
+#ifdef __GLIBC__
+    malloc_trim(0);
+#endif
 }
 
 /* ------------------------------------------------------------------ */

@@ -120,7 +120,7 @@ def _cpu_quota() -> Optional[int]:
 
 def usable_cpus() -> int:
     """The CPUs this process may use: those it may run on, no more than
-    its cgroup CPU quota grants.  It caps both a set replay's threads
+    its cgroup CPU quota grants.  It caps both the set kernels' threads
     and a ``BatchRunner``'s worker processes."""
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -132,14 +132,16 @@ def usable_cpus() -> int:
     return max(1, cpus)
 
 
-def replay_threads(streams: int) -> int:
-    """Threads for one set replay: :func:`usable_cpus`, at most one per
-    non-empty stream.  A worker process of a pool (the
-    ``BatchRunner``'s, ``jobs > 1``) replays on one thread, because the
-    pool already fills the CPUs."""
+def replay_threads(tasks: int) -> int:
+    """Threads for one call of a set kernel — a set replay
+    (``fs_bank_run_set``, one task per non-empty stream) or a timing set
+    (``fs_run_set``, one task per engine): :func:`usable_cpus`, at most
+    one per task.  A worker process of a pool (the ``BatchRunner``'s,
+    ``jobs > 1``) runs on one thread, because the pool already fills the
+    CPUs."""
     if multiprocessing.parent_process() is not None:
         return 1
-    return max(1, min(usable_cpus(), streams))
+    return max(1, min(usable_cpus(), tasks))
 
 
 def _column(pages: Sequence[int]) -> array.array:

@@ -86,6 +86,9 @@ int fs_preload(FastSim *s, const int64_t *vpns, const int64_t *ppns, int64_t npa
 void fs_seed_engine(FastSim *s, const uint32_t *state);
 void fs_seed_tlb(FastSim *s, int idx, const uint32_t *state);
 int fs_run(FastSim *s, int64_t *out);
+int64_t fs_run_set(FastSim *const *sims, int64_t n, int64_t *outs, int *status,
+                   int64_t nthreads);
+void fs_trim(void);
 int64_t fs_sync_words(FastSim *s, int64_t *out);
 void fs_export_global(FastSim *s, int64_t *values, int64_t *calls);
 void fs_export_node_counters(FastSim *s, int node, int64_t *values, int64_t *calls);

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from sys import intern as _intern
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -902,17 +903,22 @@ def read_trace(path: str) -> List[Dict]:
         handle = _open_trace(path, "rt")
     except OSError as exc:
         raise ConfigurationError(f"cannot read trace {path}: {exc.strerror or exc}") from None
-    with handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: malformed trace line ({exc})"
-                ) from None
+    try:
+        with handle:
+            for line_no, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(json.loads(line))
+                except ValueError as exc:
+                    raise ConfigurationError(
+                        f"{path}:{line_no}: malformed trace line ({exc})"
+                    ) from None
+    except (UnicodeDecodeError, OSError, EOFError, zlib.error) as exc:
+        # Raised while reading the lines: bytes that are not UTF-8, or a
+        # ".gz" file that is not gzip or ends early.
+        raise ConfigurationError(f"cannot read trace {path}: {exc}") from None
     return records
 
 

@@ -5,12 +5,14 @@ Every job is deterministic given its spec (all randomness derives from
 worker processes is pure divide-and-conquer: results are bit-identical
 to a serial run, whatever the worker count or completion order.
 
-The unit of work is a recording: every pending COMA sweep or sharing
-cell with the same :meth:`JobSpec.trace_hash` runs as one unit
-(:func:`~repro.runner.jobs.execute_unit`), which gets or captures the
-trace once and replays all its cells' bank points in one call.  Timing
-and CC-NUMA cells are units of one.  Units run in the spec order of
-their first cell.  ``jobs=1`` runs every unit in-process.  ``jobs > 1``
+The unit of work is a workload stream: pending cells with the same
+:meth:`JobSpec.unit_key` run as one unit
+(:func:`~repro.runner.jobs.execute_unit`).  The COMA sweep and sharing
+cells of one recording get or capture the trace once and replay all
+their bank points in one call; the timing cells of one stream run
+their compiled engines in one threaded ``fs_run_set`` call.  CC-NUMA
+cells are units of one.  Units run in the spec order of their first
+cell.  ``jobs=1`` runs every unit in-process.  ``jobs > 1``
 hands the units to a :class:`~concurrent.futures.ProcessPoolExecutor`
 of forked workers, one unit per worker in flight.  Either way each
 cell lands on its own, at its spec's index:
@@ -19,7 +21,8 @@ cell lands on its own, at its spec's index:
   exception (``ProtocolError``, ``ConfigurationError``, ...).  Under
   ``keep_going=True`` it lands as a :class:`JobFailure` instead and the
   rest of the grid runs.  A cell with an invalid bank geometry fails
-  alone; a capture that raises fails every cell of its unit.
+  alone; a capture that raises fails every cell of its unit.  A timing
+  cell whose engine raises fails alone.
 * **Worker death** — a worker that vanishes mid-job (segfault,
   OOM-kill) breaks the pool; the run raises
   :class:`~repro.common.errors.JobError` naming the jobs in flight, and
@@ -139,15 +142,16 @@ def _execute(specs: List[JobSpec]) -> Tuple[list, float]:
 
 def _units(pending: List[Tuple[int, JobSpec]]) -> List[List[Tuple[int, JobSpec]]]:
     """Pending cells grouped into units, in the spec order of each
-    unit's first cell: every cell that :meth:`~JobSpec.replays` joins
-    the unit of its recording, any other cell is a unit of one."""
+    unit's first cell: cells with one :meth:`~JobSpec.unit_key` form
+    one unit, a cell without one is a unit of one."""
     units: List[List[Tuple[int, JobSpec]]] = []
-    by_trace = {}
+    by_key = {}
     for index, spec in pending:
-        if not spec.replays():
+        key = spec.unit_key()
+        if key is None:
             units.append([(index, spec)])
             continue
-        unit = by_trace.setdefault(spec.trace_hash(), [])
+        unit = by_key.setdefault(key, [])
         if not unit:
             units.append(unit)
         unit.append((index, spec))

@@ -206,9 +206,20 @@ class JobSpec:
 
     def replays(self) -> bool:
         """Whether this cell replays a recording of the COMA hierarchy
-        (a COMA sweep or a sharing job): such cells with one
-        :meth:`trace_hash` run as one unit (:func:`execute_unit`)."""
+        (a COMA sweep or a sharing job)."""
         return self.kind in (KIND_SWEEP, KIND_SHARING) and self.machine == MACHINE_COMA
+
+    def unit_key(self) -> Optional[Tuple[str, str]]:
+        """What the cells of one unit of work (:func:`execute_unit`)
+        share: a cell that :meth:`replays` joins the cells of its
+        recording, a timing cell the timing cells of its workload
+        stream, each named by :meth:`trace_hash`.  ``None`` for a
+        CC-NUMA sweep, which runs alone."""
+        if self.replays():
+            return "recording", self.trace_hash()
+        if self.kind == KIND_TIMING:
+            return "timing", self.trace_hash()
+        return None
 
     def execute(self, trace_store=None):
         """Run the simulation in-process and return a
@@ -238,7 +249,6 @@ class JobSpec:
         # Resolved at call time, so wrappers installed on these module
         # attributes (the e2e benchmark's ledger) see every call.
         from repro.system.simulator import run_summary
-        from repro.system.taps import TimingAgent
 
         if self.replays():
             (outcome,) = _execute_recorded([self], trace_store)
@@ -247,18 +257,11 @@ class JobSpec:
             return outcome
         if self.machine == MACHINE_NUMA:
             return self._execute_numa()
-        scheme = Scheme(self.scheme)
         summary, _ = run_summary(
             self.params,
-            scheme,
+            Scheme(self.scheme),
             self.build_workload(),
-            lambda: TimingAgent(
-                self.params,
-                scheme,
-                self.entries,
-                organization=Organization(self.organization),
-                include_l2_writebacks=self.include_l2_writebacks,
-            ),
+            self._timing_agent,
             contention=self.contention,
             max_refs_per_node=self.max_refs_per_node,
             # The trace hash doubles as the stream-LRU key: it
@@ -269,6 +272,18 @@ class JobSpec:
             relaxed_writes=self.relaxed_writes,
         )
         return summary
+
+    def _timing_agent(self):
+        """A fresh TLB/DLB agent of a timing cell."""
+        from repro.system.taps import TimingAgent
+
+        return TimingAgent(
+            self.params,
+            Scheme(self.scheme),
+            self.entries,
+            organization=Organization(self.organization),
+            include_l2_writebacks=self.include_l2_writebacks,
+        )
 
     def _bank_grid(self):
         """A sweep's ``(sizes, orgs)`` cell, or ``None`` for a sharing
@@ -379,21 +394,85 @@ def execute_unit(specs: Sequence[JobSpec], trace_store=None) -> List:
     exception that failed it.
 
     A unit is one cell of any kind, run by :meth:`JobSpec.execute`, or
-    the COMA sweep and sharing cells of one recording (every spec
-    :meth:`~JobSpec.replays`, with one :meth:`~JobSpec.trace_hash`).
-    Such a unit gets the recording from ``trace_store`` or captures it
-    (and stores it) once, replays the union of its sweep cells' design
-    points in one call and runs each sharing cell on the same trace in
-    memory.  A cell fails alone when its bank geometry is invalid
-    (checked before anything runs) or its own replay raises; a capture
-    that raises fails every cell.
+    the cells of one :meth:`~JobSpec.unit_key`:
+
+    * The COMA sweep and sharing cells of one recording.  Such a unit
+      gets the recording from ``trace_store`` or captures it (and
+      stores it) once, replays the union of its sweep cells' design
+      points in one call and runs each sharing cell on the same trace
+      in memory.  A cell fails alone when its bank geometry is invalid
+      (checked before anything runs) or its own replay raises; a
+      capture that raises fails every cell.
+    * The timing cells of one workload stream.  Such a unit builds the
+      workload's segments once and one page placement per AM
+      virtuality, loads one compiled engine per cell and runs them all
+      in one threaded ``fs_run_set`` call
+      (:func:`~repro.system.fast_simulator.run_fast_set`).  A cell fails
+      alone with the error its engine raises; a cell whose engine
+      degrades re-runs alone on the scalar engine.  Without the
+      compiled backend each cell runs through :meth:`JobSpec.execute`.
     """
     if len(specs) == 1:
-        try:
-            return [specs[0].execute(trace_store=trace_store)]
-        except Exception as exc:
-            return [exc]
+        return [_outcome(lambda: specs[0].execute(trace_store=trace_store))]
+    if specs[0].kind == KIND_TIMING:
+        return _execute_timing(specs)
     return _execute_recorded(specs, trace_store)
+
+
+def _outcome(run):
+    """``run()``, or the exception it raised."""
+    try:
+        return run()
+    except Exception as exc:
+        return exc
+
+
+def _execute_timing(specs: Sequence[JobSpec]) -> List:
+    """:func:`execute_unit` for the timing cells of one stream."""
+    # Resolved at call time, as in JobSpec.execute.
+    from repro.core.ladder import EngineDegraded
+    from repro.core.timing_kernels import get_backend
+    from repro.system import fast_simulator
+    from repro.system.simulator import scalar_summary
+
+    if get_backend() is None:
+        return [_outcome(spec.execute) for spec in specs]
+    lead = specs[0]
+    try:
+        workload = lead.build_workload()
+        plan = fast_simulator.AddressPlan(lead.params, workload)
+    except Exception as exc:
+        return [exc] * len(specs)
+    outcomes: List = [None] * len(specs)
+    runs = {}  # position -> HeadlessRun
+    for position, spec in enumerate(specs):
+        try:
+            runs[position] = fast_simulator.HeadlessRun(
+                spec.params,
+                Scheme(spec.scheme),
+                workload,
+                spec._timing_agent(),
+                spec.contention,
+                spec.max_refs_per_node,
+                # The stream-LRU key, as in JobSpec.execute: every cell
+                # of the unit shares the materialized columns.
+                spec.trace_hash(),
+                spec.relaxed_writes,
+                plan=plan,
+            )
+        except Exception as exc:
+            outcomes[position] = exc
+    results = fast_simulator.run_fast_set(list(runs.values()))
+    for (position, run), outcome in zip(runs.items(), results):
+        if isinstance(outcome, (EngineDegraded, MemoryError)):
+            spec = specs[position]
+            reason = fast_simulator.degraded_reason(outcome)
+            outcome = _outcome(lambda: scalar_summary(
+                spec.params, run.scheme, spec.build_workload(), spec._timing_agent(),
+                reason, spec.contention, spec.max_refs_per_node, spec.relaxed_writes,
+            ))
+        outcomes[position] = outcome
+    return outcomes
 
 
 def _execute_recorded(specs: Sequence[JobSpec], trace_store) -> List:

@@ -6,7 +6,9 @@ whole run — event heap, FLC/SLC/AM hierarchies, COMA-F protocol,
 directory, crossbar charging, TLB/DLB with the scalar path's exact
 Mersenne Twister streams, and
 :class:`~repro.system.simulator.Simulator`'s barrier, lock and
-stream-end semantics — so an untraced run is one ``fs_run`` call.
+stream-end semantics — so an untraced run is one ``fs_run`` call, and
+the timing cells of one workload stream are one ``fs_run_set`` call
+over their engines (:func:`run_fast_set`).
 
 Every compiled run is a :class:`HeadlessRun`: it is described by
 values alone and no Python machine exists at any point.  A run has
@@ -56,7 +58,7 @@ re-running on the scalar engine and writing every record twice.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.common.address import AddressLayout
 from repro.common.errors import CapacityError, ProtocolError, ReproError
@@ -85,13 +87,6 @@ _DEGRADED = "compiled engine degraded: "
 _UNAVAILABLE = "compiled backend unavailable: "
 
 _N_ENGINE_GLOBALS = 11  # glob[0:11] → engine.counters, the rest → crossbar
-
-
-def _pow2_at_least(n: int) -> int:
-    size = 16
-    while size < n:
-        size <<= 1
-    return size
 
 
 def _is_capture(agent) -> bool:
@@ -152,10 +147,12 @@ class HeadlessRun:
         stream_key: Optional[str] = None,
         relaxed_writes: bool = False,
         tracer=None,
+        plan: Optional["AddressPlan"] = None,
     ) -> None:
-        layout = AddressLayout.from_params(params)
-        space, self.ctx = build_address_space(params, layout, workload)
-        self.placement = place_pages(params, layout, scheme.uses_virtual_am, space)
+        if plan is None:
+            plan = AddressPlan(params, workload)
+        self.ctx = plan.ctx
+        self.placement = plan.placement(scheme.uses_virtual_am)
         self.params = params
         self.scheme = scheme
         self.workload = workload
@@ -175,6 +172,29 @@ class HeadlessRun:
 
     def node_stream(self, node: int):
         return self.workload.node_stream(node, self.ctx)
+
+
+class AddressPlan:
+    """A workload's segments (:func:`~repro.system.machine.build_address_space`),
+    built once, and its page placement
+    (:func:`~repro.system.machine.place_pages`) per AM virtuality, each
+    built on first use.  The timing cells of one workload stream share
+    one plan: the segments depend only on the machine and the workload,
+    the placement also on whether the AM is virtually indexed.  A
+    placement that raises is not kept, so each cell that asks raises."""
+
+    def __init__(self, params, workload) -> None:
+        self.params = params
+        self.layout = AddressLayout.from_params(params)
+        self.space, self.ctx = build_address_space(params, self.layout, workload)
+        self._placements = {}
+
+    def placement(self, virtual_am: bool):
+        if virtual_am not in self._placements:
+            self._placements[virtual_am] = place_pages(
+                self.params, self.layout, virtual_am, self.space
+            )
+        return self._placements[virtual_am]
 
 
 def unavailable_reason() -> str:
@@ -216,31 +236,14 @@ def run_fast(run: HeadlessRun, image: bool = False):
     records already reached it.
     """
     run.mutated = False
-    fault = injected_fault()
-    if fault == "create":
-        raise EngineDegraded("injected fault: engine allocation failed (create)")
-
     backend = tk.get_backend()
     ffi, lib = backend.ffi, backend.lib
-    geom = _geometry(run)
-
-    handle = lib.fs_create(ffi.new("int64_t[]", geom))
-    if handle == ffi.NULL:
-        raise EngineDegraded("C engine allocation failed (fs_create OOM)")
     tracer = run.tracer
+    handle = _create(run, ffi, lib)
     try:
-        # A traced run meets the oom fault where it would really strike:
-        # the trace buffer, which then refuses to grow past its first
-        # chunk.
-        if fault == "oom" and tracer is None:
-            raise EngineDegraded("injected fault: C allocation failed (oom)")
-        if fault == "internal":
-            _raise_engine_error(tk.ERR_INTERNAL)
-        if _is_capture(run.agent) and lib.fs_set_capture(handle) != 0:
-            raise EngineDegraded("capture-mode allocation failed")
         if tracer is None:
             return _drive(run, ffi, lib, handle, image)
-        config = _trace_config(run, tracer, fail_growth=fault == "oom")
+        config = _trace_config(run, tracer, fail_growth=injected_fault() == "oom")
         mark = tracer.checkpoint()
         tracer.begin("run", 0, max_refs=run.max_refs_per_node)
         config[tk.TC_PARENT] = tracer.current_span_id
@@ -255,6 +258,94 @@ def run_fast(run: HeadlessRun, image: bool = False):
             raise
     finally:
         lib.fs_destroy(handle)
+
+
+def run_fast_set(runs: Sequence[HeadlessRun]) -> List:
+    """Run untraced :class:`HeadlessRun` s together: load one engine
+    per run, run them all in one ``fs_run_set`` call and read each
+    summary out as :func:`run_fast` does.  Returns one outcome per run,
+    in order: its :class:`~repro.runner.summary.RunSummary`, or the
+    exception :func:`run_fast` would have raised for it alone — an
+    engine error (the scalar engine's
+    :class:`~repro.common.errors.ReproError`) or a degradation
+    (:class:`~repro.core.ladder.EngineDegraded`, ``MemoryError``),
+    which the caller may re-run on the scalar engine.
+
+    ``fs_run_set`` spreads the engines over
+    :func:`~repro.core.replay.replay_threads` threads, the budget of a
+    set replay; every engine is alive until the call returns."""
+    from repro.core import replay
+
+    backend = tk.get_backend()
+    ffi, lib = backend.ffi, backend.lib
+    outcomes: List = [None] * len(runs)
+    loaded = []  # (position, handle, pinned columns)
+    try:
+        for position, run in enumerate(runs):
+            try:
+                handle = _create(run, ffi, lib)
+            except Exception as exc:
+                outcomes[position] = exc
+                continue
+            try:
+                loaded.append((position, handle, _load(run, ffi, lib, handle)))
+            except Exception as exc:
+                lib.fs_destroy(handle)
+                outcomes[position] = exc
+        if not loaded:
+            return outcomes
+        count = len(loaded)
+        outs = ffi.new("int64_t[]", 4 * count)
+        status = ffi.new("int[]", count)
+        lib.fs_run_set(
+            ffi.new("FastSim *[]", [handle for _, handle, _ in loaded]),
+            count,
+            outs,
+            status,
+            replay.replay_threads(count),
+        )
+        for k, (position, handle, _) in enumerate(loaded):
+            out = outs + 4 * k
+            try:
+                if status[k] != tk.DONE:
+                    _raise_run_error(status[k], ffi, lib, handle, out)
+                outcomes[position] = _readout(
+                    runs[position], ffi, lib, handle, out[0], out[1], False
+                )
+            except Exception as exc:
+                outcomes[position] = exc
+        return outcomes
+    finally:
+        for _, handle, _ in loaded:
+            lib.fs_destroy(handle)
+        # The engines were alive together; give their memory back rather
+        # than leave it to fragment the heap under what runs next.
+        lib.fs_trim()
+
+
+def _create(run: HeadlessRun, ffi, lib):
+    """A new engine sized for ``run``, or the degradation an injected
+    fault or a failed allocation raises; the caller destroys it."""
+    fault = injected_fault()
+    if fault == "create":
+        raise EngineDegraded("injected fault: engine allocation failed (create)")
+    handle = lib.fs_create(ffi.new("int64_t[]", _geometry(run)))
+    if handle == ffi.NULL:
+        raise EngineDegraded("C engine allocation failed (fs_create OOM)")
+    try:
+        # A traced run meets the oom fault where it would really strike:
+        # the trace buffer, which then refuses to grow past its first
+        # chunk.
+        if fault == "oom" and run.tracer is None:
+            raise EngineDegraded("injected fault: C allocation failed (oom)")
+        if fault == "internal":
+            _raise_engine_error(tk.ERR_INTERNAL)
+        if _is_capture(run.agent) and lib.fs_set_capture(handle) != 0:
+            raise EngineDegraded("capture-mode allocation failed")
+    except BaseException:
+        lib.fs_destroy(handle)
+        raise
+    return handle
 
 
 def _geometry(run: HeadlessRun) -> List[int]:
@@ -303,9 +394,10 @@ def _geometry(run: HeadlessRun) -> List[int]:
     geom[tk.GEOM_AM_BLOCK] = params.am_block
     geom[tk.GEOM_REQ_PAYLOAD] = params.request_payload_bytes
     geom[tk.GEOM_BLK_PAYLOAD] = params.am_block + params.message_header_bytes
-    geom[tk.GEOM_DIR_CAPACITY] = _pow2_at_least(2 * npages * params.blocks_per_page + 16)
-    mapped = 0 if run.scheme.uses_virtual_am else npages
-    geom[tk.GEOM_MAP_CAPACITY] = _pow2_at_least(2 * mapped + 16)
+    # Exact fits: the preload creates one directory entry per block,
+    # and a physical AM maps every page.
+    geom[tk.GEOM_DIR_CAPACITY] = npages * params.blocks_per_page
+    geom[tk.GEOM_MAP_CAPACITY] = 0 if run.scheme.uses_virtual_am else npages
     geom[tk.GEOM_CONTENTION] = int(run.contention)
     return geom
 
@@ -371,15 +463,23 @@ def _trace_config(run: HeadlessRun, tracer, fail_growth: bool) -> List[int]:
 
 
 def _drive(run: HeadlessRun, ffi, lib, handle, image: bool):
+    keep = _load(run, ffi, lib, handle)  # pinned while C runs
+    end_time, barriers = _sync_loop(run, ffi, lib, handle)
+    return _readout(run, ffi, lib, handle, end_time, barriers, image)
+
+
+def _load(run: HeadlessRun, ffi, lib, handle) -> list:
+    """Load the run's snapshot into the engine: streams, the preload
+    image and the RNG states.  Returns what must stay alive while the
+    engine runs.
+
+    Streams are columns from the workload's C twin, or drained from its
+    Python generator where the twin declines (shared across grid cells
+    through the stream LRU when the run carries its workload identity);
+    the returned list pins the arrays and their cffi views for the
+    lifetime of the run (C holds raw pointers)."""
     agent = run.agent
     count = run.params.nodes
-
-    # -- load the snapshot ----------------------------------------------
-    # Streams: columns from the workload's C twin, or drained from its
-    # Python generator where the twin declines (shared across grid
-    # cells through the stream LRU when the run carries its workload
-    # identity); `keep` pins the arrays and their cffi views for the
-    # lifetime of the run (C holds raw pointers).
     keep = []
     for n in range(count):
         ops, vals = tk.materialize_shared(
@@ -423,7 +523,15 @@ def _drive(run: HeadlessRun, ffi, lib, handle, image: bool):
                 ffi.from_buffer("uint32_t[]", tk.rng_state_words(agent.buffer(n)._rng)),
             )
 
-    end_time, barriers = _sync_loop(run, ffi, lib, handle)
+    return keep
+
+
+def _readout(run: HeadlessRun, ffi, lib, handle, end_time, barriers, image: bool):
+    """The finished run's summary, read from C (and, with ``image``,
+    its final machine image into ``run.image``)."""
+    agent = run.agent
+    count = run.params.nodes
+    timing_agent = type(agent) is TimingAgent
     think = run.workload.think_cycles
     breakdowns = []
     refs_per_node = []

@@ -301,10 +301,32 @@ def run_summary(
                 raise
             reason = fast_simulator.degraded_reason(exc)
         agent = make_agent()
+    summary = scalar_summary(
+        params, scheme, workload, agent, reason, contention, max_refs_per_node,
+        relaxed_writes, tracer,
+    )
+    return summary, agent
+
+
+def scalar_summary(
+    params,
+    scheme,
+    workload,
+    agent,
+    reason: Optional[str],
+    contention: bool = False,
+    max_refs_per_node: Optional[int] = None,
+    relaxed_writes: bool = False,
+    tracer=None,
+):
+    """One run on a :class:`Machine` and the scalar engine, its summary
+    stamped with ``reason`` as its ``fallback_reason``: the last rung
+    of :func:`run_summary`'s ladder, and the re-run of a timing set's
+    degraded cell."""
     machine = Machine(
         params, scheme, workload, agent=agent, contention=contention,
         relaxed_writes=relaxed_writes, tracer=tracer,
     )
     simulator = Simulator(machine, max_refs_per_node=max_refs_per_node)
     simulator.fallback_reason = reason
-    return simulator.run(), agent
+    return simulator.run()

@@ -76,11 +76,16 @@ class TestParsing:
         ["trace-validate", "{tmp}/missing.jsonl"],
         ["trace-profile", "{tmp}/missing.jsonl"],
         ["trace-profile", "{golden}", "--metrics", "{tmp}/missing.json"],
+        ["trace-validate", "{tmp}/binary.jsonl"],
+        ["trace-profile", "{tmp}/plain.jsonl.gz"],
     ], ids=" ".join)
     def test_malformed_values_are_usage_errors(self, capsys, tmp_path, argv):
         """Exit 2 with one line, before any job runs: no traceback, no
         store capped at zero bytes, no clamped toy workload, no
         simulation whose output has nowhere to go."""
+        # A trace that is not UTF-8 text, and a ".gz" one that is not gzip.
+        (tmp_path / "binary.jsonl").write_bytes(b"\xff\xfe\n")
+        (tmp_path / "plain.jsonl.gz").write_text('{"kind":"meta"}\n')
         argv = [arg.format(tmp=tmp_path, golden=GOLDEN_TRACE) for arg in argv]
         runs = argv[0] in ("sweep", "timing")
         machine = FAST + ["--cache-dir", str(tmp_path)] if runs else []

@@ -137,6 +137,18 @@ class TestTracer:
         with pytest.raises(ConfigurationError, match="cannot read trace"):
             read_trace(str(tmp_path / "missing.jsonl"))
 
+    def test_non_utf8_trace_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"kind":"meta"}\n\xff\xfe\n')
+        with pytest.raises(ConfigurationError, match="cannot read trace .*utf-8"):
+            read_trace(str(path))
+
+    def test_gz_trace_that_is_not_gzip_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl.gz"
+        path.write_text('{"kind":"meta","format":1,"scheme":"V-COMA"}\n')
+        with pytest.raises(ConfigurationError, match="cannot read trace .*gzip"):
+            read_trace(str(path))
+
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind":"meta","format":1,"scheme":"V-COMA"}\nnot json\n')

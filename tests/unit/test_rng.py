@@ -31,3 +31,19 @@ def test_make_rng_independent_streams():
 def test_mixed_name_types():
     assert substream_seed(0, "a", 1, "b") == substream_seed(0, "a", 1, "b")
     assert substream_seed(0, "a", 1) != substream_seed(0, "a", "1")
+
+
+def test_memoized_seeds_equal_the_hash():
+    """The memo returns what the hash gives, first call and cached
+    alike, and keeps apart names that compare equal but whose ``repr``
+    differs."""
+    import hashlib
+
+    def hashed(seed, *names):
+        digest = hashlib.sha256(repr((seed,) + names).encode()).digest()
+        return int.from_bytes(digest[:8], "little")
+
+    for names in [("tlb", 0), ("a", 1), ("a", True), ("a", 1.0)]:
+        for _ in range(2):
+            assert substream_seed(3, *names) == hashed(3, *names)
+    assert len({substream_seed(3, "a", value) for value in (1, True, 1.0)}) == 3

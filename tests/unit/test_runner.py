@@ -56,16 +56,18 @@ def timing_spec(params, **overrides):
 
 
 def fail_labelled(monkeypatch, label, exc):
-    """Make the job labelled ``label`` raise ``exc`` instead of running.
-    Patched on the class, so forked pool workers inherit it."""
-    execute = JobSpec.execute
+    """Make the job labelled ``label`` fail with ``exc`` instead of
+    running, whichever unit of work it runs in; the other cells of its
+    unit run.  Patched on the runner's module, so forked pool workers
+    inherit it."""
+    execute_unit = batch.execute_unit
 
-    def failing(spec, *args, **kwargs):
-        if spec.label == label:
-            raise exc
-        return execute(spec, *args, **kwargs)
+    def failing(specs, trace_store=None):
+        rest = [spec for spec in specs if spec.label != label]
+        outcomes = iter(execute_unit(rest, trace_store) if rest else ())
+        return [exc if spec.label == label else next(outcomes) for spec in specs]
 
-    monkeypatch.setattr(JobSpec, "execute", failing)
+    monkeypatch.setattr(batch, "execute_unit", failing)
 
 
 def flip_bytes(path):
@@ -257,7 +259,8 @@ class TestBatchRunner:
     def test_effective_jobs_clamped_to_cpu_count(self, params, monkeypatch):
         monkeypatch.setattr(batch, "usable_cpus", lambda: 1)
         runner = BatchRunner(jobs=8)
-        runner.run([timing_spec(params), timing_spec(params, label="b")])
+        # Two workload streams: two units of work.
+        runner.run([timing_spec(params), timing_spec(params, label="b", max_refs_per_node=301)])
         assert runner.effective_jobs == 1
         assert runner.stats.jobs_clamped and runner.stats.requested_jobs == 8
 
@@ -270,7 +273,7 @@ class TestBatchRunner:
                             raising=False)
         monkeypatch.setattr(replay, "_cpu_quota", lambda: 1)
         runner = BatchRunner(jobs=64)
-        runner.run([timing_spec(params, label=str(i)) for i in range(3)])
+        runner.run([timing_spec(params, label=str(i), max_refs_per_node=300 + i) for i in range(3)])
         assert runner.effective_jobs == 1
         assert runner.stats.requested_jobs == 64
         assert replay.replay_threads(1000) == 1
@@ -452,10 +455,12 @@ class TestPool:
             return execute(spec, *args, **kwargs)
 
         monkeypatch.setattr(JobSpec, "execute", dying)
+        # Three workload streams: three units of work, each a single
+        # cell that runs through JobSpec.execute.
         specs = [
-            timing_spec(params, label="first"),
-            timing_spec(params, label="doomed"),
-            timing_spec(params, label="last"),
+            timing_spec(params, label="first", max_refs_per_node=300),
+            timing_spec(params, label="doomed", max_refs_per_node=301),
+            timing_spec(params, label="last", max_refs_per_node=302),
         ]
         runner = BatchRunner(jobs=2)
         with pytest.raises(JobError, match="doomed"):
@@ -704,6 +709,65 @@ class TestRecordingUnits:
                 assert job.error_type == "ProtocolError"
                 assert "capture broke" in job.traceback
         assert runner.stats.failed == 4 and runner.stats.completed == 3
+
+
+# ----------------------------------------------------------------------
+# Timing sets: the timing cells of one workload stream run together
+# ----------------------------------------------------------------------
+class TestTimingUnits:
+    def test_grouping(self, unit_grid):
+        """Timing cells of one stream form one unit; a sweep cell of the
+        same trace hash joins its recording instead, and a CC-NUMA cell
+        is a unit of one."""
+        params = unit_grid[0].params
+        common = dict(overrides={"intensity": 0.2})
+        specs = [
+            unit_grid[1],  # timing, radix
+            unit_grid[0],  # sweep, radix
+            JobSpec.timing(params, Scheme.L0_TLB, "radix", 16, max_refs_per_node=300,
+                           label="timing-l0", **common),
+            unit_grid[5],  # CC-NUMA sweep, radix
+            JobSpec.timing(params, Scheme.V_COMA, "fft", 8, max_refs_per_node=300,
+                           label="timing-fft", **common),
+            dataclasses.replace(unit_grid[5], label="numa-again"),
+            JobSpec.timing(params, Scheme.V_COMA, "radix", 8, max_refs_per_node=301,
+                           label="timing-301", **common),
+            unit_grid[2],  # sweep, radix
+        ]
+        assert specs[0].trace_hash() == specs[1].trace_hash()
+        units = batch._units(list(enumerate(specs)))
+        assert [[index for index, _ in unit] for unit in units] == [
+            [0, 2], [1, 7], [3], [4], [5], [6],
+        ]
+
+    def test_without_the_compiled_backend_each_cell_runs_alone(self, grid, baseline, monkeypatch):
+        """No compiled engine: a timing unit runs every cell through
+        ``JobSpec.execute`` on the scalar engine, with the same numbers."""
+        from repro.core import timing_kernels
+
+        monkeypatch.setattr(timing_kernels, "get_backend", lambda: None)
+        executed = []
+        execute = JobSpec.execute
+
+        def recording(spec, *args, **kwargs):
+            executed.append(spec)
+            return execute(spec, *args, **kwargs)
+
+        monkeypatch.setattr(JobSpec, "execute", recording)
+        jobs = BatchRunner(jobs=1).run(grid)
+        assert executed == grid
+        assert {job.summary.backend for job in jobs} == {"scalar"}
+        assert all(
+            job.summary.fallback_reason.startswith("compiled backend unavailable: ")
+            for job in jobs
+        )
+
+        def surface(payload):
+            return {k: v for k, v in payload.items() if k not in ("backend", "fallback_reason")}
+
+        assert [surface(job.summary.to_dict()) for job in jobs] == [
+            surface(payload) for payload in baseline
+        ]
 
 
 # ----------------------------------------------------------------------
