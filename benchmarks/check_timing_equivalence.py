@@ -42,6 +42,7 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -51,8 +52,6 @@ from repro.core.schemes import SCHEME_ORDER
 from repro.core.timing_kernels import backend_status, get_backend
 from repro.core.tlb import Organization
 from repro.obs import Tracer
-from unittest import mock
-
 from repro.runner import JobSpec
 from repro.runner.jobs import execute_unit
 from repro.runner.summary import RunSummary
@@ -105,6 +104,22 @@ def main() -> int:
     failures = []
     checked = 0
     compiled_runs = 0
+
+    def check(label, engine, run, scalar):
+        nonlocal checked, compiled_runs
+        checked += 1
+        if isinstance(run, Exception):
+            failures.append(f"{label}: {engine} raised {run!r}")
+            return
+        compiled_runs += run.backend == "compiled"
+        if comparable(run) != comparable(scalar):
+            failures.append(f"{label}: {engine} ({run.backend}) != scalar")
+        elif compiled_expected and run.backend != "compiled":
+            failures.append(
+                f"{label}: {engine} ran {run.backend} "
+                f"({run.fallback_reason}) with the compiled backend available"
+            )
+
     jobs = []  # (label, JobSpec, scalar summary) of every CASES row
     for scheme in SCHEME_ORDER:
         for name, intensity, entries, org, max_refs, contention in CASES:
@@ -129,17 +144,8 @@ def main() -> int:
                 overrides={"intensity": intensity}, **kwargs
             )
             jobs.append((label, spec, scalar))
-            job = spec.execute()
-            for engine, run in (("fast", fast), ("job", job)):
-                checked += 1
-                compiled_runs += run.backend == "compiled"
-                if comparable(run) != comparable(scalar):
-                    failures.append(f"{label}: {engine} ({run.backend}) != scalar")
-                elif compiled_expected and run.backend != "compiled":
-                    failures.append(
-                        f"{label}: {engine} ran {run.backend} "
-                        f"({run.fallback_reason}) with the compiled backend available"
-                    )
+            check(label, "fast", fast, scalar)
+            check(label, "job", spec.execute(), scalar)
 
     units = {}
     for row in jobs:
@@ -149,20 +155,7 @@ def main() -> int:
             for unit in units.values():
                 outcomes = execute_unit([spec for _, spec, _ in unit])
                 for (label, _, scalar), run in zip(unit, outcomes):
-                    checked += 1
-                    if isinstance(run, Exception):
-                        failures.append(f"{label}: set on {threads} threads raised {run!r}")
-                        continue
-                    compiled_runs += run.backend == "compiled"
-                    if comparable(run) != comparable(scalar):
-                        failures.append(
-                            f"{label}: set on {threads} threads ({run.backend}) != scalar"
-                        )
-                    elif compiled_expected and run.backend != "compiled":
-                        failures.append(
-                            f"{label}: set on {threads} threads ran {run.backend} "
-                            f"({run.fallback_reason}) with the compiled backend available"
-                        )
+                    check(label, f"set on {threads} threads", run, scalar)
 
     with tempfile.TemporaryDirectory() as scratch:
         for scheme, name, intensity, entries in TRACED_CASES:
