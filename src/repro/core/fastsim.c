@@ -3279,17 +3279,59 @@ void fs_trim(void) {
 /* self-checks every codec against the generic encoder at creation.    */
 /* ------------------------------------------------------------------ */
 
+/* Two decimal digits per division. */
+static const char tr_digit_pairs[201] =
+    "00010203040506070809" "10111213141516171819"
+    "20212223242526272829" "30313233343536373839"
+    "40414243444546474849" "50515253545556575859"
+    "60616263646566676869" "70717273747576777879"
+    "80818283848586878889" "90919293949596979899";
+
+static int tr_ndigits(uint64_t u) {
+    int n = 1;
+    for (;;) {
+        if (u < 10u) return n;
+        if (u < 100u) return n + 1;
+        if (u < 1000u) return n + 2;
+        if (u < 10000u) return n + 3;
+        u /= 10000u;
+        n += 4;
+    }
+}
+
+/* Writes at most 20 bytes (a sign and 19 digits, or 20 digits). */
 static char *tr_itoa(char *o, int64_t v) {
-    char tmp[24];
-    int n = 0;
     uint64_t u = (v < 0) ? (uint64_t)(-(v + 1)) + 1u : (uint64_t)v;
     if (v < 0) *o++ = '-';
-    do {
-        tmp[n++] = (char)('0' + (u % 10u));
-        u /= 10u;
-    } while (u);
-    while (n) *o++ = tmp[--n];
-    return o;
+    char *e = o + tr_ndigits(u);
+    char *w = e;
+    while (u >= 100u) {
+        w -= 2;
+        memcpy(w, tr_digit_pairs + 2 * (u % 100u), 2);
+        u /= 100u;
+    }
+    if (u >= 10u) {
+        memcpy(w - 2, tr_digit_pairs + 2 * u, 2);
+    } else {
+        w[-1] = (char)('0' + u);
+    }
+    return e;
+}
+
+/* Copies n bytes as whole 16-byte chunks (inlined, no memcpy call), so
+ * it reads and writes up to 15 bytes past n: the tracer pads the
+ * segment and string blobs with TR_SLACK zero bytes, and
+ * fs_trace_render keeps TR_SLACK bytes of `out` free behind every
+ * copy. */
+#define TR_SLACK 32
+static inline char *tr_copy(char *o, const char *src, int64_t n) {
+    char *e = o + n;
+    while (o < e) {
+        memcpy(o, src, 16);
+        o += 16;
+        src += 16;
+    }
+    return e;
 }
 
 /* Returns bytes written, -1 if `cap` is too small (caller grows and
@@ -3309,28 +3351,27 @@ int64_t fs_trace_render(const char *stream_, int64_t nbytes,
     while (p < pe) {
         int c = *p++;
         int ns = nslots[c];
-        if (p + 8 * ns > pe) return -2;
-        int kbase = kind_off[c];
-        int sbase = seg_base[c];
-        for (int j = 0; j <= ns; j++) {
-            int64_t s0 = seg_off[sbase + j];
-            int64_t s1 = seg_off[sbase + j + 1];
-            if (o + (s1 - s0) + 24 > oe) return -1;
-            memcpy(o, segs + s0, (size_t)(s1 - s0));
-            o += s1 - s0;
+        if (8 * (int64_t)ns > pe - p) return -2;
+        const uint8_t *k = kinds + kind_off[c];
+        const int64_t *so = seg_off + seg_base[c];
+        for (int j = 0;; j++) {
+            /* the segment, then room for a number (20 bytes) or the
+               next chunked copy's overrun */
+            int64_t s0 = so[j];
+            int64_t n = so[j + 1] - s0;
+            if (n + TR_SLACK > oe - o) return -1;
+            o = tr_copy(o, segs + s0, n);
             if (j == ns) break;
             int64_t v;
             memcpy(&v, p, 8); /* stream is little-endian, like the host */
             p += 8;
-            uint8_t k = kinds[kbase + j];
-            if (k == 2) {
+            if (k[j] == 2) {
                 if (v < 0 || v >= nstr) return -2;
                 int64_t t0 = str_off[v];
-                int64_t t1 = str_off[v + 1];
-                if (o + (t1 - t0) > oe) return -1;
-                memcpy(o, strs + t0, (size_t)(t1 - t0));
-                o += t1 - t0;
-            } else if (k == 1 && v < 0) {
+                int64_t tn = str_off[v + 1] - t0;
+                if (tn + TR_SLACK > oe - o) return -1;
+                o = tr_copy(o, strs + t0, tn);
+            } else if (k[j] == 1 && v < 0) {
                 memcpy(o, "null", 4);
                 o += 4;
             } else {

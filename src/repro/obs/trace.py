@@ -45,8 +45,12 @@ compiled timing engine (``fastsim.c``).  It learns the codec ids and
 global string ids from the emitters (each carries its ``codec``),
 continues the span-id counter and last seen time
 (:attr:`Tracer.span_state`), and hands its drained buffer to
-:meth:`Tracer.take_packed`, which batches the bytes for the renderer
-exactly as the emitters would have.
+:meth:`Tracer.take_packed`.  A full drain (``PACKED_FLUSH_BYTES`` or
+more) that finds no packed records batched is rendered straight from
+the engine's memory and written after any pending lines; a smaller one
+is batched for the renderer exactly as the emitters' records are.
+Either way the compiled renderer's output reaches the file as a view
+of its buffer, without a Python copy.
 """
 
 from __future__ import annotations
@@ -67,6 +71,11 @@ FLUSH_BATCH = 512
 #: (a few thousand records at typical shapes; the render is O(bytes)
 #: so larger batches just amortize the drain call better).
 PACKED_FLUSH_BYTES = 1 << 17
+
+#: Zero bytes after the segment and string blobs handed to
+#: ``fs_trace_render`` (its ``TR_SLACK``: chunked copies overrun by up
+#: to 15 bytes).
+_TABLE_PAD = 32
 
 # Fallback for values the fast path below doesn't handle inline.
 _json_encode = json.JSONEncoder(
@@ -420,9 +429,7 @@ class Tracer:
             self.end(self._last_time, truncated=True)
         if self._packed:
             self._drain_packed()
-        if self._pending:
-            self._file.write(b"".join(self._pending))
-            self._pending.clear()
+        self._write_pending()
         self._file.close()
         self._file = None
 
@@ -739,10 +746,17 @@ class Tracer:
     def take_packed(self, data) -> None:
         """Append packed records written elsewhere with this tracer's
         codec and string ids (a drained compiled-engine buffer), in
-        stream order, batched for the bulk renderer exactly as the
-        emitters would have batched them."""
+        stream order.  A drain of at least ``PACKED_FLUSH_BYTES`` that
+        finds the binary batch empty is rendered from ``data`` itself
+        and written at once (after any pending lines); a smaller one is
+        batched for the bulk renderer exactly as the emitters would
+        have batched it."""
         self._check_open()
         buf = self._packed
+        if not buf and len(data) >= PACKED_FLUSH_BYTES:
+            self._write_pending()
+            self._file.write(self._render_packed(data))
+            return
         buf += data
         if len(buf) >= PACKED_FLUSH_BYTES:
             self._flush_packed()
@@ -766,23 +780,30 @@ class Tracer:
         stream order: pending lines always precede batched records)."""
         buf = self._packed
         if buf:
-            self._pending.append(self._render_packed(buf))
+            # A copy: the render buffer is reused by the next render.
+            self._pending.append(bytes(self._render_packed(buf)))
             buf.clear()
+
+    def _write_pending(self) -> None:
+        pending = self._pending
+        if pending:
+            self._file.write(b"".join(pending))
+            pending.clear()
 
     def _flush_packed(self) -> None:
         """Called by packed emitters when the binary batch fills: write
         any pending lines (they precede the batch in stream order),
         then render the batch straight to the file."""
-        pending = self._pending
-        if pending:
-            self._file.write(b"".join(pending))
-            pending.clear()
+        self._write_pending()
         buf = self._packed
         if buf:
             self._file.write(self._render_packed(buf))
             buf.clear()
 
-    def _render_packed(self, data) -> bytes:
+    def _render_packed(self, data):
+        """Render packed records to JSONL bytes.  The compiled renderer
+        returns a view of the tracer's reusable output buffer, valid
+        until the next render; the Python fallback returns bytes."""
         lib = _render_lib()
         if lib is None:
             return self._render_packed_py(bytes(data))
@@ -800,7 +821,7 @@ class Tracer:
         while True:
             n = lib.fs_trace_render(stream, len(data), *tables, self._cbuf, cap)
             if n >= 0:
-                return ffi.buffer(self._cbuf, n)[:]
+                return ffi.buffer(self._cbuf, n)
             if n == -1:  # output buffer too small: grow and retry
                 cap *= 2
                 self._cbuf = ffi.new("char[]", cap)
@@ -823,7 +844,9 @@ class Tracer:
 
     def _build_ctables(self) -> Tuple:
         """cffi argument block for ``fs_trace_render`` (codec layouts +
-        the global string table); rebuilt when either changes."""
+        the global string table); rebuilt when either changes.  The
+        segment and string blobs end in ``_TABLE_PAD`` zero bytes, which
+        the renderer's 16-byte chunked copies may read."""
         ffi = _RENDER_BACKEND.ffi
         nslots: List[int] = []
         kind_off: List[int] = []
@@ -854,10 +877,10 @@ class Tracer:
             ffi.new("int32_t[]", nslots),
             ffi.new("int32_t[]", kind_off),
             bytes(kinds),
-            b"".join(seg_blob),
+            b"".join(seg_blob) + bytes(_TABLE_PAD),
             ffi.new("int64_t[]", seg_off),
             ffi.new("int32_t[]", seg_base),
-            b"".join(str_blob),
+            b"".join(str_blob) + bytes(_TABLE_PAD),
             ffi.new("int64_t[]", str_off),
             len(self._strings),
         )
@@ -872,8 +895,7 @@ class Tracer:
         pending = self._pending
         pending.append((_encode(record) + "\n").encode("utf-8"))
         if len(pending) >= FLUSH_BATCH:
-            self._file.write(b"".join(pending))
-            pending.clear()
+            self._write_pending()
 
     def __repr__(self) -> str:
         state = "closed" if self._file is None else f"{self.depth} open"

@@ -239,6 +239,165 @@ class TestForeignProducer:
         assert tracer.depth == 0 and tracer.span_state == (1, 0)
 
 
+    def test_full_drain_keeps_stream_order(self, tmp_path, monkeypatch):
+        # Drains of at least the limit are rendered from the drained
+        # buffer itself when no packed record is batched, and batched
+        # like any other when some are: after pending generic lines and
+        # after a partly filled batch, the stream order must not change.
+        monkeypatch.setattr(trace, "PACKED_FLUSH_BYTES", 256)
+        (native, (begin, end), msg), (foreign, ref_pair, foreign_msg) = (
+            packed_producer_pair(tmp_path)
+        )
+        ref = ref_pair[0].codec
+        event = foreign_msg.codec
+        read, write = ref.gmaps[1]
+        clock = iter(range(10, 10**6, 10))
+
+        def references(count):
+            """``count`` references on the native tracer; the same
+            records packed, as the engine would drain them."""
+            drained = b""
+            for i in range(count):
+                t = next(clock)
+                sid = begin(t, 1, i % 2, 7 + i)
+                msg(t + 1, 1, 2)
+                end(t + 5, 5, i % 3)
+                drained += event.struct.pack(event.id, sid, t + 1, 1, 2)
+                drained += ref.struct.pack(
+                    ref.id, sid, 1, t, t + 5, 1, write if i % 2 else read, 7 + i, 5, i % 3
+                )
+            return drained
+
+        def drain(data):
+            foreign.take_packed(data)
+            foreign.span_state = native.span_state
+
+        def generic(name):
+            t = next(clock)
+            for tracer in (native, foreign):
+                tracer.event(name, t, node=0)
+
+        generic("phase")  # a pending line, then a full drain
+        full = references(4)
+        assert len(full) >= 256
+        drain(full)
+        drain(references(1))  # a partly filled batch...
+        drain(references(4))  # ...then a full drain that joins it
+        generic("phase")
+        drain(references(5))
+        native.close()
+        foreign.close()
+        data = (tmp_path / "native.jsonl").read_bytes()
+        assert data == (tmp_path / "foreign.jsonl").read_bytes()
+        assert data.count(b'"name":"ref"') == 14 and data.count(b'"name":"phase"') == 2
+
+    def test_gz_trace_round_trips_through_the_flush(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace, "PACKED_FLUSH_BYTES", 128)
+        records = []
+        for name in ("t.jsonl", "t.jsonl.gz"):
+            tracer = Tracer(str(tmp_path / name))
+            tracer.set_meta(scheme="V-COMA", nodes=1)
+            msg = tracer.event_emitter("msg", ("src", "dst"))
+            tracer.begin("run", 0)
+            for i in range(40):
+                msg(i, i % 8, 7)
+            drained = b"".join(
+                msg.codec.struct.pack(msg.codec.id, 1, 40 + i, i, 3) for i in range(20)
+            )
+            tracer.take_packed(drained)
+            tracer.end(60)
+            tracer.close()
+            records.append(read_trace(str(tmp_path / name)))
+        plain, gz = records
+        assert gz == plain
+        assert sum(r.get("name") == "msg" for r in gz) == 60
+        validate_trace(gz)
+
+
+#: Decimal digit-count boundaries of int64, both signs.
+BOUNDARY_INTS = sorted(
+    {0, 2**63 - 1, -(2**63)}
+    | {10**d + e for d in range(19) for e in (-1, 0)}
+    | {-(10**d) + e for d in range(19) for e in (0, 1)}
+)
+
+
+class TestCompiledRenderer:
+    """``fs_trace_render`` against ``_render_packed_py``, byte for byte,
+    on the edges of its digit formatting and chunked copies."""
+
+    #: Int keys whose ``,"key":`` segments are 15, 16, 17, 31, 32 and 33
+    #: bytes long.
+    KEYS = tuple(letter * (n - 4) for letter, n in zip("abcdef", (15, 16, 17, 31, 32, 33)))
+    #: Enum choices copied from the string table: 0 to 33 bytes, and a
+    #: long last entry that outgrows the first output buffer.
+    CHOICES = ("", "x" * 15, "x" * 16, "x" * 17, "x" * 31, "x" * 32, "x" * 33, "y" * 5000)
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        lib = trace._render_lib()
+        if lib is None:
+            pytest.skip("compiled backend unavailable")
+        tracer = Tracer(str(tmp_path / "t.jsonl"))
+        ints = tracer.event_emitter("ints", self.KEYS)
+        flag = tracer.event_emitter("flag", ("on",), bools=("on",))
+        pick = tracer.event_emitter("pick", ("s",), enums={"s": self.CHOICES})
+        yield tracer, lib, ints.codec, flag.codec, pick.codec
+        tracer.close()
+
+    @staticmethod
+    def render_c(tracer, lib, data, cap):
+        ffi = trace._RENDER_BACKEND.ffi
+        out = ffi.new("char[]", cap)
+        n = lib.fs_trace_render(
+            ffi.from_buffer(data), len(data), *tracer._build_ctables(), out, cap
+        )
+        return n, ffi.buffer(out, max(n, 0))[:]
+
+    def stream(self, ints, flag, pick):
+        values = BOUNDARY_INTS + [0] * (-len(BOUNDARY_INTS) % len(self.KEYS))
+        heads = (-1, -(2**63), 0, 2**63 - 1, 7)  # nullable span: null when < 0
+        records = []
+        for i in range(0, len(values), len(self.KEYS)):
+            span = heads[(i // len(self.KEYS)) % len(heads)]
+            records.append(ints.struct.pack(ints.id, span, values[i], *values[i:i + len(self.KEYS)]))
+        records += [flag.struct.pack(flag.id, 3, 2, gid) for gid in flag.gmaps[0]]
+        records += [pick.struct.pack(pick.id, -1, 1, gid) for gid in pick.gmaps[0]]
+        return b"".join(records)
+
+    def test_matches_the_python_renderer(self, setup):
+        tracer, lib, ints, flag, pick = setup
+        data = self.stream(ints, flag, pick)
+        assert pick.gmaps[0][-1] == len(tracer._strings) - 1  # the last entry
+        expected = tracer._render_packed_py(data)
+        assert bytes(tracer._render_packed(data)) == expected
+        for value in BOUNDARY_INTS:
+            assert b":%d," % value in expected or b":%d}" % value in expected
+        assert b'"span":null' in expected and b'"s":""' in expected
+
+    def test_output_ending_at_cap_needs_the_slack(self, setup):
+        tracer, lib, ints, flag, pick = setup
+        data = self.stream(ints, flag, pick)
+        expected = tracer._render_packed_py(data)
+        assert self.render_c(tracer, lib, data, len(expected)) == (-1, b"")
+        assert self.render_c(tracer, lib, data, len(expected) + 32) == (len(expected), expected)
+
+    def test_buffer_grows_until_the_output_fits(self, setup):
+        tracer, lib, ints, flag, pick = setup
+        last = pick.gmaps[0][-1]
+        data = pick.struct.pack(pick.id, 1, 2, last) * 60
+        expected = tracer._render_packed_py(data)
+        assert len(expected) > 4 * len(data) + (1 << 16)
+        assert bytes(tracer._render_packed(data)) == expected
+
+    def test_truncated_stream_is_rejected(self, setup):
+        tracer, lib, ints, flag, pick = setup
+        data = self.stream(ints, flag, pick)[:-1]
+        assert self.render_c(tracer, lib, data, 1 << 20)[0] == -2
+        with pytest.raises(ConfigurationError, match="rejected the packed stream"):
+            tracer._render_packed(data)
+
+
 class TestClosedTracer:
     """Recording after close() raises instead of losing the record."""
 
